@@ -134,7 +134,7 @@ def cmd_wha_verify(args) -> int:
     report = alg.verify_axioms(seed=args.seed, samples=args.samples)
     print(report.summary())
     if args.json:
-        _write_json(args.json, {"schema": "tywha-axioms/1", **report.to_dict()})
+        _write_json(args.json, {"schema": "tywha-axioms/2", **report.to_dict()})
     return 0 if report.passed else 1
 
 
@@ -192,7 +192,7 @@ def cmd_coideal_build(args) -> int:
     dims_ok = all(predicted.get(b, 0) == actual.get(b, 0) for b in set(predicted) | set(actual))
     indec = is_indecomposable(wc) if report.passed else False
     payload = {
-        "schema": "tywha-coideal/1",
+        "schema": "tywha-coideal/2",
         **wc.describe(),
         "verified": report.passed,
         "indecomposable": indec,
@@ -286,7 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = wha_sub.add_parser("verify", help="run the full axiom suite")
     common(p)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=10_000,
+        help="least number of instances each pair or triple identity checks above "
+        "|G| = 8 (below that they are exhaustive); at least 1",
+    )
     p.set_defaults(func=cmd_wha_verify)
     p = wha_sub.add_parser("export", help="emit ty-wha/1 structure constants")
     common(p)

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from tywha.algebra import BasisUnit, BlockLabel, Slot, TYAlgebra, TYData
@@ -397,6 +398,161 @@ class TestAxiomSuite:
             "weak counit identity",
             "star-antipode period two",
         }
+
+    def test_perturbed_product_constant_breaks_associativity(self):
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        table = alg.product
+        # one tau * conj(chi) constant, of modulus 1/2, in an m-block product
+        idx = int(np.flatnonzero(np.abs(np.abs(table.c) - 0.5) < 1e-12)[0])
+        table.c[idx] *= -1.0
+        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        assert "product associativity" in failed
+        assert failed["product associativity"].residual == pytest.approx(1.0)
+        assert failed["product associativity"].witness
+
+    PAIR_AND_TRIPLE = (
+        "product associativity",
+        "coproduct multiplicative",
+        "weak counit identity",
+        "antipode anti-multiplicative",
+        "star anti-multiplicative",
+    )
+
+    def test_pair_and_triple_checks_exhaustive(self, z4_minus):
+        checks = {c.name: c for c in z4_minus.verify_axioms(samples=1).checks}
+        dim = z4_minus.dim
+        for name in self.PAIR_AND_TRIPLE:
+            c = checks[name]
+            arity = 2 if name.endswith("multiplicative") else 3
+            assert c.mode == "exhaustive", name
+            assert c.instances_checked == c.instances_total == dim**arity, name
+        assert checks["unit law"].instances_total == dim
+        assert "exhaustive 4,410,944" in z4_minus.verify_axioms().summary()
+
+    def test_sampled_above_exhaustive_order(self, monkeypatch):
+        import tywha.algebra as algebra
+
+        monkeypatch.setattr(algebra, "EXHAUSTIVE_ORDER", 2)
+        alg = TYAlgebra(FiniteAbelianGroup((3,)), tau_sign=-1)
+        report = alg.verify_axioms(samples=100, seed=3)
+        assert report.passed
+        checks = {c.name: c for c in report.checks}
+        dim = alg.dim
+        for name in self.PAIR_AND_TRIPLE:
+            c = checks[name]
+            arity = 2 if name.endswith("multiplicative") else 3
+            # whole rows of instances: 2 first factors for pairs, 1 for triples
+            rows = 2 if arity == 2 else 1
+            assert c.mode == "sampled", name
+            assert (c.instances_checked, c.instances_total) == (rows * dim ** (arity - 1), dim**arity)
+        assert "sampled 7,056 of 592,704" in report.summary()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_nonpositive_samples_rejected(self, z2, samples):
+        with pytest.raises(InvariantError):
+            z2.verify_axioms(samples=samples)
+
+
+class TestProductTable:
+    """The product arrays against an independent recomputation from the
+    fiber product on the row and column fiber vectors."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (2, 2)])
+    def test_every_product_matches_fiber_product(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        table = alg.product
+        from_arrays: dict = {}
+        for i, j, k, c in zip(table.i.tolist(), table.j.tolist(), table.k.tolist(), table.c.tolist()):
+            assert type(c) is complex
+            from_arrays.setdefault((i, j), {})[k] = c
+        for i, ui in enumerate(alg.units):
+            for j, uj in enumerate(alg.units):
+                rows = alg.circ(fib(alg, ui.block, ui.row), fib(alg, uj.block, uj.row))
+                cols = alg.circ(fib(alg, ui.block, ui.col), fib(alg, uj.block, uj.col))
+                expected: dict = {}
+                for (zb, zi), cp in rows.items():
+                    for (wb, wj), cq in cols.items():
+                        if zb == wb:
+                            k = alg.unit_pos[BasisUnit(zb, zi, wj)]
+                            expected[k] = expected.get(k, 0) + cp * cq.conjugate()
+                got = from_arrays.get((i, j), {})
+                assert got.keys() == expected.keys(), (ui, uj)
+                for k, c in expected.items():
+                    assert got[k] == pytest.approx(c, abs=1e-14)
+                assert dict(alg.unit_product(i, j)) == got
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_joined_residuals_match_brute_force(self, sign):
+        """With one product constant perturbed, the pair and triple checks
+        report exactly the worst residual of plain loops over every instance."""
+        alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=sign)
+        table = alg.product
+        table.c[int(np.flatnonzero(np.abs(np.abs(table.c) - 1 / 2**0.5) < 1e-12)[3])] += 0.25
+        prod: dict = {}
+        for i, j, k, c in zip(table.i.tolist(), table.j.tolist(), table.k.tolist(), table.c.tolist()):
+            prod.setdefault((i, j), {})[k] = c
+        dim = alg.dim
+
+        def mul(a: dict, b: dict) -> dict:
+            out: dict = {}
+            for i, ca in a.items():
+                for j, cb in b.items():
+                    for k, c in prod.get((i, j), {}).items():
+                        out[k] = out.get(k, 0) + ca * cb * c
+            return out
+
+        def dist(a: dict, b: dict) -> float:
+            return max((abs(a.get(k, 0) - b.get(k, 0)) for k in set(a) | set(b)), default=0.0)
+
+        def counit(a: dict) -> complex:
+            return sum(c for k, c in a.items() if alg.units[k].row == alg.units[k].col)
+
+        def unit_map(f, a: dict) -> dict:
+            return dict(f(SparseVec(a)).items())
+
+        assoc = coprod = anti = star_anti = counit_id = 0.0
+        for i in range(dim):
+            for j in range(dim):
+                ij = prod.get((i, j), {})
+                for l in range(dim):
+                    assoc = max(assoc, dist(mul(ij, {l: 1}), mul({i: 1}, prod.get((j, l), {}))))
+                    lhs = sum(counit(mul({i: 1}, {a: 1})) * counit(mul({b: 1}, {l: 1}))
+                              for a, b in alg._coprod(j))
+                    counit_id = max(counit_id, abs(lhs - counit(mul(ij, {l: 1}))))
+                delta: dict = {}
+                for k, c in ij.items():
+                    for pair in alg._coprod(k):
+                        delta[pair] = delta.get(pair, 0) + c
+                expected: dict = {}
+                for a, b in alg._coprod(i):
+                    for c_, d_ in alg._coprod(j):
+                        for k, ck in mul({a: 1}, {c_: 1}).items():
+                            for l, cl in mul({b: 1}, {d_: 1}).items():
+                                expected[(k, l)] = expected.get((k, l), 0) + ck * cl
+                coprod = max(coprod, dist(delta, expected))
+                for f, name in ((alg.antipode, "anti"), (alg.star, "star")):
+                    r = dist(unit_map(f, ij), mul(unit_map(f, {j: 1}), unit_map(f, {i: 1})))
+                    if name == "anti":
+                        anti = max(anti, r)
+                    else:
+                        star_anti = max(star_anti, r)
+
+        checks = {c.name: c.residual for c in alg.verify_axioms().checks}
+        assert assoc > 0.1 and coprod > 0.1
+        assert checks["product associativity"] == pytest.approx(assoc, abs=1e-12)
+        assert checks["coproduct multiplicative"] == pytest.approx(coprod, abs=1e-12)
+        assert checks["weak counit identity"] == pytest.approx(counit_id, abs=1e-12)
+        assert checks["antipode anti-multiplicative"] == pytest.approx(anti, abs=1e-12)
+        assert checks["star anti-multiplicative"] == pytest.approx(star_anti, abs=1e-12)
+
+    def test_sorted_and_scalar_views_agree(self, z4):
+        table = z4.product
+        keys = (table.i * z4.dim + table.j) * z4.dim + table.k
+        assert np.all(np.diff(keys) > 0)
+        assert len(table.c) == 1168
+        k, c = z4.unit_product(int(table.i[0]), int(table.j[0]))[0]
+        assert type(k) is int and type(c) is complex
 
 
 class TestExport:

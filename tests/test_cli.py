@@ -46,6 +46,35 @@ class TestWhaCommands:
             run(["wha", "verify", "--group", "2", "--tau", "x"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_2(self, samples, capsys):
+        code = run(["wha", "verify", "--group", "5", "--samples", samples])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "samples must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_verify_json_reports_coverage(self, tmp_path):
+        out = tmp_path / "axioms.json"
+        assert run(["wha", "verify", "--group", "3", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["schema"] == "tywha-axioms/2"
+        checks = {c["name"]: c for c in payload["checks"]}
+        assoc = checks["product associativity"]
+        assert assoc["mode"] == "exhaustive"
+        assert assoc["instances_checked"] == assoc["instances_total"] == 84**3
+        assert checks["haar positive"]["mode"] == "sampled"
+        assert checks["haar positive"]["instances_total"] is None
+
+    def test_export_product_does_not_depend_on_tolerance(self, tmp_path):
+        products = []
+        for tol in ("1e-9", "0.6"):
+            out = tmp_path / f"wha_{tol}.json"
+            assert run(["wha", "export", "--group", "4", "--tol", tol, "--json", str(out)]) == 0
+            products.append(json.loads(out.read_text())["product"])
+        assert len(products[0]) == 1168
+        assert products[0] == products[1]
+
     def test_export_roundtrip(self, tmp_path):
         out = tmp_path / "wha.json"
         assert run(["wha", "export", "--group", "2", "--tau", "-", "--json", str(out)]) == 0

@@ -182,6 +182,23 @@ class TestBuilders:
         assert verify_weak_coideal(partial).passed
         assert not is_coideal(partial)
 
+    def test_checks_report_coverage(self, z4, z4_setup):
+        K, q, _lam, _mu = z4_setup
+        perp = orthogonal(z4.bichar, K)
+        wc = build_with_m(z4, K, list(q.cosets), quotient(z4.group, perp).cosets[0])
+        size = wc.dim
+        expected = {
+            "unit exists in A": 1,
+            "closed under product": size**2,
+            "closed under star": size,
+            "coproduct maps into A (x) B": size,
+            "unit acts as identity": size,
+            "coproduct of unit in A (x) B_t": 1,
+        }
+        for c in verify_weak_coideal(wc).checks:
+            assert c.mode == "exhaustive", c.name
+            assert c.instances_checked == c.instances_total == expected[c.name], c.name
+
     def test_I_builders(self, z4, z4_setup):
         K, _q, _lam, _mu = z4_setup
         n = z4.group.order
