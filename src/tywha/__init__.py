@@ -43,7 +43,6 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     SubgroupCharacter,
-    bichar_eval,
     characters,
     enumerate_subgroups,
     orthogonal,

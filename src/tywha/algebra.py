@@ -34,8 +34,9 @@ SLOT_M = 1
 SLOT_BAR = 2
 
 # The counital weights are sums of at most dim terms of modulus <= 1, so a
-# weight below this is cancellation residue.  It is kept apart from the
-# verdict tolerance eps, which never prunes a structure constant.
+# weight below this is cancellation residue.  The scalar paths (multiply,
+# coproduct, star, ...) prune their results at it too.  It is kept apart
+# from the verdict tolerance eps, which never prunes a value.
 ROUNDOFF = 1e-12
 # Pair and triple identities are exhaustive up to this group order and run
 # on a seeded sample of first factors above it.
@@ -471,7 +472,7 @@ class TYAlgebra:
             for (y, c), cw in w.items():
                 for key, coeff in self._circ_basis(x, a, y, c):
                     out.data[key] = out.data.get(key, 0.0) + cu * cw * coeff
-        return out.prune(self.eps)
+        return out.prune(ROUNDOFF)
 
     def _fiber_map(
         self, x: BlockLabel, s: Slot, second_leg: bool
@@ -497,7 +498,7 @@ class TYAlgebra:
         for (x, s), c in u.items():
             coeff, tb, ts = self._fiber_map(x, s, second_leg=False)
             out.data[(tb, ts)] = out.data.get((tb, ts), 0.0) + c.conjugate() * coeff
-        return out.prune(self.eps)
+        return out.prune(ROUNDOFF)
 
     # -- structure-constant tables ----------------------------------------------
 
@@ -642,7 +643,7 @@ class TYAlgebra:
                 cb = bdata.get(j)
                 if cb is not None:
                     out[k] = out.get(k, 0.0) + ca * cb * c
-        return SparseVec(out).prune(self.eps)
+        return SparseVec(out).prune(ROUNDOFF)
 
     def unit(self) -> SparseVec:
         if self._unit_element is None:
@@ -662,7 +663,7 @@ class TYAlgebra:
         for i, c in a.items():
             for pair in pairs[i]:
                 out[pair] = out.get(pair, 0.0) + c
-        return SparseVec(out).prune(self.eps)
+        return SparseVec(out).prune(ROUNDOFF)
 
     def counit(self, a: SparseVec) -> complex:
         total = 0.0 + 0j
@@ -678,7 +679,7 @@ class TYAlgebra:
         for i, c in a.items():
             k, coeff = pairs[i]
             out[k] = out.get(k, 0.0) + c.conjugate() * coeff
-        return SparseVec(out).prune(self.eps)
+        return SparseVec(out).prune(ROUNDOFF)
 
     def antipode(self, a: SparseVec) -> SparseVec:
         pairs = self._antipode_map.pairs
@@ -686,7 +687,7 @@ class TYAlgebra:
         for i, c in a.items():
             k, coeff = pairs[i]
             out[k] = out.get(k, 0.0) + c * coeff
-        return SparseVec(out).prune(self.eps)
+        return SparseVec(out).prune(ROUNDOFF)
 
     # -- tensor helpers over B (x) B -------------------------------------------
 
@@ -715,7 +716,7 @@ class TYAlgebra:
                         continue
                     key = (k, l)
                     out[key] = out.get(key, 0.0) + c1 * c2 * ck * cl
-        return SparseVec(out).prune(self.eps)
+        return SparseVec(out).prune(ROUNDOFF)
 
     def coproduct_of_unit(self) -> SparseVec:
         if self._coproduct_of_unit is None:
@@ -728,13 +729,13 @@ class TYAlgebra:
         out = SparseVec()
         for i, c in a.items():
             out.add_scaled(self._eps_t_table[i], c)
-        return out.prune(self.eps)
+        return out.prune(ROUNDOFF)
 
     def eps_s(self, a: SparseVec) -> SparseVec:
         out = SparseVec()
         for i, c in a.items():
             out.add_scaled(self._eps_s_table[i], c)
-        return out.prune(self.eps)
+        return out.prune(ROUNDOFF)
 
     def counital_subalgebras(self) -> tuple[Subspace, Subspace]:
         """Target and source subalgebras B_t and B_s, as subspaces of B."""
@@ -828,7 +829,7 @@ class TYAlgebra:
                 acc = SparseVec()
                 for k in range(n):
                     acc = acc + self.multiply(A[i][k], B[k][j])
-                out[i][j] = acc.prune(self.eps)
+                out[i][j] = acc.prune(ROUNDOFF)
         return out
 
     def verify_corepresentation(self, block: BlockLabel) -> list[AxiomCheck]:

@@ -4,16 +4,22 @@ Weak-coideal classes are indexed by a subgroup K together with a pair of
 coset subsets (Z0, Z1) in G/K x G/Kperp (at most one side larger than a
 singleton), taken up to translations, and additionally up to the swap of
 the two sides when K equals its own annihilator.  Algebra classes replace
-subsets by nonnegative multiplicity vectors.  Every orbit count is
-cross-checked by the Burnside average, and the coideal-containing orbits
-are cross-checked against their directly constructed list.
+subsets by nonnegative multiplicity vectors.  Points are integer rows over
+the cosets of both sides, and each action element is a coordinate
+permutation: the image of ``row`` under ``perm`` is ``row[perm]``.
+
+Every orbit count is cross-checked by the Burnside average of fixed-point
+counts taken from each permutation's cycle structure, and the
+coideal-containing orbits against their directly constructed list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import partial
+
+import numpy as np
 
 from .algebra import TYAlgebra
 from .coideals import (
@@ -29,62 +35,162 @@ from .coideals import (
 )
 from .errors import InvariantError, SizeError, StructuralError
 from .groups import (
-    Bicharacter,
-    Coset,
-    FiniteAbelianGroup,
-    QuotientGroup,
-    Subgroup,
-    enumerate_subgroups,
-    orthogonal,
+    Bicharacter, FiniteAbelianGroup, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal,
     quotient,
 )
 
 CLASSIFY_ORDER_BOUND = 16
 ENUMERATION_BOUND = 2_000_000
-
-SubsetPair = tuple[tuple, tuple]  # sorted coset reps for (Z0, Z1)
-
-
-def _encode(z0, z1) -> SubsetPair:
-    return (tuple(sorted(c.rep for c in z0)), tuple(sorted(c.rep for c in z1)))
+# Images are keyed at most this many coordinates at a time, which bounds the
+# memory of the orbit engine whatever the number of points.
+BLOCK_ELEMS = 1 << 20
 
 
-def _orbit(point, action_elems, act) -> frozenset:
-    return frozenset(act(h, point) for h in action_elems)
+# -- orbit engine -----------------------------------------------------------------
 
 
-def orbit_partition(points, action_elems, act) -> list[frozenset]:
-    """Partition a finite point set into orbits of a finite group action."""
-    seen = set()
-    orbits = []
-    for p in sorted(points):
-        if p in seen:
-            continue
-        orb = _orbit(p, action_elems, act)
-        if not orb <= set(points):
+def _images(rows: np.ndarray, perms: np.ndarray, key) -> np.ndarray:
+    """Keys of every image: entry [p, h] is ``key(rows[p][perms[h]])``."""
+    return key(rows[:, perms].reshape(-1, perms.shape[1])).reshape(len(rows), len(perms))
+
+
+def orbit_partition(points: np.ndarray, perms: np.ndarray, key) -> list[tuple[tuple, int]]:
+    """Orbits of distinct integer point rows under a group of coordinate
+    permutations, as (representative row, orbit size) in increasing key order.
+
+    ``key`` maps rows injectively and in the order wanted for representatives
+    into ``range(ENUMERATION_BOUND)``; each representative is its orbit's
+    point of smallest key.  Raises ``StructuralError`` if the permutations
+    are not a group (distinct rows closed under composition) or an image
+    leaves the point set."""
+    rows = {p.tobytes() for p in perms}
+    composed = perms[:, perms].reshape(-1, perms.shape[1])
+    if len(rows) != len(perms) or any(c.tobytes() not in rows for c in composed):
+        raise StructuralError("action elements are not a group of permutations")
+    step = max(1, BLOCK_ELEMS // perms.size)
+    own = np.concatenate([key(points[lo:lo + step]) for lo in range(0, len(points), step)])
+    if own.min() < 0 or own.max() >= ENUMERATION_BOUND:
+        raise SizeError("point keys exceed the enumeration bound")
+    # where[k] is the position of the point with key k, or -1; the last slot
+    # stays -1 and takes every key beyond the largest point key
+    where = np.full(int(own.max()) + 2, -1, dtype=np.int64)
+    where[own] = np.arange(len(points))
+    if not (where[own] == np.arange(len(points))).all():
+        raise StructuralError("points are not distinct")
+    codes = np.empty(len(points), dtype=np.int64)
+    for lo in range(0, len(points), step):
+        images = _images(points[lo:lo + step], perms, key)
+        if (where[np.minimum(images, len(where) - 1)] < 0).any():
             raise StructuralError("action does not preserve the point set")
-        seen.update(orb)
-        orbits.append(orb)
-    return orbits
+        codes[lo:lo + step] = images.min(axis=1)
+    reps, sizes = np.unique(codes, return_counts=True)
+    return [(tuple(r), s) for r, s in zip(points[where[reps]].tolist(), sizes.tolist())]
 
 
-def canonical_form(point, action_elems, act):
-    return min(_orbit(point, action_elems, act))
+def _cycles(perm) -> tuple[int, int]:
+    """Number of cycles and of fixed points of a permutation row."""
+    perm, seen, cycles = list(perm), set(), 0
+    for j in range(len(perm)):
+        cycles += j not in seen
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+    return cycles, sum(i == j for i, j in enumerate(perm))
 
 
-def burnside_check(points, action_elems, act) -> int:
-    """Orbit count by the fixed-point average, cross-checked against the
-    direct partition; a mismatch means the action or partition code is
-    broken."""
-    points = set(points)
-    total = sum(1 for h in action_elems for p in points if act(h, p) == p)
-    avg = Fraction(total, len(action_elems))
-    direct = len(orbit_partition(points, action_elems, act))
-    if avg.denominator != 1 or avg != direct:
-        raise StructuralError(
-            f"Burnside average {avg} does not match {direct} enumerated orbits"
-        )
-    return direct
+def burnside_check(perms: np.ndarray, fixed, n_points: int, n_orbits: int) -> int:
+    """Orbit count by the Burnside average over the action elements, where
+    ``fixed(perm)`` counts the points a permutation fixes from its cycle
+    structure alone.  The identity's count must equal the number of points
+    enumerated and the average the number of orbits found; a mismatch
+    means the enumeration, the action or the partition is broken."""
+    polya = fixed(np.arange(perms.shape[1]))
+    if polya != n_points:
+        raise StructuralError(f"Polya count {polya} does not match {n_points} enumerated points")
+    avg = Fraction(sum(fixed(p) for p in perms), len(perms))
+    if avg != n_orbits:
+        raise StructuralError(f"Burnside average {avg} does not match {n_orbits} enumerated orbits")
+    return n_orbits
+
+
+def _classes(points: np.ndarray, perms: np.ndarray, key, fixed) -> tuple[list, dict]:
+    """Orbits of the points and their counts, cross-checked by Burnside."""
+    orbits = orbit_partition(points, perms, key)
+    count = burnside_check(perms, fixed, len(points), len(orbits))
+    return orbits, {"n_points": len(points), "n_classes": len(orbits), "burnside_count": count}
+
+
+# -- weak-coideal classes (coset subset pairs) -----------------------------------
+
+
+def _pair_perms(q0: QuotientGroup, q1: QuotientGroup, flip: bool) -> np.ndarray:
+    """Action elements on rows over G/K followed by G/Kperp: translate each
+    side by a coset, then, with ``flip``, swap the sides (which arises only
+    when the two quotients coincide)."""
+    side0 = np.repeat(q0.trans, len(q1), axis=0)
+    side1 = np.tile(q1.trans + len(q0), (len(q0), 1))
+    perms = [np.concatenate([side0, side1], axis=1)]
+    if flip:
+        perms.append(np.concatenate([side1, side0], axis=1))
+    return np.concatenate(perms)
+
+
+def _subsets(n: int) -> np.ndarray:
+    """Indicator rows of all subsets of n coordinates."""
+    return (np.arange(2**n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
+
+
+def _subset_rank(rows: np.ndarray) -> np.ndarray:
+    """Pre-order rank of each indicator row in the subset tree, which orders
+    subsets as their sorted member tuples: |S| + sum of 2^(n-1-j) over the
+    non-members j below max S."""
+    n = rows.shape[1]
+    size = rows.sum(axis=1, dtype=np.int64)
+    last = n - 1 - np.argmax(rows[:, ::-1], axis=1)
+    below = (np.arange(n) < last[:, None]) & (size > 0)[:, None]
+    weights = np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return size + ((rows == 0) & below).astype(np.int64) @ weights
+
+
+def _pair_key(rows: np.ndarray, n0: int) -> np.ndarray:
+    """Order-preserving key of (Z0, Z1) in the order of their sorted tuples."""
+    return (_subset_rank(rows[:, :n0]) << (rows.shape[1] - n0)) + _subset_rank(rows[:, n0:])
+
+
+def _pair_fixed(perm: np.ndarray, n0: int) -> int:
+    """Pairs (Z0, Z1) fixed by an action element: Z0 and Z1 are unions of
+    cycles, not both empty and not both beyond a singleton.  With the swap,
+    Z1 is determined by Z0, so Z0 is a singleton fixed by perm twice."""
+    if perm[0] >= n0:
+        return int((perm[perm[:n0]] == np.arange(n0)).sum())
+    (c0, f0), (c1, f1) = _cycles(perm[:n0]), _cycles(perm[n0:] - n0)
+    return 2 ** (c0 + c1) - 1 - (2**c0 - 1 - f0) * (2**c1 - 1 - f1)
+
+
+def _sides(rows: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    return rows[:, :n0].sum(axis=1), rows[:, n0:].sum(axis=1)
+
+
+def _valid_subset_pairs(q0: QuotientGroup, q1: QuotientGroup) -> np.ndarray:
+    """Indicator rows of all nonempty (Z0, Z1) with at most one side beyond
+    a singleton."""
+    if 2 ** (len(q0) + len(q1)) > ENUMERATION_BOUND:
+        raise SizeError("subset enumeration too large")
+    rows = _subsets(len(q0) + len(q1))
+    s0, s1 = _sides(rows, len(q0))
+    return rows[(s0 + s1 > 0) & ((s0 <= 1) | (s1 <= 1))]
+
+
+def _coideal_flags(rows: np.ndarray, n0: int) -> np.ndarray:
+    """Whether the class of (Z0, Z1) contains a coideal: a lone singleton, or
+    a full side paired with a singleton on the other side."""
+    (s0, s1), n1 = _sides(rows, n0), rows.shape[1] - n0
+    return ((s0 == 1) & ((s1 == 0) | (s1 == n1))) | ((s1 == 1) & ((s0 == 0) | (s0 == n0)))
+
+
+def _decode(row, q0: QuotientGroup, q1: QuotientGroup) -> tuple[tuple, tuple]:
+    z0 = tuple(c.rep for c, bit in zip(q0.cosets, row[:len(q0)]) if bit)
+    return z0, tuple(c.rep for c, bit in zip(q1.cosets, row[len(q0):]) if bit)
 
 
 @dataclass(frozen=True)
@@ -98,14 +204,8 @@ class OrbitRep:
     orbit_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "rep": {
-                "Z0": [list(r) for r in self.z0],
-                "Z1": [list(r) for r in self.z1],
-            },
-            "size": self.orbit_size,
-            "coideal_flag": self.coideal,
-        }
+        rep = {"Z0": [list(r) for r in self.z0], "Z1": [list(r) for r in self.z1]}
+        return {"rep": rep, "size": self.orbit_size, "coideal_flag": self.coideal}
 
 
 @dataclass
@@ -115,6 +215,7 @@ class SubgroupClasses:
     flip: bool
     orbits: list[OrbitRep]
     burnside_count: int
+    n_points: int
 
     @property
     def coideal_count(self) -> int:
@@ -125,6 +226,7 @@ class SubgroupClasses:
             "K": [list(e) for e in self.subgroup.sorted_elements],
             "K_perp": [list(e) for e in self.perp.sorted_elements],
             "action": "translations+flip" if self.flip else "translations",
+            "n_points": self.n_points,
             "n_classes": len(self.orbits),
             "n_coideal": self.coideal_count,
             "burnside_count": self.burnside_count,
@@ -135,12 +237,17 @@ class SubgroupClasses:
 
 @dataclass
 class ClassificationReport:
+    """Per-subgroup classes: ``SubgroupClasses`` for weak coideals, JSON
+    dicts with one entry per type for g-algebras."""
+
     group: FiniteAbelianGroup
     kind: str
     per_subgroup: list = field(default_factory=list)
 
     @property
     def total(self) -> int:
+        if self.kind == "g-algebras":
+            return sum(t["n_classes"] for e in self.per_subgroup for t in e["types"].values())
         return sum(len(s.orbits) for s in self.per_subgroup)
 
     @property
@@ -148,72 +255,16 @@ class ClassificationReport:
         return sum(s.coideal_count for s in self.per_subgroup)
 
     def to_dict(self) -> dict:
-        out = {
-            "group": list(self.group.factors),
-            "kind": self.kind,
-            "total_classes": self.total,
-            "per_subgroup": [s.to_dict() for s in self.per_subgroup],
-        }
-        if self.kind == "weak-coideals":
-            out["total_coideal_classes"] = self.total_coideal
-        return out
+        out = {"group": list(self.group.factors), "kind": self.kind, "total_classes": self.total}
+        if self.kind == "g-algebras":
+            return {**out, "per_subgroup": self.per_subgroup}
+        out["per_subgroup"] = [s.to_dict() for s in self.per_subgroup]
+        return {**out, "total_coideal_classes": self.total_coideal}
 
 
-def _coset_index(quot: QuotientGroup) -> dict[Coset, int]:
-    return {c: i for i, c in enumerate(quot.cosets)}
-
-
-def _subset_action(q0: QuotientGroup, q1: QuotientGroup, flip: bool):
-    """Action elements and action map for subset pairs.
-
-    Elements are (t0, t1, s): translate Z0 by t0 and Z1 by t1, then swap the
-    sides s times.  The swap only arises when the two quotients coincide.
-    """
-    group = q0.group
-
-    def act(h, point):
-        t0, t1, s = h
-        z0, z1 = point
-        z0 = tuple(sorted(q0.translate(t0, q0.coset_of(r)).rep for r in z0))
-        z1 = tuple(sorted(q1.translate(t1, q1.coset_of(r)).rep for r in z1))
-        return (z1, z0) if s else (z0, z1)
-
-    reps0 = [c.rep for c in q0.cosets]
-    reps1 = [c.rep for c in q1.cosets]
-    flips = (0, 1) if flip else (0,)
-    elems = [(t0, t1, s) for t0 in reps0 for t1 in reps1 for s in flips]
-    return elems, act
-
-
-def _valid_subset_pairs(q0: QuotientGroup, q1: QuotientGroup):
-    """All nonempty (Z0, Z1) with at most one side beyond a singleton."""
-    n0, n1 = len(q0.cosets), len(q1.cosets)
-    if 2 ** (n0 + n1) > ENUMERATION_BOUND:
-        raise SizeError("subset enumeration too large")
-    reps0 = [c.rep for c in q0.cosets]
-    reps1 = [c.rep for c in q1.cosets]
-    points = []
-    for mask0 in range(2**n0):
-        z0 = tuple(reps0[i] for i in range(n0) if mask0 >> i & 1)
-        for mask1 in range(2**n1):
-            z1 = tuple(reps1[i] for i in range(n1) if mask1 >> i & 1)
-            if not z0 and not z1:
-                continue
-            if len(z0) > 1 and len(z1) > 1:
-                continue
-            points.append((z0, z1))
-    return points
-
-
-def _contains_coideal(point: SubsetPair, n0: int, n1: int) -> bool:
-    """Whether the class of (Z0, Z1) contains a coideal: a lone singleton, or
-    a full side paired with a singleton on the other side."""
-    z0, z1 = point
-    if not z1:
-        return len(z0) == 1
-    if not z0:
-        return len(z1) == 1
-    return (len(z0) == n0 and len(z1) == 1) or (len(z1) == n1 and len(z0) == 1)
+def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
+    perp = orthogonal(chi, K)
+    return perp, quotient(group, K), quotient(group, perp), K.elements == perp.elements
 
 
 def weak_coideal_classes(
@@ -228,30 +279,20 @@ def weak_coideal_classes(
         raise SizeError(f"|G| = {group.order} exceeds classification bound {max_order}")
     report = ClassificationReport(group, "weak-coideals")
     for K in enumerate_subgroups(group):
-        perp = orthogonal(chi, K)
-        q0 = quotient(group, K)
-        q1 = quotient(group, perp)
-        flip = K.elements == perp.elements
+        perp, q0, q1, flip = _quotients(group, chi, K)
         used_flip = flip if _include_flip is None else (_include_flip and flip)
-        elems, act = _subset_action(q0, q1, used_flip)
-        points = _valid_subset_pairs(q0, q1)
-        orbits = orbit_partition(points, elems, act)
-        count = burnside_check(points, elems, act)
-        reps = []
-        for orb in orbits:
-            flags = {_contains_coideal(p, len(q0.cosets), len(q1.cosets)) for p in orb}
-            if len(flags) != 1:
-                raise StructuralError("coideal flag is not constant on an orbit")
-            z0, z1 = min(orb)
-            reps.append(OrbitRep(K, z0, z1, flags.pop(), len(orb)))
-        reps.sort(key=lambda r: (r.z0, r.z1))
-        entry = SubgroupClasses(K, perp, flip, reps, count)
-        expected = coideal_orbits(group, chi, K)
-        flagged = [(r.z0, r.z1) for r in reps if r.coideal]
-        if sorted(flagged) != sorted((r.z0, r.z1) for r in expected):
-            raise StructuralError(
-                f"flagged orbits for K={K} disagree with the coideal orbit list"
-            )
+        n0, points = len(q0), _valid_subset_pairs(q0, q1)
+        orbits, counts = _classes(points, _pair_perms(q0, q1, used_flip),
+                                  partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
+        flags = _coideal_flags(np.array([row for row, _ in orbits]), n0).tolist()
+        # the flag is constant on orbits iff flagged orbits hold every flagged point
+        if sum(s for (_, s), f in zip(orbits, flags) if f) != _coideal_flags(points, n0).sum():
+            raise StructuralError("coideal flag is not constant on an orbit")
+        reps = [OrbitRep(K, *_decode(row, q0, q1), f, s) for (row, s), f in zip(orbits, flags)]
+        flagged = sorted((r.z0, r.z1) for r in reps if r.coideal)
+        if flagged != sorted((r.z0, r.z1) for r in coideal_orbits(group, chi, K)):
+            raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
+        entry = SubgroupClasses(K, perp, flip, reps, counts["burnside_count"], len(points))
         report.per_subgroup.append(entry)
     return report
 
@@ -259,58 +300,43 @@ def weak_coideal_classes(
 def coideal_orbits(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup) -> list[OrbitRep]:
     """Directly construct the coideal-containing orbits for one subgroup:
     four of them in general, two when K is its own annihilator."""
-    perp = orthogonal(chi, K)
-    q0 = quotient(group, K)
-    q1 = quotient(group, perp)
-    flip = K.elements == perp.elements
-    elems, act = _subset_action(q0, q1, flip)
-    full0 = tuple(sorted(c.rep for c in q0.cosets))
-    full1 = tuple(sorted(c.rep for c in q1.cosets))
-    lam = (q0.coset_of(group.zero()).rep,)
-    mu = (q1.coset_of(group.zero()).rep,)
-    seeds = [(lam, ()), ((), mu), (full0, mu), (lam, full1)]
+    _perp, q0, q1, flip = _quotients(group, chi, K)
+    perms = _pair_perms(q0, q1, flip)
+    # (lam, {}), ({}, mu), (G/K, mu) and (lam, G/Kperp); lam and mu are the
+    # cosets of 0, which come first on each side
+    lam, mu = np.eye(1, len(q0), dtype=np.uint8)[0], np.eye(1, len(q1), dtype=np.uint8)[0]
+    seeds = np.array([np.r_[lam, 0 * mu], np.r_[0 * lam, mu], np.r_[lam | 1, mu],
+                      np.r_[lam, mu | 1]])
     seen = {}
-    for seed in seeds:
-        orb = _orbit(seed, elems, act)
-        seen[min(orb)] = len(orb)
+    for seed, keys in zip(seeds, _images(seeds, perms, partial(_pair_key, n0=len(q0)))):
+        best = seed[perms[int(np.argmin(keys))]]
+        seen[_decode(best.tolist(), q0, q1)] = len(set(keys.tolist()))
     expected = 2 if flip else 4
     if len(seen) != expected:
-        raise StructuralError(
-            f"constructed {len(seen)} coideal orbits for K={K}, expected {expected}"
-        )
-    out = [
-        OrbitRep(K, z0, z1, True, size) for (z0, z1), size in sorted(seen.items())
-    ]
-    return out
+        raise StructuralError(f"constructed {len(seen)} coideal orbits for K={K}, not {expected}")
+    return [OrbitRep(K, z0, z1, True, size) for (z0, z1), size in sorted(seen.items())]
 
 
 # -- algebra classes (multiplicity data) ----------------------------------------
 
 
-def _vector_action(q0: QuotientGroup, q1: QuotientGroup, flip: bool):
-    def act(h, point):
-        t0, t1, s = h
-        m0, m1 = point
-        m0 = tuple(
-            m0[q0.cosets.index(q0.translate(t0, lam))] for lam in q0.cosets
-        )
-        m1 = tuple(
-            m1[q1.cosets.index(q1.translate(t1, lam))] for lam in q1.cosets
-        )
-        return (m1, m0) if s else (m0, m1)
-
-    reps0 = [c.rep for c in q0.cosets]
-    reps1 = [c.rep for c in q1.cosets]
-    flips = (0, 1) if flip else (0,)
-    elems = [(t0, t1, s) for t0 in reps0 for t1 in reps1 for s in flips]
-    return elems, act
+def _vectors(length: int, max_mult: int) -> np.ndarray:
+    """All nonzero rows in {0..max_mult}^length, built a column at a time."""
+    base, codes = max_mult + 1, np.arange(1, (max_mult + 1) ** length)
+    rows = np.empty((len(codes), length), dtype=np.min_scalar_type(max_mult))
+    for c in range(length):
+        rows[:, c] = codes // base ** (length - 1 - c) % base
+    return rows
 
 
-def _single_vector_action(q: QuotientGroup):
-    def act(t, point):
-        return tuple(point[q.cosets.index(q.translate(t, lam))] for lam in q.cosets)
+def _vector_key(rows: np.ndarray, max_mult: int) -> np.ndarray:
+    """Mixed-radix value of each row, which orders rows as tuples."""
+    return rows.astype(np.int64) @ (max_mult + 1) ** np.arange(rows.shape[1], dtype=np.int64)[::-1]
 
-    return [c.rep for c in q.cosets], act
+
+def _vector_fixed(perm: np.ndarray, max_mult: int) -> int:
+    """Nonzero vectors fixed by a coordinate permutation: constant on cycles."""
+    return (max_mult + 1) ** _cycles(perm)[0] - 1
 
 
 def g_algebra_classes(
@@ -327,71 +353,23 @@ def g_algebra_classes(
     if group.order > max_order:
         raise SizeError(f"|G| = {group.order} exceeds classification bound {max_order}")
     report = ClassificationReport(group, "g-algebras")
+    key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
     for K in enumerate_subgroups(group):
-        perp = orthogonal(chi, K)
-        q0 = quotient(group, K)
-        q1 = quotient(group, perp)
-        flip = K.elements == perp.elements
-        n0, n1 = len(q0.cosets), len(q1.cosets)
+        perp, q0, q1, flip = _quotients(group, chi, K)
+        n0, n1 = len(q0), len(q1)
         if (max_mult + 1) ** (n0 + n1) > ENUMERATION_BOUND:
             raise SizeError("multiplicity enumeration too large; lower max_mult")
-
-        entry = {"K": [list(e) for e in K.sorted_elements],
-                 "K_perp": [list(e) for e in perp.sorted_elements],
-                 "flip_action": flip,
-                 "types": {}}
-
+        types = {}
         if flip:
-            points = [
-                v for v in product(range(max_mult + 1), repeat=n0) if any(v)
-            ]
-            elems, act = _single_vector_action(q0)
-            orbits = orbit_partition(points, elems, act)
-            count = burnside_check(points, elems, act)
-            entry["types"]["self-paired"] = {
-                "n_classes": len(orbits),
-                "burnside_count": count,
-                "orbits": sorted(list(min(o)) for o in orbits),
-            }
-
-        points = [
-            (m0, m1)
-            for m0 in product(range(max_mult + 1), repeat=n0)
-            for m1 in product(range(max_mult + 1), repeat=n1)
-            if any(m0) or any(m1)
-        ]
-        elems, act = _vector_action(q0, q1, flip)
-        orbits = orbit_partition(points, elems, act)
-        count = burnside_check(points, elems, act)
-        entry["types"]["decomposed"] = {
-            "n_classes": len(orbits),
-            "burnside_count": count,
-            "orbits": sorted([list(min(o)[0]), list(min(o)[1])] for o in orbits),
-        }
-        report.per_subgroup.append(_DictEntry(entry))
+            orbits, counts = _classes(_vectors(n0, max_mult), q0.trans, key, fixed)
+            types["self-paired"] = {**counts, "orbits": [list(r) for r, _ in orbits]}
+        perms = _pair_perms(q0, q1, flip)
+        orbits, counts = _classes(_vectors(n0 + n1, max_mult), perms, key, fixed)
+        types["decomposed"] = {**counts, "orbits": [[list(r[:n0]), list(r[n0:])] for r, _ in orbits]}
+        report.per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
+                                    "K_perp": [list(e) for e in perp.sorted_elements],
+                                    "flip_action": flip, "types": types})
     return report
-
-
-@dataclass
-class _DictEntry:
-    """Adapter so mixed report entries serialize uniformly."""
-
-    payload: dict
-
-    @property
-    def orbits(self):
-        return [
-            orb
-            for t in self.payload["types"].values()
-            for orb in t["orbits"]
-        ]
-
-    @property
-    def coideal_count(self) -> int:
-        return 0
-
-    def to_dict(self) -> dict:
-        return self.payload
 
 
 # -- realization -----------------------------------------------------------------
@@ -403,9 +381,7 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
     predicted fiber dimensions."""
     group = alg.group
     K = rep.subgroup
-    perp = orthogonal(alg.bichar, K)
-    q0 = quotient(group, K)
-    q1 = quotient(group, perp)
+    perp, q0, q1, _flip = _quotients(group, alg.bichar, K)
     z0 = [q0.coset_of(r) for r in rep.z0]
     z1 = [q1.coset_of(r) for r in rep.z1]
 

@@ -4,6 +4,10 @@ Groups are presented as products of cyclic factors ``Z_{n_1} x ... x Z_{n_k}``;
 elements are tuples of canonical residues, the identity is the zero tuple.
 Bicharacters are stored as rational phase matrices: ``chi(g, h) =
 exp(2*pi*i * sum_ij g_i h_j M_ij)`` with ``M`` symmetric mod 1.
+
+Set computations (subgroups, cosets, annihilators) run on integer index
+tables built lazily once per group: element ``i`` is ``elements()[i]`` and
+``add_table[i, j]`` is the index of their sum.
 """
 
 from __future__ import annotations
@@ -11,8 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import prod
+from math import lcm, prod
+
+import numpy as np
 
 from .errors import InvariantError, SizeError, StructuralError
 
@@ -66,8 +73,34 @@ class FiniteAbelianGroup:
         return tuple((x - y) % n for x, y, n in zip(a, b, self.factors))
 
     def elements(self) -> list[GroupElt]:
-        """All elements in lexicographic order."""
-        return list(product(*(range(n) for n in self.factors)))
+        """All elements in lexicographic order, which is index order."""
+        return list(self._elements)
+
+    @cached_property
+    def _elements(self) -> tuple[GroupElt, ...]:
+        return tuple(product(*(range(n) for n in self.factors)))
+
+    @cached_property
+    def _index(self) -> dict[GroupElt, int]:
+        return {a: i for i, a in enumerate(self._elements)}
+
+    def index(self, a: GroupElt) -> int:
+        """Position of ``a`` in ``elements()``."""
+        try:
+            return self._index[a]
+        except (KeyError, TypeError):
+            raise InvariantError(f"{a} is not a canonical element of {self}") from None
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The elements as rows of residues, in index order."""
+        return np.array(self._elements, dtype=np.int64).reshape(self.order, self.rank)
+
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        """``add_table[i, j]`` is the index of element i plus element j."""
+        sums = (self.coords[:, None, :] + self.coords[None, :, :]) % self.factors
+        return np.ravel_multi_index(np.moveaxis(sums, -1, 0), self.factors)
 
     def __contains__(self, a) -> bool:
         return (
@@ -80,47 +113,45 @@ class FiniteAbelianGroup:
         return "Z" + "xZ".join(str(n) for n in self.factors)
 
 
-def _closure(group: FiniteAbelianGroup, gens) -> frozenset[GroupElt]:
-    seen = {group.zero()}
-    frontier = [group.reduce(g) for g in gens]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen):
-                c = group.add(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
+def _extend(group: FiniteAbelianGroup, sub: np.ndarray, g: int) -> np.ndarray:
+    """Sorted indices of S + <g>: the translates of S by 0, g, 2g, ... up to
+    the first multiple of g inside S, which are pairwise disjoint."""
+    add, steps, x = group.add_table, [0], g
+    while x not in sub:
+        steps.append(x)
+        x = add[x, g]
+    return np.sort(add[np.ix_(steps, sub)], axis=None)
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup held as its full (frozen) element set."""
+    """A subgroup held as its full (frozen) element set, with the sorted
+    indices of its elements in ``idx``."""
 
     group: FiniteAbelianGroup
     elements: frozenset[GroupElt]
+    idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = self.elements
-        if self.group.zero() not in elems:
+        group = self.group
+        idx = np.array(sorted(group.index(a) for a in self.elements), dtype=np.int64)
+        if group.zero() not in self.elements:
             raise InvariantError("subgroup must contain the identity")
-        for a in elems:
-            if a not in self.group:
-                raise InvariantError(f"{a} is not a canonical element of {self.group}")
-            if self.group.neg(a) not in elems:
-                raise InvariantError(f"subgroup not closed under negation at {a}")
-            for b in elems:
-                if self.group.add(a, b) not in elems:
-                    raise InvariantError(f"subgroup not closed under addition at {a}+{b}")
-        if self.group.order % len(elems) != 0:
-            raise InvariantError("subgroup order does not divide the group order")
+        # a finite set with 0 that is closed under addition is a subgroup
+        if not np.isin(group.add_table[np.ix_(idx, idx)], idx).all():
+            raise InvariantError(f"{sorted(self.elements)} is not closed under addition")
+        object.__setattr__(self, "idx", idx)
+
+    @classmethod
+    def from_indices(cls, group: FiniteAbelianGroup, idx) -> "Subgroup":
+        return cls(group, frozenset(group._elements[i] for i in idx))
 
     @classmethod
     def generated(cls, group: FiniteAbelianGroup, gens) -> "Subgroup":
-        return cls(group, _closure(group, gens))
+        sub = np.zeros(1, dtype=np.int64)
+        for g in gens:
+            sub = _extend(group, sub, group.index(group.reduce(g)))
+        return cls.from_indices(group, sub.tolist())
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
@@ -134,9 +165,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def sorted_elements(self) -> tuple[GroupElt, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(self.group._elements[i] for i in self.idx.tolist())
 
     def __contains__(self, a: GroupElt) -> bool:
         return a in self.elements
@@ -150,29 +181,30 @@ def enumerate_subgroups(
 ) -> list[Subgroup]:
     """All subgroups, in canonical (order, sorted elements) order.
 
-    Grown by closure from smaller subgroups; safe only at desk scale, hence
-    the order bound.
+    Grown breadth first from the trivial subgroup: each S is extended to
+    S + <g> for one g per nontrivial coset of S, since g's in one coset
+    give the same S + <g>.
     """
     if group.order > max_order:
         raise SizeError(f"|G| = {group.order} exceeds subgroup enumeration bound {max_order}")
-    trivial = frozenset([group.zero()])
-    seen = {trivial}
-    frontier = [trivial]
-    all_elems = group.elements()
+    add = group.add_table
+    frontier = [np.zeros(1, dtype=np.int64)]
+    found = {frontier[0].tobytes(): frontier[0]}
     while frontier:
         nxt = []
         for sub in frontier:
-            for g in all_elems:
-                if g in sub:
-                    continue
-                bigger = _closure(group, set(sub) | {g})
-                if bigger not in seen:
-                    seen.add(bigger)
-                    nxt.append(bigger)
+            covered = np.zeros(group.order, dtype=bool)
+            covered[sub] = True
+            for g in range(group.order):
+                if not covered[g]:
+                    covered[add[g, sub]] = True
+                    bigger = _extend(group, sub, g)
+                    if found.setdefault(bigger.tobytes(), bigger) is bigger:
+                        nxt.append(bigger)
         frontier = nxt
-    subs = [Subgroup(group, s) for s in seen]
-    subs.sort(key=lambda s: (s.order, s.sorted_elements))
-    return subs
+    # element order is index order, so this is the (order, sorted elements) order
+    ordered = sorted((idx.tolist() for idx in found.values()), key=lambda idx: (len(idx), idx))
+    return [Subgroup.from_indices(group, idx) for idx in ordered]
 
 
 @dataclass(frozen=True)
@@ -181,13 +213,7 @@ class Coset:
 
     subgroup: Subgroup
     elements: frozenset[GroupElt]
-
-    @property
-    def rep(self) -> GroupElt:
-        return min(self.elements)
-
-    def __contains__(self, a: GroupElt) -> bool:
-        return a in self.elements
+    rep: GroupElt = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -198,33 +224,45 @@ class Coset:
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """The quotient G/K with its translation action."""
+    """The quotient G/K with its translation action.
+
+    ``label[i]`` is the position in ``cosets`` of element i's coset, and
+    ``trans[t, c]`` is the position of coset t plus coset c.
+    """
 
     group: FiniteAbelianGroup
     subgroup: Subgroup
     cosets: tuple[Coset, ...] = field(init=False)
+    label: np.ndarray = field(init=False, repr=False, compare=False)
+    trans: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g, k = self.group, self.subgroup
         if k.group != g:
             raise InvariantError("subgroup belongs to a different group")
-        seen: dict[GroupElt, frozenset[GroupElt]] = {}
-        for a in g.elements():
-            members = frozenset(g.add(a, h) for h in k.elements)
-            seen[min(members)] = members
-        cosets = tuple(Coset(k, seen[rep]) for rep in sorted(seen))
-        if len(cosets) * k.order != g.order:
+        add, elems = g.add_table, g._elements
+        label = np.full(g.order, -1, dtype=np.int64)
+        reps = []
+        # scanning in index order makes each coset's first element its smallest
+        for a in range(g.order):
+            if label[a] < 0:
+                label[add[a, k.idx]] = len(reps)
+                reps.append(a)
+        if len(reps) * k.order != g.order:
             raise InvariantError("cosets do not partition the group")
+        members = add[np.ix_(reps, k.idx)].tolist()
+        cosets = tuple(
+            Coset(k, frozenset(elems[i] for i in m), elems[r]) for r, m in zip(reps, members)
+        )
         object.__setattr__(self, "cosets", cosets)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "trans", label[add[np.ix_(reps, reps)]])
 
     def __len__(self) -> int:
         return len(self.cosets)
 
     def coset_of(self, a: GroupElt) -> Coset:
-        for c in self.cosets:
-            if a in c:
-                return c
-        raise InvariantError(f"{a} is not an element of {self.group}")
+        return self.cosets[self.label[self.group.index(a)]]
 
     def translate(self, a: GroupElt, coset: Coset) -> Coset:
         return self.coset_of(self.group.add(a, coset.rep))
@@ -235,9 +273,7 @@ def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
 
 
 def _parse_fraction(entry) -> Fraction:
-    if isinstance(entry, str):
-        return Fraction(entry)
-    if isinstance(entry, int):
+    if isinstance(entry, (str, int)):
         return Fraction(entry)
     raise InvariantError(f"bicharacter matrix entries must be rationals, got {entry!r}")
 
@@ -247,7 +283,9 @@ class Bicharacter:
     """Symmetric bicharacter as a rational phase matrix mod 1.
 
     ``phase(g, h)`` returns the rational t with chi(g, h) = exp(2*pi*i*t);
-    all values have unit modulus by construction.
+    all values have unit modulus by construction.  ``phase_table[i, j]`` is
+    that phase for elements i and j times ``denominator``, the common
+    denominator of the matrix entries.
     """
 
     group: FiniteAbelianGroup
@@ -288,43 +326,31 @@ class Bicharacter:
         rows = tuple(tuple(_parse_fraction(x) for x in row) for row in data["matrix"])
         return cls(group, rows)
 
+    @cached_property
+    def denominator(self) -> int:
+        return lcm(*(x.denominator for row in self.matrix for x in row))
+
+    @cached_property
+    def phase_table(self) -> np.ndarray:
+        d, coords = self.denominator, self.group.coords
+        scaled = np.array([[int(x * d) for x in row] for row in self.matrix], dtype=np.int64)
+        return (coords @ scaled @ coords.T) % d
+
     def phase(self, g: GroupElt, h: GroupElt) -> Fraction:
         """Rational phase t of chi(g, h) = exp(2*pi*i*t), reduced mod 1."""
-        total = Fraction(0)
-        for i, gi in enumerate(g):
-            if gi:
-                row = self.matrix[i]
-                for j, hj in enumerate(h):
-                    if hj:
-                        total += gi * hj * row[j]
-        return total % 1
+        i, j = self.group.index(g), self.group.index(h)
+        return Fraction(int(self.phase_table[i, j]), self.denominator)
+
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        return not (self.phase_table[1:] == 0).all(axis=1).any()  # row 0 is the identity
 
     def is_nondegenerate(self) -> bool:
         """True iff the only g pairing trivially with everything is 0."""
-        gens = _generators(self.group)
-        zero = self.group.zero()
-        for g in self.group.elements():
-            if g == zero:
-                continue
-            if all(self.phase(g, e) == 0 for e in gens):
-                return False
-        return True
+        return self._nondegenerate
 
     def to_json(self) -> dict:
         return {"matrix": [[str(x) for x in row] for row in self.matrix]}
-
-
-def _generators(group: FiniteAbelianGroup) -> list[GroupElt]:
-    gens = []
-    for i in range(group.rank):
-        e = [0] * group.rank
-        e[i] = 1
-        gens.append(group.reduce(e))
-    return gens
-
-
-def bichar_eval(chi: Bicharacter, g: GroupElt, h: GroupElt) -> Fraction:
-    return chi.phase(g, h)
 
 
 def orthogonal(chi: Bicharacter, subgroup: Subgroup) -> Subgroup:
@@ -332,10 +358,8 @@ def orthogonal(chi: Bicharacter, subgroup: Subgroup) -> Subgroup:
     if not chi.is_nondegenerate():
         raise InvariantError("bicharacter is degenerate")
     group = chi.group
-    perp = frozenset(
-        g for g in group.elements() if all(chi.phase(k, g) == 0 for k in subgroup.elements)
-    )
-    result = Subgroup(group, perp)
+    perp = np.flatnonzero((chi.phase_table[subgroup.idx] == 0).all(axis=0))
+    result = Subgroup.from_indices(group, perp.tolist())
     if subgroup.order * result.order != group.order:
         raise StructuralError(
             f"|K|*|Kperp| = {subgroup.order}*{result.order} != |G| = {group.order}"

@@ -182,6 +182,17 @@ class TestMultiply:
         expect(out2, {k2: -1.0})
 
 
+    def test_verdict_tolerance_does_not_prune(self, z4):
+        # u_(m;0,~0) u_(m;~0,0) has a single constant of modulus tau = 0.5,
+        # which a tolerance of 0.6 must not drop from the product
+        loose = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1, eps=0.6)
+        a = loose.basis_element(M, Slot.grp((0,)), Slot.bar((0,)))
+        b = loose.basis_element(M, Slot.bar((0,)), Slot.grp((0,)))
+        out = loose.multiply(a, b)
+        assert len(out) == 1 and abs(next(iter(out.items()))[1]) == pytest.approx(0.5)
+        assert dict(out.items()) == dict(z4.multiply(a, b).items())
+
+
 class TestUnitCounitCoproduct:
     def test_unit_support(self, z4):
         one = z4.unit()

@@ -1,29 +1,73 @@
+import hashlib
 import json
 import random
+from functools import partial
 
+import numpy as np
 import pytest
 
+from tywha import classify
 from tywha.algebra import TYAlgebra
 from tywha.classify import (
+    _cycles,
+    _images,
+    _pair_fixed,
+    _pair_key,
+    _pair_perms,
+    _subset_rank,
+    _subsets,
+    _valid_subset_pairs,
+    _vector_fixed,
+    _vector_key,
+    _vectors,
     burnside_check,
-    canonical_form,
     coideal_orbits,
     g_algebra_classes,
     orbit_partition,
     realize_and_verify,
     weak_coideal_classes,
-    _subset_action,
-    _valid_subset_pairs,
 )
+from tywha.cli import main as cli_main
 from tywha.coideals import is_coideal
 from tywha.errors import InvariantError, SizeError, StructuralError
 from tywha.groups import (
     Bicharacter,
     FiniteAbelianGroup,
     Subgroup,
+    enumerate_subgroups,
     orthogonal,
     quotient,
 )
+
+# sha256 of the --json reports of `classify weak-coideals` and
+# `classify g-algebras --max-mult 2`, recorded from the tuple-based orbit
+# code this engine replaced, with every "n_points" key removed and the rest
+# re-serialised with sort_keys=True: same representatives, orbit sizes,
+# coideal flags and order.
+CATALOG_SHA256 = {
+    "1": ("ce83c6bb1d3693f3539662e38aafe1125cd5257a0dfba3dc1098a3da0e0c780d",
+          "02900909863712a82a5997bbc115cd008de05a943f60432a72de181424258ab5"),
+    "2": ("d93299c5a9aeb5f38502b7db6a56e7d6b37a9a87b0685b3d46176b2812caf05e",
+          "c1f4ebed31d6060fd149934572329092e222da8752a6bd6d269b42912feb8a52"),
+    "3": ("6faecefa18ed2e9366f5e65b732a8dfd6a52b1a58604eed5cd8be8692c686335",
+          "98c26799b586f34b0b1b9f85d84064d430dcec3ebb0e73eed63360afd4f7e657"),
+    "4": ("27ca6c67ff8465ab41b19284b3d5038864993aa4e6b90dc10fd540d1e0d386ff",
+          "27f29b440fe4ba2447e5c232cb0e253f2b2671eff1777b6bd195309a2e26cd62"),
+    "2,2": ("ac07fda6e6f20579ed559aef6e2706922d776b09297cc412418957fc4ab96582",
+            "adc0fab3d9b1d8291ec824782574b197ddef72faad7ac471bcc499ec4eb49702"),
+    "5": ("8fe08b59c633d7257d650d16a13ae146a2a36994d583181b9339f79917f735c9",
+          "7520f2f55e61c3176fa353bccb6a2dd675046112447008e81019e325af977fbb"),
+    "6": ("527f4c2bc757089dd384de0422073bc16694045b5fd3473bc91c54e558a5814f",
+          "51b510c87dc132ac0e3e27c241134d6b917a14cb7e12821f87908c5cfbf4671f"),
+    "7": ("ea70180574dd30460cae154ca663d389a959fd787b1c52c3606b08ccdcfdfb49",
+          "2f25832c22fdf33285b604ed49f0b7a24712cbb1b4d5917066e8b08abdd687b2"),
+    "8": ("bd2a3adb7dd9361f673538cf20578b23533cac4cfb3d0ff63094981fc9cc54ae",
+          "f64b7043dc89d6e22fbf347f2f09275d3e4f167654951fd8c946fbd9140db94a"),
+    "2,4": ("d493fe6506a649bd1fd4a1a82a9089cfbbefdf86ab021c27a1c949e2568222e7",
+            "28621feb01a0164cabfc6c7c7a8d3c6a8fe5e4e617350705d5970fae561d105c"),
+    "2,2,2": ("a28b15f513f7b3941ecc7839b3258f9f9adb5377e9c285c62f0e6d9f1a5f33e4",
+              "ef30279401704a726139910de176225029285ca49ec68f79195d1ba6ceff1305"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -32,49 +76,159 @@ def z2_report():
     return grp, weak_coideal_classes(grp, Bicharacter.standard(grp))
 
 
+def _setup(factors, k_gens):
+    """Quotients, flip flag and subset-pair action of one subgroup."""
+    grp = FiniteAbelianGroup(factors)
+    chi = Bicharacter.standard(grp)
+    K = Subgroup.generated(grp, k_gens)
+    perp = orthogonal(chi, K)
+    q0, q1 = quotient(grp, K), quotient(grp, perp)
+    flip = K.elements == perp.elements
+    return q0, q1, _pair_perms(q0, q1, flip), partial(_pair_key, n0=len(q0))
+
+
+def _codes(rows, perms, key):
+    return _images(np.asarray(rows), perms, key).min(axis=1)
+
+
+def _brute_orbits(points, perms) -> set:
+    return {frozenset(tuple(row[perm]) for perm in perms) for row in points}
+
+
+def _stripped_sha256(payload) -> str:
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if k != "n_points"}
+        if isinstance(x, list):
+            return [strip(v) for v in x]
+        return x
+
+    return hashlib.sha256(json.dumps(strip(payload), sort_keys=True).encode()).hexdigest()
+
+
 class TestBurnside:
     def test_translation_on_subsets(self):
         # Z2 translating the four subsets of a 2-element set: 3 orbits
-        points = [(), (0,), (1,), (0, 1)]
-
-        def act(t, subset):
-            return tuple(sorted((x + t) % 2 for x in subset))
-
-        assert burnside_check(points, [0, 1], act) == 3
+        points = _subsets(2)
+        perms = np.array([[0, 1], [1, 0]])
+        orbits = orbit_partition(points, perms, _subset_rank)
+        assert len(orbits) == 3
+        assert len(_brute_orbits(points, perms)) == 3
+        assert burnside_check(perms, lambda p: 2 ** _cycles(p)[0], len(points), 3) == 3
 
     def test_trivial_action(self):
-        points = list(range(7))
-        assert burnside_check(points, [0], lambda h, p: p) == 7
+        points = np.arange(7)[:, None]
+        perms = np.array([[0]])
+        orbits = orbit_partition(points, perms, lambda rows: rows[:, 0])
+        assert [size for _, size in orbits] == [1] * 7
+        assert burnside_check(perms, lambda p: 7, 7, len(orbits)) == 7
 
     def test_two_element_orbit_fully_identified(self):
-        points = ["a", "b"]
-        swap = {"a": "b", "b": "a"}
-        assert burnside_check(points, [0, 1], lambda h, p: swap[p] if h else p) == 1
+        points = np.array([[1, 0], [0, 1]])
+        perms = np.array([[0, 1], [1, 0]])
+        orbits = orbit_partition(points, perms, _subset_rank)
+        assert orbits == [((1, 0), 2)]
+        # singletons fixed by a permutation are its fixed points
+        assert burnside_check(perms, lambda p: _cycles(p)[1], 2, len(orbits)) == 1
 
     def test_non_action_detected(self):
         # a generator set without the identity is not a group action
         with pytest.raises(StructuralError):
-            burnside_check([0, 1], [1], lambda h, p: (p + h) % 2)
+            orbit_partition(np.array([[1, 0], [0, 1]]), np.array([[1, 0]]), _subset_rank)
+
+    def test_burnside_mismatch_detected(self):
+        perms = np.array([[0, 1], [1, 0]])
+        with pytest.raises(StructuralError, match="Burnside"):
+            burnside_check(perms, lambda p: 2 ** _cycles(p)[0], 4, 4)
+
+
+class TestPolyaCounts:
+    @pytest.mark.parametrize("factors", [(4,), (2, 2)])
+    def test_fixed_counts_match_brute_force(self, factors):
+        grp = FiniteAbelianGroup(factors)
+        chi = Bicharacter.standard(grp)
+        for K in enumerate_subgroups(grp):
+            q0, q1 = quotient(grp, K), quotient(grp, orthogonal(chi, K))
+            n0 = len(q0)
+            flips = (False, True) if len(q0) == len(q1) else (False,)
+            for flip in flips:
+                perms = _pair_perms(q0, q1, flip)
+                pairs = _valid_subset_pairs(q0, q1)
+                vectors = _vectors(perms.shape[1], 2)
+                for perm in perms:
+                    assert _pair_fixed(perm, n0) == (pairs[:, perm] == pairs).all(axis=1).sum()
+                    assert _vector_fixed(perm, 2) == (vectors[:, perm] == vectors).all(axis=1).sum()
+
+    def test_dropped_point_trips_polya_count(self, monkeypatch):
+        # (G/K, {}) is fixed by every translation, so dropping it leaves the
+        # partition consistent; only the point count can notice
+        def drop_full_z0(q0, q1):
+            points = _valid_subset_pairs(q0, q1)
+            n0 = len(q0)
+            keep = ~(points[:, :n0].all(axis=1) & ~points[:, n0:].any(axis=1))
+            return points[keep]
+
+        grp = FiniteAbelianGroup((4,))
+        monkeypatch.setattr(classify, "_valid_subset_pairs", drop_full_z0)
+        with pytest.raises(StructuralError, match="Polya count"):
+            weak_coideal_classes(grp, Bicharacter.standard(grp))
+
+    def test_dropped_moving_point_detected(self, monkeypatch):
+        def drop_first(q0, q1):
+            return _valid_subset_pairs(q0, q1)[1:]
+
+        grp = FiniteAbelianGroup((4,))
+        monkeypatch.setattr(classify, "_valid_subset_pairs", drop_first)
+        with pytest.raises(StructuralError):
+            weak_coideal_classes(grp, Bicharacter.standard(grp))
 
 
 class TestCanonicalForms:
     def test_idempotent_and_orbit_equivalence(self):
-        grp = FiniteAbelianGroup((4,))
-        chi = Bicharacter.standard(grp)
-        K = Subgroup.generated(grp, [(2,)])
-        perp = orthogonal(chi, K)
-        q0, q1 = quotient(grp, K), quotient(grp, perp)
-        elems, act = _subset_action(q0, q1, True)
-        points = _valid_subset_pairs(q0, q1)
+        _q0, _q1, perms, key = _setup((4,), [(2,)])
+        points = _valid_subset_pairs(_q0, _q1)
+        codes = _codes(points, perms, key)
         rng = random.Random(4)
         for _ in range(40):
-            p = rng.choice(points)
-            c = canonical_form(p, elems, act)
-            assert canonical_form(c, elems, act) == c
-            q = rng.choice(points)
-            same_canonical = c == canonical_form(q, elems, act)
-            reachable = any(act(h, p) == q for h in elems)
+            p, q = rng.randrange(len(points)), rng.randrange(len(points))
+            images = points[p][perms]
+            rep = images[int(np.argmin(key(images)))]
+            assert _codes([rep], perms, key)[0] == key(rep[None])[0] == codes[p]
+            same_canonical = codes[p] == codes[q]
+            reachable = any((image == points[q]).all() for image in images)
             assert same_canonical == reachable
+
+    def test_subset_rank_is_tuple_order(self):
+        rows = _subsets(6)
+        members = [tuple(np.flatnonzero(r)) for r in rows]
+        ranks = _subset_rank(rows)
+        assert sorted(range(len(rows)), key=lambda i: members[i]) == list(np.argsort(ranks))
+
+
+class TestCatalogPins:
+    @pytest.mark.parametrize("group", sorted(CATALOG_SHA256))
+    def test_reports_match_pins(self, group, tmp_path, capsys):
+        commands = (
+            ["classify", "weak-coideals", "--group", group],
+            ["classify", "g-algebras", "--group", group, "--max-mult", "2"],
+        )
+        for argv, expected in zip(commands, CATALOG_SHA256[group]):
+            path = tmp_path / "report.json"
+            assert cli_main([*argv, "--json", str(path)]) == 0
+            assert _stripped_sha256(json.loads(path.read_text())) == expected
+        capsys.readouterr()
+
+    def test_n_points_reported(self):
+        grp = FiniteAbelianGroup((4,))
+        chi = Bicharacter.standard(grp)
+        weak = weak_coideal_classes(grp, chi).to_dict()
+        # any Z0 with |Z1| <= 1, less the empty pair, plus |Z0| <= 1 with |Z1| > 1
+        assert [e["n_points"] for e in weak["per_subgroup"]] == [
+            2**4 * 2 - 1, 2**2 * 3 - 1 + 3 * 1, 2 * 2**4 - 1
+        ]
+        alg = g_algebra_classes(grp, chi, max_mult=1).to_dict()
+        assert alg["per_subgroup"][1]["types"]["self-paired"]["n_points"] == 3
+        assert alg["per_subgroup"][1]["types"]["decomposed"]["n_points"] == 15
 
 
 class TestWeakCoidealClasses:
@@ -203,26 +357,17 @@ class TestAlgebraClasses:
     def test_flip_halves_asymmetric_pairs(self):
         # independent oracle: brute-force orbits of nonzero {0,1}^2 x {0,1}^2
         # vectors under translations, with and without the side swap
-        def shift(v):
-            return (v[1], v[0])
-
-        points = [
-            (m0, m1)
-            for m0 in [(0, 0), (0, 1), (1, 0), (1, 1)]
-            for m1 in [(0, 0), (0, 1), (1, 0), (1, 1)]
-            if any(m0) or any(m1)
-        ]
-
-        def act(h, p):
-            t0, t1, s = h
-            m0 = shift(p[0]) if t0 else p[0]
-            m1 = shift(p[1]) if t1 else p[1]
-            return (m1, m0) if s else (m0, m1)
-
-        with_flip = [(t0, t1, s) for t0 in (0, 1) for t1 in (0, 1) for s in (0, 1)]
-        without = [(t0, t1, 0) for t0 in (0, 1) for t1 in (0, 1)]
-        assert burnside_check(points, without, act) == 8
-        assert burnside_check(points, with_flip, act) == 5
+        shifts = [[0, 1], [1, 0]]
+        without = np.array([a + [2 + x for x in b] for a in shifts for b in shifts])
+        with_flip = np.concatenate([without, without[:, [2, 3, 0, 1]]])
+        points = _vectors(4, 1)
+        key = partial(_vector_key, max_mult=1)
+        fixed = partial(_vector_fixed, max_mult=1)
+        for perms, expected in ((without, 8), (with_flip, 5)):
+            assert len(_brute_orbits(points, perms)) == expected
+            orbits = orbit_partition(points, perms, key)
+            assert len(orbits) == expected
+            assert burnside_check(perms, fixed, len(points), len(orbits)) == expected
 
     def test_max_mult_validation(self):
         grp = FiniteAbelianGroup((2,))
@@ -251,30 +396,63 @@ class TestEmittedShapes:
                 assert len(o.z0) <= 1 or len(o.z1) <= 1
 
     def test_flip_fixes_canonical_form(self):
-        grp = FiniteAbelianGroup((4,))
-        chi = Bicharacter.standard(grp)
-        K = Subgroup.generated(grp, [(2,)])
-        q = quotient(grp, K)
-        elems, act = _subset_action(q, q, True)
-        report = weak_coideal_classes(grp, chi)
+        q, _q1, perms, key = _setup((4,), [(2,)])
+        report = weak_coideal_classes(q.group, Bicharacter.standard(q.group))
         entry = next(e for e in report.per_subgroup if e.flip)
+
+        def row(z0, z1):
+            out = np.zeros(2 * len(q), dtype=np.uint8)
+            for side, z in enumerate((z0, z1)):
+                for r in z:
+                    out[side * len(q) + q.cosets.index(q.coset_of(r))] = 1
+            return out
+
         for o in entry.orbits:
-            swapped = (o.z1, o.z0)
-            assert canonical_form(swapped, elems, act) == (o.z0, o.z1)
+            rep = row(o.z0, o.z1)
+            assert _codes([row(o.z1, o.z0)], perms, key)[0] == key(rep[None])[0]
+            assert _codes([rep], perms, key)[0] == key(rep[None])[0]
 
 
 class TestOrbitPartition:
     def test_partition_covers_points(self):
-        grp = FiniteAbelianGroup((4,))
-        chi = Bicharacter.standard(grp)
-        K = Subgroup.trivial(grp)
-        q0 = quotient(grp, K)
-        q1 = quotient(grp, orthogonal(chi, K))
-        elems, act = _subset_action(q0, q1, False)
+        q0, q1, perms, key = _setup((4,), [])
         points = _valid_subset_pairs(q0, q1)
-        orbits = orbit_partition(points, elems, act)
-        assert sum(len(o) for o in orbits) == len(points)
-        seen = set()
-        for o in orbits:
-            assert not (seen & o)
-            seen |= o
+        orbits = orbit_partition(points, perms, key)
+        assert sum(size for _, size in orbits) == len(points)
+        reps = [rep for rep, _ in orbits]
+        assert len(set(reps)) == len(reps)
+        assert {tuple(p) for p in points.tolist()} >= set(reps)
+        assert len(orbits) == len(_brute_orbits(points, perms))
+        assert sorted(len(o) for o in _brute_orbits(points, perms)) == sorted(
+            size for _, size in orbits
+        )
+
+
+class TestOrderSixteen:
+    @pytest.fixture(scope="class")
+    def reports(self):
+        out = {}
+        for factors in [(4, 4), (2, 8), (2, 2, 4), (2, 2, 2, 2)]:
+            grp = FiniteAbelianGroup(factors)
+            out[factors] = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        return out
+
+    @pytest.mark.parametrize(
+        "factors,total",
+        [((4, 4), 17234), ((2, 8), 17104), ((2, 2, 4), 18246), ((2, 2, 2, 2), 20904)],
+    )
+    def test_catalog_finishes_and_checks(self, reports, factors, total):
+        report = reports[factors]
+        assert report.total == total
+        for entry in report.per_subgroup:
+            assert entry.burnside_count == len(entry.orbits)
+            assert entry.coideal_count == (2 if entry.flip else 4)
+
+    def test_cyclic_via_cli(self, tmp_path, capsys):
+        path = tmp_path / "z16.json"
+        assert cli_main(["classify", "weak-coideals", "--group", "16", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["total_classes"] == 16618
+        assert all(e["burnside_ok"] for e in payload["per_subgroup"])
+        assert [e["n_coideal"] for e in payload["per_subgroup"]] == [4, 4, 2, 4, 4]
+        capsys.readouterr()

@@ -11,7 +11,6 @@ from tywha.groups import (
     FiniteAbelianGroup,
     Subgroup,
     SubgroupCharacter,
-    bichar_eval,
     characters,
     enumerate_subgroups,
     orthogonal,
@@ -84,6 +83,19 @@ class TestSubgroups:
         got = {s.elements for s in enumerate_subgroups(g)}
         assert got == brute_force_subgroups(g)
 
+    @pytest.mark.parametrize("q,rank,expected", [(2, 5, 374), (2, 6, 2825), (3, 3, 28)])
+    def test_elementary_abelian_counts(self, q, rank, expected):
+        # oracle: subgroups of (Z_q)^n are subspaces, counted by Gaussian
+        # binomials; (Z2)^6 sits at the enumeration bound of 64
+        def gaussian(n, k):
+            num = prod(q ** (n - i) - 1 for i in range(k))
+            return num // prod(q ** (i + 1) - 1 for i in range(k))
+
+        assert sum(gaussian(rank, k) for k in range(rank + 1)) == expected
+        subs = enumerate_subgroups(FiniteAbelianGroup((q,) * rank))
+        assert len(subs) == expected
+        assert len({s.elements for s in subs}) == expected
+
     def test_size_guard(self):
         with pytest.raises(SizeError):
             enumerate_subgroups(FiniteAbelianGroup((128,)))
@@ -92,6 +104,50 @@ class TestSubgroups:
         g = FiniteAbelianGroup((4,))
         with pytest.raises(InvariantError):
             Subgroup(g, frozenset({(0,), (1,)}))
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("factors", [(1,), (4,), (2, 3), (2, 2, 4)])
+    def test_add_table_matches_tuple_add(self, factors):
+        g = FiniteAbelianGroup(factors)
+        elems = g.elements()
+        assert [g.index(a) for a in elems] == list(range(g.order))
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                assert elems[g.add_table[i, j]] == g.add(a, b)
+
+    def test_index_rejects_non_elements(self):
+        g = FiniteAbelianGroup((4,))
+        with pytest.raises(InvariantError):
+            g.index((4,))
+
+    def test_coset_labels(self):
+        g = FiniteAbelianGroup((2, 4))
+        for k in enumerate_subgroups(g):
+            q = quotient(g, k)
+            for a in g.elements():
+                c = q.coset_of(a)
+                assert a in c.elements and c.rep == min(c.elements)
+                for t in g.elements():
+                    t_pos = q.label[g.index(t)]
+                    assert q.cosets[q.trans[t_pos, q.cosets.index(c)]] == q.translate(t, c)
+
+    @pytest.mark.parametrize(
+        "factors,matrix",
+        [((2, 2), [["0", "1/2"], ["1/2", "0"]]), ((2, 4), [["1/2", "1/2"], ["1/2", "1/4"]]),
+         ((3, 3), [["1/3", "2/3"], ["2/3", "0"]])],
+    )
+    def test_phase_table_matches_fraction_sum(self, factors, matrix):
+        g = FiniteAbelianGroup(factors)
+        chi = Bicharacter.from_json(g, {"matrix": matrix})
+        m = [[Fraction(x) for x in row] for row in matrix]
+        for a in g.elements():
+            for b in g.elements():
+                expected = sum(
+                    (a[i] * b[j] * m[i][j] for i in range(g.rank) for j in range(g.rank)),
+                    Fraction(0),
+                ) % 1
+                assert chi.phase(a, b) == expected
 
 
 class TestQuotients:
@@ -138,13 +194,13 @@ class TestBicharacter:
     def test_standard_z4_generator_phase(self):
         g = FiniteAbelianGroup((4,))
         chi = Bicharacter.standard(g)
-        assert bichar_eval(chi, (1,), (1,)) == Fraction(1, 4)
-        assert bichar_eval(chi, (1,), (0,)) == 0
+        assert chi.phase((1,), (1,)) == Fraction(1, 4)
+        assert chi.phase((1,), (0,)) == 0
 
     def test_standard_z2(self):
         g = FiniteAbelianGroup((2,))
         chi = Bicharacter.standard(g)
-        assert bichar_eval(chi, (1,), (1,)) == Fraction(1, 2)
+        assert chi.phase((1,), (1,)) == Fraction(1, 2)
 
     def test_symmetry_required(self):
         g = FiniteAbelianGroup((2, 2))
@@ -169,7 +225,7 @@ class TestBicharacter:
     def test_from_json(self):
         g = FiniteAbelianGroup((2, 2))
         chi = Bicharacter.from_json(g, {"matrix": [["0", "1/2"], ["1/2", "0"]]})
-        assert bichar_eval(chi, (1, 0), (0, 1)) == Fraction(1, 2)
+        assert chi.phase((1, 0), (0, 1)) == Fraction(1, 2)
         with pytest.raises(InvariantError):
             Bicharacter.from_json(g, {"rows": []})
 
