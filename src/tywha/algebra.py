@@ -27,17 +27,12 @@ import numpy as np
 
 from .errors import InvariantError, StructuralError
 from .groups import Bicharacter, FiniteAbelianGroup, GroupElt
-from .linalg import DEFAULT_TOL, SparseVec, Subspace, distance, nullspace
+from .linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, distance, nullspace
 
 SLOT_GRP = 0
 SLOT_M = 1
 SLOT_BAR = 2
 
-# The counital weights are sums of at most dim terms of modulus <= 1, so a
-# weight below this is cancellation residue.  The scalar paths (multiply,
-# coproduct, star, ...) prune their results at it too.  It is kept apart
-# from the verdict tolerance eps, which never prunes a value.
-ROUNDOFF = 1e-12
 # Pair and triple identities are exhaustive up to this group order and run
 # on a seeded sample of first factors above it.
 EXHAUSTIVE_ORDER = 8
@@ -940,7 +935,7 @@ class TYAlgebra:
             np.add.at(block, (local[lo:hi] - b, cols[lo:hi]), vals[lo:hi])
             current = nullspace(block @ current.T, eps=self.eps) @ current
         vecs = [
-            SparseVec({i: row[i] for i in range(dim) if abs(row[i]) > self.eps})
+            SparseVec({i: row[i] for i in np.flatnonzero(np.abs(row) > ROUNDOFF)})
             for row in current
         ]
         return Subspace(vecs, eps=self.eps)

@@ -13,10 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ROW_BLOCK, AxiomCheck, AxiomReport, BasisUnit, BlockLabel, Slot, TYAlgebra
+from .algebra import (
+    ROW_BLOCK,
+    AxiomCheck,
+    AxiomReport,
+    BasisUnit,
+    BlockLabel,
+    Slot,
+    TYAlgebra,
+    _join,
+    _runs,
+)
 from .errors import InvariantError, StructuralError
 from .groups import Coset, QuotientGroup, Subgroup, orthogonal, quotient
-from .linalg import SparseVec, Subspace, distance, nullspace, tensor_contains
+from .linalg import ROUNDOFF, SparseVec, Subspace, _sq, distance, nullspace
 
 
 @dataclass(frozen=True)
@@ -272,85 +282,182 @@ def build_I_Omega_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
 # -- verification -------------------------------------------------------------------
 
 
+def _scatter(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple) -> np.ndarray:
+    """Dense array of the values summed at their (row, col) positions, pruned
+    at ROUNDOFF as the scalar paths prune their results."""
+    flat, size = rows * shape[1] + cols, shape[0] * shape[1]
+    out = np.bincount(flat, vals.real, size) + 1j * np.bincount(flat, vals.imag, size)
+    out[np.abs(out) <= ROUNDOFF] = 0.0
+    return out.reshape(shape)
+
+
+def _first_max(margins: np.ndarray) -> tuple[float, int | None]:
+    """The largest positive margin and the first index where it occurs, or
+    (0.0, None) when no margin is positive."""
+    if not len(margins) or margins.max() <= 0:
+        return 0.0, None
+    at = int(np.argmax(margins))
+    return float(margins[at]), at
+
+
+class _Coords:
+    """A subspace of B, keyed by unit, as the sparse terms (row, unit, val) of
+    its echelon basis, pruned at ROUNDOFF as ``basis_vectors`` prunes them;
+    the terms are sorted by row.  Vectors of B are checked against it in
+    batches, as the rows of dense arrays with one column per unit."""
+
+    def __init__(self, space: Subspace, dim: int):
+        self.space, self.units = space, np.array(space.universe, dtype=np.int64)
+        rows = space.basis
+        self.eps, self.size, self.dim = space.eps, len(rows), dim
+        self.row, col = np.nonzero(np.abs(rows) > ROUNDOFF)
+        self.unit, self.val = self.units[col], rows[self.row, col]
+        self.by_unit = np.argsort(self.unit, kind="stable")
+        self.unit_sorted = self.unit[self.by_unit]
+        self.pivots = self.units[space.pivots]
+        self.outside = np.ones(dim, dtype=bool)
+        self.outside[self.units] = False
+
+    def rows(self, lo: int, hi: int) -> slice:
+        """The terms of basis rows lo..hi-1."""
+        return slice(*np.searchsorted(self.row, [lo, hi]))
+
+    def blocks(self, per_row: int):
+        """Ranges of basis rows that give about ROW_BLOCK dense rows when each
+        basis row gives per_row of them."""
+        step = max(1, ROW_BLOCK // max(1, per_row))
+        return [(lo, min(self.size, lo + step)) for lo in range(0, self.size, step)]
+
+    def dense(self) -> np.ndarray:
+        return _scatter(self.row, self.unit, self.val, (self.size, self.dim))
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Norm of the component of each row of x outside the subspace."""
+        return self.space.residuals(x[:, self.units], _sq(x[:, self.outside]))
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        return self.residual(x) <= self.eps * (1.0 + np.sqrt(_sq(x)))
+
+
+def _unit_terms(wc: WeakCoideal) -> tuple[np.ndarray, np.ndarray]:
+    """The units of 1_A, and 1_A as a dense vector of B."""
+    units = np.array(sorted(wc.unit.keys()), dtype=np.int64)
+    dense = np.zeros(wc.algebra.dim, dtype=complex)
+    dense[units] = [wc.unit[k] for k in units]
+    return units, dense
+
+
+def _products(A: _Coords, lo: int, hi: int, table: tuple) -> np.ndarray:
+    """a b for every left factor a among basis rows lo..hi-1 and every right
+    factor b among all basis rows, one dense row per pair in row-major order,
+    from product entries ``table = (i, j, k, c)`` sorted by i."""
+    ti, tj, tk, tc = table
+    left = A.rows(lo, hi)
+    row, unit, val = A.row[left], A.unit[left], A.val[left]
+    s, e = _join(unit, ti)
+    q, p = _join(tj[e], A.unit_sorted)
+    s, e, b = s[q], e[q], A.by_unit[p]
+    pair = (row[s] - lo) * A.size + A.row[b]
+    return _scatter(pair, tk[e], val[s] * A.val[b] * tc[e], ((hi - lo) * A.size, A.dim))
+
+
+def _closure(alg: TYAlgebra, A: _Coords) -> tuple[float, tuple | None]:
+    """The largest positive margin ``res - eps (1 + |ab|)`` over all pairs of
+    basis rows and the first pair where it occurs.
+
+    Only the product entries with both factors in A's universe contribute.
+    When A spans its universe, only the entries leaving it reach the
+    residual.  |ab| is needed only where the residual exceeds eps: elsewhere
+    the margin is at most 0 whatever the norm."""
+    T, eps, size = alg.product, alg.eps, A.size
+    within = ~A.outside[T.i] & ~A.outside[T.j]
+    full = tuple(col[within] for col in (T.i, T.j, T.k, T.c))
+    spans = size == len(A.units)
+    needed = tuple(col[A.outside[full[2]]] for col in full) if spans else full
+    best, pair = 0.0, None
+    if not len(needed[0]):
+        return best, pair
+    for lo, hi in A.blocks(size):
+        cand = np.flatnonzero(A.residual(_products(A, lo, hi, needed)) > eps)
+        if not len(cand):
+            continue
+        prods = _products(A, lo, hi, full)[cand]
+        margin, at = _first_max(A.residual(prods) - eps * (1.0 + np.sqrt(_sq(prods))))
+        if margin > best:
+            best, pair = margin, divmod(lo * size + int(cand[at]), size)
+    return best, pair
+
+
 def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
     """Check, by subspace membership, every defining property of a weak
     coideal: product and star closure, the coproduct landing in A (x) B,
     the unit acting as identity, and the coproduct of the unit landing in
-    A (x) B_t."""
+    A (x) B_t.
+
+    Each check after the first is one batched residual over A's echelon
+    basis, read from B's structure-constant arrays."""
     alg = wc.algebra
-    eps = alg.eps
+    eps, dim, T = alg.eps, alg.dim, alg.product
     report = AxiomReport(label=f"coideal {wc.label} on {alg.group}", eps=eps)
     checks = report.checks
-    basis = wc.space.basis_vectors()
+    A = _Coords(wc.space, dim)
+    size = A.size
 
-    unit_norm = wc.unit.norm()
-    unit_ok = unit_norm > eps and wc.space.contains(wc.unit)
-    checks.append(
-        AxiomCheck(
-            "unit exists in A",
-            0.0 if unit_ok else float("inf"),
-            unit_ok,
-            "" if unit_ok else "empty or missing unit",
-        )
-    )
+    def add(name, worst, passed, witness, count=1):
+        checks.append(AxiomCheck(name, worst, passed, witness, count, count))
 
-    # the products are densified one block of left factors (about ROW_BLOCK
-    # rows) at a time; the witness is the first pair of largest margin
-    size = len(basis)
-    worst, witness = 0.0, ""
-    best = -np.inf
-    step = max(1, ROW_BLOCK // max(1, size))
-    for lo in range(0, size, step):
-        margins = wc.space.contains_batch(
-            alg.multiply(a, b) for a in basis[lo:lo + step] for b in basis
-        )
-        k = int(np.argmax(margins))
-        if margins[k] > best:
-            best = float(margins[k])
-            pair = divmod(lo * size + k, size)
-    if best > 0:
-        worst, witness = best, f"basis pair {pair}"
-    checks.append(
-        AxiomCheck("closed under product", worst, worst <= 0.0, witness, size**2, size**2)
-    )
+    unit_ok = wc.unit.norm() > eps and wc.space.contains(wc.unit)
+    add("unit exists in A", 0.0 if unit_ok else float("inf"), unit_ok,
+        "" if unit_ok else "empty or missing unit")
 
-    worst, witness = 0.0, ""
-    for i, a in enumerate(basis):
-        r = wc.space.residual(alg.star(a)) - eps * (1.0 + a.norm())
-        if r > worst:
-            worst, witness = float(r), f"basis vector {i}"
-    checks.append(
-        AxiomCheck("closed under star", max(0.0, worst), worst <= 0.0, witness, size, size)
-    )
+    worst, pair = _closure(alg, A)
+    add("closed under product", worst, worst <= 0.0,
+        f"basis pair {pair}" if pair else "", size**2)
 
-    ok, witness = True, ""
-    for i, a in enumerate(basis):
-        inside = tensor_contains(alg.coproduct(a), wc.space, None, eps=eps)
-        if ok and not inside:
-            ok, witness = False, f"basis vector {i}"
-    checks.append(
-        AxiomCheck(
-            "coproduct maps into A (x) B", 0.0 if ok else float("inf"), ok, witness, size, size
-        )
-    )
+    # the involution is a monomial map: u_i -> c_i u_{k_i}
+    a = A.dense()
+    star = alg._star_map
+    image = _scatter(A.row, star.k[A.unit], A.val.conj() * star.c[A.unit], (size, dim))
+    worst, at = _first_max(A.residual(image) - eps * (1.0 + np.sqrt(_sq(a))))
+    add("closed under star", worst, worst <= 0.0,
+        "" if at is None else f"basis vector {at}", size)
 
-    worst, witness = 0.0, ""
-    for i, a in enumerate(basis):
-        r = max(
-            distance(alg.multiply(wc.unit, a), a),
-            distance(alg.multiply(a, wc.unit), a),
-        )
-        if r > worst:
-            worst, witness = r, f"basis vector {i}"
-    checks.append(
-        AxiomCheck("unit acts as identity", worst, worst <= eps, witness, size, size)
-    )
+    # Delta(a) = sum_j w_j (x) u_j lies in A (x) B iff every w_j lies in A
+    C = alg._coproduct_table
+    bad = []
+    for lo, hi in A.blocks(int(alg._layout.size.max())):
+        terms = A.rows(lo, hi)
+        t, p = _runs(C.ptr, A.unit[terms])
+        t += terms.start
+        keys, inv = np.unique(A.row[t] * dim + C.second[p], return_inverse=True)
+        legs = _scatter(inv, C.first[p], A.val[t], (len(keys), dim))
+        bad.extend(keys[~A.contains(legs)] // dim)
+    ok = not bad
+    add("coproduct maps into A (x) B", 0.0 if ok else float("inf"), ok,
+        "" if ok else f"basis vector {int(bad[0])}", size)
 
+    # 1_A a and a 1_A
+    units, mu = _unit_terms(wc)
+    s, e = T.of_right(A.unit)
+    left = _scatter(A.row[s], T.k[e], mu[T.i[e]] * A.val[s] * T.c[e], (size, dim))
+    s, e = T.of_left(A.unit)
+    right = _scatter(A.row[s], T.k[e], A.val[s] * mu[T.j[e]] * T.c[e], (size, dim))
+    dist = np.maximum(np.abs(left - a), np.abs(right - a)).max(axis=1, initial=0.0)
+    worst, at = _first_max(dist)
+    add("unit acts as identity", worst, worst <= eps,
+        "" if at is None else f"basis vector {at}", size)
+
+    # Delta(1_A) = sum_f u_f (x) r_f: every r_f lies in B_t, and for each basis
+    # row of B_t the first legs weighted by their r_f coordinates lie in A
     target, _source = alg.counital_subalgebras()
-    ok = bool(basis) and tensor_contains(alg.coproduct(wc.unit), wc.space, target, eps=eps)
-    checks.append(
-        AxiomCheck("coproduct of unit in A (x) B_t", 0.0 if ok else float("inf"), ok)
-    )
+    Bt = _Coords(target, dim)
+    t, p = _runs(C.ptr, units)
+    firsts, inv = np.unique(C.first[p], return_inverse=True)
+    seconds = _scatter(inv, C.second[p], mu[C.src[p]], (len(firsts), dim))
+    combos = np.zeros((Bt.size, dim), dtype=complex)
+    combos[:, firsts] = seconds[:, Bt.pivots].T
+    ok = bool(size) and bool(Bt.contains(seconds).all()) and bool(A.contains(combos).all())
+    add("coproduct of unit in A (x) B_t", 0.0 if ok else float("inf"), ok, "")
     return report
 
 
@@ -360,37 +467,37 @@ def is_coideal(wc: WeakCoideal) -> bool:
 
 
 def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
-    """The invariant subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}."""
+    """The invariant subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}.
+
+    Delta(1_A)(u_i (x) 1) is sum_p c_p (u_{f_p} u_i) (x) u_{s_p} over the terms
+    c_p u_{f_p} (x) u_{s_p} of Delta(1_A), so each constraint column joins
+    those first legs with the product entries whose right factor is u_i."""
     alg = wc.algebra
-    basis = wc.space.basis_vectors()
-    if not basis:
+    dim, T, C = alg.dim, alg.product, alg._coproduct_table
+    A = _Coords(wc.space, dim)
+    if not A.size:
         return Subspace([], eps=alg.eps)
-    delta_unit = alg.coproduct(wc.unit)
-    one = alg.unit()
-    support = sorted({i for v in basis for i in v.keys()})
-    twisted: dict[int, SparseVec] = {
-        i: alg.tensor_multiply(delta_unit, alg.tensor(SparseVec.basis(i), one)) for i in support
-    }
-    columns = []
-    for v in basis:
-        col = alg.coproduct(v)
-        for i, c in v.items():
-            col.add_scaled(twisted[i], -c)
-        columns.append(col.prune(alg.eps * 1e-3))
-    keys = sorted({k for col in columns for k in col.keys()})
-    pos = {k: r for r, k in enumerate(keys)}
-    mat = np.zeros((len(keys), len(columns)), dtype=complex)
-    for j, col in enumerate(columns):
-        for k, c in col.items():
-            mat[pos[k], j] = c
-    kernel = nullspace(mat, eps=alg.eps)
-    out = []
-    for coeffs in kernel:
-        v = SparseVec()
-        for j, c in enumerate(coeffs):
-            v.add_scaled(basis[j], c)
-        out.append(v.prune(alg.eps * 1e-3))
-    return Subspace(out, eps=alg.eps)
+    units, mu = _unit_terms(wc)
+    _, p = _runs(C.ptr, units)
+    p = p[np.argsort(C.first[p], kind="stable")]
+    first, second, coef = C.first[p], C.second[p], mu[C.src[p]]
+    t, p = _runs(C.ptr, A.unit)
+    s, e = T.of_right(A.unit)
+    q, d = _join(T.i[e], first)
+    s, e = s[q], e[q]
+    keys, inv = np.unique(
+        np.concatenate([C.first[p] * dim + C.second[p], T.k[e] * dim + second[d]]),
+        return_inverse=True,
+    )
+    cols = np.concatenate([A.row[t], A.row[s]])
+    vals = np.concatenate([A.val[t], -coef[d] * A.val[s] * T.c[e]])
+    mat = _scatter(inv, cols, vals, (len(keys), A.size))
+    kernel = nullspace(mat[(mat != 0).any(axis=1)], eps=alg.eps)
+    out = kernel @ A.dense()
+    return Subspace(
+        [SparseVec({int(i): v[i] for i in np.flatnonzero(np.abs(v) > ROUNDOFF)}) for v in out],
+        eps=alg.eps,
+    )
 
 
 def center(wc: WeakCoideal) -> Subspace:

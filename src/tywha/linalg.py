@@ -12,6 +12,9 @@ from typing import Iterable
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# A value below this is cancellation residue, and pruning drops it.  It is
+# kept apart from the verdict tolerance eps, which never prunes a value.
+ROUNDOFF = 1e-12
 
 
 class SparseVec:
@@ -89,6 +92,11 @@ class SparseVec:
         return f"SparseVec({{{terms}}})"
 
 
+def _sq(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row."""
+    return (x.real**2 + x.imag**2).sum(axis=1)
+
+
 def distance(a: SparseVec, b: SparseVec) -> float:
     """Sup-norm distance between two sparse vectors."""
     keys = set(a.data) | set(b.data)
@@ -96,10 +104,14 @@ def distance(a: SparseVec, b: SparseVec) -> float:
 
 
 def nullspace(mat: np.ndarray, eps: float = DEFAULT_TOL) -> np.ndarray:
-    """Rows spanning {x : mat @ x = 0}, via SVD with threshold eps."""
+    """Rows spanning {x : mat @ x = 0}, via SVD with threshold eps.
+
+    A tall system (m >= n) is factored thin, since its V is already square; a
+    wide one keeps the full V, whose last n - m rows are null vectors too."""
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
+    m, n = mat.shape
+    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
     cutoff = eps * max(1.0, s[0] if len(s) else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()
@@ -108,8 +120,9 @@ def nullspace(mat: np.ndarray, eps: float = DEFAULT_TOL) -> np.ndarray:
 class Subspace:
     """Span of sparse vectors, reduced to row echelon form with unit pivots.
 
-    Pivot columns are cleared in all other rows, so the coordinate of a member
-    vector along basis row i is just its value at that row's pivot key.
+    Pivot columns are cleared in all other rows and the pivots are exactly 1,
+    so the pivot block of ``basis`` is the identity and the coordinate of a
+    member vector along basis row i is just its value at that row's pivot key.
     """
 
     def __init__(self, vectors: Iterable[SparseVec], eps: float = DEFAULT_TOL):
@@ -136,6 +149,7 @@ class Subspace:
                 continue
             p = int(np.argmax(np.abs(r)))  # ties resolve to the lowest index
             r = r / r[p]
+            r[p] = 1.0
             if count:
                 basis[:count] -= np.outer(basis[:count, p], r)
             basis[count] = r
@@ -143,21 +157,25 @@ class Subspace:
             count += 1
         self.basis = basis[:count]
         self.pivots = pivots
+        self._free = np.ones(n, dtype=bool)
+        self._free[pivots] = False
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
+    def residuals(self, mat: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """Norm of the component outside the subspace of each dense row over
+        the universe, whose squared mass off the universe is ``outside``.
+        The pivot block of the basis is the identity, so only the non-pivot
+        columns need reducing."""
+        free = self._free
+        off = mat[:, free] - mat[:, self.pivots] @ self.basis[:, free]
+        return np.sqrt(_sq(off) + outside)
+
     def residual(self, v: SparseVec) -> float:
         """Norm of the component of v outside the subspace."""
-        outside = sum(abs(c) ** 2 for k, c in v.data.items() if k not in self.pos)
-        r = np.zeros(len(self.universe), dtype=complex)
-        for k, c in v.data.items():
-            if k in self.pos:
-                r[self.pos[k]] = c
-        if self.pivots:
-            r -= r[self.pivots] @ self.basis
-        return float(np.sqrt(np.linalg.norm(r) ** 2 + outside))
+        return float(self.residuals(*self.to_dense([v]))[0])
 
     def contains(self, v: SparseVec) -> bool:
         return self.residual(v) <= self.eps * (1.0 + v.norm())
@@ -185,26 +203,15 @@ class Subspace:
     def contains_batch(self, vectors: Iterable[SparseVec]) -> np.ndarray:
         """Residuals of many vectors at once (relative form as in contains)."""
         mat, outside = self.to_dense(vectors)
-        norms = np.sqrt((np.abs(mat) ** 2).sum(axis=1) + outside)
-        if self.dim:
-            coeffs = mat[:, self.pivots]
-            mat = mat - coeffs @ self.basis
-        res = np.sqrt((np.abs(mat) ** 2).sum(axis=1) + outside)
-        return res - self.eps * (1.0 + norms)
+        norms = np.sqrt(_sq(mat) + outside)
+        return self.residuals(mat, outside) - self.eps * (1.0 + norms)
 
     def basis_vectors(self) -> list[SparseVec]:
-        out = []
-        for row in self.basis:
-            out.append(
-                SparseVec(
-                    {
-                        self.universe[j]: row[j]
-                        for j in range(len(self.universe))
-                        if abs(row[j]) > self.eps
-                    }
-                )
-            )
-        return out
+        keys = self.universe
+        return [
+            SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)})
+            for row in self.basis
+        ]
 
     def union(self, other: "Subspace") -> "Subspace":
         return Subspace(self.basis_vectors() + other.basis_vectors(), eps=self.eps)
@@ -230,7 +237,7 @@ class Subspace:
             v = SparseVec()
             for j, c in enumerate(coeffs[: len(mine)]):
                 v.add_scaled(mine[j], c)
-            out.append(v.prune(self.eps * 1e-3))
+            out.append(v.prune(ROUNDOFF))
         return Subspace(out, eps=self.eps)
 
     def equals(self, other: "Subspace") -> bool:
@@ -258,15 +265,14 @@ def tensor_split_second(t: SparseVec) -> dict:
     return out
 
 
-def tensor_contains(
-    t: SparseVec, left: Subspace, right: Subspace | None, eps: float = DEFAULT_TOL
-) -> bool:
+def tensor_contains(t: SparseVec, left: Subspace, right: Subspace | None) -> bool:
     """Membership of a vector over pair keys in left (x) right.
 
     ``right=None`` means the full space on the second leg.  The second legs
     are resolved first (each grouped vector must lie in ``right``), then the
     recombined first legs are tested against ``left``; this avoids ever
-    materializing the tensor product space.
+    materializing the tensor product space.  Coordinates along ``right`` of
+    modulus at most ROUNDOFF are dropped.
     """
     if right is None:
         for _, w in tensor_split_second(t).items():
@@ -279,6 +285,6 @@ def tensor_contains(
         if not right.contains(r):
             return False
         for b, c in enumerate(right.coordinates(r)):
-            if abs(c) > eps:
+            if abs(c) > ROUNDOFF:
                 combos.setdefault(b, SparseVec()).data[i] = c
     return all(left.contains(u) for u in combos.values())

@@ -192,6 +192,13 @@ class TestMultiply:
         assert len(out) == 1 and abs(next(iter(out.items()))[1]) == pytest.approx(0.5)
         assert dict(out.items()) == dict(z4.multiply(a, b).items())
 
+    def test_commutant_keeps_entries_below_tolerance(self):
+        # span{v} with v = u_0 + 0.2 u_1 is its own commutant; a tolerance of
+        # 0.3 must not drop the 0.2 entry from the output vector
+        loose = TYAlgebra(FiniteAbelianGroup((2,)), eps=0.3)
+        (out,) = loose.commutant([SparseVec({0: 1.0, 1: 0.2})]).basis_vectors()
+        assert dict(out.items()) == pytest.approx({0: 1.0, 1: 0.2})
+
 
 class TestUnitCounitCoproduct:
     def test_unit_support(self, z4):

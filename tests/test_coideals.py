@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+from tywha import classify
 from tywha.algebra import BasisUnit, BlockLabel, Slot, TYAlgebra
+from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
     assemble,
@@ -21,7 +24,7 @@ from tywha.coideals import (
 )
 from tywha.errors import InvariantError, StructuralError
 from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
-from tywha.linalg import SparseVec, distance
+from tywha.linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, tensor_contains
 
 
 def g(*coords):
@@ -407,3 +410,166 @@ class TestSpectralDims:
         assert len(unbarred) == len(barred) == xm.dim // 2
         for v in unbarred:
             assert xm.contains(z4.sharp(v))
+
+
+# -- array checks against the scalar paths -----------------------------------------
+
+
+def reference_report(wc):
+    """verify_weak_coideal's rows (name, residual, passed, witness, instances),
+    recomputed one basis vector at a time with multiply, coproduct, star,
+    Subspace.residual/contains_batch and tensor_contains."""
+    alg, eps, space = wc.algebra, wc.algebra.eps, wc.space
+    basis = space.basis_vectors()
+    size = len(basis)
+    rows = []
+    unit_ok = wc.unit.norm() > eps and space.contains(wc.unit)
+    rows.append(("unit exists in A", 0.0 if unit_ok else float("inf"), unit_ok,
+                 "" if unit_ok else "empty or missing unit", 1))
+
+    best, witness = 0.0, ""
+    for i, a in enumerate(basis):
+        margins = space.contains_batch(alg.multiply(a, b) for b in basis)
+        for j, m in enumerate(margins):
+            if m > best:
+                best, witness = float(m), f"basis pair {(i, j)}"
+    rows.append(("closed under product", best, best <= 0.0, witness, size**2))
+
+    best, witness = 0.0, ""
+    for i, a in enumerate(basis):
+        m = space.residual(alg.star(a)) - eps * (1.0 + a.norm())
+        if m > best:
+            best, witness = float(m), f"basis vector {i}"
+    rows.append(("closed under star", best, best <= 0.0, witness, size))
+
+    bad = [i for i, a in enumerate(basis) if not tensor_contains(alg.coproduct(a), space, None)]
+    rows.append(("coproduct maps into A (x) B", float("inf") if bad else 0.0, not bad,
+                 f"basis vector {bad[0]}" if bad else "", size))
+
+    best, witness = 0.0, ""
+    for i, a in enumerate(basis):
+        r = max(distance(alg.multiply(wc.unit, a), a), distance(alg.multiply(a, wc.unit), a))
+        if r > best:
+            best, witness = r, f"basis vector {i}"
+    rows.append(("unit acts as identity", best, best <= eps, witness, size))
+
+    target, _source = alg.counital_subalgebras()
+    ok = bool(basis) and tensor_contains(alg.coproduct(wc.unit), space, target)
+    rows.append(("coproduct of unit in A (x) B_t", 0.0 if ok else float("inf"), ok, "", 1))
+    return rows
+
+
+def reference_fixed_points(wc):
+    """fixed_point_algebra with Delta(1_A)(e_i (x) 1) from tensor_multiply."""
+    alg = wc.algebra
+    basis = wc.space.basis_vectors()
+    delta_unit = alg.coproduct(wc.unit)
+    twisted = {
+        i: alg.tensor_multiply(delta_unit, alg.tensor(SparseVec.basis(i), alg.unit()))
+        for i in {i for v in basis for i in v.keys()}
+    }
+    columns = []
+    for v in basis:
+        col = alg.coproduct(v)
+        for i, c in v.items():
+            col.add_scaled(twisted[i], -c)
+        columns.append(col.prune(ROUNDOFF))
+    keys = sorted({k for col in columns for k in col.keys()})
+    mat = np.zeros((len(keys), len(columns)), dtype=complex)
+    for j, col in enumerate(columns):
+        for k, c in col.items():
+            mat[keys.index(k), j] = c
+    out = []
+    for coeffs in nullspace(mat, eps=alg.eps):
+        v = SparseVec()
+        for j, c in enumerate(coeffs):
+            v.add_scaled(basis[j], c)
+        out.append(v.prune(ROUNDOFF))
+    return Subspace(out, eps=alg.eps)
+
+
+def assert_matches_reference(wc):
+    report = verify_weak_coideal(wc)
+    got = [(c.name, c.residual, c.passed, c.witness, c.instances_checked) for c in report.checks]
+    want = reference_report(wc)
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for c, (name, residual, passed, witness, count) in zip(report.checks, want):
+        assert (c.passed, c.witness, c.instances_checked, c.instances_total, c.mode) == (
+            passed, witness, count, count, "exhaustive"), name
+        assert c.residual == residual or abs(c.residual - residual) <= 1e-12, name
+    return report
+
+
+def realized_coideals(factors, sign):
+    """The representative realize_and_verify builds for every class."""
+    alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+    built = []
+
+    def record(wc):
+        built.append(wc)
+        return verify_weak_coideal(wc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "verify_weak_coideal", record)
+        for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
+            for orbit in entry.orbits:
+                classify.realize_and_verify(alg, orbit)
+    return built
+
+
+class TestArrayChecks:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+    def test_realized_classes_match_scalar_paths(self, factors, sign):
+        built = realized_coideals(factors, sign)
+        assert built
+        for wc in built:
+            assert assert_matches_reference(wc).passed, wc.label
+            space = wc.space
+            assert np.array_equal(space.basis[:, space.pivots], np.eye(space.dim))
+            fixed, ref = fixed_point_algebra(wc), reference_fixed_points(wc)
+            assert fixed.dim == ref.dim, wc.label
+            assert all(ref.contains(v) for v in fixed.basis_vectors())
+            assert all(fixed.contains(v) for v in ref.basis_vectors())
+
+    @pytest.fixture
+    def no_m_half(self, z4, z4_setup):
+        K, _q, lam, _mu = z4_setup
+        return build_no_m(z4, K, [lam])  # X^2 = C v^2_lam, lam = {0, 2}
+
+    @pytest.mark.parametrize("with_m", [False, True])
+    def test_stray_unit_trips_only_product_closure(self, z4, z4_setup, with_m):
+        K, _q, lam, _mu = z4_setup
+        if with_m:  # 37 basis rows: the product pairs span several blocks
+            wc = build_with_m(z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0])
+        else:
+            wc = build_no_m(z4, K, [lam])
+        x_vectors = {b: s.basis_vectors() for b, s in wc.x_spaces.items()}
+        x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
+        broken = assemble(z4, x_vectors, "stray unit v^2_0")
+        report = assert_matches_reference(broken)
+        assert [c.name for c in report.failures()] == ["closed under product"]
+        assert report.failures()[0].witness.startswith("basis pair (")
+
+    def test_star_breaking_trips_only_star_closure(self, z4, no_m_half):
+        x_vectors = {b: s.basis_vectors() for b, s in no_m_half.x_spaces.items()}
+        (v,) = x_vectors[g(2)]
+        key = (g(2), Slot.grp((0,)))
+        x_vectors[g(2)] = [v + SparseVec({key: v[key]})]  # 2 v^2_0 + v^2_2
+        broken = assemble(z4, x_vectors, "unbalanced X^2")
+        report = assert_matches_reference(broken)
+        assert [c.name for c in report.failures()] == ["closed under star"]
+
+    def test_complex_generator_matches_scalar_paths(self, z4, no_m_half):
+        # X^2 = C (v^2_0 + i v^2_2) is again a weak coideal; its star image
+        # has conjugated coefficients
+        x_vectors = {b: s.basis_vectors() for b, s in no_m_half.x_spaces.items()}
+        (v,) = x_vectors[g(2)]
+        key = (g(2), Slot.grp((2,)))
+        x_vectors[g(2)] = [v + SparseVec({key: (1j - 1) * v[key]})]
+        assert assert_matches_reference(assemble(z4, x_vectors, "phased X^2")).passed
+
+    def test_zero_family_matches_scalar_paths(self, z4):
+        report = assert_matches_reference(assemble(z4, {}, "zero"))
+        assert {c.name for c in report.failures()} == {
+            "unit exists in A", "coproduct of unit in A (x) B_t"}

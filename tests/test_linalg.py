@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tywha.linalg import SparseVec, Subspace, distance, tensor_contains
+from tywha.linalg import SparseVec, Subspace, distance, nullspace, tensor_contains
 
 
 def sv(**kw):
@@ -114,6 +114,22 @@ class TestSubspace:
             rebuilt.add_scaled(row, c)
         assert distance(rebuilt, v) < 1e-9
 
+    def test_basis_vectors_keep_entries_below_tolerance(self):
+        # the verdict tolerance must not prune the vectors that span the space
+        s = Subspace([SparseVec({0: 1, 1: 0.2})], eps=0.3)
+        assert [v.data for v in s.basis_vectors()] == [{0: 1, 1: 0.2}]
+
+    def test_pivot_block_is_identity(self):
+        # complex pivots divide into themselves inexactly about one time in
+        # five; the residuals rely on an exact identity pivot block
+        rng = np.random.default_rng(0)
+        vecs = [
+            SparseVec(dict(enumerate(rng.standard_normal(6) + 1j * rng.standard_normal(6))))
+            for _ in range(4)
+        ]
+        s = Subspace(vecs)
+        assert np.array_equal(s.basis[:, s.pivots], np.eye(4))
+
     def test_contains_batch_matches_contains(self):
         s = Subspace([sv(a=1, b=2)])
         probes = [sv(a=2, b=4), sv(a=1), SparseVec(), sv(zz=1)]
@@ -138,3 +154,39 @@ class TestTensorContains:
         assert not tensor_contains(bad_right, left, right)
         bad_left = SparseVec({("b", "p"): 1.0, ("b", "q"): 1.0})
         assert not tensor_contains(bad_left, left, right)
+
+
+def _random(rng, m, n, rank):
+    left = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    return left @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
+
+
+class TestNullspace:
+    """nullspace against a full-SVD reference: same dimension, same span."""
+
+    @pytest.mark.parametrize(
+        "m, n, rank",
+        [
+            (12, 5, 5),  # tall, full rank: trivial kernel
+            (12, 5, 3),  # tall, rank-deficient
+            (6, 6, 6),  # square, invertible
+            (6, 6, 4),  # square, rank-deficient
+            (3, 7, 3),  # wide: a thin V would drop 4 null vectors
+            (4, 7, 2),  # wide, rank-deficient
+            (5, 4, 0),  # zero matrix
+        ],
+    )
+    def test_matches_full_svd(self, m, n, rank):
+        mat = _random(np.random.default_rng(m * n + rank), m, n, rank)
+        kernel = nullspace(mat)
+        _, s, vh = np.linalg.svd(mat, full_matrices=True)
+        ref = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj()
+        assert kernel.shape == ref.shape == (n - rank, n)
+        assert np.allclose(mat @ kernel.T, 0.0, atol=1e-9)
+        # equal spans: equal orthogonal projectors onto them
+        assert np.allclose(kernel.T @ kernel.conj(), ref.T @ ref.conj(), atol=1e-9)
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (0, 0)])
+    def test_empty(self, m, n):
+        kernel = nullspace(np.zeros((m, n), dtype=complex))
+        assert np.array_equal(kernel, np.eye(n))
