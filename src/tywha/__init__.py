@@ -19,19 +19,18 @@ from .coideals import (
     CoidealSpec,
     WeakCoideal,
     assemble,
+    build_from_spec,
     build_I_m_K,
     build_I_Omega_K,
     build_no_m,
     build_with_m,
     center,
     coset_vector,
+    dims_match,
     fixed_point_algebra,
     is_coideal,
     is_indecomposable,
-    measured_dims,
     spectral_dims,
-    spectral_dims_type_d,
-    spectral_dims_type_i,
     verify_weak_coideal,
     x0_partition,
 )
@@ -42,11 +41,8 @@ from .groups import (
     FiniteAbelianGroup,
     QuotientGroup,
     Subgroup,
-    SubgroupCharacter,
-    characters,
     enumerate_subgroups,
     orthogonal,
-    orthogonal_rho,
     quotient,
 )
 from .linalg import DEFAULT_TOL, SparseVec, Subspace

@@ -38,6 +38,8 @@ SLOT_BAR = 2
 EXHAUSTIVE_ORDER = 8
 # Commutator constraints are folded into a commutant this many rows at a time.
 ROW_BLOCK = 256
+# Haar positivity is checked on this many seeded random elements.
+HAAR_CHECKS = 200
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -864,9 +866,6 @@ class TYAlgebra:
 
     # -- dual algebra ---------------------------------------------------------------
 
-    def dual_identity(self) -> dict[BlockLabel, np.ndarray]:
-        return {b: np.eye(len(self._slots[b]), dtype=complex) for b in self.blocks}
-
     def dual_random(self, rng: random.Random) -> dict[BlockLabel, np.ndarray]:
         out = {}
         for b in self.blocks:
@@ -1117,9 +1116,7 @@ class TYAlgebra:
 
     # -- the verification suite ---------------------------------------------------
 
-    def verify_axioms(
-        self, *, seed: int = 7, samples: int = 10_000, haar_checks: int = 200
-    ) -> AxiomReport:
+    def verify_axioms(self, *, seed: int = 7, samples: int = 10_000) -> AxiomReport:
         """Run every defining identity of the structure at tolerance eps.
 
         The identities of the product, coproduct, counit, antipode and star
@@ -1292,11 +1289,11 @@ class TYAlgebra:
                 worst = max(worst, abs(h(self.antipode(e)) - h(e)))
             add("haar antipode invariant", worst, **unit_cov)
             worst = 0.0
-            for _ in range(haar_checks):
+            for _ in range(HAAR_CHECKS):
                 b = self.random_element(rng)
                 val = h(self.multiply(self.star(b), b))
                 worst = max(worst, abs(val.imag), max(0.0, -val.real))
-            add("haar positive", worst, checked=haar_checks, total=None, mode=SAMPLED)
+            add("haar positive", worst, checked=HAAR_CHECKS, total=None, mode=SAMPLED)
         except StructuralError as exc:
             checks.append(AxiomCheck("haar system solvable", float("inf"), False, str(exc)))
 

@@ -24,13 +24,11 @@ import numpy as np
 from .algebra import TYAlgebra
 from .coideals import (
     CoidealSpec,
+    build_from_spec,
     build_I_Omega_K,
-    build_no_m,
-    build_with_m,
+    dims_match,
     is_coideal,
     is_indecomposable,
-    measured_dims,
-    spectral_dims,
     verify_weak_coideal,
 )
 from .errors import InvariantError, SizeError, StructuralError
@@ -267,22 +265,17 @@ def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
     return perp, quotient(group, K), quotient(group, perp), K.elements == perp.elements
 
 
-def weak_coideal_classes(
-    group: FiniteAbelianGroup,
-    chi: Bicharacter,
-    max_order: int = CLASSIFY_ORDER_BOUND,
-    _include_flip: bool | None = None,
-) -> ClassificationReport:
+def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> ClassificationReport:
     """Enumerate all weak-coideal isomorphism classes, flag the
     coideal-containing ones, and cross-check counts."""
-    if group.order > max_order:
-        raise SizeError(f"|G| = {group.order} exceeds classification bound {max_order}")
+    if group.order > CLASSIFY_ORDER_BOUND:
+        raise SizeError(
+            f"|G| = {group.order} exceeds classification bound {CLASSIFY_ORDER_BOUND}")
     report = ClassificationReport(group, "weak-coideals")
     for K in enumerate_subgroups(group):
         perp, q0, q1, flip = _quotients(group, chi, K)
-        used_flip = flip if _include_flip is None else (_include_flip and flip)
         n0, points = len(q0), _valid_subset_pairs(q0, q1)
-        orbits, counts = _classes(points, _pair_perms(q0, q1, used_flip),
+        orbits, counts = _classes(points, _pair_perms(q0, q1, flip),
                                   partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
         flags = _coideal_flags(np.array([row for row, _ in orbits]), n0).tolist()
         # the flag is constant on orbits iff flagged orbits hold every flagged point
@@ -340,18 +333,16 @@ def _vector_fixed(perm: np.ndarray, max_mult: int) -> int:
 
 
 def g_algebra_classes(
-    group: FiniteAbelianGroup,
-    chi: Bicharacter,
-    max_mult: int = 2,
-    max_order: int = CLASSIFY_ORDER_BOUND,
+    group: FiniteAbelianGroup, chi: Bicharacter, max_mult: int = 2
 ) -> ClassificationReport:
     """Bounded enumeration of algebra isomorphism classes: multiplicity
     vectors up to translations (self-paired type only for K equal to its
     annihilator, plus the swap there)."""
     if max_mult < 1:
         raise InvariantError("max_mult must be >= 1")
-    if group.order > max_order:
-        raise SizeError(f"|G| = {group.order} exceeds classification bound {max_order}")
+    if group.order > CLASSIFY_ORDER_BOUND:
+        raise SizeError(
+            f"|G| = {group.order} exceeds classification bound {CLASSIFY_ORDER_BOUND}")
     report = ClassificationReport(group, "g-algebras")
     key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
     for K in enumerate_subgroups(group):
@@ -378,36 +369,17 @@ def g_algebra_classes(
 def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
     """Build a concrete representative of an orbit, run the full coideal
     verification, and check the coideal flag, indecomposability, and the
-    predicted fiber dimensions."""
-    group = alg.group
-    K = rep.subgroup
-    perp, q0, q1, _flip = _quotients(group, alg.bichar, K)
-    z0 = [q0.coset_of(r) for r in rep.z0]
-    z1 = [q1.coset_of(r) for r in rep.z1]
+    predicted fiber dimensions.
 
-    if z0 and z1:
-        # coideal classes realize on the side whose Z is a full quotient, so
-        # that the representative itself is unital in B
-        if rep.coideal and len(z0) == len(q0.cosets) and len(z1) == 1:
-            wc = build_with_m(alg, K, z0, z1[0])
-        elif rep.coideal and len(z1) == len(q1.cosets) and len(z0) == 1:
-            wc = build_with_m(alg, perp, z1, z0[0])
-        elif len(z1) == 1:
-            wc = build_with_m(alg, K, z0, z1[0])
-        elif len(z0) == 1:
-            wc = build_with_m(alg, perp, z1, z0[0])
-        else:  # pragma: no cover - excluded by the class shape
-            raise InvariantError("no builder matches this class shape")
-    elif z0:
-        if len(z0) == 1 and rep.coideal:
-            wc = build_I_Omega_K(alg, K)
-        else:
-            wc = build_no_m(alg, K, z0, side=0)
+    A lone singleton is realized by ``I_Omega_K`` over K (Z0 side) or its
+    annihilator (Z1 side), every other class by ``build_from_spec``."""
+    K = rep.subgroup
+    perp, q0, q1, _flip = _quotients(alg.group, alg.bichar, K)
+    if len(rep.z0) + len(rep.z1) == 1:
+        wc = build_I_Omega_K(alg, K if rep.z0 else perp)
     else:
-        if len(z1) == 1 and rep.coideal:
-            wc = build_I_Omega_K(alg, perp)
-        else:
-            wc = build_no_m(alg, K, z1, side=1)
+        z0, z1 = frozenset(map(q0.coset_of, rep.z0)), frozenset(map(q1.coset_of, rep.z1))
+        wc = build_from_spec(alg, CoidealSpec(K, z0, z1))
 
     veri = verify_weak_coideal(wc)
     if not veri.passed:
@@ -418,12 +390,7 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
     indec = is_indecomposable(wc)
     if not indec:
         raise StructuralError(f"realized representative is decomposable: {rep}")
-    predicted = spectral_dims(CoidealSpec(K, frozenset(z0), frozenset(z1)), alg)
-    actual = measured_dims(wc)
-    dims_ok = all(
-        predicted.get(b, 0) == actual.get(b, 0) for b in set(predicted) | set(actual)
-    )
-    if not dims_ok:
+    if not dims_match(wc):
         raise StructuralError(f"fiber dimensions disagree for {rep}")
     return {
         "rep": rep.to_dict(),
@@ -432,5 +399,5 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
         "verified": True,
         "is_coideal": flag,
         "indecomposable": indec,
-        "dims_match": dims_ok,
+        "dims_match": True,
     }

@@ -15,14 +15,15 @@ from pathlib import Path
 from .algebra import TYAlgebra
 from .classify import g_algebra_classes, realize_and_verify, weak_coideal_classes
 from .coideals import (
+    CoidealSpec,
+    build_from_spec,
     build_I_m_K,
     build_I_Omega_K,
     build_no_m,
     build_with_m,
+    dims_match,
     is_coideal,
     is_indecomposable,
-    measured_dims,
-    spectral_dims,
     verify_weak_coideal,
 )
 from .errors import InvariantError, SizeError, StructuralError
@@ -83,7 +84,9 @@ def _tau_sign(flag: str) -> int:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _algebra(args) -> TYAlgebra:
@@ -150,9 +153,8 @@ def cmd_coideal_build(args) -> int:
     group = alg.group
     gens = _parse_elements(group, args.K)
     K = Subgroup.generated(group, gens)
-    perp = orthogonal(alg.bichar, K)
     q0 = quotient(group, K)
-    q1 = quotient(group, perp)
+    q1 = quotient(group, orthogonal(alg.bichar, K))
     z0 = _parse_cosets(q0, group, args.Z0)
     z1 = _parse_cosets(q1, group, args.Z1)
 
@@ -168,28 +170,11 @@ def cmd_coideal_build(args) -> int:
         if len(z1) != 1:
             raise InvariantError("builder with_m needs --Z1 with exactly one representative")
         wc = build_with_m(alg, K, z0, z1[0])
-    elif z0 and not z1:
-        wc = build_no_m(alg, K, z0, side=0)
-    elif z1 and not z0:
-        wc = build_no_m(alg, K, z1, side=1)
-    elif z0 and z1:
-        if len(z0) > 1 and len(z1) > 1:
-            raise InvariantError("no class has both |Z0| > 1 and |Z1| > 1")
-        if len(z0) == len(q0.cosets) and len(z1) == 1:
-            wc = build_with_m(alg, K, z0, z1[0])
-        elif len(z1) == len(q1.cosets) and len(z0) == 1:
-            wc = build_with_m(alg, perp, z1, z0[0])
-        elif len(z1) == 1:
-            wc = build_with_m(alg, K, z0, z1[0])
-        else:
-            wc = build_with_m(alg, perp, z1, z0[0])
     else:
-        raise InvariantError("give --builder or at least one of --Z0/--Z1")
+        wc = build_from_spec(alg, CoidealSpec(K, frozenset(z0), frozenset(z1)))
 
     report = verify_weak_coideal(wc)
-    predicted = spectral_dims(wc.spec, alg) if wc.spec else {}
-    actual = measured_dims(wc)
-    dims_ok = all(predicted.get(b, 0) == actual.get(b, 0) for b in set(predicted) | set(actual))
+    dims_ok = dims_match(wc)
     indec = is_indecomposable(wc) if report.passed else False
     payload = {
         "schema": "tywha-coideal/2",

@@ -279,6 +279,23 @@ def build_I_Omega_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
     return assemble(alg, x_vectors, "I_Omega_K", spec)
 
 
+def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
+    """The family of classification data (K, Z0, Z1): ``no_m`` on the
+    nonempty side when the other is empty, else ``with_m`` over the side
+    that holds several cosets, with the other side's single coset as rho0.
+    A single Z0 against a full Z1 is built over the annihilator, so that
+    the family of a coideal class is unital in B."""
+    K, z0, z1 = spec.subgroup, list(spec.z0), list(spec.z1)
+    if not z1:
+        return build_no_m(alg, K, z0, side=0)
+    if not z0:
+        return build_no_m(alg, K, z1, side=1)
+    perp = orthogonal(alg.bichar, K)
+    if len(z0) == 1 and (len(z1) > 1 or len(z1) == len(quotient(alg.group, perp))):
+        return build_with_m(alg, perp, z1, z0[0])
+    return build_with_m(alg, K, z0, z1[0])
+
+
 # -- verification -------------------------------------------------------------------
 
 
@@ -554,50 +571,23 @@ def x0_partition(wc: WeakCoideal) -> list[frozenset[Slot]]:
 # -- spectral dimensions ---------------------------------------------------------
 
 
-def spectral_dims_type_d(
-    q0: QuotientGroup, q1: QuotientGroup, m0, m1
-) -> dict[BlockLabel, int]:
-    """Fiber dimensions of the two-sided (decomposed) case from multiplicity
-    data over G/K and over the annihilator quotient:
-    dim X^g = sum m0_r m0_{g+r} + sum m1_r m1_{g+r}, dim X^m = 2 S0 S1."""
-    group = q0.group
-    dims: dict[BlockLabel, int] = {}
-    for g in group.elements():
-        total = 0
-        for quot, mult in ((q0, m0), (q1, m1)):
-            for lam in quot.cosets:
-                total += mult.get(lam, 0) * mult.get(quot.translate(g, lam), 0)
-        dims[BlockLabel.grp(g)] = total
-    s0 = sum(m0.get(lam, 0) for lam in q0.cosets)
-    s1 = sum(m1.get(lam, 0) for lam in q1.cosets)
-    dims[BlockLabel.m()] = 2 * s0 * s1
-    return dims
-
-
-def spectral_dims_type_i(quot: QuotientGroup, mult) -> dict[BlockLabel, int]:
-    """Fiber dimensions of the self-paired case (only when K equals its own
-    annihilator): dim X^g = sum m_r m_{g+r}, dim X^m = (sum m_r)^2."""
-    group = quot.group
-    dims: dict[BlockLabel, int] = {}
-    for g in group.elements():
-        dims[BlockLabel.grp(g)] = sum(
-            mult.get(lam, 0) * mult.get(quot.translate(g, lam), 0) for lam in quot.cosets
-        )
-    dims[BlockLabel.m()] = sum(mult.get(lam, 0) for lam in quot.cosets) ** 2
-    return dims
-
-
 def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> dict[BlockLabel, int]:
-    """Predicted fiber dimensions for classification data with 0/1
-    multiplicities."""
-    group = alg.group
-    q0 = quotient(group, spec.subgroup)
-    perp = orthogonal(alg.bichar, spec.subgroup)
-    q1 = quotient(group, perp)
-    m0 = {lam: 1 for lam in spec.z0}
-    m1 = {lam: 1 for lam in spec.z1}
-    return spectral_dims_type_d(q0, q1, m0, m1)
+    """Predicted fiber dimensions of classification data: dim X^g counts the
+    cosets lam of either side with lam and g + lam both in that side's Z,
+    and dim X^m = 2 |Z0| |Z1|."""
+    group, K = alg.group, spec.subgroup
+    sides = ((quotient(group, K), spec.z0),
+             (quotient(group, orthogonal(alg.bichar, K)), spec.z1))
+    dims = {
+        BlockLabel.grp(g): sum(q.translate(g, lam) in z for q, z in sides for lam in z)
+        for g in group.elements()
+    }
+    dims[BlockLabel.m()] = 2 * len(spec.z0) * len(spec.z1)
+    return dims
 
 
-def measured_dims(wc: WeakCoideal) -> dict[BlockLabel, int]:
-    return {b: s.dim for b, s in wc.x_spaces.items() if s.dim}
+def dims_match(wc: WeakCoideal) -> bool:
+    """True iff the nonzero fiber dimensions of wc are those its
+    classification data predicts."""
+    predicted = spectral_dims(wc.spec, wc.algebra)
+    return {b: d for b, d in predicted.items() if d} == wc.x_dims()

@@ -176,17 +176,16 @@ class Subgroup:
         return "{" + ",".join(str(e) for e in self.sorted_elements) + "}"
 
 
-def enumerate_subgroups(
-    group: FiniteAbelianGroup, max_order: int = SUBGROUP_ENUM_BOUND
-) -> list[Subgroup]:
+def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """All subgroups, in canonical (order, sorted elements) order.
 
     Grown breadth first from the trivial subgroup: each S is extended to
     S + <g> for one g per nontrivial coset of S, since g's in one coset
     give the same S + <g>.
     """
-    if group.order > max_order:
-        raise SizeError(f"|G| = {group.order} exceeds subgroup enumeration bound {max_order}")
+    if group.order > SUBGROUP_ENUM_BOUND:
+        raise SizeError(
+            f"|G| = {group.order} exceeds subgroup enumeration bound {SUBGROUP_ENUM_BOUND}")
     add = group.add_table
     frontier = [np.zeros(1, dtype=np.int64)]
     found = {frontier[0].tobytes(): frontier[0]}
@@ -364,70 +363,4 @@ def orthogonal(chi: Bicharacter, subgroup: Subgroup) -> Subgroup:
         raise StructuralError(
             f"|K|*|Kperp| = {subgroup.order}*{result.order} != |G| = {group.order}"
         )
-    return result
-
-
-@dataclass(frozen=True)
-class SubgroupCharacter:
-    """An additive character rho: K -> Q/Z, stored as phases on all of K."""
-
-    subgroup: Subgroup
-    phases: tuple[tuple[GroupElt, Fraction], ...]
-
-    def __post_init__(self):
-        table = {k: v % 1 for k, v in self.phases}
-        group = self.subgroup.group
-        if set(table) != set(self.subgroup.elements):
-            raise InvariantError("character must be defined on every element of K")
-        if table[group.zero()] != 0:
-            raise InvariantError("character must vanish at the identity")
-        for a in self.subgroup.elements:
-            for b in self.subgroup.elements:
-                if (table[a] + table[b]) % 1 != table[group.add(a, b)]:
-                    raise InvariantError(f"character not additive at {a}+{b}")
-        object.__setattr__(self, "phases", tuple(sorted(table.items())))
-
-    @classmethod
-    def trivial(cls, subgroup: Subgroup) -> "SubgroupCharacter":
-        return cls(subgroup, tuple((k, Fraction(0)) for k in subgroup.sorted_elements))
-
-    @classmethod
-    def from_pairing(
-        cls, chi: Bicharacter, subgroup: Subgroup, g: GroupElt
-    ) -> "SubgroupCharacter":
-        """The character k -> chi(g, k) of K induced by pairing with g."""
-        return cls(subgroup, tuple((k, chi.phase(g, k)) for k in subgroup.sorted_elements))
-
-    def phase(self, k: GroupElt) -> Fraction:
-        for elt, value in self.phases:
-            if elt == k:
-                return value
-        raise InvariantError(f"{k} is not in the character's subgroup")
-
-
-def characters(chi: Bicharacter, subgroup: Subgroup) -> list[SubgroupCharacter]:
-    """All characters of K, realized by pairing with coset reps of G/K_perp."""
-    perp = orthogonal(chi, subgroup)
-    reps = [c.rep for c in quotient(chi.group, perp).cosets]
-    chars = [SubgroupCharacter.from_pairing(chi, subgroup, u) for u in reps]
-    if len({c.phases for c in chars}) != len(chars):
-        raise StructuralError("induced characters of K are not distinct")
-    return chars
-
-
-def orthogonal_rho(
-    chi: Bicharacter, subgroup: Subgroup, rho: SubgroupCharacter
-) -> frozenset[GroupElt]:
-    """The twisted annihilator {g : chi(g, k) = rho(-k) for all k in K}.
-
-    A coset of the plain annihilator; equals it when rho is trivial.
-    """
-    if rho.subgroup != subgroup:
-        raise InvariantError("character is defined on a different subgroup")
-    group = chi.group
-    result = frozenset(
-        g
-        for g in group.elements()
-        if all(chi.phase(g, k) == rho.phase(group.neg(k)) for k in subgroup.elements)
-    )
     return result

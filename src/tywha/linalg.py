@@ -74,9 +74,6 @@ class SparseVec:
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self.data.values())))
 
-    def sup_norm(self) -> float:
-        return max((abs(v) for v in self.data.values()), default=0.0)
-
     def prune(self, eps: float = DEFAULT_TOL) -> "SparseVec":
         return SparseVec({k: v for k, v in self.data.items() if abs(v) > eps})
 
@@ -213,9 +210,6 @@ class Subspace:
             for row in self.basis
         ]
 
-    def union(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.basis_vectors() + other.basis_vectors(), eps=self.eps)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system."""
         mine = self.basis_vectors()
@@ -239,13 +233,6 @@ class Subspace:
                 v.add_scaled(mine[j], c)
             out.append(v.prune(ROUNDOFF))
         return Subspace(out, eps=self.eps)
-
-    def equals(self, other: "Subspace") -> bool:
-        if self.dim != other.dim:
-            return False
-        return all(other.contains(v) for v in self.basis_vectors()) and all(
-            self.contains(v) for v in other.basis_vectors()
-        )
 
 
 def tensor_split_first(t: SparseVec) -> dict:

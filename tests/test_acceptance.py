@@ -9,8 +9,9 @@ import time
 
 import pytest
 
+from tywha import classify
 from tywha.algebra import TYAlgebra
-from tywha.classify import weak_coideal_classes
+from tywha.classify import _pair_perms, weak_coideal_classes
 from tywha.cli import main as cli_main
 from tywha.coideals import (
     assemble,
@@ -18,10 +19,9 @@ from tywha.coideals import (
     build_I_Omega_K,
     build_no_m,
     build_with_m,
+    dims_match,
     is_coideal,
     is_indecomposable,
-    measured_dims,
-    spectral_dims,
     verify_weak_coideal,
 )
 from tywha.errors import StructuralError
@@ -182,12 +182,7 @@ def test_criterion_5_coideal_suite():
                 if xm is not None and xm.dim % 2 != 0:
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: odd m-fiber dimension")
-                predicted = spectral_dims(wc.spec, alg)
-                actual = measured_dims(wc)
-                if any(
-                    predicted.get(b, 0) != actual.get(b, 0)
-                    for b in set(predicted) | set(actual)
-                ):
+                if not dims_match(wc):
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: dims mismatch")
     _report_line(
@@ -228,7 +223,7 @@ def test_criterion_6_classification_counts():
     )
 
 
-def test_criterion_7_fault_injection():
+def test_criterion_7_fault_injection(monkeypatch):
     ok = True
 
     # (a) tau sign flipped in the fiber involution only
@@ -266,8 +261,9 @@ def test_criterion_7_fault_injection():
 
     # (c) flip dropped from the orbit action at a self-orthogonal subgroup
     grp = FiniteAbelianGroup((4,))
+    monkeypatch.setattr(classify, "_pair_perms", lambda q0, q1, flip: _pair_perms(q0, q1, False))
     try:
-        weak_coideal_classes(grp, TYAlgebra(grp).bichar, _include_flip=False)
+        weak_coideal_classes(grp, TYAlgebra(grp).bichar)
         ok = False
         print("  dropped flip was not detected by the orbit cross-check")
     except StructuralError:

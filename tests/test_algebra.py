@@ -303,8 +303,9 @@ class TestCounitalMaps:
             ],
             eps=z2.eps,
         )
-        assert target.dim == 3
-        assert target.equals(explicit)
+        assert target.dim == explicit.dim == 3
+        assert all(explicit.contains(v) for v in target.basis_vectors())
+        assert all(target.contains(v) for v in explicit.basis_vectors())
         assert source.dim == 3
         assert target.intersect(source).dim == 1
 
@@ -361,7 +362,7 @@ class TestCorepresentations:
 
 class TestDualPairing:
     def test_identity_functional(self, z4):
-        phi = z4.dual_identity()
+        phi = {b: np.eye(len(z4.slots(b)), dtype=complex) for b in z4.blocks}
         for i in [0, 3, 60, 163]:
             u = z4.units[i]
             want = 1.0 if u.row == u.col else 0.0

@@ -28,7 +28,7 @@ from tywha.classify import (
     weak_coideal_classes,
 )
 from tywha.cli import main as cli_main
-from tywha.coideals import is_coideal
+from tywha.coideals import is_coideal, verify_weak_coideal
 from tywha.errors import InvariantError, SizeError, StructuralError
 from tywha.groups import (
     Bicharacter,
@@ -281,11 +281,12 @@ class TestWeakCoidealClasses:
             flagged = sorted((o.z0, o.z1) for o in entry.orbits if o.coideal)
             assert flagged == sorted((o.z0, o.z1) for o in direct)
 
-    def test_dropped_flip_detected(self):
+    def test_dropped_flip_detected(self, monkeypatch):
         grp = FiniteAbelianGroup((4,))
         chi = Bicharacter.standard(grp)
+        monkeypatch.setattr(classify, "_pair_perms", lambda q0, q1, flip: _pair_perms(q0, q1, False))
         with pytest.raises(StructuralError):
-            weak_coideal_classes(grp, chi, _include_flip=False)
+            weak_coideal_classes(grp, chi)
 
     def test_order_guard(self):
         grp = FiniteAbelianGroup((17,))
@@ -298,6 +299,84 @@ class TestWeakCoidealClasses:
         assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
             again.to_dict(), sort_keys=True
         )
+
+
+# The family realize_and_verify builds for each class, in catalog order:
+# builder label, then the K, Z0 and Z1 of the family's own data.
+REALIZED = {
+    (4,): """\
+I_Omega_K K=0,1,2,3 Z0=0 Z1=
+I_Omega_K K=0 Z0=0 Z1=
+with_m(|Z|=1) K=0,1,2,3 Z0=0 Z1=0
+no_m(side=0, |Z|=2) K=0 Z0=0,1 Z1=
+with_m(|Z|=2) K=0 Z0=0,1 Z1=0
+no_m(side=0, |Z|=3) K=0 Z0=0,1,2 Z1=
+with_m(|Z|=3) K=0 Z0=0,1,2 Z1=0
+no_m(side=0, |Z|=4) K=0 Z0=0,1,2,3 Z1=
+with_m(|Z|=4) K=0 Z0=0,1,2,3 Z1=0
+no_m(side=0, |Z|=2) K=0 Z0=0,2 Z1=
+with_m(|Z|=2) K=0 Z0=0,2 Z1=0
+I_Omega_K K=0,2 Z0=0 Z1=
+no_m(side=1, |Z|=2) K=0,2 Z0= Z1=0,1
+with_m(|Z|=1) K=0,2 Z0=0 Z1=0
+with_m(|Z|=2) K=0,2 Z0=0,1 Z1=0
+I_Omega_K K=0 Z0=0 Z1=
+no_m(side=1, |Z|=2) K=0,1,2,3 Z0= Z1=0,1
+no_m(side=1, |Z|=3) K=0,1,2,3 Z0= Z1=0,1,2
+no_m(side=1, |Z|=4) K=0,1,2,3 Z0= Z1=0,1,2,3
+no_m(side=1, |Z|=2) K=0,1,2,3 Z0= Z1=0,2
+I_Omega_K K=0,1,2,3 Z0=0 Z1=
+with_m(|Z|=1) K=0,1,2,3 Z0=0 Z1=0
+with_m(|Z|=2) K=0 Z0=0,1 Z1=0
+with_m(|Z|=3) K=0 Z0=0,1,2 Z1=0
+with_m(|Z|=4) K=0 Z0=0,1,2,3 Z1=0
+with_m(|Z|=2) K=0 Z0=0,2 Z1=0""",
+    (2, 2): """\
+I_Omega_K K=00,01,10,11 Z0=00 Z1=
+I_Omega_K K=00 Z0=00 Z1=
+with_m(|Z|=1) K=00,01,10,11 Z0=00 Z1=00
+no_m(side=0, |Z|=2) K=00 Z0=00,01 Z1=
+with_m(|Z|=2) K=00 Z0=00,01 Z1=00
+no_m(side=0, |Z|=3) K=00 Z0=00,01,10 Z1=
+with_m(|Z|=3) K=00 Z0=00,01,10 Z1=00
+no_m(side=0, |Z|=4) K=00 Z0=00,01,10,11 Z1=
+with_m(|Z|=4) K=00 Z0=00,01,10,11 Z1=00
+no_m(side=0, |Z|=2) K=00 Z0=00,10 Z1=
+with_m(|Z|=2) K=00 Z0=00,10 Z1=00
+no_m(side=0, |Z|=2) K=00 Z0=00,11 Z1=
+with_m(|Z|=2) K=00 Z0=00,11 Z1=00
+I_Omega_K K=00,10 Z0=00 Z1=
+no_m(side=1, |Z|=2) K=00,01 Z0= Z1=00,01
+I_Omega_K K=00,01 Z0=00 Z1=
+with_m(|Z|=1) K=00,01 Z0=00 Z1=00
+with_m(|Z|=2) K=00,10 Z0=00,01 Z1=00
+no_m(side=0, |Z|=2) K=00,01 Z0=00,10 Z1=
+with_m(|Z|=2) K=00,01 Z0=00,10 Z1=00
+I_Omega_K K=00,01 Z0=00 Z1=
+no_m(side=1, |Z|=2) K=00,10 Z0= Z1=00,10
+I_Omega_K K=00,10 Z0=00 Z1=
+with_m(|Z|=1) K=00,10 Z0=00 Z1=00
+with_m(|Z|=2) K=00,01 Z0=00,10 Z1=00
+no_m(side=0, |Z|=2) K=00,10 Z0=00,01 Z1=
+with_m(|Z|=2) K=00,10 Z0=00,01 Z1=00
+I_Omega_K K=00,11 Z0=00 Z1=
+no_m(side=1, |Z|=2) K=00,11 Z0= Z1=00,01
+with_m(|Z|=1) K=00,11 Z0=00 Z1=00
+with_m(|Z|=2) K=00,11 Z0=00,01 Z1=00
+I_Omega_K K=00 Z0=00 Z1=
+no_m(side=1, |Z|=2) K=00,01,10,11 Z0= Z1=00,01
+no_m(side=1, |Z|=3) K=00,01,10,11 Z0= Z1=00,01,10
+no_m(side=1, |Z|=4) K=00,01,10,11 Z0= Z1=00,01,10,11
+no_m(side=1, |Z|=2) K=00,01,10,11 Z0= Z1=00,10
+no_m(side=1, |Z|=2) K=00,01,10,11 Z0= Z1=00,11
+I_Omega_K K=00,01,10,11 Z0=00 Z1=
+with_m(|Z|=1) K=00,01,10,11 Z0=00 Z1=00
+with_m(|Z|=2) K=00 Z0=00,01 Z1=00
+with_m(|Z|=3) K=00 Z0=00,01,10 Z1=00
+with_m(|Z|=4) K=00 Z0=00,01,10,11 Z1=00
+with_m(|Z|=2) K=00 Z0=00,10 Z1=00
+with_m(|Z|=2) K=00 Z0=00,11 Z1=00""",
+}
 
 
 class TestRealization:
@@ -324,6 +403,24 @@ class TestRealization:
                 assert result["verified"] and result["indecomposable"]
                 assert result["is_coideal"] == orbit.coideal
         assert flip_entries == 1
+
+    @pytest.mark.parametrize("factors", sorted(REALIZED))
+    def test_realized_families(self, factors, monkeypatch):
+        alg = TYAlgebra(FiniteAbelianGroup(factors))
+        got = []
+
+        def record(wc):
+            spec = wc.spec.describe()
+            data = (f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}"
+                    for k in ("K", "Z0", "Z1"))
+            got.append(" ".join([wc.label, *data]))
+            return verify_weak_coideal(wc)
+
+        monkeypatch.setattr(classify, "verify_weak_coideal", record)
+        for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
+            for orbit in entry.orbits:
+                realize_and_verify(alg, orbit)
+        assert got == REALIZED[factors].split("\n")
 
     def test_coideal_flagged_reps_are_unital(self, z2_report):
         grp, report = z2_report

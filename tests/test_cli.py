@@ -11,6 +11,13 @@ def run(argv):
     return main(argv)
 
 
+def built(label, spec):
+    """A built family as "<label> K=.. Z0=.. Z1=..", each group element
+    written as its digits."""
+    data = (f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}" for k in ("K", "Z0", "Z1"))
+    return " ".join([label, *data])
+
+
 class TestGroupDescribe:
     def test_z4_table(self, capsys):
         assert run(["group", "describe", "--group", "4"]) == 0
@@ -123,6 +130,32 @@ class TestCoidealCommand:
 
     def test_no_data_exits_2(self):
         assert run(["coideal", "build", "--group", "2", "--K", "0"]) == 2
+
+    # the family the inferred dispatch builds for each shape of (Z0, Z1)
+    @pytest.mark.parametrize("group, K, data, want", [
+        ("4", "2", "--Z0 0", "no_m(side=0, |Z|=1) K=0,2 Z0=0 Z1="),
+        ("4", "2", "--Z1 0", "no_m(side=1, |Z|=1) K=0,2 Z0= Z1=0"),
+        ("4", "2", "--Z0 all", "no_m(side=0, |Z|=2) K=0,2 Z0=0,1 Z1="),
+        ("4", "2", "--Z1 all", "no_m(side=1, |Z|=2) K=0,2 Z0= Z1=0,1"),
+        ("4", "2", "--Z0 all --Z1 0", "with_m(|Z|=2) K=0,2 Z0=0,1 Z1=0"),
+        ("4", "2", "--Z0 0 --Z1 all", "with_m(|Z|=2) K=0,2 Z0=0,1 Z1=0"),
+        ("4", "0", "--Z0 0 --Z1 all", "with_m(|Z|=1) K=0,1,2,3 Z0=0 Z1=0"),
+        ("4", "0", "--Z1 all", "no_m(side=1, |Z|=1) K=0 Z0= Z1=0"),
+        ("2,2", "1,0", "--Z0 0,0", "no_m(side=0, |Z|=1) K=00,10 Z0=00 Z1="),
+        ("2,2", "1,0", "--Z1 0,0", "no_m(side=1, |Z|=1) K=00,10 Z0= Z1=00"),
+        ("2,2", "1,0", "--Z0 all", "no_m(side=0, |Z|=2) K=00,10 Z0=00,01 Z1="),
+        ("2,2", "1,0", "--Z1 all", "no_m(side=1, |Z|=2) K=00,10 Z0= Z1=00,10"),
+        ("2,2", "1,0", "--Z0 all --Z1 0,0", "with_m(|Z|=2) K=00,10 Z0=00,01 Z1=00"),
+        ("2,2", "1,0", "--Z0 0,0 --Z1 all", "with_m(|Z|=2) K=00,01 Z0=00,10 Z1=00"),
+        ("2,2", "0,0", "--Z0 0,0 --Z1 all", "with_m(|Z|=1) K=00,01,10,11 Z0=00 Z1=00"),
+        ("2,2", "0,0", "--Z1 all", "no_m(side=1, |Z|=1) K=00 Z0= Z1=00"),
+    ])
+    def test_inferred_builder(self, tmp_path, group, K, data, want):
+        out = tmp_path / "coideal.json"
+        argv = ["coideal", "build", "--group", group, "--K", K, *data.split(), "--json", str(out)]
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+        assert built(payload["label"], payload["spec"]) == want
 
     def test_named_no_m_builder(self, capsys):
         code = run(

@@ -13,12 +13,11 @@ from tywha.coideals import (
     build_with_m,
     center,
     coset_vector,
+    dims_match,
     fixed_point_algebra,
     is_coideal,
     is_indecomposable,
-    measured_dims,
     spectral_dims,
-    spectral_dims_type_i,
     verify_weak_coideal,
     x0_partition,
 )
@@ -381,23 +380,7 @@ class TestSpectralDims:
                     build_with_m(alg, K, list(q.cosets), qp.cosets[0]),
                 ]
                 for wc in candidates:
-                    predicted = spectral_dims(wc.spec, alg)
-                    actual = measured_dims(wc)
-                    for b in set(predicted) | set(actual):
-                        assert predicted.get(b, 0) == actual.get(b, 0), (
-                            factors,
-                            str(K),
-                            wc.label,
-                            str(b),
-                        )
-
-    def test_type_i_formula(self, z4, z4_setup):
-        K, q, lam, mu = z4_setup  # K = K_perp for this subgroup
-        mult = {lam: 2, mu: 1}
-        dims = spectral_dims_type_i(q, mult)
-        assert dims[M] == 9
-        assert dims[g(0)] == 5  # 2*2 + 1*1
-        assert dims[g(1)] == 4  # 2*1 + 1*2
+                    assert dims_match(wc), (factors, str(K), wc.label)
 
     def test_x_m_split_swapped_by_sharp(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
@@ -559,6 +542,23 @@ class TestArrayChecks:
         broken = assemble(z4, x_vectors, "unbalanced X^2")
         report = assert_matches_reference(broken)
         assert [c.name for c in report.failures()] == ["closed under star"]
+
+    @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
+    def test_smaller_target_trips_only_unit_coproduct(self, z4, z4_setup, builder, monkeypatch):
+        # B_t without its first basis vector no longer holds every second leg
+        # of Delta(1_A)
+        K, _q, lam, _mu = z4_setup
+        wc = {
+            "no_m": lambda: build_no_m(z4, K, [lam]),
+            "with_m": lambda: build_with_m(
+                z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0]),
+            "I_Omega_K": lambda: build_I_Omega_K(z4, K),
+        }[builder]()
+        target, source = z4.counital_subalgebras()
+        smaller = Subspace(target.basis_vectors()[1:], eps=z4.eps)
+        monkeypatch.setattr(type(z4), "counital_subalgebras", lambda self: (smaller, source))
+        report = assert_matches_reference(wc)
+        assert [c.name for c in report.failures()] == ["coproduct of unit in A (x) B_t"]
 
     def test_complex_generator_matches_scalar_paths(self, z4, no_m_half):
         # X^2 = C (v^2_0 + i v^2_2) is again a weak coideal; its star image

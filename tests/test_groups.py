@@ -10,11 +10,8 @@ from tywha.groups import (
     Bicharacter,
     FiniteAbelianGroup,
     Subgroup,
-    SubgroupCharacter,
-    characters,
     enumerate_subgroups,
     orthogonal,
-    orthogonal_rho,
     quotient,
 )
 
@@ -277,35 +274,3 @@ class TestOrthogonal:
             perp = orthogonal(chi, k)
             assert k.order * perp.order == g.order
             assert orthogonal(chi, perp).elements == k.elements
-
-
-class TestCharacters:
-    def test_trivial_character_gives_plain_annihilator(self):
-        g = FiniteAbelianGroup((4,))
-        chi = Bicharacter.standard(g)
-        k = Subgroup.generated(g, [(2,)])
-        rho = SubgroupCharacter.trivial(k)
-        assert orthogonal_rho(chi, k, rho) == orthogonal(chi, k).elements
-
-    def test_z4_twisted_annihilator(self):
-        g = FiniteAbelianGroup((4,))
-        chi = Bicharacter.standard(g)
-        k = Subgroup.generated(g, [(2,)])
-        rho = SubgroupCharacter(k, (((0,), Fraction(0)), ((2,), Fraction(1, 2))))
-        assert orthogonal_rho(chi, k, rho) == frozenset({(1,), (3,)})
-
-    def test_all_characters_same_size_fibres(self):
-        g = FiniteAbelianGroup((4,))
-        chi = Bicharacter.standard(g)
-        for k in enumerate_subgroups(g):
-            perp_size = orthogonal(chi, k).order
-            chars = characters(chi, k)
-            assert len(chars) == k.order
-            for rho in chars:
-                assert len(orthogonal_rho(chi, k, rho)) == perp_size
-
-    def test_non_additive_rejected(self):
-        g = FiniteAbelianGroup((4,))
-        k = Subgroup.generated(g, [(2,)])
-        with pytest.raises(InvariantError):
-            SubgroupCharacter(k, (((0,), Fraction(0)), ((2,), Fraction(1, 4))))

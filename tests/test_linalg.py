@@ -59,12 +59,6 @@ class TestSubspace:
         s = Subspace([sv(a=1)])
         assert s.intersect(Subspace([])).dim == 0
 
-    def test_equals(self):
-        s = Subspace([sv(a=1), sv(b=1)])
-        t = Subspace([sv(a=1, b=1), sv(a=1, b=-1)])
-        assert s.equals(t)
-        assert not s.equals(Subspace([sv(a=1)]))
-
     def test_membership_invariant_under_reordering(self):
         rng = np.random.default_rng(11)
         keys = list(range(6))
@@ -92,7 +86,7 @@ class TestSubspace:
 
             s = Subspace(rand_vecs(int(rng.integers(0, n + 1))))
             t = Subspace(rand_vecs(int(rng.integers(0, n + 1))))
-            total = s.union(t)
+            total = Subspace(s.basis_vectors() + t.basis_vectors())
             meet = s.intersect(t)
             assert s.dim + t.dim == total.dim + meet.dim
 
