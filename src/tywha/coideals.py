@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    ROW_BLOCK,
     AxiomCheck,
     AxiomReport,
     BasisUnit,
@@ -26,7 +25,10 @@ from .algebra import (
 )
 from .errors import InvariantError, StructuralError
 from .groups import Coset, QuotientGroup, Subgroup, orthogonal, quotient
-from .linalg import ROUNDOFF, SparseVec, Subspace, _sq, distance, nullspace
+from .linalg import ROUNDOFF, SparseVec, Subspace, _sq, distance, sparse_nullspace, sparse_rows
+
+# The batched coideal checks scatter about this many dense rows at a time.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -492,8 +494,6 @@ def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
     alg = wc.algebra
     dim, T, C = alg.dim, alg.product, alg._coproduct_table
     A = _Coords(wc.space, dim)
-    if not A.size:
-        return Subspace([], eps=alg.eps)
     units, mu = _unit_terms(wc)
     _, p = _runs(C.ptr, units)
     p = p[np.argsort(C.first[p], kind="stable")]
@@ -502,19 +502,11 @@ def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
     s, e = T.of_right(A.unit)
     q, d = _join(T.i[e], first)
     s, e = s[q], e[q]
-    keys, inv = np.unique(
-        np.concatenate([C.first[p] * dim + C.second[p], T.k[e] * dim + second[d]]),
-        return_inverse=True,
-    )
+    rows = np.concatenate([C.first[p] * dim + C.second[p], T.k[e] * dim + second[d]])
     cols = np.concatenate([A.row[t], A.row[s]])
     vals = np.concatenate([A.val[t], -coef[d] * A.val[s] * T.c[e]])
-    mat = _scatter(inv, cols, vals, (len(keys), A.size))
-    kernel = nullspace(mat[(mat != 0).any(axis=1)], eps=alg.eps)
-    out = kernel @ A.dense()
-    return Subspace(
-        [SparseVec({int(i): v[i] for i in np.flatnonzero(np.abs(v) > ROUNDOFF)}) for v in out],
-        eps=alg.eps,
-    )
+    kernel = sparse_nullspace(rows, cols, vals, A.size, eps=alg.eps)
+    return Subspace(sparse_rows(kernel @ A.dense(), range(dim)), eps=alg.eps)
 
 
 def center(wc: WeakCoideal) -> Subspace:

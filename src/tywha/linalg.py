@@ -1,5 +1,6 @@
-"""Sparse complex vectors over arbitrary ordered keys, and tolerance-based
-subspaces with membership, intersection, and equality.
+"""Sparse complex vectors over arbitrary ordered keys, tolerance-based
+subspaces with membership and intersection, and the solver of sparse linear
+systems by their column components.
 
 Echelon reduction uses a deterministic pivot rule (largest modulus, ties by
 lowest key index), so identical inputs give bit-identical bases.
@@ -100,18 +101,71 @@ def distance(a: SparseVec, b: SparseVec) -> float:
     return max((abs(a[k] - b[k]) for k in keys), default=0.0)
 
 
+def sparse_rows(mat: np.ndarray, keys) -> list[SparseVec]:
+    """The rows of a dense array over ``keys`` as sparse vectors, pruned at
+    ROUNDOFF."""
+    return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)}) for row in mat]
+
+
 def nullspace(mat: np.ndarray, eps: float = DEFAULT_TOL) -> np.ndarray:
     """Rows spanning {x : mat @ x = 0}, via SVD with threshold eps.
 
     A tall system (m >= n) is factored thin, since its V is already square; a
     wide one keeps the full V, whose last n - m rows are null vectors too."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1], dtype=complex)
     m, n = mat.shape
     _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
     cutoff = eps * max(1.0, s[0] if len(s) else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj()
+
+
+def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """The sparse system with entries ``vals`` at (``rows``, ``cols``) over
+    n columns, split into its column components: two columns lie in one
+    component when a chain of shared rows links them.
+
+    Duplicate entries are summed and sums of modulus at most ROUNDOFF are
+    dropped.  Yields ``(row ids, column ids, dense block)`` per component in
+    order of lowest column, ids ascending; a column in no row is a component
+    with no rows."""
+    if not n:
+        return
+    row_ids, r = np.unique(rows, return_inverse=True)
+    keys, inv = np.unique(r * n + cols, return_inverse=True)
+    sums = np.bincount(inv, vals.real, len(keys)) + 1j * np.bincount(inv, vals.imag, len(keys))
+    keep = np.abs(sums) > ROUNDOFF
+    (r, c), vals = np.divmod(keys[keep], n), sums[keep]
+    # label propagation: each row takes the lowest label of its columns, each
+    # column the lowest of its rows, then labels pointer-jump to their roots
+    label, old = np.arange(n), None
+    while not np.array_equal(label, old):
+        old, low = label, np.full(len(row_ids), n)
+        np.minimum.at(low, r, label[c])
+        label = label.copy()
+        np.minimum.at(label, c, low[r])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    # group the columns and the entries by label, cut where each root begins
+    cut = np.flatnonzero(label == np.arange(n))[1:]
+    by_col, by_ent = np.argsort(label, kind="stable"), np.argsort(label[c], kind="stable")
+    col_parts = np.split(by_col, np.searchsorted(label[by_col], cut))
+    for ids, part in zip(col_parts, np.split(by_ent, np.searchsorted(label[c][by_ent], cut))):
+        row, local = np.unique(r[part], return_inverse=True)
+        block = np.zeros((len(row), len(ids)), dtype=complex)
+        block[local, np.searchsorted(ids, c[part])] = vals[part]
+        yield row_ids[row], ids, block
+
+
+def sparse_nullspace(rows, cols, vals, n: int, eps: float = DEFAULT_TOL) -> np.ndarray:
+    """Rows spanning the kernel of a sparse system over n columns, given as
+    in :func:`components`: one ``nullspace`` per component, and a unit
+    vector for each column in no row."""
+    out = [np.zeros((0, n), dtype=complex)]
+    for _, ids, block in components(rows, cols, vals, n):
+        null = nullspace(block, eps=eps)
+        out.append(np.zeros((len(null), n), dtype=complex))
+        out[-1][:, ids] = null
+    return np.vstack(out)
 
 
 class Subspace:
@@ -204,35 +258,21 @@ class Subspace:
         return self.residuals(mat, outside) - self.eps * (1.0 + norms)
 
     def basis_vectors(self) -> list[SparseVec]:
-        keys = self.universe
-        return [
-            SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)})
-            for row in self.basis
-        ]
+        return sparse_rows(self.basis, self.universe)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked coefficient system."""
-        mine = self.basis_vectors()
-        theirs = other.basis_vectors()
-        if not mine or not theirs:
-            return Subspace([], eps=self.eps)
-        keys = sorted({k for v in mine + theirs for k in v.data})
-        pos = {k: i for i, k in enumerate(keys)}
-        stacked = np.zeros((len(keys), len(mine) + len(theirs)), dtype=complex)
-        for j, v in enumerate(mine):
-            for k, c in v.data.items():
-                stacked[pos[k], j] = c
-        for j, v in enumerate(theirs):
-            for k, c in v.data.items():
-                stacked[pos[k], len(mine) + j] = -c
-        kernel = nullspace(stacked, eps=self.eps)
-        out = []
-        for coeffs in kernel:
-            v = SparseVec()
-            for j, c in enumerate(coeffs[: len(mine)]):
-                v.add_scaled(mine[j], c)
-            out.append(v.prune(ROUNDOFF))
-        return Subspace(out, eps=self.eps)
+        """Intersection via the kernel of the stacked coefficient system,
+        one row per key and one column per basis row of either space."""
+        pos: dict = {}
+        rows, cols, vals = [], [], []
+        for space, sign, at in ((self, 1, 0), (other, -1, self.dim)):
+            j, u = np.nonzero(space.basis)
+            rows.append(np.array([pos.setdefault(k, len(pos)) for k in space.universe], dtype=int)[u])
+            cols.append(at + j)
+            vals.append(sign * space.basis[j, u])
+        system = (np.concatenate(part) for part in (rows, cols, vals))
+        kernel = sparse_nullspace(*system, self.dim + other.dim, eps=self.eps)
+        return Subspace(sparse_rows(kernel[:, : self.dim] @ self.basis, self.universe), eps=self.eps)
 
 
 def tensor_split_first(t: SparseVec) -> dict:

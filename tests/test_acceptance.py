@@ -73,10 +73,10 @@ def test_criterion_1_axiom_suite(axiom_runs):
             "star-antipode period two",
             "antipode squared fixes target subalgebra",
         } <= names
-        if not report.passed or report.max_residual > TOL or elapsed > 60.0:
+        worst = max(c.residual for c in report.checks)
+        if not report.passed or worst > TOL or elapsed > 60.0:
             ok = False
-            print(f"  {factors} tau={sign}: FAILED "
-                  f"(residual {report.max_residual:.2e}, {elapsed:.1f}s)")
+            print(f"  {factors} tau={sign}: FAILED (residual {worst:.2e}, {elapsed:.1f}s)")
             for c in report.failures():
                 print("   ", c.name, c.residual, c.witness)
     _report_line(1, "axiom suite, 5 groups x 2 tau signs, residual <= 1e-9, <= 60s", ok)
@@ -125,7 +125,9 @@ def test_criterion_4_haar(algebras):
         ok &= worst <= TOL
         rng = random.Random(13)
         for _ in range(200):
-            b = alg.random_element(rng)
+            b = SparseVec(
+                {rng.randrange(alg.dim): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(6)}
+            )
             val = h(alg.multiply(alg.star(b), b))
             if val.real < -TOL or abs(val.imag) > TOL:
                 ok = False

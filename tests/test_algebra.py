@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from tywha.algebra import BasisUnit, BlockLabel, Slot, TYAlgebra, TYData
+from tywha.algebra import BasisUnit, BlockLabel, HaarFunctional, Slot, TYAlgebra, TYData
 from tywha.errors import InvariantError
 from tywha.groups import Bicharacter, FiniteAbelianGroup
 from tywha.linalg import SparseVec, Subspace, distance
@@ -30,6 +30,13 @@ def g(*coords):
 
 
 M = BlockLabel.m()
+
+
+def random_element(alg, rng, terms=6):
+    """A vector of B on ``terms`` random units with Gaussian coefficients."""
+    return SparseVec(
+        {rng.randrange(alg.dim): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(terms)}
+    )
 
 
 def fib(alg, block, slot):
@@ -335,7 +342,7 @@ class TestHaar:
         h = z2.haar()
         rng = random.Random(3)
         for _ in range(200):
-            b = z2.random_element(rng)
+            b = random_element(z2, rng)
             val = h(z2.multiply(z2.star(b), b))
             assert val.real >= -1e-9
             assert abs(val.imag) <= 1e-9
@@ -395,7 +402,7 @@ class TestAxiomSuite:
         alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=sign)
         report = alg.verify_axioms()
         assert report.passed, [(c.name, c.witness) for c in report.failures()]
-        assert report.max_residual <= 1e-9
+        assert max(c.residual for c in report.checks) <= 1e-9
 
     def test_z4_minus_passes(self, z4_minus):
         report = z4_minus.verify_axioms()
@@ -417,6 +424,19 @@ class TestAxiomSuite:
             "weak counit identity",
             "star-antipode period two",
         }
+
+    def test_negated_haar_coefficient_trips_only_positivity(self, monkeypatch):
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        h = alg.haar()
+        S, zero = alg._antipode_map, alg._layout.zero
+        # a zero-block unit the antipode fixes, so S-invariance still holds
+        i = next(i for i in range(zero, alg.dim) if S.k[i] == i and S.c[i] == 1 and h.coeffs[i])
+        coeffs = h.coeffs.copy()
+        coeffs[i] *= -1.0
+        monkeypatch.setattr(alg, "haar", lambda: HaarFunctional(coeffs, h.residual))
+        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        assert set(failed) == {"haar positive"}
+        assert failed["haar positive"].residual == pytest.approx(0.2)
 
     def test_perturbed_product_constant_breaks_associativity(self):
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
@@ -596,7 +616,7 @@ class TestExport:
 
         rng = random.Random(9)
         for _ in range(20):
-            a, b = z2.random_element(rng), z2.random_element(rng)
+            a, b = random_element(z2, rng), random_element(z2, rng)
             assert distance(table_multiply(a, b), z2.multiply(a, b)) < 1e-9
 
     def test_json_serializable_and_deterministic(self, z2):

@@ -48,6 +48,25 @@ class TestWhaCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("group", ["8", "2,4"])
+    @pytest.mark.parametrize("tau", ["+", "-"])
+    def test_verify_order_8_exhaustive(self, group, tau, tmp_path):
+        out = tmp_path / "axioms.json"
+        assert run(["wha", "verify", "--group", group, "--tau", tau, "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["passed"]
+        checks = {c["name"]: c for c in payload["checks"]}
+        for name in (
+            "product associativity",
+            "coproduct multiplicative",
+            "weak counit identity",
+            "antipode anti-multiplicative",
+            "star anti-multiplicative",
+            "haar positive",
+        ):
+            assert checks[name]["mode"] == "exhaustive", name
+            assert checks[name]["instances_checked"] == checks[name]["instances_total"], name
+
     def test_bad_tau_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["wha", "verify", "--group", "2", "--tau", "x"])
@@ -70,8 +89,9 @@ class TestWhaCommands:
         assoc = checks["product associativity"]
         assert assoc["mode"] == "exhaustive"
         assert assoc["instances_checked"] == assoc["instances_total"] == 84**3
-        assert checks["haar positive"]["mode"] == "sampled"
-        assert checks["haar positive"]["instances_total"] is None
+        haar = checks["haar positive"]
+        assert haar["mode"] == "exhaustive"
+        assert haar["instances_checked"] == haar["instances_total"] == 84**2
 
     def test_export_product_does_not_depend_on_tolerance(self, tmp_path):
         products = []
@@ -99,7 +119,12 @@ class TestWhaCommands:
         alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=-1)
         rng = random.Random(2)
         for _ in range(10):
-            a, b = alg.random_element(rng), alg.random_element(rng)
+            a, b = (
+                SparseVec(
+                    {rng.randrange(alg.dim): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(6)}
+                )
+                for _ in range(2)
+            )
             redone = {}
             for i, ca in a.items():
                 for j, cb in b.items():

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from tywha.linalg import SparseVec, Subspace, distance, nullspace, tensor_contains
+from tywha.algebra import TYAlgebra
+from tywha.errors import StructuralError
+from tywha.groups import FiniteAbelianGroup
+from tywha.linalg import (
+    ROUNDOFF,
+    SparseVec,
+    Subspace,
+    components,
+    distance,
+    nullspace,
+    sparse_nullspace,
+    tensor_contains,
+)
 
 
 def sv(**kw):
@@ -184,3 +196,138 @@ class TestNullspace:
     def test_empty(self, m, n):
         kernel = nullspace(np.zeros((m, n), dtype=complex))
         assert np.array_equal(kernel, np.eye(n))
+
+
+def _block_system(rng):
+    """A row- and column-permuted block-diagonal complex matrix as triples,
+    with duplicate entries that sum and a pair that cancels below ROUNDOFF
+    across two blocks, and the dense matrix it sums to."""
+    blocks = [
+        _random(rng, 3, 2, 2),  # full column rank
+        _random(rng, 4, 4, 2),  # rank-deficient
+        _random(rng, 2, 3, 2),  # wide
+        np.zeros((0, 2)),  # two columns in no row
+    ]
+    m, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    dense = np.zeros((m, n), dtype=complex)
+    r0 = c0 = 0
+    for b in blocks:
+        dense[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    row_perm, col_perm = rng.permutation(m), rng.permutation(n)
+    dense = dense[np.ix_(row_perm, col_perm)]
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    # split every entry into two halves that sum back to it
+    rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+    vals = np.concatenate([vals / 2, vals / 2])
+    # an entry linking the first two blocks, cancelled to 1e-13 by its partner
+    r = int(np.flatnonzero(row_perm == 0)[0])
+    c = int(np.flatnonzero(col_perm == 2)[0])
+    rows, cols = np.append(rows, [r, r]), np.append(cols, [c, c])
+    vals = np.append(vals, [0.7, -0.7 + 1e-13])
+    return rows, cols, vals, dense
+
+
+class TestComponents:
+    def test_blocks_partition_the_system(self):
+        rows, cols, vals, dense = _block_system(np.random.default_rng(3))
+        parts = list(components(rows, cols, vals, dense.shape[1]))
+        # two columns in no row are components of their own
+        assert sorted(len(ids) for _, ids, _ in parts) == [1, 1, 2, 3, 4]
+        assert sorted(np.concatenate([ids for _, ids, _ in parts])) == list(range(dense.shape[1]))
+        assert sorted(np.concatenate([r for r, _, _ in parts])) == list(range(dense.shape[0]))
+        covered = np.zeros(dense.shape, dtype=bool)
+        for r, ids, block in parts:
+            assert np.all(np.diff(r) > 0) and np.all(np.diff(ids) > 0)
+            assert np.allclose(block, dense[np.ix_(r, ids)], atol=1e-15)
+            covered[np.ix_(r, ids)] = True
+        assert not dense[~covered].any()
+        assert [ids[0] for _, ids, _ in parts] == sorted(ids[0] for _, ids, _ in parts)
+
+    def test_nullspace_matches_dense(self):
+        for seed in range(5):
+            rows, cols, vals, dense = _block_system(np.random.default_rng(seed))
+            kernel = sparse_nullspace(rows, cols, vals, dense.shape[1])
+            ref = nullspace(dense)
+            assert kernel.shape == ref.shape == (2 + 1 + 2, dense.shape[1])
+            assert np.allclose(dense @ kernel.T, 0.0, atol=1e-9)
+            assert np.allclose(kernel.T @ kernel.conj(), ref.T @ ref.conj(), atol=1e-9)
+
+    def test_cancelled_entries_are_dropped(self):
+        rows, cols = np.array([0, 0, 1]), np.array([0, 1, 1])
+        vals = np.array([1.0, ROUNDOFF / 2, 1.0], dtype=complex)
+        parts = list(components(rows, cols, vals, 2))
+        assert [list(ids) for _, ids, _ in parts] == [[0], [1]]
+
+    def test_empty(self):
+        empty = np.array([], dtype=np.int64)
+        parts = list(components(empty, empty, empty.astype(complex), 3))
+        assert [(list(r), list(ids), block.shape) for r, ids, block in parts] == [
+            ([], [0], (0, 1)), ([], [1], (0, 1)), ([], [2], (0, 1))
+        ]
+        assert np.array_equal(sparse_nullspace(empty, empty, empty.astype(complex), 3), np.eye(3))
+        assert sparse_nullspace(empty, empty, empty.astype(complex), 0).shape == (0, 0)
+
+
+def _dense_haar(alg):
+    """The invariant functional by one dense least-squares solve of its
+    defining system, built from the scalar structure maps."""
+    dim = alg.dim
+    rows, rhs = [], []
+    basis = SparseVec.basis
+    for b in range(dim):
+        # (id (x) h) Delta(u_b) = (eps_t (x) h) Delta(u_b), one row per output unit
+        eqs = np.zeros((dim, dim), dtype=complex)
+        for (i, j), c in alg.coproduct(basis(b)).items():
+            eqs[i, j] += c
+            for k, e in alg.eps_t(basis(i)).items():
+                eqs[k, j] -= c * e
+        live = eqs[eqs.any(axis=1)]
+        rows.extend(live)
+        rhs.extend([0.0] * len(live))
+        # h(S(u_b)) = h(u_b) and h(eps_t(u_b)) = eps(u_b)
+        inv, norm = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
+        for k, c in alg.antipode(basis(b)).items():
+            inv[k] += c
+        inv[b] -= 1.0
+        for k, c in alg.eps_t(basis(b)).items():
+            norm[k] += c
+        rows += [inv, norm]
+        rhs += [0.0, alg.counit(basis(b))]
+    # (id (x) h) Delta(1) = 1
+    eqs = np.zeros((dim, dim), dtype=complex)
+    for (i, j), c in alg.coproduct_of_unit().items():
+        eqs[i, j] += c
+    rows.extend(eqs)
+    rhs.extend(alg.unit()[i] for i in range(dim))
+    mat, vec = np.array(rows), np.array(rhs, dtype=complex)
+    coeffs, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
+    assert rank == dim
+    assert np.abs(mat @ coeffs - vec).max() < 1e-12
+    return coeffs
+
+
+class TestHaarSolve:
+    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_dense_solve(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        h = alg.haar()
+        assert np.abs(h.coeffs - _dense_haar(alg)).max() < 1e-12
+        assert h.residual < 1e-12
+
+    def test_zeroed_column_not_unique(self, monkeypatch):
+        import tywha.algebra as algebra
+
+        alg = TYAlgebra(FiniteAbelianGroup((2,)))
+        col = alg.dim - 1  # an m-block unit, where h vanishes: the rest stays consistent
+        assert alg.haar().coeffs[col] == 0
+
+        def without_column(rows, cols, vals, n):
+            keep = cols != col
+            return components(rows[keep], cols[keep], vals[keep], n)
+
+        monkeypatch.setattr(algebra, "components", without_column)
+        with pytest.raises(StructuralError, match="not unique"):
+            alg.haar()
