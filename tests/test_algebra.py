@@ -232,7 +232,7 @@ class TestUnitCounitCoproduct:
             e = SparseVec.basis(i)
             left = SparseVec()
             right = SparseVec()
-            for a, b in z4._coprod(i):
+            for a, b in z4._coproduct_table.pairs[i]:
                 if z4.units[a].row == z4.units[a].col:
                     left.data[b] = left.data.get(b, 0) + 1
                 if z4.units[b].row == z4.units[b].col:
@@ -367,35 +367,6 @@ class TestCorepresentations:
         assert all(c.passed for c in checks)
 
 
-class TestDualPairing:
-    def test_identity_functional(self, z4):
-        phi = {b: np.eye(len(z4.slots(b)), dtype=complex) for b in z4.blocks}
-        for i in [0, 3, 60, 163]:
-            u = z4.units[i]
-            want = 1.0 if u.row == u.col else 0.0
-            assert z4.dual_pairing(phi, SparseVec.basis(i)) == pytest.approx(want)
-
-    def test_pairing_of_unit(self, z4):
-        rng = random.Random(0)
-        phi = z4.dual_random(rng)
-        total = z4.dual_pairing(phi, z4.unit())
-        block0 = phi[g(0)]
-        assert total == pytest.approx(block0.sum())
-
-    def test_product_compatible_with_coproduct(self, z4):
-        rng = random.Random(1)
-        phi, psi = z4.dual_random(rng), z4.dual_random(rng)
-        prod = z4.dual_multiply(phi, psi)
-        for i in [5, 50, 150]:
-            lhs = z4.dual_pairing(prod, SparseVec.basis(i))
-            rhs = sum(
-                z4.dual_pairing(phi, SparseVec.basis(a))
-                * z4.dual_pairing(psi, SparseVec.basis(b))
-                for a, b in z4._coprod(i)
-            )
-            assert lhs == pytest.approx(rhs)
-
-
 class TestAxiomSuite:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_z2_passes(self, sign):
@@ -458,7 +429,7 @@ class TestAxiomSuite:
     )
 
     def test_pair_and_triple_checks_exhaustive(self, z4_minus):
-        checks = {c.name: c for c in z4_minus.verify_axioms(samples=1).checks}
+        checks = {c.name: c for c in z4_minus.verify_axioms().checks}
         dim = z4_minus.dim
         for name in self.PAIR_AND_TRIPLE:
             c = checks[name]
@@ -466,30 +437,47 @@ class TestAxiomSuite:
             assert c.mode == "exhaustive", name
             assert c.instances_checked == c.instances_total == dim**arity, name
         assert checks["unit law"].instances_total == dim
+        assert checks["dual pairing multiplicative"].instances_total == dim**3
         assert "exhaustive 4,410,944" in z4_minus.verify_axioms().summary()
 
-    def test_sampled_above_exhaustive_order(self, monkeypatch):
+    @pytest.mark.parametrize("factors", [(2,), (3,)])
+    def test_blocked_joins_match_one_block(self, factors, monkeypatch):
+        # dim 34 gives 5 blocks of 7 with a short tail; dim 84 gives 12
         import tywha.algebra as algebra
 
-        monkeypatch.setattr(algebra, "EXHAUSTIVE_ORDER", 2)
-        alg = TYAlgebra(FiniteAbelianGroup((3,)), tau_sign=-1)
-        report = alg.verify_axioms(samples=100, seed=3)
-        assert report.passed
-        checks = {c.name: c for c in report.checks}
-        dim = alg.dim
-        for name in self.PAIR_AND_TRIPLE:
-            c = checks[name]
-            arity = 2 if name.endswith("multiplicative") else 3
-            # whole rows of instances: 2 first factors for pairs, 1 for triples
-            rows = 2 if arity == 2 else 1
-            assert c.mode == "sampled", name
-            assert (c.instances_checked, c.instances_total) == (rows * dim ** (arity - 1), dim**arity)
-        assert "sampled 7,056 of 592,704" in report.summary()
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=-1)
+        whole = alg.verify_axioms().to_dict()
+        monkeypatch.setattr(algebra, "FIRST_FACTOR_BLOCK", 7)
+        seen = []
+        associativity = alg._associativity
 
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_nonpositive_samples_rejected(self, z2, samples):
-        with pytest.raises(InvariantError):
-            z2.verify_axioms(samples=samples)
+        def recording(first):
+            seen.append(first)
+            return associativity(first)
+
+        monkeypatch.setattr(alg, "_associativity", recording)
+        assert alg.verify_axioms().to_dict() == whole
+        assert max(len(b) for b in seen) == 7
+        assert np.concatenate(seen).tolist() == list(range(alg.dim))
+        # a product constant of the last unit, which lies in the last block
+        table = alg.product
+        idx = int(table.ptr[alg.dim]) - 1
+        table.c[idx] *= -1.0
+        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        assert "product associativity" in failed
+        assert str(alg.units[table.i[idx]]) in failed["product associativity"].witness
+        blocked = alg.verify_axioms().to_dict()
+        monkeypatch.setattr(algebra, "FIRST_FACTOR_BLOCK", 512)
+        assert blocked == alg.verify_axioms().to_dict()
+
+    def test_corrupted_coproduct_breaks_dual_pairing(self):
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        second = alg._coproduct_table.second
+        second[5] = (second[5] + 1) % alg.dim
+        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        assert "dual pairing multiplicative" in failed
+        assert failed["dual pairing multiplicative"].residual == 1.0
+        assert failed["dual pairing multiplicative"].witness
 
 
 class TestProductTable:
@@ -531,7 +519,7 @@ class TestProductTable:
         prod: dict = {}
         for i, j, k, c in zip(table.i.tolist(), table.j.tolist(), table.k.tolist(), table.c.tolist()):
             prod.setdefault((i, j), {})[k] = c
-        dim = alg.dim
+        dim, cop = alg.dim, alg._coproduct_table.pairs
 
         def mul(a: dict, b: dict) -> dict:
             out: dict = {}
@@ -557,15 +545,15 @@ class TestProductTable:
                 for l in range(dim):
                     assoc = max(assoc, dist(mul(ij, {l: 1}), mul({i: 1}, prod.get((j, l), {}))))
                     lhs = sum(counit(mul({i: 1}, {a: 1})) * counit(mul({b: 1}, {l: 1}))
-                              for a, b in alg._coprod(j))
+                              for a, b in cop[j])
                     counit_id = max(counit_id, abs(lhs - counit(mul(ij, {l: 1}))))
                 delta: dict = {}
                 for k, c in ij.items():
-                    for pair in alg._coprod(k):
+                    for pair in cop[k]:
                         delta[pair] = delta.get(pair, 0) + c
                 expected: dict = {}
-                for a, b in alg._coprod(i):
-                    for c_, d_ in alg._coprod(j):
+                for a, b in cop[i]:
+                    for c_, d_ in cop[j]:
                         for k, ck in mul({a: 1}, {c_: 1}).items():
                             for l, cl in mul({b: 1}, {d_: 1}).items():
                                 expected[(k, l)] = expected.get((k, l), 0) + ck * cl

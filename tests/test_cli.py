@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -48,37 +49,34 @@ class TestWhaCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    @pytest.mark.parametrize("group", ["8", "2,4"])
+    @pytest.mark.parametrize("group", ["8", "2,4", "9", "2,2,2,2"])
     @pytest.mark.parametrize("tau", ["+", "-"])
     def test_verify_order_8_exhaustive(self, group, tau, tmp_path):
         out = tmp_path / "axioms.json"
         assert run(["wha", "verify", "--group", group, "--tau", tau, "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["passed"]
-        checks = {c["name"]: c for c in payload["checks"]}
-        for name in (
-            "product associativity",
-            "coproduct multiplicative",
-            "weak counit identity",
-            "antipode anti-multiplicative",
-            "star anti-multiplicative",
-            "haar positive",
-        ):
-            assert checks[name]["mode"] == "exhaustive", name
-            assert checks[name]["instances_checked"] == checks[name]["instances_total"], name
+        for c in payload["checks"]:
+            assert c["mode"] == "exhaustive", c["name"]
+            assert c["instances_checked"] == c["instances_total"], c["name"]
+
+    @pytest.mark.parametrize("group", ["17", "2,9"])
+    @pytest.mark.parametrize(
+        "command",
+        [["wha", "verify"], ["wha", "export"], ["coideal", "build", "--K", "0"]],
+        ids=["verify", "export", "coideal"],
+    )
+    def test_algebra_over_order_bound_exits_2(self, command, group, tmp_path, capsys):
+        start = time.perf_counter()
+        code = run([*command, "--group", group, "--json", str(tmp_path / "out.json")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
 
     def test_bad_tau_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["wha", "verify", "--group", "2", "--tau", "x"])
         assert err.value.code == 2
-
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_nonpositive_samples_exit_2(self, samples, capsys):
-        code = run(["wha", "verify", "--group", "5", "--samples", samples])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert "samples must be at least 1" in captured.err
-        assert "PASS" not in captured.out
 
     def test_verify_json_reports_coverage(self, tmp_path):
         out = tmp_path / "axioms.json"
