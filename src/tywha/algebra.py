@@ -260,22 +260,23 @@ class ProductTable:
 
     ``ptr`` delimits the entries of each i; ``by_j`` and ``by_k`` order the
     entries by j and by k for joins.  ``rows[i]`` holds the same entries as
-    Python ``(j, k, c)`` tuples for the scalar paths.
+    Python ``(j, k, c)`` tuples for the scalar paths, built on first use.
     """
 
-    def __init__(self, entries: list[tuple[int, int, int, complex]], dim: int):
-        entries.sort(key=lambda e: e[:3])
-        self.rows: list[list[tuple[int, int, complex]]] = [[] for _ in range(dim)]
-        for i, j, k, c in entries:
-            self.rows[i].append((j, k, c))
-        idx = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3)
-        self.i, self.j, self.k = (np.ascontiguousarray(col) for col in idx.T)
-        self.c = np.array([e[3] for e in entries], dtype=complex)
+    def __init__(self, i: np.ndarray, j: np.ndarray, k: np.ndarray, c: np.ndarray, dim: int):
+        order = np.lexsort((k, j, i))
+        self.i, self.j, self.k, self.c = i[order], j[order], k[order], c[order]
         self.ptr = np.searchsorted(self.i, np.arange(dim + 1))
         self.by_j = np.argsort(self.j, kind="stable")
         self.by_k = np.argsort(self.k, kind="stable")
         self._j_sorted = self.j[self.by_j]
         self._k_sorted = self.k[self.by_k]
+
+    @cached_property
+    def rows(self) -> list[list[tuple[int, int, complex]]]:
+        flat = list(zip(self.j.tolist(), self.k.tolist(), self.c.tolist()))
+        ptr = self.ptr.tolist()
+        return [flat[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
     def of_left(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(s, e) for every entry e with i == units[s]."""
@@ -295,28 +296,36 @@ class ProductTable:
 @dataclass
 class UnitMap:
     """A map sending each basis unit u_i to ``c[i] u_{k[i]}`` (the involution
-    or the antipode), as arrays and as Python ``(k, c)`` pairs."""
+    or the antipode), as arrays; ``pairs`` lists the same as Python
+    ``(k, c)`` pairs, built on first use."""
 
-    pairs: list[tuple[int, complex]]
+    k: np.ndarray
+    c: np.ndarray
 
     def __post_init__(self):
-        self.k = np.array([k for k, _ in self.pairs], dtype=np.int64)
-        self.c = np.array([c for _, c in self.pairs], dtype=complex)
         self.by_k = np.argsort(self.k, kind="stable")
         self.k_sorted = self.k[self.by_k]
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, complex]]:
+        return list(zip(self.k.tolist(), self.c.tolist()))
 
 
 @dataclass
 class CoproductTable:
     """Delta(u_i) is the sum of u_first[p] (x) u_second[p], coefficient 1,
     over p in ``ptr[i]:ptr[i + 1]``; ``pairs[i]`` lists the same terms as
-    Python tuples."""
+    Python tuples, built on first use."""
 
-    pairs: list[tuple[tuple[int, int], ...]]
     ptr: np.ndarray
     src: np.ndarray  # the i of each term
     first: np.ndarray
     second: np.ndarray
+
+    @cached_property
+    def pairs(self) -> list[tuple[tuple[int, int], ...]]:
+        flat, ptr = list(zip(self.first.tolist(), self.second.tolist())), self.ptr.tolist()
+        return [tuple(flat[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
 
 
 @dataclass
@@ -333,13 +342,21 @@ class Pairing:
 @dataclass
 class Layout:
     """Where each basis unit sits: units are ordered by block, then row slot,
-    then column slot, so unit (x; r, c) is ``offset + r * size + c``."""
+    then column slot, so unit (x; r, c) is ``starts[x] + r * sizes[x] + c``.
+    Blocks and slots are local indices: block n = |G| is m, slot n of a group
+    block is its m slot, and slot n + g of the m block is v^m_{~g}."""
 
+    starts: np.ndarray  # first unit of each block
+    sizes: np.ndarray  # slots in each block
+    block: np.ndarray  # the block of each unit
     offset: np.ndarray  # first unit of the unit's block
     size: np.ndarray  # slots in the unit's block
     row: np.ndarray
     col: np.ndarray
     zero: int  # first unit of the zero block
+
+    def unit(self, block, row, col):
+        return self.starts[block] + row * self.sizes[block] + col
 
     @property
     def diag(self) -> np.ndarray:
@@ -397,7 +414,6 @@ class TYAlgebra:
         self._phi_unb = 1.0 / self.sqrt_order
         self._phi_bar = self.tau / self.sqrt_order
 
-        self._chi_cache: dict[tuple[GroupElt, GroupElt], complex] = {}
         self._unit_element: SparseVec | None = None
         self._coproduct_of_unit: SparseVec | None = None
         self._counital: tuple[Subspace, Subspace] | None = None
@@ -408,12 +424,7 @@ class TYAlgebra:
         return self._slots[block]
 
     def chi(self, g: GroupElt, h: GroupElt) -> complex:
-        key = (g, h)
-        val = self._chi_cache.get(key)
-        if val is None:
-            val = cexp(2j * pi * float(self.bichar.phase(g, h)))
-            self._chi_cache[key] = val
-        return val
+        return cexp(2j * pi * float(self.bichar.phase(g, h)))
 
     def fiber_basis(self, block: BlockLabel, slot: Slot) -> SparseVec:
         if slot not in self._slots[block]:
@@ -507,37 +518,51 @@ class TYAlgebra:
         size, offset = sizes[block], starts[block]
         row, col = np.divmod(np.arange(self.dim) - offset, size)
         zero = self.blocks.index(BlockLabel.grp(self.group.zero()))
-        return Layout(offset, size, row, col, int(starts[zero]))
+        return Layout(starts, sizes, block, offset, size, row, col, int(starts[zero]))
+
+    def _fiber_table(self) -> tuple[np.ndarray, ...]:
+        """``_circ_basis`` on every pair of basis vectors as arrays (x, a, y,
+        c, z, e, coeff): v^x_a . v^y_c has the term coeff v^z_e, in the local
+        block and slot indices of :class:`Layout`.  chi and tau conj(chi) are
+        Python scalars, as in ``_circ_basis``."""
+        n, add, elems = self.group.order, self.group.add_table, self.group.elements()
+        chi = np.array([[self.chi(g, h) for h in elems] for g in elems])
+        tau_chi = np.array([[self.tau * c.conjugate() for c in row] for row in chi.tolist()])
+        sub = add[:, np.argmax(add == 0, axis=1)]  # sub[k, g] is k - g
+        g, h, k = (w.ravel() for w in np.indices((n, n, n)))
+        u, v = (w.ravel() for w in np.indices((n, n)))
+        rules = [  # (x, a, y, c, z, e, coeff); block n and slot n are m
+            (g, k, h, add[h, k], add[g, h], add[h, k], 1),  # v^g_k v^h_{h+k} = v^{g+h}_{h+k}
+            (u, n, v, n, add[u, v], n, 1),  # v^g_m v^h_m = v^{g+h}_m
+            (u, v, n, v, n, sub[v, u], 1),  # v^g_k v^m_k = v^m_{k-g}
+            (u, n, n, n + v, n, n + v, chi[u, v]),  # v^g_m v^m_{~k} = chi(g,k) v^m_{~k}
+            (n, v, u, n, n, v, chi[u, v]),  # v^m_k v^h_m = chi(h,k) v^m_k
+            (n, n + v, u, add[u, v], n, n + add[u, v], 1),  # v^m_{~k} v^h_{h+k} = v^m_{~(h+k)}
+            (n, u, n, n + v, sub[v, u], v, 1),  # v^m_h v^m_{~k} = v^{k-h}_k
+            (n, n + v, n, v, u, n, tau_chi[u, v]),  # v^m_{~h} v^m_h = tau conj(chi(p,h)) v^p_m
+        ]
+        return tuple(np.concatenate(col) for col in zip(*(np.broadcast_arrays(*r) for r in rules)))
 
     @cached_property
     def product(self) -> ProductTable:
         """Structure constants of B, straight from the fiber product table:
         for u_i = (x; a, b) and u_j = (y; c, d) the row legs a, c and the
         column legs b, d multiply in the fibers, and the column leg enters
-        conjugated.  Nothing is pruned: the closed form has exact zeros."""
-        pos = self.unit_pos
-        entries: list[tuple[int, int, int, complex]] = []
-        for x in self.blocks:
-            for y in self.blocks:
-                legs = [
-                    (a, c, terms)
-                    for a in self._slots[x]
-                    for c in self._slots[y]
-                    if (terms := self._circ_basis(x, a, y, c))
-                ]
-                for a, c, p in legs:
-                    for b, d, q in legs:
-                        i = pos[BasisUnit(x, a, b)]
-                        j = pos[BasisUnit(y, c, d)]
-                        acc: dict[int, complex] = {}
-                        for (zb, zi), cp in p:
-                            for (wb, wj), cq in q:
-                                if zb != wb:
-                                    continue
-                                k = pos[BasisUnit(zb, zi, wj)]
-                                acc[k] = acc.get(k, 0.0) + cp * cq.conjugate()
-                        entries.extend((i, j, k, v) for k, v in acc.items())
-        return ProductTable(entries, self.dim)
+        conjugated.  That is the fiber table's self-join on (x, y, z); each
+        (i, j, k) arises from one pair of terms.  The coefficient is Python's
+        ``0.0 + cp * cq.conjugate()`` spelled out on real and imaginary parts,
+        so it matches the scalar product bit for bit.  Nothing is pruned: the
+        closed form has exact zeros."""
+        x, a, y, c, z, e, coeff = self._fiber_table()
+        key = (x * self.dim + y) * self.dim + z
+        order = np.argsort(key, kind="stable")
+        p, q = _join(key, key[order])
+        q, lay = order[q], self._layout
+        i, j, k = (lay.unit(b[p], s[p], s[q]) for b, s in ((x, a), (y, c), (z, e)))
+        pr, pi_, qr, qi = coeff.real[p], coeff.imag[p], coeff.real[q], -coeff.imag[q]
+        val = np.empty(len(p), dtype=complex)
+        val.real, val.imag = 0.0 + (pr * qr - pi_ * qi), 0.0 + (pr * qi + pi_ * qr)
+        return ProductTable(i, j, k, val, self.dim)
 
     @cached_property
     def _coproduct_table(self) -> CoproductTable:
@@ -548,24 +573,27 @@ class TYAlgebra:
         s = np.arange(len(src)) - ptr[src]
         first = lay.offset[src] + lay.row[src] * lay.size[src] + s
         second = lay.offset[src] + s * lay.size[src] + lay.col[src]
-        flat = list(zip(first.tolist(), second.tolist()))
-        pairs = [tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(self.dim)]
-        return CoproductTable(pairs, ptr, src, first, second)
+        return CoproductTable(ptr, src, first, second)
 
     def _unit_map(self, antipode: bool) -> UnitMap:
         """The involution (x; r, c) -> psi(r) (x) phi(c), or the antipode
-        (x; r, c) -> psi(c) (x) phi(r), read from the live fiber coefficients."""
-        out = []
-        for u in self.units:
-            first, second = (u.col, u.row) if antipode else (u.row, u.col)
-            cr, br, sr = self._fiber_map(u.block, first, second_leg=False)
-            cc, bc, sc = self._fiber_map(u.block, second, second_leg=True)
-            if br != bc:
-                raise StructuralError(
-                    f"{'antipode' if antipode else 'involution'} split blocks on {u}"
-                )
-            out.append((self.unit_pos[BasisUnit(br, sr, sc)], cr * cc))
-        return UnitMap(out)
+        (x; r, c) -> psi(c) (x) phi(r), read from the live fiber coefficients.
+        As in ``_fiber_map``, slot s of group block g goes to slot s - g (the
+        m slot to itself) of block -g with coefficient 1, and the m block
+        swaps its unbarred and barred slots with coefficient unb or bar."""
+        lay, n, add = self._layout, self.group.order, self.group.add_table
+        neg = np.argmax(add == 0, axis=1)
+        slot = np.full((n + 1, 2 * n), n)  # the image of slot s of block b
+        slot[:n, :n], slot[n] = add[:, neg].T, np.roll(np.arange(2 * n), n)
+        psi = (1.0 + 0j, complex(self._psi_unb), complex(self._psi_bar))
+        phi = (1.0 + 0j, complex(self._phi_unb), complex(self._phi_bar))
+        coeff = np.array([[p * f for f in phi] for p in psi])
+        b = lay.block
+        first, second = (lay.col, lay.row) if antipode else (lay.row, lay.col)
+        # 0 in a group block, 1 on an unbarred and 2 on a barred m-block slot
+        kind = [np.where(b < n, 0, 1 + (s >= n)) for s in (first, second)]
+        k = lay.unit(np.append(neg, n)[b], slot[b, first], slot[b, second])
+        return UnitMap(k, coeff[kind[0], kind[1]])
 
     @cached_property
     def _star_map(self) -> UnitMap:
@@ -643,12 +671,10 @@ class TYAlgebra:
         return SparseVec(out).prune(ROUNDOFF)
 
     def unit(self) -> SparseVec:
-        if self._unit_element is None:
-            zero_block = self.blocks[self.group.elements().index(self.group.zero())]
-            slots = self._slots[zero_block]
-            self._unit_element = SparseVec(
-                {self.unit_pos[BasisUnit(zero_block, r, c)]: 1.0 + 0j for r in slots for c in slots}
-            )
+        if self._unit_element is None:  # every unit of the zero block
+            lay = self._layout
+            zero = range(lay.zero, lay.zero + int(lay.size[lay.zero]) ** 2)
+            self._unit_element = SparseVec(dict.fromkeys(zero, 1.0 + 0j))
         return self._unit_element
 
     def coproduct(self, a: SparseVec) -> SparseVec:
@@ -835,18 +861,13 @@ class TYAlgebra:
                     rhs = rhs + self.tensor(U[i][k], U[k][j])
                 res_cop = max(res_cop, distance(lhs, rhs))
 
-        res_eps = 0.0
-        for i in range(n):
-            for j in range(n):
-                val = self.counit(U[i][j])
-                res_eps = max(res_eps, abs(val - (1.0 if i == j else 0.0)))
+        res_eps = max([0.0, *(
+            abs(self.counit(U[i][j]) - (1.0 if i == j else 0.0)) for i in range(n) for j in range(n)
+        )])
 
         Ustar = [[self.star(U[j][i]) for j in range(n)] for i in range(n)]
         P = self._mat_mult(self._mat_mult(U, Ustar), U)
-        res_iso = 0.0
-        for i in range(n):
-            for j in range(n):
-                res_iso = max(res_iso, distance(P[i][j], U[i][j]))
+        res_iso = max([0.0, *(distance(P[i][j], U[i][j]) for i in range(n) for j in range(n))])
 
         name = f"corepresentation[{block}]"
         cov = {"instances_checked": n * n, "instances_total": n * n}
@@ -996,13 +1017,15 @@ class TYAlgebra:
             _off_identity(T.i[right], T.k[right], T.c[right] * one[T.j[right]], d),
         )
 
-    def _coassociativity(self) -> tuple[float, tuple]:
+    def _coassociativity(self, first: np.ndarray) -> tuple[float, tuple]:
         """(Delta (x) id) Delta(u_i) = (id (x) Delta) Delta(u_i)."""
         d, D = self.dim, self._coproduct_table
-        s, q = _runs(D.ptr, D.first)
-        lhs = (((D.src[s] * d + D.first[q]) * d + D.second[q]) * d + D.second[s], np.ones(len(q)))
-        s, q = _runs(D.ptr, D.second)
-        rhs = (((D.src[s] * d + D.first[s]) * d + D.first[q]) * d + D.second[q], np.ones(len(q)))
+        _, t = _runs(D.ptr, first)  # the terms of Delta(u_i)
+        i, a, b = D.src[t], D.first[t], D.second[t]
+        s, q = _runs(D.ptr, a)
+        lhs = (((i[s] * d + D.first[q]) * d + D.second[q]) * d + b[s], np.ones(len(q)))
+        s, q = _runs(D.ptr, b)
+        rhs = (((i[s] * d + a[s]) * d + D.first[q]) * d + D.second[q], np.ones(len(q)))
         r, key = _worst(lhs, rhs)
         return r, (key // d**3,)
 
@@ -1123,7 +1146,7 @@ class TYAlgebra:
 
         star, antipode = self._star_map, self._antipode_map
         add_joined("coproduct star compatible", self._comultiplicative(star, False), unit_cov)
-        add_joined("coassociativity", self._coassociativity(), unit_cov)
+        add_joined("coassociativity", self._blocked(self._coassociativity), unit_cov)
         add_joined("counit law", self._counit_law(), unit_cov)
         add("weak unit identity", self._weak_unit())
         add_joined("weak counit identity", self._blocked(self._weak_counit), triple_cov)
@@ -1152,38 +1175,23 @@ class TYAlgebra:
 
         # counital subalgebras
         target, source = self.counital_subalgebras()
-        add(
-            "target subalgebra dimension",
-            float(abs(target.dim - (n + 1))),
-            f"dim B_t = {target.dim}",
-        )
-        add(
-            "source subalgebra dimension",
-            float(abs(source.dim - (n + 1))),
-            f"dim B_s = {source.dim}",
-        )
+        for side, space in (("target", target), ("source", source)):
+            label = f"dim B_{side[0]} = {space.dim}"
+            add(f"{side} subalgebra dimension", float(abs(space.dim - (n + 1))), label)
         meet = target.intersect(source)
         add("biconnectedness", float(abs(meet.dim - 1)), f"dim B_t & B_s = {meet.dim}")
 
-        worst = 0.0
-        tvecs = target.basis_vectors()
-        svecs = source.basis_vectors()
-        for tv in tvecs:
-            for sv in svecs:
-                worst = max(
-                    worst, distance(self.multiply(tv, sv), self.multiply(sv, tv))
-                )
+        tvecs, svecs = target.basis_vectors(), source.basis_vectors()
+        worst = max([0.0, *(
+            distance(self.multiply(tv, sv), self.multiply(sv, tv)) for tv in tvecs for sv in svecs
+        )])
         npairs = len(tvecs) * len(svecs)
         add("counital subalgebras commute", worst, checked=npairs, total=npairs)
 
         # regularity: S^2 restricted to the target subalgebra
-        worst = 0.0
-        for tv in tvecs:
-            worst = max(worst, distance(self.antipode(self.antipode(tv)), tv))
-        add(
-            "antipode squared fixes target subalgebra", worst,
-            checked=len(tvecs), total=len(tvecs),
-        )
+        worst = max([0.0, *(distance(self.antipode(self.antipode(tv)), tv) for tv in tvecs)])
+        ntarget = len(tvecs)
+        add("antipode squared fixes target subalgebra", worst, checked=ntarget, total=ntarget)
 
         # the zero fiber is a commutative *-algebra of orthogonal projections
         zero_block = BlockLabel.grp(self.group.zero())
@@ -1225,26 +1233,13 @@ class TYAlgebra:
 
     def export_data(self) -> dict:
         """Structure constants in the versioned interchange format."""
-        basis = [
-            {"index": i, "block": str(u.block), "row": str(u.row), "col": str(u.col)}
-            for i, u in enumerate(self.units)
-        ]
-        T = self.product
-        product = [
-            list(row)
-            for row in zip(
-                T.i.tolist(), T.j.tolist(), T.k.tolist(), T.c.real.tolist(), T.c.imag.tolist()
-            )
-        ]
-        coproduct = [
-            [i, a, b, 1.0, 0.0] for i, pairs in enumerate(self._coproduct_table.pairs) for a, b in pairs
-        ]
-        counit = []
-        for i, u in enumerate(self.units):
-            if u.row == u.col:
-                counit.append([i, 1.0, 0.0])
-        antipode = [[i, k, c.real, c.imag] for i, (k, c) in enumerate(self._antipode_map.pairs)]
-        star = [[i, k, c.real, c.imag] for i, (k, c) in enumerate(self._star_map.pairs)]
+
+        def table(*cols) -> list[list]:
+            return [list(row) for row in zip(*(col.tolist() for col in cols))]
+
+        T, D, S, star = self.product, self._coproduct_table, self._antipode_map, self._star_map
+        units, ones = np.arange(self.dim), np.ones(len(D.src))
+        diag = units[self._layout.diag]
         return {
             "format": "ty-wha/1",
             "group": list(self.group.factors),
@@ -1252,11 +1247,14 @@ class TYAlgebra:
             "tau_sign": self.tau_sign,
             "tolerance": self.eps,
             "dim": self.dim,
-            "basis": basis,
+            "basis": [
+                {"index": i, "block": str(u.block), "row": str(u.row), "col": str(u.col)}
+                for i, u in enumerate(self.units)
+            ],
             "unit": [[i, c.real, c.imag] for i, c in sorted(self.unit().items())],
-            "product": product,
-            "coproduct": coproduct,
-            "counit": counit,
-            "antipode": antipode,
-            "star": star,
+            "product": table(T.i, T.j, T.k, T.c.real, T.c.imag),
+            "coproduct": table(D.src, D.first, D.second, ones, 0 * ones),
+            "counit": table(diag, ones[diag], 0 * ones[diag]),
+            "antipode": table(units, S.k, S.c.real, S.c.imag),
+            "star": table(units, star.k, star.c.real, star.c.imag),
         }

@@ -83,7 +83,14 @@ def _tau_sign(flag: str) -> int:
     return 1 if flag == "+" else -1
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_json(path: str | None, payload: dict) -> None:
+    if not path:  # no --json given
+        return
+    # truncating a file that was just written can cost more than writing it
+    # anew, so an existing regular file (not a symlink or device) goes first
+    target = Path(path)
+    if target.is_file() and not target.is_symlink():
+        target.unlink()
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -119,16 +126,10 @@ def cmd_group_describe(args) -> int:
             }
         )
     print("\n".join(lines))
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "schema": "tywha-group/1",
-                "group": list(group.factors),
-                "bicharacter": chi.to_json(),
-                "subgroups": payload,
-            },
-        )
+    _write_json(args.json, {
+        "schema": "tywha-group/1", "group": list(group.factors),
+        "bicharacter": chi.to_json(), "subgroups": payload,
+    })
     return 0
 
 
@@ -136,13 +137,14 @@ def cmd_wha_verify(args) -> int:
     alg = _algebra(args)
     report = alg.verify_axioms()
     print(report.summary())
-    if args.json:
-        _write_json(args.json, {"schema": "tywha-axioms/2", **report.to_dict()})
+    _write_json(args.json, {"schema": "tywha-axioms/2", **report.to_dict()})
     return 0 if report.passed else 1
 
 
 def cmd_wha_export(args) -> int:
     alg = _algebra(args)
+    if not args.json:
+        raise InvariantError("wha export needs --json PATH")
     _write_json(args.json, alg.export_data())
     print(f"wrote ty-wha/1 structure constants ({alg.dim} basis units) to {args.json}")
     return 0
@@ -189,8 +191,7 @@ def cmd_coideal_build(args) -> int:
         f"dim A = {wc.dim}; is_coideal = {is_coideal(wc)}; indecomposable = {indec}; "
         f"fiber dims {'match' if dims_ok else 'DIFFER from'} prediction"
     )
-    if args.json:
-        _write_json(args.json, payload)
+    _write_json(args.json, payload)
     return 0 if (report.passed and dims_ok) else 1
 
 
@@ -222,8 +223,7 @@ def cmd_classify_weak(args) -> int:
                     all_ok = False
                     print(f"    realization FAILED: {exc}")
             print(f"    realized and verified {len(entry.orbits)} representatives")
-    if args.json:
-        _write_json(args.json, payload)
+    _write_json(args.json, payload)
     return 0 if all_ok else 1
 
 
@@ -239,8 +239,7 @@ def cmd_classify_algebras(args) -> int:
     for entry in payload["per_subgroup"]:
         kinds = {t: p["n_classes"] for t, p in entry["types"].items()}
         print(f"  K={entry['K']}: {kinds}")
-    if args.json:
-        _write_json(args.json, payload)
+    _write_json(args.json, payload)
     return 0
 
 

@@ -470,6 +470,47 @@ class TestAxiomSuite:
         monkeypatch.setattr(algebra, "FIRST_FACTOR_BLOCK", 512)
         assert blocked == alg.verify_axioms().to_dict()
 
+    @pytest.mark.parametrize("factors", [(2,), (3,)])
+    def test_blocked_coassociativity_matches_brute_force(self, factors, monkeypatch):
+        """With two second legs of Delta corrupted, each unit and each block
+        of first factors reports the worst residual of plain loops over its
+        units and the first unit where it occurs, and the blocked check the
+        worst of all."""
+        import tywha.algebra as algebra
+
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=1)
+        D, dim = alg._coproduct_table, alg.dim
+        for t in (3, int(D.ptr[dim - 1])):
+            D.second[t] = (D.second[t] + 1) % dim
+        pairs = D.pairs  # built from the corrupted arrays
+
+        def residual(i: int) -> float:
+            lhs: dict = {}
+            for a, b in pairs[i]:
+                for a1, a2 in pairs[a]:
+                    lhs[(a1, a2, b)] = lhs.get((a1, a2, b), 0) + 1
+                for b1, b2 in pairs[b]:
+                    lhs[(a, b1, b2)] = lhs.get((a, b1, b2), 0) - 1
+            return float(max(map(abs, lhs.values()), default=0))
+
+        brute = [residual(i) for i in range(dim)]
+        assert brute[0] > 0 and brute[dim - 1] > 0
+
+        def worst(units: np.ndarray) -> tuple:
+            i = max(units.tolist(), key=brute.__getitem__)  # the first maximum
+            return brute[i], (i,)
+
+        for i in range(dim):
+            r, where = alg._coassociativity(np.array([i]))
+            assert r == brute[i]
+            assert where == (i,) or not r
+        for lo in range(0, dim, 7):
+            block = np.arange(lo, min(lo + 7, dim))
+            r, where = alg._coassociativity(block)
+            assert (r, where) == worst(block) or not r
+        monkeypatch.setattr(algebra, "FIRST_FACTOR_BLOCK", 7)
+        assert alg._blocked(alg._coassociativity) == worst(np.arange(dim))
+
     def test_corrupted_coproduct_breaks_dual_pairing(self):
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
         second = alg._coproduct_table.second
@@ -485,7 +526,7 @@ class TestProductTable:
     fiber product on the row and column fiber vectors."""
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (2, 2)])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (2, 2)])
     def test_every_product_matches_fiber_product(self, factors, sign):
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         table = alg.product
@@ -505,9 +546,37 @@ class TestProductTable:
                             expected[k] = expected.get(k, 0) + cp * cq.conjugate()
                 got = from_arrays.get((i, j), {})
                 assert got.keys() == expected.keys(), (ui, uj)
-                for k, c in expected.items():
-                    assert got[k] == pytest.approx(c, abs=1e-14)
+                # bit for bit, signed zeros included
+                assert np.array(list(got.values())).tobytes() == np.array(
+                    [expected[k] for k in got]
+                ).tobytes(), (ui, uj)
                 assert dict(alg.unit_product(i, j)) == got
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (2, 2)])
+    def test_unit_maps_match_fiber_maps(self, factors, sign):
+        """Every involution and antipode entry against the per-unit image
+        under ``_fiber_map``: psi on the first leg, phi on the second."""
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        for m, antipode in ((alg._star_map, False), (alg._antipode_map, True)):
+            ks, cs = [], []
+            for u in alg.units:
+                first, second = (u.col, u.row) if antipode else (u.row, u.col)
+                cr, br, sr = alg._fiber_map(u.block, first, second_leg=False)
+                cc, bc, sc = alg._fiber_map(u.block, second, second_leg=True)
+                assert br == bc
+                ks.append(alg.unit_pos[BasisUnit(br, sr, sc)])
+                cs.append(cr * cc)
+            assert m.k.tolist() == ks
+            assert m.c.tobytes() == np.array(cs, dtype=complex).tobytes()
+            assert m.pairs == list(zip(ks, cs))
+
+    def test_order_16_entries(self):
+        table = TYAlgebra(FiniteAbelianGroup((2, 2, 2, 2)), tau_sign=-1).product
+        dim = 16 * 17**2 + 4 * 16**2
+        keys = (table.i * dim + table.j) * dim + table.k
+        assert np.all(np.diff(keys) > 0)
+        assert len(table.c) == 123_136
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_joined_residuals_match_brute_force(self, sign):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -129,6 +130,59 @@ class TestWhaCommands:
                     for k, c in table.get((i, j), ()):
                         redone[k] = redone.get(k, 0) + ca * cb * c
             assert distance(SparseVec(redone), alg.multiply(a, b)) < 1e-9
+
+
+# sha256 of `wha export --group G --tau T --json PATH` (default tolerance),
+# recorded before the product and unit maps were built as array joins: the
+# structure constants must stay bit for bit the same, signed zeros included
+EXPORT_SHA256 = {
+    ("1", "+"): "4d173bdeff4c76be6beee1acb128df6098c23639fe07f2b7f788fc9b447431d3",
+    ("1", "-"): "28796b5dcc37599bbb28fad4367fa6e38e00f6bca1f9a2b94bc42ea0a61cede7",
+    ("2", "+"): "ef364607fb7c6f2522e4bac9ff47b32129322a0a83f995430910385372e88eb2",
+    ("2", "-"): "0d34387734da28818faf54bd6e3296acd54ba1d23439b27ab3cf87488a90bfa6",
+    ("3", "+"): "95f26789236679d81e76e147f0768a8bf1e9ccb17c8442866c20a03c580b15c2",
+    ("3", "-"): "7db0b64c5b0c199813c39114457765cace71212bf15aff0c376c781671bf34a1",
+    ("4", "+"): "01a8745a2020fa084adc4b88600d0121c20c8998212f317d494ba4996bee24cf",
+    ("4", "-"): "9880c73dae99e6f5f3831f5a606baf3923db1bde5df8142993f47a58e752688c",
+    ("2,2", "+"): "16cdbf9b8dd5890834a85dd767b364d4b7f171efa23ff9ee043ed54370a09e32",
+    ("2,2", "-"): "2f125382d00eee9ac6e50ddb13ba2b730ab902341cb56afca80569be4defd7b8",
+    ("5", "+"): "23a743be2238f7783d0d27b5fd2e9fbdd59fdebc53421cb68fadbc0876949e0e",
+    ("5", "-"): "6f7807067cceb2caa0e06f57283c883d526c0732329a7aa2db3dc26515088b22",
+    ("6", "+"): "3a089c055e14584bcf7fa971f8370be91d091d24fe4a85351f2cef623f1c7297",
+    ("6", "-"): "f24282554d97f8c70aecc8a1397f4921102fc9f267f6118814a5efe984997bbc",
+}
+
+
+class TestExportPins:
+    @pytest.mark.parametrize("group,tau", sorted(EXPORT_SHA256))
+    def test_export_bytes_pinned(self, group, tau, tmp_path):
+        out = tmp_path / "wha.json"
+        assert run(["wha", "export", "--group", group, "--tau", tau, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[(group, tau)]
+
+    def test_export_without_json_exits_2(self, capsys):
+        assert run(["wha", "export", "--group", "2"]) == 2
+        assert "--json" in capsys.readouterr().err
+
+
+class TestReportFiles:
+    def test_rewritten_report_has_identical_bytes(self, tmp_path):
+        out = tmp_path / "wha.json"
+        assert run(["wha", "export", "--group", "3", "--json", str(out)]) == 0
+        first = out.read_bytes()
+        out.write_text("stale and longer than nothing")
+        assert run(["wha", "export", "--group", "3", "--json", str(out)]) == 0
+        assert out.read_bytes() == first
+        assert run(["wha", "export", "--group", "3", "--json", str(out)]) == 0
+        assert out.read_bytes() == first
+
+    def test_report_through_symlink_writes_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert run(["wha", "verify", "--group", "1", "--json", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["passed"] is True
 
 
 class TestCoidealCommand:
