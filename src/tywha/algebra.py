@@ -349,11 +349,9 @@ class Layout:
     starts: np.ndarray  # first unit of each block
     sizes: np.ndarray  # slots in each block
     block: np.ndarray  # the block of each unit
-    offset: np.ndarray  # first unit of the unit's block
-    size: np.ndarray  # slots in the unit's block
     row: np.ndarray
     col: np.ndarray
-    zero: int  # first unit of the zero block
+    zero: int  # the zero block
 
     def unit(self, block, row, col):
         return self.starts[block] + row * self.sizes[block] + col
@@ -515,10 +513,9 @@ class TYAlgebra:
         sizes = np.array([len(self._slots[b]) for b in self.blocks], dtype=np.int64)
         starts = np.cumsum(sizes**2) - sizes**2
         block = np.repeat(np.arange(len(sizes)), sizes**2)
-        size, offset = sizes[block], starts[block]
-        row, col = np.divmod(np.arange(self.dim) - offset, size)
+        row, col = np.divmod(np.arange(self.dim) - starts[block], sizes[block])
         zero = self.blocks.index(BlockLabel.grp(self.group.zero()))
-        return Layout(starts, sizes, block, offset, size, row, col, int(starts[zero]))
+        return Layout(starts, sizes, block, row, col, zero)
 
     def _fiber_table(self) -> tuple[np.ndarray, ...]:
         """``_circ_basis`` on every pair of basis vectors as arrays (x, a, y,
@@ -568,11 +565,12 @@ class TYAlgebra:
     def _coproduct_table(self) -> CoproductTable:
         """Delta(x; r, c) = sum_s (x; r, s) (x) (x; s, c)."""
         lay = self._layout
-        src = np.repeat(np.arange(self.dim), lay.size)
-        ptr = np.concatenate([[0], np.cumsum(lay.size)])
-        s = np.arange(len(src)) - ptr[src]
-        first = lay.offset[src] + lay.row[src] * lay.size[src] + s
-        second = lay.offset[src] + s * lay.size[src] + lay.col[src]
+        size = lay.sizes[lay.block]
+        src = np.repeat(np.arange(self.dim), size)
+        ptr = np.concatenate([[0], np.cumsum(size)])
+        s, b = np.arange(len(src)) - ptr[src], lay.block[src]
+        first = lay.unit(b, lay.row[src], s)
+        second = lay.unit(b, s, lay.col[src])
         return CoproductTable(ptr, src, first, second)
 
     def _unit_map(self, antipode: bool) -> UnitMap:
@@ -622,7 +620,8 @@ class TYAlgebra:
         eps_s(u_i) is the sum over e of w_e sum_r (0; r, e) with
         w_e = sum_c eps(u_i (0; e, c))."""
         lay, P = self._layout, self._pairing
-        in_zero, size = lay.offset == lay.zero, int(lay.size[lay.zero])
+        in_zero, size = lay.block == lay.zero, int(lay.sizes[lay.zero])
+        zero_units = lay.unit(lay.zero, *np.indices((size, size))).tolist()
         if source:
             hit = in_zero[P.j]
             unit, e = P.i[hit], lay.row[P.j[hit]]
@@ -638,7 +637,7 @@ class TYAlgebra:
                 if abs(we) > ROUNDOFF:
                     for other in range(size):
                         r, c = (other, e_idx) if source else (e_idx, other)
-                        vec[lay.zero + r * size + c] = we
+                        vec[zero_units[r][c]] = we
             out.append(SparseVec(vec))
         return out
 
@@ -671,10 +670,12 @@ class TYAlgebra:
         return SparseVec(out).prune(ROUNDOFF)
 
     def unit(self) -> SparseVec:
-        if self._unit_element is None:  # every unit of the zero block
-            lay = self._layout
-            zero = range(lay.zero, lay.zero + int(lay.size[lay.zero]) ** 2)
-            self._unit_element = SparseVec(dict.fromkeys(zero, 1.0 + 0j))
+        if self._unit_element is None:
+            zero_block = self.blocks[self.group.elements().index(self.group.zero())]
+            slots = self._slots[zero_block]
+            self._unit_element = SparseVec(
+                {self.unit_pos[BasisUnit(zero_block, r, c)]: 1.0 + 0j for r in slots for c in slots}
+            )
         return self._unit_element
 
     def coproduct(self, a: SparseVec) -> SparseVec:
@@ -861,13 +862,18 @@ class TYAlgebra:
                     rhs = rhs + self.tensor(U[i][k], U[k][j])
                 res_cop = max(res_cop, distance(lhs, rhs))
 
-        res_eps = max([0.0, *(
-            abs(self.counit(U[i][j]) - (1.0 if i == j else 0.0)) for i in range(n) for j in range(n)
-        )])
+        res_eps = 0.0
+        for i in range(n):
+            for j in range(n):
+                val = self.counit(U[i][j])
+                res_eps = max(res_eps, abs(val - (1.0 if i == j else 0.0)))
 
         Ustar = [[self.star(U[j][i]) for j in range(n)] for i in range(n)]
         P = self._mat_mult(self._mat_mult(U, Ustar), U)
-        res_iso = max([0.0, *(distance(P[i][j], U[i][j]) for i in range(n) for j in range(n))])
+        res_iso = 0.0
+        for i in range(n):
+            for j in range(n):
+                res_iso = max(res_iso, distance(P[i][j], U[i][j]))
 
         name = f"corepresentation[{block}]"
         cov = {"instances_checked": n * n, "instances_total": n * n}
@@ -959,7 +965,7 @@ class TYAlgebra:
         i, i1, i2 = first[s], D.first[q], D.second[q]
         s, e1 = T.of_left(i1)
         i, i2, j1 = i[s], i2[s], T.j[e1]
-        meet = lay.offset[j1] + lay.col[j1] * lay.size[j1]
+        meet = lay.unit(lay.block, lay.col, 0)[j1]
         s, e2 = _join(i2 * d + meet, T.i * d + T.j - lay.col[T.j])
         j = j1[s] - lay.col[j1[s]] + lay.col[T.j[e2]]
         rhs = (
@@ -1036,9 +1042,9 @@ class TYAlgebra:
         and i = (x; r, c), so the terms of the coproduct table must be those
         (i, a, b)."""
         d, D, lay = self.dim, self._coproduct_table, self._layout
-        start = lay.offset + lay.row * lay.size  # the unit (x; r, 0)
-        i, a = _ranges(start, start + lay.size)
-        b = lay.offset[i] + (a - start[i]) * lay.size[i] + lay.col[i]
+        start = lay.unit(lay.block, lay.row, 0)  # the unit (x; r, 0)
+        i, a = _ranges(start, start + lay.sizes[lay.block])
+        b = lay.unit(lay.block[i], a - start[i], lay.col[i])
         lhs = ((i * d + a) * d + b, np.ones(len(i)))
         rhs = ((D.src * d + D.first) * d + D.second, np.ones(len(D.src)))
         r, key = _worst(lhs, rhs)
@@ -1175,23 +1181,38 @@ class TYAlgebra:
 
         # counital subalgebras
         target, source = self.counital_subalgebras()
-        for side, space in (("target", target), ("source", source)):
-            label = f"dim B_{side[0]} = {space.dim}"
-            add(f"{side} subalgebra dimension", float(abs(space.dim - (n + 1))), label)
+        add(
+            "target subalgebra dimension",
+            float(abs(target.dim - (n + 1))),
+            f"dim B_t = {target.dim}",
+        )
+        add(
+            "source subalgebra dimension",
+            float(abs(source.dim - (n + 1))),
+            f"dim B_s = {source.dim}",
+        )
         meet = target.intersect(source)
         add("biconnectedness", float(abs(meet.dim - 1)), f"dim B_t & B_s = {meet.dim}")
 
-        tvecs, svecs = target.basis_vectors(), source.basis_vectors()
-        worst = max([0.0, *(
-            distance(self.multiply(tv, sv), self.multiply(sv, tv)) for tv in tvecs for sv in svecs
-        )])
+        worst = 0.0
+        tvecs = target.basis_vectors()
+        svecs = source.basis_vectors()
+        for tv in tvecs:
+            for sv in svecs:
+                worst = max(
+                    worst, distance(self.multiply(tv, sv), self.multiply(sv, tv))
+                )
         npairs = len(tvecs) * len(svecs)
         add("counital subalgebras commute", worst, checked=npairs, total=npairs)
 
         # regularity: S^2 restricted to the target subalgebra
-        worst = max([0.0, *(distance(self.antipode(self.antipode(tv)), tv) for tv in tvecs)])
-        ntarget = len(tvecs)
-        add("antipode squared fixes target subalgebra", worst, checked=ntarget, total=ntarget)
+        worst = 0.0
+        for tv in tvecs:
+            worst = max(worst, distance(self.antipode(self.antipode(tv)), tv))
+        add(
+            "antipode squared fixes target subalgebra", worst,
+            checked=len(tvecs), total=len(tvecs),
+        )
 
         # the zero fiber is a commutative *-algebra of orthogonal projections
         zero_block = BlockLabel.grp(self.group.zero())
@@ -1233,13 +1254,26 @@ class TYAlgebra:
 
     def export_data(self) -> dict:
         """Structure constants in the versioned interchange format."""
-
-        def table(*cols) -> list[list]:
-            return [list(row) for row in zip(*(col.tolist() for col in cols))]
-
-        T, D, S, star = self.product, self._coproduct_table, self._antipode_map, self._star_map
-        units, ones = np.arange(self.dim), np.ones(len(D.src))
-        diag = units[self._layout.diag]
+        basis = [
+            {"index": i, "block": str(u.block), "row": str(u.row), "col": str(u.col)}
+            for i, u in enumerate(self.units)
+        ]
+        T = self.product
+        product = [
+            list(row)
+            for row in zip(
+                T.i.tolist(), T.j.tolist(), T.k.tolist(), T.c.real.tolist(), T.c.imag.tolist()
+            )
+        ]
+        coproduct = [
+            [i, a, b, 1.0, 0.0] for i, pairs in enumerate(self._coproduct_table.pairs) for a, b in pairs
+        ]
+        counit = []
+        for i, u in enumerate(self.units):
+            if u.row == u.col:
+                counit.append([i, 1.0, 0.0])
+        antipode = [[i, k, c.real, c.imag] for i, (k, c) in enumerate(self._antipode_map.pairs)]
+        star = [[i, k, c.real, c.imag] for i, (k, c) in enumerate(self._star_map.pairs)]
         return {
             "format": "ty-wha/1",
             "group": list(self.group.factors),
@@ -1247,14 +1281,11 @@ class TYAlgebra:
             "tau_sign": self.tau_sign,
             "tolerance": self.eps,
             "dim": self.dim,
-            "basis": [
-                {"index": i, "block": str(u.block), "row": str(u.row), "col": str(u.col)}
-                for i, u in enumerate(self.units)
-            ],
+            "basis": basis,
             "unit": [[i, c.real, c.imag] for i, c in sorted(self.unit().items())],
-            "product": table(T.i, T.j, T.k, T.c.real, T.c.imag),
-            "coproduct": table(D.src, D.first, D.second, ones, 0 * ones),
-            "counit": table(diag, ones[diag], 0 * ones[diag]),
-            "antipode": table(units, S.k, S.c.real, S.c.imag),
-            "star": table(units, star.k, star.c.real, star.c.imag),
+            "product": product,
+            "coproduct": coproduct,
+            "counit": counit,
+            "antipode": antipode,
+            "star": star,
         }

@@ -86,11 +86,6 @@ def _tau_sign(flag: str) -> int:
 def _write_json(path: str | None, payload: dict) -> None:
     if not path:  # no --json given
         return
-    # truncating a file that was just written can cost more than writing it
-    # anew, so an existing regular file (not a symlink or device) goes first
-    target = Path(path)
-    if target.is_file() and not target.is_symlink():
-        target.unlink()
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -126,10 +121,15 @@ def cmd_group_describe(args) -> int:
             }
         )
     print("\n".join(lines))
-    _write_json(args.json, {
-        "schema": "tywha-group/1", "group": list(group.factors),
-        "bicharacter": chi.to_json(), "subgroups": payload,
-    })
+    _write_json(
+        args.json,
+        {
+            "schema": "tywha-group/1",
+            "group": list(group.factors),
+            "bicharacter": chi.to_json(),
+            "subgroups": payload,
+        },
+    )
     return 0
 
 

@@ -444,7 +444,7 @@ def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
     # Delta(a) = sum_j w_j (x) u_j lies in A (x) B iff every w_j lies in A
     C = alg._coproduct_table
     bad = []
-    for lo, hi in A.blocks(int(alg._layout.size.max())):
+    for lo, hi in A.blocks(int(alg._layout.sizes.max())):
         terms = A.rows(lo, hi)
         t, p = _runs(C.ptr, A.unit[terms])
         t += terms.start

@@ -176,6 +176,17 @@ class TestReportFiles:
         assert run(["wha", "export", "--group", "3", "--json", str(out)]) == 0
         assert out.read_bytes() == first
 
+    def test_rewritten_report_keeps_file_and_links(self, tmp_path):
+        out, link = tmp_path / "wha.json", tmp_path / "hard.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        link.hardlink_to(out)
+        inode = out.stat().st_ino
+        assert run(["wha", "export", "--group", "2", "--json", str(out)]) == 0
+        assert out.stat().st_ino == inode
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert link.read_bytes() == out.read_bytes() != b"old"
+
     def test_report_through_symlink_writes_target(self, tmp_path):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_text("old")
