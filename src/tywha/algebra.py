@@ -18,7 +18,7 @@ Everything is verified numerically by :meth:`TYAlgebra.verify_axioms`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import pi, sqrt
 from cmath import exp as cexp
 
@@ -129,16 +129,19 @@ class TYData:
 @dataclass
 class AxiomCheck:
     """One identity's verdict: the worst residual, where it occurs, and how
-    many of the identity's instances were checked.  Every check covers all
-    of its instances, so ``mode`` is always "exhaustive"."""
+    many instances the identity has.  Every check covers all of its
+    instances, so ``mode`` is always "exhaustive"."""
 
     name: str
     residual: float
     passed: bool
     witness: str = ""
-    instances_checked: int = 1
     instances_total: int = 1
     mode = "exhaustive"
+
+    @property
+    def instances_checked(self) -> int:
+        return self.instances_total
 
     def coverage(self) -> str:
         return f"{self.mode} {self.instances_total:,}"
@@ -199,6 +202,21 @@ class HaarFunctional:
         return complex(sum(c * self.coeffs[i] for i, c in a.items()))
 
 
+def _dim_check(label: str, got: int, expected: int) -> tuple[float, str]:
+    """How far a dimension is off, with the dimension found as witness."""
+    return float(abs(got - expected)), f"{label} = {got}"
+
+
+def _sup(distances) -> tuple[float, str]:
+    """The largest of some distances, 0 for none."""
+    return float(max(distances, default=0.0)), ""
+
+
+def _pick(per_block, x: int) -> tuple[float, str]:
+    """Block x's residual from an evaluator of every block's."""
+    return float(per_block()[x]), ""
+
+
 # -- sparse joins over index arrays ---------------------------------------------
 
 
@@ -223,19 +241,32 @@ def _join(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _worst(lhs: tuple, rhs: tuple) -> tuple[float, int]:
-    """Largest |LHS - RHS| over the keys of two sparse sums given as
-    (keys, values), and the key where it occurs (0 when both are empty)."""
-    keys = np.concatenate([lhs[0], rhs[0]])
+def _sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of ``vals`` on each key, as (sorted keys, sums)."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    vals = vals.astype(complex)
+    total = np.bincount(inv, vals.real, len(uniq)) + 1j * np.bincount(inv, vals.imag, len(uniq))
+    return uniq, total
+
+
+def _diff(lhs: tuple, rhs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """|LHS - RHS| on every key of two sparse sums given as (keys, values),
+    as (sorted keys, differences)."""
+    keys, sums = _sums(np.concatenate([lhs[0], rhs[0]]), np.concatenate([lhs[1], -rhs[1]]))
+    return keys, np.abs(sums)
+
+
+def _peak(keys: np.ndarray, diff: np.ndarray) -> tuple[float, int]:
+    """The largest difference and its key (0 when there are none)."""
     if not len(keys):
         return 0.0, 0
-    vals = np.concatenate([lhs[1], -rhs[1]]).astype(complex)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    diff = np.abs(
-        np.bincount(inv, vals.real, len(uniq)) + 1j * np.bincount(inv, vals.imag, len(uniq))
-    )
     at = int(np.argmax(diff))
-    return float(diff[at]), int(uniq[at])
+    return float(diff[at]), int(keys[at])
+
+
+def _worst(lhs: tuple, rhs: tuple) -> tuple[float, int]:
+    """Largest |LHS - RHS| over the keys of two sparse sums, and its key."""
+    return _peak(*_diff(lhs, rhs))
 
 
 def _terms(vectors: list[SparseVec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -829,60 +860,6 @@ class TYAlgebra:
             worst = max(worst, np.abs(block - adjoint).max(), sigma - low)
         return float(worst)
 
-    # -- corepresentations ---------------------------------------------------------
-
-    def corep_matrix(self, block: BlockLabel) -> list[list[SparseVec]]:
-        """The canonical corepresentation matrix of a block: entry (i, j) is
-        the basis unit (block; i, j)."""
-        slots = self._slots[block]
-        return [[self.basis_element(block, r, c) for c in slots] for r in slots]
-
-    def _mat_mult(self, A: list[list[SparseVec]], B: list[list[SparseVec]]) -> list[list[SparseVec]]:
-        n = len(A)
-        out = [[SparseVec() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = SparseVec()
-                for k in range(n):
-                    acc = acc + self.multiply(A[i][k], B[k][j])
-                out[i][j] = acc.prune(ROUNDOFF)
-        return out
-
-    def verify_corepresentation(self, block: BlockLabel) -> list[AxiomCheck]:
-        slots = self._slots[block]
-        n = len(slots)
-        U = self.corep_matrix(block)
-
-        res_cop = 0.0
-        for i in range(n):
-            for j in range(n):
-                lhs = self.coproduct(U[i][j])
-                rhs = SparseVec()
-                for k in range(n):
-                    rhs = rhs + self.tensor(U[i][k], U[k][j])
-                res_cop = max(res_cop, distance(lhs, rhs))
-
-        res_eps = 0.0
-        for i in range(n):
-            for j in range(n):
-                val = self.counit(U[i][j])
-                res_eps = max(res_eps, abs(val - (1.0 if i == j else 0.0)))
-
-        Ustar = [[self.star(U[j][i]) for j in range(n)] for i in range(n)]
-        P = self._mat_mult(self._mat_mult(U, Ustar), U)
-        res_iso = 0.0
-        for i in range(n):
-            for j in range(n):
-                res_iso = max(res_iso, distance(P[i][j], U[i][j]))
-
-        name = f"corepresentation[{block}]"
-        cov = {"instances_checked": n * n, "instances_total": n * n}
-        return [
-            AxiomCheck(f"{name} comultiplication", res_cop, res_cop <= self.eps, **cov),
-            AxiomCheck(f"{name} counit", res_eps, res_eps <= self.eps, **cov),
-            AxiomCheck(f"{name} partial isometry", res_iso, res_iso <= self.eps, **cov),
-        ]
-
     # -- center ------------------------------------------------------------------
 
     def center(self) -> Subspace:
@@ -1035,20 +1012,59 @@ class TYAlgebra:
         r, key = _worst(lhs, rhs)
         return r, (key // d**3,)
 
-    def _dual_product(self) -> tuple[float, tuple]:
+    def _dual_product(self) -> tuple[np.ndarray, np.ndarray]:
         """(phi psi)(u_i) = sum phi(u_i1) psi(u_i2) over Delta(u_i), for the
         block-matrix product of functionals, on the dual basis: delta_a
         delta_b pairs to 1 with u_i exactly when a = (x; r, t), b = (x; t, c)
         and i = (x; r, c), so the terms of the coproduct table must be those
-        (i, a, b)."""
+        (i, a, b).  Read per unit i, this is Delta(U_rc) = sum_t U_rt (x) U_tc
+        for the corepresentation U of each block, whose entry (r, c) is the
+        unit (x; r, c).  Returns the keys (i, a, b) and |LHS - RHS| on each."""
         d, D, lay = self.dim, self._coproduct_table, self._layout
         start = lay.unit(lay.block, lay.row, 0)  # the unit (x; r, 0)
         i, a = _ranges(start, start + lay.sizes[lay.block])
         b = lay.unit(lay.block[i], a - start[i], lay.col[i])
         lhs = ((i * d + a) * d + b, np.ones(len(i)))
         rhs = ((D.src * d + D.first) * d + D.second, np.ones(len(D.src)))
-        r, key = _worst(lhs, rhs)
-        return r, np.unravel_index(key, (d, d, d))
+        return _diff(lhs, rhs)
+
+    # -- corepresentation identities, one residual per block ---------------------
+
+    def _per_block(self, units: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        """The largest of ``diff`` over the entries of each block, keyed by unit."""
+        out = np.zeros(len(self.blocks))
+        np.maximum.at(out, self._layout.block[units], diff)
+        return out
+
+    def _corep_counit(self) -> np.ndarray:
+        """eps(U_rc) = delta_rc.  True by construction: the counit is read
+        from ``Layout.diag``, which is row == col."""
+        lay = self._layout
+        return self._per_block(np.arange(self.dim), np.abs(lay.diag - 1.0 * (lay.row == lay.col)))
+
+    def _partial_isometry(self) -> np.ndarray:
+        """U U* U = U, with (U*)_ts = (U_st)*: (U U* U)_rc = sum_s M_rs (x; s, c)
+        with M_rs = sum_t (x; r, t) (x; s, t)*.  One block at a time, the
+        first join forms every M_rs and the second multiplies it by every
+        (x; s, c)."""
+        d, T, star, lay = self.dim, self.product, self._star_map, self._layout
+        pairs = T.i * d + T.j
+        out = np.zeros(len(self.blocks))
+        for x, n in enumerate(lay.sizes.tolist()):
+            # M_rs as sums keyed (r, s, output unit)
+            r, s, t = (w.ravel() for w in np.indices((n, n, n)))
+            b = lay.unit(x, s, t)
+            p, e = _join(lay.unit(x, r, t) * d + star.k[b], pairs)
+            keys, m = _sums((r[p] * n + s[p]) * d + T.k[e], star.c[b[p]] * T.c[e])
+            # each term g of M_rs times every (x; s, c), keyed (r, c, output unit)
+            g, c = np.divmod(np.arange(len(keys) * n), n)
+            rs, q = np.divmod(keys[g], d)
+            r, s = np.divmod(rs, n)
+            p, e = _join(q * d + lay.unit(x, s, c), pairs)
+            lhs = ((r[p] * n + c[p]) * d + T.k[e], m[g[p]] * T.c[e])
+            rc = np.arange(n * n)  # U_rc is the unit starts[x] + rc
+            out[x] = _worst(lhs, (rc * d + lay.starts[x] + rc, np.ones(n * n)))[0]
+        return out
 
     def _counit_law(self) -> tuple[float, tuple]:
         """(eps (x) id) Delta(u_i) = u_i = (id (x) eps) Delta(u_i)."""
@@ -1104,7 +1120,17 @@ class TYAlgebra:
         lhs = ((a[s] * d + T.k[e]) * d + b[q], c[s] * c[q] * T.c[e])
         s, q = _runs(D.ptr, a)
         rhs = ((D.first[q] * d + D.second[q]) * d + b[s], c[s])
-        return _worst(lhs, rhs)[0]
+        return _worst(lhs, rhs)[0], ""
+
+    def _zero_fiber_projections(self) -> tuple[float, str]:
+        """The zero fiber is a commutative *-algebra of orthogonal projections."""
+        zero = BlockLabel.grp(self.group.zero())
+        basis = [(s, self.fiber_basis(zero, s)) for s in self._slots[zero]]
+        return _sup([
+            *(distance(self.sharp(v), v) for _, v in basis),
+            *(distance(self.circ(v, w), v if s == t else SparseVec())
+              for s, v in basis for t, w in basis),
+        ])
 
     # -- the verification suite ---------------------------------------------------
 
@@ -1112,142 +1138,104 @@ class TYAlgebra:
         """Run every defining identity of the structure at tolerance eps,
         each on all of its instances.
 
+        The suite is one table of rows (name, instances, evaluator), run in
+        order.  An evaluator returns the worst residual and a witness: text,
+        or the units of the worst instance, named when the residual is
+        positive.  A StructuralError fails its row and ends the suite, since
+        the rows after "haar system solvable" need its solution.
+
         The identities of the product, coproduct, counit, antipode and star
         are sparse joins over the structure-constant arrays.  Pair- and
         triple-indexed ones (associativity, coproduct multiplicativity,
         antipode and star anti-multiplicativity, the weak counit identity)
         take their first factors in blocks of FIRST_FACTOR_BLOCK units.  The
-        dual pairing is checked on every triple of dual basis functionals
-        and units, and Haar positivity over the Gram matrix h(u_i* u_j) of
-        all dim^2 pairs.  Each check reports how many instances it covered."""
-        eps = self.eps
-        dim = self.dim
-        n = self.group.order
-        report = AxiomReport(label=f"{self.group} tau{'+' if self.tau_sign > 0 else '-'}", eps=eps)
-        checks = report.checks
-
-        def add(name: str, residual: float, witness: str = "", checked=1, total=1):
-            checks.append(AxiomCheck(name, residual, residual <= eps, witness, checked, total))
-
-        def names(indices: tuple) -> str:
-            return "".join(f"({self.units[i]})" for i in indices)
-
-        def add_joined(name: str, result: tuple[float, tuple], cov: dict):
-            r, where = result
-            add(name, r, names(where) if r > 0 else "", **cov)
-
-        pair_cov = {"checked": dim**2, "total": dim**2}
-        triple_cov = {"checked": dim**3, "total": dim**3}
-        unit_cov = {"checked": dim, "total": dim}
-
-        # dimension of B
-        expected_dim = n * (n + 1) ** 2 + 4 * n * n
-        add("dimension of B", float(abs(dim - expected_dim)), f"dim B = {dim}")
-
-        add_joined("product associativity", self._blocked(self._associativity), triple_cov)
-        add_joined("unit law", self._unit_law(), unit_cov)
-        add_joined(
-            "coproduct multiplicative", self._blocked(self._coproduct_multiplicative), pair_cov
-        )
-
-        star, antipode = self._star_map, self._antipode_map
-        add_joined("coproduct star compatible", self._comultiplicative(star, False), unit_cov)
-        add_joined("coassociativity", self._blocked(self._coassociativity), unit_cov)
-        add_joined("counit law", self._counit_law(), unit_cov)
-        add("weak unit identity", self._weak_unit())
-        add_joined("weak counit identity", self._blocked(self._weak_counit), triple_cov)
-        add_joined("antipode identity (target)", self._antipode_identity(False), unit_cov)
-        add_joined("antipode identity (source)", self._antipode_identity(True), unit_cov)
-        add_joined(
-            "antipode anti-multiplicative",
-            self._blocked(partial(self._anti_multiplicative, m=antipode, conjugate=False)),
-            pair_cov,
-        )
-        add_joined(
-            "antipode anti-comultiplicative", self._comultiplicative(antipode, True), unit_cov
-        )
-        add_joined("star involutive", self._period_two(star.k, star.c), unit_cov)
-        add_joined(
-            "star anti-multiplicative",
-            self._blocked(partial(self._anti_multiplicative, m=star, conjugate=True)),
-            pair_cov,
-        )
-        # (S o *)^2 = id; like *, S o * is conjugate-linear
-        add_joined(
-            "star-antipode period two",
-            self._period_two(antipode.k[star.k], star.c * antipode.c[star.k]),
-            unit_cov,
-        )
-
-        # counital subalgebras
+        corepresentation identities are joins over the block layout; their
+        comultiplication shares one join with the dual pairing, which covers
+        every triple of dual basis functionals and units.  Haar positivity
+        covers the Gram matrix h(u_i* u_j) of all dim^2 pairs."""
+        d, n, eps, sizes = self.dim, self.group.order, self.eps, self._layout.sizes.tolist()
+        star, antipode, blocked = self._star_map, self._antipode_map, self._blocked
         target, source = self.counital_subalgebras()
-        add(
-            "target subalgebra dimension",
-            float(abs(target.dim - (n + 1))),
-            f"dim B_t = {target.dim}",
-        )
-        add(
-            "source subalgebra dimension",
-            float(abs(source.dim - (n + 1))),
-            f"dim B_s = {source.dim}",
-        )
-        meet = target.intersect(source)
-        add("biconnectedness", float(abs(meet.dim - 1)), f"dim B_t & B_s = {meet.dim}")
+        tvecs, svecs = target.basis_vectors(), source.basis_vectors()
+        dual, haar = cache(self._dual_product), cache(self.haar)
+        corep = {
+            "comultiplication": cache(lambda: self._per_block(dual()[0] // d**2, dual()[1])),
+            "counit": cache(self._corep_counit),
+            "partial isometry": cache(self._partial_isometry),
+        }
 
-        worst = 0.0
-        tvecs = target.basis_vectors()
-        svecs = source.basis_vectors()
-        for tv in tvecs:
-            for sv in svecs:
-                worst = max(
-                    worst, distance(self.multiply(tv, sv), self.multiply(sv, tv))
-                )
-        npairs = len(tvecs) * len(svecs)
-        add("counital subalgebras commute", worst, checked=npairs, total=npairs)
+        def dual_pairing():
+            r, key = _peak(*dual())
+            return r, np.unravel_index(key, (d, d, d))
 
-        # regularity: S^2 restricted to the target subalgebra
-        worst = 0.0
-        for tv in tvecs:
-            worst = max(worst, distance(self.antipode(self.antipode(tv)), tv))
-        add(
-            "antipode squared fixes target subalgebra", worst,
-            checked=len(tvecs), total=len(tvecs),
-        )
-
-        # the zero fiber is a commutative *-algebra of orthogonal projections
-        zero_block = BlockLabel.grp(self.group.zero())
-        worst = 0.0
-        for s in self._slots[zero_block]:
-            vs = self.fiber_basis(zero_block, s)
-            worst = max(worst, distance(self.sharp(vs), vs))
-            for t in self._slots[zero_block]:
-                vt = self.fiber_basis(zero_block, t)
-                prod = self.circ(vs, vt)
-                expected = vs if s == t else SparseVec()
-                worst = max(worst, distance(prod, expected))
-        nslots = len(self._slots[zero_block]) ** 2
-        add("zero fiber projections", worst, checked=nslots, total=nslots)
-
-        # center dimension (the C*-block structure)
-        zb = self.center()
-        add("center dimension", float(abs(zb.dim - (n + 1))), f"dim Z(B) = {zb.dim}")
-
-        # corepresentations
-        for block in self.blocks:
-            checks.extend(self.verify_corepresentation(block))
-
-        add_joined("dual pairing multiplicative", self._dual_product(), triple_cov)
-
-        # Haar functional
-        try:
-            h = self.haar()
-            add("haar system solvable", h.residual)
-            worst = np.abs(antipode.c * h.coeffs[antipode.k] - h.coeffs).max()
-            add("haar antipode invariant", float(worst), **unit_cov)
-            add("haar positive", self._haar_positive(h.coeffs), checked=dim**2, total=dim**2)
-        except StructuralError as exc:
-            checks.append(AxiomCheck("haar system solvable", float("inf"), False, str(exc)))
-
+        rows = [
+            ("dimension of B", 1, partial(_dim_check, "dim B", d, n * (n + 1) ** 2 + 4 * n * n)),
+            ("product associativity", d**3, partial(blocked, self._associativity)),
+            ("unit law", d, self._unit_law),
+            ("coproduct multiplicative", d**2, partial(blocked, self._coproduct_multiplicative)),
+            ("coproduct star compatible", d, partial(self._comultiplicative, star, False)),
+            ("coassociativity", d, partial(blocked, self._coassociativity)),
+            ("counit law", d, self._counit_law),
+            ("weak unit identity", 1, self._weak_unit),
+            ("weak counit identity", d**3, partial(blocked, self._weak_counit)),
+            ("antipode identity (target)", d, partial(self._antipode_identity, False)),
+            ("antipode identity (source)", d, partial(self._antipode_identity, True)),
+            (
+                "antipode anti-multiplicative", d**2,
+                partial(blocked, partial(self._anti_multiplicative, m=antipode, conjugate=False)),
+            ),
+            ("antipode anti-comultiplicative", d, partial(self._comultiplicative, antipode, True)),
+            ("star involutive", d, partial(self._period_two, star.k, star.c)),
+            (
+                "star anti-multiplicative", d**2,
+                partial(blocked, partial(self._anti_multiplicative, m=star, conjugate=True)),
+            ),
+            # (S o *)^2 = id; like *, S o * is conjugate-linear
+            (
+                "star-antipode period two", d,
+                partial(self._period_two, antipode.k[star.k], star.c * antipode.c[star.k]),
+            ),
+            ("target subalgebra dimension", 1, partial(_dim_check, "dim B_t", target.dim, n + 1)),
+            ("source subalgebra dimension", 1, partial(_dim_check, "dim B_s", source.dim, n + 1)),
+            (
+                "biconnectedness", 1,
+                lambda: _dim_check("dim B_t & B_s", target.intersect(source).dim, 1),
+            ),
+            (
+                "counital subalgebras commute", len(tvecs) * len(svecs),
+                lambda: _sup(
+                    distance(self.multiply(t, s), self.multiply(s, t)) for t in tvecs for s in svecs
+                ),
+            ),
+            (  # regularity: S^2 restricted to the target subalgebra
+                "antipode squared fixes target subalgebra", len(tvecs),
+                lambda: _sup(distance(self.antipode(self.antipode(t)), t) for t in tvecs),
+            ),
+            ("zero fiber projections", (n + 1) ** 2, self._zero_fiber_projections),
+            ("center dimension", 1, lambda: _dim_check("dim Z(B)", self.center().dim, n + 1)),
+            *(
+                (f"corepresentation[{label}] {name}", size**2, partial(_pick, corep[name], x))
+                for x, (label, size) in enumerate(zip(self.blocks, sizes))
+                for name in corep
+            ),
+            ("dual pairing multiplicative", d**3, dual_pairing),
+            ("haar system solvable", 1, lambda: (haar().residual, "")),
+            (
+                "haar antipode invariant", d,
+                lambda: _sup([np.abs(antipode.c * haar().coeffs[antipode.k] - haar().coeffs).max()]),
+            ),
+            ("haar positive", d**2, lambda: (self._haar_positive(haar().coeffs), "")),
+        ]
+        report = AxiomReport(label=f"{self.group} tau{'+' if self.tau_sign > 0 else '-'}", eps=eps)
+        for name, total, evaluate in rows:
+            try:
+                residual, witness = evaluate()
+            except StructuralError as exc:
+                report.checks.append(AxiomCheck(name, float("inf"), False, str(exc), total))
+                break
+            if isinstance(witness, tuple):
+                witness = "".join(f"({self.units[i]})" for i in witness) if residual > 0 else ""
+            report.checks.append(AxiomCheck(name, residual, residual <= eps, witness, total))
         return report
 
     # -- export -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,8 +95,8 @@ def _write_json(path: str | None, payload: dict) -> None:
 def _algebra(args) -> TYAlgebra:
     group = _parse_group(args.group)
     chi = _parse_bichar(group, args.bichar)
-    if args.tol <= 0:
-        raise InvariantError("tolerance must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InvariantError(f"tolerance must be finite and positive, got {args.tol}")
     return TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
 
 
@@ -196,14 +197,11 @@ def cmd_coideal_build(args) -> int:
 
 
 def cmd_classify_weak(args) -> int:
-    group = _parse_group(args.group)
-    chi = _parse_bichar(group, args.bichar)
-    report = weak_coideal_classes(group, chi)
+    alg = _algebra(args)  # checks --tol; its tables are built only if --realize uses them
+    group = alg.group
+    report = weak_coideal_classes(group, alg.bichar)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
-    alg = None
     all_ok = True
-    if args.realize:
-        alg = TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
     print(f"weak-coideal classes of {group}: {report.total} total, {report.total_coideal} coideal-containing")
     for entry, entry_dict in zip(report.per_subgroup, payload["per_subgroup"]):
         action = "translations+flip" if entry.flip else "translations"
@@ -222,7 +220,10 @@ def cmd_classify_weak(args) -> int:
                     orbit_dict["verified"] = False
                     all_ok = False
                     print(f"    realization FAILED: {exc}")
-            print(f"    realized and verified {len(entry.orbits)} representatives")
+            verified = sum(o["verified"] for o in entry_dict["orbits"])
+            total = len(entry.orbits)
+            count = verified if verified == total else f"{verified} of {total}"
+            print(f"    realized and verified {count} representatives")
     _write_json(args.json, payload)
     return 0 if all_ok else 1
 

@@ -423,7 +423,7 @@ def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
     size = A.size
 
     def add(name, worst, passed, witness, count=1):
-        checks.append(AxiomCheck(name, worst, passed, witness, count, count))
+        checks.append(AxiomCheck(name, worst, passed, witness, count))
 
     unit_ok = wc.unit.norm() > eps and wc.space.contains(wc.unit)
     add("unit exists in A", 0.0 if unit_ok else float("inf"), unit_ok,

@@ -97,15 +97,19 @@ def test_criterion_2_dimensions(algebras):
     _report_line(2, "dim B formula (34/164), dim B_t = B_s = |G|+1, biconnected, dim Z(B) = |G|+1", ok)
 
 
-def test_criterion_3_corepresentations(algebras):
+def test_criterion_3_corepresentations(algebras, axiom_runs):
     ok = True
-    for (factors, sign), alg in algebras.items():
+    for (factors, sign), (report, _) in axiom_runs.items():
+        alg, rows = algebras[(factors, sign)], {c.name: c for c in report.checks}
         for block in alg.blocks:
-            checks = alg.verify_corepresentation(block)
-            if not all(c.passed for c in checks):
-                ok = False
-                print(f"  {factors} tau={sign} block {block}: "
-                      f"{[(c.name, c.residual) for c in checks if not c.passed]}")
+            checks = [
+                rows[f"corepresentation[{block}] {identity}"]
+                for identity in ("comultiplication", "counit", "partial isometry")
+            ]
+            bad = [(c.name, c.residual) for c in checks if not c.passed or c.residual > TOL]
+            ok &= not bad and all(c.instances_total == len(alg.slots(block)) ** 2 for c in checks)
+            if bad:
+                print(f"  {factors} tau={sign} block {block}: {bad}")
     _report_line(3, "corepresentation identities for every block, residual <= 1e-9", ok)
 
 

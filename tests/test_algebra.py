@@ -356,15 +356,120 @@ class TestHaar:
         assert distance(out, z2.unit()) < 1e-9
 
 
+COREP_IDENTITIES = ("comultiplication", "counit", "partial isometry")
+
+
+def corep_rows(report, block) -> dict:
+    """The corepresentation rows of one block, by identity."""
+    rows = {c.name: c for c in report.checks}
+    return {i: rows[f"corepresentation[{block}] {i}"] for i in COREP_IDENTITIES}
+
+
+def scalar_partial_isometry(alg, block) -> float:
+    """max |(U U* U)_rc - U_rc| for the corepresentation of a block, through
+    ``multiply`` and ``star`` on n x n matrices of vectors."""
+    slots = alg.slots(block)
+    U = [[alg.basis_element(block, r, c) for c in slots] for r in slots]
+    n = len(slots)
+    worst = 0.0
+    for r in range(n):
+        for c in range(n):
+            total = SparseVec()
+            for s in range(n):
+                m = SparseVec()
+                for t in range(n):
+                    m = m + alg.multiply(U[r][t], alg.star(U[s][t]))
+                total = total + alg.multiply(m, U[s][c])
+            worst = max(worst, distance(total, U[r][c]))
+    return worst
+
+
 class TestCorepresentations:
     def test_all_blocks_z2(self, z2):
+        report = z2.verify_axioms()
         for block in z2.blocks:
-            checks = z2.verify_corepresentation(block)
-            assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks]
+            n = len(z2.slots(block))
+            for c in corep_rows(report, block).values():
+                assert c.passed and c.residual <= 1e-14, (c.name, c.residual)
+                assert c.instances_total == n * n, c.name
 
     def test_m_block_z4(self, z4):
-        checks = z4.verify_corepresentation(M)
-        assert all(c.passed for c in checks)
+        rows = corep_rows(z4.verify_axioms(), M)
+        assert all(c.passed and c.residual <= 1e-14 for c in rows.values())
+        assert {c.instances_total for c in rows.values()} == {64}
+
+    def test_rows_follow_the_center_in_block_order(self, z4):
+        names = [c.name for c in z4.verify_axioms().checks]
+        start = names.index("center dimension") + 1
+        assert names[start:start + 15] == [
+            f"corepresentation[{b}] {i}" for b in z4.blocks for i in COREP_IDENTITIES
+        ]
+        assert names[start + 15] == "dual pairing multiplicative"
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (4,)])
+    def test_partial_isometry_matches_scalar_products(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        report = alg.verify_axioms()
+        for block in alg.blocks:
+            got = corep_rows(report, block)["partial isometry"].residual
+            assert got == pytest.approx(scalar_partial_isometry(alg, block), abs=1e-14)
+
+    def test_no_scalar_products_for_corepresentations(self, monkeypatch):
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        calls = {"multiply": 0, "coproduct": 0, "star": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(alg, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(alg, name, counted)
+        assert alg.verify_axioms().passed
+        # only "counital subalgebras commute" multiplies, twice per pair of
+        # its 5 x 5 basis vectors; Delta(1) is the one scalar coproduct
+        assert calls == {"multiply": 50, "coproduct": 1, "star": 0}
+
+    def test_scaled_zero_block_product_fails_partial_isometry(self):
+        # only the zero block has products with i, j and k in one block
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        T, block, zero = alg.product, alg._layout.block, alg._layout.zero
+        inside = np.flatnonzero((block[T.i] == block[T.j]) & (block[T.j] == block[T.k]))
+        assert len(inside) == 25 and set(block[T.i[inside]]) == {zero}
+        T.c[inside[3]] *= 2.0
+        failed = {c.name for c in alg.verify_axioms().failures()}
+        assert {n for n in failed if n.startswith("corepresentation")} == {
+            "corepresentation[0] partial isometry"
+        }
+
+    def test_scaled_m_block_product_fails_partial_isometry(self):
+        # the m block's U U* multiplies (m; r, t) by (m; s, t)*, which lies in m
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=-1)
+        T, lay, star = alg.product, alg._layout, alg._star_map
+        m = len(alg.blocks) - 1
+        preimage = np.argsort(star.k)
+        used = np.flatnonzero(
+            (lay.block[T.i] == m) & (lay.block[T.j] == m) & (lay.col[preimage[T.j]] == lay.col[T.i])
+        )
+        T.c[used[0]] *= 2.0
+        failed = {c.name for c in alg.verify_axioms().failures()}
+        assert {n for n in failed if n.startswith("corepresentation")} == {
+            "corepresentation[m] partial isometry"
+        }
+
+    def test_swapped_coproduct_legs_fail_comultiplication(self):
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        D, lay = alg._coproduct_table, alg._layout
+        unit = int(lay.unit(1, 2, 3))  # (1; 2, 3)
+        p, q = D.ptr[unit], D.ptr[unit] + 1
+        D.second[[p, q]] = D.second[[q, p]]
+        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        assert {n for n in failed if n.startswith("corepresentation")} == {
+            "corepresentation[1] comultiplication"
+        }
+        assert failed["corepresentation[1] comultiplication"].residual == 1.0
+        dual = failed["dual pairing multiplicative"]
+        assert dual.residual == 1.0
+        assert dual.witness.startswith(f"({alg.units[unit]})")
 
 
 class TestAxiomSuite:
@@ -395,6 +500,32 @@ class TestAxiomSuite:
             "weak counit identity",
             "star-antipode period two",
         }
+
+    def test_failed_scalar_row_keeps_report_serialisable(self, monkeypatch):
+        alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=1)
+        monkeypatch.setattr(alg, "antipode", lambda a: a + a)  # S(S(b)) = 4 b
+        report = alg.verify_axioms()
+        assert [c.name for c in report.failures()] == ["antipode squared fixes target subalgebra"]
+        checks = json.loads(json.dumps(report.to_dict()))["checks"]
+        assert [c["passed"] for c in checks].count(False) == 1
+
+    def test_unsolvable_haar_system_ends_the_suite(self, monkeypatch):
+        from tywha.errors import StructuralError
+
+        alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=1)
+        names = [c.name for c in alg.verify_axioms().checks]
+
+        def unsolvable():
+            raise StructuralError("invariant functional is not unique")
+
+        monkeypatch.setattr(alg, "haar", unsolvable)
+        checks = alg.verify_axioms().checks
+        assert [c.name for c in checks] == names[: names.index("haar system solvable") + 1]
+        last = checks[-1]
+        assert (last.residual, last.passed, last.witness, last.instances_total) == (
+            float("inf"), False, "invariant functional is not unique", 1
+        )
+        assert all(c.passed for c in checks[:-1])
 
     def test_negated_haar_coefficient_trips_only_positivity(self, monkeypatch):
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)

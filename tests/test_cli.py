@@ -74,6 +74,24 @@ class TestWhaCommands:
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["wha", "verify"],
+            ["wha", "export"],
+            ["coideal", "build", "--K", "0"],
+            ["classify", "weak-coideals", "--realize"],
+            ["classify", "weak-coideals"],
+        ],
+        ids=["verify", "export", "coideal", "realize", "classify"],
+    )
+    def test_tolerance_not_finite_and_positive_exits_2(self, command, tol, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run([*command, "--group", "2", "--tol", tol, "--json", str(out)]) == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_tau_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["wha", "verify", "--group", "2", "--tau", "x"])
@@ -306,6 +324,27 @@ class TestClassifyCommands:
     def test_realize_flag(self, capsys):
         assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 0
         assert "realized and verified" in capsys.readouterr().out
+
+    def test_realize_summary_counts_only_verified(self, monkeypatch, capsys):
+        import tywha.cli as cli
+        from tywha.errors import StructuralError
+
+        realize, seen = cli.realize_and_verify, []
+
+        def second_fails(alg, orbit):
+            seen.append(orbit)
+            if len(seen) == 2:
+                raise StructuralError("injected")
+            return realize(alg, orbit)
+
+        monkeypatch.setattr(cli, "realize_and_verify", second_fails)
+        assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 1
+        lines = [x.strip() for x in capsys.readouterr().out.splitlines() if "realiz" in x]
+        assert lines == [
+            "realization FAILED: injected",
+            "realized and verified 4 of 5 representatives",
+            "realized and verified 5 representatives",
+        ]
 
     def test_guard_exceeded_exits_2(self):
         assert run(["classify", "weak-coideals", "--group", "17"]) == 2
