@@ -743,13 +743,6 @@ class TYAlgebra:
 
     # -- tensor helpers over B (x) B -------------------------------------------
 
-    def tensor(self, a: SparseVec, b: SparseVec) -> SparseVec:
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                out[(i, j)] = ca * cb
-        return SparseVec(out)
-
     def tensor_multiply(self, s: SparseVec, t: SparseVec) -> SparseVec:
         rows = self.product.rows
         by_first: dict[int, dict[int, complex]] = {}
@@ -804,10 +797,11 @@ class TYAlgebra:
           (b, output unit).
 
         The rows are index arrays over the eps_t, coproduct and antipode
-        tables, and each column component is solved by least squares.  h
-        exists when the residual over all rows is at most eps, and is unique
-        when every component has full column rank at the cutoff
-        eps max(1, s_0), with s_0 the component's largest singular value."""
+        tables, and each column component is solved by least squares, one
+        ``lstsq`` per block since numpy's takes no stacks.  h exists when
+        the residual over all rows is at most eps, and is unique when every
+        component has full column rank at the cutoff eps max(1, s_0), with
+        s_0 the component's largest singular value."""
         dim, D, S = self.dim, self._coproduct_table, self._antipode_map
         src, key, val = _terms(self._eps_t_table)
         _, one, one_c = _terms([self.unit()])
@@ -823,11 +817,14 @@ class TYAlgebra:
         cols = np.concatenate([key, D.second[p], S.k, units, D.second, D.second[t]])
         vals = np.concatenate([val, one_c[u], S.c, -np.ones(dim), np.ones(len(D.src)), -val[q]])
         coeffs, rank = np.zeros(dim, dtype=complex), 0
-        for ids, block_cols, block in components(rows, cols, vals, dim):
-            head = rhs[ids[ids < len(rhs)]]  # ids ascend: the rows with a right side lead
-            x, _, _, s = np.linalg.lstsq(block, np.pad(head, (0, len(ids) - len(head))), rcond=None)
-            coeffs[block_cols] = x
-            rank += int(np.sum(s > self.eps * max(1.0, s.max(initial=0.0))))
+        for ids, block_cols, blocks in components(rows, cols, vals, dim):
+            # ids ascend: the rows with a right side lead, and the rest are zero
+            heads, has = np.zeros(ids.shape, dtype=complex), ids < len(rhs)
+            heads[has] = rhs[ids[has]]
+            for block, head, at in zip(blocks, heads, block_cols):
+                x, _, _, s = np.linalg.lstsq(block, head, rcond=None)
+                coeffs[at] = x
+                rank += int(np.sum(s > self.eps * max(1.0, s.max(initial=0.0))))
         # over all rows, a row with a right side and no entries included
         residual = _worst((rows, vals * coeffs[cols]), (np.arange(len(rhs)), rhs))[0]
         if residual > self.eps:
@@ -846,7 +843,7 @@ class TYAlgebra:
         components of G + sigma I, with sigma above every row's absolute sum,
         are principal blocks, since every diagonal entry is nonzero.  The
         residual is the larger of max |G - G^H| and -lambda_min of
-        (G + G^H) / 2 over these blocks."""
+        (G + G^H) / 2 over these blocks, one ``eigvalsh`` per block shape."""
         d, T, star = self.dim, self.product, self._star_map
         e, p = _join(T.i, star.k_sorted)
         i, units = star.by_k[p], np.arange(d)
@@ -854,10 +851,10 @@ class TYAlgebra:
         sigma = 1.0 + np.bincount(i, np.abs(g), d).max()
         shifted = (np.append(i, units), np.append(T.j[e], units), np.append(g, np.full(d, sigma)))
         worst = 0.0
-        for _, _, block in components(*shifted, d):
-            adjoint = block.conj().T
-            low = np.linalg.eigvalsh((block + adjoint) / 2)[0]
-            worst = max(worst, np.abs(block - adjoint).max(), sigma - low)
+        for _, _, blocks in components(*shifted, d):
+            adjoint = blocks.conj().swapaxes(1, 2)
+            low = np.linalg.eigvalsh((blocks + adjoint) / 2)[:, 0].min()
+            worst = max(worst, np.abs(blocks - adjoint).max(), sigma - low)
         return float(worst)
 
     # -- center ------------------------------------------------------------------

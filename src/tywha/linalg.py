@@ -107,16 +107,33 @@ def sparse_rows(mat: np.ndarray, keys) -> list[SparseVec]:
     return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)}) for row in mat]
 
 
-def nullspace(mat: np.ndarray, eps: float = DEFAULT_TOL) -> np.ndarray:
-    """Rows spanning {x : mat @ x = 0}, via SVD with threshold eps.
+def nullspace(mats: np.ndarray, eps: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The null rows of a stack of k matrices of one shape (k, m, n): rows
+    spanning each {x : mat @ x = 0}, by one SVD of the whole stack with
+    threshold eps max(1, s_0) per matrix, s_0 its largest singular value.
 
-    A tall system (m >= n) is factored thin, since its V is already square; a
-    wide one keeps the full V, whose last n - m rows are null vectors too."""
-    m, n = mat.shape
-    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
-    cutoff = eps * max(1.0, s[0] if len(s) else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
+    Returns the rows, (N, n), and the index of the matrix each row came from,
+    in order of matrix and then in SVD order.  A tall system (m >= n) is
+    factored thin, since its V is already square; a wide one keeps the full
+    V, whose last n - m rows are null vectors too."""
+    _, m, n = mats.shape
+    _, s, vh = np.linalg.svd(mats, full_matrices=m < n)
+    cutoff = eps * np.maximum(1.0, s.max(axis=1, initial=0.0))
+    null = np.arange(n) >= np.sum(s > cutoff[:, None], axis=1)[:, None]
+    return vh[null].conj(), np.nonzero(null)[0]
+
+
+def _places(owner: np.ndarray, k: int):
+    """Items grouped by owner 0..k-1, ascending within each group (owner -1
+    is left out): the grouped items, each item's place in its group, and
+    each group's start in the grouping and size."""
+    order = np.argsort(owner, kind="stable")
+    order = order[owner[order] >= 0]
+    size = np.bincount(owner[order], minlength=k)
+    start = np.cumsum(size) - size
+    place = np.zeros(len(owner), dtype=int)
+    place[order] = np.arange(len(order)) - start[owner[order]]
+    return order, place, start, size
 
 
 def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
@@ -125,9 +142,11 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     component when a chain of shared rows links them.
 
     Duplicate entries are summed and sums of modulus at most ROUNDOFF are
-    dropped.  Yields ``(row ids, column ids, dense block)`` per component in
-    order of lowest column, ids ascending; a column in no row is a component
-    with no rows."""
+    dropped.  The components are stacked by shape: yields
+    ``(row ids (k, r), column ids (k, c), blocks (k, r, c))`` once per
+    distinct shape (r, c), the k components of a stack in order of lowest
+    column, ids ascending.  A column in no row is a component of shape
+    (0, 1)."""
     if not n:
         return
     row_ids, r = np.unique(rows, return_inverse=True)
@@ -145,27 +164,46 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
         np.minimum.at(label, c, low[r])
         while not np.array_equal(label[label], label):
             label = label[label]
-    # group the columns and the entries by label, cut where each root begins
-    cut = np.flatnonzero(label == np.arange(n))[1:]
-    by_col, by_ent = np.argsort(label, kind="stable"), np.argsort(label[c], kind="stable")
-    col_parts = np.split(by_col, np.searchsorted(label[by_col], cut))
-    for ids, part in zip(col_parts, np.split(by_ent, np.searchsorted(label[c][by_ent], cut))):
-        row, local = np.unique(r[part], return_inverse=True)
-        block = np.zeros((len(row), len(ids)), dtype=complex)
-        block[local, np.searchsorted(ids, c[part])] = vals[part]
-        yield row_ids[row], ids, block
+    # number the components by lowest column (the root), give each column and
+    # each row with an entry its component and its place there, and group
+    # the components, then the entries, by shape
+    roots = np.flatnonzero(label == np.arange(n))
+    comp = np.searchsorted(roots, label)
+    row_comp = np.full(len(row_ids), -1)
+    row_comp[r] = comp[c]
+    by_col, col_at, col_start, width = _places(comp, len(roots))
+    by_row, row_at, row_start, height = _places(row_comp, len(roots))
+    shapes, shape = np.unique(height * (n + 1) + width, return_inverse=True)
+    by_shape, slot, shape_start, count = _places(shape, len(shapes))
+    by_entry, _, entry_start, entries = _places(shape[comp[c]], len(shapes))
+    for start, k, at, m in zip(shape_start, count, entry_start, entries):
+        members, part = by_shape[start:start + k], by_entry[at:at + m]
+        h, w = height[members[0]], width[members[0]]
+        blocks = np.zeros((k, h, w), dtype=complex)
+        blocks[slot[comp[c[part]]], row_at[r[part]], col_at[c[part]]] = vals[part]
+        yield (row_ids[by_row[row_start[members, None] + np.arange(h)]],
+               by_col[col_start[members, None] + np.arange(w)], blocks)
 
 
 def sparse_nullspace(rows, cols, vals, n: int, eps: float = DEFAULT_TOL) -> np.ndarray:
     """Rows spanning the kernel of a sparse system over n columns, given as
-    in :func:`components`: one ``nullspace`` per component, and a unit
-    vector for each column in no row."""
-    out = [np.zeros((0, n), dtype=complex)]
-    for _, ids, block in components(rows, cols, vals, n):
-        null = nullspace(block, eps=eps)
-        out.append(np.zeros((len(null), n), dtype=complex))
-        out[-1][:, ids] = null
-    return np.vstack(out)
+    in :func:`components`: one ``nullspace`` per block shape, and a unit
+    vector for each column in no row.  The rows come by component, in order
+    of lowest column, and then in SVD order."""
+    ids, nulls = [], []
+    for _, col_ids, blocks in components(rows, cols, vals, n):
+        null, which = nullspace(blocks, eps=eps)
+        ids.append(col_ids[which])
+        nulls.append(null)
+    out = np.zeros((sum(map(len, nulls)), n), dtype=complex)
+    # a component's rows are contiguous within its stack, so a stable sort by
+    # lowest column puts them in place
+    lead = np.concatenate([np.zeros(0, dtype=int)] + [i[:, 0] for i in ids])
+    at = np.empty(len(out), dtype=int)
+    at[np.argsort(lead, kind="stable")] = np.arange(len(out))
+    for i, null, place in zip(ids, nulls, np.split(at, np.cumsum([len(x) for x in nulls]))):
+        out[place[:, None], i] = null
+    return out
 
 
 class Subspace:

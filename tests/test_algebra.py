@@ -540,6 +540,34 @@ class TestAxiomSuite:
         assert set(failed) == {"haar positive"}
         assert failed["haar positive"].residual == pytest.approx(0.2)
 
+    def test_one_indefinite_gram_block_trips_only_positivity(self, monkeypatch):
+        import tywha.algebra as algebra
+
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        stacked, positivity = algebra.components, alg._haar_positive
+        flipped = []
+
+        def one_negated(*system):
+            """Negate the middle block of the first stack of three or more:
+            G + sigma I of that block turns negative definite."""
+            for ids, cols, blocks in stacked(*system):
+                if len(blocks) >= 3 and not flipped:
+                    blocks = blocks.copy()
+                    blocks[1] *= -1.0
+                    flipped.append(cols[1])
+                yield ids, cols, blocks
+
+        def faulty(h):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(algebra, "components", one_negated)
+                return positivity(h)
+
+        monkeypatch.setattr(alg, "_haar_positive", faulty)
+        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        assert len(flipped) == 1
+        assert set(failed) == {"haar positive"}
+        assert failed["haar positive"].residual >= 2.0  # sigma >= 1 on both sides of the flip
+
     def test_perturbed_product_constant_breaks_associativity(self):
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
         table = alg.product

@@ -448,7 +448,7 @@ def reference_fixed_points(wc):
     basis = wc.space.basis_vectors()
     delta_unit = alg.coproduct(wc.unit)
     twisted = {
-        i: alg.tensor_multiply(delta_unit, alg.tensor(SparseVec.basis(i), alg.unit()))
+        i: alg.tensor_multiply(delta_unit, SparseVec({(i, j): c for j, c in alg.unit().items()}))
         for i in {i for v in basis for i in v.keys()}
     }
     columns = []
@@ -463,7 +463,7 @@ def reference_fixed_points(wc):
         for k, c in col.items():
             mat[keys.index(k), j] = c
     out = []
-    for coeffs in nullspace(mat, eps=alg.eps):
+    for coeffs in nullspace(mat[None], eps=alg.eps)[0]:
         v = SparseVec()
         for j, c in enumerate(coeffs):
             v.add_scaled(basis[j], c)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+import tywha.algebra as algebra
+import tywha.classify as classify
+import tywha.linalg as linalg
 from tywha.algebra import TYAlgebra
+from tywha.classify import realize_and_verify, weak_coideal_classes
+from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verify_weak_coideal
 from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup
 from tywha.linalg import (
+    DEFAULT_TOL,
     ROUNDOFF,
     SparseVec,
     Subspace,
@@ -168,7 +174,8 @@ def _random(rng, m, n, rank):
 
 
 class TestNullspace:
-    """nullspace against a full-SVD reference: same dimension, same span."""
+    """nullspace against a full-SVD reference, one matrix of a stack at a
+    time: same dimension, same span."""
 
     @pytest.mark.parametrize(
         "m, n, rank",
@@ -183,30 +190,43 @@ class TestNullspace:
         ],
     )
     def test_matches_full_svd(self, m, n, rank):
-        mat = _random(np.random.default_rng(m * n + rank), m, n, rank)
-        kernel = nullspace(mat)
-        _, s, vh = np.linalg.svd(mat, full_matrices=True)
-        ref = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj()
-        assert kernel.shape == ref.shape == (n - rank, n)
-        assert np.allclose(mat @ kernel.T, 0.0, atol=1e-9)
-        # equal spans: equal orthogonal projectors onto them
-        assert np.allclose(kernel.T @ kernel.conj(), ref.T @ ref.conj(), atol=1e-9)
+        rng = np.random.default_rng(m * n + rank)
+        # the parametrised rank among full-rank matrices scaled up and down:
+        # each matrix gets its own cutoff, so the last keeps its full rank
+        ranks = [min(m, n), rank, min(m, n), min(m, n)]
+        scales = np.array([1.0, 1.0, 1e6, 1e-6])[:, None, None]
+        mats = np.stack([_random(rng, m, n, r) for r in ranks]) * scales
+        null, which = nullspace(mats)
+        assert np.array_equal(which, np.repeat(np.arange(4), [n - r for r in ranks]))
+        for mat, r, kernel in zip(mats, ranks, (null[which == i] for i in range(4))):
+            _, s, vh = np.linalg.svd(mat, full_matrices=True)
+            ref = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj()
+            assert kernel.shape == ref.shape == (n - r, n)
+            assert np.allclose(mat @ kernel.T, 0.0, atol=1e-9 * max(1.0, s[0]))
+            # equal spans: equal orthogonal projectors onto them
+            assert np.allclose(kernel.T @ kernel.conj(), ref.T @ ref.conj(), atol=1e-9)
 
     @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (0, 0)])
     def test_empty(self, m, n):
-        kernel = nullspace(np.zeros((m, n), dtype=complex))
-        assert np.array_equal(kernel, np.eye(n))
+        null, which = nullspace(np.zeros((2, m, n), dtype=complex))
+        assert np.array_equal(null, np.vstack([np.eye(n)] * 2))
+        assert np.array_equal(which, np.repeat([0, 1], n))
 
 
 def _block_system(rng):
     """A row- and column-permuted block-diagonal complex matrix as triples,
     with duplicate entries that sum and a pair that cancels below ROUNDOFF
-    across two blocks, and the dense matrix it sums to."""
+    across two blocks, and the dense matrix it sums to.  Three blocks share
+    the shape (3, 3): one of full rank, one rank-deficient and one of rank
+    zero at the cutoff (every entry near 1e-11, above ROUNDOFF)."""
     blocks = [
-        _random(rng, 3, 2, 2),  # full column rank
+        _random(rng, 3, 2, 2),  # tall, full column rank
         _random(rng, 4, 4, 2),  # rank-deficient
         _random(rng, 2, 3, 2),  # wide
+        _random(rng, 3, 3, 3),  # full rank
         np.zeros((0, 2)),  # two columns in no row
+        _random(rng, 3, 3, 2),  # rank-deficient
+        _random(rng, 3, 3, 3) * 1e-11,  # zero rank at the cutoff
     ]
     m, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
     dense = np.zeros((m, n), dtype=complex)
@@ -229,12 +249,66 @@ def _block_system(rng):
     return rows, cols, vals, dense
 
 
+# kernel dimension of each block of _block_system, in its order
+BLOCK_KERNELS = [0, 2, 1, 0, 2, 1, 3]
+
+
+def reference_components(rows, cols, vals, n):
+    """``components`` one component at a time, by plain Python union-find:
+    yields (row ids, column ids, block) in order of lowest column."""
+    sums: dict = {}
+    for key, v in zip(zip(rows.tolist(), cols.tolist()), vals.tolist()):
+        sums[key] = sums.get(key, 0.0) + v
+    entries = {key: v for key, v in sums.items() if abs(v) > ROUNDOFF}
+    parent = list(range(n))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    first_col: dict = {}
+    for i, j in entries:
+        a, b = root(j), root(first_col.setdefault(i, j))
+        parent[max(a, b)] = min(a, b)  # a root is the lowest column of its set
+    lead = [root(j) for j in range(n)]
+    col_sets: dict = {}
+    for j in range(n):
+        col_sets.setdefault(lead[j], []).append(j)
+    found: dict = {}
+    for (i, j), v in entries.items():
+        found.setdefault(lead[j], []).append((i, j, v))
+    for c in sorted(col_sets):
+        ids, here = col_sets[c], found.get(c, [])
+        row = sorted({i for i, _, _ in here})
+        block = np.zeros((len(row), len(ids)), dtype=complex)
+        for i, j, v in here:
+            block[row.index(i), ids.index(j)] = v
+        yield np.array(row, dtype=int), np.array(ids), block
+
+
+def reference_sparse_nullspace(rows, cols, vals, n, eps=DEFAULT_TOL):
+    """``sparse_nullspace`` by ``nullspace`` on each component in order of
+    lowest column."""
+    out = [np.zeros((0, n), dtype=complex)]
+    for _, ids, block in reference_components(rows, cols, vals, n):
+        null, _ = nullspace(block[None], eps=eps)
+        out.append(np.zeros((len(null), n), dtype=complex))
+        out[-1][:, ids] = null
+    return np.vstack(out)
+
+
+def _unstacked(stacks):
+    return [part for stack in stacks for part in zip(*stack)]
+
+
 class TestComponents:
     def test_blocks_partition_the_system(self):
         rows, cols, vals, dense = _block_system(np.random.default_rng(3))
-        parts = list(components(rows, cols, vals, dense.shape[1]))
+        stacks = list(components(rows, cols, vals, dense.shape[1]))
+        parts = _unstacked(stacks)
         # two columns in no row are components of their own
-        assert sorted(len(ids) for _, ids, _ in parts) == [1, 1, 2, 3, 4]
+        assert sorted(len(ids) for _, ids, _ in parts) == [1, 1, 2, 3, 3, 3, 3, 4]
         assert sorted(np.concatenate([ids for _, ids, _ in parts])) == list(range(dense.shape[1]))
         assert sorted(np.concatenate([r for r, _, _ in parts])) == list(range(dense.shape[0]))
         covered = np.zeros(dense.shape, dtype=bool)
@@ -243,28 +317,50 @@ class TestComponents:
             assert np.allclose(block, dense[np.ix_(r, ids)], atol=1e-15)
             covered[np.ix_(r, ids)] = True
         assert not dense[~covered].any()
-        assert [ids[0] for _, ids, _ in parts] == sorted(ids[0] for _, ids, _ in parts)
+        for r, ids, blocks in stacks:
+            assert r.shape == blocks.shape[:2] and ids.shape == (len(blocks), blocks.shape[2])
+            assert np.all(np.diff(ids[:, 0]) > 0)  # a stack runs in order of lowest column
+
+    def test_one_stack_per_shape(self):
+        rows, cols, vals, dense = _block_system(np.random.default_rng(4))
+        stacks = list(components(rows, cols, vals, dense.shape[1]))
+        shapes = [blocks.shape[1:] for _, _, blocks in stacks]
+        assert sorted(shapes) == [(0, 1), (2, 3), (3, 2), (3, 3), (4, 4)]
+        assert {blocks.shape[1:]: len(blocks) for _, _, blocks in stacks}[3, 3] == 3
+
+    def test_matches_reference_bit_for_bit(self):
+        for seed in range(5):
+            rows, cols, vals, dense = _block_system(np.random.default_rng(seed))
+            n = dense.shape[1]
+            want = {int(ids[0]): (r, ids, block) for r, ids, block in reference_components(rows, cols, vals, n)}
+            parts = _unstacked(components(rows, cols, vals, n))
+            assert len(parts) == len(want)
+            for r, ids, block in parts:
+                ref = want[int(ids[0])]
+                assert all(np.array_equal(x, y) for x, y in zip((r, ids, block), ref))
+            kernel = sparse_nullspace(rows, cols, vals, n)
+            assert np.array_equal(kernel, reference_sparse_nullspace(rows, cols, vals, n))
 
     def test_nullspace_matches_dense(self):
         for seed in range(5):
             rows, cols, vals, dense = _block_system(np.random.default_rng(seed))
             kernel = sparse_nullspace(rows, cols, vals, dense.shape[1])
-            ref = nullspace(dense)
-            assert kernel.shape == ref.shape == (2 + 1 + 2, dense.shape[1])
+            ref, _ = nullspace(dense[None])
+            assert kernel.shape == ref.shape == (sum(BLOCK_KERNELS), dense.shape[1])
             assert np.allclose(dense @ kernel.T, 0.0, atol=1e-9)
             assert np.allclose(kernel.T @ kernel.conj(), ref.T @ ref.conj(), atol=1e-9)
 
     def test_cancelled_entries_are_dropped(self):
         rows, cols = np.array([0, 0, 1]), np.array([0, 1, 1])
         vals = np.array([1.0, ROUNDOFF / 2, 1.0], dtype=complex)
-        parts = list(components(rows, cols, vals, 2))
-        assert [list(ids) for _, ids, _ in parts] == [[0], [1]]
+        stacks = list(components(rows, cols, vals, 2))
+        assert [ids.tolist() for _, ids, _ in stacks] == [[[0], [1]]]
 
     def test_empty(self):
         empty = np.array([], dtype=np.int64)
-        parts = list(components(empty, empty, empty.astype(complex), 3))
-        assert [(list(r), list(ids), block.shape) for r, ids, block in parts] == [
-            ([], [0], (0, 1)), ([], [1], (0, 1)), ([], [2], (0, 1))
+        stacks = list(components(empty, empty, empty.astype(complex), 3))
+        assert [(r.shape, ids.tolist(), blocks.shape) for r, ids, blocks in stacks] == [
+            ((3, 0), [[0], [1], [2]], (3, 0, 1))
         ]
         assert np.array_equal(sparse_nullspace(empty, empty, empty.astype(complex), 3), np.eye(3))
         assert sparse_nullspace(empty, empty, empty.astype(complex), 0).shape == (0, 0)
@@ -318,8 +414,6 @@ class TestHaarSolve:
         assert h.residual < 1e-12
 
     def test_zeroed_column_not_unique(self, monkeypatch):
-        import tywha.algebra as algebra
-
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
         col = alg.dim - 1  # an m-block unit, where h vanishes: the rest stays consistent
         assert alg.haar().coeffs[col] == 0
@@ -331,3 +425,59 @@ class TestHaarSolve:
         monkeypatch.setattr(algebra, "components", without_column)
         with pytest.raises(StructuralError, match="not unique"):
             alg.haar()
+
+
+def _stacks_of_one(rows, cols, vals, n):
+    for r, ids, block in reference_components(rows, cols, vals, n):
+        yield r[None], ids[None], block[None]
+
+
+def _bits(space):
+    return space.universe, space.pivots, space.basis.shape, space.basis.tobytes()
+
+
+def _coideal_invariants(factors, sign):
+    """verify_weak_coideal, center, fixed_point_algebra and is_indecomposable
+    on the coideal that realize_and_verify builds for each class."""
+    alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "verify_weak_coideal", lambda wc: built.append(wc) or verify_weak_coideal(wc))
+        for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
+            for rep in entry.orbits:
+                realize_and_verify(alg, rep)
+    return [
+        (verify_weak_coideal(wc).to_dict(), _bits(center(wc)), _bits(fixed_point_algebra(wc)),
+         is_indecomposable(wc))
+        for wc in built
+    ]
+
+
+class TestStacksMatchComponents:
+    """Every result built on ``components`` is bit-identical when each
+    component comes as a stack of one, by the reference."""
+
+    @pytest.fixture
+    def one_by_one(self, monkeypatch):
+        def patch():
+            monkeypatch.setattr(linalg, "components", _stacks_of_one)
+            monkeypatch.setattr(algebra, "components", _stacks_of_one)
+
+        return patch
+
+    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_verify_axioms(self, factors, sign, one_by_one):
+        def report():
+            return TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign).verify_axioms().to_dict()
+
+        stacked = report()
+        one_by_one()
+        assert report() == stacked
+
+    @pytest.mark.parametrize("factors", [(2,), (3,)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_realized_coideals(self, factors, sign, one_by_one):
+        stacked = _coideal_invariants(factors, sign)
+        one_by_one()
+        assert _coideal_invariants(factors, sign) == stacked
