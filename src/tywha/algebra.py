@@ -278,6 +278,13 @@ def _terms(vectors: list[SparseVec]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return src, key, val
 
 
+def _distinct(vectors: list[SparseVec]) -> list[SparseVec]:
+    """The nonzero vectors of a list, each once, in order of first
+    occurrence.  An echelon reduction skips a zero vector and a repeat of an
+    earlier one, so it gives the same basis from these alone."""
+    return list({tuple(v.items()): v for v in vectors if v}.values())
+
+
 def _off_identity(unit: np.ndarray, out: np.ndarray, vals: np.ndarray, dim: int) -> tuple:
     """Worst distance of the sums keyed (unit i, output k) from u_i itself,
     and the unit where it occurs."""
@@ -652,7 +659,6 @@ class TYAlgebra:
         w_e = sum_c eps(u_i (0; e, c))."""
         lay, P = self._layout, self._pairing
         in_zero, size = lay.block == lay.zero, int(lay.sizes[lay.zero])
-        zero_units = lay.unit(lay.zero, *np.indices((size, size))).tolist()
         if source:
             hit = in_zero[P.j]
             unit, e = P.i[hit], lay.row[P.j[hit]]
@@ -661,16 +667,15 @@ class TYAlgebra:
             unit, e = P.j[hit], lay.col[P.i[hit]]
         weights = np.zeros((self.dim, size), dtype=complex)
         np.add.at(weights, (unit, e), P.v[hit])
-        out = []
-        for w in weights.tolist():
-            vec = {}
-            for e_idx, we in enumerate(w):
-                if abs(we) > ROUNDOFF:
-                    for other in range(size):
-                        r, c = (other, e_idx) if source else (e_idx, other)
-                        vec[zero_units[r][c]] = we
-            out.append(SparseVec(vec))
-        return out
+        # every kept weight w_e of u_i spreads over row (column) e of the zero
+        # block, ordered by i, then e, then the other slot
+        i, e = np.nonzero(np.abs(weights) > ROUNDOFF)
+        other = np.arange(size)
+        r, c = (other, e[:, None]) if source else (e[:, None], other)
+        keys = lay.unit(lay.zero, r, c).ravel().tolist()
+        vals = np.repeat(weights[i, e], size).tolist()
+        ptr = np.searchsorted(i, np.arange(self.dim + 1)) * size
+        return [SparseVec(zip(keys[lo:hi], vals[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
 
     @cached_property
     def _eps_t_table(self) -> list[SparseVec]:
@@ -779,9 +784,9 @@ class TYAlgebra:
     def counital_subalgebras(self) -> tuple[Subspace, Subspace]:
         """Target and source subalgebras B_t and B_s, as subspaces of B."""
         if self._counital is None:
-            target = Subspace(self._eps_t_table, eps=self.eps)
-            source = Subspace(self._eps_s_table, eps=self.eps)
-            self._counital = (target, source)
+            self._counital = tuple(
+                Subspace(_distinct(table), eps=self.eps) for table in (self._eps_t_table, self._eps_s_table)
+            )
         return self._counital
 
     # -- Haar functional ---------------------------------------------------------
@@ -861,32 +866,34 @@ class TYAlgebra:
 
     def center(self) -> Subspace:
         """The center of B."""
-        return self.commutant([SparseVec.basis(i) for i in range(self.dim)])
+        units = np.arange(self.dim)
+        return self.commutant(units, units, np.ones(self.dim, dtype=complex), self.dim)
 
-    def commutant(self, basis: list[SparseVec]) -> Subspace:
-        """The center of the subalgebra spanned by ``basis``: the z in its
-        span with z a = a z for every basis vector a.
+    def commutant(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray, size: int) -> Subspace:
+        """The center of the subalgebra spanned by ``size`` vectors given by
+        their terms (vector, unit, coefficient): the z in their span with
+        z a = a z for every one of them.
 
-        Each basis vector a gives the constraint rows of z -> z a - a z, read
-        from the product arrays.  Joined with the basis terms they are a
-        sparse system in the coordinates of z along ``basis``, solved by
+        Each vector a gives the constraint rows of z -> z a - a z, read from
+        the product arrays.  Joined with the terms they are a sparse system
+        in the coordinates of z along the vectors, solved by
         ``sparse_nullspace`` one column component at a time."""
         dim, T = self.dim, self.product
-        gen, unit, coef = _terms(basis)
         # constraint row (a, k), unit i: coefficient of u_k in u_i a - a u_i
         s1, e1 = T.of_right(unit)
         s2, e2 = T.of_left(unit)
         rows = np.concatenate([gen[s1] * dim + T.k[e1], gen[s2] * dim + T.k[e2]])
         cols = np.concatenate([T.i[e1], T.j[e2]])
         vals = np.concatenate([coef[s1] * T.c[e1], -coef[s2] * T.c[e2]])
-        # unit i of z = sum_r x_r basis[r] gathers x_r from every basis term on i
+        # unit i of z = sum_r x_r a_r gathers x_r from every term on i
         by_unit = np.argsort(unit, kind="stable")
         s, p = _join(cols, unit[by_unit])
         p = by_unit[p]
-        kernel = sparse_nullspace(rows[s], gen[p], vals[s] * coef[p], len(basis), eps=self.eps)
-        z = np.zeros((len(kernel), dim), dtype=complex)
-        np.add.at(z, (slice(None), unit), kernel[:, gen] * coef)
-        return Subspace(sparse_rows(z, range(dim)), eps=self.eps)
+        kernel = sparse_nullspace(rows[s], gen[p], vals[s] * coef[p], size, eps=self.eps)
+        units, at = np.unique(unit, return_inverse=True)
+        z = np.zeros((len(kernel), len(units)), dtype=complex)
+        np.add.at(z, (slice(None), at), kernel[:, gen] * coef)
+        return Subspace(sparse_rows(z, units.tolist()), eps=self.eps)
 
     # -- pair and triple identities as sparse joins ----------------------------------
     #

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .algebra import TYAlgebra
-from .classify import g_algebra_classes, realize_and_verify, weak_coideal_classes
+from .classify import REALIZE_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
 from .coideals import (
     CoidealSpec,
     build_from_spec,
@@ -199,6 +199,8 @@ def cmd_coideal_build(args) -> int:
 def cmd_classify_weak(args) -> int:
     alg = _algebra(args)  # checks --tol; its tables are built only if --realize uses them
     group = alg.group
+    if args.realize and group.order > REALIZE_ORDER_BOUND:
+        raise SizeError(f"|G| = {group.order} exceeds realize bound {REALIZE_ORDER_BOUND}")
     report = weak_coideal_classes(group, alg.bichar)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
     all_ok = True

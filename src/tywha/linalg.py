@@ -244,9 +244,22 @@ class Subspace:
             basis[count] = r
             pivots.append(p)
             count += 1
-        self.basis = basis[:count]
-        self.pivots = pivots
-        self._free = np.ones(n, dtype=bool)
+        self._set(basis[:count], pivots)
+
+    @classmethod
+    def reduced(cls, universe: list, basis: np.ndarray, pivots: list[int], eps: float = DEFAULT_TOL) -> "Subspace":
+        """The span of ``basis``, rows over ``universe`` already in reduced
+        echelon form: the pivot block (columns ``pivots``) is the identity.
+        The rows are kept as given, with no reduction."""
+        self = cls.__new__(cls)
+        self.eps, self.universe = float(eps), universe
+        self.pos = {k: i for i, k in enumerate(universe)}
+        self._set(basis, pivots)
+        return self
+
+    def _set(self, basis: np.ndarray, pivots: list[int]) -> None:
+        self.basis, self.pivots = basis, pivots
+        self._free = np.ones(len(self.universe), dtype=bool)
         self._free[pivots] = False
 
     @property

@@ -203,7 +203,8 @@ class TestMultiply:
         # span{v} with v = u_0 + 0.2 u_1 is its own commutant; a tolerance of
         # 0.3 must not drop the 0.2 entry from the output vector
         loose = TYAlgebra(FiniteAbelianGroup((2,)), eps=0.3)
-        (out,) = loose.commutant([SparseVec({0: 1.0, 1: 0.2})]).basis_vectors()
+        v = (np.zeros(2, dtype=int), np.array([0, 1]), np.array([1.0, 0.2], dtype=complex))
+        (out,) = loose.commutant(*v, 1).basis_vectors()
         assert dict(out.items()) == pytest.approx({0: 1.0, 1: 0.2})
 
 
@@ -318,6 +319,32 @@ class TestCounitalMaps:
 
     def test_eps_t_of_unit(self, z2):
         assert distance(z2.eps_t(z2.unit()), z2.unit()) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_counital_tables_match_definition(self, sign):
+        # eps_t(u_i) = (eps (x) id)(Delta(1)(u_i (x) 1)) and
+        # eps_s(u_i) = (id (x) eps)((1 (x) u_i)Delta(1)), by the scalar paths
+        alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=sign)
+        one, delta = alg.unit(), alg.coproduct_of_unit()
+        for i in range(alg.dim):
+            target = alg.tensor_multiply(delta, SparseVec({(i, j): c for j, c in one.items()}))
+            source = alg.tensor_multiply(SparseVec({(j, i): c for j, c in one.items()}), delta)
+            for table, t, leg in ((alg._eps_t_table, target, 1), (alg._eps_s_table, source, 0)):
+                want = SparseVec()
+                for pair, c in t.items():
+                    want.add_scaled(SparseVec.basis(pair[leg]), c * alg.counit(SparseVec.basis(pair[1 - leg])))
+                assert distance(table[i], want) < 1e-12
+
+    @pytest.mark.parametrize("factors", [(2,), (4,), (2, 2), (6,)])
+    def test_counital_subalgebras_reduce_distinct_images(self, factors):
+        # the echelon of the distinct nonzero images is that of all dim images
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=-1)
+        tables = (alg._eps_t_table, alg._eps_s_table)
+        for space, table in zip(alg.counital_subalgebras(), tables):
+            full = Subspace(table, eps=alg.eps)
+            assert len(table) == alg.dim
+            assert (space.universe, space.pivots) == (full.universe, full.pivots)
+            assert np.array_equal(space.basis, full.basis)
 
     def test_antipode_swaps_target_and_source(self, z2):
         target, source = z2.counital_subalgebras()

@@ -349,6 +349,12 @@ class TestClassifyCommands:
     def test_guard_exceeded_exits_2(self):
         assert run(["classify", "weak-coideals", "--group", "17"]) == 2
 
+    def test_realize_past_bound_exits_2_fast(self, capsys):
+        start = time.perf_counter()
+        assert run(["classify", "weak-coideals", "--group", "16", "--realize"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "exceeds realize bound" in capsys.readouterr().err
+
     def test_json_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tywha import classify
-from tywha.algebra import BasisUnit, BlockLabel, Slot, TYAlgebra
+from tywha.algebra import BasisUnit, BlockLabel, ProductTable, Slot, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
@@ -471,7 +471,40 @@ def reference_fixed_points(wc):
     return Subspace(out, eps=alg.eps)
 
 
+def generic_space(wc):
+    """A by the generic echelon of its generators u (x) e_c: each fiber basis
+    row u against each column slot c, in block, row and column order."""
+    alg = wc.algebra
+    generators = []
+    for block in alg.blocks:
+        sub = wc.x_spaces.get(block)
+        if sub is None or sub.dim == 0:
+            continue
+        for u in sub.basis_vectors():
+            for col in alg.slots(block):
+                generators.append(SparseVec({
+                    alg.unit_pos[BasisUnit(block, slot, col)]: c for (_b, slot), c in u.items()
+                }))
+    return Subspace(generators, eps=alg.eps)
+
+
+def assert_space_matches_generic(wc, exact):
+    """wc.space (the Kronecker basis) is the generic echelon basis bit for
+    bit, or, where ``exact`` is false and the bases differ, spans the same
+    space; its pivot block is the identity either way."""
+    space, ref = wc.space, generic_space(wc)
+    same = (space.universe == ref.universe and space.pivots == ref.pivots
+            and np.array_equal(space.basis, ref.basis))
+    assert same or not exact, wc.label
+    if not same:
+        assert space.dim == ref.dim, wc.label
+        assert all(ref.contains(v) for v in space.basis_vectors()), wc.label
+        assert all(space.contains(v) for v in ref.basis_vectors()), wc.label
+    assert np.array_equal(space.basis[:, space.pivots], np.eye(space.dim)), wc.label
+
+
 def assert_matches_reference(wc):
+    assert_space_matches_generic(wc, exact=False)
     report = verify_weak_coideal(wc)
     got = [(c.name, c.residual, c.passed, c.witness, c.instances_checked) for c in report.checks]
     want = reference_report(wc)
@@ -514,6 +547,54 @@ class TestArrayChecks:
             assert fixed.dim == ref.dim, wc.label
             assert all(ref.contains(v) for v in fixed.basis_vectors())
             assert all(fixed.contains(v) for v in ref.basis_vectors())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (2, 2)])
+    def test_kronecker_space_is_the_generic_echelon(self, factors, sign):
+        built = realized_coideals(factors, sign)
+        assert built
+        for wc in built:
+            assert_space_matches_generic(wc, exact=True)
+
+    @pytest.mark.parametrize("builder", ["no_m", "with_m"])
+    def test_block_residual_matches_generic(self, z4, z4_setup, builder):
+        # members of A plus noise, some of it in blocks where X^x = 0
+        K, _q, lam, _mu = z4_setup
+        wc = build_no_m(z4, K, [lam]) if builder == "no_m" else build_with_m(
+            z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0])
+        space, A = wc.space, wc.coords
+        rng = np.random.default_rng(7)
+        outside = [u for u in range(z4.dim) if not A.in_blocks[z4._layout.block[u]]]
+        assert outside
+        vecs = []
+        for k in range(12):
+            coeffs = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            v = SparseVec(dict(zip(space.universe, coeffs @ space.basis)))
+            noise = rng.choice(z4.dim if k % 3 else outside, size=k % 4, replace=False)
+            vecs.append(v + SparseVec({int(u): complex(rng.normal(), rng.normal()) for u in noise}))
+        vec = np.repeat(np.arange(len(vecs)), [len(v) for v in vecs])
+        unit = np.array([u for v in vecs for u in v.keys()])
+        val = np.array([c for v in vecs for c in v.data.values()])
+        got, norm = A.residual(vec, unit, val, len(vecs))
+        want = space.residuals(*space.to_dense(vecs))
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.allclose(norm, [v.norm() for v in vecs], rtol=0, atol=1e-12)
+        assert (got[::4] <= 1e-12).all() and (got[[3, 6, 9]] > 1e-3).all()
+
+    def test_product_mass_off_a_trips_only_product_closure(self, z4_setup):
+        # a product entry (2; 0, 0)(2; 0, 0) -> (1; 0, 0) puts mass in block 1,
+        # where X^1 = 0; neither factor is a unit of 1_A
+        alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        K, _q, lam, _mu = z4_setup
+        wc = build_no_m(alg, K, [lam])
+        assert BlockLabel.grp((1,)) not in wc.x_spaces
+        T, pos = alg.product, alg.unit_pos
+        a = pos[BasisUnit(g(2), Slot.grp((0,)), Slot.grp((0,)))]
+        k = pos[BasisUnit(g(1), Slot.grp((0,)), Slot.grp((0,)))]
+        alg.product = ProductTable(*(np.append(col, x) for col, x in zip(
+            (T.i, T.j, T.k, T.c), (a, a, k, 0.5))), alg.dim)
+        report = assert_matches_reference(wc)
+        assert [c.name for c in report.failures()] == ["closed under product"]
 
     @pytest.fixture
     def no_m_half(self, z4, z4_setup):
