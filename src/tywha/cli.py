@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import TYAlgebra
 from .classify import REALIZE_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
 from .coideals import (
@@ -47,10 +49,15 @@ def _parse_bichar(group: FiniteAbelianGroup, source: str) -> Bicharacter:
     if source == "standard":
         chi = Bicharacter.standard(group)
     else:
-        path = Path(source)
-        if not path.exists():
-            raise InvariantError(f"bicharacter file not found: {source}")
-        chi = Bicharacter.from_json(group, json.loads(path.read_text()))
+        try:
+            data = json.loads(Path(source).read_text())
+        except FileNotFoundError:
+            raise InvariantError(f"bicharacter file not found: {source}") from None
+        except OSError as exc:
+            raise InvariantError(f"cannot read bicharacter file {source}: {exc.strerror}") from None
+        except ValueError:
+            raise InvariantError(f"bicharacter file {source} is not valid JSON") from None
+        chi = Bicharacter.from_json(group, data)
     if not chi.is_nondegenerate():
         raise InvariantError("bicharacter degenerate")
     return chi
@@ -64,7 +71,11 @@ def _parse_elements(group: FiniteAbelianGroup, text: str) -> list:
         part = part.strip()
         if not part:
             continue
-        out.append(group.reduce([int(x) for x in part.split(",")]))
+        try:
+            coords = [int(x) for x in part.split(",")]
+        except ValueError:
+            raise InvariantError(f"malformed group element {part!r}: expected integers joined by ','") from None
+        out.append(group.reduce(coords))
     return out
 
 
@@ -84,12 +95,101 @@ def _tau_sign(flag: str) -> int:
     return 1 if flag == "+" else -1
 
 
+# -- report writer ----------------------------------------------------------------
+#
+# A report's bytes are those the json module writes with indent=2 and
+# sort_keys=True, plus "\n".  Any indent sends json to its pure-Python encoder,
+# so each piece is encoded compactly by the C encoder and laid out by array
+# operations instead.
+# Pieces hold about _PIECE_ITEMS JSON values, so the memory a write takes does
+# not grow with the report.
+
+_PIECE_ITEMS = 1 << 12
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
+# byte classes: 1 opens a container, 2 closes one, 3 is a comma, 4 a quote
+_CLASS = bytes(dict(zip(b'[{]},"', b"\1\1\2\2\3\4")).get(c, 0) for c in range(256))
+
+
+def _size(x) -> int:
+    """Estimated number of JSON values in x; a list counts its first item's
+    estimate once per item."""
+    if isinstance(x, dict):
+        return 1 + sum(map(_size, x.values()))
+    if isinstance(x, (list, tuple)) and x:
+        return 1 + len(x) * _size(x[0])
+    return 1
+
+
+def _indent(text: str, depth: int) -> np.ndarray:
+    """The compact text of one value, laid out as indent=2 lays it out when the
+    value sits at nesting depth ``depth``.
+
+    Escape pairs are masked first (the replaces run left to right, like the
+    escape grammar), so every remaining quote delimits a string.  A newline and
+    two spaces per level go after each opening bracket and comma and before each
+    closing bracket outside strings, except inside an empty [] or {}."""
+    data = text.encode("ascii")
+    masked = data.replace(b"\\\\", b"__").replace(b'\\"', b"__")
+    cls = np.frombuffer(masked.translate(_CLASS), np.uint8)
+    outside = ~np.logical_xor.accumulate(cls == 4)
+    pos = np.flatnonzero(outside & (cls != 0) & (cls != 4)).astype(np.int32)
+    kind = cls[pos]
+    level = np.cumsum((kind == 1).astype(np.int16) - (kind == 2), dtype=np.int16) + np.int16(depth)
+    width = 1 + 2 * level.astype(np.int32)
+    empty = np.flatnonzero((kind[:-1] == 1) & (kind[1:] == 2) & (pos[1:] == pos[:-1] + 1))
+    width[empty] = width[empty + 1] = 0
+    slot = pos + (kind != 2)  # the insertion goes before this byte
+    shift = np.zeros(len(data) + 1, np.int32)
+    shift[slot] = width
+    at = np.cumsum(shift[: len(data)], dtype=np.int32)
+    at += np.arange(len(data), dtype=np.int32)
+    out = np.full(len(data) + int(width.sum()), ord(" "), np.uint8)
+    out[at] = np.frombuffer(data, np.uint8)
+    out[(slot + np.cumsum(width, dtype=np.int32) - width)[width > 0]] = ord("\n")
+    return out
+
+
+def _emit(write, x, depth: int) -> None:
+    """Write x at nesting depth ``depth``: in one piece if it is small, else
+    member by member, runs of small members encoded together and spliced in
+    between x's brackets, large members written the same way one level down."""
+    if _size(x) <= _PIECE_ITEMS:
+        write(_indent(_ENCODE(x), depth))
+        return
+    is_dict = isinstance(x, dict)
+    members = sorted(x.items(), key=lambda kv: kv[0]) if is_dict else x
+    if is_dict or isinstance(x[0], dict):  # records: their sizes vary, so estimate each
+        sizes = np.fromiter(map(_size, (v for _, v in members) if is_dict else members), np.int64, len(x))
+    else:
+        sizes = np.full(len(x), _size(x[0]))
+    ends = np.cumsum(sizes)
+    close = f"\n{'  ' * depth}{'}' if is_dict else ']'}".encode()
+    write(b"{" if is_dict else b"[")
+    start = 0
+    while start < len(members):
+        if start:
+            write(b",")
+        if sizes[start] > _PIECE_ITEMS:  # the key as json writes it, cut from '{"key": 0}'
+            key = _ENCODE({members[start][0]: 0})[1:-4] + ": " if is_dict else ""
+            write(f"\n{'  ' * (depth + 1)}{key}".encode())
+            _emit(write, members[start][1] if is_dict else members[start], depth + 1)
+            start += 1
+            continue
+        # the run stops before the member that takes it past a piece, so before any large one
+        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + _PIECE_ITEMS, "right"))
+        run = members[start:stop]
+        piece = _indent(_ENCODE(dict(run) if is_dict else run), depth)
+        write(piece[1 : len(piece) - len(close)])
+        start = stop
+    write(close)
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     if not path:  # no --json given
         return
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "wb") as fh:  # truncates in place: inode, mode and links stay
+        _emit(fh.write, payload, 0)
+        fh.write(b"\n")
 
 
 def _algebra(args) -> TYAlgebra:
@@ -320,6 +420,9 @@ def main(argv=None) -> int:
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # inputs are read above as InvariantError, so this is the --json write
+        print(f"error: cannot write report {args.json}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
+import functools
 import hashlib
 import json
 import random
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tywha.cli as cli
 from tywha.cli import main
 from tywha.linalg import SparseVec, distance
 
@@ -212,6 +217,74 @@ class TestReportFiles:
         assert run(["wha", "verify", "--group", "1", "--json", str(link)]) == 0
         assert link.is_symlink()
         assert json.loads(target.read_text())["passed"] is True
+
+
+def stdlib_report(payload) -> bytes:
+    """The bytes the json module writes for a report, with its trailing newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+_text = st.text(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7fa0é€😀') | st.characters(), max_size=12)
+_scalar = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _text
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+)
+_nested = st.integers(1, 80).map(lambda depth: functools.reduce(lambda inner, _: [inner], range(depth), {}))
+_json_value = st.recursive(
+    _scalar | _nested, lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_text, kids, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """The report writer lays out the C encoder's text with array operations;
+    its bytes must be the json module's, piece by piece or in one piece."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_json_value, piece_items=st.sampled_from([1, 2, cli._PIECE_ITEMS]))
+    def test_bytes_equal_stdlib(self, tmp_path_factory, value, piece_items):
+        path = tmp_path_factory.getbasetemp() / "report.json"
+        with mock.patch.object(cli, "_PIECE_ITEMS", piece_items):
+            cli._write_json(str(path), value)
+        assert path.read_bytes() == stdlib_report(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "describe", "--group", "2,2"],
+        ["wha", "verify", "--group", "2", "--tau", "-"],
+        ["wha", "export", "--group", "3"],
+        ["coideal", "build", "--group", "4", "--K", "2", "--Z0", "all", "--Z1", "0"],
+        ["classify", "weak-coideals", "--group", "2,4"],
+        ["classify", "weak-coideals", "--group", "2", "--realize"],
+        ["classify", "g-algebras", "--group", "4", "--max-mult", "2"],
+    ], ids=["describe", "verify", "export", "coideal", "classify", "realize", "g-algebras"])
+    @pytest.mark.parametrize("piece_items", [2, cli._PIECE_ITEMS])
+    def test_every_command_writes_stdlib_bytes(self, argv, piece_items, tmp_path, monkeypatch):
+        payloads, write = [], cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda path, payload: (payloads.append(payload), write(path, payload)))
+        monkeypatch.setattr(cli, "_PIECE_ITEMS", piece_items)
+        out = tmp_path / "report.json"
+        assert run([*argv, "--json", str(out)]) == 0
+        assert out.read_bytes() == stdlib_report(payloads[0])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coideal", "build", "--group", "4", "--K", "x"], "malformed group element 'x'"),
+        (["coideal", "build", "--group", "4", "--K", "2", "--Z0", "1,a"], "malformed group element '1,a'"),
+        (["group", "describe", "--group", "2", "--bichar", "{bad}"], "bicharacter file {bad} is not valid JSON"),
+        (["wha", "verify", "--group", "1", "--json", "{tmp}"], "cannot write report {tmp}: Is a directory"),
+        (["wha", "verify", "--group", "1", "--json", "{tmp}/no/r.json"], "cannot write report {tmp}/no/r.json"),
+    ], ids=["K", "Z0", "bichar", "json-dir", "json-no-parent"])
+    def test_bad_input_or_report_path_exits_2(self, argv, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        fill = {"{bad}": str(bad), "{tmp}": str(tmp_path)}
+        for key, value in fill.items():
+            argv = [a.replace(key, value) for a in argv]
+            message = message.replace(key, value)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        if "--json" in argv:  # the verdict is printed before the report is written
+            assert "PASS" in captured.out
 
 
 class TestCoidealCommand:
