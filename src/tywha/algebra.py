@@ -24,10 +24,10 @@ from cmath import exp as cexp
 
 import numpy as np
 
-from .errors import InvariantError, SizeError, StructuralError
+from .errors import InvariantError, StructuralError, check_order
 from .groups import Bicharacter, FiniteAbelianGroup, GroupElt
 from .linalg import (
-    DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, components, distance, sparse_nullspace, sparse_rows
+    DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, components, distance, sparse_nullspace, span
 )
 
 SLOT_GRP = 0
@@ -415,8 +415,7 @@ class TYAlgebra:
         tau_sign: int = 1,
         eps: float = DEFAULT_TOL,
     ):
-        if group.order > ALGEBRA_ORDER_BOUND:
-            raise SizeError(f"|G| = {group.order} exceeds algebra bound {ALGEBRA_ORDER_BOUND}")
+        check_order(group.order, ALGEBRA_ORDER_BOUND, "algebra")
         bichar = Bicharacter.standard(group) if bichar is None else bichar
         self.data = TYData(group, bichar, tau_sign)
         self.group = group
@@ -866,18 +865,18 @@ class TYAlgebra:
 
     def center(self) -> Subspace:
         """The center of B."""
-        units = np.arange(self.dim)
-        return self.commutant(units, units, np.ones(self.dim, dtype=complex), self.dim)
+        units, ones = np.arange(self.dim), np.ones(self.dim, dtype=complex)
+        kernel = sparse_nullspace(*self.commutant(units, units, ones), self.dim, eps=self.eps)
+        return span(kernel, units, units, ones, eps=self.eps)
 
-    def commutant(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray, size: int) -> Subspace:
-        """The center of the subalgebra spanned by ``size`` vectors given by
-        their terms (vector, unit, coefficient): the z in their span with
-        z a = a z for every one of them.
+    def commutant(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray) -> tuple:
+        """The sparse system (rows, cols, vals) whose kernel is the center of
+        the subalgebra spanned by vectors given by their terms (vector, unit,
+        coefficient): the z in their span with z a = a z for every one of
+        them, in the coordinates of z along the vectors.
 
         Each vector a gives the constraint rows of z -> z a - a z, read from
-        the product arrays.  Joined with the terms they are a sparse system
-        in the coordinates of z along the vectors, solved by
-        ``sparse_nullspace`` one column component at a time."""
+        the product arrays and joined with the terms."""
         dim, T = self.dim, self.product
         # constraint row (a, k), unit i: coefficient of u_k in u_i a - a u_i
         s1, e1 = T.of_right(unit)
@@ -889,11 +888,7 @@ class TYAlgebra:
         by_unit = np.argsort(unit, kind="stable")
         s, p = _join(cols, unit[by_unit])
         p = by_unit[p]
-        kernel = sparse_nullspace(rows[s], gen[p], vals[s] * coef[p], size, eps=self.eps)
-        units, at = np.unique(unit, return_inverse=True)
-        z = np.zeros((len(kernel), len(units)), dtype=complex)
-        np.add.at(z, (slice(None), at), kernel[:, gen] * coef)
-        return Subspace(sparse_rows(z, units.tolist()), eps=self.eps)
+        return rows[s], gen[p], vals[s] * coef[p]
 
     # -- pair and triple identities as sparse joins ----------------------------------
     #

@@ -31,7 +31,7 @@ from .coideals import (
     is_indecomposable,
     verify_weak_coideal,
 )
-from .errors import InvariantError, SizeError, StructuralError
+from .errors import InvariantError, SizeError, StructuralError, check_order
 from .groups import (
     Bicharacter, FiniteAbelianGroup, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal,
     quotient,
@@ -271,9 +271,7 @@ def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
 def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> ClassificationReport:
     """Enumerate all weak-coideal isomorphism classes, flag the
     coideal-containing ones, and cross-check counts."""
-    if group.order > CLASSIFY_ORDER_BOUND:
-        raise SizeError(
-            f"|G| = {group.order} exceeds classification bound {CLASSIFY_ORDER_BOUND}")
+    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
     report = ClassificationReport(group, "weak-coideals")
     for K in enumerate_subgroups(group):
         perp, q0, q1, flip = _quotients(group, chi, K)
@@ -343,9 +341,7 @@ def g_algebra_classes(
     annihilator, plus the swap there)."""
     if max_mult < 1:
         raise InvariantError("max_mult must be >= 1")
-    if group.order > CLASSIFY_ORDER_BOUND:
-        raise SizeError(
-            f"|G| = {group.order} exceeds classification bound {CLASSIFY_ORDER_BOUND}")
+    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
     report = ClassificationReport(group, "g-algebras")
     key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
     for K in enumerate_subgroups(group):

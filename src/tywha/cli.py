@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import TYAlgebra
-from .classify import REALIZE_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
+from .algebra import ALGEBRA_ORDER_BOUND, TYAlgebra
+from .classify import (
+    CLASSIFY_ORDER_BOUND, REALIZE_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
+)
 from .coideals import (
     CoidealSpec,
     build_from_spec,
@@ -29,8 +31,9 @@ from .coideals import (
     is_indecomposable,
     verify_weak_coideal,
 )
-from .errors import InvariantError, SizeError, StructuralError
+from .errors import InvariantError, SizeError, StructuralError, check_order
 from .groups import (
+    SUBGROUP_ENUM_BOUND,
     Bicharacter,
     FiniteAbelianGroup,
     Subgroup,
@@ -41,8 +44,13 @@ from .groups import (
 from .linalg import DEFAULT_TOL
 
 
-def _parse_group(text: str) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup.from_spec(text)
+def _parse_data(args, bound: int, what: str) -> tuple[FiniteAbelianGroup, Bicharacter]:
+    """The group and bicharacter of ``args``.  The group's order is checked
+    against the command's bound first: validating the bicharacter builds a
+    |G| x |G| phase table."""
+    group = FiniteAbelianGroup.from_spec(args.group)
+    check_order(group.order, bound, what)
+    return group, _parse_bichar(group, args.bichar)
 
 
 def _parse_bichar(group: FiniteAbelianGroup, source: str) -> Bicharacter:
@@ -193,8 +201,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _algebra(args) -> TYAlgebra:
-    group = _parse_group(args.group)
-    chi = _parse_bichar(group, args.bichar)
+    group, chi = _parse_data(args, ALGEBRA_ORDER_BOUND, "algebra")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InvariantError(f"tolerance must be finite and positive, got {args.tol}")
     return TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
@@ -204,8 +211,7 @@ def _algebra(args) -> TYAlgebra:
 
 
 def cmd_group_describe(args) -> int:
-    group = _parse_group(args.group)
-    chi = _parse_bichar(group, args.bichar)
+    group, chi = _parse_data(args, SUBGROUP_ENUM_BOUND, "subgroup enumeration")
     subs = enumerate_subgroups(group)
     lines = [f"group {group}  order {group.order}  factors {','.join(map(str, group.factors))}"]
     lines.append(f"{'K':<28}{'|K|':<6}{'K_perp':<28}{'note'}")
@@ -299,8 +305,8 @@ def cmd_coideal_build(args) -> int:
 def cmd_classify_weak(args) -> int:
     alg = _algebra(args)  # checks --tol; its tables are built only if --realize uses them
     group = alg.group
-    if args.realize and group.order > REALIZE_ORDER_BOUND:
-        raise SizeError(f"|G| = {group.order} exceeds realize bound {REALIZE_ORDER_BOUND}")
+    if args.realize:
+        check_order(group.order, REALIZE_ORDER_BOUND, "realize")
     report = weak_coideal_classes(group, alg.bichar)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
     all_ok = True
@@ -331,8 +337,7 @@ def cmd_classify_weak(args) -> int:
 
 
 def cmd_classify_algebras(args) -> int:
-    group = _parse_group(args.group)
-    chi = _parse_bichar(group, args.bichar)
+    group, chi = _parse_data(args, CLASSIFY_ORDER_BOUND, "classification")
     report = g_algebra_classes(group, chi, max_mult=args.max_mult)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
     print(

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .errors import InvariantError, StructuralError
 from .groups import Coset, QuotientGroup, Subgroup, orthogonal, quotient
-from .linalg import ROUNDOFF, SparseVec, Subspace, distance, sparse_nullspace, sparse_rows
+from .linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, span
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class CoidealSpec:
 class WeakCoideal:
     """A verified-or-verifiable subalgebra candidate with its fiber data.
 
-    A's coordinates and its subspace of B are built on first use from the
-    per-block fiber spaces.
+    A's coordinates are built on first use from the per-block fiber spaces.
     """
 
     def __init__(
@@ -87,11 +86,6 @@ class WeakCoideal:
     @cached_property
     def coords(self) -> "_Coords":
         return _Coords(self)
-
-    @cached_property
-    def space(self) -> Subspace:
-        """A as a subspace of B, in the Kronecker basis of its coordinates."""
-        return self.coords.subspace()
 
     @property
     def dim(self) -> int:
@@ -322,8 +316,7 @@ class _Coords:
     For each block x with X^x != 0 the fiber echelon basis F_x (rows over
     the block's slots, pruned at ROUNDOFF as ``basis_vectors`` prunes them)
     gives A's rows F_x[i] (x) e_c: numbered by block, then fiber row, then
-    column slot c, with pivot unit (x; pivot slot of F_x[i], c).  Their
-    terms (row, unit, val) are sorted by row, then unit.
+    column slot c.  Their terms (row, unit, val) are sorted by row, then unit.
 
     A vector of B with block matrices V_x (row slot by column slot) lies in
     A iff every column of each V_x lies in X^x and it has no mass off A's
@@ -342,9 +335,9 @@ class _Coords:
         self.first_slot = np.cumsum(lay.sizes) - lay.sizes  # slot s of block b is first + s
         self.in_blocks = np.zeros(len(lay.sizes), dtype=bool)
         ints, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
-        # per block: the terms (row, unit, val), the row pivots, and ``reduce``
-        # as (block slot, free slot, coefficient)
-        parts, size = [(ints, ints, vals, ints, ints, ints, vals)], 0
+        # per block: the terms (row, unit, val) and ``reduce`` as (block slot,
+        # free slot, coefficient)
+        parts, size = [(ints, ints, vals, ints, ints, vals)], 0
         for b, label in enumerate(alg.blocks):
             sub = wc.x_spaces.get(label)
             if sub is None or not sub.dim:
@@ -361,13 +354,13 @@ class _Coords:
             r, f = np.nonzero(fiber[:, free])
             parts.append((
                 (size + i[:, None] * n + col).ravel(), lay.unit(b, s[:, None], col).ravel(),
-                np.repeat(fiber[i, s], n), lay.unit(b, piv[:, None], col).ravel(),
+                np.repeat(fiber[i, s], n),
                 self.first_slot[b] + np.concatenate([free, piv[r]]), np.concatenate([free, free[f]]),
                 np.concatenate([np.ones(len(free)), -fiber[r, free[f]]]),
             ))
             self.in_blocks[b] = True
             size += sub.dim * n
-        row, unit, val, self.pivots, key, slot, coef = map(np.concatenate, zip(*parts))
+        row, unit, val, key, slot, coef = map(np.concatenate, zip(*parts))
         order = np.argsort(row, kind="stable")
         self.size, self.row, self.unit, self.val = size, row[order], unit[order], val[order]
         self.by_unit = np.argsort(self.unit, kind="stable")
@@ -378,15 +371,6 @@ class _Coords:
         order = np.argsort(key, kind="stable")
         self.reduce_slot, self.reduce_coef = slot[order], coef[order]
         self.reduce_ptr = np.searchsorted(key[order], np.arange(lay.sizes.sum() + 1))
-
-    def subspace(self) -> Subspace:
-        """A's rows as a Subspace over the units they touch, taken as they are:
-        the pivot block is the identity by construction."""
-        units, at = np.unique(self.unit, return_inverse=True)
-        basis = np.zeros((self.size, len(units)), dtype=complex)
-        basis[self.row, at] = self.val
-        pivots = np.searchsorted(units, self.pivots).tolist()
-        return Subspace.reduced(units.tolist(), basis, pivots, eps=self.eps)
 
     def residual(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> tuple:
         """The norm of the component outside A, and the norm, of each of n
@@ -522,8 +506,9 @@ def is_coideal(wc: WeakCoideal) -> bool:
     return distance(wc.unit, wc.algebra.unit()) <= wc.algebra.eps
 
 
-def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
-    """The invariant subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}.
+def _invariance(wc: WeakCoideal) -> tuple:
+    """The sparse system (rows, cols, vals) whose kernel is the invariant
+    subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}, in A's coordinates.
 
     Delta(1_A)(u_i (x) 1) is sum_p c_p (u_{f_p} u_i) (x) u_{s_p} over the terms
     c_p u_{f_p} (x) u_{s_p} of Delta(1_A), so each constraint column joins
@@ -541,21 +526,33 @@ def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
     rows = np.concatenate([C.first[p] * dim + C.second[p], T.k[e] * dim + second[d]])
     cols = np.concatenate([A.row[t], A.row[s]])
     vals = np.concatenate([A.val[t], -coef[d] * A.val[s] * T.c[e]])
-    kernel = sparse_nullspace(rows, cols, vals, A.size, eps=alg.eps)
-    space = wc.space
-    return Subspace(sparse_rows(kernel @ space.basis, space.universe), eps=alg.eps)
+    return rows, cols, vals
+
+
+def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
+    """The invariant subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}."""
+    A, alg = wc.coords, wc.algebra
+    kernel = sparse_nullspace(*_invariance(wc), A.size, eps=alg.eps)
+    return span(kernel, A.row, A.unit, A.val, eps=alg.eps)
 
 
 def center(wc: WeakCoideal) -> Subspace:
     """The center of A, by one commutant solve over A's basis."""
-    A = wc.coords
-    return wc.algebra.commutant(A.row, A.unit, A.val, A.size)
+    A, alg = wc.coords, wc.algebra
+    kernel = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
+    return span(kernel, A.row, A.unit, A.val, eps=alg.eps)
 
 
 def is_indecomposable(wc: WeakCoideal) -> bool:
-    """True iff the central invariant subalgebra is one-dimensional."""
-    meet = center(wc).intersect(fixed_point_algebra(wc))
-    return meet.dim == 1
+    """True iff the central invariant subalgebra is one-dimensional.
+
+    The center and the invariant subalgebra are kernels in A's coordinates,
+    each with orthonormal rows, so the dimension of their intersection is
+    the nullity of the two kernels stacked side by side."""
+    A, alg = wc.coords, wc.algebra
+    zc = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
+    zf = sparse_nullspace(*_invariance(wc), A.size, eps=alg.eps)
+    return len(nullspace(np.concatenate([zc, -zf]).T[None], eps=alg.eps)[0]) == 1
 
 
 def x0_partition(wc: WeakCoideal) -> list[frozenset[Slot]]:

@@ -5,6 +5,12 @@ class SizeError(ValueError):
     """An enumeration or construction exceeds its configured size bound."""
 
 
+def check_order(order: int, bound: int, what: str) -> None:
+    """Fail fast with SizeError when a group order exceeds ``what``'s bound."""
+    if order > bound:
+        raise SizeError(f"|G| = {order} exceeds {what} bound {bound}")
+
+
 class InvariantError(ValueError):
     """Input data violates a structural invariant (not a subgroup, degenerate
     bicharacter, non-additive character, malformed classification data)."""

@@ -21,7 +21,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from .errors import InvariantError, SizeError, StructuralError
+from .errors import InvariantError, StructuralError, check_order
 
 GroupElt = tuple[int, ...]
 
@@ -183,9 +183,7 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     S + <g> for one g per nontrivial coset of S, since g's in one coset
     give the same S + <g>.
     """
-    if group.order > SUBGROUP_ENUM_BOUND:
-        raise SizeError(
-            f"|G| = {group.order} exceeds subgroup enumeration bound {SUBGROUP_ENUM_BOUND}")
+    check_order(group.order, SUBGROUP_ENUM_BOUND, "subgroup enumeration")
     add = group.add_table
     frontier = [np.zeros(1, dtype=np.int64)]
     found = {frontier[0].tobytes(): frontier[0]}
@@ -272,8 +270,11 @@ def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
 
 
 def _parse_fraction(entry) -> Fraction:
-    if isinstance(entry, (str, int)):
-        return Fraction(entry)
+    if isinstance(entry, (str, int)) and not isinstance(entry, bool):
+        try:
+            return Fraction(entry)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InvariantError(f"bicharacter matrix entries must be rationals, got {entry!r}")
 
 
@@ -320,10 +321,10 @@ class Bicharacter:
     def from_json(cls, group: FiniteAbelianGroup, data) -> "Bicharacter":
         if isinstance(data, str):
             data = json.loads(data)
-        if not isinstance(data, dict) or "matrix" not in data:
+        rows = data.get("matrix") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InvariantError('bicharacter JSON must be {"matrix": [[...], ...]}')
-        rows = tuple(tuple(_parse_fraction(x) for x in row) for row in data["matrix"])
-        return cls(group, rows)
+        return cls(group, tuple(tuple(_parse_fraction(x) for x in row) for row in rows))
 
     @cached_property
     def denominator(self) -> int:

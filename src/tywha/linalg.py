@@ -206,6 +206,17 @@ def sparse_nullspace(rows, cols, vals, n: int, eps: float = DEFAULT_TOL) -> np.n
     return out
 
 
+def span(kernel: np.ndarray, vec: np.ndarray, key: np.ndarray, val: np.ndarray,
+         eps: float = DEFAULT_TOL) -> "Subspace":
+    """The span of the rows of ``kernel``, each the coordinates of a vector
+    along the vectors given by their terms (vector, key, value), as a
+    Subspace over the keys those terms touch."""
+    keys, at = np.unique(key, return_inverse=True)
+    out = np.zeros((len(kernel), len(keys)), dtype=complex)
+    np.add.at(out, (slice(None), at), kernel[:, vec] * val)
+    return Subspace(sparse_rows(out, keys.tolist()), eps=eps)
+
+
 class Subspace:
     """Span of sparse vectors, reduced to row echelon form with unit pivots.
 
@@ -244,22 +255,8 @@ class Subspace:
             basis[count] = r
             pivots.append(p)
             count += 1
-        self._set(basis[:count], pivots)
-
-    @classmethod
-    def reduced(cls, universe: list, basis: np.ndarray, pivots: list[int], eps: float = DEFAULT_TOL) -> "Subspace":
-        """The span of ``basis``, rows over ``universe`` already in reduced
-        echelon form: the pivot block (columns ``pivots``) is the identity.
-        The rows are kept as given, with no reduction."""
-        self = cls.__new__(cls)
-        self.eps, self.universe = float(eps), universe
-        self.pos = {k: i for i, k in enumerate(universe)}
-        self._set(basis, pivots)
-        return self
-
-    def _set(self, basis: np.ndarray, pivots: list[int]) -> None:
-        self.basis, self.pivots = basis, pivots
-        self._free = np.ones(len(self.universe), dtype=bool)
+        self.basis, self.pivots = basis[:count], pivots
+        self._free = np.ones(n, dtype=bool)
         self._free[pivots] = False
 
     @property

@@ -45,6 +45,22 @@ class TestGroupDescribe:
         assert run(["group", "describe", "--group", "2", "--bichar", str(path)]) == 2
         assert "bicharacter degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix, entry", [
+        ('[["1/0"]]', "'1/0'"),
+        ('[["abc"]]', "'abc'"),
+        ('[[true]]', "True"),
+        ('"x"', None),
+        ('[1]', None),
+    ], ids=["zero-denominator", "not-a-number", "bool", "string", "flat-list"])
+    def test_malformed_bichar_matrix_exits_2(self, matrix, entry, tmp_path, capsys):
+        path = tmp_path / "chi.json"
+        path.write_text('{"matrix": %s}' % matrix)
+        assert run(["group", "describe", "--group", "2", "--bichar", str(path)]) == 2
+        err = capsys.readouterr().err
+        want = (f"entries must be rationals, got {entry}" if entry
+                else 'bicharacter JSON must be {"matrix": [[...], ...]}')
+        assert err.startswith("error: ") and want in err and err.count("\n") == 1
+
     def test_bad_group_exits_2(self):
         assert run(["group", "describe", "--group", "zzz"]) == 2
 
@@ -78,6 +94,22 @@ class TestWhaCommands:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", ["100000", "1000000000"])
+    @pytest.mark.parametrize("command", [
+        ["wha", "verify"],
+        ["wha", "export"],
+        ["coideal", "build", "--K", "0"],
+        ["classify", "weak-coideals"],
+        ["classify", "g-algebras"],
+        ["group", "describe"],
+    ], ids=["verify", "export", "coideal", "classify", "g-algebras", "describe"])
+    def test_order_bound_is_checked_before_the_bicharacter(self, command, group, capsys):
+        # validating the bicharacter builds a |G| x |G| phase table
+        start = time.perf_counter()
+        assert run([*command, "--group", group]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"|G| = {group} exceeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from tywha.coideals import (
 )
 from tywha.errors import InvariantError, StructuralError
 from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
-from tywha.linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, tensor_contains
+from tywha.linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_rows, tensor_contains
 
 
 def g(*coords):
@@ -276,7 +278,40 @@ class TestVerifierRejections:
             CoidealSpec(K, frozenset(), frozenset())
 
 
+def union(alg, parts, label):
+    """The sum of weak coideals, assembled from their fiber bases."""
+    merged = {}
+    for wc in parts:
+        for block, sub in wc.x_spaces.items():
+            merged.setdefault(block, []).extend(sub.basis_vectors())
+    return assemble(alg, merged, label)
+
+
 class TestIndecomposability:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(4,), (2, 2)])
+    def test_matches_the_central_invariant_intersection(self, factors, sign):
+        # every builder over every subgroup and every nonempty Z, plus the
+        # decomposable sums of two translates over the trivial subgroup
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+
+        def subsets(cosets):
+            return [c for r in range(1, len(cosets) + 1) for c in itertools.combinations(cosets, r)]
+
+        built = []
+        for K in enumerate_subgroups(alg.group):
+            q0, q1 = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
+            built += [build_no_m(alg, K, zs, side=0) for zs in subsets(q0.cosets)]
+            built += [build_no_m(alg, K, zs, side=1) for zs in subsets(q1.cosets)]
+            built += [build_with_m(alg, K, zs, q1.cosets[0]) for zs in subsets(q0.cosets)]
+            built += [build_I_m_K(alg, K), build_I_Omega_K(alg, K)]
+        K = Subgroup.trivial(alg.group)
+        copies = [build_no_m(alg, K, [lam]) for lam in quotient(alg.group, K).cosets]
+        built += [union(alg, pair, "two translates") for pair in itertools.combinations(copies, 2)]
+        dims = [center(wc).intersect(fixed_point_algebra(wc)).dim for wc in built]
+        assert [is_indecomposable(wc) for wc in built] == [d == 1 for d in dims]
+        assert sum(d != 1 for d in dims) == 6
+
     def test_union_of_translates_is_decomposable(self):
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
         grp = alg.group
@@ -285,14 +320,10 @@ class TestIndecomposability:
         copy1 = build_no_m(alg, K, [q.cosets[0]])
         copy2 = build_no_m(alg, K, [q.cosets[1]])
         assert is_indecomposable(copy1) and is_indecomposable(copy2)
-        merged = {}
-        for wc in (copy1, copy2):
-            for block, sub in wc.x_spaces.items():
-                merged.setdefault(block, []).extend(sub.basis_vectors())
-        union = assemble(alg, merged, "two translated copies")
-        assert verify_weak_coideal(union).passed
-        assert not is_indecomposable(union)
-        meet = center(union).intersect(fixed_point_algebra(union))
+        both = union(alg, (copy1, copy2), "two translated copies")
+        assert verify_weak_coideal(both).passed
+        assert not is_indecomposable(both)
+        meet = center(both).intersect(fixed_point_algebra(both))
         assert meet.dim == 2
         # the block projection onto one copy is a central invariant element
         projection = SparseVec(
@@ -402,7 +433,7 @@ def reference_report(wc):
     """verify_weak_coideal's rows (name, residual, passed, witness, instances),
     recomputed one basis vector at a time with multiply, coproduct, star,
     Subspace.residual/contains_batch and tensor_contains."""
-    alg, eps, space = wc.algebra, wc.algebra.eps, wc.space
+    alg, eps, space = wc.algebra, wc.algebra.eps, generic_space(wc)
     basis = space.basis_vectors()
     size = len(basis)
     rows = []
@@ -445,7 +476,7 @@ def reference_report(wc):
 def reference_fixed_points(wc):
     """fixed_point_algebra with Delta(1_A)(e_i (x) 1) from tensor_multiply."""
     alg = wc.algebra
-    basis = wc.space.basis_vectors()
+    basis = generic_space(wc).basis_vectors()
     delta_unit = alg.coproduct(wc.unit)
     twisted = {
         i: alg.tensor_multiply(delta_unit, SparseVec({(i, j): c for j, c in alg.unit().items()}))
@@ -489,18 +520,20 @@ def generic_space(wc):
 
 
 def assert_space_matches_generic(wc, exact):
-    """wc.space (the Kronecker basis) is the generic echelon basis bit for
-    bit, or, where ``exact`` is false and the bases differ, spans the same
-    space; its pivot block is the identity either way."""
-    space, ref = wc.space, generic_space(wc)
-    same = (space.universe == ref.universe and space.pivots == ref.pivots
-            and np.array_equal(space.basis, ref.basis))
+    """A's rows (the Kronecker basis of wc.coords) are the generic echelon
+    basis bit for bit, or, where ``exact`` is false and the bases differ,
+    span the same space."""
+    A, ref = wc.coords, generic_space(wc)
+    units, at = np.unique(A.unit, return_inverse=True)
+    basis = np.zeros((A.size, len(units)), dtype=complex)
+    basis[A.row, at] = A.val
+    same = units.tolist() == ref.universe and np.array_equal(basis, ref.basis)
     assert same or not exact, wc.label
     if not same:
-        assert space.dim == ref.dim, wc.label
-        assert all(ref.contains(v) for v in space.basis_vectors()), wc.label
-        assert all(space.contains(v) for v in ref.basis_vectors()), wc.label
-    assert np.array_equal(space.basis[:, space.pivots], np.eye(space.dim)), wc.label
+        assert A.size == ref.dim, wc.label
+        rows = sparse_rows(basis, units.tolist())
+        assert all(ref.contains(v) for v in rows), wc.label
+        assert all(Subspace(rows, eps=ref.eps).contains(v) for v in ref.basis_vectors()), wc.label
 
 
 def assert_matches_reference(wc):
@@ -541,8 +574,6 @@ class TestArrayChecks:
         assert built
         for wc in built:
             assert assert_matches_reference(wc).passed, wc.label
-            space = wc.space
-            assert np.array_equal(space.basis[:, space.pivots], np.eye(space.dim))
             fixed, ref = fixed_point_algebra(wc), reference_fixed_points(wc)
             assert fixed.dim == ref.dim, wc.label
             assert all(ref.contains(v) for v in fixed.basis_vectors())
@@ -562,7 +593,7 @@ class TestArrayChecks:
         K, _q, lam, _mu = z4_setup
         wc = build_no_m(z4, K, [lam]) if builder == "no_m" else build_with_m(
             z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0])
-        space, A = wc.space, wc.coords
+        space, A = generic_space(wc), wc.coords
         rng = np.random.default_rng(7)
         outside = [u for u in range(z4.dim) if not A.in_blocks[z4._layout.block[u]]]
         assert outside
