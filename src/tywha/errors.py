@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the fail-fast check of a
+group order against a size bound."""
 
 
 class SizeError(ValueError):
