@@ -64,9 +64,11 @@ def orbit_partition(points: np.ndarray, perms: np.ndarray, key) -> list[tuple[tu
     point of smallest key.  Raises ``StructuralError`` if the permutations
     are not a group (distinct rows closed under composition) or an image
     leaves the point set."""
-    rows = {p.tobytes() for p in perms}
-    composed = perms[:, perms].reshape(-1, perms.shape[1])
-    if len(rows) != len(perms) or any(c.tobytes() not in rows for c in composed):
+    p, m = perms.shape
+    rows = np.concatenate([perms, perms[:, perms].reshape(-1, m)])
+    keys, which = np.unique(rows.view(np.dtype((np.void, rows.itemsize * m))).ravel(), return_inverse=True)
+    # distinct and closed under composition: the rows of perms hit every key once
+    if (np.bincount(which[:p], minlength=len(keys)) != 1).any():
         raise StructuralError("action elements are not a group of permutations")
     step = max(1, BLOCK_ELEMS // perms.size)
     own = np.concatenate([key(points[lo:lo + step]) for lo in range(0, len(points), step)])
@@ -190,8 +192,8 @@ def _coideal_flags(rows: np.ndarray, n0: int) -> np.ndarray:
 
 
 def _decode(row, q0: QuotientGroup, q1: QuotientGroup) -> tuple[tuple, tuple]:
-    z0 = tuple(c.rep for c, bit in zip(q0.cosets, row[:len(q0)]) if bit)
-    return z0, tuple(c.rep for c, bit in zip(q1.cosets, row[len(q0):]) if bit)
+    z0 = tuple(r for r, bit in zip(q0.reps, row[:len(q0)]) if bit)
+    return z0, tuple(r for r, bit in zip(q1.reps, row[len(q0):]) if bit)
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,11 @@ class ClassificationReport:
 
 
 def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
+    """K's annihilator, G/K, G/Kperp, whether K is its own annihilator, and
+    the action on rows over both quotients."""
     perp = orthogonal(chi, K)
-    return perp, quotient(group, K), quotient(group, perp), K.elements == perp.elements
+    q0, q1, flip = quotient(group, K), quotient(group, perp), K == perp
+    return perp, q0, q1, flip, _pair_perms(q0, q1, flip)
 
 
 def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> ClassificationReport:
@@ -274,28 +279,27 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> Classif
     check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
     report = ClassificationReport(group, "weak-coideals")
     for K in enumerate_subgroups(group):
-        perp, q0, q1, flip = _quotients(group, chi, K)
+        perp, q0, q1, flip, perms = _quotients(group, chi, K)
         n0, points = len(q0), _valid_subset_pairs(q0, q1)
-        orbits, counts = _classes(points, _pair_perms(q0, q1, flip),
-                                  partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
+        orbits, counts = _classes(points, perms, partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
         flags = _coideal_flags(np.array([row for row, _ in orbits]), n0).tolist()
         # the flag is constant on orbits iff flagged orbits hold every flagged point
         if sum(s for (_, s), f in zip(orbits, flags) if f) != _coideal_flags(points, n0).sum():
             raise StructuralError("coideal flag is not constant on an orbit")
         reps = [OrbitRep(K, *_decode(row, q0, q1), f, s) for (row, s), f in zip(orbits, flags)]
         flagged = sorted((r.z0, r.z1) for r in reps if r.coideal)
-        if flagged != sorted((r.z0, r.z1) for r in coideal_orbits(group, chi, K)):
+        if flagged != sorted((r.z0, r.z1) for r in coideal_orbits(K, q0, q1, flip, perms)):
             raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
         entry = SubgroupClasses(K, perp, flip, reps, counts["burnside_count"], len(points))
         report.per_subgroup.append(entry)
     return report
 
 
-def coideal_orbits(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup) -> list[OrbitRep]:
-    """Directly construct the coideal-containing orbits for one subgroup:
+def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool,
+                   perms: np.ndarray) -> list[OrbitRep]:
+    """Directly construct the coideal-containing orbits for one subgroup,
+    given its quotients and their action as ``_quotients`` returns them:
     four of them in general, two when K is its own annihilator."""
-    _perp, q0, q1, flip = _quotients(group, chi, K)
-    perms = _pair_perms(q0, q1, flip)
     # (lam, {}), ({}, mu), (G/K, mu) and (lam, G/Kperp); lam and mu are the
     # cosets of 0, which come first on each side
     lam, mu = np.eye(1, len(q0), dtype=np.uint8)[0], np.eye(1, len(q1), dtype=np.uint8)[0]
@@ -345,7 +349,7 @@ def g_algebra_classes(
     report = ClassificationReport(group, "g-algebras")
     key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
     for K in enumerate_subgroups(group):
-        perp, q0, q1, flip = _quotients(group, chi, K)
+        perp, q0, q1, flip, perms = _quotients(group, chi, K)
         n0, n1 = len(q0), len(q1)
         if (max_mult + 1) ** (n0 + n1) > ENUMERATION_BOUND:
             raise SizeError("multiplicity enumeration too large; lower max_mult")
@@ -353,7 +357,6 @@ def g_algebra_classes(
         if flip:
             orbits, counts = _classes(_vectors(n0, max_mult), q0.trans, key, fixed)
             types["self-paired"] = {**counts, "orbits": [list(r) for r, _ in orbits]}
-        perms = _pair_perms(q0, q1, flip)
         orbits, counts = _classes(_vectors(n0 + n1, max_mult), perms, key, fixed)
         types["decomposed"] = {**counts, "orbits": [[list(r[:n0]), list(r[n0:])] for r, _ in orbits]}
         report.per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
@@ -373,7 +376,7 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
     A lone singleton is realized by ``I_Omega_K`` over K (Z0 side) or its
     annihilator (Z1 side), every other class by ``build_from_spec``."""
     K = rep.subgroup
-    perp, q0, q1, _flip = _quotients(alg.group, alg.bichar, K)
+    perp, q0, q1, _flip, _perms = _quotients(alg.group, alg.bichar, K)
     if len(rep.z0) + len(rep.z1) == 1:
         wc = build_I_Omega_K(alg, K if rep.z0 else perp)
     else:

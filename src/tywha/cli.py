@@ -200,11 +200,16 @@ def _write_json(path: str | None, payload: dict) -> None:
         fh.write(b"\n")
 
 
-def _algebra(args) -> TYAlgebra:
+def _algebra_data(args) -> tuple[FiniteAbelianGroup, Bicharacter]:
+    """The group and bicharacter of an algebra command, with --tol checked."""
     group, chi = _parse_data(args, ALGEBRA_ORDER_BOUND, "algebra")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InvariantError(f"tolerance must be finite and positive, got {args.tol}")
-    return TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
+    return group, chi
+
+
+def _algebra(args) -> TYAlgebra:
+    return TYAlgebra(*_algebra_data(args), _tau_sign(args.tau), eps=args.tol)
 
 
 # -- commands -------------------------------------------------------------------
@@ -218,13 +223,13 @@ def cmd_group_describe(args) -> int:
     payload = []
     for K in subs:
         perp = orthogonal(chi, K)
-        marker = "K = K_perp" if perp.elements == K.elements else ""
+        marker = "K = K_perp" if perp == K else ""
         lines.append(f"{str(K):<28}{K.order:<6}{str(perp):<28}{marker}")
         payload.append(
             {
                 "K": [list(e) for e in K.sorted_elements],
                 "K_perp": [list(e) for e in perp.sorted_elements],
-                "self_orthogonal": perp.elements == K.elements,
+                "self_orthogonal": perp == K,
             }
         )
     print("\n".join(lines))
@@ -303,11 +308,11 @@ def cmd_coideal_build(args) -> int:
 
 
 def cmd_classify_weak(args) -> int:
-    alg = _algebra(args)  # checks --tol; its tables are built only if --realize uses them
-    group = alg.group
+    group, chi = _algebra_data(args)
     if args.realize:
         check_order(group.order, REALIZE_ORDER_BOUND, "realize")
-    report = weak_coideal_classes(group, alg.bichar)
+        alg = TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
+    report = weak_coideal_classes(group, chi)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
     all_ok = True
     print(f"weak-coideal classes of {group}: {report.total} total, {report.total_coideal} coideal-containing")

@@ -7,7 +7,10 @@ exp(2*pi*i * sum_ij g_i h_j M_ij)`` with ``M`` symmetric mod 1.
 
 Set computations (subgroups, cosets, annihilators) run on integer index
 tables built lazily once per group: element ``i`` is ``elements()[i]`` and
-``add_table[i, j]`` is the index of their sum.
+``add_table[i, j]`` is the index of their sum.  A subgroup is the sorted
+array of its element indices, a quotient its coset label per element, and
+the subgroup lattice is grown a level at a time on boolean member rows;
+element tuples are built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -102,75 +105,95 @@ class FiniteAbelianGroup:
         sums = (self.coords[:, None, :] + self.coords[None, :, :]) % self.factors
         return np.ravel_multi_index(np.moveaxis(sums, -1, 0), self.factors)
 
-    def __contains__(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == len(self.factors)
-            and all(0 <= x < n for x, n in zip(a, self.factors))
-        )
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        """Row g holds the index of j - g at j: a member row of S gathered there is that of S + g."""
+        add = self.add_table
+        return add[:, add.argmin(axis=0)].T
 
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.factors)
 
 
-def _extend(group: FiniteAbelianGroup, sub: np.ndarray, g: int) -> np.ndarray:
-    """Sorted indices of S + <g>: the translates of S by 0, g, 2g, ... up to
-    the first multiple of g inside S, which are pairwise disjoint."""
-    add, steps, x = group.add_table, [0], g
-    while x not in sub:
-        steps.append(x)
-        x = add[x, g]
-    return np.sort(add[np.ix_(steps, sub)], axis=None)
+# Frontier rows are grown this many member-table entries at a time, which
+# bounds the memory of one lattice level whatever its width.
+LEVEL_BLOCK_ELEMS = 1 << 16
 
 
-@dataclass(frozen=True)
+def _with_multiples(group: FiniteAbelianGroup, rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Member rows of S + <g> for member rows S of subgroups and element
+    indices g: the union of the translates S + m*g, whose range of m doubles
+    each step up to the exponent of the group."""
+    add, shift = group.add_table, group._shift
+    for _ in range((lcm(*group.factors) - 1).bit_length()):
+        rows = rows | np.take_along_axis(rows, shift[gens], axis=1)
+        gens = add[gens, gens]
+    return rows
+
+
 class Subgroup:
-    """A subgroup held as its full (frozen) element set, with the sorted
-    indices of its elements in ``idx``."""
+    """A subgroup held as the sorted indices ``idx`` of its elements; the
+    element tuples are built from them when first asked for.  Every
+    construction checks that the set holds 0 and is closed under addition.
+    Subgroups are equal when their groups and element sets are."""
 
-    group: FiniteAbelianGroup
-    elements: frozenset[GroupElt]
-    idx: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        group = self.group
-        idx = np.array(sorted(group.index(a) for a in self.elements), dtype=np.int64)
-        if group.zero() not in self.elements:
-            raise InvariantError("subgroup must contain the identity")
-        # a finite set with 0 that is closed under addition is a subgroup
-        if not np.isin(group.add_table[np.ix_(idx, idx)], idx).all():
-            raise InvariantError(f"{sorted(self.elements)} is not closed under addition")
-        object.__setattr__(self, "idx", idx)
+    def __init__(self, group: FiniteAbelianGroup, elements):
+        self._set_idx(group, [group.index(a) for a in elements])
 
     @classmethod
     def from_indices(cls, group: FiniteAbelianGroup, idx) -> "Subgroup":
-        return cls(group, frozenset(group._elements[i] for i in idx))
+        sub = cls.__new__(cls)
+        sub._set_idx(group, idx)
+        return sub
+
+    def _set_idx(self, group: FiniteAbelianGroup, idx) -> None:
+        member = np.zeros(group.order, dtype=bool)
+        member[idx] = True
+        self.group, self.idx = group, np.flatnonzero(member)
+        if not member[0]:
+            raise InvariantError("subgroup must contain the identity")
+        # a finite set with 0 that is closed under addition is a subgroup
+        if not member[group.add_table[self.idx[:, None], self.idx]].all():
+            raise InvariantError(f"{list(self.sorted_elements)} is not closed under addition")
 
     @classmethod
     def generated(cls, group: FiniteAbelianGroup, gens) -> "Subgroup":
-        sub = np.zeros(1, dtype=np.int64)
+        rows = np.eye(1, group.order, dtype=bool)
         for g in gens:
-            sub = _extend(group, sub, group.index(group.reduce(g)))
-        return cls.from_indices(group, sub.tolist())
+            rows = _with_multiples(group, rows, np.array([group.index(group.reduce(g))]))
+        return cls.from_indices(group, np.flatnonzero(rows[0]))
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls(group, frozenset([group.zero()]))
+        return cls.from_indices(group, [0])
 
     @classmethod
     def full(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls(group, frozenset(group.elements()))
+        return cls.from_indices(group, np.arange(group.order))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.idx)
 
     @cached_property
     def sorted_elements(self) -> tuple[GroupElt, ...]:
         return tuple(self.group._elements[i] for i in self.idx.tolist())
 
+    @cached_property
+    def elements(self) -> frozenset[GroupElt]:
+        return frozenset(self.sorted_elements)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subgroup) and self.group == other.group and np.array_equal(self.idx, other.idx)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.elements))
+
     def __contains__(self, a: GroupElt) -> bool:
         return a in self.elements
+
+    def __repr__(self) -> str:
+        return f"Subgroup(group={self.group!r}, elements={self.elements!r})"
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.sorted_elements) + "}"
@@ -179,29 +202,31 @@ class Subgroup:
 def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """All subgroups, in canonical (order, sorted elements) order.
 
-    Grown breadth first from the trivial subgroup: each S is extended to
-    S + <g> for one g per nontrivial coset of S, since g's in one coset
-    give the same S + <g>.
+    Grown a level at a time from the trivial subgroup: each S of the
+    frontier is extended to S + <g> for every g that is the least element of
+    its coset (g's in one coset give the same S + <g>), and the subgroups
+    not found before, told apart by their member keys, are the next
+    frontier.
     """
     check_order(group.order, SUBGROUP_ENUM_BOUND, "subgroup enumeration")
-    add = group.add_table
-    frontier = [np.zeros(1, dtype=np.int64)]
-    found = {frontier[0].tobytes(): frontier[0]}
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            covered = np.zeros(group.order, dtype=bool)
-            covered[sub] = True
-            for g in range(group.order):
-                if not covered[g]:
-                    covered[add[g, sub]] = True
-                    bigger = _extend(group, sub, g)
-                    if found.setdefault(bigger.tobytes(), bigger) is bigger:
-                        nxt.append(bigger)
-        frontier = nxt
-    # element order is index order, so this is the (order, sorted elements) order
-    ordered = sorted((idx.tolist() for idx in found.values()), key=lambda idx: (len(idx), idx))
-    return [Subgroup.from_indices(group, idx) for idx in ordered]
+    n, shift = group.order, group._shift
+    # a member row's 64-bit key has element 0 as its top bit: among sets of
+    # one size, a larger key is a smaller sorted tuple
+    weights = np.uint64(1) << (np.uint64(63) - np.arange(n, dtype=np.uint64))
+    found = frontier = np.eye(1, n, dtype=bool)
+    step = max(1, LEVEL_BLOCK_ELEMS // (n * n))
+    while len(frontier):
+        grown = [found]
+        for rows in (frontier[lo:lo + step] for lo in range(0, len(frontier), step)):
+            # (S, g) with g outside S and the least element of S + g
+            r, g = np.nonzero((rows[:, shift].argmax(axis=2) == np.arange(n)) & ~rows)
+            grown.append(_with_multiples(group, rows[r], g))
+        rows = np.concatenate(grown)
+        first = np.unique(rows @ weights, return_index=True)[1]
+        frontier = rows[first[first >= len(found)]]  # the distinct rows not found before
+        found = np.concatenate([found, frontier])
+    found = found[np.lexsort((~(found @ weights), found.sum(axis=1)))]
+    return [Subgroup.from_indices(group, np.flatnonzero(row)) for row in found]
 
 
 @dataclass(frozen=True)
@@ -219,44 +244,37 @@ class Coset:
         return f"{self.rep}+K"
 
 
-@dataclass(frozen=True)
 class QuotientGroup:
     """The quotient G/K with its translation action.
 
-    ``label[i]`` is the position in ``cosets`` of element i's coset, and
-    ``trans[t, c]`` is the position of coset t plus coset c.
+    Cosets are numbered in the order of their least elements ``reps``.
+    ``label[i]`` is the number of element i's coset, and ``trans[t, c]``
+    that of coset t plus coset c.
     """
 
-    group: FiniteAbelianGroup
-    subgroup: Subgroup
-    cosets: tuple[Coset, ...] = field(init=False)
-    label: np.ndarray = field(init=False, repr=False, compare=False)
-    trans: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g, k = self.group, self.subgroup
-        if k.group != g:
+    def __init__(self, group: FiniteAbelianGroup, subgroup: Subgroup):
+        if subgroup.group != group:
             raise InvariantError("subgroup belongs to a different group")
-        add, elems = g.add_table, g._elements
-        label = np.full(g.order, -1, dtype=np.int64)
-        reps = []
-        # scanning in index order makes each coset's first element its smallest
-        for a in range(g.order):
-            if label[a] < 0:
-                label[add[a, k.idx]] = len(reps)
-                reps.append(a)
-        if len(reps) * k.order != g.order:
+        add = group.add_table
+        least = add[:, subgroup.idx].min(axis=1)
+        reps = np.flatnonzero(least == np.arange(group.order))
+        if len(reps) * subgroup.order != group.order:
             raise InvariantError("cosets do not partition the group")
-        members = add[np.ix_(reps, k.idx)].tolist()
-        cosets = tuple(
-            Coset(k, frozenset(elems[i] for i in m), elems[r]) for r, m in zip(reps, members)
+        self.group, self.subgroup, self.label = group, subgroup, np.searchsorted(reps, least)
+        self.reps = tuple(group._elements[i] for i in reps.tolist())
+        self.trans = self.label[add[reps[:, None], reps]]
+
+    @cached_property
+    def cosets(self) -> tuple[Coset, ...]:
+        elems = self.group._elements
+        # each coset's |K| members, in index order
+        members = np.argsort(self.label, kind="stable").reshape(len(self), -1).tolist()
+        return tuple(
+            Coset(self.subgroup, frozenset(elems[i] for i in m), r) for r, m in zip(self.reps, members)
         )
-        object.__setattr__(self, "cosets", cosets)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "trans", label[add[np.ix_(reps, reps)]])
 
     def __len__(self) -> int:
-        return len(self.cosets)
+        return len(self.reps)
 
     def coset_of(self, a: GroupElt) -> Coset:
         return self.cosets[self.label[self.group.index(a)]]
@@ -359,7 +377,7 @@ def orthogonal(chi: Bicharacter, subgroup: Subgroup) -> Subgroup:
         raise InvariantError("bicharacter is degenerate")
     group = chi.group
     perp = np.flatnonzero((chi.phase_table[subgroup.idx] == 0).all(axis=0))
-    result = Subgroup.from_indices(group, perp.tolist())
+    result = Subgroup.from_indices(group, perp)
     if subgroup.order * result.order != group.order:
         raise StructuralError(
             f"|K|*|Kperp| = {subgroup.order}*{result.order} != |G| = {group.order}"

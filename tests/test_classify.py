@@ -14,6 +14,7 @@ from tywha.classify import (
     _pair_fixed,
     _pair_key,
     _pair_perms,
+    _quotients,
     _subset_rank,
     _subsets,
     _valid_subset_pairs,
@@ -132,9 +133,16 @@ class TestBurnside:
         assert burnside_check(perms, lambda p: _cycles(p)[1], 2, len(orbits)) == 1
 
     def test_non_action_detected(self):
-        # a generator set without the identity is not a group action
-        with pytest.raises(StructuralError):
-            orbit_partition(np.array([[1, 0], [0, 1]]), np.array([[1, 0]]), _subset_rank)
+        for perms in (
+            [[1, 0]],  # no identity
+            [[0, 1], [0, 1]],  # a repeated row
+            [[0, 1, 2], [1, 2, 0]],  # not closed: the square of the rotation is missing
+            [[0, 1, 2], [1, 0, 2], [0, 2, 1]],  # not closed: no product of the two swaps
+        ):
+            perms = np.array(perms)
+            points = np.eye(perms.shape[1], dtype=np.uint8)
+            with pytest.raises(StructuralError, match="not a group"):
+                orbit_partition(points, perms, _subset_rank)
 
     def test_burnside_mismatch_detected(self):
         perms = np.array([[0, 1], [1, 0]])
@@ -277,7 +285,8 @@ class TestWeakCoidealClasses:
         chi = Bicharacter.standard(grp)
         report = weak_coideal_classes(grp, chi)
         for entry in report.per_subgroup:
-            direct = coideal_orbits(grp, chi, entry.subgroup)
+            _perp, *quotients = _quotients(grp, chi, entry.subgroup)
+            direct = coideal_orbits(entry.subgroup, *quotients)
             flagged = sorted((o.z0, o.z1) for o in entry.orbits if o.coideal)
             assert flagged == sorted((o.z0, o.z1) for o in direct)
 

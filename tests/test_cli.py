@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tywha.cli as cli
+from tywha.algebra import TYAlgebra
 from tywha.cli import main
 from tywha.linalg import SparseVec, distance
 
@@ -465,6 +466,38 @@ class TestClassifyCommands:
         for path in (a, b):
             assert run(["classify", "weak-coideals", "--group", "2", "--json", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_catalog_builds_no_algebra(self, tmp_path, monkeypatch, capsys):
+        # only --realize needs the algebra; the catalog and its errors do not
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["classify", "weak-coideals", "--group", "2,2", "--tol", "1e-9"]
+        assert run([*argv, "--json", str(a)]) == 0
+        before = capsys.readouterr()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("TYAlgebra built")
+
+        monkeypatch.setattr(TYAlgebra, "__init__", refuse)
+        assert run([*argv, "--json", str(b)]) == 0
+        assert capsys.readouterr() == before
+        assert a.read_bytes() == b.read_bytes()
+        degenerate, malformed = tmp_path / "degenerate.json", tmp_path / "malformed.json"
+        degenerate.write_text('{"matrix": [["0"]]}')
+        malformed.write_text('{"matrix": [["1/2", "0"]]}')
+        for bad, err in (
+            (["--group", "17"], "|G| = 17 exceeds algebra bound 16"),
+            (["--group", "16", "--realize"], "|G| = 16 exceeds realize bound 12"),
+            (["--group", "4", "--tol", "nan"], "tolerance must be finite and positive, got nan"),
+            (["--group", "4", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
+            (["--group", "2", "--bichar", str(degenerate)], "bicharacter degenerate"),
+            (["--group", "2", "--bichar", str(malformed)], "phase matrix must be 1x1"),
+            (["--group", "2", "--bichar", str(tmp_path / "missing.json")],
+             f"bicharacter file not found: {tmp_path / 'missing.json'}"),
+        ):
+            assert run(["classify", "weak-coideals", *bad]) == 2
+            assert capsys.readouterr().err == f"error: {err}\n"
+        with pytest.raises(AssertionError, match="TYAlgebra built"):
+            run(["classify", "weak-coideals", "--group", "2", "--realize"])
 
     def test_g_algebras(self, capsys, tmp_path):
         out = tmp_path / "algs.json"

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,41 @@ def brute_force_subgroups(group):
         if all(group.add(a, b) in subset for a in subset for b in subset):
             found.add(frozenset(subset))
     return found
+
+
+def reference_subgroups(group):
+    """Reference lattice: breadth first from the trivial subgroup, one
+    S + <g> per (S, g) with g the first element of a nontrivial coset of S,
+    built by translating S by 0, g, 2g, ... until a multiple of g lies in S.
+    Returns the sorted index lists in (order, sorted indices) order."""
+    add = group.add_table
+
+    def extend(sub, g):
+        steps, x = [0], g
+        while x not in sub:
+            steps.append(x)
+            x = add[x, g]
+        return np.sort(add[np.ix_(steps, sub)], axis=None)
+
+    frontier = [np.zeros(1, dtype=np.int64)]
+    found = {frontier[0].tobytes(): frontier[0]}
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            covered = np.zeros(group.order, dtype=bool)
+            covered[sub] = True
+            for g in range(group.order):
+                if not covered[g]:
+                    covered[add[g, sub]] = True
+                    bigger = extend(sub, g)
+                    if found.setdefault(bigger.tobytes(), bigger) is bigger:
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted((idx.tolist() for idx in found.values()), key=lambda idx: (len(idx), idx))
+
+
+LATTICE_GROUPS = [(1,), (2,), (6,), (12,), (16,), (2, 2, 2, 2), (4, 4), (2, 2, 2, 4), (4, 4, 4),
+                  (8, 8), (2, 32), (64,), (2,) * 6]
 
 
 small_groups = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(
@@ -93,14 +129,47 @@ class TestSubgroups:
         assert len(subs) == expected
         assert len({s.elements for s in subs}) == expected
 
+    @pytest.mark.parametrize("factors", LATTICE_GROUPS)
+    def test_lattice_equals_reference(self, factors):
+        g = FiniteAbelianGroup(factors)
+        subs = enumerate_subgroups(g)
+        assert [s.idx.tolist() for s in subs] == reference_subgroups(g)
+        # Subgroup.generated shares the lattice's closure step
+        rng = np.random.default_rng(sum(factors))
+        for _ in range(10):
+            gens = [g.elements()[i] for i in rng.integers(g.order, size=rng.integers(1, 4))]
+            assert Subgroup.generated(g, gens) in subs
+        assert Subgroup.generated(g, []) == subs[0] and Subgroup.generated(g, g.elements()) == subs[-1]
+
     def test_size_guard(self):
         with pytest.raises(SizeError):
             enumerate_subgroups(FiniteAbelianGroup((128,)))
 
     def test_not_a_subgroup(self):
+        # without 0, or not closed: rejected by every construction path
         g = FiniteAbelianGroup((4,))
-        with pytest.raises(InvariantError):
-            Subgroup(g, frozenset({(0,), (1,)}))
+        for elements in ([(1,), (2,), (3,)], [(0,), (1,)], [(0,), (1,), (2,)], []):
+            with pytest.raises(InvariantError):
+                Subgroup(g, frozenset(elements))
+            with pytest.raises(InvariantError):
+                Subgroup.from_indices(g, [g.index(a) for a in elements])
+
+    def test_not_closed_in_product_group(self):
+        g = FiniteAbelianGroup((2, 4))
+        with pytest.raises(InvariantError, match="not closed"):
+            Subgroup(g, [(0, 0), (1, 1)])
+        with pytest.raises(InvariantError, match="identity"):
+            Subgroup.from_indices(g, [1, 2, 3])
+
+    def test_equality_and_hash_follow_elements(self):
+        g = FiniteAbelianGroup((2, 4))
+        a = Subgroup.generated(g, [(0, 2)])
+        b = Subgroup(g, frozenset({(0, 0), (0, 2)}))
+        c = Subgroup.from_indices(g, [2, 0])
+        assert a == b == c and len({a, b, c}) == 1
+        assert a.elements == frozenset({(0, 0), (0, 2)}) and (0, 2) in a and (1, 0) not in a
+        assert a != Subgroup.from_indices(FiniteAbelianGroup((8,)), [0, 4])
+        assert hash(a) == hash((g, a.elements))
 
 
 class TestIndexTables:
@@ -172,6 +241,20 @@ class TestQuotients:
         k = Subgroup.trivial(h)
         with pytest.raises(InvariantError):
             quotient(g, k)
+        # same order, different group
+        with pytest.raises(InvariantError, match="different group"):
+            quotient(FiniteAbelianGroup((2, 2)), Subgroup.full(g))
+
+    @pytest.mark.parametrize("factors", [(4,), (2, 4), (3, 3), (2, 2, 2)])
+    def test_cosets_partition_and_labels(self, factors):
+        g = FiniteAbelianGroup(factors)
+        for k in enumerate_subgroups(g):
+            q = quotient(g, k)
+            assert len(q) * k.order == g.order
+            assert sorted(a for c in q.cosets for a in c.elements) == g.elements()
+            assert list(q.reps) == [c.rep for c in q.cosets]
+            for i, a in enumerate(g.elements()):
+                assert a in q.cosets[q.label[i]].elements
 
     @given(small_groups)
     @settings(max_examples=20, deadline=None)
