@@ -22,15 +22,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import TYAlgebra
-from .coideals import (
-    CoidealSpec,
-    build_from_spec,
-    build_I_Omega_K,
-    dims_match,
-    is_coideal,
-    is_indecomposable,
-    verify_weak_coideal,
-)
+from .coideals import CoidealSpec, assess, build_from_spec, build_I_Omega_K
 from .errors import InvariantError, SizeError, StructuralError, check_order
 from .groups import (
     Bicharacter, FiniteAbelianGroup, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal,
@@ -376,23 +368,22 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
     A lone singleton is realized by ``I_Omega_K`` over K (Z0 side) or its
     annihilator (Z1 side), every other class by ``build_from_spec``."""
     K = rep.subgroup
-    perp, q0, q1, _flip, _perms = _quotients(alg.group, alg.bichar, K)
+    perp = orthogonal(alg.bichar, K)
     if len(rep.z0) + len(rep.z1) == 1:
         wc = build_I_Omega_K(alg, K if rep.z0 else perp)
     else:
-        z0, z1 = frozenset(map(q0.coset_of, rep.z0)), frozenset(map(q1.coset_of, rep.z1))
-        wc = build_from_spec(alg, CoidealSpec(K, z0, z1))
+        sides = [frozenset(map(quotient(alg.group, base).coset_of, z)) if z else frozenset()
+                 for base, z in ((K, rep.z0), (perp, rep.z1))]
+        wc = build_from_spec(alg, CoidealSpec(K, *sides))
 
-    veri = verify_weak_coideal(wc)
-    if not veri.passed:
+    report, flag, indec, dims_ok = assess(wc)
+    if not report.passed:
         raise StructuralError(f"realized representative fails verification: {rep}")
-    flag = is_coideal(wc)
     if flag != rep.coideal:
         raise StructuralError(f"coideal flag mismatch for {rep}: built {flag}")
-    indec = is_indecomposable(wc)
     if not indec:
         raise StructuralError(f"realized representative is decomposable: {rep}")
-    if not dims_match(wc):
+    if not dims_ok:
         raise StructuralError(f"fiber dimensions disagree for {rep}")
     return {
         "rep": rep.to_dict(),

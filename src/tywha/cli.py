@@ -8,6 +8,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,16 +21,7 @@ from .classify import (
     CLASSIFY_ORDER_BOUND, REALIZE_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
 )
 from .coideals import (
-    CoidealSpec,
-    build_from_spec,
-    build_I_m_K,
-    build_I_Omega_K,
-    build_no_m,
-    build_with_m,
-    dims_match,
-    is_coideal,
-    is_indecomposable,
-    verify_weak_coideal,
+    CoidealSpec, assess, build_from_spec, build_I_m_K, build_I_Omega_K, build_no_m, build_with_m
 )
 from .errors import InvariantError, SizeError, StructuralError, check_order
 from .groups import (
@@ -87,16 +79,11 @@ def _parse_elements(group: FiniteAbelianGroup, text: str) -> list:
     return out
 
 
-def _parse_cosets(quot, group, text: str) -> list:
+def _parse_cosets(quot, text: str) -> list:
+    """The cosets of the listed elements, each once, in order of first mention."""
     if text.strip() == "all":
         return list(quot.cosets)
-    reps = _parse_elements(group, text)
-    seen = []
-    for r in reps:
-        c = quot.coset_of(r)
-        if c not in seen:
-            seen.append(c)
-    return seen
+    return list(dict.fromkeys(map(quot.coset_of, _parse_elements(quot.group, text))))
 
 
 def _tau_sign(flag: str) -> int:
@@ -267,10 +254,8 @@ def cmd_coideal_build(args) -> int:
     group = alg.group
     gens = _parse_elements(group, args.K)
     K = Subgroup.generated(group, gens)
-    q0 = quotient(group, K)
-    q1 = quotient(group, orthogonal(alg.bichar, K))
-    z0 = _parse_cosets(q0, group, args.Z0)
-    z1 = _parse_cosets(q1, group, args.Z1)
+    z0 = _parse_cosets(quotient(group, K), args.Z0)
+    z1 = _parse_cosets(quotient(group, orthogonal(alg.bichar, K)), args.Z1)
 
     if args.builder == "I_m_K":
         wc = build_I_m_K(alg, K)
@@ -287,9 +272,7 @@ def cmd_coideal_build(args) -> int:
     else:
         wc = build_from_spec(alg, CoidealSpec(K, frozenset(z0), frozenset(z1)))
 
-    report = verify_weak_coideal(wc)
-    dims_ok = dims_match(wc)
-    indec = is_indecomposable(wc) if report.passed else False
+    report, flag, indec, dims_ok = assess(wc)
     payload = {
         "schema": "tywha-coideal/2",
         **wc.describe(),
@@ -300,7 +283,7 @@ def cmd_coideal_build(args) -> int:
     }
     print(report.summary())
     print(
-        f"dim A = {wc.dim}; is_coideal = {is_coideal(wc)}; indecomposable = {indec}; "
+        f"dim A = {wc.dim}; is_coideal = {flag}; indecomposable = {indec}; "
         f"fiber dims {'match' if dims_ok else 'DIFFER from'} prediction"
     )
     _write_json(args.json, payload)
@@ -356,6 +339,7 @@ def cmd_classify_algebras(args) -> int:
     return 0
 
 
+@functools.cache  # the tree is the same for every call; main parses with it once per command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tywha",

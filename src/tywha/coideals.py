@@ -27,7 +27,7 @@ from .algebra import (
     _sums,
 )
 from .errors import InvariantError, StructuralError
-from .groups import Coset, QuotientGroup, Subgroup, orthogonal, quotient
+from .groups import Coset, Subgroup, orthogonal, quotient
 from .linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, span
 
 
@@ -111,17 +111,10 @@ class WeakCoideal:
 
 def coset_vector(alg: TYAlgebra, block: BlockLabel, coset: Coset, barred: bool = False) -> SparseVec:
     """Sum of fiber basis vectors over a coset: v^g_lam, v^m_lam, or v^m_{~lam}."""
-    if not block.is_m:
-        if barred:
-            raise InvariantError("group blocks have no barred slots")
-        return SparseVec({(block, Slot.grp(p)): 1.0 + 0j for p in sorted(coset.elements)})
+    if barred and not block.is_m:
+        raise InvariantError("group blocks have no barred slots")
     mk = Slot.bar if barred else Slot.grp
     return SparseVec({(block, mk(p)): 1.0 + 0j for p in sorted(coset.elements)})
-
-
-def full_fiber_vector(alg: TYAlgebra, block: BlockLabel) -> SparseVec:
-    """The all-ones fiber vector v^x_Omega over every slot of a block."""
-    return SparseVec({(block, s): 1.0 + 0j for s in alg.slots(block)})
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -161,8 +154,28 @@ def assemble(
 # -- builders ----------------------------------------------------------------------
 
 
-def _translated(quot: QuotientGroup, g, zs) -> set[Coset]:
-    return {quot.translate(g, lam) for lam in zs}
+def _group_fibers(
+    alg: TYAlgebra, base: Subgroup, zs: list, what: str, m_line=frozenset()
+) -> tuple[list[Coset], dict[BlockLabel, list[SparseVec]]]:
+    """Z, checked to be cosets of ``base`` and sorted by least element, and
+    the generators of each group block's fiber X^g: the coset vectors v^g_lam
+    of the lam in Z with lam - g in Z, then v^g_m for g in ``m_line``."""
+    quot = quotient(alg.group, base)
+    for lam in zs:
+        if lam not in quot.cosets:
+            raise InvariantError(f"{lam} is not a coset of {what}")
+    z = np.zeros(len(quot), dtype=bool)
+    z[[quot.cosets.index(lam) for lam in zs]] = True
+    hits = z & z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
+    x_vectors: dict[BlockLabel, list[SparseVec]] = {}
+    for g, t in zip(alg.group.elements(), quot.label.tolist()):
+        block = BlockLabel.grp(g)
+        vecs = [coset_vector(alg, block, quot.cosets[c]) for c in np.flatnonzero(hits[t])]
+        if g in m_line:
+            vecs.append(SparseVec.basis((block, Slot.m())))
+        if vecs:
+            x_vectors[block] = vecs
+    return [quot.cosets[c] for c in np.flatnonzero(z)], x_vectors
 
 
 def build_no_m(
@@ -180,23 +193,10 @@ def build_no_m(
     if side not in (0, 1):
         raise InvariantError("side must be 0 or 1")
     base = subgroup if side == 0 else orthogonal(alg.bichar, subgroup)
-    quot = quotient(alg.group, base)
-    for lam in zs:
-        if lam not in quot.cosets:
-            raise InvariantError(f"{lam} is not a coset of the chosen subgroup")
-    zset = set(zs)
-    x_vectors: dict[BlockLabel, list[SparseVec]] = {}
-    for g in alg.group.elements():
-        block = BlockLabel.grp(g)
-        hits = zset & _translated(quot, g, zset)
-        if hits:
-            x_vectors[block] = [coset_vector(alg, block, lam) for lam in sorted(hits, key=lambda c: c.rep)]
-    spec = CoidealSpec(
-        subgroup,
-        frozenset(zset) if side == 0 else frozenset(),
-        frozenset() if side == 0 else frozenset(zset),
-    )
-    return assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(zset)})", spec)
+    z, x_vectors = _group_fibers(alg, base, zs, "the chosen subgroup")
+    zset, none = frozenset(z), frozenset()
+    spec = CoidealSpec(subgroup, *((zset, none) if side == 0 else (none, zset)))
+    return assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(z)})", spec)
 
 
 def build_with_m(
@@ -215,50 +215,32 @@ def build_with_m(
     perp = orthogonal(alg.bichar, subgroup)
     if rho0.subgroup != perp:
         raise InvariantError("rho0 must be a coset of the annihilator of K")
-    quot = quotient(alg.group, subgroup)
-    for lam in zs:
-        if lam not in quot.cosets:
-            raise InvariantError(f"{lam} is not a coset of K")
-    zset = set(zs)
+    z, fibers = _group_fibers(alg, subgroup, zs, "K", perp.elements)
     mblock = BlockLabel.m()
-    x_vectors: dict[BlockLabel, list[SparseVec]] = {
-        mblock: [coset_vector(alg, mblock, lam, barred=False) for lam in sorted(zset, key=lambda c: c.rep)]
-        + [coset_vector(alg, mblock, lam, barred=True) for lam in sorted(zset, key=lambda c: c.rep)]
-    }
-    for g in alg.group.elements():
-        block = BlockLabel.grp(g)
-        vecs = [
-            coset_vector(alg, block, lam)
-            for lam in sorted(zset & _translated(quot, g, zset), key=lambda c: c.rep)
-        ]
-        if g in perp:
-            vecs.append(SparseVec.basis((block, Slot.m())))
-        if vecs:
-            x_vectors[block] = vecs
-    spec = CoidealSpec(subgroup, frozenset(zset), frozenset([rho0]))
-    return assemble(alg, x_vectors, f"with_m(|Z|={len(zset)})", spec)
+    x_vectors = {mblock: [coset_vector(alg, mblock, lam, barred) for barred in (False, True) for lam in z],
+                 **fibers}
+    spec = CoidealSpec(subgroup, frozenset(z), frozenset([rho0]))
+    return assemble(alg, x_vectors, f"with_m(|Z|={len(z)})", spec)
+
+
+def _subgroup_lines(alg: TYAlgebra, subgroup: Subgroup, slots, label: str) -> WeakCoideal:
+    """One line per subgroup element k, X^k = C (the all-ones vector over
+    ``slots(k's block)``), with data (K, {K}, {})."""
+    blocks = [BlockLabel.grp(k) for k in subgroup.sorted_elements]
+    x_vectors = {b: [SparseVec({(b, s): 1.0 + 0j for s in slots(b)})] for b in blocks}
+    own = quotient(alg.group, subgroup).coset_of(alg.group.zero())
+    spec = CoidealSpec(subgroup, frozenset([own]), frozenset())
+    return assemble(alg, x_vectors, label, spec)
 
 
 def build_I_m_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
     """One line per subgroup element, supported on the m slot: X^k = C v^k_m."""
-    quot = quotient(alg.group, subgroup)
-    x_vectors = {
-        BlockLabel.grp(k): [SparseVec.basis((BlockLabel.grp(k), Slot.m()))]
-        for k in subgroup.sorted_elements
-    }
-    spec = CoidealSpec(subgroup, frozenset([quot.coset_of(alg.group.zero())]), frozenset())
-    return assemble(alg, x_vectors, "I_m_K", spec)
+    return _subgroup_lines(alg, subgroup, lambda block: [Slot.m()], "I_m_K")
 
 
 def build_I_Omega_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
     """One all-ones line per subgroup element: X^k = C v^k_Omega."""
-    quot = quotient(alg.group, subgroup)
-    x_vectors = {
-        BlockLabel.grp(k): [full_fiber_vector(alg, BlockLabel.grp(k))]
-        for k in subgroup.sorted_elements
-    }
-    spec = CoidealSpec(subgroup, frozenset([quot.coset_of(alg.group.zero())]), frozenset())
-    return assemble(alg, x_vectors, "I_Omega_K", spec)
+    return _subgroup_lines(alg, subgroup, alg.slots, "I_Omega_K")
 
 
 def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
@@ -273,7 +255,7 @@ def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     if not z0:
         return build_no_m(alg, K, z1, side=1)
     perp = orthogonal(alg.bichar, K)
-    if len(z0) == 1 and (len(z1) > 1 or len(z1) == len(quotient(alg.group, perp))):
+    if len(z0) == 1 and (len(z1) > 1 or len(z1) == alg.group.order // perp.order):
         return build_with_m(alg, perp, z1, z0[0])
     return build_with_m(alg, K, z0, z1[0])
 
@@ -601,14 +583,16 @@ def x0_partition(wc: WeakCoideal) -> list[frozenset[Slot]]:
 def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> dict[BlockLabel, int]:
     """Predicted fiber dimensions of classification data: dim X^g counts the
     cosets lam of either side with lam and g + lam both in that side's Z,
-    and dim X^m = 2 |Z0| |Z1|."""
-    group, K = alg.group, spec.subgroup
-    sides = ((quotient(group, K), spec.z0),
-             (quotient(group, orthogonal(alg.bichar, K)), spec.z1))
-    dims = {
-        BlockLabel.grp(g): sum(q.translate(g, lam) in z for q, z in sides for lam in z)
-        for g in group.elements()
-    }
+    and dim X^m = 2 |Z0| |Z1|.  A side's count at g is the number of members
+    x of its cosets with g + x a member too, over the size of a coset."""
+    group = alg.group
+    counts = np.zeros(group.order, dtype=np.int64)
+    for z in (spec.z0, spec.z1):
+        if z:
+            member = np.zeros(group.order, dtype=bool)
+            member[[group.index(a) for lam in z for a in lam.elements]] = True
+            counts += (member & member[group.add_table]).sum(axis=1) // len(next(iter(z)))
+    dims = {BlockLabel.grp(g): c for g, c in zip(group.elements(), counts.tolist())}
     dims[BlockLabel.m()] = 2 * len(spec.z0) * len(spec.z1)
     return dims
 
@@ -618,3 +602,11 @@ def dims_match(wc: WeakCoideal) -> bool:
     classification data predicts."""
     predicted = spectral_dims(wc.spec, wc.algebra)
     return {b: d for b, d in predicted.items() if d} == wc.x_dims()
+
+
+def assess(wc: WeakCoideal) -> tuple[AxiomReport, bool, bool, bool]:
+    """The verification report of wc, whether it is a coideal, whether it is
+    indecomposable, and whether its fiber dimensions match the prediction.
+    Indecomposability is decided only when every check passes, else False."""
+    report = verify_weak_coideal(wc)
+    return report, is_coideal(wc), report.passed and is_indecomposable(wc), dims_match(wc)

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tywha import classify
+from tywha import classify, coideals
 from tywha.algebra import TYAlgebra
 from tywha.classify import (
     _cycles,
@@ -425,7 +425,7 @@ class TestRealization:
             got.append(" ".join([wc.label, *data]))
             return verify_weak_coideal(wc)
 
-        monkeypatch.setattr(classify, "verify_weak_coideal", record)
+        monkeypatch.setattr(coideals, "verify_weak_coideal", record)
         for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
             for orbit in entry.orbits:
                 realize_and_verify(alg, orbit)

@@ -452,6 +452,32 @@ class TestClassifyCommands:
             "realized and verified 5 representatives",
         ]
 
+    @pytest.mark.parametrize("kind", ["verification", "flag", "indecomposable", "dims"])
+    def test_realize_failure_lines(self, kind, monkeypatch, capsys):
+        # one verdict of assess made to fail for every class
+        from tywha import coideals
+        from tywha.algebra import AxiomCheck, AxiomReport
+        from tywha.classify import weak_coideal_classes
+        from tywha.groups import Bicharacter, FiniteAbelianGroup
+
+        is_coideal = coideals.is_coideal
+        name, fake, message = {
+            "verification": ("verify_weak_coideal",
+                             lambda wc: AxiomReport("injected", 1e-9, [AxiomCheck("injected", 1.0, False)]),
+                             "realized representative fails verification: {rep}"),
+            "flag": ("is_coideal", lambda wc: not is_coideal(wc),
+                     "coideal flag mismatch for {rep}: built {flag}"),
+            "indecomposable": ("is_indecomposable", lambda wc: False,
+                               "realized representative is decomposable: {rep}"),
+            "dims": ("dims_match", lambda wc: False, "fiber dimensions disagree for {rep}"),
+        }[kind]
+        monkeypatch.setattr(coideals, name, fake)
+        assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 1
+        group = FiniteAbelianGroup((2,))
+        reps = [o for e in weak_coideal_classes(group, Bicharacter.standard(group)).per_subgroup for o in e.orbits]
+        failed = [x for x in capsys.readouterr().out.splitlines() if "FAILED" in x]
+        assert failed == [f"    realization FAILED: {message.format(rep=r, flag=not r.coideal)}" for r in reps]
+
     def test_guard_exceeded_exits_2(self):
         assert run(["classify", "weak-coideals", "--group", "17"]) == 2
 
@@ -510,3 +536,33 @@ class TestClassifyCommands:
             e["types"]["decomposed"]["n_classes"] for e in payload["per_subgroup"]
         ]
         assert counts == [5, 5]
+
+
+class TestParserBuiltOnce:
+    # each option given in one call and left out of the next
+    CALLS = [
+        ["classify", "weak-coideals", "--group", "2", "--realize"],
+        ["classify", "weak-coideals", "--group", "2", "--json", "{json}"],
+        ["classify", "weak-coideals", "--group", "2"],
+        ["coideal", "build", "--group", "4", "--K", "2", "--builder", "I_m_K", "--tau", "-", "--json", "{json}"],
+        ["coideal", "build", "--group", "4", "--K", "2", "--builder", "I_m_K"],
+        ["coideal", "build", "--group", "4", "--K", "2", "--Z0", "0"],
+        ["coideal", "build", "--group", "4", "--K", "2", "--builder", "with_m", "--Z0", "0;1"],
+    ]
+
+    def outcomes(self, tmp_path, capsys):
+        tmp_path.mkdir()
+        got = []
+        for i, argv in enumerate(self.CALLS):
+            path = tmp_path / f"{i}.json"
+            code = run([str(path) if a == "{json}" else a for a in argv])
+            got.append((code, capsys.readouterr(), path.read_bytes() if path.exists() else None))
+        return got
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        cached = self.outcomes(tmp_path / "cached", capsys)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert self.outcomes(tmp_path / "fresh", capsys) == cached
+        assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2]

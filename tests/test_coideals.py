@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from tywha import classify
-from tywha.algebra import BasisUnit, BlockLabel, ProductTable, Slot, TYAlgebra
+from tywha import classify, coideals
+from tywha.algebra import BasisUnit, BlockLabel, CoproductTable, ProductTable, Slot, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
     assemble,
+    assess,
     build_I_m_K,
     build_I_Omega_K,
     build_no_m,
@@ -426,6 +427,159 @@ class TestSpectralDims:
             assert xm.contains(z4.sharp(v))
 
 
+# -- builders against the quotient-based reference ---------------------------------
+
+
+def reference_translated(quot, g, zs):
+    return {quot.translate(g, lam) for lam in zs}
+
+
+def reference_build_no_m(alg, subgroup, zs, side=0):
+    """build_no_m by Coset objects: Z checked against the quotient's cosets
+    and translated by each group element in turn."""
+    zs = list(zs)
+    if not zs:
+        raise InvariantError("Z must be nonempty")
+    if side not in (0, 1):
+        raise InvariantError("side must be 0 or 1")
+    base = subgroup if side == 0 else orthogonal(alg.bichar, subgroup)
+    quot = quotient(alg.group, base)
+    for lam in zs:
+        if lam not in quot.cosets:
+            raise InvariantError(f"{lam} is not a coset of the chosen subgroup")
+    zset = set(zs)
+    x_vectors = {}
+    for e in alg.group.elements():
+        block = BlockLabel.grp(e)
+        hits = zset & reference_translated(quot, e, zset)
+        if hits:
+            x_vectors[block] = [coset_vector(alg, block, lam) for lam in sorted(hits, key=lambda c: c.rep)]
+    spec = CoidealSpec(
+        subgroup,
+        frozenset(zset) if side == 0 else frozenset(),
+        frozenset() if side == 0 else frozenset(zset),
+    )
+    return assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(zset)})", spec)
+
+
+def reference_build_with_m(alg, subgroup, zs, rho0):
+    """build_with_m by Coset objects, as reference_build_no_m."""
+    zs = list(zs)
+    if not zs:
+        raise InvariantError("Z must be nonempty")
+    perp = orthogonal(alg.bichar, subgroup)
+    if rho0.subgroup != perp:
+        raise InvariantError("rho0 must be a coset of the annihilator of K")
+    quot = quotient(alg.group, subgroup)
+    for lam in zs:
+        if lam not in quot.cosets:
+            raise InvariantError(f"{lam} is not a coset of K")
+    zset = set(zs)
+    x_vectors = {
+        M: [coset_vector(alg, M, lam, barred=False) for lam in sorted(zset, key=lambda c: c.rep)]
+        + [coset_vector(alg, M, lam, barred=True) for lam in sorted(zset, key=lambda c: c.rep)]
+    }
+    for e in alg.group.elements():
+        block = BlockLabel.grp(e)
+        vecs = [
+            coset_vector(alg, block, lam)
+            for lam in sorted(zset & reference_translated(quot, e, zset), key=lambda c: c.rep)
+        ]
+        if e in perp:
+            vecs.append(SparseVec.basis((block, Slot.m())))
+        if vecs:
+            x_vectors[block] = vecs
+    spec = CoidealSpec(subgroup, frozenset(zset), frozenset([rho0]))
+    return assemble(alg, x_vectors, f"with_m(|Z|={len(zset)})", spec)
+
+
+def reference_spectral_dims(spec, alg):
+    """spectral_dims by translating each coset of Z in its side's quotient."""
+    group, K = alg.group, spec.subgroup
+    sides = ((quotient(group, K), spec.z0),
+             (quotient(group, orthogonal(alg.bichar, K)), spec.z1))
+    dims = {
+        BlockLabel.grp(e): sum(q.translate(e, lam) in z for q, z in sides for lam in z)
+        for e in group.elements()
+    }
+    dims[M] = 2 * len(spec.z0) * len(spec.z1)
+    return dims
+
+
+def nonempty_subsets(cosets):
+    return [list(c) for r in range(1, len(cosets) + 1) for c in itertools.combinations(cosets, r)]
+
+
+def built_bits(wc):
+    """Everything a builder sets: the fiber spaces bit for bit, 1_A, Gamma,
+    the label and the classification data."""
+    spaces = {b: (s.universe, s.pivots, s.basis.shape, s.basis.tobytes()) for b, s in wc.x_spaces.items()}
+    return spaces, dict(wc.unit.items()), wc.gamma, wc.label, wc.spec
+
+
+class TestBuildersMatchReference:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (2, 2, 2)])
+    def test_every_datum(self, factors, sign):
+        # every subgroup K, every nonempty Z on either side, with_m under every rho0
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        for K in enumerate_subgroups(alg.group):
+            q0, q1 = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
+            calls = [(build_no_m, reference_build_no_m, (zs, side))
+                     for side, q in ((0, q0), (1, q1)) for zs in nonempty_subsets(q.cosets)]
+            calls += [(build_with_m, reference_build_with_m, (zs, rho0))
+                      for zs in nonempty_subsets(q0.cosets) for rho0 in q1.cosets]
+            for build, reference, args in calls:
+                wc, ref = build(alg, K, *args), reference(alg, K, *args)
+                assert built_bits(wc) == built_bits(ref), (str(K), ref.label)
+                assert spectral_dims(wc.spec, alg) == reference_spectral_dims(ref.spec, alg), ref.label
+
+    def test_errors_match_reference(self, z4, z4_setup):
+        K, _q, lam, _mu = z4_setup  # K = {0, 2} is its own annihilator
+        other = quotient(z4.group, Subgroup.trivial(z4.group)).cosets[1]
+        rho0 = lam
+        cases = [
+            (build_no_m, reference_build_no_m, ([],), "Z must be nonempty"),
+            (build_no_m, reference_build_no_m, ([], 2), "Z must be nonempty"),
+            (build_no_m, reference_build_no_m, ([lam], 2), "side must be 0 or 1"),
+            (build_no_m, reference_build_no_m, ([other],), f"{other} is not a coset of the chosen subgroup"),
+            (build_no_m, reference_build_no_m, ([lam, other], 1), f"{other} is not a coset of the chosen subgroup"),
+            (build_with_m, reference_build_with_m, ([], other), "Z must be nonempty"),
+            (build_with_m, reference_build_with_m, ([lam], other), "rho0 must be a coset of the annihilator of K"),
+            (build_with_m, reference_build_with_m, ([other], rho0), f"{other} is not a coset of K"),
+        ]
+        for build, reference, args, message in cases:
+            for fn in (build, reference):
+                with pytest.raises(InvariantError) as exc:
+                    fn(z4, K, *args)
+                assert str(exc.value) == message, (fn.__name__, args)
+
+
+class TestAssess:
+    def test_verdicts_of_a_weak_coideal(self, z4, z4_setup):
+        K, _q, lam, _mu = z4_setup
+        wc = build_no_m(z4, K, [lam])
+        report, flag, indec, dims_ok = assess(wc)
+        assert report.to_dict() == verify_weak_coideal(wc).to_dict() and report.passed
+        assert (flag, indec, dims_ok) == (is_coideal(wc), is_indecomposable(wc), dims_match(wc))
+
+    def test_failing_checks_leave_indecomposability_undecided(self, z4, z4_setup, monkeypatch):
+        K, _q, lam, _mu = z4_setup
+        wc = build_no_m(z4, K, [lam])
+        x_vectors = {b: s.basis_vectors() for b, s in wc.x_spaces.items()}
+        x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
+        broken = assemble(z4, x_vectors, "stray unit v^2_0", wc.spec)
+
+        def refuse(wc):
+            raise AssertionError("is_indecomposable called")
+
+        monkeypatch.setattr(coideals, "is_indecomposable", refuse)
+        report, flag, indec, dims_ok = assess(broken)
+        assert [c.name for c in report.failures()] == ["closed under product"]
+        assert indec is False
+        assert (flag, dims_ok) == (is_coideal(broken), False)
+
+
 # -- array checks against the scalar paths -----------------------------------------
 
 
@@ -559,11 +713,24 @@ def realized_coideals(factors, sign):
         return verify_weak_coideal(wc)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "verify_weak_coideal", record)
+        mp.setattr(coideals, "verify_weak_coideal", record)
         for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
             for orbit in entry.orbits:
                 classify.realize_and_verify(alg, orbit)
     return built
+
+
+def z4_family(builder, sign):
+    """A family over K = {0, 2} in Z4 on an algebra of its own, for tests
+    that break the algebra's tables: Z = {K} and rho0 = K for the m family."""
+    alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=sign)
+    K = Subgroup.generated(alg.group, [(2,)])
+    lam = quotient(alg.group, K).cosets[0]
+    return {
+        "no_m": lambda: build_no_m(alg, K, [lam]),
+        "with_m": lambda: build_with_m(alg, K, [lam], lam),
+        "I_Omega_K": lambda: build_I_Omega_K(alg, K),
+    }[builder]()
 
 
 class TestArrayChecks:
@@ -671,6 +838,29 @@ class TestArrayChecks:
         monkeypatch.setattr(type(z4), "counital_subalgebras", lambda self: (smaller, source))
         report = assert_matches_reference(wc)
         assert [c.name for c in report.failures()] == ["coproduct of unit in A (x) B_t"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
+    def test_doubled_unit_trips_only_unit_identity(self, builder, sign):
+        wc = z4_family(builder, sign)
+        wc.unit = 2.0 * wc.unit
+        report = assert_matches_reference(wc)
+        assert [c.name for c in report.failures()] == ["unit acts as identity"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
+    def test_first_leg_off_a_trips_only_coproduct_into(self, builder, sign):
+        # one term of Delta(u), for a unit u of A outside the support of 1_A,
+        # gets a first leg on a unit no row of A reaches
+        wc = z4_family(builder, sign)
+        alg, A = wc.algebra, wc.coords
+        alg.counital_subalgebras()  # B_t and B_s of the unbroken coproduct
+        u = next(i for i in A.unit.tolist() if i not in wc.unit.keys())
+        C, first = alg._coproduct_table, alg._coproduct_table.first.copy()
+        first[C.ptr[u]] = np.flatnonzero(~A.covers)[0]
+        alg._coproduct_table = CoproductTable(C.ptr, C.src, first, C.second)
+        report = assert_matches_reference(wc)
+        assert [c.name for c in report.failures()] == ["coproduct maps into A (x) B"]
 
     def test_complex_generator_matches_scalar_paths(self, z4, no_m_half):
         # X^2 = C (v^2_0 + i v^2_2) is again a weak coideal; its star image

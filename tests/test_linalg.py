@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tywha.algebra as algebra
-import tywha.classify as classify
+import tywha.coideals as coideals
 import tywha.linalg as linalg
 from tywha.algebra import TYAlgebra
 from tywha.classify import realize_and_verify, weak_coideal_classes
@@ -442,7 +442,7 @@ def _coideal_invariants(factors, sign):
     alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
     built = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "verify_weak_coideal", lambda wc: built.append(wc) or verify_weak_coideal(wc))
+        mp.setattr(coideals, "verify_weak_coideal", lambda wc: built.append(wc) or verify_weak_coideal(wc))
         for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
             for rep in entry.orbits:
                 realize_and_verify(alg, rep)
