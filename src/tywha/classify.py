@@ -31,8 +31,8 @@ from .groups import (
 
 CLASSIFY_ORDER_BOUND = 16
 # ``--realize`` builds and verifies one coideal per class.  Every group of
-# order up to 12 finishes within 120 s and Z13 does not (see README).
-REALIZE_ORDER_BOUND = 12
+# order up to 13 finishes within 120 s and Z14 does not (see README).
+REALIZE_ORDER_BOUND = 13
 ENUMERATION_BOUND = 2_000_000
 # Images are keyed at most this many coordinates at a time, which bounds the
 # memory of the orbit engine whatever the number of points.
@@ -82,27 +82,31 @@ def orbit_partition(points: np.ndarray, perms: np.ndarray, key) -> list[tuple[tu
     return [(tuple(r), s) for r, s in zip(points[where[reps]].tolist(), sizes.tolist())]
 
 
-def _cycles(perm) -> tuple[int, int]:
-    """Number of cycles and of fixed points of a permutation row."""
-    perm, seen, cycles = list(perm), set(), 0
-    for j in range(len(perm)):
-        cycles += j not in seen
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-    return cycles, sum(i == j for i, j in enumerate(perm))
+def _cycle_roots(perms: np.ndarray) -> np.ndarray:
+    """Whether each point is the least of its cycle, for every row of a
+    stack of permutations (k, m).  Pointer doubling labels each point with
+    the least of its cycle: each of ceil(log2 m) steps takes the smaller of a
+    point's label and its image's, then squares the map."""
+    m = perms.shape[1]
+    label, image = np.broadcast_to(np.arange(m), perms.shape), perms
+    for _ in range((m - 1).bit_length()):
+        label = np.minimum(label, np.take_along_axis(label, image, axis=1))
+        image = np.take_along_axis(image, image, axis=1)
+    return label == np.arange(m)
 
 
 def burnside_check(perms: np.ndarray, fixed, n_points: int, n_orbits: int) -> int:
     """Orbit count by the Burnside average over the action elements, where
-    ``fixed(perm)`` counts the points a permutation fixes from its cycle
-    structure alone.  The identity's count must equal the number of points
+    ``fixed(perms, roots)`` counts the points each permutation of a stack
+    fixes from its cycle structure alone; ``roots`` marks the least point of
+    every cycle.  The identity's count must equal the number of points
     enumerated and the average the number of orbits found; a mismatch
     means the enumeration, the action or the partition is broken."""
-    polya = fixed(np.arange(perms.shape[1]))
-    if polya != n_points:
-        raise StructuralError(f"Polya count {polya} does not match {n_points} enumerated points")
-    avg = Fraction(sum(fixed(p) for p in perms), len(perms))
+    stack = np.vstack([np.arange(perms.shape[1]), perms])  # the identity first
+    counts = fixed(stack, _cycle_roots(stack))
+    if counts[0] != n_points:
+        raise StructuralError(f"Polya count {counts[0]} does not match {n_points} enumerated points")
+    avg = Fraction(int(counts[1:].sum()), len(perms))
     if avg != n_orbits:
         raise StructuralError(f"Burnside average {avg} does not match {n_orbits} enumerated orbits")
     return n_orbits
@@ -152,14 +156,15 @@ def _pair_key(rows: np.ndarray, n0: int) -> np.ndarray:
     return (_subset_rank(rows[:, :n0]) << (rows.shape[1] - n0)) + _subset_rank(rows[:, n0:])
 
 
-def _pair_fixed(perm: np.ndarray, n0: int) -> int:
-    """Pairs (Z0, Z1) fixed by an action element: Z0 and Z1 are unions of
+def _pair_fixed(perms: np.ndarray, roots: np.ndarray, n0: int) -> np.ndarray:
+    """Pairs (Z0, Z1) fixed by each action element: Z0 and Z1 are unions of
     cycles, not both empty and not both beyond a singleton.  With the swap,
     Z1 is determined by Z0, so Z0 is a singleton fixed by perm twice."""
-    if perm[0] >= n0:
-        return int((perm[perm[:n0]] == np.arange(n0)).sum())
-    (c0, f0), (c1, f1) = _cycles(perm[:n0]), _cycles(perm[n0:] - n0)
-    return 2 ** (c0 + c1) - 1 - (2**c0 - 1 - f0) * (2**c1 - 1 - f1)
+    # cycles and fixed points on each side
+    (c0, c1), (f0, f1) = ((x[:, :n0].sum(axis=1), x[:, n0:].sum(axis=1))
+                          for x in (roots, perms == np.arange(perms.shape[1])))
+    twice = (np.take_along_axis(perms, perms[:, :n0], axis=1) == np.arange(n0)).sum(axis=1)
+    return np.where(perms[:, 0] >= n0, twice, 2 ** (c0 + c1) - 1 - (2**c0 - 1 - f0) * (2**c1 - 1 - f1))
 
 
 def _sides(rows: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,9 +329,9 @@ def _vector_key(rows: np.ndarray, max_mult: int) -> np.ndarray:
     return rows.astype(np.int64) @ (max_mult + 1) ** np.arange(rows.shape[1], dtype=np.int64)[::-1]
 
 
-def _vector_fixed(perm: np.ndarray, max_mult: int) -> int:
-    """Nonzero vectors fixed by a coordinate permutation: constant on cycles."""
-    return (max_mult + 1) ** _cycles(perm)[0] - 1
+def _vector_fixed(perms: np.ndarray, roots: np.ndarray, max_mult: int) -> np.ndarray:
+    """Nonzero vectors fixed by each coordinate permutation: constant on cycles."""
+    return (max_mult + 1) ** roots.sum(axis=1) - 1
 
 
 def g_algebra_classes(

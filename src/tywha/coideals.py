@@ -17,12 +17,12 @@ import numpy as np
 from .algebra import (
     AxiomCheck,
     AxiomReport,
-    BasisUnit,
     BlockLabel,
     Slot,
     TYAlgebra,
     _diff,
     _join,
+    _ranges,
     _runs,
     _sums,
 )
@@ -62,43 +62,54 @@ class CoidealSpec:
 
 
 class WeakCoideal:
-    """A verified-or-verifiable subalgebra candidate with its fiber data.
+    """A verified-or-verifiable subalgebra candidate with its fiber data:
+    reduced echelon rows over the blocks' slots, by block and padded with
+    zeros to the widest block.  Row r of ``fiber_rows`` spans part of the
+    fiber of block ``fiber_block[r]`` and is 1 at slot ``fiber_pivot[r]``
+    and 0 at its block's other pivots.  Gamma and 1_A are read from the zero
+    block's rows; A's coordinates and the fiber subspaces are built on first
+    use."""
 
-    A's coordinates are built on first use from the per-block fiber spaces.
-    """
-
-    def __init__(
-        self,
-        algebra: TYAlgebra,
-        x_spaces: dict[BlockLabel, Subspace],
-        unit: SparseVec,
-        gamma: frozenset[Slot],
-        label: str,
-        spec: CoidealSpec | None = None,
-    ):
-        self.algebra = algebra
-        self.x_spaces = x_spaces
-        self.unit = unit
-        self.gamma = gamma
-        self.label = label
-        self.spec = spec
+    def __init__(self, algebra: TYAlgebra, fiber_block: np.ndarray, fiber_pivot: np.ndarray,
+                 fiber_rows: np.ndarray, label: str, spec: CoidealSpec | None = None):
+        self.algebra, self.label, self.spec = algebra, label, spec
+        self.fiber_block, self.fiber_pivot, self.fiber_rows = fiber_block, fiber_pivot, fiber_rows
+        lay = algebra._layout
+        x0 = np.abs(fiber_rows[fiber_block == lay.zero]) > max(algebra.eps, ROUNDOFF)
+        gamma, slots = np.flatnonzero(x0.any(axis=0)), algebra.slots(algebra.blocks[lay.zero])
+        self.gamma = frozenset(slots[s] for s in gamma.tolist())
+        units = lay.unit(lay.zero, gamma[:, None], np.arange(lay.sizes[lay.zero])).ravel()
+        self.unit = SparseVec(dict.fromkeys(units.tolist(), 1.0 + 0j))
 
     @cached_property
     def coords(self) -> "_Coords":
         return _Coords(self)
+
+    @cached_property
+    def x_spaces(self) -> dict[BlockLabel, Subspace]:
+        """Each nonzero fiber as a Subspace over the slots its rows touch."""
+        out, alg = {}, self.algebra
+        for b in np.unique(self.fiber_block).tolist():
+            label, mine = alg.blocks[b], self.fiber_block == b
+            rows, slots = self.fiber_rows[mine], alg.slots(label)
+            at = np.flatnonzero((rows != 0).any(axis=0))
+            out[label] = Subspace.reduced([(label, slots[s]) for s in at.tolist()], rows[:, at],
+                                          np.searchsorted(at, self.fiber_pivot[mine]).tolist(), alg.eps)
+        return out
 
     @property
     def dim(self) -> int:
         return self.coords.size
 
     def x_dims(self) -> dict[BlockLabel, int]:
-        return {b: s.dim for b, s in sorted(self.x_spaces.items()) if s.dim}
+        blocks, dims = np.unique(self.fiber_block, return_counts=True)
+        return {self.algebra.blocks[b]: d for b, d in zip(blocks.tolist(), dims.tolist())}
 
     def describe(self) -> dict:
         return {
             "label": self.label,
             "dim": self.dim,
-            "x_dims": {str(b): s.dim for b, s in sorted(self.x_spaces.items()) if s.dim},
+            "x_dims": {str(b): d for b, d in self.x_dims().items()},
             "gamma": [str(s) for s in sorted(self.gamma)],
             "unit_support": len(self.unit),
             "spec": self.spec.describe() if self.spec else None,
@@ -120,62 +131,61 @@ def coset_vector(alg: TYAlgebra, block: BlockLabel, coset: Coset, barred: bool =
 # -- assembly ---------------------------------------------------------------------
 
 
-def assemble(
-    alg: TYAlgebra,
-    x_vectors: dict[BlockLabel, list[SparseVec]],
-    label: str,
-    spec: CoidealSpec | None = None,
-) -> WeakCoideal:
-    """Assemble A = sum_x X^x (x) conj(H^x) from generating fiber vectors."""
-    x_spaces: dict[BlockLabel, Subspace] = {}
-    for block, vecs in x_vectors.items():
+def assemble(alg: TYAlgebra, x_vectors: dict[BlockLabel, list[SparseVec]], label: str,
+             spec: CoidealSpec | None = None) -> WeakCoideal:
+    """Assemble A = sum_x X^x (x) conj(H^x) from generating fiber vectors,
+    each fiber reduced to echelon form by Subspace."""
+    width, none = int(alg._layout.sizes.max()), np.zeros(0, dtype=np.int64)
+    parts = [(none, none, np.zeros((0, width), dtype=complex))]
+    for block, vecs in sorted(x_vectors.items()):
         for v in vecs:
             for (b, _), _c in v.items():
                 if b != block:
                     raise InvariantError(f"fiber vector for {block} has support in {b}")
-        x_spaces[block] = Subspace(vecs, eps=alg.eps)
+        sub, slots = Subspace(vecs, eps=alg.eps), alg.slots(block)
+        at = np.array([slots.index(slot) for _, slot in sub.universe], dtype=np.int64)
+        rows = np.zeros((sub.dim, width), dtype=complex)
+        rows[:, at] = sub.basis
+        parts.append((np.full(sub.dim, alg.blocks.index(block)), at[sub.pivots], rows))
+    return WeakCoideal(alg, *map(np.concatenate, zip(*parts)), label, spec)
 
-    zero_block = BlockLabel.grp(alg.group.zero())
-    gamma: set[Slot] = set()
-    x0 = x_spaces.get(zero_block)
-    if x0 is not None:
-        for v in x0.basis_vectors():
-            gamma.update(slot for (_b, slot), c in v.items() if abs(c) > alg.eps)
-    unit = SparseVec(
-        {
-            alg.unit_pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j
-            for s in gamma
-            for c in alg.slots(zero_block)
-        }
-    )
-    return WeakCoideal(alg, x_spaces, unit, frozenset(gamma), label, spec)
+
+def _indicators(alg: TYAlgebra, block: np.ndarray, member: np.ndarray, label: str,
+                spec: CoidealSpec) -> WeakCoideal:
+    """The family whose fibers are spanned by 0/1 indicator rows ``member``
+    over the slots of the blocks numbered ``block``, disjoint within a block
+    and so already in reduced echelon form, each pivot at its least slot."""
+    order = np.argsort(block, kind="stable")
+    member = member[order]
+    return WeakCoideal(alg, block[order], member.argmax(axis=1), member.astype(complex), label, spec)
 
 
 # -- builders ----------------------------------------------------------------------
 
 
 def _group_fibers(
-    alg: TYAlgebra, base: Subgroup, zs: list, what: str, m_line=frozenset()
-) -> tuple[list[Coset], dict[BlockLabel, list[SparseVec]]]:
-    """Z, checked to be cosets of ``base`` and sorted by least element, and
-    the generators of each group block's fiber X^g: the coset vectors v^g_lam
-    of the lam in Z with lam - g in Z, then v^g_m for g in ``m_line``."""
-    quot = quotient(alg.group, base)
+    alg: TYAlgebra, base: Subgroup, zs: list, what: str, perp: Subgroup | None = None
+) -> tuple[list[Coset], np.ndarray, np.ndarray]:
+    """Z, checked to be cosets of ``base`` and sorted by least element, and the
+    fibers' generators as indicator rows (block, member): X^g gets v^g_lam for
+    the lam in Z with lam - g in Z and, given ``perp``, v^g_m for g in
+    ``perp``, while X^m gets v^m_lam and then v^m_{~lam}, lam in Z."""
+    quot, n = quotient(alg.group, base), alg.group.order
     for lam in zs:
         if lam not in quot.cosets:
             raise InvariantError(f"{lam} is not a coset of {what}")
     z = np.zeros(len(quot), dtype=bool)
     z[[quot.cosets.index(lam) for lam in zs]] = True
     hits = z & z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
-    x_vectors: dict[BlockLabel, list[SparseVec]] = {}
-    for g, t in zip(alg.group.elements(), quot.label.tolist()):
-        block = BlockLabel.grp(g)
-        vecs = [coset_vector(alg, block, quot.cosets[c]) for c in np.flatnonzero(hits[t])]
-        if g in m_line:
-            vecs.append(SparseVec.basis((block, Slot.m())))
-        if vecs:
-            x_vectors[block] = vecs
-    return [quot.cosets[c] for c in np.flatnonzero(z)], x_vectors
+    g, c = np.nonzero(hits[quot.label])
+    coset = quot.label == np.arange(len(quot))[:, None]  # each coset's members
+    block, member = [g], [np.pad(coset[c], ((0, 0), (0, n)))]
+    if perp is not None:
+        in_z = coset[z]
+        block += [perp.idx, np.full(2 * len(in_z), n)]
+        member += [np.arange(2 * n) == n] * perp.order + [np.pad(in_z, ((0, 0), (0, n))),
+                                                          np.pad(in_z, ((0, 0), (n, 0)))]
+    return [quot.cosets[c] for c in np.flatnonzero(z)], np.concatenate(block), np.vstack(member)
 
 
 def build_no_m(
@@ -193,10 +203,10 @@ def build_no_m(
     if side not in (0, 1):
         raise InvariantError("side must be 0 or 1")
     base = subgroup if side == 0 else orthogonal(alg.bichar, subgroup)
-    z, x_vectors = _group_fibers(alg, base, zs, "the chosen subgroup")
+    z, block, member = _group_fibers(alg, base, zs, "the chosen subgroup")
     zset, none = frozenset(z), frozenset()
     spec = CoidealSpec(subgroup, *((zset, none) if side == 0 else (none, zset)))
-    return assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(z)})", spec)
+    return _indicators(alg, block, member, f"no_m(side={side}, |Z|={len(z)})", spec)
 
 
 def build_with_m(
@@ -215,32 +225,29 @@ def build_with_m(
     perp = orthogonal(alg.bichar, subgroup)
     if rho0.subgroup != perp:
         raise InvariantError("rho0 must be a coset of the annihilator of K")
-    z, fibers = _group_fibers(alg, subgroup, zs, "K", perp.elements)
-    mblock = BlockLabel.m()
-    x_vectors = {mblock: [coset_vector(alg, mblock, lam, barred) for barred in (False, True) for lam in z],
-                 **fibers}
+    z, block, member = _group_fibers(alg, subgroup, zs, "K", perp)
     spec = CoidealSpec(subgroup, frozenset(z), frozenset([rho0]))
-    return assemble(alg, x_vectors, f"with_m(|Z|={len(z)})", spec)
+    return _indicators(alg, block, member, f"with_m(|Z|={len(z)})", spec)
 
 
-def _subgroup_lines(alg: TYAlgebra, subgroup: Subgroup, slots, label: str) -> WeakCoideal:
-    """One line per subgroup element k, X^k = C (the all-ones vector over
-    ``slots(k's block)``), with data (K, {K}, {})."""
-    blocks = [BlockLabel.grp(k) for k in subgroup.sorted_elements]
-    x_vectors = {b: [SparseVec({(b, s): 1.0 + 0j for s in slots(b)})] for b in blocks}
+def _subgroup_lines(alg: TYAlgebra, subgroup: Subgroup, lo: int, label: str) -> WeakCoideal:
+    """One line per subgroup element k, X^k = C (the all-ones vector over the
+    slots lo..n of k's block, n the m slot), with data (K, {K}, {})."""
+    n, slot = alg.group.order, np.arange(2 * alg.group.order)
+    member = np.tile((slot >= lo) & (slot <= n), (subgroup.order, 1))
     own = quotient(alg.group, subgroup).coset_of(alg.group.zero())
     spec = CoidealSpec(subgroup, frozenset([own]), frozenset())
-    return assemble(alg, x_vectors, label, spec)
+    return _indicators(alg, subgroup.idx, member, label, spec)
 
 
 def build_I_m_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
     """One line per subgroup element, supported on the m slot: X^k = C v^k_m."""
-    return _subgroup_lines(alg, subgroup, lambda block: [Slot.m()], "I_m_K")
+    return _subgroup_lines(alg, subgroup, alg.group.order, "I_m_K")
 
 
 def build_I_Omega_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
     """One all-ones line per subgroup element: X^k = C v^k_Omega."""
-    return _subgroup_lines(alg, subgroup, alg.slots, "I_Omega_K")
+    return _subgroup_lines(alg, subgroup, 0, "I_Omega_K")
 
 
 def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
@@ -315,43 +322,32 @@ class _Coords:
         lay = self.layout = alg._layout
         self.dim, self.eps = alg.dim, alg.eps
         self.first_slot = np.cumsum(lay.sizes) - lay.sizes  # slot s of block b is first + s
-        self.in_blocks = np.zeros(len(lay.sizes), dtype=bool)
-        ints, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
-        # per block: the terms (row, unit, val) and ``reduce`` as (block slot,
-        # free slot, coefficient)
-        parts, size = [(ints, ints, vals, ints, ints, vals)], 0
-        for b, label in enumerate(alg.blocks):
-            sub = wc.x_spaces.get(label)
-            if sub is None or not sub.dim:
-                continue
-            n, slots = int(lay.sizes[b]), alg.slots(label)
-            at = np.array([slots.index(slot) for _, slot in sub.universe], dtype=np.int64)
-            fiber = np.zeros((sub.dim, n), dtype=complex)
-            fiber[:, at] = np.where(np.abs(sub.basis) > ROUNDOFF, sub.basis, 0.0)
-            piv, col = at[sub.pivots], np.arange(n)
-            free = np.ones(n, dtype=bool)
-            free[piv] = False
-            free = np.flatnonzero(free)
-            i, s = np.nonzero(fiber)
-            r, f = np.nonzero(fiber[:, free])
-            parts.append((
-                (size + i[:, None] * n + col).ravel(), lay.unit(b, s[:, None], col).ravel(),
-                np.repeat(fiber[i, s], n),
-                self.first_slot[b] + np.concatenate([free, piv[r]]), np.concatenate([free, free[f]]),
-                np.concatenate([np.ones(len(free)), -fiber[r, free[f]]]),
-            ))
-            self.in_blocks[b] = True
-            size += sub.dim * n
-        row, unit, val, key, slot, coef = map(np.concatenate, zip(*parts))
+        self.in_blocks = np.bincount(wc.fiber_block, minlength=len(lay.sizes)) > 0
+        b, piv = wc.fiber_block, wc.fiber_pivot
+        fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
+        n = lay.sizes[b]  # the slots of each fiber row's block; its rows of A begin at start
+        self.size, start = int(n.sum()), np.cumsum(n) - n
+        # every term (r, s) of a fiber row gives A's rows (r, c) their term at unit (s, c)
+        r, s = np.nonzero(fiber)
+        t, col = _ranges(np.zeros_like(r), n[r])
+        row, unit = start[r[t]] + col, lay.unit(b[r[t]], s[t], col)
         order = np.argsort(row, kind="stable")
-        self.size, self.row, self.unit, self.val = size, row[order], unit[order], val[order]
+        self.row, self.unit, self.val = row[order], unit[order], fiber[r, s][t][order]
         self.by_unit = np.argsort(self.unit, kind="stable")
         self.unit_sorted = self.unit[self.by_unit]
         self.covers = np.zeros(self.dim, dtype=bool)
         self.covers[self.unit] = True
-        self.norms = np.sqrt(np.bincount(self.row, _abs2(self.val), size))
+        self.norms = np.sqrt(np.bincount(self.row, _abs2(self.val), self.size))
+        # ``reduce`` as (block slot, free slot, coefficient): each free slot to
+        # itself, then each row's pivot to the free slots where it is nonzero
+        pivot = np.zeros((len(lay.sizes), fiber.shape[1]), dtype=bool)
+        pivot[b, piv] = True
+        fb, fs = np.nonzero(~pivot & self.in_blocks[:, None] & (np.arange(fiber.shape[1]) < lay.sizes[:, None]))
+        r, f = np.nonzero(fiber * ~pivot[b])
+        key = self.first_slot[np.concatenate([fb, b[r]])] + np.concatenate([fs, piv[r]])
         order = np.argsort(key, kind="stable")
-        self.reduce_slot, self.reduce_coef = slot[order], coef[order]
+        self.reduce_slot = np.concatenate([fs, f])[order]
+        self.reduce_coef = np.concatenate([np.ones(len(fs)), -fiber[r, f]])[order]
         self.reduce_ptr = np.searchsorted(key[order], np.arange(lay.sizes.sum() + 1))
 
     def residual(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> tuple:
@@ -377,7 +373,7 @@ def _unit_terms(wc: WeakCoideal) -> tuple[np.ndarray, np.ndarray]:
     """The units of 1_A, and 1_A as a dense vector of B."""
     units = np.array(sorted(wc.unit.keys()), dtype=np.int64)
     dense = np.zeros(wc.algebra.dim, dtype=complex)
-    dense[units] = [wc.unit[k] for k in units]
+    dense[units] = [wc.unit[k] for k in units.tolist()]
     return units, dense
 
 
@@ -438,8 +434,8 @@ def _unit_identity(wc: WeakCoideal) -> tuple[float, bool, str]:
 
 def _unit_coproduct(wc: WeakCoideal) -> tuple[float, bool, str]:
     """Delta(1_A) = sum_f u_f (x) r_f lies in A (x) B_t: every r_f lies in
-    B_t, and for each basis row of B_t the first legs weighted by their r_f
-    coordinates (the values at its pivot) lie in A."""
+    B_t (one dense residual over its universe), and for each basis row of
+    B_t the first legs weighted by their r_f coordinates lie in A."""
     alg, A = wc.algebra, wc.coords
     C, dim = alg._coproduct_table, alg.dim
     target, _source = alg.counital_subalgebras()
@@ -447,13 +443,19 @@ def _unit_coproduct(wc: WeakCoideal) -> tuple[float, bool, str]:
     _, p = _runs(C.ptr, units)
     firsts, at = np.unique(C.first[p], return_inverse=True)
     f, second, val = _summed(at, C.second[p], mu[C.src[p]], dim)
-    ptr = np.searchsorted(f, np.arange(len(firsts) + 1))
-    legs = [SparseVec(zip(second[lo:hi].tolist(), val[lo:hi].tolist())) for lo, hi in zip(ptr, ptr[1:])]
+    keys = np.array(target.universe, dtype=np.int64)
+    pos = np.full(dim, -1)  # each unit's place in B_t's universe
+    pos[keys] = np.arange(len(keys))
+    inside = pos[second] >= 0
+    legs = np.zeros((len(firsts), len(keys)), dtype=complex)
+    legs[f[inside], pos[second[inside]]] = val[inside]
+    res = target.residuals(legs, np.bincount(f[~inside], _abs2(val[~inside]), len(firsts)))
+    norms = np.sqrt(np.bincount(f, _abs2(val), len(firsts)))
     row_of = np.full(dim, -1)  # the B_t basis row whose pivot is each unit
-    row_of[np.array(target.universe, dtype=np.int64)[target.pivots]] = np.arange(target.dim)
+    row_of[keys[target.pivots]] = np.arange(target.dim)
     b = row_of[second]
     hit = b >= 0
-    ok = (bool(A.size) and bool((target.contains_batch(legs) <= 0.0).all())
+    ok = (bool(A.size) and bool((res - target.eps * (1.0 + norms) <= 0.0).all())
           and bool(A.contains(b[hit], firsts[f[hit]], val[hit], target.dim).all()))
     return _exact(ok)
 
@@ -528,13 +530,18 @@ def center(wc: WeakCoideal) -> Subspace:
 def is_indecomposable(wc: WeakCoideal) -> bool:
     """True iff the central invariant subalgebra is one-dimensional.
 
-    The center and the invariant subalgebra are kernels in A's coordinates,
-    each with orthonormal rows, so the dimension of their intersection is
-    the nullity of the two kernels stacked side by side."""
+    The invariant subalgebra is the kernel of the invariance system in A's
+    coordinates, with rows z_i.  Its central elements sum_i y_i z_i are the
+    kernel of the commutant system restricted to the z_i: a dense matrix over
+    the few y_i, joining each commutant entry with the z_i nonzero there."""
     A, alg = wc.coords, wc.algebra
-    zc = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
-    zf = sparse_nullspace(*_invariance(wc), A.size, eps=alg.eps)
-    return len(nullspace(np.concatenate([zc, -zf]).T[None], eps=alg.eps)[0]) == 1
+    z = sparse_nullspace(*_invariance(wc), A.size, eps=alg.eps)
+    (rows, cols, vals), (at, i) = alg.commutant(A.row, A.unit, A.val), np.nonzero(z.T)
+    s, p = _join(cols, at)
+    keys, r = np.unique(rows[s], return_inverse=True)
+    restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
+    np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
+    return len(nullspace(restricted, eps=alg.eps)[0]) == 1
 
 
 def x0_partition(wc: WeakCoideal) -> list[frozenset[Slot]]:

@@ -259,6 +259,14 @@ class Subspace:
         self._free = np.ones(n, dtype=bool)
         self._free[pivots] = False
 
+    @classmethod
+    def reduced(cls, universe: list, basis: np.ndarray, pivots: list[int], eps: float = DEFAULT_TOL) -> "Subspace":
+        """The span of reduced echelon rows over ``universe`` with unit pivots, taken as they are."""
+        space = cls([], eps=eps)
+        space.universe, space.pos = universe, {k: i for i, k in enumerate(universe)}
+        space.basis, space.pivots, space._free = basis, pivots, ~np.isin(np.arange(len(universe)), pivots)
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.pivots)

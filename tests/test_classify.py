@@ -9,7 +9,7 @@ import pytest
 from tywha import classify, coideals
 from tywha.algebra import TYAlgebra
 from tywha.classify import (
-    _cycles,
+    _cycle_roots,
     _images,
     _pair_fixed,
     _pair_key,
@@ -107,6 +107,67 @@ def _stripped_sha256(payload) -> str:
     return hashlib.sha256(json.dumps(strip(payload), sort_keys=True).encode()).hexdigest()
 
 
+def reference_cycles(perm) -> tuple[int, int]:
+    """Number of cycles and of fixed points of a permutation row, by walking
+    each cycle in Python."""
+    perm, seen, cycles = list(perm), set(), 0
+    for j in range(len(perm)):
+        cycles += j not in seen
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+    return cycles, sum(i == j for i, j in enumerate(perm))
+
+
+CATALOG_GROUPS = [(n,) for n in range(1, 17)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)]
+
+
+class TestCycleRoots:
+    def assert_matches_walk(self, perms):
+        roots = _cycle_roots(perms)
+        cycles, fixed = zip(*map(reference_cycles, perms.tolist()))
+        assert roots.sum(axis=1).tolist() == list(cycles)
+        assert (perms == np.arange(perms.shape[1])).sum(axis=1).tolist() == list(fixed)
+        # the least point of each cycle is its only root
+        for perm, row in zip(perms.tolist(), roots):
+            for j in np.flatnonzero(row).tolist():
+                k, cycle = perm[j], [j]
+                while k != j:
+                    cycle.append(k)
+                    k = perm[k]
+                assert min(cycle) == j
+
+    def test_identity_and_single_long_cycle(self):
+        m = 64
+        rng = np.random.default_rng(3)
+        order = rng.permutation(m)
+        long = np.empty(m, dtype=np.int64)
+        long[order] = np.roll(order, -1)  # one 64-cycle through a shuffled order
+        perms = np.stack([np.arange(m), long, np.roll(np.arange(m), 1)])
+        self.assert_matches_walk(perms)
+        assert _cycle_roots(perms).sum(axis=1).tolist() == [64, 1, 1]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 33, 64])
+    def test_random_permutations(self, m):
+        rng = np.random.default_rng(m)
+        self.assert_matches_walk(np.stack([rng.permutation(m) for _ in range(50)]))
+
+    def test_every_catalog_stack_up_to_order_16(self):
+        # the stacks weak_coideal_classes and g_algebra_classes hand to
+        # burnside_check, for every group the catalogs accept
+        stacks = 0
+        for factors in CATALOG_GROUPS:
+            grp = FiniteAbelianGroup(factors)
+            chi = Bicharacter.standard(grp)
+            for K in enumerate_subgroups(grp):
+                _perp, q0, _q1, flip, perms = _quotients(grp, chi, K)
+                for stack in [perms] + [q0.trans] * flip:
+                    self.assert_matches_walk(stack)
+                    stacks += 1
+        assert stacks == 226
+
+
 class TestBurnside:
     def test_translation_on_subsets(self):
         # Z2 translating the four subsets of a 2-element set: 3 orbits
@@ -115,14 +176,14 @@ class TestBurnside:
         orbits = orbit_partition(points, perms, _subset_rank)
         assert len(orbits) == 3
         assert len(_brute_orbits(points, perms)) == 3
-        assert burnside_check(perms, lambda p: 2 ** _cycles(p)[0], len(points), 3) == 3
+        assert burnside_check(perms, lambda p, roots: 2 ** roots.sum(axis=1), len(points), 3) == 3
 
     def test_trivial_action(self):
         points = np.arange(7)[:, None]
         perms = np.array([[0]])
         orbits = orbit_partition(points, perms, lambda rows: rows[:, 0])
         assert [size for _, size in orbits] == [1] * 7
-        assert burnside_check(perms, lambda p: 7, 7, len(orbits)) == 7
+        assert burnside_check(perms, lambda p, roots: np.full(len(p), 7), 7, len(orbits)) == 7
 
     def test_two_element_orbit_fully_identified(self):
         points = np.array([[1, 0], [0, 1]])
@@ -130,7 +191,8 @@ class TestBurnside:
         orbits = orbit_partition(points, perms, _subset_rank)
         assert orbits == [((1, 0), 2)]
         # singletons fixed by a permutation are its fixed points
-        assert burnside_check(perms, lambda p: _cycles(p)[1], 2, len(orbits)) == 1
+        assert burnside_check(perms, lambda p, roots: (p == np.arange(p.shape[1])).sum(axis=1), 2,
+                              len(orbits)) == 1
 
     def test_non_action_detected(self):
         for perms in (
@@ -147,7 +209,7 @@ class TestBurnside:
     def test_burnside_mismatch_detected(self):
         perms = np.array([[0, 1], [1, 0]])
         with pytest.raises(StructuralError, match="Burnside"):
-            burnside_check(perms, lambda p: 2 ** _cycles(p)[0], 4, 4)
+            burnside_check(perms, lambda p, roots: 2 ** roots.sum(axis=1), 4, 4)
 
 
 class TestPolyaCounts:
@@ -163,9 +225,11 @@ class TestPolyaCounts:
                 perms = _pair_perms(q0, q1, flip)
                 pairs = _valid_subset_pairs(q0, q1)
                 vectors = _vectors(perms.shape[1], 2)
-                for perm in perms:
-                    assert _pair_fixed(perm, n0) == (pairs[:, perm] == pairs).all(axis=1).sum()
-                    assert _vector_fixed(perm, 2) == (vectors[:, perm] == vectors).all(axis=1).sum()
+                roots = _cycle_roots(perms)
+                pair_counts, vector_counts = _pair_fixed(perms, roots, n0), _vector_fixed(perms, roots, 2)
+                for perm, pair_count, vector_count in zip(perms, pair_counts, vector_counts):
+                    assert pair_count == (pairs[:, perm] == pairs).all(axis=1).sum()
+                    assert vector_count == (vectors[:, perm] == vectors).all(axis=1).sum()
 
     def test_dropped_point_trips_polya_count(self, monkeypatch):
         # (G/K, {}) is fixed by every translation, so dropping it leaves the

@@ -483,7 +483,7 @@ class TestClassifyCommands:
 
     def test_realize_past_bound_exits_2_fast(self, capsys):
         start = time.perf_counter()
-        assert run(["classify", "weak-coideals", "--group", "16", "--realize"]) == 2
+        assert run(["classify", "weak-coideals", "--group", "14", "--realize"]) == 2
         assert time.perf_counter() - start < 2.0
         assert "exceeds realize bound" in capsys.readouterr().err
 
@@ -512,7 +512,7 @@ class TestClassifyCommands:
         malformed.write_text('{"matrix": [["1/2", "0"]]}')
         for bad, err in (
             (["--group", "17"], "|G| = 17 exceeds algebra bound 16"),
-            (["--group", "16", "--realize"], "|G| = 16 exceeds realize bound 12"),
+            (["--group", "14", "--realize"], "|G| = 14 exceeds realize bound 13"),
             (["--group", "4", "--tol", "nan"], "tolerance must be finite and positive, got nan"),
             (["--group", "4", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
             (["--group", "2", "--bichar", str(degenerate)], "bicharacter degenerate"),

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from tywha.coideals import (
 )
 from tywha.errors import InvariantError, StructuralError
 from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
-from tywha.linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_rows, tensor_contains
+from tywha.linalg import (
+    ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, sparse_rows, tensor_contains,
+)
 
 
 def g(*coords):
@@ -288,7 +291,48 @@ def union(alg, parts, label):
     return assemble(alg, merged, label)
 
 
+def reference_is_indecomposable(wc):
+    """is_indecomposable by two kernels: the center and the invariant
+    subalgebra solved apart, each with orthonormal rows, and the dimension
+    of their intersection taken as the nullity of the two stacked side by
+    side."""
+    A, alg = wc.coords, wc.algebra
+    zc = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
+    zf = sparse_nullspace(*coideals._invariance(wc), A.size, eps=alg.eps)
+    return len(nullspace(np.concatenate([zc, -zf]).T[None], eps=alg.eps)[0]) == 1
+
+
+def two_coset_families(alg):
+    """For every proper subgroup K, X^0 spanned by the indicators of two
+    K-cosets and no other fiber: the sum of two weak coideals, decomposable."""
+    zero = BlockLabel.grp(alg.group.zero())
+    out = []
+    for K in enumerate_subgroups(alg.group):
+        q = quotient(alg.group, K)
+        if len(q) > 1:
+            out.append(assemble(alg, {zero: [coset_vector(alg, zero, c) for c in q.cosets[:2]]}, f"two cosets of {K}"))
+    return out
+
+
 class TestIndecomposability:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2)])
+    def test_stacked_kernel_matches_two_kernels_on_realized_classes(self, factors, sign):
+        built = realized_coideals(factors, sign)
+        assert built
+        for wc in built:
+            assert is_indecomposable(wc) and reference_is_indecomposable(wc), wc.label
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(4,), (2, 2), (6,)])
+    def test_two_coset_families_are_decomposable(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        families = two_coset_families(alg)
+        assert len(families) == len(enumerate_subgroups(alg.group)) - 1
+        for wc in families:
+            assert verify_weak_coideal(wc).passed, wc.label
+            assert not is_indecomposable(wc) and not reference_is_indecomposable(wc), wc.label
+
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(4,), (2, 2)])
     def test_matches_the_central_invariant_intersection(self, factors, sign):
@@ -430,6 +474,64 @@ class TestSpectralDims:
 # -- builders against the quotient-based reference ---------------------------------
 
 
+def reference_assemble(alg, x_vectors, label, spec=None):
+    """The generic assembly the builders replace: each fiber the echelon
+    Subspace of its generating SparseVecs, Gamma the joint support of X^0's
+    pruned basis, and 1_A the sum of the zero-block units on Gamma's rows."""
+    x_spaces = {block: Subspace(vecs, eps=alg.eps) for block, vecs in x_vectors.items()}
+    zero_block = BlockLabel.grp(alg.group.zero())
+    gamma = set()
+    if zero_block in x_spaces:
+        for v in x_spaces[zero_block].basis_vectors():
+            gamma.update(slot for (_b, slot), c in v.items() if abs(c) > alg.eps)
+    unit = SparseVec({alg.unit_pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j
+                      for s in gamma for c in alg.slots(zero_block)})
+    return types.SimpleNamespace(algebra=alg, x_vectors=x_vectors, x_spaces=x_spaces, unit=unit,
+                                 gamma=frozenset(gamma), label=label, spec=spec)
+
+
+def reference_coords(ref):
+    """_Coords' arrays (row, unit, val, reduce_slot, reduce_coef, reduce_ptr)
+    built block by block from the fiber Subspaces of reference_assemble."""
+    alg = ref.algebra
+    lay = alg._layout
+    first_slot = np.cumsum(lay.sizes) - lay.sizes
+    ints, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+    parts, size = [(ints, ints, vals, ints, ints, vals)], 0
+    for b, label in enumerate(alg.blocks):
+        sub = ref.x_spaces.get(label)
+        if sub is None or not sub.dim:
+            continue
+        n, slots = int(lay.sizes[b]), alg.slots(label)
+        at = np.array([slots.index(slot) for _, slot in sub.universe], dtype=np.int64)
+        fiber = np.zeros((sub.dim, n), dtype=complex)
+        fiber[:, at] = np.where(np.abs(sub.basis) > ROUNDOFF, sub.basis, 0.0)
+        piv, col = at[sub.pivots], np.arange(n)
+        free = np.ones(n, dtype=bool)
+        free[piv] = False
+        free = np.flatnonzero(free)
+        i, s = np.nonzero(fiber)
+        r, f = np.nonzero(fiber[:, free])
+        parts.append((
+            (size + i[:, None] * n + col).ravel(), lay.unit(b, s[:, None], col).ravel(),
+            np.repeat(fiber[i, s], n),
+            first_slot[b] + np.concatenate([free, piv[r]]), np.concatenate([free, free[f]]),
+            np.concatenate([np.ones(len(free)), -fiber[r, free[f]]]),
+        ))
+        size += sub.dim * n
+    row, unit, val, key, slot, coef = map(np.concatenate, zip(*parts))
+    order, by_key = np.argsort(row, kind="stable"), np.argsort(key, kind="stable")
+    arrays = (row[order], unit[order], val[order], slot[by_key], coef[by_key],
+              np.searchsorted(key[by_key], np.arange(lay.sizes.sum() + 1)))
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def coords_bits(wc):
+    A = wc.coords
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (A.row, A.unit, A.val, A.reduce_slot, A.reduce_coef, A.reduce_ptr)]
+
+
 def reference_translated(quot, g, zs):
     return {quot.translate(g, lam) for lam in zs}
 
@@ -459,7 +561,7 @@ def reference_build_no_m(alg, subgroup, zs, side=0):
         frozenset(zset) if side == 0 else frozenset(),
         frozenset() if side == 0 else frozenset(zset),
     )
-    return assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(zset)})", spec)
+    return reference_assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(zset)})", spec)
 
 
 def reference_build_with_m(alg, subgroup, zs, rho0):
@@ -490,7 +592,24 @@ def reference_build_with_m(alg, subgroup, zs, rho0):
         if vecs:
             x_vectors[block] = vecs
     spec = CoidealSpec(subgroup, frozenset(zset), frozenset([rho0]))
-    return assemble(alg, x_vectors, f"with_m(|Z|={len(zset)})", spec)
+    return reference_assemble(alg, x_vectors, f"with_m(|Z|={len(zset)})", spec)
+
+
+def reference_subgroup_lines(alg, subgroup, slots, label):
+    """build_I_m_K (``slots`` the m slot) and build_I_Omega_K (every slot)
+    by SparseVecs: X^k = C (the all-ones vector over ``slots(k's block)``)."""
+    blocks = [BlockLabel.grp(k) for k in subgroup.sorted_elements]
+    x_vectors = {b: [SparseVec({(b, s): 1.0 + 0j for s in slots(b)})] for b in blocks}
+    own = quotient(alg.group, subgroup).coset_of(alg.group.zero())
+    return reference_assemble(alg, x_vectors, label, CoidealSpec(subgroup, frozenset([own]), frozenset()))
+
+
+def reference_build_I_m_K(alg, subgroup):
+    return reference_subgroup_lines(alg, subgroup, lambda block: [Slot.m()], "I_m_K")
+
+
+def reference_build_I_Omega_K(alg, subgroup):
+    return reference_subgroup_lines(alg, subgroup, alg.slots, "I_Omega_K")
 
 
 def reference_spectral_dims(spec, alg):
@@ -521,17 +640,23 @@ class TestBuildersMatchReference:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (2, 2, 2)])
     def test_every_datum(self, factors, sign):
-        # every subgroup K, every nonempty Z on either side, with_m under every rho0
+        # every builder over every subgroup K, every nonempty Z on either
+        # side, with_m under every rho0: the builder, the reference and
+        # assemble on the reference's generators agree bit for bit on the
+        # fibers, 1_A, Gamma and A's coordinate arrays
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         for K in enumerate_subgroups(alg.group):
             q0, q1 = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
-            calls = [(build_no_m, reference_build_no_m, (zs, side))
-                     for side, q in ((0, q0), (1, q1)) for zs in nonempty_subsets(q.cosets)]
+            calls = [(build_I_m_K, reference_build_I_m_K, ()), (build_I_Omega_K, reference_build_I_Omega_K, ())]
+            calls += [(build_no_m, reference_build_no_m, (zs, side))
+                      for side, q in ((0, q0), (1, q1)) for zs in nonempty_subsets(q.cosets)]
             calls += [(build_with_m, reference_build_with_m, (zs, rho0))
                       for zs in nonempty_subsets(q0.cosets) for rho0 in q1.cosets]
             for build, reference, args in calls:
                 wc, ref = build(alg, K, *args), reference(alg, K, *args)
-                assert built_bits(wc) == built_bits(ref), (str(K), ref.label)
+                general = assemble(alg, ref.x_vectors, ref.label, ref.spec)
+                assert built_bits(wc) == built_bits(ref) == built_bits(general), (str(K), ref.label)
+                assert coords_bits(wc) == reference_coords(ref) == coords_bits(general), (str(K), ref.label)
                 assert spectral_dims(wc.spec, alg) == reference_spectral_dims(ref.spec, alg), ref.label
 
     def test_errors_match_reference(self, z4, z4_setup):
