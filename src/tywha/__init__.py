@@ -32,7 +32,6 @@ from .coideals import (
     is_indecomposable,
     spectral_dims,
     verify_weak_coideal,
-    x0_partition,
 )
 from .errors import InvariantError, SizeError, StructuralError
 from .groups import (

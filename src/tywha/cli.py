@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     wha_sub = wha_cmd.add_subparsers(dest="subcommand", required=True)
     p = wha_sub.add_parser("verify", help="run the full axiom suite")
     common(p)
-    ignored = "accepted and ignored: every check is exhaustive (see ROADMAP.md item 3)"
+    ignored = "accepted and ignored: every check is exhaustive"
     p.add_argument("--seed", type=int, help=ignored)
     p.add_argument("--samples", type=int, help=ignored)
     p.set_defaults(func=cmd_wha_verify)

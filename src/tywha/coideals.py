@@ -26,7 +26,7 @@ from .algebra import (
     _runs,
     _sums,
 )
-from .errors import InvariantError, StructuralError
+from .errors import InvariantError
 from .groups import Coset, Subgroup, orthogonal, quotient
 from .linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, span
 
@@ -166,16 +166,21 @@ def _indicators(alg: TYAlgebra, block: np.ndarray, member: np.ndarray, label: st
 def _group_fibers(
     alg: TYAlgebra, base: Subgroup, zs: list, what: str, perp: Subgroup | None = None
 ) -> tuple[list[Coset], np.ndarray, np.ndarray]:
-    """Z, checked to be cosets of ``base`` and sorted by least element, and the
-    fibers' generators as indicator rows (block, member): X^g gets v^g_lam for
-    the lam in Z with lam - g in Z and, given ``perp``, v^g_m for g in
-    ``perp``, while X^m gets v^m_lam and then v^m_{~lam}, lam in Z."""
-    quot, n = quotient(alg.group, base), alg.group.order
+    """Z, checked to be cosets of ``base``, each once and sorted by least
+    element, and the fibers' generators as indicator rows (block, member):
+    X^g gets v^g_lam for the lam in Z with lam - g in Z and, given ``perp``,
+    v^g_m for g in ``perp``, while X^m gets v^m_lam and then v^m_{~lam}, lam
+    in Z.  A coset of ``base`` is |base| elements with one label in the
+    quotient, which is its number."""
+    group, n = alg.group, alg.group.order
+    quot, picked = quotient(group, base), {}
     for lam in zs:
-        if lam not in quot.cosets:
+        if (lam.subgroup != base or len(lam) != base.order
+                or len(labels := {int(quot.label[group.index(a)]) for a in lam.elements}) != 1):
             raise InvariantError(f"{lam} is not a coset of {what}")
+        picked.setdefault(labels.pop(), lam)
     z = np.zeros(len(quot), dtype=bool)
-    z[[quot.cosets.index(lam) for lam in zs]] = True
+    z[list(picked)] = True
     hits = z & z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
     g, c = np.nonzero(hits[quot.label])
     coset = quot.label == np.arange(len(quot))[:, None]  # each coset's members
@@ -185,7 +190,7 @@ def _group_fibers(
         block += [perp.idx, np.full(2 * len(in_z), n)]
         member += [np.arange(2 * n) == n] * perp.order + [np.pad(in_z, ((0, 0), (0, n))),
                                                           np.pad(in_z, ((0, 0), (n, 0)))]
-    return [quot.cosets[c] for c in np.flatnonzero(z)], np.concatenate(block), np.vstack(member)
+    return [picked[c] for c in sorted(picked)], np.concatenate(block), np.vstack(member)
 
 
 def build_no_m(
@@ -542,46 +547,6 @@ def is_indecomposable(wc: WeakCoideal) -> bool:
     restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
     np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
     return len(nullspace(restricted, eps=alg.eps)[0]) == 1
-
-
-def x0_partition(wc: WeakCoideal) -> list[frozenset[Slot]]:
-    """Spectral blocks of the diagonal subalgebra X^0: slots are grouped by
-    equal coordinate profiles across a basis of X^0."""
-    alg = wc.algebra
-    zero_block = BlockLabel.grp(alg.group.zero())
-    x0 = wc.x_spaces.get(zero_block)
-    if x0 is None or x0.dim == 0:
-        raise StructuralError("X^0 is trivial; no unit block structure")
-    basis = x0.basis_vectors()
-    for u in basis:
-        if not x0.contains(alg.sharp(u)):
-            raise StructuralError("X^0 is not closed under the fiber involution")
-        for v in basis:
-            if not x0.contains(alg.circ(u, v)):
-                raise StructuralError("X^0 is not closed under the fiber product")
-    slots = sorted(wc.gamma)
-    profiles: dict[int, list[complex]] = {i: [] for i in range(len(slots))}
-    for u in basis:
-        for i, s in enumerate(slots):
-            profiles[i].append(u[(zero_block, s)])
-    blocks: list[tuple[list[complex], set[Slot]]] = []
-    for i, s in enumerate(slots):
-        for profile, members in blocks:
-            if all(abs(a - b) <= alg.eps for a, b in zip(profile, profiles[i])):
-                members.add(s)
-                break
-        else:
-            blocks.append((profiles[i], {s}))
-    if len(blocks) != x0.dim:
-        raise StructuralError(
-            f"X^0 has {x0.dim} dimensions but {len(blocks)} spectral blocks"
-        )
-    out = [frozenset(members) for _, members in blocks]
-    for members in out:
-        indicator = SparseVec({(zero_block, s): 1.0 + 0j for s in members})
-        if not x0.contains(indicator):
-            raise StructuralError("spectral block indicator does not lie in X^0")
-    return sorted(out, key=lambda ms: min(ms))
 
 
 # -- spectral dimensions ---------------------------------------------------------

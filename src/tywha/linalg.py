@@ -78,13 +78,6 @@ class SparseVec:
     def prune(self, eps: float = DEFAULT_TOL) -> "SparseVec":
         return SparseVec({k: v for k, v in self.data.items() if abs(v) > eps})
 
-    def add_scaled(self, other: "SparseVec", scalar) -> None:
-        """In-place self += scalar * other (builder helper, no pruning)."""
-        s = complex(scalar)
-        data = self.data
-        for k, v in other.data.items():
-            data[k] = data.get(k, 0.0) + v * s
-
     def __repr__(self):
         terms = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self.data.items()))
         return f"SparseVec({{{terms}}})"

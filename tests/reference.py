@@ -1,0 +1,223 @@
+"""Scalar references for the structure of B, one term at a time.
+
+The package builds B's structure maps as index arrays and checks them by
+joins over those arrays.  The functions here compute the same maps from the
+closed-form fiber rules on ``SparseVec``s, and the four axiom rows that
+``TYAlgebra.verify_axioms`` once evaluated this way; the tests compare the
+arrays and the array rows against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tywha.algebra import SLOT_BAR, SLOT_GRP, SLOT_M, BasisUnit, BlockLabel, Slot, _join, _runs, _worst
+from tywha.errors import InvariantError
+from tywha.linalg import ROUNDOFF, SparseVec, distance
+
+# -- the fiber spaces ------------------------------------------------------------
+
+
+def fiber_basis(alg, block: BlockLabel, slot: Slot) -> SparseVec:
+    if slot not in alg.slots(block):
+        raise InvariantError(f"slot {slot} does not belong to block {block}")
+    return SparseVec.basis((block, slot))
+
+
+def _circ_basis(alg, x: BlockLabel, a: Slot, y: BlockLabel, c: Slot) -> tuple:
+    """Structure constants of the fiber product on basis vectors."""
+    G = alg.group
+    if not x.is_m and not y.is_m:
+        g, h = x.g, y.g
+        if a.kind == SLOT_GRP and c.kind == SLOT_GRP:
+            # v^g_k . v^h_{h+k} = v^{g+h}_{h+k}
+            if c.g == G.add(h, a.g):
+                return (((BlockLabel.grp(G.add(g, h)), Slot.grp(c.g)), 1.0 + 0j),)
+        elif a.kind == SLOT_M and c.kind == SLOT_M:
+            # v^g_m . v^h_m = v^{g+h}_m
+            return (((BlockLabel.grp(G.add(g, h)), Slot.m()), 1.0 + 0j),)
+    elif not x.is_m and y.is_m:
+        g = x.g
+        if a.kind == SLOT_GRP and c.kind == SLOT_GRP:
+            # v^g_k . v^m_k = v^m_{k-g}
+            if a.g == c.g:
+                return (((BlockLabel.m(), Slot.grp(G.sub(c.g, g))), 1.0 + 0j),)
+        elif a.kind == SLOT_M and c.kind == SLOT_BAR:
+            # v^g_m . v^m_{~k} = chi(g,k) v^m_{~k}
+            return (((BlockLabel.m(), c), alg.chi(g, c.g)),)
+    elif x.is_m and not y.is_m:
+        h = y.g
+        if a.kind == SLOT_GRP and c.kind == SLOT_M:
+            # v^m_k . v^h_m = chi(h,k) v^m_k
+            return (((BlockLabel.m(), a), alg.chi(h, a.g)),)
+        elif a.kind == SLOT_BAR and c.kind == SLOT_GRP:
+            # v^m_{~k} . v^h_{h+k} = v^m_{~(h+k)}
+            if c.g == G.add(h, a.g):
+                return (((BlockLabel.m(), Slot.bar(c.g)), 1.0 + 0j),)
+    else:
+        if a.kind == SLOT_GRP and c.kind == SLOT_BAR:
+            # v^m_h . v^m_{~k} = v^{k-h}_k
+            return (((BlockLabel.grp(G.sub(c.g, a.g)), Slot.grp(c.g)), 1.0 + 0j),)
+        elif a.kind == SLOT_BAR and c.kind == SLOT_GRP and a.g == c.g:
+            # v^m_{~h} . v^m_h = tau * sum_p conj(chi(p,h)) v^p_m
+            return tuple(
+                ((BlockLabel.grp(p), Slot.m()), alg.tau * alg.chi(p, a.g).conjugate())
+                for p in G.elements()
+            )
+    return ()
+
+
+def circ(alg, u: SparseVec, w: SparseVec) -> SparseVec:
+    """Bilinear fiber product of vectors keyed by (block, slot)."""
+    out = SparseVec()
+    for (x, a), cu in u.items():
+        for (y, c), cw in w.items():
+            for key, coeff in _circ_basis(alg, x, a, y, c):
+                out.data[key] = out.data.get(key, 0.0) + cu * cw * coeff
+    return out.prune(ROUNDOFF)
+
+
+def _fiber_map(alg, x: BlockLabel, s: Slot, second_leg: bool) -> tuple[complex, BlockLabel, Slot]:
+    """The (coeff, block, slot) image of slot s under the fiber involution
+    (``second_leg=False``) or the conjugate-fiber identification used by the
+    second tensor leg.  The two differ only in their m-block coefficients."""
+    if not x.is_m:
+        g = x.g
+        target = BlockLabel.grp(alg.group.neg(g))
+        if s.kind == SLOT_GRP:
+            return 1.0 + 0j, target, Slot.grp(alg.group.sub(s.g, g))
+        return 1.0 + 0j, target, Slot.m()
+    unb, bar = (alg._phi_unb, alg._phi_bar) if second_leg else (alg._psi_unb, alg._psi_bar)
+    if s.kind == SLOT_GRP:
+        return complex(unb), x, Slot.bar(s.g)
+    return complex(bar), x, Slot.grp(s.g)
+
+
+def sharp(alg, u: SparseVec) -> SparseVec:
+    """Conjugate-linear fiber involution on vectors keyed by (block, slot)."""
+    out = SparseVec()
+    for (x, s), c in u.items():
+        coeff, tb, ts = _fiber_map(alg, x, s, second_leg=False)
+        out.data[(tb, ts)] = out.data.get((tb, ts), 0.0) + c.conjugate() * coeff
+    return out.prune(ROUNDOFF)
+
+
+# -- structure maps of B on vectors of units ----------------------------------------
+
+
+def basis_element(alg, block: BlockLabel, row: Slot, col: Slot) -> SparseVec:
+    return SparseVec.basis(alg.unit_pos[BasisUnit(block, row, col)])
+
+
+def add_scaled(out: SparseVec, other: SparseVec, scalar) -> None:
+    """out += scalar * other in place, with no pruning."""
+    s = complex(scalar)
+    for k, v in other.data.items():
+        out.data[k] = out.data.get(k, 0.0) + v * s
+
+
+def haar_value(h, a: SparseVec) -> complex:
+    """The invariant functional h, given by its coefficients, at a."""
+    return complex(sum(c * h.coeffs[i] for i, c in a.items()))
+
+
+def counit(alg, a: SparseVec) -> complex:
+    total = 0.0 + 0j
+    for i, c in a.items():
+        u = alg.units[i]
+        if u.row == u.col:
+            total += c
+    return total
+
+
+def star(alg, a: SparseVec) -> SparseVec:
+    pairs = alg._star_map.pairs
+    out: dict[int, complex] = {}
+    for i, c in a.items():
+        k, coeff = pairs[i]
+        out[k] = out.get(k, 0.0) + c.conjugate() * coeff
+    return SparseVec(out).prune(ROUNDOFF)
+
+
+def antipode(alg, a: SparseVec) -> SparseVec:
+    pairs = alg._antipode_map.pairs
+    out: dict[int, complex] = {}
+    for i, c in a.items():
+        k, coeff = pairs[i]
+        out[k] = out.get(k, 0.0) + c * coeff
+    return SparseVec(out).prune(ROUNDOFF)
+
+
+def term_vectors(terms: tuple, dim: int) -> list[SparseVec]:
+    """The vectors 0..dim-1 given by their terms (vector, unit, value)."""
+    out = [SparseVec() for _ in range(dim)]
+    for i, k, c in zip(*(t.tolist() for t in terms)):
+        out[i].data[k] = c
+    return out
+
+
+def eps_t(alg, a: SparseVec) -> SparseVec:
+    src, key, val = alg._eps_t_table
+    out = SparseVec()
+    for i, c in a.items():
+        lo, hi = np.searchsorted(src, [i, i + 1])
+        add_scaled(out, SparseVec(zip(key[lo:hi].tolist(), val[lo:hi].tolist())), c)
+    return out.prune(ROUNDOFF)
+
+
+# -- the axiom rows as the scalar paths evaluated them -------------------------------
+#
+# Each returns the row's (residual, passed, witness, instances) as
+# ``verify_axioms`` reported it before the rows became array joins.
+
+
+def _row(alg, distances, instances: int) -> tuple:
+    residual = float(max(distances, default=0.0))
+    return residual, residual <= alg.eps, "", instances
+
+
+def counital_commute(alg) -> tuple:
+    """"counital subalgebras commute": t s = s t over the basis vectors."""
+    target, source = alg.counital_subalgebras()
+    tvecs, svecs = target.basis_vectors(), source.basis_vectors()
+    distances = [distance(alg.multiply(t, s), alg.multiply(s, t)) for t in tvecs for s in svecs]
+    return _row(alg, distances, len(tvecs) * len(svecs))
+
+
+def antipode_squared(alg) -> tuple:
+    """"antipode squared fixes target subalgebra": S(S(t)) = t."""
+    tvecs = alg.counital_subalgebras()[0].basis_vectors()
+    return _row(alg, [distance(antipode(alg, antipode(alg, t)), t) for t in tvecs], len(tvecs))
+
+
+def weak_unit(alg) -> tuple:
+    """"weak unit identity" on Delta(1) from the scalar coproduct."""
+    d, T, D = alg.dim, alg.product, alg._coproduct_table
+    items = sorted(alg.coproduct(alg.unit()).items())
+    a = np.array([k[0] for k, _ in items], dtype=np.int64)
+    b = np.array([k[1] for k, _ in items], dtype=np.int64)
+    c = np.array([v for _, v in items], dtype=complex)
+    s, e = T.of_left(b)
+    s2, q = _join(T.j[e], a)
+    s, e = s[s2], e[s2]
+    lhs = ((a[s] * d + T.k[e]) * d + b[q], c[s] * c[q] * T.c[e])
+    s, q = _runs(D.ptr, a)
+    rhs = ((D.first[q] * d + D.second[q]) * d + b[s], c[s])
+    return _row(alg, [_worst(lhs, rhs)[0]], 1)
+
+
+def zero_fiber_projections(alg) -> tuple:
+    """"zero fiber projections" through ``sharp`` and ``circ``."""
+    zero = BlockLabel.grp(alg.group.zero())
+    basis = [(s, fiber_basis(alg, zero, s)) for s in alg.slots(zero)]
+    distances = [distance(sharp(alg, v), v) for _, v in basis]
+    distances += [distance(circ(alg, v, w), v if s == t else SparseVec()) for s, v in basis for t, w in basis]
+    return _row(alg, distances, len(basis) ** 2)
+
+
+ROWS = {
+    "weak unit identity": weak_unit,
+    "counital subalgebras commute": counital_commute,
+    "antipode squared fixes target subalgebra": antipode_squared,
+    "zero fiber projections": zero_fiber_projections,
+}

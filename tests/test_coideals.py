@@ -23,10 +23,10 @@ from tywha.coideals import (
     is_indecomposable,
     spectral_dims,
     verify_weak_coideal,
-    x0_partition,
 )
-from tywha.errors import InvariantError, StructuralError
-from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
+from tywha.errors import InvariantError
+from tywha.groups import Coset, FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
+from reference import add_scaled, circ, sharp, star
 from tywha.linalg import (
     ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, sparse_rows, tensor_contains,
 )
@@ -83,7 +83,7 @@ class TestClosureRelations:
 
     def test_unbarred_times_barred(self, z4, z4_setup):
         _K, q, lam, mu = z4_setup
-        out = z4.circ(coset_vector(z4, M, lam), coset_vector(z4, M, mu, barred=True))
+        out = circ(z4, coset_vector(z4, M, lam), coset_vector(z4, M, mu, barred=True))
         expected = SparseVec()
         for delta in mu.elements:  # mu - lam = {1,3}
             expected = expected + coset_vector(z4, g(*delta), mu)
@@ -93,7 +93,7 @@ class TestClosureRelations:
     def test_barred_times_unbarred(self, sign, z4_setup):
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=sign)
         K, q, lam, mu = z4_setup
-        out = alg.circ(
+        out = circ(alg,
             coset_vector(alg, M, lam, barred=True), coset_vector(alg, M, lam)
         )
         perp = orthogonal(alg.bichar, K)
@@ -102,14 +102,14 @@ class TestClosureRelations:
         )
         assert distance(out, expected) < 1e-12
         # distinct cosets annihilate
-        assert not alg.circ(
+        assert not circ(alg,
             coset_vector(alg, M, lam, barred=True), coset_vector(alg, M, mu)
         )
 
     def test_m_slot_times_barred_coset(self, z4, z4_setup):
         K, _q, _lam, mu = z4_setup
         # for k in the annihilator the phase chi(k, .) is constant on cosets
-        out = z4.circ(
+        out = circ(z4,
             SparseVec.basis((g(2), Slot.m())), coset_vector(z4, M, mu, barred=True)
         )
         phase = z4.chi((2,), mu.rep)
@@ -117,7 +117,7 @@ class TestClosureRelations:
 
     def test_coset_times_m_slot(self, z4, z4_setup):
         _K, _q, _lam, mu = z4_setup
-        out = z4.circ(
+        out = circ(z4,
             coset_vector(z4, M, mu), SparseVec.basis((g(2), Slot.m()))
         )
         phase = z4.chi(mu.rep, (2,))
@@ -128,25 +128,25 @@ class TestClosureRelations:
         # v^g_lam . v^h_mu = [mu == h + lam] v^{g+h}_mu
         a = coset_vector(z4, g(1), lam)
         b = coset_vector(z4, g(1), mu)  # mu = (1,) + lam
-        out = z4.circ(a, b)
+        out = circ(z4, a, b)
         assert distance(out, coset_vector(z4, g(2), mu)) < 1e-12
-        assert not z4.circ(a, coset_vector(z4, g(2), mu))
+        assert not circ(z4, a, coset_vector(z4, g(2), mu))
 
     def test_mixed_zero_products(self, z4, z4_setup):
         _K, _q, lam, mu = z4_setup
         km = SparseVec.basis((g(2), Slot.m()))
-        assert not z4.circ(km, coset_vector(z4, g(1), lam))
-        assert not z4.circ(coset_vector(z4, g(1), lam), km)
-        assert not z4.circ(km, coset_vector(z4, M, lam))
-        assert not z4.circ(coset_vector(z4, M, lam, barred=True), km)
-        assert not z4.circ(coset_vector(z4, M, lam), coset_vector(z4, M, mu))
-        assert not z4.circ(
+        assert not circ(z4, km, coset_vector(z4, g(1), lam))
+        assert not circ(z4, coset_vector(z4, g(1), lam), km)
+        assert not circ(z4, km, coset_vector(z4, M, lam))
+        assert not circ(z4, coset_vector(z4, M, lam, barred=True), km)
+        assert not circ(z4, coset_vector(z4, M, lam), coset_vector(z4, M, mu))
+        assert not circ(z4,
             coset_vector(z4, M, lam, barred=True), coset_vector(z4, M, mu, barred=True)
         )
 
     def test_sharp_on_coset_vectors(self, z4, z4_setup):
         _K, _q, lam, _mu = z4_setup
-        out = z4.sharp(coset_vector(z4, M, lam))
+        out = sharp(z4, coset_vector(z4, M, lam))
         assert distance(out, 2.0 * coset_vector(z4, M, lam, barred=True)) < 1e-12
 
 
@@ -385,38 +385,11 @@ class TestIndecomposability:
         rho0 = quotient(z4.group, perp).cosets[0]
         for zs in ([lam], list(q.cosets)):
             wc = build_with_m(z4, K, zs, rho0)
-            blocks = x0_partition(wc)
-            k0 = len(blocks)
+            # X^0 is spanned by disjoint indicators, one per spectral block
+            k0 = wc.x_dims()[g(0)]
             km = wc.x_spaces[M].dim // 2
             assert km == k0 - 1
             assert is_indecomposable(wc)
-
-
-class TestX0Partition:
-    def test_i_m_k_single_m_block(self, z4, z4_setup):
-        K, _q, _lam, _mu = z4_setup
-        blocks = x0_partition(build_I_m_K(z4, K))
-        assert blocks == [frozenset({Slot.m()})]
-
-    def test_no_m_blocks_are_cosets(self, z4, z4_setup):
-        K, q, lam, mu = z4_setup
-        wc = build_no_m(z4, K, list(q.cosets))
-        blocks = x0_partition(wc)
-        assert len(blocks) == 2
-        as_sets = {frozenset(s.g for s in b) for b in blocks}
-        assert as_sets == {frozenset(lam.elements), frozenset(mu.elements)}
-
-    def test_with_m_has_m_block(self, z4, z4_setup):
-        K, _q, lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        rho0 = quotient(z4.group, perp).cosets[0]
-        wc = build_with_m(z4, K, [lam], rho0)
-        assert frozenset({Slot.m()}) in x0_partition(wc)
-
-    def test_zero_x0_raises(self, z4):
-        wc = assemble(z4, {M: [coset_vector(z4, M, quotient(z4.group, Subgroup.full(z4.group)).cosets[0])]}, "bare m fiber")
-        with pytest.raises(StructuralError):
-            x0_partition(wc)
 
 
 class TestSpectralDims:
@@ -468,7 +441,7 @@ class TestSpectralDims:
         barred = [v for v in xm.basis_vectors() if all(s.kind == 2 for (_b, s) in v.keys())]
         assert len(unbarred) == len(barred) == xm.dim // 2
         for v in unbarred:
-            assert xm.contains(z4.sharp(v))
+            assert xm.contains(sharp(z4, v))
 
 
 # -- builders against the quotient-based reference ---------------------------------
@@ -680,6 +653,21 @@ class TestBuildersMatchReference:
                 assert str(exc.value) == message, (fn.__name__, args)
 
 
+    def test_malformed_coset_matches_reference(self, z4, z4_setup):
+        # the right subgroup, but elements from two cosets of it
+        K, _q, lam, _mu = z4_setup
+        bad = Coset(K, frozenset({(0,), (1,)}), (0,))
+        cases = [
+            (build_no_m, reference_build_no_m, ([lam, bad],), f"{bad} is not a coset of the chosen subgroup"),
+            (build_with_m, reference_build_with_m, ([bad], lam), f"{bad} is not a coset of K"),
+        ]
+        for build, reference, args, message in cases:
+            for fn in (build, reference):
+                with pytest.raises(InvariantError) as exc:
+                    fn(z4, K, *args)
+                assert str(exc.value) == message, (fn.__name__, args)
+
+
 class TestAssess:
     def test_verdicts_of_a_weak_coideal(self, z4, z4_setup):
         K, _q, lam, _mu = z4_setup
@@ -730,7 +718,7 @@ def reference_report(wc):
 
     best, witness = 0.0, ""
     for i, a in enumerate(basis):
-        m = space.residual(alg.star(a)) - eps * (1.0 + a.norm())
+        m = space.residual(star(alg, a)) - eps * (1.0 + a.norm())
         if m > best:
             best, witness = float(m), f"basis vector {i}"
     rows.append(("closed under star", best, best <= 0.0, witness, size))
@@ -765,7 +753,7 @@ def reference_fixed_points(wc):
     for v in basis:
         col = alg.coproduct(v)
         for i, c in v.items():
-            col.add_scaled(twisted[i], -c)
+            add_scaled(col, twisted[i], -c)
         columns.append(col.prune(ROUNDOFF))
     keys = sorted({k for col in columns for k in col.keys()})
     mat = np.zeros((len(keys), len(columns)), dtype=complex)
@@ -776,7 +764,7 @@ def reference_fixed_points(wc):
     for coeffs in nullspace(mat[None], eps=alg.eps)[0]:
         v = SparseVec()
         for j, c in enumerate(coeffs):
-            v.add_scaled(basis[j], c)
+            add_scaled(v, basis[j], c)
         out.append(v.prune(ROUNDOFF))
     return Subspace(out, eps=alg.eps)
 

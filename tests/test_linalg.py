@@ -9,6 +9,7 @@ from tywha.classify import realize_and_verify, weak_coideal_classes
 from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verify_weak_coideal
 from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup
+from reference import add_scaled, antipode, counit, eps_t
 from tywha.linalg import (
     DEFAULT_TOL,
     ROUNDOFF,
@@ -123,7 +124,7 @@ class TestSubspace:
         coords = s.coordinates(v)
         rebuilt = SparseVec()
         for c, row in zip(coords, s.basis_vectors()):
-            rebuilt.add_scaled(row, c)
+            add_scaled(rebuilt, row, c)
         assert distance(rebuilt, v) < 1e-9
 
     def test_basis_vectors_keep_entries_below_tolerance(self):
@@ -377,23 +378,23 @@ def _dense_haar(alg):
         eqs = np.zeros((dim, dim), dtype=complex)
         for (i, j), c in alg.coproduct(basis(b)).items():
             eqs[i, j] += c
-            for k, e in alg.eps_t(basis(i)).items():
+            for k, e in eps_t(alg, basis(i)).items():
                 eqs[k, j] -= c * e
         live = eqs[eqs.any(axis=1)]
         rows.extend(live)
         rhs.extend([0.0] * len(live))
         # h(S(u_b)) = h(u_b) and h(eps_t(u_b)) = eps(u_b)
         inv, norm = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
-        for k, c in alg.antipode(basis(b)).items():
+        for k, c in antipode(alg, basis(b)).items():
             inv[k] += c
         inv[b] -= 1.0
-        for k, c in alg.eps_t(basis(b)).items():
+        for k, c in eps_t(alg, basis(b)).items():
             norm[k] += c
         rows += [inv, norm]
-        rhs += [0.0, alg.counit(basis(b))]
+        rhs += [0.0, counit(alg, basis(b))]
     # (id (x) h) Delta(1) = 1
     eqs = np.zeros((dim, dim), dtype=complex)
-    for (i, j), c in alg.coproduct_of_unit().items():
+    for (i, j), c in alg.coproduct(alg.unit()).items():
         eqs[i, j] += c
     rows.extend(eqs)
     rhs.extend(alg.unit()[i] for i in range(dim))
