@@ -5,7 +5,7 @@ verification of its defining axioms, builders and verifiers for (weak)
 coideal subalgebras, and orbit enumeration of their isomorphism classes.
 """
 
-from .algebra import AxiomReport, BasisUnit, BlockLabel, Slot, TYAlgebra, TYData
+from .algebra import AxiomReport, BlockLabel, Slot, TYAlgebra, TYData
 from .classify import (
     ClassificationReport,
     OrbitRep,

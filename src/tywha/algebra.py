@@ -96,18 +96,6 @@ class Slot:
         return f"~{body}" if self.kind == SLOT_BAR else body
 
 
-@dataclass(frozen=True, order=True)
-class BasisUnit:
-    """Matrix-unit basis element (x; row, col) = v^x_row (x) conj(v^x_col)."""
-
-    block: BlockLabel
-    row: Slot
-    col: Slot
-
-    def __str__(self) -> str:
-        return f"({self.block}; {self.row}, {self.col})"
-
-
 @dataclass(frozen=True)
 class TYData:
     """Input data: finite abelian group, nondegenerate symmetric bicharacter,
@@ -283,7 +271,7 @@ def _pruned(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _distance(lhs: tuple, rhs: tuple) -> float:
     """sup |P - Q| over the keys of two sparse sums given as (keys, values),
-    each pruned by :func:`_pruned`: ``linalg.distance`` bit for bit."""
+    each pruned by :func:`_pruned`, the modulus taken as Python's ``abs`` takes it."""
     (pk, pv), (qk, qv) = _pruned(*lhs), _pruned(*rhs)
     keys = np.union1d(pk, qk)
     diff = np.zeros(len(keys), dtype=complex)
@@ -360,8 +348,7 @@ class ProductTable:
 @dataclass
 class UnitMap:
     """A map sending each basis unit u_i to ``c[i] u_{k[i]}`` (the involution
-    or the antipode), as arrays; ``pairs`` lists the same as Python
-    ``(k, c)`` pairs for the export, built on first use."""
+    or the antipode), as arrays."""
 
     k: np.ndarray
     c: np.ndarray
@@ -370,16 +357,12 @@ class UnitMap:
         self.by_k = np.argsort(self.k, kind="stable")
         self.k_sorted = self.k[self.by_k]
 
-    @cached_property
-    def pairs(self) -> list[tuple[int, complex]]:
-        return list(zip(self.k.tolist(), self.c.tolist()))
-
 
 @dataclass
 class CoproductTable:
     """Delta(u_i) is the sum of u_first[p] (x) u_second[p], coefficient 1,
     over p in ``ptr[i]:ptr[i + 1]``; ``pairs[i]`` lists the same terms as
-    Python tuples for ``coproduct`` and the export, built on first use."""
+    Python tuples for ``coproduct``, built on first use."""
 
     ptr: np.ndarray
     src: np.ndarray  # the i of each term
@@ -434,8 +417,8 @@ class Layout:
 class TYAlgebra:
     """The weak Hopf C*-algebra of (G, chi, tau), with its verification suite.
 
-    Elements of B are ``SparseVec`` objects keyed by integer positions into
-    :attr:`units`; elements of B (x) B are keyed by position pairs.  Fiber
+    Elements of B are ``SparseVec`` objects keyed by unit indices, numbered
+    by :class:`Layout`; elements of B (x) B are keyed by index pairs.  Fiber
     vectors (elements of one H^x or a direct sum of them) are keyed by
     ``(BlockLabel, Slot)`` pairs.
     """
@@ -468,11 +451,7 @@ class TYAlgebra:
                 )
             else:
                 self._slots[b] = tuple(Slot.grp(g) for g in elems) + (Slot.m(),)
-        self.units: list[BasisUnit] = [
-            BasisUnit(b, r, c) for b in self.blocks for r in self._slots[b] for c in self._slots[b]
-        ]
-        self.unit_pos: dict[BasisUnit, int] = {u: i for i, u in enumerate(self.units)}
-        self.dim = len(self.units)
+        self.dim = sum(len(slots) ** 2 for slots in self._slots.values())
 
         # involution/antipode coefficients on the m-block fiber; group-block
         # coefficients are 1.  The tables below read them when first built.
@@ -487,6 +466,12 @@ class TYAlgebra:
 
     def slots(self, block: BlockLabel) -> tuple[Slot, ...]:
         return self._slots[block]
+
+    def unit_name(self, i: int) -> str:
+        """The name (x; row, col) of unit i = v^x_row (x) conj(v^x_col)."""
+        lay = self._layout
+        block, row, col = self.blocks[lay.block[i]], lay.row[i], lay.col[i]
+        return f"({block}; {self._slots[block][row]}, {self._slots[block][col]})"
 
     def chi(self, g: GroupElt, h: GroupElt) -> complex:
         return cexp(2j * pi * float(self.bichar.phase(g, h)))
@@ -653,9 +638,6 @@ class TYAlgebra:
                 if cb is not None:
                     out[k] = out.get(k, 0.0) + ca * cb * c
         return SparseVec(out).prune(ROUNDOFF)
-
-    def unit(self) -> SparseVec:
-        return SparseVec(dict.fromkeys(self._layout.zero_units.tolist(), 1.0 + 0j))
 
     def coproduct(self, a: SparseVec) -> SparseVec:
         pairs = self._coproduct_table.pairs
@@ -1174,34 +1156,28 @@ class TYAlgebra:
                 report.checks.append(AxiomCheck(name, float("inf"), False, str(exc), total))
                 break
             if isinstance(witness, tuple):
-                witness = "".join(f"({self.units[i]})" for i in witness) if residual > 0 else ""
+                witness = "".join(f"({self.unit_name(i)})" for i in witness) if residual > 0 else ""
             report.checks.append(AxiomCheck(name, residual, residual <= eps, witness, total))
         return report
 
     # -- export -----------------------------------------------------------------
 
     def export_data(self) -> dict:
-        """Structure constants in the versioned interchange format."""
+        """Structure constants in the versioned interchange format, read from
+        the layout and the structure arrays."""
+        lay, T, D = self._layout, self.product, self._coproduct_table
+        S, star = self._antipode_map, self._star_map
+        blocks = [str(b) for b in self.blocks]
+        slots = [[str(s) for s in self._slots[b]] for b in self.blocks]
         basis = [
-            {"index": i, "block": str(u.block), "row": str(u.row), "col": str(u.col)}
-            for i, u in enumerate(self.units)
+            {"index": i, "block": blocks[x], "row": slots[x][r], "col": slots[x][c]}
+            for i, (x, r, c) in enumerate(zip(lay.block.tolist(), lay.row.tolist(), lay.col.tolist()))
         ]
-        T = self.product
-        product = [
-            list(row)
-            for row in zip(
-                T.i.tolist(), T.j.tolist(), T.k.tolist(), T.c.real.tolist(), T.c.imag.tolist()
-            )
-        ]
-        coproduct = [
-            [i, a, b, 1.0, 0.0] for i, pairs in enumerate(self._coproduct_table.pairs) for a, b in pairs
-        ]
-        counit = []
-        for i, u in enumerate(self.units):
-            if u.row == u.col:
-                counit.append([i, 1.0, 0.0])
-        antipode = [[i, k, c.real, c.imag] for i, (k, c) in enumerate(self._antipode_map.pairs)]
-        star = [[i, k, c.real, c.imag] for i, (k, c) in enumerate(self._star_map.pairs)]
+
+        def rows(*columns: np.ndarray) -> list[list]:
+            return [list(row) for row in zip(*(col.tolist() for col in columns))]
+
+        units = np.arange(self.dim)
         return {
             "format": "ty-wha/1",
             "group": list(self.group.factors),
@@ -1210,10 +1186,12 @@ class TYAlgebra:
             "tolerance": self.eps,
             "dim": self.dim,
             "basis": basis,
-            "unit": [[i, c.real, c.imag] for i, c in sorted(self.unit().items())],
-            "product": product,
-            "coproduct": coproduct,
-            "counit": counit,
-            "antipode": antipode,
-            "star": star,
+            "unit": [[i, 1.0, 0.0] for i in lay.zero_units.tolist()],
+            "product": rows(T.i, T.j, T.k, T.c.real, T.c.imag),
+            "coproduct": [
+                [i, a, b, 1.0, 0.0] for i, a, b in zip(D.src.tolist(), D.first.tolist(), D.second.tolist())
+            ],
+            "counit": [[i, 1.0, 0.0] for i in np.flatnonzero(lay.diag).tolist()],
+            "antipode": rows(units, S.k, S.c.real, S.c.imag),
+            "star": rows(units, star.k, star.c.real, star.c.imag),
         }

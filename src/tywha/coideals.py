@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .errors import InvariantError
 from .groups import Coset, Subgroup, orthogonal, quotient
-from .linalg import ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, span
+from .linalg import ROUNDOFF, SparseVec, Subspace, nullspace, sparse_nullspace, span
 
 
 @dataclass(frozen=True)
@@ -66,36 +66,22 @@ class WeakCoideal:
     reduced echelon rows over the blocks' slots, by block and padded with
     zeros to the widest block.  Row r of ``fiber_rows`` spans part of the
     fiber of block ``fiber_block[r]`` and is 1 at slot ``fiber_pivot[r]``
-    and 0 at its block's other pivots.  Gamma and 1_A are read from the zero
-    block's rows; A's coordinates and the fiber subspaces are built on first
-    use."""
+    and 0 at its block's other pivots.  ``unit`` is 1_A = v^0_Gamma (x)
+    conj(v^0_Omega) as one row over the zero block's slots, 1 on Gamma, the
+    slots where the zero block's rows have support; A's coordinates are
+    built on first use."""
 
     def __init__(self, algebra: TYAlgebra, fiber_block: np.ndarray, fiber_pivot: np.ndarray,
                  fiber_rows: np.ndarray, label: str, spec: CoidealSpec | None = None):
         self.algebra, self.label, self.spec = algebra, label, spec
         self.fiber_block, self.fiber_pivot, self.fiber_rows = fiber_block, fiber_pivot, fiber_rows
         lay = algebra._layout
-        x0 = np.abs(fiber_rows[fiber_block == lay.zero]) > max(algebra.eps, ROUNDOFF)
-        gamma, slots = np.flatnonzero(x0.any(axis=0)), algebra.slots(algebra.blocks[lay.zero])
-        self.gamma = frozenset(slots[s] for s in gamma.tolist())
-        units = lay.unit(lay.zero, gamma[:, None], np.arange(lay.sizes[lay.zero])).ravel()
-        self.unit = SparseVec(dict.fromkeys(units.tolist(), 1.0 + 0j))
+        x0 = np.abs(fiber_rows[fiber_block == lay.zero, : lay.sizes[lay.zero]]) > max(algebra.eps, ROUNDOFF)
+        self.unit = x0.any(axis=0).astype(complex)
 
     @cached_property
     def coords(self) -> "_Coords":
         return _Coords(self)
-
-    @cached_property
-    def x_spaces(self) -> dict[BlockLabel, Subspace]:
-        """Each nonzero fiber as a Subspace over the slots its rows touch."""
-        out, alg = {}, self.algebra
-        for b in np.unique(self.fiber_block).tolist():
-            label, mine = alg.blocks[b], self.fiber_block == b
-            rows, slots = self.fiber_rows[mine], alg.slots(label)
-            at = np.flatnonzero((rows != 0).any(axis=0))
-            out[label] = Subspace.reduced([(label, slots[s]) for s in at.tolist()], rows[:, at],
-                                          np.searchsorted(at, self.fiber_pivot[mine]).tolist(), alg.eps)
-        return out
 
     @property
     def dim(self) -> int:
@@ -106,12 +92,14 @@ class WeakCoideal:
         return {self.algebra.blocks[b]: d for b, d in zip(blocks.tolist(), dims.tolist())}
 
     def describe(self) -> dict:
+        alg = self.algebra
+        slots, gamma = alg.slots(alg.blocks[alg._layout.zero]), np.flatnonzero(self.unit).tolist()
         return {
             "label": self.label,
             "dim": self.dim,
             "x_dims": {str(b): d for b, d in self.x_dims().items()},
-            "gamma": [str(s) for s in sorted(self.gamma)],
-            "unit_support": len(self.unit),
+            "gamma": [str(slots[s]) for s in gamma],
+            "unit_support": len(gamma) * len(slots),
             "spec": self.spec.describe() if self.spec else None,
             "is_coideal": is_coideal(self),
         }
@@ -375,11 +363,13 @@ class _Coords:
 
 
 def _unit_terms(wc: WeakCoideal) -> tuple[np.ndarray, np.ndarray]:
-    """The units of 1_A, and 1_A as a dense vector of B."""
-    units = np.array(sorted(wc.unit.keys()), dtype=np.int64)
+    """The units of 1_A, ascending, and 1_A as a dense vector of B: unit
+    (0; r, c) carries the row's value at slot r."""
+    lay = wc.algebra._layout
+    row = np.repeat(wc.unit, lay.sizes[lay.zero])
     dense = np.zeros(wc.algebra.dim, dtype=complex)
-    dense[units] = [wc.unit[k] for k in units.tolist()]
-    return units, dense
+    dense[lay.zero_units] = row
+    return lay.zero_units[row != 0], dense
 
 
 def _unit_exists(wc: WeakCoideal) -> tuple[float, bool, str]:
@@ -491,8 +481,8 @@ def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
 
 
 def is_coideal(wc: WeakCoideal) -> bool:
-    """True iff the subalgebra unit equals the ambient unit."""
-    return distance(wc.unit, wc.algebra.unit()) <= wc.algebra.eps
+    """True iff the subalgebra unit equals the ambient unit, 1 on every zero-block slot."""
+    return float(np.abs(wc.unit - 1.0).max()) <= wc.algebra.eps
 
 
 def _invariance(wc: WeakCoideal) -> tuple:
@@ -572,6 +562,8 @@ def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> dict[BlockLabel, int]:
 def dims_match(wc: WeakCoideal) -> bool:
     """True iff the nonzero fiber dimensions of wc are those its
     classification data predicts."""
+    if wc.spec is None:
+        raise InvariantError(f"coideal {wc.label} has no classification data (K, Z0, Z1) to predict its fibers")
     predicted = spectral_dims(wc.spec, wc.algebra)
     return {b: d for b, d in predicted.items() if d} == wc.x_dims()
 

@@ -88,12 +88,6 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return (x.real**2 + x.imag**2).sum(axis=1)
 
 
-def distance(a: SparseVec, b: SparseVec) -> float:
-    """Sup-norm distance between two sparse vectors."""
-    keys = set(a.data) | set(b.data)
-    return max((abs(a[k] - b[k]) for k in keys), default=0.0)
-
-
 def sparse_rows(mat: np.ndarray, keys) -> list[SparseVec]:
     """The rows of a dense array over ``keys`` as sparse vectors, pruned at
     ROUNDOFF."""
@@ -251,14 +245,6 @@ class Subspace:
         self.basis, self.pivots = basis[:count], pivots
         self._free = np.ones(n, dtype=bool)
         self._free[pivots] = False
-
-    @classmethod
-    def reduced(cls, universe: list, basis: np.ndarray, pivots: list[int], eps: float = DEFAULT_TOL) -> "Subspace":
-        """The span of reduced echelon rows over ``universe`` with unit pivots, taken as they are."""
-        space = cls([], eps=eps)
-        space.universe, space.pos = universe, {k: i for i, k in enumerate(universe)}
-        space.basis, space.pivots, space._free = basis, pivots, ~np.isin(np.arange(len(universe)), pivots)
-        return space
 
     @property
     def dim(self) -> int:

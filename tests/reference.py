@@ -4,16 +4,103 @@ The package builds B's structure maps as index arrays and checks them by
 joins over those arrays.  The functions here compute the same maps from the
 closed-form fiber rules on ``SparseVec``s, and the four axiom rows that
 ``TYAlgebra.verify_axioms`` once evaluated this way; the tests compare the
-arrays and the array rows against them.
+arrays and the array rows against them.  Named basis units, the fiber
+subspaces of a weak coideal and its unit as a ``SparseVec`` are object views
+of the package's arrays, kept here for the tests that read them.
 """
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+
 import numpy as np
 
-from tywha.algebra import SLOT_BAR, SLOT_GRP, SLOT_M, BasisUnit, BlockLabel, Slot, _join, _runs, _worst
+from tywha.algebra import SLOT_BAR, SLOT_GRP, SLOT_M, BlockLabel, Slot, _join, _runs, _worst
 from tywha.errors import InvariantError
-from tywha.linalg import ROUNDOFF, SparseVec, distance
+from tywha.linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace
+
+
+def distance(a: SparseVec, b: SparseVec) -> float:
+    """Sup-norm distance between two sparse vectors."""
+    keys = set(a.data) | set(b.data)
+    return max((abs(a[k] - b[k]) for k in keys), default=0.0)
+
+
+# -- named basis units -----------------------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class BasisUnit:
+    """Matrix-unit basis element (x; row, col) = v^x_row (x) conj(v^x_col)."""
+
+    block: BlockLabel
+    row: Slot
+    col: Slot
+
+    def __str__(self) -> str:
+        return f"({self.block}; {self.row}, {self.col})"
+
+
+# An algebra's blocks and slots never change, so its named units are built
+# once; the scalar references ask for them once per term.
+_NAMED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _named(alg) -> tuple[list[BasisUnit], dict[BasisUnit, int]]:
+    if alg not in _NAMED:
+        named = [BasisUnit(b, r, c) for b in alg.blocks for r in alg.slots(b) for c in alg.slots(b)]
+        _NAMED[alg] = named, {u: i for i, u in enumerate(named)}
+    return _NAMED[alg]
+
+
+def units(alg) -> list[BasisUnit]:
+    """B's basis units in index order: by block, then row slot, then column
+    slot, each in the order of ``alg.slots``."""
+    return _named(alg)[0]
+
+
+def unit_pos(alg) -> dict[BasisUnit, int]:
+    """The index of each basis unit."""
+    return _named(alg)[1]
+
+
+def one(alg) -> SparseVec:
+    """The unit of B, the sum of the zero block's units."""
+    return SparseVec(dict.fromkeys(alg._layout.zero_units.tolist(), 1.0 + 0j))
+
+
+# -- weak coideals as objects ------------------------------------------------------
+
+
+def reduced(universe: list, basis: np.ndarray, pivots: list[int], eps: float = DEFAULT_TOL) -> Subspace:
+    """The span of reduced echelon rows over ``universe`` with unit pivots, taken as they are."""
+    space = Subspace([], eps=eps)
+    space.universe, space.pos = universe, {k: i for i, k in enumerate(universe)}
+    space.basis, space.pivots, space._free = basis, pivots, ~np.isin(np.arange(len(universe)), pivots)
+    return space
+
+
+def x_spaces(wc) -> dict[BlockLabel, Subspace]:
+    """Each nonzero fiber of a weak coideal as a Subspace over the (block,
+    slot) keys its rows touch."""
+    out, alg = {}, wc.algebra
+    for b in np.unique(wc.fiber_block).tolist():
+        label, mine = alg.blocks[b], wc.fiber_block == b
+        rows, slots = wc.fiber_rows[mine], alg.slots(label)
+        at = np.flatnonzero((rows != 0).any(axis=0))
+        out[label] = reduced([(label, slots[s]) for s in at.tolist()], rows[:, at],
+                             np.searchsorted(at, wc.fiber_pivot[mine]).tolist(), alg.eps)
+    return out
+
+
+def unit_vector(wc) -> SparseVec:
+    """1_A as a vector of B: each unit (0; r, c) carries the unit row's value at slot r."""
+    alg = wc.algebra
+    zero = alg.blocks[alg._layout.zero]
+    slots, pos = alg.slots(zero), unit_pos(alg)
+    return SparseVec({pos[BasisUnit(zero, slots[r], c)]: v for r, v in enumerate(wc.unit.tolist()) if v for c in slots})
+
 
 # -- the fiber spaces ------------------------------------------------------------
 
@@ -106,7 +193,7 @@ def sharp(alg, u: SparseVec) -> SparseVec:
 
 
 def basis_element(alg, block: BlockLabel, row: Slot, col: Slot) -> SparseVec:
-    return SparseVec.basis(alg.unit_pos[BasisUnit(block, row, col)])
+    return SparseVec.basis(unit_pos(alg)[BasisUnit(block, row, col)])
 
 
 def add_scaled(out: SparseVec, other: SparseVec, scalar) -> None:
@@ -123,29 +210,30 @@ def haar_value(h, a: SparseVec) -> complex:
 
 def counit(alg, a: SparseVec) -> complex:
     total = 0.0 + 0j
+    named = units(alg)
     for i, c in a.items():
-        u = alg.units[i]
+        u = named[i]
         if u.row == u.col:
             total += c
     return total
 
 
-def star(alg, a: SparseVec) -> SparseVec:
-    pairs = alg._star_map.pairs
+def _apply(m, a: SparseVec, conjugate: bool) -> SparseVec:
+    """The unit map u_i -> m.c[i] u_{m.k[i]} on a, conjugate-linear when
+    ``conjugate``."""
     out: dict[int, complex] = {}
     for i, c in a.items():
-        k, coeff = pairs[i]
-        out[k] = out.get(k, 0.0) + c.conjugate() * coeff
+        k, coeff = int(m.k[i]), complex(m.c[i])
+        out[k] = out.get(k, 0.0) + (c.conjugate() if conjugate else c) * coeff
     return SparseVec(out).prune(ROUNDOFF)
+
+
+def star(alg, a: SparseVec) -> SparseVec:
+    return _apply(alg._star_map, a, conjugate=True)
 
 
 def antipode(alg, a: SparseVec) -> SparseVec:
-    pairs = alg._antipode_map.pairs
-    out: dict[int, complex] = {}
-    for i, c in a.items():
-        k, coeff = pairs[i]
-        out[k] = out.get(k, 0.0) + c * coeff
-    return SparseVec(out).prune(ROUNDOFF)
+    return _apply(alg._antipode_map, a, conjugate=False)
 
 
 def term_vectors(terms: tuple, dim: int) -> list[SparseVec]:
@@ -193,7 +281,7 @@ def antipode_squared(alg) -> tuple:
 def weak_unit(alg) -> tuple:
     """"weak unit identity" on Delta(1) from the scalar coproduct."""
     d, T, D = alg.dim, alg.product, alg._coproduct_table
-    items = sorted(alg.coproduct(alg.unit()).items())
+    items = sorted(alg.coproduct(one(alg)).items())
     a = np.array([k[0] for k, _ in items], dtype=np.int64)
     b = np.array([k[1] for k, _ in items], dtype=np.int64)
     c = np.array([v for _, v in items], dtype=complex)

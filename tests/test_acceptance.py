@@ -30,7 +30,7 @@ from tywha.algebra import BlockLabel, Slot
 from tywha.linalg import SparseVec
 import random
 
-from reference import antipode, haar_value, star
+from reference import antipode, haar_value, star, x_spaces
 
 TOL = 1e-9
 GROUPS = [(1,), (2,), (3,), (4,), (2, 2)]
@@ -186,7 +186,7 @@ def test_criterion_5_coideal_suite():
                 if not is_indecomposable(wc):
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: decomposable")
-                xm = wc.x_spaces.get(BlockLabel.m())
+                xm = x_spaces(wc).get(BlockLabel.m())
                 if xm is not None and xm.dim % 2 != 0:
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: odd m-fiber dimension")
@@ -253,7 +253,7 @@ def test_criterion_7_fault_injection(monkeypatch):
     rho0 = quotient(alg.group, perp).cosets[0]
     good = build_with_m(alg, K, [q.cosets[0]], rho0)
     x_vectors = {}
-    for block, sub in good.x_spaces.items():
+    for block, sub in x_spaces(good).items():
         vecs = sub.basis_vectors()
         if block == BlockLabel.grp((2,)):
             vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]

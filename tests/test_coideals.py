@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tywha import classify, coideals
-from tywha.algebra import BasisUnit, BlockLabel, CoproductTable, ProductTable, Slot, TYAlgebra
+from tywha.algebra import BlockLabel, CoproductTable, ProductTable, Slot, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
@@ -26,9 +26,11 @@ from tywha.coideals import (
 )
 from tywha.errors import InvariantError
 from tywha.groups import Coset, FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
-from reference import add_scaled, circ, sharp, star
+from reference import (
+    BasisUnit, add_scaled, circ, distance, one, sharp, star, unit_pos, unit_vector, units, x_spaces,
+)
 from tywha.linalg import (
-    ROUNDOFF, SparseVec, Subspace, distance, nullspace, sparse_nullspace, sparse_rows, tensor_contains,
+    ROUNDOFF, SparseVec, Subspace, nullspace, sparse_nullspace, sparse_rows, tensor_contains,
 )
 
 
@@ -157,7 +159,7 @@ class TestBuilders:
         q = quotient(alg.group, K)
         wc = build_no_m(alg, K, list(q.cosets))
         assert wc.dim == 12
-        for block, sub in wc.x_spaces.items():
+        for block, sub in x_spaces(wc).items():
             assert sub.dim == 2
         assert verify_weak_coideal(wc).passed
         assert not is_coideal(wc)
@@ -251,6 +253,19 @@ class TestVerifierRejections:
         failed = {c.name for c in report.failures()}
         assert "unit exists in A" in failed
 
+    def test_family_without_classification_data(self, z4):
+        # assemble takes no spec: the report and the description still
+        # work, while the predicted dimensions name the missing data
+        wc = assemble(z4, {}, "zero")
+        assert not verify_weak_coideal(wc).passed
+        described = wc.describe()
+        assert (described["spec"], described["gamma"], described["unit_support"]) == (None, [], 0)
+        message = "coideal zero has no classification data (K, Z0, Z1) to predict its fibers"
+        for check in (dims_match, assess):
+            with pytest.raises(InvariantError) as exc:
+                check(wc)
+            assert str(exc.value) == message
+
     def test_dropped_m_slot_breaks_closure(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
         perp = orthogonal(z4.bichar, K)
@@ -261,7 +276,7 @@ class TestVerifierRejections:
         # rebuild the same family but drop v^g_m from one annihilator block
         drop = (2,)
         x_vectors = {}
-        for block, sub in good.x_spaces.items():
+        for block, sub in x_spaces(good).items():
             vecs = sub.basis_vectors()
             if block == g(*drop):
                 vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
@@ -286,7 +301,7 @@ def union(alg, parts, label):
     """The sum of weak coideals, assembled from their fiber bases."""
     merged = {}
     for wc in parts:
-        for block, sub in wc.x_spaces.items():
+        for block, sub in x_spaces(wc).items():
             merged.setdefault(block, []).extend(sub.basis_vectors())
     return assemble(alg, merged, label)
 
@@ -373,7 +388,7 @@ class TestIndecomposability:
         # the block projection onto one copy is a central invariant element
         projection = SparseVec(
             {
-                alg.unit_pos[BasisUnit(g(0), Slot.grp((0,)), c)]: 1.0
+                unit_pos(alg)[BasisUnit(g(0), Slot.grp((0,)), c)]: 1.0
                 for c in alg.slots(g(0))
             }
         )
@@ -387,7 +402,7 @@ class TestIndecomposability:
             wc = build_with_m(z4, K, zs, rho0)
             # X^0 is spanned by disjoint indicators, one per spectral block
             k0 = wc.x_dims()[g(0)]
-            km = wc.x_spaces[M].dim // 2
+            km = x_spaces(wc)[M].dim // 2
             assert km == k0 - 1
             assert is_indecomposable(wc)
 
@@ -436,7 +451,7 @@ class TestSpectralDims:
         perp = orthogonal(z4.bichar, K)
         rho0 = quotient(z4.group, perp).cosets[0]
         wc = build_with_m(z4, K, [lam], rho0)
-        xm = wc.x_spaces[M]
+        xm = x_spaces(wc)[M]
         unbarred = [v for v in xm.basis_vectors() if all(s.kind != 2 for (_b, s) in v.keys())]
         barred = [v for v in xm.basis_vectors() if all(s.kind == 2 for (_b, s) in v.keys())]
         assert len(unbarred) == len(barred) == xm.dim // 2
@@ -451,16 +466,16 @@ def reference_assemble(alg, x_vectors, label, spec=None):
     """The generic assembly the builders replace: each fiber the echelon
     Subspace of its generating SparseVecs, Gamma the joint support of X^0's
     pruned basis, and 1_A the sum of the zero-block units on Gamma's rows."""
-    x_spaces = {block: Subspace(vecs, eps=alg.eps) for block, vecs in x_vectors.items()}
+    fibers = {block: Subspace(vecs, eps=alg.eps) for block, vecs in x_vectors.items()}
     zero_block = BlockLabel.grp(alg.group.zero())
     gamma = set()
-    if zero_block in x_spaces:
-        for v in x_spaces[zero_block].basis_vectors():
+    if zero_block in fibers:
+        for v in fibers[zero_block].basis_vectors():
             gamma.update(slot for (_b, slot), c in v.items() if abs(c) > alg.eps)
-    unit = SparseVec({alg.unit_pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j
-                      for s in gamma for c in alg.slots(zero_block)})
-    return types.SimpleNamespace(algebra=alg, x_vectors=x_vectors, x_spaces=x_spaces, unit=unit,
-                                 gamma=frozenset(gamma), label=label, spec=spec)
+    pos = unit_pos(alg)
+    unit = SparseVec({pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j for s in gamma for c in alg.slots(zero_block)})
+    return types.SimpleNamespace(algebra=alg, x_vectors=x_vectors, x_spaces=fibers, unit=unit,
+                                 label=label, spec=spec)
 
 
 def reference_coords(ref):
@@ -603,10 +618,16 @@ def nonempty_subsets(cosets):
 
 
 def built_bits(wc):
-    """Everything a builder sets: the fiber spaces bit for bit, 1_A, Gamma,
-    the label and the classification data."""
-    spaces = {b: (s.universe, s.pivots, s.basis.shape, s.basis.tobytes()) for b, s in wc.x_spaces.items()}
-    return spaces, dict(wc.unit.items()), wc.gamma, wc.label, wc.spec
+    """Everything a builder sets: the fiber spaces bit for bit, 1_A, Gamma
+    as the row slots of 1_A's support, the label and the classification
+    data.  Takes a WeakCoideal or a reference_assemble result."""
+    if isinstance(wc, types.SimpleNamespace):
+        fibers, unit = wc.x_spaces, wc.unit
+    else:
+        fibers, unit = x_spaces(wc), unit_vector(wc)
+    spaces = {b: (s.universe, s.pivots, s.basis.shape, s.basis.tobytes()) for b, s in fibers.items()}
+    gamma = frozenset(units(wc.algebra)[k].row for k in unit.keys())
+    return spaces, dict(unit.items()), gamma, wc.label, wc.spec
 
 
 class TestBuildersMatchReference:
@@ -616,7 +637,8 @@ class TestBuildersMatchReference:
         # every builder over every subgroup K, every nonempty Z on either
         # side, with_m under every rho0: the builder, the reference and
         # assemble on the reference's generators agree bit for bit on the
-        # fibers, 1_A, Gamma and A's coordinate arrays
+        # fibers, 1_A, Gamma and A's coordinate arrays, and the description
+        # names Gamma in slot order
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         for K in enumerate_subgroups(alg.group):
             q0, q1 = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
@@ -629,6 +651,9 @@ class TestBuildersMatchReference:
                 wc, ref = build(alg, K, *args), reference(alg, K, *args)
                 general = assemble(alg, ref.x_vectors, ref.label, ref.spec)
                 assert built_bits(wc) == built_bits(ref) == built_bits(general), (str(K), ref.label)
+                described, gamma = wc.describe(), built_bits(ref)[2]
+                assert described["gamma"] == [str(s) for s in sorted(gamma)], ref.label
+                assert described["unit_support"] == len(ref.unit), ref.label
                 assert coords_bits(wc) == reference_coords(ref) == coords_bits(general), (str(K), ref.label)
                 assert spectral_dims(wc.spec, alg) == reference_spectral_dims(ref.spec, alg), ref.label
 
@@ -679,7 +704,7 @@ class TestAssess:
     def test_failing_checks_leave_indecomposability_undecided(self, z4, z4_setup, monkeypatch):
         K, _q, lam, _mu = z4_setup
         wc = build_no_m(z4, K, [lam])
-        x_vectors = {b: s.basis_vectors() for b, s in wc.x_spaces.items()}
+        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, x_vectors, "stray unit v^2_0", wc.spec)
 
@@ -700,11 +725,11 @@ def reference_report(wc):
     """verify_weak_coideal's rows (name, residual, passed, witness, instances),
     recomputed one basis vector at a time with multiply, coproduct, star,
     Subspace.residual/contains_batch and tensor_contains."""
-    alg, eps, space = wc.algebra, wc.algebra.eps, generic_space(wc)
+    alg, eps, space, unit = wc.algebra, wc.algebra.eps, generic_space(wc), unit_vector(wc)
     basis = space.basis_vectors()
     size = len(basis)
     rows = []
-    unit_ok = wc.unit.norm() > eps and space.contains(wc.unit)
+    unit_ok = unit.norm() > eps and space.contains(unit)
     rows.append(("unit exists in A", 0.0 if unit_ok else float("inf"), unit_ok,
                  "" if unit_ok else "empty or missing unit", 1))
 
@@ -729,13 +754,13 @@ def reference_report(wc):
 
     best, witness = 0.0, ""
     for i, a in enumerate(basis):
-        r = max(distance(alg.multiply(wc.unit, a), a), distance(alg.multiply(a, wc.unit), a))
+        r = max(distance(alg.multiply(unit, a), a), distance(alg.multiply(a, unit), a))
         if r > best:
             best, witness = r, f"basis vector {i}"
     rows.append(("unit acts as identity", best, best <= eps, witness, size))
 
     target, _source = alg.counital_subalgebras()
-    ok = bool(basis) and tensor_contains(alg.coproduct(wc.unit), space, target)
+    ok = bool(basis) and tensor_contains(alg.coproduct(unit), space, target)
     rows.append(("coproduct of unit in A (x) B_t", 0.0 if ok else float("inf"), ok, "", 1))
     return rows
 
@@ -744,9 +769,9 @@ def reference_fixed_points(wc):
     """fixed_point_algebra with Delta(1_A)(e_i (x) 1) from tensor_multiply."""
     alg = wc.algebra
     basis = generic_space(wc).basis_vectors()
-    delta_unit = alg.coproduct(wc.unit)
+    delta_unit = alg.coproduct(unit_vector(wc))
     twisted = {
-        i: alg.tensor_multiply(delta_unit, SparseVec({(i, j): c for j, c in alg.unit().items()}))
+        i: alg.tensor_multiply(delta_unit, SparseVec({(i, j): c for j, c in one(alg).items()}))
         for i in {i for v in basis for i in v.keys()}
     }
     columns = []
@@ -772,16 +797,16 @@ def reference_fixed_points(wc):
 def generic_space(wc):
     """A by the generic echelon of its generators u (x) e_c: each fiber basis
     row u against each column slot c, in block, row and column order."""
-    alg = wc.algebra
+    alg, fibers, pos = wc.algebra, x_spaces(wc), unit_pos(wc.algebra)
     generators = []
     for block in alg.blocks:
-        sub = wc.x_spaces.get(block)
+        sub = fibers.get(block)
         if sub is None or sub.dim == 0:
             continue
         for u in sub.basis_vectors():
             for col in alg.slots(block):
                 generators.append(SparseVec({
-                    alg.unit_pos[BasisUnit(block, slot, col)]: c for (_b, slot), c in u.items()
+                    pos[BasisUnit(block, slot, col)]: c for (_b, slot), c in u.items()
                 }))
     return Subspace(generators, eps=alg.eps)
 
@@ -898,8 +923,8 @@ class TestArrayChecks:
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
         K, _q, lam, _mu = z4_setup
         wc = build_no_m(alg, K, [lam])
-        assert BlockLabel.grp((1,)) not in wc.x_spaces
-        T, pos = alg.product, alg.unit_pos
+        assert BlockLabel.grp((1,)) not in x_spaces(wc)
+        T, pos = alg.product, unit_pos(alg)
         a = pos[BasisUnit(g(2), Slot.grp((0,)), Slot.grp((0,)))]
         k = pos[BasisUnit(g(1), Slot.grp((0,)), Slot.grp((0,)))]
         alg.product = ProductTable(*(np.append(col, x) for col, x in zip(
@@ -919,7 +944,7 @@ class TestArrayChecks:
             wc = build_with_m(z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0])
         else:
             wc = build_no_m(z4, K, [lam])
-        x_vectors = {b: s.basis_vectors() for b, s in wc.x_spaces.items()}
+        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, x_vectors, "stray unit v^2_0")
         report = assert_matches_reference(broken)
@@ -927,7 +952,7 @@ class TestArrayChecks:
         assert report.failures()[0].witness.startswith("basis pair (")
 
     def test_star_breaking_trips_only_star_closure(self, z4, no_m_half):
-        x_vectors = {b: s.basis_vectors() for b, s in no_m_half.x_spaces.items()}
+        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(no_m_half).items()}
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((0,)))
         x_vectors[g(2)] = [v + SparseVec({key: v[key]})]  # 2 v^2_0 + v^2_2
@@ -968,7 +993,7 @@ class TestArrayChecks:
         wc = z4_family(builder, sign)
         alg, A = wc.algebra, wc.coords
         alg.counital_subalgebras()  # B_t and B_s of the unbroken coproduct
-        u = next(i for i in A.unit.tolist() if i not in wc.unit.keys())
+        u = next(i for i in A.unit.tolist() if i not in unit_vector(wc).keys())
         C, first = alg._coproduct_table, alg._coproduct_table.first.copy()
         first[C.ptr[u]] = np.flatnonzero(~A.covers)[0]
         alg._coproduct_table = CoproductTable(C.ptr, C.src, first, C.second)
@@ -978,7 +1003,7 @@ class TestArrayChecks:
     def test_complex_generator_matches_scalar_paths(self, z4, no_m_half):
         # X^2 = C (v^2_0 + i v^2_2) is again a weak coideal; its star image
         # has conjugated coefficients
-        x_vectors = {b: s.basis_vectors() for b, s in no_m_half.x_spaces.items()}
+        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(no_m_half).items()}
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((2,)))
         x_vectors[g(2)] = [v + SparseVec({key: (1j - 1) * v[key]})]

@@ -9,14 +9,13 @@ from tywha.classify import realize_and_verify, weak_coideal_classes
 from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verify_weak_coideal
 from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup
-from reference import add_scaled, antipode, counit, eps_t
+from reference import add_scaled, antipode, counit, distance, eps_t, one
 from tywha.linalg import (
     DEFAULT_TOL,
     ROUNDOFF,
     SparseVec,
     Subspace,
     components,
-    distance,
     nullspace,
     sparse_nullspace,
     tensor_contains,
@@ -394,10 +393,11 @@ def _dense_haar(alg):
         rhs += [0.0, counit(alg, basis(b))]
     # (id (x) h) Delta(1) = 1
     eqs = np.zeros((dim, dim), dtype=complex)
-    for (i, j), c in alg.coproduct(alg.unit()).items():
+    unit = one(alg)
+    for (i, j), c in alg.coproduct(unit).items():
         eqs[i, j] += c
     rows.extend(eqs)
-    rhs.extend(alg.unit()[i] for i in range(dim))
+    rhs.extend(unit[i] for i in range(dim))
     mat, vec = np.array(rows), np.array(rhs, dtype=complex)
     coeffs, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
     assert rank == dim
