@@ -5,7 +5,7 @@ verification of its defining axioms, builders and verifiers for (weak)
 coideal subalgebras, and orbit enumeration of their isomorphism classes.
 """
 
-from .algebra import AxiomReport, BlockLabel, Slot, TYAlgebra, TYData
+from .algebra import AxiomReport, TYAlgebra, TYData
 from .classify import (
     ClassificationReport,
     OrbitRep,
@@ -25,7 +25,6 @@ from .coideals import (
     build_no_m,
     build_with_m,
     center,
-    coset_vector,
     dims_match,
     fixed_point_algebra,
     is_coideal,

@@ -9,10 +9,11 @@ spaces have distinguished bases
 
 and all structure maps (product, coproduct, counit, antipode, involution)
 are given by closed-form tables in these bases.  ``tau = sign / sqrt(|G|)``.
-The tables are built once per algebra, on first use, as sorted index and
-coefficient arrays, and every check reads them.  ``multiply``,
-``tensor_multiply``, ``unit_product`` and ``coproduct`` apply the same entries
-to ``SparseVec``s for callers outside the package.
+Blocks and slots are integer indices (see :class:`Layout`), named only where
+a report prints them.  The tables are built once per algebra, on first use,
+as sorted index and coefficient arrays, and every check reads them.
+``multiply``, ``tensor_multiply``, ``unit_product`` and ``coproduct`` apply
+the same entries to ``SparseVec``s; nothing in the package calls them.
 
 Everything is verified numerically by :meth:`TYAlgebra.verify_axioms`.
 """
@@ -30,10 +31,6 @@ from .errors import InvariantError, StructuralError, check_order
 from .groups import Bicharacter, FiniteAbelianGroup, GroupElt
 from .linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, components, sparse_nullspace, span
 
-SLOT_GRP = 0
-SLOT_M = 1
-SLOT_BAR = 2
-
 # Largest |G| for which B is built: every check of the axiom suite is
 # exhaustive up to it.
 ALGEBRA_ORDER_BOUND = 16
@@ -41,59 +38,6 @@ ALGEBRA_ORDER_BOUND = 16
 # Pair and triple identities join this many first factors at a time, which
 # bounds their memory at order 16.
 FIRST_FACTOR_BLOCK = 512
-
-
-@dataclass(frozen=True, order=True)
-class BlockLabel:
-    """Label of a simple object: a group element, or the extra object m."""
-
-    kind: int
-    g: GroupElt = ()
-
-    @classmethod
-    def grp(cls, g: GroupElt) -> "BlockLabel":
-        return cls(0, tuple(g))
-
-    @classmethod
-    def m(cls) -> "BlockLabel":
-        return cls(1, ())
-
-    @property
-    def is_m(self) -> bool:
-        return self.kind == 1
-
-    def __str__(self) -> str:
-        return "m" if self.is_m else ",".join(str(x) for x in self.g)
-
-
-@dataclass(frozen=True, order=True)
-class Slot:
-    """Basis slot inside a fiber space.
-
-    Group blocks carry group slots v^g_h plus one m slot v^g_m; the m block
-    carries unbarred slots v^m_g and barred slots v^m_{~g}.
-    """
-
-    kind: int
-    g: GroupElt = ()
-
-    @classmethod
-    def grp(cls, g: GroupElt) -> "Slot":
-        return cls(SLOT_GRP, tuple(g))
-
-    @classmethod
-    def m(cls) -> "Slot":
-        return cls(SLOT_M, ())
-
-    @classmethod
-    def bar(cls, g: GroupElt) -> "Slot":
-        return cls(SLOT_BAR, tuple(g))
-
-    def __str__(self) -> str:
-        if self.kind == SLOT_M:
-            return "m"
-        body = ",".join(str(x) for x in self.g)
-        return f"~{body}" if self.kind == SLOT_BAR else body
 
 
 @dataclass(frozen=True)
@@ -285,17 +229,21 @@ def _basis_terms(space: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sorted by row and then unit and pruned at ROUNDOFF as ``basis_vectors``
     prunes them."""
     row, at = np.nonzero(np.abs(space.basis) > ROUNDOFF)
-    return row, np.array(space.universe, dtype=np.int64)[at], space.basis[row, at]
+    return row, space.universe[at], space.basis[row, at]
 
 
-def _distinct(vec: np.ndarray, unit: np.ndarray, val: np.ndarray) -> list[SparseVec]:
-    """The vectors given by terms (vector, unit, value) sorted by vector, each
-    once, in order of first occurrence.  An echelon reduction skips a repeat
-    of an earlier vector, so it gives the same basis from these alone."""
-    cuts = (np.flatnonzero(np.diff(vec)) + 1).tolist()
-    terms = list(zip(unit.tolist(), val.tolist()))
-    runs = (tuple(terms[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, len(terms)]))
-    return [SparseVec(t) for t in dict.fromkeys(runs) if t]
+def _distinct(vec: np.ndarray, unit: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors given by terms (vector, unit, value) as dense rows over the
+    units they touch, one row per vector with a term and each distinct row
+    (by its bytes) once, in order of first occurrence.  An echelon reduction
+    skips a repeat of an earlier row, so it gives the same basis from these
+    alone."""
+    units, at = np.unique(unit, return_inverse=True)
+    vecs, row = np.unique(vec, return_inverse=True)
+    rows = np.zeros((len(vecs), len(units)), dtype=complex)
+    rows[row, at] = val
+    _, first = np.unique(rows.view(f"V{rows.itemsize * len(units)}").ravel(), return_index=True)
+    return units, rows[np.sort(first)]
 
 
 def _off_identity(unit: np.ndarray, out: np.ndarray, vals: np.ndarray, dim: int) -> tuple:
@@ -417,10 +365,11 @@ class Layout:
 class TYAlgebra:
     """The weak Hopf C*-algebra of (G, chi, tau), with its verification suite.
 
-    Elements of B are ``SparseVec`` objects keyed by unit indices, numbered
-    by :class:`Layout`; elements of B (x) B are keyed by index pairs.  Fiber
-    vectors (elements of one H^x or a direct sum of them) are keyed by
-    ``(BlockLabel, Slot)`` pairs.
+    B's basis units, blocks and slots are the indices of :class:`Layout`.
+    ``block_names`` names each block (a group element as ``"a,b"``, then
+    ``"m"``) and ``slot_names`` each block's slots (the group elements, then
+    ``"m"`` in a group block and ``"~"`` + each element in the m block), for
+    the reports that print them.
     """
 
     def __init__(
@@ -441,17 +390,10 @@ class TYAlgebra:
         self.sqrt_order = sqrt(n)
         self.tau = tau_sign / self.sqrt_order
 
-        elems = group.elements()
-        self.blocks: list[BlockLabel] = [BlockLabel.grp(g) for g in elems] + [BlockLabel.m()]
-        self._slots: dict[BlockLabel, tuple[Slot, ...]] = {}
-        for b in self.blocks:
-            if b.is_m:
-                self._slots[b] = tuple(Slot.grp(g) for g in elems) + tuple(
-                    Slot.bar(g) for g in elems
-                )
-            else:
-                self._slots[b] = tuple(Slot.grp(g) for g in elems) + (Slot.m(),)
-        self.dim = sum(len(slots) ** 2 for slots in self._slots.values())
+        elems = [",".join(map(str, g)) for g in group.elements()]
+        self.block_names = [*elems, "m"]
+        self.slot_names = [[*elems, "m"] for _ in elems] + [[*elems, *(f"~{g}" for g in elems)]]
+        self.dim = sum(len(slots) ** 2 for slots in self.slot_names)
 
         # involution/antipode coefficients on the m-block fiber; group-block
         # coefficients are 1.  The tables below read them when first built.
@@ -464,14 +406,11 @@ class TYAlgebra:
 
     # -- fiber-space structure ------------------------------------------------
 
-    def slots(self, block: BlockLabel) -> tuple[Slot, ...]:
-        return self._slots[block]
-
     def unit_name(self, i: int) -> str:
         """The name (x; row, col) of unit i = v^x_row (x) conj(v^x_col)."""
         lay = self._layout
-        block, row, col = self.blocks[lay.block[i]], lay.row[i], lay.col[i]
-        return f"({block}; {self._slots[block][row]}, {self._slots[block][col]})"
+        x, slots = lay.block[i], self.slot_names[lay.block[i]]
+        return f"({self.block_names[x]}; {slots[lay.row[i]]}, {slots[lay.col[i]]})"
 
     def chi(self, g: GroupElt, h: GroupElt) -> complex:
         return cexp(2j * pi * float(self.bichar.phase(g, h)))
@@ -480,11 +419,11 @@ class TYAlgebra:
 
     @cached_property
     def _layout(self) -> Layout:
-        sizes = np.array([len(self._slots[b]) for b in self.blocks], dtype=np.int64)
+        sizes = np.array([len(slots) for slots in self.slot_names], dtype=np.int64)
         starts = np.cumsum(sizes**2) - sizes**2
         block = np.repeat(np.arange(len(sizes)), sizes**2)
         row, col = np.divmod(np.arange(self.dim) - starts[block], sizes[block])
-        zero = self.blocks.index(BlockLabel.grp(self.group.zero()))
+        zero = self.group.index(self.group.zero())
         return Layout(starts, sizes, block, row, col, zero)
 
     def _fiber_table(self) -> tuple[np.ndarray, ...]:
@@ -675,7 +614,7 @@ class TYAlgebra:
         """Target and source subalgebras B_t and B_s, as subspaces of B."""
         if self._counital is None:
             self._counital = tuple(
-                Subspace(_distinct(*table), eps=self.eps) for table in (self._eps_t_table, self._eps_s_table)
+                Subspace(*_distinct(*table), eps=self.eps) for table in (self._eps_t_table, self._eps_s_table)
             )
         return self._counital
 
@@ -921,7 +860,7 @@ class TYAlgebra:
 
     def _per_block(self, units: np.ndarray, diff: np.ndarray) -> np.ndarray:
         """The largest of ``diff`` over the entries of each block, keyed by unit."""
-        out = np.zeros(len(self.blocks))
+        out = np.zeros(len(self.block_names))
         np.maximum.at(out, self._layout.block[units], diff)
         return out
 
@@ -938,7 +877,7 @@ class TYAlgebra:
         (x; s, c)."""
         d, T, star, lay = self.dim, self.product, self._star_map, self._layout
         pairs = T.i * d + T.j
-        out = np.zeros(len(self.blocks))
+        out = np.zeros(len(self.block_names))
         for x, n in enumerate(lay.sizes.tolist()):
             # M_rs as sums keyed (r, s, output unit)
             r, s, t = (w.ravel() for w in np.indices((n, n, n)))
@@ -1137,7 +1076,7 @@ class TYAlgebra:
             ("center dimension", 1, lambda: _dim_check("dim Z(B)", self.center().dim, n + 1)),
             *(
                 (f"corepresentation[{label}] {name}", size**2, partial(_pick, corep[name], x))
-                for x, (label, size) in enumerate(zip(self.blocks, sizes))
+                for x, (label, size) in enumerate(zip(self.block_names, sizes))
                 for name in corep
             ),
             ("dual pairing multiplicative", d**3, dual_pairing),
@@ -1167,8 +1106,7 @@ class TYAlgebra:
         the layout and the structure arrays."""
         lay, T, D = self._layout, self.product, self._coproduct_table
         S, star = self._antipode_map, self._star_map
-        blocks = [str(b) for b in self.blocks]
-        slots = [[str(s) for s in self._slots[b]] for b in self.blocks]
+        blocks, slots = self.block_names, self.slot_names
         basis = [
             {"index": i, "block": blocks[x], "row": slots[x][r], "col": slots[x][c]}
             for i, (x, r, c) in enumerate(zip(lay.block.tolist(), lay.row.tolist(), lay.col.tolist()))

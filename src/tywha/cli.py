@@ -257,6 +257,8 @@ def cmd_coideal_build(args) -> int:
     z0 = _parse_cosets(quotient(group, K), args.Z0)
     z1 = _parse_cosets(quotient(group, orthogonal(alg.bichar, K)), args.Z1)
 
+    if args.builder in ("I_m_K", "I_Omega_K") and (z0 or z1):
+        raise InvariantError(f"builder {args.builder} takes no --Z0/--Z1")
     if args.builder == "I_m_K":
         wc = build_I_m_K(alg, K)
     elif args.builder == "I_Omega_K":

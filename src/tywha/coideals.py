@@ -14,21 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    AxiomCheck,
-    AxiomReport,
-    BlockLabel,
-    Slot,
-    TYAlgebra,
-    _diff,
-    _join,
-    _ranges,
-    _runs,
-    _sums,
-)
+from .algebra import AxiomCheck, AxiomReport, TYAlgebra, _diff, _join, _ranges, _runs, _sums
 from .errors import InvariantError
 from .groups import Coset, Subgroup, orthogonal, quotient
-from .linalg import ROUNDOFF, SparseVec, Subspace, nullspace, sparse_nullspace, span
+from .linalg import ROUNDOFF, Subspace, nullspace, sparse_nullspace, span
 
 
 @dataclass(frozen=True)
@@ -87,54 +76,46 @@ class WeakCoideal:
     def dim(self) -> int:
         return self.coords.size
 
-    def x_dims(self) -> dict[BlockLabel, int]:
-        blocks, dims = np.unique(self.fiber_block, return_counts=True)
-        return {self.algebra.blocks[b]: d for b, d in zip(blocks.tolist(), dims.tolist())}
+    def x_dims(self) -> np.ndarray:
+        """dim X^x for each block x, in ``Layout`` order."""
+        return np.bincount(self.fiber_block, minlength=len(self.algebra.block_names))
 
     def describe(self) -> dict:
         alg = self.algebra
-        slots, gamma = alg.slots(alg.blocks[alg._layout.zero]), np.flatnonzero(self.unit).tolist()
+        slots, gamma = alg.slot_names[alg._layout.zero], np.flatnonzero(self.unit).tolist()
         return {
             "label": self.label,
             "dim": self.dim,
-            "x_dims": {str(b): d for b, d in self.x_dims().items()},
-            "gamma": [str(slots[s]) for s in gamma],
+            "x_dims": {alg.block_names[b]: d for b, d in enumerate(self.x_dims().tolist()) if d},
+            "gamma": [slots[s] for s in gamma],
             "unit_support": len(gamma) * len(slots),
             "spec": self.spec.describe() if self.spec else None,
             "is_coideal": is_coideal(self),
         }
 
 
-# -- fiber vectors ---------------------------------------------------------------
-
-
-def coset_vector(alg: TYAlgebra, block: BlockLabel, coset: Coset, barred: bool = False) -> SparseVec:
-    """Sum of fiber basis vectors over a coset: v^g_lam, v^m_lam, or v^m_{~lam}."""
-    if barred and not block.is_m:
-        raise InvariantError("group blocks have no barred slots")
-    mk = Slot.bar if barred else Slot.grp
-    return SparseVec({(block, mk(p)): 1.0 + 0j for p in sorted(coset.elements)})
-
-
 # -- assembly ---------------------------------------------------------------------
 
 
-def assemble(alg: TYAlgebra, x_vectors: dict[BlockLabel, list[SparseVec]], label: str,
+def assemble(alg: TYAlgebra, block: np.ndarray, rows: np.ndarray, label: str,
              spec: CoidealSpec | None = None) -> WeakCoideal:
-    """Assemble A = sum_x X^x (x) conj(H^x) from generating fiber vectors,
-    each fiber reduced to echelon form by Subspace."""
-    width, none = int(alg._layout.sizes.max()), np.zeros(0, dtype=np.int64)
+    """Assemble A = sum_x X^x (x) conj(H^x) from generating fiber rows: row r
+    lies in the fiber of block ``block[r]``, over its slots and padded with
+    zeros to the widest block.  Each fiber is reduced to echelon form by one
+    Subspace over the slots its rows touch."""
+    sizes, width = alg._layout.sizes, int(alg._layout.sizes.max())
+    block, rows, none = np.asarray(block), np.asarray(rows, dtype=complex), np.zeros(0, dtype=np.int64)
     parts = [(none, none, np.zeros((0, width), dtype=complex))]
-    for block, vecs in sorted(x_vectors.items()):
-        for v in vecs:
-            for (b, _), _c in v.items():
-                if b != block:
-                    raise InvariantError(f"fiber vector for {block} has support in {b}")
-        sub, slots = Subspace(vecs, eps=alg.eps), alg.slots(block)
-        at = np.array([slots.index(slot) for _, slot in sub.universe], dtype=np.int64)
-        rows = np.zeros((sub.dim, width), dtype=complex)
-        rows[:, at] = sub.basis
-        parts.append((np.full(sub.dim, alg.blocks.index(block)), at[sub.pivots], rows))
+    for b in np.unique(block).tolist():
+        gens = rows[block == b]
+        at = np.flatnonzero((gens != 0).any(axis=0))
+        if len(at) and at[-1] >= sizes[b]:
+            name = alg.block_names[b]
+            raise InvariantError(f"fiber row for block {name} has support past its {sizes[b]} slots")
+        sub = Subspace(at, gens[:, at], eps=alg.eps)
+        out = np.zeros((sub.dim, width), dtype=complex)
+        out[:, at] = sub.basis
+        parts.append((np.full(sub.dim, b), at[sub.pivots], out))
     return WeakCoideal(alg, *map(np.concatenate, zip(*parts)), label, spec)
 
 
@@ -438,7 +419,7 @@ def _unit_coproduct(wc: WeakCoideal) -> tuple[float, bool, str]:
     _, p = _runs(C.ptr, units)
     firsts, at = np.unique(C.first[p], return_inverse=True)
     f, second, val = _summed(at, C.second[p], mu[C.src[p]], dim)
-    keys = np.array(target.universe, dtype=np.int64)
+    keys = target.universe
     pos = np.full(dim, -1)  # each unit's place in B_t's universe
     pos[keys] = np.arange(len(keys))
     inside = pos[second] >= 0
@@ -542,30 +523,29 @@ def is_indecomposable(wc: WeakCoideal) -> bool:
 # -- spectral dimensions ---------------------------------------------------------
 
 
-def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> dict[BlockLabel, int]:
-    """Predicted fiber dimensions of classification data: dim X^g counts the
-    cosets lam of either side with lam and g + lam both in that side's Z,
-    and dim X^m = 2 |Z0| |Z1|.  A side's count at g is the number of members
-    x of its cosets with g + x a member too, over the size of a coset."""
+def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> np.ndarray:
+    """Predicted fiber dimensions of classification data, one per block in
+    ``Layout`` order: dim X^g counts the cosets lam of either side with lam
+    and g + lam both in that side's Z, and dim X^m = 2 |Z0| |Z1|.  A side's
+    count at g is the number of members x of its cosets with g + x a member
+    too, over the size of a coset."""
     group = alg.group
-    counts = np.zeros(group.order, dtype=np.int64)
+    counts = np.zeros(group.order + 1, dtype=np.int64)
     for z in (spec.z0, spec.z1):
         if z:
             member = np.zeros(group.order, dtype=bool)
             member[[group.index(a) for lam in z for a in lam.elements]] = True
-            counts += (member & member[group.add_table]).sum(axis=1) // len(next(iter(z)))
-    dims = {BlockLabel.grp(g): c for g, c in zip(group.elements(), counts.tolist())}
-    dims[BlockLabel.m()] = 2 * len(spec.z0) * len(spec.z1)
-    return dims
+            counts[:-1] += (member & member[group.add_table]).sum(axis=1) // len(next(iter(z)))
+    counts[-1] = 2 * len(spec.z0) * len(spec.z1)
+    return counts
 
 
 def dims_match(wc: WeakCoideal) -> bool:
-    """True iff the nonzero fiber dimensions of wc are those its
-    classification data predicts."""
+    """True iff the fiber dimensions of wc are those its classification data
+    predicts."""
     if wc.spec is None:
         raise InvariantError(f"coideal {wc.label} has no classification data (K, Z0, Z1) to predict its fibers")
-    predicted = spectral_dims(wc.spec, wc.algebra)
-    return {b: d for b, d in predicted.items() if d} == wc.x_dims()
+    return bool(np.array_equal(spectral_dims(wc.spec, wc.algebra), wc.x_dims()))
 
 
 def assess(wc: WeakCoideal) -> tuple[AxiomReport, bool, bool, bool]:

@@ -1,6 +1,7 @@
 """Sparse complex vectors over arbitrary ordered keys, tolerance-based
-subspaces with membership and intersection, and the solver of sparse linear
-systems by their column components.
+subspaces of dense rows over an array of keys with membership and
+intersection, and the solver of sparse linear systems by their column
+components.
 
 Echelon reduction uses a deterministic pivot rule (largest modulus, ties by
 lowest key index), so identical inputs give bit-identical bases.
@@ -8,6 +9,7 @@ lowest key index), so identical inputs give bit-identical bases.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -86,12 +88,6 @@ class SparseVec:
 def _sq(x: np.ndarray) -> np.ndarray:
     """Squared norm of each row."""
     return (x.real**2 + x.imag**2).sum(axis=1)
-
-
-def sparse_rows(mat: np.ndarray, keys) -> list[SparseVec]:
-    """The rows of a dense array over ``keys`` as sparse vectors, pruned at
-    ROUNDOFF."""
-    return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)}) for row in mat]
 
 
 def nullspace(mats: np.ndarray, eps: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -201,33 +197,37 @@ def span(kernel: np.ndarray, vec: np.ndarray, key: np.ndarray, val: np.ndarray,
     keys, at = np.unique(key, return_inverse=True)
     out = np.zeros((len(kernel), len(keys)), dtype=complex)
     np.add.at(out, (slice(None), at), kernel[:, vec] * val)
-    return Subspace(sparse_rows(out, keys.tolist()), eps=eps)
+    return _pruned_span(keys, out, eps)
+
+
+def _pruned_span(keys: np.ndarray, rows: np.ndarray, eps: float) -> "Subspace":
+    """The span of dense rows over ``keys`` with their entries of modulus at
+    most ROUNDOFF dropped, over the keys that still hold an entry."""
+    rows = np.where(np.abs(rows) > ROUNDOFF, rows, 0.0)
+    held = (rows != 0).any(axis=0)
+    return Subspace(keys[held], rows[:, held], eps=eps)
 
 
 class Subspace:
-    """Span of sparse vectors, reduced to row echelon form with unit pivots.
+    """Span of dense rows over an array of keys (the ``universe``), reduced
+    in order to row echelon form with unit pivots; a row within eps of the
+    span of those before it is skipped.
 
     Pivot columns are cleared in all other rows and the pivots are exactly 1,
     so the pivot block of ``basis`` is the identity and the coordinate of a
     member vector along basis row i is just its value at that row's pivot key.
+    The ``SparseVec`` methods find a key's column through ``pos``.
     """
 
-    def __init__(self, vectors: Iterable[SparseVec], eps: float = DEFAULT_TOL):
-        vecs = list(vectors)
+    def __init__(self, keys: np.ndarray, rows: np.ndarray, eps: float = DEFAULT_TOL):
         self.eps = float(eps)
-        keys = set()
-        for v in vecs:
-            keys.update(v.data)
-        self.universe: list = sorted(keys)
-        self.pos: dict = {k: i for i, k in enumerate(self.universe)}
-        n = len(self.universe)
-        basis = np.zeros((len(vecs), n), dtype=complex)
+        self.universe = keys
+        n = len(keys)
+        basis = np.zeros((len(rows), n), dtype=complex)
         count = 0
         pivots: list[int] = []
-        for v in vecs:
-            r = np.zeros(n, dtype=complex)
-            for k, c in v.data.items():
-                r[self.pos[k]] = c
+        for r in rows:
+            r = np.array(r, dtype=complex)
             scale = np.linalg.norm(r)
             if count:
                 # pivot columns are exclusive in reduced form, so one pass
@@ -245,6 +245,11 @@ class Subspace:
         self.basis, self.pivots = basis[:count], pivots
         self._free = np.ones(n, dtype=bool)
         self._free[pivots] = False
+
+    @cached_property
+    def pos(self) -> dict:
+        """The column of each key, for the ``SparseVec`` methods."""
+        return {k: i for i, k in enumerate(self.universe.tolist())}
 
     @property
     def dim(self) -> int:
@@ -293,7 +298,10 @@ class Subspace:
         return self.residuals(mat, outside) - self.eps * (1.0 + norms)
 
     def basis_vectors(self) -> list[SparseVec]:
-        return sparse_rows(self.basis, self.universe)
+        """The basis rows as sparse vectors, pruned at ROUNDOFF."""
+        keys = self.universe.tolist()
+        return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)})
+                for row in self.basis]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system,
@@ -302,12 +310,12 @@ class Subspace:
         rows, cols, vals = [], [], []
         for space, sign, at in ((self, 1, 0), (other, -1, self.dim)):
             j, u = np.nonzero(space.basis)
-            rows.append(np.array([pos.setdefault(k, len(pos)) for k in space.universe], dtype=int)[u])
+            rows.append(np.array([pos.setdefault(k, len(pos)) for k in space.universe.tolist()], dtype=int)[u])
             cols.append(at + j)
             vals.append(sign * space.basis[j, u])
         system = (np.concatenate(part) for part in (rows, cols, vals))
         kernel = sparse_nullspace(*system, self.dim + other.dim, eps=self.eps)
-        return Subspace(sparse_rows(kernel[:, : self.dim] @ self.basis, self.universe), eps=self.eps)
+        return _pruned_span(self.universe, kernel[:, : self.dim] @ self.basis, self.eps)
 
 
 def tensor_split_first(t: SparseVec) -> dict:

@@ -4,9 +4,11 @@ The package builds B's structure maps as index arrays and checks them by
 joins over those arrays.  The functions here compute the same maps from the
 closed-form fiber rules on ``SparseVec``s, and the four axiom rows that
 ``TYAlgebra.verify_axioms`` once evaluated this way; the tests compare the
-arrays and the array rows against them.  Named basis units, the fiber
-subspaces of a weak coideal and its unit as a ``SparseVec`` are object views
-of the package's arrays, kept here for the tests that read them.
+arrays and the array rows against them.  Named blocks, slots and basis
+units, the fiber subspaces of a weak coideal and its unit as a ``SparseVec``
+are object views of the package's index arrays, kept here for the tests that
+read them, with the adapters that take ``SparseVec``s into ``Subspace`` and
+``assemble``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tywha.algebra import SLOT_BAR, SLOT_GRP, SLOT_M, BlockLabel, Slot, _join, _runs, _worst
+from tywha.algebra import _join, _runs, _worst
 from tywha.errors import InvariantError
+from tywha.groups import Coset, GroupElt
 from tywha.linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace
+
+SLOT_GRP = 0
+SLOT_M = 1
+SLOT_BAR = 2
 
 
 def distance(a: SparseVec, b: SparseVec) -> float:
@@ -27,7 +34,75 @@ def distance(a: SparseVec, b: SparseVec) -> float:
     return max((abs(a[k] - b[k]) for k in keys), default=0.0)
 
 
-# -- named basis units -----------------------------------------------------------
+# -- named blocks, slots and basis units ---------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class BlockLabel:
+    """Label of a simple object: a group element, or the extra object m."""
+
+    kind: int
+    g: GroupElt = ()
+
+    @classmethod
+    def grp(cls, g: GroupElt) -> "BlockLabel":
+        return cls(0, tuple(g))
+
+    @classmethod
+    def m(cls) -> "BlockLabel":
+        return cls(1, ())
+
+    @property
+    def is_m(self) -> bool:
+        return self.kind == 1
+
+    def __str__(self) -> str:
+        return "m" if self.is_m else ",".join(str(x) for x in self.g)
+
+
+@dataclass(frozen=True, order=True)
+class Slot:
+    """Basis slot inside a fiber space.
+
+    Group blocks carry group slots v^g_h plus one m slot v^g_m; the m block
+    carries unbarred slots v^m_g and barred slots v^m_{~g}.
+    """
+
+    kind: int
+    g: GroupElt = ()
+
+    @classmethod
+    def grp(cls, g: GroupElt) -> "Slot":
+        return cls(SLOT_GRP, tuple(g))
+
+    @classmethod
+    def m(cls) -> "Slot":
+        return cls(SLOT_M, ())
+
+    @classmethod
+    def bar(cls, g: GroupElt) -> "Slot":
+        return cls(SLOT_BAR, tuple(g))
+
+    def __str__(self) -> str:
+        if self.kind == SLOT_M:
+            return "m"
+        body = ",".join(str(x) for x in self.g)
+        return f"~{body}" if self.kind == SLOT_BAR else body
+
+
+def blocks(alg) -> list[BlockLabel]:
+    """B's blocks in ``Layout`` order: the group elements, then m."""
+    return [BlockLabel.grp(g) for g in alg.group.elements()] + [BlockLabel.m()]
+
+
+def slots(alg, block: BlockLabel) -> tuple[Slot, ...]:
+    """A block's slots in ``Layout`` order: a group block's elements and then
+    its m slot, the m block's elements and then their barred twins."""
+    elems = alg.group.elements()
+    if block.is_m:
+        return tuple(Slot.grp(g) for g in elems) + tuple(Slot.bar(g) for g in elems)
+    return tuple(Slot.grp(g) for g in elems) + (Slot.m(),)
+
 
 
 @dataclass(frozen=True, order=True)
@@ -49,14 +124,14 @@ _NAMED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _named(alg) -> tuple[list[BasisUnit], dict[BasisUnit, int]]:
     if alg not in _NAMED:
-        named = [BasisUnit(b, r, c) for b in alg.blocks for r in alg.slots(b) for c in alg.slots(b)]
+        named = [BasisUnit(b, r, c) for b in blocks(alg) for r in slots(alg, b) for c in slots(alg, b)]
         _NAMED[alg] = named, {u: i for i, u in enumerate(named)}
     return _NAMED[alg]
 
 
 def units(alg) -> list[BasisUnit]:
     """B's basis units in index order: by block, then row slot, then column
-    slot, each in the order of ``alg.slots``."""
+    slot, each in the order of ``slots``."""
     return _named(alg)[0]
 
 
@@ -70,26 +145,79 @@ def one(alg) -> SparseVec:
     return SparseVec(dict.fromkeys(alg._layout.zero_units.tolist(), 1.0 + 0j))
 
 
+# -- subspaces and fibers from sparse vectors -------------------------------------
+
+
+def key_array(keys: list) -> np.ndarray:
+    """The keys as a 1-D array: numbers and strings as numpy holds them,
+    anything else (tuples of labels, say) as objects."""
+    out = np.array(keys)
+    if out.ndim != 1:
+        out = np.empty(len(keys), dtype=object)
+        for i, k in enumerate(keys):
+            out[i] = k
+    return out
+
+
+def subspace(vectors, eps: float = DEFAULT_TOL) -> Subspace:
+    """The span of sparse vectors, as a Subspace over the sorted keys they touch."""
+    vecs = list(vectors)
+    keys = sorted({k for v in vecs for k in v.data})
+    pos = {k: i for i, k in enumerate(keys)}
+    rows = np.zeros((len(vecs), len(keys)), dtype=complex)
+    for r, v in enumerate(vecs):
+        for k, c in v.items():
+            rows[r, pos[k]] = c
+    return Subspace(key_array(keys), rows, eps=eps)
+
+
+def coset_vector(alg, block: BlockLabel, coset: Coset, barred: bool = False) -> SparseVec:
+    """Sum of fiber basis vectors over a coset: v^g_lam, v^m_lam, or v^m_{~lam}."""
+    if barred and not block.is_m:
+        raise InvariantError("group blocks have no barred slots")
+    mk = Slot.bar if barred else Slot.grp
+    return SparseVec({(block, mk(p)): 1.0 + 0j for p in sorted(coset.elements)})
+
+
+def fiber_rows(alg, x_vectors: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Generating fiber vectors keyed (block, slot), listed per block, as the
+    (block, rows) that ``assemble`` takes: one row over the block's slots
+    per vector, padded with zeros to the widest block."""
+    names, width = blocks(alg), int(alg._layout.sizes.max())
+    block, rows = [], []
+    for label, vecs in x_vectors.items():
+        own = slots(alg, label)
+        for v in vecs:
+            row = np.zeros(width, dtype=complex)
+            for (b, slot), c in v.items():
+                if b != label:
+                    raise InvariantError(f"fiber vector for {label} has support in {b}")
+                row[own.index(slot)] = c
+            block.append(names.index(label))
+            rows.append(row)
+    return np.array(block, dtype=np.int64), np.array(rows, dtype=complex).reshape(len(rows), width)
+
+
 # -- weak coideals as objects ------------------------------------------------------
 
 
 def reduced(universe: list, basis: np.ndarray, pivots: list[int], eps: float = DEFAULT_TOL) -> Subspace:
     """The span of reduced echelon rows over ``universe`` with unit pivots, taken as they are."""
-    space = Subspace([], eps=eps)
-    space.universe, space.pos = universe, {k: i for i, k in enumerate(universe)}
-    space.basis, space.pivots, space._free = basis, pivots, ~np.isin(np.arange(len(universe)), pivots)
+    keys = key_array(universe)
+    space = Subspace(keys, np.zeros((0, len(keys))), eps=eps)
+    space.basis, space.pivots, space._free = basis, pivots, ~np.isin(np.arange(len(keys)), pivots)
     return space
 
 
 def x_spaces(wc) -> dict[BlockLabel, Subspace]:
     """Each nonzero fiber of a weak coideal as a Subspace over the (block,
     slot) keys its rows touch."""
-    out, alg = {}, wc.algebra
+    out, alg, names = {}, wc.algebra, blocks(wc.algebra)
     for b in np.unique(wc.fiber_block).tolist():
-        label, mine = alg.blocks[b], wc.fiber_block == b
-        rows, slots = wc.fiber_rows[mine], alg.slots(label)
+        label, mine = names[b], wc.fiber_block == b
+        rows, own = wc.fiber_rows[mine], slots(alg, label)
         at = np.flatnonzero((rows != 0).any(axis=0))
-        out[label] = reduced([(label, slots[s]) for s in at.tolist()], rows[:, at],
+        out[label] = reduced([(label, own[s]) for s in at.tolist()], rows[:, at],
                              np.searchsorted(at, wc.fiber_pivot[mine]).tolist(), alg.eps)
     return out
 
@@ -97,16 +225,16 @@ def x_spaces(wc) -> dict[BlockLabel, Subspace]:
 def unit_vector(wc) -> SparseVec:
     """1_A as a vector of B: each unit (0; r, c) carries the unit row's value at slot r."""
     alg = wc.algebra
-    zero = alg.blocks[alg._layout.zero]
-    slots, pos = alg.slots(zero), unit_pos(alg)
-    return SparseVec({pos[BasisUnit(zero, slots[r], c)]: v for r, v in enumerate(wc.unit.tolist()) if v for c in slots})
+    zero = blocks(alg)[alg._layout.zero]
+    own, pos = slots(alg, zero), unit_pos(alg)
+    return SparseVec({pos[BasisUnit(zero, own[r], c)]: v for r, v in enumerate(wc.unit.tolist()) if v for c in own})
 
 
 # -- the fiber spaces ------------------------------------------------------------
 
 
 def fiber_basis(alg, block: BlockLabel, slot: Slot) -> SparseVec:
-    if slot not in alg.slots(block):
+    if slot not in slots(alg, block):
         raise InvariantError(f"slot {slot} does not belong to block {block}")
     return SparseVec.basis((block, slot))
 
@@ -297,7 +425,7 @@ def weak_unit(alg) -> tuple:
 def zero_fiber_projections(alg) -> tuple:
     """"zero fiber projections" through ``sharp`` and ``circ``."""
     zero = BlockLabel.grp(alg.group.zero())
-    basis = [(s, fiber_basis(alg, zero, s)) for s in alg.slots(zero)]
+    basis = [(s, fiber_basis(alg, zero, s)) for s in slots(alg, zero)]
     distances = [distance(sharp(alg, v), v) for _, v in basis]
     distances += [distance(circ(alg, v, w), v if s == t else SparseVec()) for s, v in basis for t, w in basis]
     return _row(alg, distances, len(basis) ** 2)

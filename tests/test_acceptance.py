@@ -26,11 +26,10 @@ from tywha.coideals import (
 )
 from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup, enumerate_subgroups, orthogonal, quotient
-from tywha.algebra import BlockLabel, Slot
 from tywha.linalg import SparseVec
 import random
 
-from reference import antipode, haar_value, star, x_spaces
+from reference import BlockLabel, Slot, antipode, blocks, fiber_rows, haar_value, slots, star, x_spaces
 
 TOL = 1e-9
 GROUPS = [(1,), (2,), (3,), (4,), (2, 2)]
@@ -103,13 +102,13 @@ def test_criterion_3_corepresentations(algebras, axiom_runs):
     ok = True
     for (factors, sign), (report, _) in axiom_runs.items():
         alg, rows = algebras[(factors, sign)], {c.name: c for c in report.checks}
-        for block in alg.blocks:
+        for block in blocks(alg):
             checks = [
                 rows[f"corepresentation[{block}] {identity}"]
                 for identity in ("comultiplication", "counit", "partial isometry")
             ]
             bad = [(c.name, c.residual) for c in checks if not c.passed or c.residual > TOL]
-            ok &= not bad and all(c.instances_total == len(alg.slots(block)) ** 2 for c in checks)
+            ok &= not bad and all(c.instances_total == len(slots(alg, block)) ** 2 for c in checks)
             if bad:
                 print(f"  {factors} tau={sign} block {block}: {bad}")
     _report_line(3, "corepresentation identities for every block, residual <= 1e-9", ok)
@@ -258,7 +257,7 @@ def test_criterion_7_fault_injection(monkeypatch):
         if block == BlockLabel.grp((2,)):
             vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
         x_vectors[block] = vecs
-    broken = assemble(alg, x_vectors, "dropped m slot")
+    broken = assemble(alg, *fiber_rows(alg, x_vectors), "dropped m slot")
     rep_broken = verify_weak_coideal(broken)
     if rep_broken.passed or not (
         {"closed under product", "closed under star"}

@@ -6,15 +6,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tywha.algebra import BlockLabel, HaarFunctional, Slot, TYAlgebra, TYData, UnitMap
+from tywha.algebra import HaarFunctional, TYAlgebra, TYData, UnitMap
 from tywha.errors import InvariantError
 from tywha.groups import Bicharacter, FiniteAbelianGroup
-from tywha.linalg import SparseVec, Subspace, sparse_nullspace, span
+from tywha.linalg import SparseVec, sparse_nullspace, span
 
 import reference
 from reference import (
-    BasisUnit, _fiber_map, add_scaled, antipode, basis_element, circ, counit, distance, eps_t, fiber_basis,
-    haar_value, one, sharp, star, term_vectors, unit_pos, units,
+    BasisUnit, BlockLabel, Slot, _fiber_map, add_scaled, antipode, basis_element, blocks, circ, counit, distance,
+    eps_t, fiber_basis, haar_value, one, sharp, slots, star, subspace, term_vectors, unit_pos, units,
 )
 
 
@@ -68,8 +68,15 @@ class TestDimensions:
         assert alg.dim == expected == n * (n + 1) ** 2 + 4 * n * n
 
     def test_block_sizes(self, z4):
-        assert len(z4.slots(g(0))) == 5
-        assert len(z4.slots(M)) == 8
+        assert len(slots(z4, g(0))) == 5
+        assert len(slots(z4, M)) == 8
+
+    @pytest.mark.parametrize("factors", [(1,), (4,), (2, 2), (2, 3)])
+    def test_names_are_those_of_the_labels(self, factors):
+        alg = TYAlgebra(FiniteAbelianGroup(factors))
+        assert alg.block_names == [str(b) for b in blocks(alg)]
+        assert alg.slot_names == [[str(s) for s in slots(alg, b)] for b in blocks(alg)]
+        assert alg._layout.sizes.tolist() == [len(slots(alg, b)) for b in blocks(alg)]
 
     def test_degenerate_bichar_rejected(self):
         grp = FiniteAbelianGroup((2,))
@@ -310,8 +317,8 @@ class TestStarAndAntipode:
 class TestCounitalMaps:
     def test_target_subalgebra_span(self, z2):
         target, source = z2.counital_subalgebras()
-        slots0 = z2.slots(g(0))
-        explicit = Subspace(
+        slots0 = slots(z2, g(0))
+        explicit = subspace(
             [
                 SparseVec(
                     {
@@ -356,9 +363,9 @@ class TestCounitalMaps:
         tables = (alg._eps_t_table, alg._eps_s_table)
         for space, table in zip(alg.counital_subalgebras(), tables):
             vectors = term_vectors(table, alg.dim)
-            full = Subspace(vectors, eps=alg.eps)
+            full = subspace(vectors, eps=alg.eps)
             assert len(vectors) == alg.dim
-            assert (space.universe, space.pivots) == (full.universe, full.pivots)
+            assert (space.universe.tolist(), space.pivots) == (full.universe.tolist(), full.pivots)
             assert np.array_equal(space.basis, full.basis)
 
     def test_antipode_swaps_target_and_source(self, z2):
@@ -410,9 +417,9 @@ def corep_rows(report, block) -> dict:
 def scalar_partial_isometry(alg, block) -> float:
     """max |(U U* U)_rc - U_rc| for the corepresentation of a block, through
     ``multiply`` and ``star`` on n x n matrices of vectors."""
-    slots = alg.slots(block)
-    U = [[basis_element(alg, block, r, c) for c in slots] for r in slots]
-    n = len(slots)
+    own = slots(alg, block)
+    U = [[basis_element(alg, block, r, c) for c in own] for r in own]
+    n = len(own)
     worst = 0.0
     for r in range(n):
         for c in range(n):
@@ -429,8 +436,8 @@ def scalar_partial_isometry(alg, block) -> float:
 class TestCorepresentations:
     def test_all_blocks_z2(self, z2):
         report = z2.verify_axioms()
-        for block in z2.blocks:
-            n = len(z2.slots(block))
+        for block in blocks(z2):
+            n = len(slots(z2, block))
             for c in corep_rows(report, block).values():
                 assert c.passed and c.residual <= 1e-14, (c.name, c.residual)
                 assert c.instances_total == n * n, c.name
@@ -444,7 +451,7 @@ class TestCorepresentations:
         names = [c.name for c in z4.verify_axioms().checks]
         start = names.index("center dimension") + 1
         assert names[start:start + 15] == [
-            f"corepresentation[{b}] {i}" for b in z4.blocks for i in COREP_IDENTITIES
+            f"corepresentation[{b}] {i}" for b in blocks(z4) for i in COREP_IDENTITIES
         ]
         assert names[start + 15] == "dual pairing multiplicative"
 
@@ -453,7 +460,7 @@ class TestCorepresentations:
     def test_partial_isometry_matches_scalar_products(self, factors, sign):
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         report = alg.verify_axioms()
-        for block in alg.blocks:
+        for block in blocks(alg):
             got = corep_rows(report, block)["partial isometry"].residual
             assert got == pytest.approx(scalar_partial_isometry(alg, block), abs=1e-14)
 
@@ -485,7 +492,7 @@ class TestCorepresentations:
         # the m block's U U* multiplies (m; r, t) by (m; s, t)*, which lies in m
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=-1)
         T, lay, star = alg.product, alg._layout, alg._star_map
-        m = len(alg.blocks) - 1
+        m = len(alg.block_names) - 1
         preimage = np.argsort(star.k)
         used = np.flatnonzero(
             (lay.block[T.i] == m) & (lay.block[T.j] == m) & (lay.col[preimage[T.j]] == lay.col[T.i])
@@ -810,7 +817,7 @@ class TestRowsMatchScalarReferences:
             for v in vectors:
                 for u in rng.integers(0, alg.dim, size=3).tolist():
                     v.data[u] = v.data.get(u, 0.0) + complex(*rng.normal(size=2))
-            spaces.append(Subspace(vectors, eps=alg.eps))
+            spaces.append(subspace(vectors, eps=alg.eps))
             spaces[-1].basis *= np.exp(2j * np.pi * rng.random((spaces[-1].dim, 1)))
         alg._counital = tuple(spaces)
         got = rows_of(alg)
@@ -867,7 +874,7 @@ class TestRewrittenRowFaults:
         target, source = alg.counital_subalgebras()
         vectors = source.basis_vectors()
         vectors[0].data[int(alg._layout.unit(1, 0, 0))] = value
-        alg._counital = (target, Subspace(vectors, eps=alg.eps))
+        alg._counital = (target, subspace(vectors, eps=alg.eps))
         failed = self.failed(alg)
         assert set(failed) == {"counital subalgebras commute", "biconnectedness"}
         assert failed["counital subalgebras commute"].residual == value

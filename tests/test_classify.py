@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -626,3 +627,45 @@ class TestOrderSixteen:
         assert all(e["burnside_ok"] for e in payload["per_subgroup"])
         assert [e["n_coideal"] for e in payload["per_subgroup"]] == [4, 4, 2, 4, 4]
         capsys.readouterr()
+
+
+# (group, automorphism matrix A acting on coordinate columns, the phase
+# matrix A^T M A of the twisted bicharacter, total classes): e2 -> e1 + e2,
+# x2 on Z5, and e2 -> e1 + e2, e3 -> e2 + e3 on Z2^3
+AUTOMORPHISMS = {
+    "Z2xZ2": ((2, 2), [[1, 1], [0, 1]], [["1/2", "1/2"], ["1/2", "0"]], 44),
+    "Z5": ((5,), [[2]], [["4/5"]], 30),
+    "Z3xZ3": ((3, 3), [[1, 1], [0, 1]], [["1/3", "1/3"], ["1/3", "2/3"]], 298),
+    "Z2^3": ((2, 2, 2), [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+             [["1/2", "1/2", "0"], ["1/2", "0", "1/2"], ["0", "1/2", "0"]], 392),
+}
+
+
+class TestAutomorphismInvariance:
+    """For an automorphism alpha of G with matrix A, chi' = chi o (alpha x
+    alpha) has the phase matrix A^T M A, and alpha carries the classes of
+    (G, chi') at K onto those of (G, chi) at alpha(K)."""
+
+    @pytest.mark.parametrize("case", sorted(AUTOMORPHISMS))
+    def test_classes_follow_the_automorphism(self, case):
+        factors, A, phases, total = AUTOMORPHISMS[case]
+        grp = FiniteAbelianGroup(factors)
+        chi = Bicharacter.standard(grp)
+        M = [[Fraction(x) for x in row] for row in chi.matrix]
+        k = grp.rank
+        twisted = [[sum(A[a][i] * M[a][b] * A[b][j] for a in range(k) for b in range(k)) for j in range(k)]
+                   for i in range(k)]
+        chi2 = Bicharacter(grp, tuple(map(tuple, twisted)))
+        assert chi2.matrix == tuple(tuple(Fraction(x) for x in row) for row in phases)
+
+        def alpha(g):
+            return tuple(sum(A[i][j] * g[j] for j in range(k)) % n for i, n in enumerate(factors))
+
+        def counts(report, key):
+            return {key(e.subgroup): (len(e.orbits), e.coideal_count) for e in report.per_subgroup}
+
+        standard = weak_coideal_classes(grp, chi)
+        moved = weak_coideal_classes(grp, chi2)
+        assert standard.total == moved.total == total
+        assert counts(moved, lambda K: frozenset(map(alpha, K.sorted_elements))) == counts(
+            standard, lambda K: frozenset(K.sorted_elements))

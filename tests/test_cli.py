@@ -307,7 +307,13 @@ class TestReportWriter:
         (["group", "describe", "--group", "2", "--bichar", "{bad}"], "bicharacter file {bad} is not valid JSON"),
         (["wha", "verify", "--group", "1", "--json", "{tmp}"], "cannot write report {tmp}: Is a directory"),
         (["wha", "verify", "--group", "1", "--json", "{tmp}/no/r.json"], "cannot write report {tmp}/no/r.json"),
-    ], ids=["K", "Z0", "bichar", "json-dir", "json-no-parent"])
+        *(
+            (["coideal", "build", "--group", "4", "--K", "2", "--builder", builder, flag, "1"],
+             f"error: builder {builder} takes no --Z0/--Z1\n")
+            for builder in ("I_m_K", "I_Omega_K") for flag in ("--Z0", "--Z1")
+        ),
+    ], ids=["K", "Z0", "bichar", "json-dir", "json-no-parent",
+            "I_m_K-Z0", "I_m_K-Z1", "I_Omega_K-Z0", "I_Omega_K-Z1"])
     def test_bad_input_or_report_path_exits_2(self, argv, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -568,3 +574,66 @@ class TestParserBuiltOnce:
         assert cli.build_parser() is not cli.build_parser()
         assert self.outcomes(tmp_path / "fresh", capsys) == cached
         assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2]
+
+
+# The five coideal builds of the benchmark's realize workload, and a
+# single-coset build
+PINNED_BUILDS = [
+    ("4", "2", ("--Z0", "all", "--Z1", "0")),
+    ("4", "1", ("--Z0", "0", "--Z1", "all")),
+    ("4", "2", ("--builder", "I_m_K")),
+    ("2,2", "1,0", ("--Z0", "0,0;0,1")),
+    ("2,2", "1,1", ("--builder", "I_Omega_K")),
+    ("4", "2", ("--Z0", "0")),
+]
+
+
+def _report_sha256(payload) -> str:
+    """sha256 of a verify or coideal report without its residuals and without
+    the witnesses of passing rows: a passing row's witness names the unit where
+    roundoff peaks, which depends on the machine."""
+    checks = [
+        {k: v for k, v in c.items() if k != "residual" and (k != "witness" or not c["passed"])}
+        for c in payload["checks"]
+    ]
+    return hashlib.sha256(json.dumps({**payload, "checks": checks}, sort_keys=True).encode()).hexdigest()
+
+
+class TestReportPins:
+    """Check names, instance counts, verdicts, failing witnesses, fiber
+    dimensions, Gamma, the unit's support and the classification data of the
+    verify and coideal reports, pinned as sha256."""
+
+    VERIFY_SHA256 = {
+        ("3", "+"): "1a810c3665e5a5069023c078dc8dd220760f8689271597bfe31956d2de99d49b",
+        ("3", "-"): "6064fb249be5197582628f5a8d5e53ffcfdaa34b3761442fa9b31a3c7c04f64b",
+        ("2,2", "+"): "5d4549c1a2ca568c05c0b6a90969d0db871ec1dcc8519f8842a0e1f108ffbaa8",
+        ("2,2", "-"): "9d2825e3d4b2825bbe8617a92186b91f62b6319c446a138e65c986e4aadacfd1",
+    }
+    # a coideal report names no tau: both signs give the same bytes
+    BUILD_SHA256 = [
+        "0f3d2ae004b822d7e91ebf56a4b4e628de3329225122b72b352b55464b763ea9",
+        "a7616b6abb6ce87dca32251a1ee1a7c3adac96a1d4c83226b2bd9676348e2c64",
+        "9ad4f0eccd96a59f89e30663f58af735152971de9b298e0eae57ad5ca2f3271a",
+        "5ff18e34116c98e5629478136191591bc0a246a98110d69a561db1346bd1cc0d",
+        "23f8ad7c45a243b75deff062d1f2c73651d24cdeef2e67796f489afd28fc395f",
+        "503af68c522d5a109b8ab935b22e7b2f12169554635ee2d71655eb965c0b9611",
+    ]
+
+    @staticmethod
+    def report(argv, tmp_path) -> dict:
+        out = tmp_path / "report.json"
+        assert run([*argv, "--json", str(out)]) in (0, 1)
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("group,tau", sorted(VERIFY_SHA256))
+    def test_verify_report_pinned(self, group, tau, tmp_path):
+        payload = self.report(["wha", "verify", "--group", group, "--tau", tau], tmp_path)
+        assert _report_sha256(payload) == self.VERIFY_SHA256[(group, tau)]
+
+    @pytest.mark.parametrize("build", range(len(PINNED_BUILDS)))
+    @pytest.mark.parametrize("tau", ["+", "-"])
+    def test_coideal_report_pinned(self, build, tau, tmp_path):
+        group, K, spec = PINNED_BUILDS[build]
+        argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
+        assert _report_sha256(self.report(argv, tmp_path)) == self.BUILD_SHA256[build]

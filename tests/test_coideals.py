@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tywha import classify, coideals
-from tywha.algebra import BlockLabel, CoproductTable, ProductTable, Slot, TYAlgebra
+from tywha.algebra import CoproductTable, ProductTable, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
@@ -16,7 +16,6 @@ from tywha.coideals import (
     build_no_m,
     build_with_m,
     center,
-    coset_vector,
     dims_match,
     fixed_point_algebra,
     is_coideal,
@@ -27,11 +26,10 @@ from tywha.coideals import (
 from tywha.errors import InvariantError
 from tywha.groups import Coset, FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
 from reference import (
-    BasisUnit, add_scaled, circ, distance, one, sharp, star, unit_pos, unit_vector, units, x_spaces,
+    BasisUnit, BlockLabel, Slot, add_scaled, blocks, circ, coset_vector, distance, fiber_rows, one, sharp, slots,
+    star, subspace, unit_pos, unit_vector, units, x_spaces,
 )
-from tywha.linalg import (
-    ROUNDOFF, SparseVec, Subspace, nullspace, sparse_nullspace, sparse_rows, tensor_contains,
-)
+from tywha.linalg import ROUNDOFF, SparseVec, nullspace, sparse_nullspace, tensor_contains
 
 
 def g(*coords):
@@ -39,6 +37,11 @@ def g(*coords):
 
 
 M = BlockLabel.m()
+
+
+def labelled(alg, dims):
+    """Per-block dimensions keyed by block label."""
+    return dict(zip(blocks(alg), dims.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +182,7 @@ class TestBuilders:
         assert wc.spec.z0 == frozenset()
         assert len(wc.spec.z1) == 1
         # X^g nonzero exactly for g in K_perp = G
-        assert set(wc.x_dims()) == {g(*e) for e in z4.group.elements()}
+        assert {b for b, d in labelled(z4, wc.x_dims()).items() if d} == {g(*e) for e in z4.group.elements()}
 
     def test_with_m_coideal_iff_full(self, z4, z4_setup):
         K, q, lam, mu = z4_setup
@@ -247,7 +250,7 @@ class TestBuilders:
 
 class TestVerifierRejections:
     def test_zero_family_fails(self, z4):
-        wc = assemble(z4, {}, "zero")
+        wc = assemble(z4, *fiber_rows(z4, {}), "zero")
         report = verify_weak_coideal(wc)
         assert not report.passed
         failed = {c.name for c in report.failures()}
@@ -256,7 +259,7 @@ class TestVerifierRejections:
     def test_family_without_classification_data(self, z4):
         # assemble takes no spec: the report and the description still
         # work, while the predicted dimensions name the missing data
-        wc = assemble(z4, {}, "zero")
+        wc = assemble(z4, *fiber_rows(z4, {}), "zero")
         assert not verify_weak_coideal(wc).passed
         described = wc.describe()
         assert (described["spec"], described["gamma"], described["unit_support"]) == (None, [], 0)
@@ -265,6 +268,16 @@ class TestVerifierRejections:
             with pytest.raises(InvariantError) as exc:
                 check(wc)
             assert str(exc.value) == message
+
+    def test_row_past_its_block_slots_rejected(self, z4):
+        # a group block of Z4 has 5 slots; slot 5 lies only in the m block
+        rows = np.zeros((1, int(z4._layout.sizes.max())), dtype=complex)
+        rows[0, 5] = 1.0
+        with pytest.raises(InvariantError) as exc:
+            assemble(z4, np.array([1]), rows, "past the slots")
+        assert str(exc.value) == "fiber row for block 1 has support past its 5 slots"
+        m = assemble(z4, np.array([4]), rows, "in the m block")
+        assert (m.fiber_block.tolist(), m.fiber_pivot.tolist()) == ([4], [5])
 
     def test_dropped_m_slot_breaks_closure(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
@@ -281,7 +294,7 @@ class TestVerifierRejections:
             if block == g(*drop):
                 vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
             x_vectors[block] = vecs
-        broken = assemble(z4, x_vectors, "with_m minus one m-slot")
+        broken = assemble(z4, *fiber_rows(z4, x_vectors), "with_m minus one m-slot")
         report = verify_weak_coideal(broken)
         assert not report.passed
         failed = {c.name for c in report.failures()}
@@ -303,7 +316,7 @@ def union(alg, parts, label):
     for wc in parts:
         for block, sub in x_spaces(wc).items():
             merged.setdefault(block, []).extend(sub.basis_vectors())
-    return assemble(alg, merged, label)
+    return assemble(alg, *fiber_rows(alg, merged), label)
 
 
 def reference_is_indecomposable(wc):
@@ -325,7 +338,8 @@ def two_coset_families(alg):
     for K in enumerate_subgroups(alg.group):
         q = quotient(alg.group, K)
         if len(q) > 1:
-            out.append(assemble(alg, {zero: [coset_vector(alg, zero, c) for c in q.cosets[:2]]}, f"two cosets of {K}"))
+            gens = {zero: [coset_vector(alg, zero, c) for c in q.cosets[:2]]}
+            out.append(assemble(alg, *fiber_rows(alg, gens), f"two cosets of {K}"))
     return out
 
 
@@ -389,7 +403,7 @@ class TestIndecomposability:
         projection = SparseVec(
             {
                 unit_pos(alg)[BasisUnit(g(0), Slot.grp((0,)), c)]: 1.0
-                for c in alg.slots(g(0))
+                for c in slots(alg, g(0))
             }
         )
         assert meet.contains(projection)
@@ -401,7 +415,7 @@ class TestIndecomposability:
         for zs in ([lam], list(q.cosets)):
             wc = build_with_m(z4, K, zs, rho0)
             # X^0 is spanned by disjoint indicators, one per spectral block
-            k0 = wc.x_dims()[g(0)]
+            k0 = labelled(z4, wc.x_dims())[g(0)]
             km = x_spaces(wc)[M].dim // 2
             assert km == k0 - 1
             assert is_indecomposable(wc)
@@ -413,7 +427,7 @@ class TestSpectralDims:
         perp = orthogonal(z4.bichar, K)
         qp = quotient(z4.group, perp)
         spec = CoidealSpec(K, frozenset([lam]), frozenset([qp.cosets[0]]))
-        dims = spectral_dims(spec, z4)
+        dims = labelled(z4, spectral_dims(spec, z4))
         assert dims[M] == 2
         for e in z4.group.elements():
             expected = int(e in K.elements) + int(e in perp.elements)
@@ -425,7 +439,7 @@ class TestSpectralDims:
         qp = quotient(z4.group, perp)
         for n0 in (1, 2):
             spec = CoidealSpec(K, frozenset(list(q.cosets)[:n0]), frozenset([qp.cosets[0]]))
-            assert spectral_dims(spec, z4)[M] % 2 == 0
+            assert labelled(z4, spectral_dims(spec, z4))[M] % 2 == 0
 
     def test_matches_measured_for_builders(self):
         # every group order up to 8; measured dims only need the fiber spaces
@@ -466,14 +480,14 @@ def reference_assemble(alg, x_vectors, label, spec=None):
     """The generic assembly the builders replace: each fiber the echelon
     Subspace of its generating SparseVecs, Gamma the joint support of X^0's
     pruned basis, and 1_A the sum of the zero-block units on Gamma's rows."""
-    fibers = {block: Subspace(vecs, eps=alg.eps) for block, vecs in x_vectors.items()}
+    fibers = {block: subspace(vecs, eps=alg.eps) for block, vecs in x_vectors.items()}
     zero_block = BlockLabel.grp(alg.group.zero())
     gamma = set()
     if zero_block in fibers:
         for v in fibers[zero_block].basis_vectors():
             gamma.update(slot for (_b, slot), c in v.items() if abs(c) > alg.eps)
     pos = unit_pos(alg)
-    unit = SparseVec({pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j for s in gamma for c in alg.slots(zero_block)})
+    unit = SparseVec({pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j for s in gamma for c in slots(alg, zero_block)})
     return types.SimpleNamespace(algebra=alg, x_vectors=x_vectors, x_spaces=fibers, unit=unit,
                                  label=label, spec=spec)
 
@@ -486,12 +500,12 @@ def reference_coords(ref):
     first_slot = np.cumsum(lay.sizes) - lay.sizes
     ints, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
     parts, size = [(ints, ints, vals, ints, ints, vals)], 0
-    for b, label in enumerate(alg.blocks):
+    for b, label in enumerate(blocks(alg)):
         sub = ref.x_spaces.get(label)
         if sub is None or not sub.dim:
             continue
-        n, slots = int(lay.sizes[b]), alg.slots(label)
-        at = np.array([slots.index(slot) for _, slot in sub.universe], dtype=np.int64)
+        n, own = int(lay.sizes[b]), slots(alg, label)
+        at = np.array([own.index(slot) for _, slot in sub.universe.tolist()], dtype=np.int64)
         fiber = np.zeros((sub.dim, n), dtype=complex)
         fiber[:, at] = np.where(np.abs(sub.basis) > ROUNDOFF, sub.basis, 0.0)
         piv, col = at[sub.pivots], np.arange(n)
@@ -583,11 +597,11 @@ def reference_build_with_m(alg, subgroup, zs, rho0):
     return reference_assemble(alg, x_vectors, f"with_m(|Z|={len(zset)})", spec)
 
 
-def reference_subgroup_lines(alg, subgroup, slots, label):
-    """build_I_m_K (``slots`` the m slot) and build_I_Omega_K (every slot)
-    by SparseVecs: X^k = C (the all-ones vector over ``slots(k's block)``)."""
-    blocks = [BlockLabel.grp(k) for k in subgroup.sorted_elements]
-    x_vectors = {b: [SparseVec({(b, s): 1.0 + 0j for s in slots(b)})] for b in blocks}
+def reference_subgroup_lines(alg, subgroup, line, label):
+    """build_I_m_K (``line`` the m slot) and build_I_Omega_K (every slot)
+    by SparseVecs: X^k = C (the all-ones vector over ``line(k's block)``)."""
+    lines = [BlockLabel.grp(k) for k in subgroup.sorted_elements]
+    x_vectors = {b: [SparseVec({(b, s): 1.0 + 0j for s in line(b)})] for b in lines}
     own = quotient(alg.group, subgroup).coset_of(alg.group.zero())
     return reference_assemble(alg, x_vectors, label, CoidealSpec(subgroup, frozenset([own]), frozenset()))
 
@@ -597,7 +611,7 @@ def reference_build_I_m_K(alg, subgroup):
 
 
 def reference_build_I_Omega_K(alg, subgroup):
-    return reference_subgroup_lines(alg, subgroup, alg.slots, "I_Omega_K")
+    return reference_subgroup_lines(alg, subgroup, lambda block: slots(alg, block), "I_Omega_K")
 
 
 def reference_spectral_dims(spec, alg):
@@ -625,7 +639,7 @@ def built_bits(wc):
         fibers, unit = wc.x_spaces, wc.unit
     else:
         fibers, unit = x_spaces(wc), unit_vector(wc)
-    spaces = {b: (s.universe, s.pivots, s.basis.shape, s.basis.tobytes()) for b, s in fibers.items()}
+    spaces = {b: (s.universe.tolist(), s.pivots, s.basis.shape, s.basis.tobytes()) for b, s in fibers.items()}
     gamma = frozenset(units(wc.algebra)[k].row for k in unit.keys())
     return spaces, dict(unit.items()), gamma, wc.label, wc.spec
 
@@ -649,13 +663,13 @@ class TestBuildersMatchReference:
                       for zs in nonempty_subsets(q0.cosets) for rho0 in q1.cosets]
             for build, reference, args in calls:
                 wc, ref = build(alg, K, *args), reference(alg, K, *args)
-                general = assemble(alg, ref.x_vectors, ref.label, ref.spec)
+                general = assemble(alg, *fiber_rows(alg, ref.x_vectors), ref.label, ref.spec)
                 assert built_bits(wc) == built_bits(ref) == built_bits(general), (str(K), ref.label)
                 described, gamma = wc.describe(), built_bits(ref)[2]
                 assert described["gamma"] == [str(s) for s in sorted(gamma)], ref.label
                 assert described["unit_support"] == len(ref.unit), ref.label
                 assert coords_bits(wc) == reference_coords(ref) == coords_bits(general), (str(K), ref.label)
-                assert spectral_dims(wc.spec, alg) == reference_spectral_dims(ref.spec, alg), ref.label
+                assert labelled(alg, spectral_dims(wc.spec, alg)) == reference_spectral_dims(ref.spec, alg), ref.label
 
     def test_errors_match_reference(self, z4, z4_setup):
         K, _q, lam, _mu = z4_setup  # K = {0, 2} is its own annihilator
@@ -706,7 +720,7 @@ class TestAssess:
         wc = build_no_m(z4, K, [lam])
         x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
-        broken = assemble(z4, x_vectors, "stray unit v^2_0", wc.spec)
+        broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
 
         def refuse(wc):
             raise AssertionError("is_indecomposable called")
@@ -791,7 +805,7 @@ def reference_fixed_points(wc):
         for j, c in enumerate(coeffs):
             add_scaled(v, basis[j], c)
         out.append(v.prune(ROUNDOFF))
-    return Subspace(out, eps=alg.eps)
+    return subspace(out, eps=alg.eps)
 
 
 def generic_space(wc):
@@ -799,16 +813,16 @@ def generic_space(wc):
     row u against each column slot c, in block, row and column order."""
     alg, fibers, pos = wc.algebra, x_spaces(wc), unit_pos(wc.algebra)
     generators = []
-    for block in alg.blocks:
+    for block in blocks(alg):
         sub = fibers.get(block)
         if sub is None or sub.dim == 0:
             continue
         for u in sub.basis_vectors():
-            for col in alg.slots(block):
+            for col in slots(alg, block):
                 generators.append(SparseVec({
                     pos[BasisUnit(block, slot, col)]: c for (_b, slot), c in u.items()
                 }))
-    return Subspace(generators, eps=alg.eps)
+    return subspace(generators, eps=alg.eps)
 
 
 def assert_space_matches_generic(wc, exact):
@@ -819,13 +833,14 @@ def assert_space_matches_generic(wc, exact):
     units, at = np.unique(A.unit, return_inverse=True)
     basis = np.zeros((A.size, len(units)), dtype=complex)
     basis[A.row, at] = A.val
-    same = units.tolist() == ref.universe and np.array_equal(basis, ref.basis)
+    same = units.tolist() == ref.universe.tolist() and np.array_equal(basis, ref.basis)
     assert same or not exact, wc.label
     if not same:
         assert A.size == ref.dim, wc.label
-        rows = sparse_rows(basis, units.tolist())
+        keys = units.tolist()
+        rows = [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)}) for row in basis]
         assert all(ref.contains(v) for v in rows), wc.label
-        assert all(Subspace(rows, eps=ref.eps).contains(v) for v in ref.basis_vectors()), wc.label
+        assert all(subspace(rows, eps=ref.eps).contains(v) for v in ref.basis_vectors()), wc.label
 
 
 def assert_matches_reference(wc):
@@ -905,7 +920,7 @@ class TestArrayChecks:
         vecs = []
         for k in range(12):
             coeffs = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-            v = SparseVec(dict(zip(space.universe, coeffs @ space.basis)))
+            v = SparseVec(dict(zip(space.universe.tolist(), coeffs @ space.basis)))
             noise = rng.choice(z4.dim if k % 3 else outside, size=k % 4, replace=False)
             vecs.append(v + SparseVec({int(u): complex(rng.normal(), rng.normal()) for u in noise}))
         vec = np.repeat(np.arange(len(vecs)), [len(v) for v in vecs])
@@ -946,7 +961,7 @@ class TestArrayChecks:
             wc = build_no_m(z4, K, [lam])
         x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
-        broken = assemble(z4, x_vectors, "stray unit v^2_0")
+        broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0")
         report = assert_matches_reference(broken)
         assert [c.name for c in report.failures()] == ["closed under product"]
         assert report.failures()[0].witness.startswith("basis pair (")
@@ -956,7 +971,7 @@ class TestArrayChecks:
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((0,)))
         x_vectors[g(2)] = [v + SparseVec({key: v[key]})]  # 2 v^2_0 + v^2_2
-        broken = assemble(z4, x_vectors, "unbalanced X^2")
+        broken = assemble(z4, *fiber_rows(z4, x_vectors), "unbalanced X^2")
         report = assert_matches_reference(broken)
         assert [c.name for c in report.failures()] == ["closed under star"]
 
@@ -972,7 +987,7 @@ class TestArrayChecks:
             "I_Omega_K": lambda: build_I_Omega_K(z4, K),
         }[builder]()
         target, source = z4.counital_subalgebras()
-        smaller = Subspace(target.basis_vectors()[1:], eps=z4.eps)
+        smaller = subspace(target.basis_vectors()[1:], eps=z4.eps)
         monkeypatch.setattr(type(z4), "counital_subalgebras", lambda self: (smaller, source))
         report = assert_matches_reference(wc)
         assert [c.name for c in report.failures()] == ["coproduct of unit in A (x) B_t"]
@@ -1007,9 +1022,9 @@ class TestArrayChecks:
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((2,)))
         x_vectors[g(2)] = [v + SparseVec({key: (1j - 1) * v[key]})]
-        assert assert_matches_reference(assemble(z4, x_vectors, "phased X^2")).passed
+        assert assert_matches_reference(assemble(z4, *fiber_rows(z4, x_vectors), "phased X^2")).passed
 
     def test_zero_family_matches_scalar_paths(self, z4):
-        report = assert_matches_reference(assemble(z4, {}, "zero"))
+        report = assert_matches_reference(assemble(z4, *fiber_rows(z4, {}), "zero"))
         assert {c.name for c in report.failures()} == {
             "unit exists in A", "coproduct of unit in A (x) B_t"}
