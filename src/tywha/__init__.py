@@ -35,7 +35,6 @@ from .coideals import (
 from .errors import InvariantError, SizeError, StructuralError
 from .groups import (
     Bicharacter,
-    Coset,
     FiniteAbelianGroup,
     QuotientGroup,
     Subgroup,

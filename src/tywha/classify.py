@@ -188,24 +188,29 @@ def _coideal_flags(rows: np.ndarray, n0: int) -> np.ndarray:
     return ((s0 == 1) & ((s1 == 0) | (s1 == n1))) | ((s1 == 1) & ((s0 == 0) | (s0 == n0)))
 
 
-def _decode(row, q0: QuotientGroup, q1: QuotientGroup) -> tuple[tuple, tuple]:
-    z0 = tuple(r for r, bit in zip(q0.reps, row[:len(q0)]) if bit)
-    return z0, tuple(r for r, bit in zip(q1.reps, row[len(q0):]) if bit)
+def _specs(rows: np.ndarray, q0: QuotientGroup, q1: QuotientGroup) -> list[CoidealSpec]:
+    """The classification data of indicator rows over G/K followed by
+    G/Kperp, in one pass: each row's members on either side, as coset
+    numbers."""
+    n0 = len(q0)
+    r, c = np.nonzero(rows)
+    # row i's members are c[ends[i-1]:ends[i]], its Z0 members up to mids[i]
+    ends = np.cumsum(np.bincount(r, minlength=len(rows)))
+    mids = (ends - np.bincount(r[c >= n0], minlength=len(rows))).tolist()
+    c, ends = np.where(c < n0, c, c - n0).tolist(), ends.tolist()
+    return [CoidealSpec(q0, q1, c[lo:mid], c[mid:hi]) for lo, mid, hi in zip([0, *ends], mids, ends)]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrbitRep:
     """Canonical representative of one isomorphism class."""
 
-    subgroup: Subgroup
-    z0: tuple
-    z1: tuple
+    spec: CoidealSpec
     coideal: bool
     orbit_size: int
 
     def to_dict(self) -> dict:
-        rep = {"Z0": [list(r) for r in self.z0], "Z1": [list(r) for r in self.z1]}
-        return {"rep": rep, "size": self.orbit_size, "coideal_flag": self.coideal}
+        return {"rep": self.spec.reps(), "size": self.orbit_size, "coideal_flag": self.coideal}
 
 
 @dataclass
@@ -279,13 +284,14 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> Classif
         perp, q0, q1, flip, perms = _quotients(group, chi, K)
         n0, points = len(q0), _valid_subset_pairs(q0, q1)
         orbits, counts = _classes(points, perms, partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
-        flags = _coideal_flags(np.array([row for row, _ in orbits]), n0).tolist()
+        rows = np.array([row for row, _ in orbits])
+        flags = _coideal_flags(rows, n0).tolist()
         # the flag is constant on orbits iff flagged orbits hold every flagged point
         if sum(s for (_, s), f in zip(orbits, flags) if f) != _coideal_flags(points, n0).sum():
             raise StructuralError("coideal flag is not constant on an orbit")
-        reps = [OrbitRep(K, *_decode(row, q0, q1), f, s) for (row, s), f in zip(orbits, flags)]
-        flagged = sorted((r.z0, r.z1) for r in reps if r.coideal)
-        if flagged != sorted((r.z0, r.z1) for r in coideal_orbits(K, q0, q1, flip, perms)):
+        reps = [OrbitRep(spec, f, s) for spec, (_, s), f in zip(_specs(rows, q0, q1), orbits, flags)]
+        flagged = sorted((r.spec.z0, r.spec.z1) for r in reps if r.coideal)
+        if flagged != sorted((r.spec.z0, r.spec.z1) for r in coideal_orbits(K, q0, q1, flip, perms)):
             raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
         entry = SubgroupClasses(K, perp, flip, reps, counts["burnside_count"], len(points))
         report.per_subgroup.append(entry)
@@ -302,14 +308,15 @@ def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool
     lam, mu = np.eye(1, len(q0), dtype=np.uint8)[0], np.eye(1, len(q1), dtype=np.uint8)[0]
     seeds = np.array([np.r_[lam, 0 * mu], np.r_[0 * lam, mu], np.r_[lam | 1, mu],
                       np.r_[lam, mu | 1]])
+    keys = _images(seeds, perms, partial(_pair_key, n0=len(q0)))
+    best = seeds[np.arange(len(seeds))[:, None], perms[keys.argmin(axis=1)]]
     seen = {}
-    for seed, keys in zip(seeds, _images(seeds, perms, partial(_pair_key, n0=len(q0)))):
-        best = seed[perms[int(np.argmin(keys))]]
-        seen[_decode(best.tolist(), q0, q1)] = len(set(keys.tolist()))
+    for spec, k in zip(_specs(best, q0, q1), keys.tolist()):
+        seen[spec.z0, spec.z1] = (spec, len(set(k)))
     expected = 2 if flip else 4
     if len(seen) != expected:
         raise StructuralError(f"constructed {len(seen)} coideal orbits for K={K}, not {expected}")
-    return [OrbitRep(K, z0, z1, True, size) for (z0, z1), size in sorted(seen.items())]
+    return [OrbitRep(spec, True, size) for _, (spec, size) in sorted(seen.items())]
 
 
 # -- algebra classes (multiplicity data) ----------------------------------------
@@ -372,14 +379,11 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
 
     A lone singleton is realized by ``I_Omega_K`` over K (Z0 side) or its
     annihilator (Z1 side), every other class by ``build_from_spec``."""
-    K = rep.subgroup
-    perp = orthogonal(alg.bichar, K)
-    if len(rep.z0) + len(rep.z1) == 1:
-        wc = build_I_Omega_K(alg, K if rep.z0 else perp)
+    spec = rep.spec
+    if len(spec.z0) + len(spec.z1) == 1:
+        wc = build_I_Omega_K(alg, spec if spec.z0 else spec.swapped())
     else:
-        sides = [frozenset(map(quotient(alg.group, base).coset_of, z)) if z else frozenset()
-                 for base, z in ((K, rep.z0), (perp, rep.z1))]
-        wc = build_from_spec(alg, CoidealSpec(K, *sides))
+        wc = build_from_spec(alg, spec)
 
     report, flag, indec, dims_ok = assess(wc)
     if not report.passed:

@@ -79,11 +79,11 @@ def _parse_elements(group: FiniteAbelianGroup, text: str) -> list:
     return out
 
 
-def _parse_cosets(quot, text: str) -> list:
-    """The cosets of the listed elements, each once, in order of first mention."""
+def _parse_cosets(quot, text: str) -> list[int]:
+    """The numbers of the listed elements' cosets, each once, ascending."""
     if text.strip() == "all":
-        return list(quot.cosets)
-    return list(dict.fromkeys(map(quot.coset_of, _parse_elements(quot.group, text))))
+        return list(range(len(quot)))
+    return sorted(set(map(quot.coset_of, _parse_elements(quot.group, text))))
 
 
 def _tau_sign(flag: str) -> int:
@@ -252,32 +252,26 @@ def cmd_wha_export(args) -> int:
 def cmd_coideal_build(args) -> int:
     alg = _algebra(args)
     group = alg.group
-    gens = _parse_elements(group, args.K)
-    K = Subgroup.generated(group, gens)
-    z0 = _parse_cosets(quotient(group, K), args.Z0)
-    z1 = _parse_cosets(quotient(group, orthogonal(alg.bichar, K)), args.Z1)
+    K = Subgroup.generated(group, _parse_elements(group, args.K))
+    q0, q1 = quotient(group, K), quotient(group, orthogonal(alg.bichar, K))
+    z0, z1 = _parse_cosets(q0, args.Z0), _parse_cosets(q1, args.Z1)
 
-    if args.builder in ("I_m_K", "I_Omega_K") and (z0 or z1):
-        raise InvariantError(f"builder {args.builder} takes no --Z0/--Z1")
-    if args.builder == "I_m_K":
-        wc = build_I_m_K(alg, K)
-    elif args.builder == "I_Omega_K":
-        wc = build_I_Omega_K(alg, K)
-    elif args.builder == "no_m":
-        if z0 and z1:
-            raise InvariantError("builder no_m takes exactly one of --Z0/--Z1")
-        wc = build_no_m(alg, K, z0 or z1, side=0 if z0 else 1)
-    elif args.builder == "with_m":
-        if len(z1) != 1:
-            raise InvariantError("builder with_m needs --Z1 with exactly one representative")
-        wc = build_with_m(alg, K, z0, z1[0])
-    else:
-        wc = build_from_spec(alg, CoidealSpec(K, frozenset(z0), frozenset(z1)))
+    builders = {"no_m": build_no_m, "with_m": build_with_m, "I_m_K": build_I_m_K, "I_Omega_K": build_I_Omega_K}
+    if args.builder in ("I_m_K", "I_Omega_K"):
+        if z0 or z1:
+            raise InvariantError(f"builder {args.builder} takes no --Z0/--Z1")
+        z0 = [0]  # the lines of K carry the data (K, {K}, {})
+    elif args.builder == "no_m" and bool(z0) == bool(z1):
+        raise InvariantError("builder no_m takes exactly one of --Z0/--Z1" if z0 else "Z must be nonempty")
+    elif args.builder == "with_m" and len(z1) != 1:
+        raise InvariantError("builder with_m needs --Z1 with exactly one representative")
+    wc = builders.get(args.builder, build_from_spec)(alg, CoidealSpec(q0, q1, z0, z1))
 
     report, flag, indec, dims_ok = assess(wc)
     payload = {
         "schema": "tywha-coideal/2",
         **wc.describe(),
+        "tau_sign": alg.tau_sign,
         "verified": report.passed,
         "indecomposable": indec,
         "dims_match_prediction": dims_ok,

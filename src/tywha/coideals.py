@@ -9,45 +9,60 @@ verifier re-checks every defining property by plain linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .algebra import AxiomCheck, AxiomReport, TYAlgebra, _diff, _join, _ranges, _runs, _sums
 from .errors import InvariantError
-from .groups import Coset, Subgroup, orthogonal, quotient
+from .groups import QuotientGroup, Subgroup
 from .linalg import ROUNDOFF, Subspace, nullspace, sparse_nullspace, span
 
 
-@dataclass(frozen=True)
+def _coset_numbers(name: str, z, quot: QuotientGroup) -> tuple[int, ...]:
+    """The coset numbers z as a sorted tuple, checked to name distinct cosets of ``quot``."""
+    z, n = tuple(sorted(map(int, z))), len(quot.reps)
+    if z and not 0 <= z[0] <= z[-1] < n:
+        raise InvariantError(f"{name} coset numbers must lie in 0..{n - 1}, got {z}")
+    if len(z) > 1 and len(set(z)) < len(z):
+        raise InvariantError(f"{name} names a coset more than once: {z}")
+    return z
+
+
 class CoidealSpec:
-    """Classification data (K, Z0, Z1): Z0 a set of K-cosets, Z1 a set of
-    cosets of the annihilator of K.  At most one side may have more than one
-    coset, and at least one side is nonempty."""
+    """Classification data (K, Z0, Z1): ``q0`` is G/K and ``q1`` the quotient
+    by the annihilator of K, and Z0 and Z1 are sorted tuples of their coset
+    numbers.  At most one side may have more than one coset, and at least
+    one side is nonempty."""
 
-    subgroup: Subgroup
-    z0: frozenset[Coset]
-    z1: frozenset[Coset]
+    __slots__ = ("q0", "q1", "z0", "z1")
 
-    def __post_init__(self):
+    def __init__(self, q0: QuotientGroup, q1: QuotientGroup, z0, z1):
+        self.q0, self.q1 = q0, q1
+        self.z0, self.z1 = _coset_numbers("Z0", z0, q0), _coset_numbers("Z1", z1, q1)
         if not self.z0 and not self.z1:
             raise InvariantError("at least one of Z0, Z1 must be nonempty")
         if len(self.z0) > 1 and len(self.z1) > 1:
             raise InvariantError("no class has both |Z0| > 1 and |Z1| > 1")
-        for c in self.z0:
-            if c.subgroup != self.subgroup:
-                raise InvariantError("Z0 entries must be cosets of K")
-        sides = {c.subgroup for c in self.z1}
-        if len(sides) > 1:
-            raise InvariantError("Z1 entries must be cosets of a single subgroup")
+
+    def __repr__(self) -> str:
+        return f"CoidealSpec({self.describe()})"
+
+    @property
+    def subgroup(self) -> Subgroup:
+        return self.q0.subgroup
+
+    def swapped(self) -> "CoidealSpec":
+        """The same data over the annihilator: (Kperp, Z1, Z0)."""
+        return CoidealSpec(self.q1, self.q0, self.z1, self.z0)
+
+    def reps(self) -> dict:
+        """Z0 and Z1 named by the least elements of their cosets."""
+        reps0, reps1 = self.q0.reps, self.q1.reps
+        return {"Z0": [list(reps0[c]) for c in self.z0], "Z1": [list(reps1[c]) for c in self.z1]}
 
     def describe(self) -> dict:
-        return {
-            "K": [list(e) for e in self.subgroup.sorted_elements],
-            "Z0": sorted([list(c.rep) for c in self.z0]),
-            "Z1": sorted([list(c.rep) for c in self.z1]),
-        }
+        return {"K": [list(e) for e in self.subgroup.sorted_elements], **self.reps()}
 
 
 class WeakCoideal:
@@ -132,96 +147,88 @@ def _indicators(alg: TYAlgebra, block: np.ndarray, member: np.ndarray, label: st
 # -- builders ----------------------------------------------------------------------
 
 
+def _annihilator(alg: TYAlgebra, spec: CoidealSpec) -> Subgroup:
+    """The subgroup of ``spec.q1``, checked to be the annihilator of K in
+    ``alg``: of order |G|/|K| and pairing trivially with K."""
+    K, perp = spec.subgroup, spec.q1.subgroup
+    if (K.group != alg.group or perp.group != alg.group or K.order * perp.order != alg.group.order
+            or alg.bichar.phase_table[np.ix_(K.idx, perp.idx)].any()):
+        raise InvariantError(f"Z1 must be cosets of the annihilator of K = {K}")
+    return perp
+
+
 def _group_fibers(
-    alg: TYAlgebra, base: Subgroup, zs: list, what: str, perp: Subgroup | None = None
-) -> tuple[list[Coset], np.ndarray, np.ndarray]:
-    """Z, checked to be cosets of ``base``, each once and sorted by least
-    element, and the fibers' generators as indicator rows (block, member):
-    X^g gets v^g_lam for the lam in Z with lam - g in Z and, given ``perp``,
-    v^g_m for g in ``perp``, while X^m gets v^m_lam and then v^m_{~lam}, lam
-    in Z.  A coset of ``base`` is |base| elements with one label in the
-    quotient, which is its number."""
-    group, n = alg.group, alg.group.order
-    quot, picked = quotient(group, base), {}
-    for lam in zs:
-        if (lam.subgroup != base or len(lam) != base.order
-                or len(labels := {int(quot.label[group.index(a)]) for a in lam.elements}) != 1):
-            raise InvariantError(f"{lam} is not a coset of {what}")
-        picked.setdefault(labels.pop(), lam)
-    z = np.zeros(len(quot), dtype=bool)
-    z[list(picked)] = True
-    hits = z & z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
+    alg: TYAlgebra, quot: QuotientGroup, z: tuple[int, ...], perp: Subgroup | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fibers' generators for the cosets numbered ``z`` of ``quot`` as
+    indicator rows (block, member): X^g gets v^g_lam for the lam in Z with
+    lam - g in Z and, given ``perp``, v^g_m for g in ``perp``, while X^m gets
+    v^m_lam and then v^m_{~lam}, lam in Z."""
+    n = alg.group.order
+    in_z = np.zeros(len(quot), dtype=bool)
+    in_z[list(z)] = True
+    hits = in_z & in_z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
     g, c = np.nonzero(hits[quot.label])
     coset = quot.label == np.arange(len(quot))[:, None]  # each coset's members
     block, member = [g], [np.pad(coset[c], ((0, 0), (0, n)))]
     if perp is not None:
-        in_z = coset[z]
-        block += [perp.idx, np.full(2 * len(in_z), n)]
-        member += [np.arange(2 * n) == n] * perp.order + [np.pad(in_z, ((0, 0), (0, n))),
-                                                          np.pad(in_z, ((0, 0), (n, 0)))]
-    return [picked[c] for c in sorted(picked)], np.concatenate(block), np.vstack(member)
+        chosen = coset[in_z]
+        block += [perp.idx, np.full(2 * len(chosen), n)]
+        member += [np.arange(2 * n) == n] * perp.order + [np.pad(chosen, ((0, 0), (0, n))),
+                                                          np.pad(chosen, ((0, 0), (n, 0)))]
+    return np.concatenate(block), np.vstack(member)
 
 
-def build_no_m(
-    alg: TYAlgebra, subgroup: Subgroup, zs, side: int = 0
-) -> WeakCoideal:
+def build_no_m(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     """Family with trivial m fiber: X^g spanned by the coset vectors v^g_lam
     with lam in Z and lam - g in Z; X^m = 0.
 
-    ``side=0`` takes Z inside G/K, ``side=1`` inside the quotient by the
-    annihilator of K (the symmetric case).
-    """
-    zs = list(zs)
-    if not zs:
-        raise InvariantError("Z must be nonempty")
-    if side not in (0, 1):
-        raise InvariantError("side must be 0 or 1")
-    base = subgroup if side == 0 else orthogonal(alg.bichar, subgroup)
-    z, block, member = _group_fibers(alg, base, zs, "the chosen subgroup")
-    zset, none = frozenset(z), frozenset()
-    spec = CoidealSpec(subgroup, *((zset, none) if side == 0 else (none, zset)))
+    Z is the one nonempty side of ``spec``: Z0 inside G/K (side 0), or Z1
+    inside the quotient by the annihilator of K (side 1, the symmetric
+    case)."""
+    if spec.z0 and spec.z1:
+        raise InvariantError("no_m takes Z on one side only: Z0 or Z1 must be empty")
+    _annihilator(alg, spec)
+    side, quot, z = (0, spec.q0, spec.z0) if spec.z0 else (1, spec.q1, spec.z1)
+    block, member = _group_fibers(alg, quot, z)
     return _indicators(alg, block, member, f"no_m(side={side}, |Z|={len(z)})", spec)
 
 
-def build_with_m(
-    alg: TYAlgebra, subgroup: Subgroup, zs, rho0: Coset
-) -> WeakCoideal:
+def build_with_m(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     """Family with nonzero m fiber: X^m is spanned by the coset vectors
-    v^m_lam and v^m_{~lam} (lam in Z), and X^g additionally contains v^g_m
-    for g in the annihilator of K.
+    v^m_lam and v^m_{~lam} (lam in Z = Z0), and X^g additionally contains
+    v^g_m for g in the annihilator of K.
 
-    ``rho0`` is the distinguished coset of the annihilator; it labels the
-    isomorphism class but does not enter the generating vectors.
+    Z1 is the single distinguished coset rho0 of the annihilator; it labels
+    the isomorphism class but does not enter the generating vectors.
     """
-    zs = list(zs)
-    if not zs:
+    if not spec.z0:
         raise InvariantError("Z must be nonempty")
-    perp = orthogonal(alg.bichar, subgroup)
-    if rho0.subgroup != perp:
-        raise InvariantError("rho0 must be a coset of the annihilator of K")
-    z, block, member = _group_fibers(alg, subgroup, zs, "K", perp)
-    spec = CoidealSpec(subgroup, frozenset(z), frozenset([rho0]))
-    return _indicators(alg, block, member, f"with_m(|Z|={len(z)})", spec)
+    if len(spec.z1) != 1:
+        raise InvariantError("rho0 must be a single coset of the annihilator of K")
+    block, member = _group_fibers(alg, spec.q0, spec.z0, _annihilator(alg, spec))
+    return _indicators(alg, block, member, f"with_m(|Z|={len(spec.z0)})", spec)
 
 
-def _subgroup_lines(alg: TYAlgebra, subgroup: Subgroup, lo: int, label: str) -> WeakCoideal:
-    """One line per subgroup element k, X^k = C (the all-ones vector over the
-    slots lo..n of k's block, n the m slot), with data (K, {K}, {})."""
-    n, slot = alg.group.order, np.arange(2 * alg.group.order)
-    member = np.tile((slot >= lo) & (slot <= n), (subgroup.order, 1))
-    own = quotient(alg.group, subgroup).coset_of(alg.group.zero())
-    spec = CoidealSpec(subgroup, frozenset([own]), frozenset())
-    return _indicators(alg, subgroup.idx, member, label, spec)
+def _subgroup_lines(alg: TYAlgebra, spec: CoidealSpec, lo: int, label: str) -> WeakCoideal:
+    """One line per element k of K, X^k = C (the all-ones vector over the
+    slots lo..n of k's block, n the m slot), for data (K, {lam}, {})."""
+    if len(spec.z0) != 1 or spec.z1:
+        raise InvariantError(f"{label} takes one Z0 coset and no Z1")
+    _annihilator(alg, spec)
+    K, n, slot = spec.subgroup, alg.group.order, np.arange(2 * alg.group.order)
+    member = np.tile((slot >= lo) & (slot <= n), (K.order, 1))
+    return _indicators(alg, K.idx, member, label, spec)
 
 
-def build_I_m_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
+def build_I_m_K(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     """One line per subgroup element, supported on the m slot: X^k = C v^k_m."""
-    return _subgroup_lines(alg, subgroup, alg.group.order, "I_m_K")
+    return _subgroup_lines(alg, spec, alg.group.order, "I_m_K")
 
 
-def build_I_Omega_K(alg: TYAlgebra, subgroup: Subgroup) -> WeakCoideal:
+def build_I_Omega_K(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     """One all-ones line per subgroup element: X^k = C v^k_Omega."""
-    return _subgroup_lines(alg, subgroup, 0, "I_Omega_K")
+    return _subgroup_lines(alg, spec, 0, "I_Omega_K")
 
 
 def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
@@ -230,15 +237,11 @@ def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     that holds several cosets, with the other side's single coset as rho0.
     A single Z0 against a full Z1 is built over the annihilator, so that
     the family of a coideal class is unital in B."""
-    K, z0, z1 = spec.subgroup, list(spec.z0), list(spec.z1)
-    if not z1:
-        return build_no_m(alg, K, z0, side=0)
-    if not z0:
-        return build_no_m(alg, K, z1, side=1)
-    perp = orthogonal(alg.bichar, K)
-    if len(z0) == 1 and (len(z1) > 1 or len(z1) == alg.group.order // perp.order):
-        return build_with_m(alg, perp, z1, z0[0])
-    return build_with_m(alg, K, z0, z1[0])
+    if not spec.z0 or not spec.z1:
+        return build_no_m(alg, spec)
+    if len(spec.z0) == 1 and (len(spec.z1) > 1 or len(spec.z1) == len(spec.q1)):
+        return build_with_m(alg, spec.swapped())
+    return build_with_m(alg, spec)
 
 
 # -- verification -------------------------------------------------------------------
@@ -455,7 +458,8 @@ def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
         ("unit acts as identity", size, _unit_identity),
         ("coproduct of unit in A (x) B_t", 1, _unit_coproduct),
     ]
-    report = AxiomReport(label=f"coideal {wc.label} on {alg.group}", eps=alg.eps)
+    tau = "+" if alg.tau_sign > 0 else "-"
+    report = AxiomReport(label=f"coideal {wc.label} on {alg.group} tau{tau}", eps=alg.eps)
     for name, total, evaluate in rows:
         report.checks.append(AxiomCheck(name, *evaluate(wc), total))
     return report
@@ -526,16 +530,13 @@ def is_indecomposable(wc: WeakCoideal) -> bool:
 def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> np.ndarray:
     """Predicted fiber dimensions of classification data, one per block in
     ``Layout`` order: dim X^g counts the cosets lam of either side with lam
-    and g + lam both in that side's Z, and dim X^m = 2 |Z0| |Z1|.  A side's
-    count at g is the number of members x of its cosets with g + x a member
-    too, over the size of a coset."""
+    and g + lam both in that side's Z, and dim X^m = 2 |Z0| |Z1|."""
     group = alg.group
     counts = np.zeros(group.order + 1, dtype=np.int64)
-    for z in (spec.z0, spec.z1):
-        if z:
-            member = np.zeros(group.order, dtype=bool)
-            member[[group.index(a) for lam in z for a in lam.elements]] = True
-            counts[:-1] += (member & member[group.add_table]).sum(axis=1) // len(next(iter(z)))
+    for quot, z in ((spec.q0, spec.z0), (spec.q1, spec.z1)):
+        in_z = np.zeros(len(quot), dtype=bool)
+        in_z[list(z)] = True
+        counts[:-1] += (in_z & in_z[quot.trans])[quot.label].sum(axis=1)
     counts[-1] = 2 * len(spec.z0) * len(spec.z1)
     return counts
 

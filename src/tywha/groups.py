@@ -16,7 +16,7 @@ element tuples are built only when a caller asks for them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -179,21 +179,14 @@ class Subgroup:
     def sorted_elements(self) -> tuple[GroupElt, ...]:
         return tuple(self.group._elements[i] for i in self.idx.tolist())
 
-    @cached_property
-    def elements(self) -> frozenset[GroupElt]:
-        return frozenset(self.sorted_elements)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self.group == other.group and np.array_equal(self.idx, other.idx)
 
     def __hash__(self) -> int:
-        return hash((self.group, self.elements))
-
-    def __contains__(self, a: GroupElt) -> bool:
-        return a in self.elements
+        return hash((self.group, self.idx.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Subgroup(group={self.group!r}, elements={self.elements!r})"
+        return f"Subgroup(group={self.group!r}, elements={self.sorted_elements!r})"
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.sorted_elements) + "}"
@@ -229,25 +222,11 @@ def enumerate_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     return [Subgroup.from_indices(group, np.flatnonzero(row)) for row in found]
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A coset of a subgroup, canonically represented by its smallest element."""
-
-    subgroup: Subgroup
-    elements: frozenset[GroupElt]
-    rep: GroupElt = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __str__(self) -> str:
-        return f"{self.rep}+K"
-
-
 class QuotientGroup:
     """The quotient G/K with its translation action.
 
-    Cosets are numbered in the order of their least elements ``reps``.
+    A coset is its number: cosets are numbered in the order of their least
+    elements ``reps``, which name them where a report prints them.
     ``label[i]`` is the number of element i's coset, and ``trans[t, c]``
     that of coset t plus coset c.
     """
@@ -264,23 +243,12 @@ class QuotientGroup:
         self.reps = tuple(group._elements[i] for i in reps.tolist())
         self.trans = self.label[add[reps[:, None], reps]]
 
-    @cached_property
-    def cosets(self) -> tuple[Coset, ...]:
-        elems = self.group._elements
-        # each coset's |K| members, in index order
-        members = np.argsort(self.label, kind="stable").reshape(len(self), -1).tolist()
-        return tuple(
-            Coset(self.subgroup, frozenset(elems[i] for i in m), r) for r, m in zip(self.reps, members)
-        )
-
     def __len__(self) -> int:
         return len(self.reps)
 
-    def coset_of(self, a: GroupElt) -> Coset:
-        return self.cosets[self.label[self.group.index(a)]]
-
-    def translate(self, a: GroupElt, coset: Coset) -> Coset:
-        return self.coset_of(self.group.add(a, coset.rep))
+    def coset_of(self, a: GroupElt) -> int:
+        """The number of a's coset."""
+        return int(self.label[self.group.index(a)])
 
 
 def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:

@@ -5,10 +5,10 @@ joins over those arrays.  The functions here compute the same maps from the
 closed-form fiber rules on ``SparseVec``s, and the four axiom rows that
 ``TYAlgebra.verify_axioms`` once evaluated this way; the tests compare the
 arrays and the array rows against them.  Named blocks, slots and basis
-units, the fiber subspaces of a weak coideal and its unit as a ``SparseVec``
-are object views of the package's index arrays, kept here for the tests that
-read them, with the adapters that take ``SparseVec``s into ``Subspace`` and
-``assemble``.
+units, cosets, the fiber subspaces of a weak coideal and its unit as a
+``SparseVec`` are object views of the package's index arrays and coset
+numbers, kept here for the tests that read them, with the adapters that take
+``SparseVec``s into ``Subspace`` and ``assemble``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tywha.algebra import _join, _runs, _worst
+from tywha.coideals import CoidealSpec
 from tywha.errors import InvariantError
-from tywha.groups import Coset, GroupElt
+from tywha.groups import GroupElt, QuotientGroup, orthogonal, quotient
 from tywha.linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace
 
 SLOT_GRP = 0
@@ -169,6 +170,37 @@ def subspace(vectors, eps: float = DEFAULT_TOL) -> Subspace:
         for k, c in v.items():
             rows[r, pos[k]] = c
     return Subspace(key_array(keys), rows, eps=eps)
+
+
+# -- cosets as objects ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Coset:
+    """A coset as an object, the view of one coset number of a quotient:
+    the number and the coset's members in index order, the least first."""
+
+    number: int
+    elements: tuple[GroupElt, ...]
+
+    @property
+    def rep(self) -> GroupElt:
+        return self.elements[0]
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def cosets(quot: QuotientGroup) -> list[Coset]:
+    """Every coset of ``quot`` in number order, from the elements carrying its label."""
+    elems = quot.group.elements()
+    return [Coset(c, tuple(a for i, a in enumerate(elems) if quot.label[i] == c)) for c in range(len(quot))]
+
+
+def spec_of(alg, K, z0=(), z1=()) -> CoidealSpec:
+    """Classification data (K, Z0, Z1) of ``alg``, Z0 and Z1 as coset numbers
+    of G/K and of the quotient by the annihilator of K."""
+    return CoidealSpec(quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K)), z0, z1)
 
 
 def coset_vector(alg, block: BlockLabel, coset: Coset, barred: bool = False) -> SparseVec:

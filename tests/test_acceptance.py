@@ -14,6 +14,7 @@ from tywha.algebra import TYAlgebra
 from tywha.classify import _pair_perms, weak_coideal_classes
 from tywha.cli import main as cli_main
 from tywha.coideals import (
+    CoidealSpec,
     assemble,
     build_I_m_K,
     build_I_Omega_K,
@@ -140,18 +141,11 @@ def test_criterion_4_haar(algebras):
     _report_line(4, "Haar functional: unique solution, S-invariant, positive on 200 samples", ok)
 
 
-def _z_families(cosets):
-    families = [[cosets[0]], list(cosets)]
-    if len(cosets) > 2:
-        families.append(list(cosets[:2]))
-    # dedupe (singleton == full for a one-coset quotient)
-    seen, out = set(), []
-    for fam in families:
-        key = tuple(c.rep for c in fam)
-        if key not in seen:
-            seen.add(key)
-            out.append(fam)
-    return out
+def _z_families(n):
+    """The first coset, every coset and, past two, the first two, as coset
+    numbers of a quotient with n cosets; each family once."""
+    families = [(0,), tuple(range(n))] + ([(0, 1)] if n > 2 else [])
+    return list(dict.fromkeys(families))  # singleton == full for a one-coset quotient
 
 
 def test_criterion_5_coideal_suite():
@@ -162,14 +156,15 @@ def test_criterion_5_coideal_suite():
             q0 = quotient(alg.group, K)
             perp = orthogonal(alg.bichar, K)
             q1 = quotient(alg.group, perp)
-            builds = [build_I_m_K(alg, K), build_I_Omega_K(alg, K)]
-            for fam in _z_families(q0.cosets):
-                builds.append(build_no_m(alg, K, fam, side=0))
-            for fam in _z_families(q1.cosets):
-                builds.append(build_no_m(alg, K, fam, side=1))
-            for fam in _z_families(q0.cosets):
-                for rho0 in {q1.cosets[0], q1.cosets[-1]}:
-                    builds.append(build_with_m(alg, K, fam, rho0))
+            one = CoidealSpec(q0, q1, [0], [])
+            builds = [build_I_m_K(alg, one), build_I_Omega_K(alg, one)]
+            for fam in _z_families(len(q0)):
+                builds.append(build_no_m(alg, CoidealSpec(q0, q1, fam, [])))
+            for fam in _z_families(len(q1)):
+                builds.append(build_no_m(alg, CoidealSpec(q0, q1, [], fam)))
+            for fam in _z_families(len(q0)):
+                for rho0 in sorted({0, len(q1) - 1}):
+                    builds.append(build_with_m(alg, CoidealSpec(q0, q1, fam, [rho0])))
             for wc in builds:
                 report = verify_weak_coideal(wc)
                 if not report.passed:
@@ -177,7 +172,7 @@ def test_criterion_5_coideal_suite():
                     print(f"  {factors} K={K} {wc.label}: verification failed")
                     continue
                 expected_coideal = wc.label == "I_Omega_K" or (
-                    wc.label.startswith("with_m") and len(wc.spec.z0) == len(q0.cosets)
+                    wc.label.startswith("with_m") and len(wc.spec.z0) == len(q0)
                 )
                 if is_coideal(wc) != expected_coideal:
                     ok = False
@@ -247,10 +242,8 @@ def test_criterion_7_fault_injection(monkeypatch):
     from tywha.groups import Subgroup
 
     K = Subgroup.generated(alg.group, [(2,)])
-    q = quotient(alg.group, K)
-    perp = orthogonal(alg.bichar, K)
-    rho0 = quotient(alg.group, perp).cosets[0]
-    good = build_with_m(alg, K, [q.cosets[0]], rho0)
+    q, qp = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
+    good = build_with_m(alg, CoidealSpec(q, qp, [0], [0]))
     x_vectors = {}
     for block, sub in x_spaces(good).items():
         vecs = sub.basis_vectors()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -30,7 +31,9 @@ from tywha.classify import (
     weak_coideal_classes,
 )
 from tywha.cli import main as cli_main
-from tywha.coideals import is_coideal, verify_weak_coideal
+from tywha.coideals import (
+    build_from_spec, build_I_m_K, build_I_Omega_K, build_no_m, build_with_m, is_coideal, verify_weak_coideal,
+)
 from tywha.errors import InvariantError, SizeError, StructuralError
 from tywha.groups import (
     Bicharacter,
@@ -85,7 +88,7 @@ def _setup(factors, k_gens):
     K = Subgroup.generated(grp, k_gens)
     perp = orthogonal(chi, K)
     q0, q1 = quotient(grp, K), quotient(grp, perp)
-    flip = K.elements == perp.elements
+    flip = K == perp
     return q0, q1, _pair_perms(q0, q1, flip), partial(_pair_key, n0=len(q0))
 
 
@@ -317,8 +320,8 @@ class TestWeakCoidealClasses:
         non = [o for e in report.per_subgroup for o in e.orbits if not o.coideal]
         assert len(non) == 2
         for o in non:
-            z = o.z0 or o.z1
-            assert len(z) == 2 and not (o.z0 and o.z1)
+            z = o.spec.z0 or o.spec.z1
+            assert z == (0, 1) and not (o.spec.z0 and o.spec.z1)
 
     def test_trivial_group(self):
         grp = FiniteAbelianGroup((1,))
@@ -352,8 +355,8 @@ class TestWeakCoidealClasses:
         for entry in report.per_subgroup:
             _perp, *quotients = _quotients(grp, chi, entry.subgroup)
             direct = coideal_orbits(entry.subgroup, *quotients)
-            flagged = sorted((o.z0, o.z1) for o in entry.orbits if o.coideal)
-            assert flagged == sorted((o.z0, o.z1) for o in direct)
+            flagged = sorted((o.spec.z0, o.spec.z1) for o in entry.orbits if o.coideal)
+            assert flagged == sorted((o.spec.z0, o.spec.z1) for o in direct)
 
     def test_dropped_flip_detected(self, monkeypatch):
         grp = FiniteAbelianGroup((4,))
@@ -451,6 +454,46 @@ with_m(|Z|=4) K=00 Z0=00,01,10,11 Z1=00
 with_m(|Z|=2) K=00 Z0=00,10 Z1=00
 with_m(|Z|=2) K=00 Z0=00,11 Z1=00""",
 }
+
+
+def count_group_rebuilds(monkeypatch) -> list[str]:
+    """Wrap ``quotient`` and ``orthogonal`` in every tywha module that binds
+    them; the returned list collects the name of each call."""
+    calls = []
+    for mod in [m for k, m in sys.modules.items() if k == "tywha" or k.startswith("tywha.")]:
+        for name in ("quotient", "orthogonal"):
+            fn = vars(mod).get(name)
+            if fn is not None:
+                monkeypatch.setattr(mod, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    return calls
+
+
+class TestNoGroupRebuilds:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(4,), (2, 2)])
+    def test_realize_and_builders_take_quotients_from_the_spec(self, factors, sign, monkeypatch):
+        # every class's spec carries G/K and G/Kperp from the catalog: realizing
+        # it, and every builder that accepts it, computes no quotient and no
+        # annihilator
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        orbits = [o for e in weak_coideal_classes(alg.group, alg.bichar).per_subgroup for o in e.orbits]
+        calls, built = count_group_rebuilds(monkeypatch), set()
+        for orbit in orbits:
+            assert realize_and_verify(alg, orbit)["verified"]
+            for build in (build_from_spec, build_no_m, build_with_m, build_I_m_K, build_I_Omega_K):
+                for spec in (orbit.spec, orbit.spec.swapped()):
+                    try:
+                        build(alg, spec)
+                        built.add(build)
+                    except InvariantError:
+                        pass
+        assert calls == [] and len(built) == 5
+
+    def test_counter_sees_the_rebuilds(self, monkeypatch):
+        calls = count_group_rebuilds(monkeypatch)
+        grp = FiniteAbelianGroup((4,))
+        weak_coideal_classes(grp, Bicharacter.standard(grp))
+        assert calls.count("quotient") == 2 * 3 and calls.count("orthogonal") == 3
 
 
 class TestRealization:
@@ -563,8 +606,8 @@ class TestEmittedShapes:
         report = weak_coideal_classes(grp, Bicharacter.standard(grp))
         for entry in report.per_subgroup:
             for o in entry.orbits:
-                assert o.z0 or o.z1
-                assert len(o.z0) <= 1 or len(o.z1) <= 1
+                assert o.spec.z0 or o.spec.z1
+                assert len(o.spec.z0) <= 1 or len(o.spec.z1) <= 1
 
     def test_flip_fixes_canonical_form(self):
         q, _q1, perms, key = _setup((4,), [(2,)])
@@ -574,13 +617,13 @@ class TestEmittedShapes:
         def row(z0, z1):
             out = np.zeros(2 * len(q), dtype=np.uint8)
             for side, z in enumerate((z0, z1)):
-                for r in z:
-                    out[side * len(q) + q.cosets.index(q.coset_of(r))] = 1
+                for c in z:
+                    out[side * len(q) + c] = 1
             return out
 
         for o in entry.orbits:
-            rep = row(o.z0, o.z1)
-            assert _codes([row(o.z1, o.z0)], perms, key)[0] == key(rep[None])[0]
+            rep = row(o.spec.z0, o.spec.z1)
+            assert _codes([row(o.spec.z1, o.spec.z0)], perms, key)[0] == key(rep[None])[0]
             assert _codes([rep], perms, key)[0] == key(rep[None])[0]
 
 

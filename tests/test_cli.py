@@ -425,6 +425,38 @@ class TestCoidealCommand:
         assert payload["dims_match_prediction"] is True
 
 
+    @staticmethod
+    def outputs(argv, tmp_path, capsys) -> tuple:
+        """Exit code, stdout and JSON bytes of one command."""
+        out = tmp_path / "coideal.json"
+        code = run([*argv, "--json", str(out)])
+        return code, capsys.readouterr().out, out.read_bytes()
+
+    @pytest.mark.parametrize("tau, sign", [("+", 1), ("-", -1)])
+    def test_report_names_tau(self, tau, sign, tmp_path, capsys):
+        argv = ["coideal", "build", "--group", "4", "--K", "2", "--Z0", "0", "--tau", tau]
+        code, out, report = self.outputs(argv, tmp_path, capsys)
+        assert code == 0 and json.loads(report)["tau_sign"] == sign
+        assert out.splitlines()[0] == f"axiom checks for coideal no_m(side=0, |Z|=1) on Z4 tau{tau} (tolerance 1e-09)"
+
+    @pytest.mark.parametrize("listed, once", [("0;2;1", "0;1"), ("3;1;2;0", "0;1"), ("2;0", "0")])
+    def test_repeated_cosets_are_taken_once(self, listed, once, tmp_path, capsys):
+        # 0 and 2 lie in one coset of K = {0, 2}, as do 1 and 3
+        base = ["coideal", "build", "--group", "4", "--K", "2"]
+        got = self.outputs([*base, "--Z0", listed], tmp_path, capsys)
+        assert got == self.outputs([*base, "--Z0", once], tmp_path, capsys) and got[0] == 0
+
+    @pytest.mark.parametrize("group, K, side, reps", [
+        ("4", "2", "--Z0", "0;1"), ("4", "2", "--Z1", "0;1"), ("4", "0", "--Z0", "0;1;2;3"),
+        ("2,2", "1,0", "--Z0", "0,0;0,1"), ("2,2", "1,0", "--Z1", "0,0;1,0"), ("6", "2", "--Z0", "0;1"),
+        ("2,4", "0,2", "--Z0", "0,0;0,1;1,0;1,1"),
+    ])
+    def test_all_lists_every_representative(self, group, K, side, reps, tmp_path, capsys):
+        base = ["coideal", "build", "--group", group, "--K", K]
+        got = self.outputs([*base, side, "all"], tmp_path, capsys)
+        assert got == self.outputs([*base, side, reps], tmp_path, capsys) and got[0] == 0
+
+
 class TestClassifyCommands:
     def test_z2_counts(self, capsys):
         assert run(["classify", "weak-coideals", "--group", "2"]) == 0
@@ -610,15 +642,21 @@ class TestReportPins:
         ("2,2", "+"): "5d4549c1a2ca568c05c0b6a90969d0db871ec1dcc8519f8842a0e1f108ffbaa8",
         ("2,2", "-"): "9d2825e3d4b2825bbe8617a92186b91f62b6319c446a138e65c986e4aadacfd1",
     }
-    # a coideal report names no tau: both signs give the same bytes
-    BUILD_SHA256 = [
-        "0f3d2ae004b822d7e91ebf56a4b4e628de3329225122b72b352b55464b763ea9",
-        "a7616b6abb6ce87dca32251a1ee1a7c3adac96a1d4c83226b2bd9676348e2c64",
-        "9ad4f0eccd96a59f89e30663f58af735152971de9b298e0eae57ad5ca2f3271a",
-        "5ff18e34116c98e5629478136191591bc0a246a98110d69a561db1346bd1cc0d",
-        "23f8ad7c45a243b75deff062d1f2c73651d24cdeef2e67796f489afd28fc395f",
-        "503af68c522d5a109b8ab935b22e7b2f12169554635ee2d71655eb965c0b9611",
-    ]
+    # a coideal report names its tau sign: the two signs give different bytes
+    BUILD_SHA256 = {
+        (0, "+"): "8b503bb717e4e920b942440df6b51ab2763260b8fdd161b9a8ef79a63cbac53c",
+        (0, "-"): "59813f85ff088cdbd5cca13f5076af5fbd9b782f8537d1a2f475ec5101e3b3f4",
+        (1, "+"): "e1e84b6ec522ec36a4161f1776c4842f09b80940eb884e904b054bb8f9bb065a",
+        (1, "-"): "d14808a0e883dfd9cf943443a081a011a33e0e149ec0fe21340b4768b09155b3",
+        (2, "+"): "3dfd8ec7c26277fb0680053fa7ff8bb5fe9099bb828932708e8c695138072d5d",
+        (2, "-"): "a4ed2b838e24eff41d5f8a354d728066ae35eb949a353d27c60203114abdd996",
+        (3, "+"): "6cbf7525bebee3d371fef06f7b950ecb2218a927ac64baa511deaeb324ef74c7",
+        (3, "-"): "e1a1c59982e47727a0cd31ee36e0788dd56c89277ba463e6ee994887fbeaf326",
+        (4, "+"): "486495d1080fe2c6f7400b0e51ba92c51f345db9b937b0aa162858254861c3bd",
+        (4, "-"): "a38d53eab759d4e922cc469926b2e23dbe16213532f601a705e745be6d864539",
+        (5, "+"): "7d426df1d50e35bf119b61969b936c5e3d7fb08a4946d80cada165b6b6b93344",
+        (5, "-"): "a8cbd06fa1a24290048855a569c8942536f96926f33de3b141a4c1ccf68d0e71",
+    }
 
     @staticmethod
     def report(argv, tmp_path) -> dict:
@@ -636,4 +674,4 @@ class TestReportPins:
     def test_coideal_report_pinned(self, build, tau, tmp_path):
         group, K, spec = PINNED_BUILDS[build]
         argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
-        assert _report_sha256(self.report(argv, tmp_path)) == self.BUILD_SHA256[build]
+        assert _report_sha256(self.report(argv, tmp_path)) == self.BUILD_SHA256[build, tau]

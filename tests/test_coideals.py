@@ -24,10 +24,10 @@ from tywha.coideals import (
     verify_weak_coideal,
 )
 from tywha.errors import InvariantError
-from tywha.groups import Coset, FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
+from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
 from reference import (
-    BasisUnit, BlockLabel, Slot, add_scaled, blocks, circ, coset_vector, distance, fiber_rows, one, sharp, slots,
-    star, subspace, unit_pos, unit_vector, units, x_spaces,
+    BasisUnit, BlockLabel, Slot, add_scaled, blocks, circ, coset_vector, cosets, distance, fiber_rows, one, sharp,
+    slots, spec_of, star, subspace, unit_pos, unit_vector, units, x_spaces,
 )
 from tywha.linalg import ROUNDOFF, SparseVec, nullspace, sparse_nullspace, tensor_contains
 
@@ -54,7 +54,7 @@ def z4_setup(z4):
     grp = z4.group
     K = Subgroup.generated(grp, [(2,)])
     q = quotient(grp, K)
-    lam, mu = q.cosets  # reps (0,) and (1,)
+    lam, mu = cosets(q)  # reps (0,) and (1,)
     return K, q, lam, mu
 
 
@@ -71,7 +71,7 @@ class TestCosetVectors:
     def test_trivial_subgroup_singleton(self, z4):
         grp = z4.group
         q = quotient(grp, Subgroup.trivial(grp))
-        lam = q.coset_of((2,))
+        lam = cosets(q)[q.coset_of((2,))]
         v = coset_vector(z4, g(1), lam)
         assert dict(v.items()) == {(g(1), Slot.grp((2,))): 1}
 
@@ -160,7 +160,7 @@ class TestBuilders:
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
         K = Subgroup.trivial(alg.group)
         q = quotient(alg.group, K)
-        wc = build_no_m(alg, K, list(q.cosets))
+        wc = build_no_m(alg, spec_of(alg, K, range(len(q))))
         assert wc.dim == 12
         for block, sub in x_spaces(wc).items():
             assert sub.dim == 2
@@ -169,36 +169,34 @@ class TestBuilders:
         assert is_indecomposable(wc)
 
     def test_no_m_requires_nonempty(self, z4, z4_setup):
+        # no data reaches a builder without a nonempty Z; no_m takes one side
         K, _q, _lam, _mu = z4_setup
-        with pytest.raises(InvariantError):
-            build_no_m(z4, K, [])
+        with pytest.raises(InvariantError, match="must be nonempty"):
+            build_no_m(z4, spec_of(z4, K))
+        with pytest.raises(InvariantError, match="Z0 or Z1 must be empty"):
+            build_no_m(z4, spec_of(z4, K, [0], [0]))
 
     def test_no_m_side_one_uses_annihilator(self, z4):
         K = Subgroup.trivial(z4.group)  # K_perp = G, quotient is a point
-        perp = orthogonal(z4.bichar, K)
-        qp = quotient(z4.group, perp)
-        wc = build_no_m(z4, K, [qp.cosets[0]], side=1)
+        wc = build_no_m(z4, spec_of(z4, K, (), [0]))
         assert verify_weak_coideal(wc).passed
-        assert wc.spec.z0 == frozenset()
-        assert len(wc.spec.z1) == 1
+        assert (wc.spec.z0, wc.spec.z1) == ((), (0,))
+        assert wc.label == "no_m(side=1, |Z|=1)"
         # X^g nonzero exactly for g in K_perp = G
         assert {b for b, d in labelled(z4, wc.x_dims()).items() if d} == {g(*e) for e in z4.group.elements()}
 
     def test_with_m_coideal_iff_full(self, z4, z4_setup):
         K, q, lam, mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        rho0 = quotient(z4.group, perp).cosets[0]
-        full = build_with_m(z4, K, list(q.cosets), rho0)
+        full = build_with_m(z4, spec_of(z4, K, range(len(q)), [0]))
         assert verify_weak_coideal(full).passed
         assert is_coideal(full)
-        partial = build_with_m(z4, K, [lam], rho0)
+        partial = build_with_m(z4, spec_of(z4, K, [lam.number], [0]))
         assert verify_weak_coideal(partial).passed
         assert not is_coideal(partial)
 
     def test_checks_report_coverage(self, z4, z4_setup):
         K, q, _lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        wc = build_with_m(z4, K, list(q.cosets), quotient(z4.group, perp).cosets[0])
+        wc = build_with_m(z4, spec_of(z4, K, range(len(q)), [0]))
         size = wc.dim
         expected = {
             "unit exists in A": 1,
@@ -215,8 +213,8 @@ class TestBuilders:
     def test_I_builders(self, z4, z4_setup):
         K, _q, _lam, _mu = z4_setup
         n = z4.group.order
-        im = build_I_m_K(z4, K)
-        iom = build_I_Omega_K(z4, K)
+        im = build_I_m_K(z4, spec_of(z4, K, [0]))
+        iom = build_I_Omega_K(z4, spec_of(z4, K, [0]))
         assert im.dim == K.order * (n + 1)
         assert iom.dim == K.order * (n + 1)
         assert verify_weak_coideal(im).passed
@@ -233,15 +231,15 @@ class TestBuilders:
         alg = TYAlgebra(FiniteAbelianGroup(factors))
         for K in enumerate_subgroups(alg.group):
             q = quotient(alg.group, K)
-            perp = orthogonal(alg.bichar, K)
-            qp = quotient(alg.group, perp)
+            qp = quotient(alg.group, orthogonal(alg.bichar, K))
+            every = range(len(q))
             built = [
-                build_I_m_K(alg, K),
-                build_I_Omega_K(alg, K),
-                build_no_m(alg, K, [q.cosets[0]]),
-                build_no_m(alg, K, list(q.cosets)),
-                build_with_m(alg, K, [q.cosets[0]], qp.cosets[0]),
-                build_with_m(alg, K, list(q.cosets), qp.cosets[-1]),
+                build_I_m_K(alg, spec_of(alg, K, [0])),
+                build_I_Omega_K(alg, spec_of(alg, K, [0])),
+                build_no_m(alg, spec_of(alg, K, [0])),
+                build_no_m(alg, spec_of(alg, K, every)),
+                build_with_m(alg, spec_of(alg, K, [0], [0])),
+                build_with_m(alg, spec_of(alg, K, every, [len(qp) - 1])),
             ]
             for wc in built:
                 report = verify_weak_coideal(wc)
@@ -281,9 +279,7 @@ class TestVerifierRejections:
 
     def test_dropped_m_slot_breaks_closure(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        rho0 = quotient(z4.group, perp).cosets[0]
-        good = build_with_m(z4, K, [lam], rho0)
+        good = build_with_m(z4, spec_of(z4, K, [lam.number], [0]))
         assert verify_weak_coideal(good).passed
 
         # rebuild the same family but drop v^g_m from one annihilator block
@@ -301,13 +297,22 @@ class TestVerifierRejections:
         assert failed & {"closed under product", "closed under star"}
 
     def test_spec_shape_rejected(self, z4, z4_setup):
+        # K = {0, 2}: both quotients have the two cosets 0 and 1
         K, q, _lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        qp = quotient(z4.group, perp)
-        with pytest.raises(InvariantError):
-            CoidealSpec(K, frozenset(q.cosets), frozenset(qp.cosets))
-        with pytest.raises(InvariantError):
-            CoidealSpec(K, frozenset(), frozenset())
+        cases = [
+            (([0, 2], []), "Z0 coset numbers must lie in 0..1, got (0, 2)"),
+            (([], [-1]), "Z1 coset numbers must lie in 0..1, got (-1,)"),
+            (([1, 0, 1], []), "Z0 names a coset more than once: (0, 1, 1)"),
+            (([0], [1, 1]), "Z1 names a coset more than once: (1, 1)"),
+            (([], []), "at least one of Z0, Z1 must be nonempty"),
+            (([0, 1], [1, 0]), "no class has both |Z0| > 1 and |Z1| > 1"),
+        ]
+        for (z0, z1), message in cases:
+            with pytest.raises(InvariantError) as exc:
+                spec_of(z4, K, z0, z1)
+            assert str(exc.value) == message
+        spec = spec_of(z4, K, [1, 0], [np.int64(1)])
+        assert (spec.z0, spec.z1) == ((0, 1), (1,)) and type(spec.z1[0]) is int
 
 
 def union(alg, parts, label):
@@ -338,7 +343,7 @@ def two_coset_families(alg):
     for K in enumerate_subgroups(alg.group):
         q = quotient(alg.group, K)
         if len(q) > 1:
-            gens = {zero: [coset_vector(alg, zero, c) for c in q.cosets[:2]]}
+            gens = {zero: [coset_vector(alg, zero, c) for c in cosets(q)[:2]]}
             out.append(assemble(alg, *fiber_rows(alg, gens), f"two cosets of {K}"))
     return out
 
@@ -369,18 +374,15 @@ class TestIndecomposability:
         # decomposable sums of two translates over the trivial subgroup
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
 
-        def subsets(cosets):
-            return [c for r in range(1, len(cosets) + 1) for c in itertools.combinations(cosets, r)]
-
         built = []
         for K in enumerate_subgroups(alg.group):
             q0, q1 = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
-            built += [build_no_m(alg, K, zs, side=0) for zs in subsets(q0.cosets)]
-            built += [build_no_m(alg, K, zs, side=1) for zs in subsets(q1.cosets)]
-            built += [build_with_m(alg, K, zs, q1.cosets[0]) for zs in subsets(q0.cosets)]
-            built += [build_I_m_K(alg, K), build_I_Omega_K(alg, K)]
+            built += [build_no_m(alg, spec_of(alg, K, zs)) for zs in nonempty_subsets(range(len(q0)))]
+            built += [build_no_m(alg, spec_of(alg, K, (), zs)) for zs in nonempty_subsets(range(len(q1)))]
+            built += [build_with_m(alg, spec_of(alg, K, zs, [0])) for zs in nonempty_subsets(range(len(q0)))]
+            built += [build_I_m_K(alg, spec_of(alg, K, [0])), build_I_Omega_K(alg, spec_of(alg, K, [0]))]
         K = Subgroup.trivial(alg.group)
-        copies = [build_no_m(alg, K, [lam]) for lam in quotient(alg.group, K).cosets]
+        copies = [build_no_m(alg, spec_of(alg, K, [lam])) for lam in range(alg.group.order)]
         built += [union(alg, pair, "two translates") for pair in itertools.combinations(copies, 2)]
         dims = [center(wc).intersect(fixed_point_algebra(wc)).dim for wc in built]
         assert [is_indecomposable(wc) for wc in built] == [d == 1 for d in dims]
@@ -390,9 +392,8 @@ class TestIndecomposability:
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
         grp = alg.group
         K = Subgroup.trivial(grp)
-        q = quotient(grp, K)
-        copy1 = build_no_m(alg, K, [q.cosets[0]])
-        copy2 = build_no_m(alg, K, [q.cosets[1]])
+        copy1 = build_no_m(alg, spec_of(alg, K, [0]))
+        copy2 = build_no_m(alg, spec_of(alg, K, [1]))
         assert is_indecomposable(copy1) and is_indecomposable(copy2)
         both = union(alg, (copy1, copy2), "two translated copies")
         assert verify_weak_coideal(both).passed
@@ -410,10 +411,8 @@ class TestIndecomposability:
 
     def test_with_m_km_equals_k0_minus_one(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        rho0 = quotient(z4.group, perp).cosets[0]
-        for zs in ([lam], list(q.cosets)):
-            wc = build_with_m(z4, K, zs, rho0)
+        for zs in ([lam.number], range(len(q))):
+            wc = build_with_m(z4, spec_of(z4, K, zs, [0]))
             # X^0 is spanned by disjoint indicators, one per spectral block
             k0 = labelled(z4, wc.x_dims())[g(0)]
             km = x_spaces(wc)[M].dim // 2
@@ -425,20 +424,17 @@ class TestSpectralDims:
     def test_singleton_pair_example(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
         perp = orthogonal(z4.bichar, K)
-        qp = quotient(z4.group, perp)
-        spec = CoidealSpec(K, frozenset([lam]), frozenset([qp.cosets[0]]))
+        spec = spec_of(z4, K, [lam.number], [0])
         dims = labelled(z4, spectral_dims(spec, z4))
         assert dims[M] == 2
         for e in z4.group.elements():
-            expected = int(e in K.elements) + int(e in perp.elements)
+            expected = int(e in K.sorted_elements) + int(e in perp.sorted_elements)
             assert dims[g(*e)] == expected
 
     def test_m_dim_even(self, z4, z4_setup):
         K, q, _lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        qp = quotient(z4.group, perp)
         for n0 in (1, 2):
-            spec = CoidealSpec(K, frozenset(list(q.cosets)[:n0]), frozenset([qp.cosets[0]]))
+            spec = spec_of(z4, K, range(n0), [0])
             assert labelled(z4, spectral_dims(spec, z4))[M] % 2 == 0
 
     def test_matches_measured_for_builders(self):
@@ -446,25 +442,21 @@ class TestSpectralDims:
         for factors in [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)]:
             alg = TYAlgebra(FiniteAbelianGroup(factors))
             for K in enumerate_subgroups(alg.group):
-                q = quotient(alg.group, K)
-                perp = orthogonal(alg.bichar, K)
-                qp = quotient(alg.group, perp)
+                every = range(len(quotient(alg.group, K)))
                 candidates = [
-                    build_I_m_K(alg, K),
-                    build_I_Omega_K(alg, K),
-                    build_no_m(alg, K, [q.cosets[0]]),
-                    build_no_m(alg, K, list(q.cosets)),
-                    build_with_m(alg, K, [q.cosets[0]], qp.cosets[0]),
-                    build_with_m(alg, K, list(q.cosets), qp.cosets[0]),
+                    build_I_m_K(alg, spec_of(alg, K, [0])),
+                    build_I_Omega_K(alg, spec_of(alg, K, [0])),
+                    build_no_m(alg, spec_of(alg, K, [0])),
+                    build_no_m(alg, spec_of(alg, K, every)),
+                    build_with_m(alg, spec_of(alg, K, [0], [0])),
+                    build_with_m(alg, spec_of(alg, K, every, [0])),
                 ]
                 for wc in candidates:
                     assert dims_match(wc), (factors, str(K), wc.label)
 
     def test_x_m_split_swapped_by_sharp(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
-        perp = orthogonal(z4.bichar, K)
-        rho0 = quotient(z4.group, perp).cosets[0]
-        wc = build_with_m(z4, K, [lam], rho0)
+        wc = build_with_m(z4, spec_of(z4, K, [lam.number], [0]))
         xm = x_spaces(wc)[M]
         unbarred = [v for v in xm.basis_vectors() if all(s.kind != 2 for (_b, s) in v.keys())]
         barred = [v for v in xm.basis_vectors() if all(s.kind == 2 for (_b, s) in v.keys())]
@@ -534,96 +526,92 @@ def coords_bits(wc):
             for a in (A.row, A.unit, A.val, A.reduce_slot, A.reduce_coef, A.reduce_ptr)]
 
 
-def reference_translated(quot, g, zs):
-    return {quot.translate(g, lam) for lam in zs}
+def reference_translated(views, group, g, zs):
+    """The translates g + lam of the Coset views zs, each found among
+    ``views`` by its members."""
+    by_members = {frozenset(v.elements): v for v in views}
+    return {by_members[frozenset(group.add(g, a) for a in lam.elements)] for lam in zs}
 
 
-def reference_build_no_m(alg, subgroup, zs, side=0):
-    """build_no_m by Coset objects: Z checked against the quotient's cosets
-    and translated by each group element in turn."""
-    zs = list(zs)
-    if not zs:
-        raise InvariantError("Z must be nonempty")
-    if side not in (0, 1):
-        raise InvariantError("side must be 0 or 1")
-    base = subgroup if side == 0 else orthogonal(alg.bichar, subgroup)
-    quot = quotient(alg.group, base)
-    for lam in zs:
-        if lam not in quot.cosets:
-            raise InvariantError(f"{lam} is not a coset of the chosen subgroup")
-    zset = set(zs)
+def reference_annihilator(alg, spec):
+    """The annihilator of K by ``orthogonal``, which Z1's quotient must be by."""
+    perp = orthogonal(alg.bichar, spec.subgroup)
+    if spec.q1.subgroup != perp:
+        raise InvariantError(f"Z1 must be cosets of the annihilator of K = {spec.subgroup}")
+    return perp
+
+
+def reference_build_no_m(alg, spec):
+    """build_no_m by Coset views: Z translated by each group element in turn."""
+    if spec.z0 and spec.z1:
+        raise InvariantError("no_m takes Z on one side only: Z0 or Z1 must be empty")
+    reference_annihilator(alg, spec)
+    side, quot, z = (0, spec.q0, spec.z0) if spec.z0 else (1, spec.q1, spec.z1)
+    views = cosets(quot)
+    zset = {views[c] for c in z}
     x_vectors = {}
     for e in alg.group.elements():
         block = BlockLabel.grp(e)
-        hits = zset & reference_translated(quot, e, zset)
+        hits = zset & reference_translated(views, alg.group, e, zset)
         if hits:
             x_vectors[block] = [coset_vector(alg, block, lam) for lam in sorted(hits, key=lambda c: c.rep)]
-    spec = CoidealSpec(
-        subgroup,
-        frozenset(zset) if side == 0 else frozenset(),
-        frozenset() if side == 0 else frozenset(zset),
-    )
     return reference_assemble(alg, x_vectors, f"no_m(side={side}, |Z|={len(zset)})", spec)
 
 
-def reference_build_with_m(alg, subgroup, zs, rho0):
-    """build_with_m by Coset objects, as reference_build_no_m."""
-    zs = list(zs)
-    if not zs:
+def reference_build_with_m(alg, spec):
+    """build_with_m by Coset views, as reference_build_no_m."""
+    if not spec.z0:
         raise InvariantError("Z must be nonempty")
-    perp = orthogonal(alg.bichar, subgroup)
-    if rho0.subgroup != perp:
-        raise InvariantError("rho0 must be a coset of the annihilator of K")
-    quot = quotient(alg.group, subgroup)
-    for lam in zs:
-        if lam not in quot.cosets:
-            raise InvariantError(f"{lam} is not a coset of K")
-    zset = set(zs)
+    if len(spec.z1) != 1:
+        raise InvariantError("rho0 must be a single coset of the annihilator of K")
+    perp = reference_annihilator(alg, spec)
+    views = cosets(spec.q0)
+    zset = sorted({views[c] for c in spec.z0}, key=lambda c: c.rep)
     x_vectors = {
-        M: [coset_vector(alg, M, lam, barred=False) for lam in sorted(zset, key=lambda c: c.rep)]
-        + [coset_vector(alg, M, lam, barred=True) for lam in sorted(zset, key=lambda c: c.rep)]
+        M: [coset_vector(alg, M, lam, barred=False) for lam in zset]
+        + [coset_vector(alg, M, lam, barred=True) for lam in zset]
     }
     for e in alg.group.elements():
         block = BlockLabel.grp(e)
         vecs = [
             coset_vector(alg, block, lam)
-            for lam in sorted(zset & reference_translated(quot, e, zset), key=lambda c: c.rep)
+            for lam in sorted(set(zset) & reference_translated(views, alg.group, e, zset), key=lambda c: c.rep)
         ]
-        if e in perp:
+        if e in perp.sorted_elements:
             vecs.append(SparseVec.basis((block, Slot.m())))
         if vecs:
             x_vectors[block] = vecs
-    spec = CoidealSpec(subgroup, frozenset(zset), frozenset([rho0]))
     return reference_assemble(alg, x_vectors, f"with_m(|Z|={len(zset)})", spec)
 
 
-def reference_subgroup_lines(alg, subgroup, line, label):
+def reference_subgroup_lines(alg, spec, line, label):
     """build_I_m_K (``line`` the m slot) and build_I_Omega_K (every slot)
     by SparseVecs: X^k = C (the all-ones vector over ``line(k's block)``)."""
-    lines = [BlockLabel.grp(k) for k in subgroup.sorted_elements]
+    if len(spec.z0) != 1 or spec.z1:
+        raise InvariantError(f"{label} takes one Z0 coset and no Z1")
+    reference_annihilator(alg, spec)
+    lines = [BlockLabel.grp(k) for k in spec.subgroup.sorted_elements]
     x_vectors = {b: [SparseVec({(b, s): 1.0 + 0j for s in line(b)})] for b in lines}
-    own = quotient(alg.group, subgroup).coset_of(alg.group.zero())
-    return reference_assemble(alg, x_vectors, label, CoidealSpec(subgroup, frozenset([own]), frozenset()))
+    return reference_assemble(alg, x_vectors, label, spec)
 
 
-def reference_build_I_m_K(alg, subgroup):
-    return reference_subgroup_lines(alg, subgroup, lambda block: [Slot.m()], "I_m_K")
+def reference_build_I_m_K(alg, spec):
+    return reference_subgroup_lines(alg, spec, lambda block: [Slot.m()], "I_m_K")
 
 
-def reference_build_I_Omega_K(alg, subgroup):
-    return reference_subgroup_lines(alg, subgroup, lambda block: slots(alg, block), "I_Omega_K")
+def reference_build_I_Omega_K(alg, spec):
+    return reference_subgroup_lines(alg, spec, lambda block: slots(alg, block), "I_Omega_K")
 
 
 def reference_spectral_dims(spec, alg):
     """spectral_dims by translating each coset of Z in its side's quotient."""
-    group, K = alg.group, spec.subgroup
-    sides = ((quotient(group, K), spec.z0),
-             (quotient(group, orthogonal(alg.bichar, K)), spec.z1))
-    dims = {
-        BlockLabel.grp(e): sum(q.translate(e, lam) in z for q, z in sides for lam in z)
-        for e in group.elements()
-    }
-    dims[M] = 2 * len(spec.z0) * len(spec.z1)
+    group, dims = alg.group, {M: 2 * len(spec.z0) * len(spec.z1)}
+    for e in group.elements():
+        dims[BlockLabel.grp(e)] = 0
+        for quot, z in ((spec.q0, spec.z0), (spec.q1, spec.z1)):
+            views = cosets(quot)
+            zset = {views[c] for c in z}
+            dims[BlockLabel.grp(e)] += len(zset & reference_translated(views, group, e, zset))
     return dims
 
 
@@ -656,13 +644,15 @@ class TestBuildersMatchReference:
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         for K in enumerate_subgroups(alg.group):
             q0, q1 = quotient(alg.group, K), quotient(alg.group, orthogonal(alg.bichar, K))
-            calls = [(build_I_m_K, reference_build_I_m_K, ()), (build_I_Omega_K, reference_build_I_Omega_K, ())]
-            calls += [(build_no_m, reference_build_no_m, (zs, side))
-                      for side, q in ((0, q0), (1, q1)) for zs in nonempty_subsets(q.cosets)]
-            calls += [(build_with_m, reference_build_with_m, (zs, rho0))
-                      for zs in nonempty_subsets(q0.cosets) for rho0 in q1.cosets]
-            for build, reference, args in calls:
-                wc, ref = build(alg, K, *args), reference(alg, K, *args)
+            z0s, z1s = nonempty_subsets(range(len(q0))), nonempty_subsets(range(len(q1)))
+            calls = [(build_I_m_K, reference_build_I_m_K, ([0], [])),
+                     (build_I_Omega_K, reference_build_I_Omega_K, ([0], []))]
+            calls += [(build_no_m, reference_build_no_m, (zs, [])) for zs in z0s]
+            calls += [(build_no_m, reference_build_no_m, ([], zs)) for zs in z1s]
+            calls += [(build_with_m, reference_build_with_m, (zs, [rho0])) for zs in z0s for rho0 in range(len(q1))]
+            for build, reference, (z0, z1) in calls:
+                spec = CoidealSpec(q0, q1, z0, z1)
+                wc, ref = build(alg, spec), reference(alg, spec)
                 general = assemble(alg, *fiber_rows(alg, ref.x_vectors), ref.label, ref.spec)
                 assert built_bits(wc) == built_bits(ref) == built_bits(general), (str(K), ref.label)
                 described, gamma = wc.describe(), built_bits(ref)[2]
@@ -672,52 +662,41 @@ class TestBuildersMatchReference:
                 assert labelled(alg, spectral_dims(wc.spec, alg)) == reference_spectral_dims(ref.spec, alg), ref.label
 
     def test_errors_match_reference(self, z4, z4_setup):
-        K, _q, lam, _mu = z4_setup  # K = {0, 2} is its own annihilator
-        other = quotient(z4.group, Subgroup.trivial(z4.group)).cosets[1]
-        rho0 = lam
+        K, q, _lam, _mu = z4_setup  # K = {0, 2} is its own annihilator
+        # Z1 over the quotient by the trivial subgroup, not by K's annihilator
+        stray = quotient(z4.group, Subgroup.trivial(z4.group))
+        annihilator = "Z1 must be cosets of the annihilator of K = {(0,),(2,)}"
         cases = [
-            (build_no_m, reference_build_no_m, ([],), "Z must be nonempty"),
-            (build_no_m, reference_build_no_m, ([], 2), "Z must be nonempty"),
-            (build_no_m, reference_build_no_m, ([lam], 2), "side must be 0 or 1"),
-            (build_no_m, reference_build_no_m, ([other],), f"{other} is not a coset of the chosen subgroup"),
-            (build_no_m, reference_build_no_m, ([lam, other], 1), f"{other} is not a coset of the chosen subgroup"),
-            (build_with_m, reference_build_with_m, ([], other), "Z must be nonempty"),
-            (build_with_m, reference_build_with_m, ([lam], other), "rho0 must be a coset of the annihilator of K"),
-            (build_with_m, reference_build_with_m, ([other], rho0), f"{other} is not a coset of K"),
+            (build_no_m, reference_build_no_m, spec_of(z4, K, [0], [1]),
+             "no_m takes Z on one side only: Z0 or Z1 must be empty"),
+            (build_no_m, reference_build_no_m, CoidealSpec(q, stray, [], [3]), annihilator),
+            (build_with_m, reference_build_with_m, spec_of(z4, K, [], [0]), "Z must be nonempty"),
+            (build_with_m, reference_build_with_m, spec_of(z4, K, [0], [0, 1]),
+             "rho0 must be a single coset of the annihilator of K"),
+            (build_with_m, reference_build_with_m, CoidealSpec(q, stray, [0, 1], [2]), annihilator),
+            (build_I_m_K, reference_build_I_m_K, spec_of(z4, K, [0, 1]), "I_m_K takes one Z0 coset and no Z1"),
+            (build_I_Omega_K, reference_build_I_Omega_K, spec_of(z4, K, [0], [0]),
+             "I_Omega_K takes one Z0 coset and no Z1"),
+            (build_I_Omega_K, reference_build_I_Omega_K, CoidealSpec(q, stray, [0], []), annihilator),
         ]
-        for build, reference, args, message in cases:
+        for build, reference, spec, message in cases:
             for fn in (build, reference):
                 with pytest.raises(InvariantError) as exc:
-                    fn(z4, K, *args)
-                assert str(exc.value) == message, (fn.__name__, args)
-
-
-    def test_malformed_coset_matches_reference(self, z4, z4_setup):
-        # the right subgroup, but elements from two cosets of it
-        K, _q, lam, _mu = z4_setup
-        bad = Coset(K, frozenset({(0,), (1,)}), (0,))
-        cases = [
-            (build_no_m, reference_build_no_m, ([lam, bad],), f"{bad} is not a coset of the chosen subgroup"),
-            (build_with_m, reference_build_with_m, ([bad], lam), f"{bad} is not a coset of K"),
-        ]
-        for build, reference, args, message in cases:
-            for fn in (build, reference):
-                with pytest.raises(InvariantError) as exc:
-                    fn(z4, K, *args)
-                assert str(exc.value) == message, (fn.__name__, args)
+                    fn(z4, spec)
+                assert str(exc.value) == message, (fn.__name__, spec)
 
 
 class TestAssess:
     def test_verdicts_of_a_weak_coideal(self, z4, z4_setup):
-        K, _q, lam, _mu = z4_setup
-        wc = build_no_m(z4, K, [lam])
+        K, _q, _lam, _mu = z4_setup
+        wc = build_no_m(z4, spec_of(z4, K, [0]))
         report, flag, indec, dims_ok = assess(wc)
         assert report.to_dict() == verify_weak_coideal(wc).to_dict() and report.passed
         assert (flag, indec, dims_ok) == (is_coideal(wc), is_indecomposable(wc), dims_match(wc))
 
     def test_failing_checks_leave_indecomposability_undecided(self, z4, z4_setup, monkeypatch):
-        K, _q, lam, _mu = z4_setup
-        wc = build_no_m(z4, K, [lam])
+        K, _q, _lam, _mu = z4_setup
+        wc = build_no_m(z4, spec_of(z4, K, [0]))
         x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
@@ -878,11 +857,10 @@ def z4_family(builder, sign):
     that break the algebra's tables: Z = {K} and rho0 = K for the m family."""
     alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=sign)
     K = Subgroup.generated(alg.group, [(2,)])
-    lam = quotient(alg.group, K).cosets[0]
     return {
-        "no_m": lambda: build_no_m(alg, K, [lam]),
-        "with_m": lambda: build_with_m(alg, K, [lam], lam),
-        "I_Omega_K": lambda: build_I_Omega_K(alg, K),
+        "no_m": lambda: build_no_m(alg, spec_of(alg, K, [0])),
+        "with_m": lambda: build_with_m(alg, spec_of(alg, K, [0], [0])),
+        "I_Omega_K": lambda: build_I_Omega_K(alg, spec_of(alg, K, [0])),
     }[builder]()
 
 
@@ -910,9 +888,8 @@ class TestArrayChecks:
     @pytest.mark.parametrize("builder", ["no_m", "with_m"])
     def test_block_residual_matches_generic(self, z4, z4_setup, builder):
         # members of A plus noise, some of it in blocks where X^x = 0
-        K, _q, lam, _mu = z4_setup
-        wc = build_no_m(z4, K, [lam]) if builder == "no_m" else build_with_m(
-            z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0])
+        K, _q, _lam, _mu = z4_setup
+        wc = build_no_m(z4, spec_of(z4, K, [0])) if builder == "no_m" else build_with_m(z4, spec_of(z4, K, [0], [0]))
         space, A = generic_space(wc), wc.coords
         rng = np.random.default_rng(7)
         outside = [u for u in range(z4.dim) if not A.in_blocks[z4._layout.block[u]]]
@@ -936,8 +913,8 @@ class TestArrayChecks:
         # a product entry (2; 0, 0)(2; 0, 0) -> (1; 0, 0) puts mass in block 1,
         # where X^1 = 0; neither factor is a unit of 1_A
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
-        K, _q, lam, _mu = z4_setup
-        wc = build_no_m(alg, K, [lam])
+        K, _q, _lam, _mu = z4_setup
+        wc = build_no_m(alg, spec_of(alg, K, [0]))
         assert BlockLabel.grp((1,)) not in x_spaces(wc)
         T, pos = alg.product, unit_pos(alg)
         a = pos[BasisUnit(g(2), Slot.grp((0,)), Slot.grp((0,)))]
@@ -949,16 +926,16 @@ class TestArrayChecks:
 
     @pytest.fixture
     def no_m_half(self, z4, z4_setup):
-        K, _q, lam, _mu = z4_setup
-        return build_no_m(z4, K, [lam])  # X^2 = C v^2_lam, lam = {0, 2}
+        K, _q, _lam, _mu = z4_setup
+        return build_no_m(z4, spec_of(z4, K, [0]))  # X^2 = C v^2_lam, lam = {0, 2}
 
     @pytest.mark.parametrize("with_m", [False, True])
     def test_stray_unit_trips_only_product_closure(self, z4, z4_setup, with_m):
-        K, _q, lam, _mu = z4_setup
+        K, _q, _lam, _mu = z4_setup
         if with_m:  # 37 basis rows: the product pairs span several blocks
-            wc = build_with_m(z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0])
+            wc = build_with_m(z4, spec_of(z4, K, [0], [0]))
         else:
-            wc = build_no_m(z4, K, [lam])
+            wc = build_no_m(z4, spec_of(z4, K, [0]))
         x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0")
@@ -979,12 +956,11 @@ class TestArrayChecks:
     def test_smaller_target_trips_only_unit_coproduct(self, z4, z4_setup, builder, monkeypatch):
         # B_t without its first basis vector no longer holds every second leg
         # of Delta(1_A)
-        K, _q, lam, _mu = z4_setup
+        K, _q, _lam, _mu = z4_setup
         wc = {
-            "no_m": lambda: build_no_m(z4, K, [lam]),
-            "with_m": lambda: build_with_m(
-                z4, K, [lam], quotient(z4.group, orthogonal(z4.bichar, K)).cosets[0]),
-            "I_Omega_K": lambda: build_I_Omega_K(z4, K),
+            "no_m": lambda: build_no_m(z4, spec_of(z4, K, [0])),
+            "with_m": lambda: build_with_m(z4, spec_of(z4, K, [0], [0])),
+            "I_Omega_K": lambda: build_I_Omega_K(z4, spec_of(z4, K, [0])),
         }[builder]()
         target, source = z4.counital_subalgebras()
         smaller = subspace(target.basis_vectors()[1:], eps=z4.eps)
