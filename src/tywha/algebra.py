@@ -294,6 +294,29 @@ class ProductTable:
 
 
 @dataclass
+class FiberTable:
+    """The fiber product: v^x_a . v^y_c has the term coeff v^z_e, ``local``
+    holding (x, a, y, c, z, e) in :class:`Layout`'s indices.  ``left``,
+    ``right`` and ``out`` number the slots (x, a), (y, c) and (z, e) as
+    ``Layout.slot_starts`` does; ``ptr`` delimits each left slot's entries."""
+
+    local: np.ndarray
+    coeff: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    out: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, lay: Layout, x, a, y, c, z, e, coeff) -> "FiberTable":
+        """The table of these entries, sorted by left slot, then right slot."""
+        left, right, out = (lay.slot_starts[b] + s for b, s in ((x, a), (y, c), (z, e)))
+        order = np.lexsort((right, left))
+        ptr = np.searchsorted(left[order], np.arange(int(lay.sizes.sum()) + 1))
+        return cls(np.stack([x, a, y, c, z, e])[:, order], *(w[order] for w in (coeff, left, right, out)), ptr)
+
+
+@dataclass
 class UnitMap:
     """A map sending each basis unit u_i to ``c[i] u_{k[i]}`` (the involution
     or the antipode), as arrays."""
@@ -350,6 +373,11 @@ class Layout:
 
     def unit(self, block, row, col):
         return self.starts[block] + row * self.sizes[block] + col
+
+    @cached_property
+    def slot_starts(self) -> np.ndarray:
+        """Slot s of block x is ``slot_starts[x] + s`` in all blocks' slots."""
+        return np.cumsum(self.sizes) - self.sizes
 
     @property
     def diag(self) -> np.ndarray:
@@ -426,11 +454,11 @@ class TYAlgebra:
         zero = self.group.index(self.group.zero())
         return Layout(starts, sizes, block, row, col, zero)
 
-    def _fiber_table(self) -> tuple[np.ndarray, ...]:
-        """The fiber product of every pair of basis vectors as arrays (x, a,
-        y, c, z, e, coeff): v^x_a . v^y_c has the term coeff v^z_e, in the
-        local block and slot indices of :class:`Layout`.  chi and tau
-        conj(chi) are computed as Python scalars."""
+    @cached_property
+    def _fiber_table(self) -> FiberTable:
+        """The fiber product of every pair of basis vectors, sorted by left
+        slot and then right slot.  chi and tau conj(chi) are computed as
+        Python scalars."""
         n, add, elems = self.group.order, self.group.add_table, self.group.elements()
         chi = np.array([[self.chi(g, h) for h in elems] for g in elems])
         tau_chi = np.array([[self.tau * c.conjugate() for c in row] for row in chi.tolist()])
@@ -447,7 +475,8 @@ class TYAlgebra:
             (n, u, n, n + v, sub[v, u], v, 1),  # v^m_h v^m_{~k} = v^{k-h}_k
             (n, n + v, n, v, u, n, tau_chi[u, v]),  # v^m_{~h} v^m_h = tau conj(chi(p,h)) v^p_m
         ]
-        return tuple(np.concatenate(col) for col in zip(*(np.broadcast_arrays(*r) for r in rules)))
+        columns = zip(*(np.broadcast_arrays(*r) for r in rules))
+        return FiberTable.of(self._layout, *(np.concatenate(col) for col in columns))
 
     @cached_property
     def product(self) -> ProductTable:
@@ -459,7 +488,7 @@ class TYAlgebra:
         ``0.0 + cp * cq.conjugate()`` spelled out on real and imaginary parts,
         so it matches the fiber product of the two legs bit for bit.  Nothing
         is pruned: the closed form has exact zeros."""
-        x, a, y, c, z, e, coeff = self._fiber_table()
+        (x, a, y, c, z, e), coeff = self._fiber_table.local, self._fiber_table.coeff
         key = (x * self.dim + y) * self.dim + z
         order = np.argsort(key, kind="stable")
         p, q = _join(key, key[order])
@@ -617,6 +646,25 @@ class TYAlgebra:
                 Subspace(*_distinct(*table), eps=self.eps) for table in (self._eps_t_table, self._eps_s_table)
             )
         return self._counital
+
+    @cached_property
+    def _row_legs_kept(self) -> np.ndarray:
+        """For each slot (x, r), numbered as by ``Layout.slot_starts``,
+        whether every term of Delta(x; r, c), for every c, has a first leg
+        (x; r, s): the coproduct keeps the row leg."""
+        lay, C = self._layout, self._coproduct_table
+        moved = (lay.block[C.first] != lay.block[C.src]) | (lay.row[C.first] != lay.row[C.src])
+        return np.bincount(lay.slot_starts[lay.block[C.src]] + lay.row[C.src], moved, int(lay.sizes.sum())) == 0
+
+    @cached_property
+    def _unit_legs_in_target(self) -> np.ndarray:
+        """For each zero-block slot s, whether e_s (x) conj(v^0_Omega) =
+        sum_c (0; s, c), a second leg of every Delta(1_A), lies in B_t."""
+        target, lay = self.counital_subalgebras()[0], self._layout
+        n = int(lay.sizes[lay.zero])
+        legs = (lay.zero_units.reshape(n, n, 1) == target.universe).any(axis=1)
+        res = target.residuals(legs.astype(complex), n - legs.sum(axis=1))
+        return res <= target.eps * (1.0 + np.sqrt(n))
 
     # -- Haar functional ---------------------------------------------------------
 
@@ -958,7 +1006,7 @@ class TYAlgebra:
         lay = self._layout
         z, n, width = lay.zero, int(lay.sizes[lay.zero]), int(lay.sizes.max())
         outputs, slots, ones = len(lay.sizes) * width, np.arange(n), np.ones(n)
-        x, a, y, c, zb, e, coeff = self._fiber_table()
+        (x, a, y, c, zb, e), coeff = self._fiber_table.local, self._fiber_table.coeff
         hit = (x == z) & (y == z)
         product = ((a[hit] * n + c[hit]) * outputs + zb[hit] * width + e[hit], coeff[hit])
         square = (slots * (n + 1) * outputs + z * width + slots, ones)  # v^0_a v^0_a = v^0_a

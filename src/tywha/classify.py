@@ -31,8 +31,8 @@ from .groups import (
 
 CLASSIFY_ORDER_BOUND = 16
 # ``--realize`` builds and verifies one coideal per class.  Every group of
-# order up to 13 finishes within 120 s and Z14 does not (see README).
-REALIZE_ORDER_BOUND = 13
+# order up to 16 finishes within 120 s (see README).
+REALIZE_ORDER_BOUND = 16
 ENUMERATION_BOUND = 2_000_000
 # Images are keyed at most this many coordinates at a time, which bounds the
 # memory of the orbit engine whatever the number of points.

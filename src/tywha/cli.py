@@ -269,7 +269,7 @@ def cmd_coideal_build(args) -> int:
 
     report, flag, indec, dims_ok = assess(wc)
     payload = {
-        "schema": "tywha-coideal/2",
+        "schema": "tywha-coideal/3",
         **wc.describe(),
         "tau_sign": alg.tau_sign,
         "verified": report.passed,

@@ -72,8 +72,8 @@ class WeakCoideal:
     fiber of block ``fiber_block[r]`` and is 1 at slot ``fiber_pivot[r]``
     and 0 at its block's other pivots.  ``unit`` is 1_A = v^0_Gamma (x)
     conj(v^0_Omega) as one row over the zero block's slots, 1 on Gamma, the
-    slots where the zero block's rows have support; A's coordinates are
-    built on first use."""
+    slots where the zero block's rows have support.  The fiber terms that
+    the checks read are built on first use."""
 
     def __init__(self, algebra: TYAlgebra, fiber_block: np.ndarray, fiber_pivot: np.ndarray,
                  fiber_rows: np.ndarray, label: str, spec: CoidealSpec | None = None):
@@ -84,12 +84,13 @@ class WeakCoideal:
         self.unit = x0.any(axis=0).astype(complex)
 
     @cached_property
-    def coords(self) -> "_Coords":
-        return _Coords(self)
+    def fibers(self) -> "_Fibers":
+        return _Fibers(self)
 
     @property
     def dim(self) -> int:
-        return self.coords.size
+        """sum_x dim X^x dim H^x."""
+        return int(self.algebra._layout.sizes[self.fiber_block].sum())
 
     def x_dims(self) -> np.ndarray:
         """dim X^x for each block x, in ``Layout`` order."""
@@ -276,167 +277,142 @@ def _exact(ok: bool, witness: str = "") -> tuple[float, bool, str]:
     return (0.0, True, "") if ok else (float("inf"), False, witness)
 
 
-class _Coords:
-    """A = sum_x X^x (x) conj(H^x), block by block.
+class _Fibers:
+    """The fiber rows F_x of a weak coideal as terms (row, slot, val),
+    pruned at ROUNDOFF, slots numbered as by ``Layout.slot_starts``, sorted
+    by row, then slot (``terms``), and by slot (``sorted_terms``); ``block``
+    and ``local`` give each term's block and slot within it.
 
-    For each block x with X^x != 0 the fiber echelon basis F_x (rows over
-    the block's slots, pruned at ROUNDOFF as ``basis_vectors`` prunes them)
-    gives A's rows F_x[i] (x) e_c: numbered by block, then fiber row, then
-    column slot c.  Their terms (row, unit, val) are sorted by row, then unit.
-
-    A vector of B with block matrices V_x (row slot by column slot) lies in
-    A iff every column of each V_x lies in X^x and it has no mass off A's
-    blocks.  Its residual is the root of
-
-        sum_x |V_x[free] - F_x[:, free]^T V_x[piv]|^2 + |mass off A's blocks|^2,
-
-    taken by the sparse map ``reduce``: for each (block, row slot) of A's
-    blocks, the free slots it reaches and with what coefficient (1 from a
-    free slot to itself, -F_x[i, f] from the pivot slot of row i)."""
+    Row i is 1 at its pivot slot and 0 at its block's other pivots, so a
+    vector w of sum_z H^z lies in sum_z X^z iff w - sum_i w[piv_i] F_i is
+    zero: it is w_z[free] - F_z[:, free]^T w_z[piv] on the free slots of a
+    block with X^z != 0, 0 on pivots and w elsewhere, and its norm is w's
+    residual.  The reduce map sends each pivot slot to its row."""
 
     def __init__(self, wc: WeakCoideal):
-        alg = wc.algebra
-        lay = self.layout = alg._layout
-        self.dim, self.eps = alg.dim, alg.eps
-        self.first_slot = np.cumsum(lay.sizes) - lay.sizes  # slot s of block b is first + s
-        self.in_blocks = np.bincount(wc.fiber_block, minlength=len(lay.sizes)) > 0
-        b, piv = wc.fiber_block, wc.fiber_pivot
+        alg, b = wc.algebra, wc.fiber_block
+        lay, self.table, self.eps = alg._layout, alg._fiber_table, alg.eps
+        self.slots, self.size = int(lay.sizes.sum()), len(b)
         fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
-        n = lay.sizes[b]  # the slots of each fiber row's block; its rows of A begin at start
-        self.size, start = int(n.sum()), np.cumsum(n) - n
-        # every term (r, s) of a fiber row gives A's rows (r, c) their term at unit (s, c)
-        r, s = np.nonzero(fiber)
-        t, col = _ranges(np.zeros_like(r), n[r])
-        row, unit = start[r[t]] + col, lay.unit(b[r[t]], s[t], col)
-        order = np.argsort(row, kind="stable")
-        self.row, self.unit, self.val = row[order], unit[order], fiber[r, s][t][order]
-        self.by_unit = np.argsort(self.unit, kind="stable")
-        self.unit_sorted = self.unit[self.by_unit]
-        self.covers = np.zeros(self.dim, dtype=bool)
-        self.covers[self.unit] = True
-        self.norms = np.sqrt(np.bincount(self.row, _abs2(self.val), self.size))
-        # ``reduce`` as (block slot, free slot, coefficient): each free slot to
-        # itself, then each row's pivot to the free slots where it is nonzero
-        pivot = np.zeros((len(lay.sizes), fiber.shape[1]), dtype=bool)
-        pivot[b, piv] = True
-        fb, fs = np.nonzero(~pivot & self.in_blocks[:, None] & (np.arange(fiber.shape[1]) < lay.sizes[:, None]))
-        r, f = np.nonzero(fiber * ~pivot[b])
-        key = self.first_slot[np.concatenate([fb, b[r]])] + np.concatenate([fs, piv[r]])
-        order = np.argsort(key, kind="stable")
-        self.reduce_slot = np.concatenate([fs, f])[order]
-        self.reduce_coef = np.concatenate([np.ones(len(fs)), -fiber[r, f]])[order]
-        self.reduce_ptr = np.searchsorted(key[order], np.arange(lay.sizes.sum() + 1))
+        row, self.local = np.nonzero(fiber)
+        self.block, val = b[row], fiber[row, self.local]
+        self.terms = row, lay.slot_starts[self.block] + self.local, val
+        self.sorted_terms = tuple(t[np.argsort(self.terms[1], kind="stable")] for t in self.terms)
+        self.pivot_row = np.full(self.slots, -1)
+        self.pivot_row[lay.slot_starts[b] + wc.fiber_pivot] = np.arange(self.size)
+        self.row_ptr = np.searchsorted(row, np.arange(self.size + 1))
 
-    def residual(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> tuple:
-        """The norm of the component outside A, and the norm, of each of n
-        vectors of B given by terms (vector, unit, value), summed as by
-        :func:`_summed`."""
-        lay, dim = self.layout, self.dim
-        vec, unit, val = _summed(vec, unit, val, dim)
-        mass, b = _abs2(val), lay.block[unit]
-        off = ~self.in_blocks[b]
-        s, p = _runs(self.reduce_ptr, self.first_slot[b] + lay.row[unit])
-        out = lay.unit(b[s], self.reduce_slot[p], lay.col[unit[s]])
-        keys, sums = _sums(vec[s] * dim + out, val[s] * self.reduce_coef[p])
-        inside = np.bincount(keys // dim, _abs2(sums), n)
-        return np.sqrt(inside + np.bincount(vec[off], mass[off], n)), np.sqrt(np.bincount(vec, mass, n))
+    def compose(self, left: tuple, right: tuple) -> tuple:
+        """The terms (u, w, output slot, value) of u . w for the vectors u
+        and w given by the terms ``left`` and ``right`` (vector, slot,
+        value), ``right``'s sorted by slot: one join through the fiber table."""
+        (lv, ls, lval), (rv, rs, rval), T = left, right, self.table
+        s, p = _runs(T.ptr, ls)
+        q, t = _join(T.right[p], rs)
+        s, p = s[q], p[q]
+        return lv[s], rv[t], T.out[p], lval[s] * rval[t] * T.coeff[p]
 
-    def contains(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
-        res, norm = self.residual(vec, unit, val, n)
-        return res <= self.eps * (1.0 + norm)
-
-
-def _unit_terms(wc: WeakCoideal) -> tuple[np.ndarray, np.ndarray]:
-    """The units of 1_A, ascending, and 1_A as a dense vector of B: unit
-    (0; r, c) carries the row's value at slot r."""
-    lay = wc.algebra._layout
-    row = np.repeat(wc.unit, lay.sizes[lay.zero])
-    dense = np.zeros(wc.algebra.dim, dtype=complex)
-    dense[lay.zero_units] = row
-    return lay.zero_units[row != 0], dense
+    def residual(self, vec: np.ndarray, slot: np.ndarray, val: np.ndarray, n: int) -> tuple:
+        """The norm of the component outside sum_x X^x, and the norm, of
+        each of n vectors of sum_z H^z given by terms (vector, slot, value),
+        summed as by :func:`_summed`."""
+        (vec, slot, val), (_, own, coef) = _summed(vec, slot, val, self.slots), self.terms
+        at = self.pivot_row[slot] >= 0
+        s, p = _runs(self.row_ptr, self.pivot_row[slot[at]])
+        keys, sums = _sums(np.concatenate([vec, vec[at][s]]) * self.slots + np.concatenate([slot, own[p]]),
+                           np.concatenate([val, -val[at][s] * coef[p]]))
+        return np.sqrt(np.bincount(keys // self.slots, _abs2(sums), n)), np.sqrt(np.bincount(vec, _abs2(val), n))
 
 
 def _unit_exists(wc: WeakCoideal) -> tuple[float, bool, str]:
-    units, mu = _unit_terms(wc)
-    res, norm = wc.coords.residual(np.zeros(len(units), dtype=np.int64), units, mu[units], 1)
-    return _exact(bool(norm[0] > wc.algebra.eps and res[0] <= wc.algebra.eps * (1.0 + norm[0])),
-                  "empty or missing unit")
+    """1_A = v^0_Gamma (x) conj(v^0_Omega) lies in A iff v^0_Gamma = u lies
+    in X^0, since A's zero block is X^0 (x) conj(H^0), and it is nonzero iff
+    u is.  u's residual is |u - sum_i u[piv_i] F_0[i]| over the zero
+    block's slots (see :class:`_Fibers`), with F_0 pruned at ROUNDOFF."""
+    u, eps, zero = wc.unit, wc.algebra.eps, wc.fiber_block == wc.algebra._layout.zero
+    rows, piv = wc.fiber_rows[zero, : len(u)], wc.fiber_pivot[zero]
+    res, norm = np.linalg.norm(u - u[piv] @ np.where(np.abs(rows) > ROUNDOFF, rows, 0.0)), np.linalg.norm(u)
+    return _exact(bool(norm > eps and res <= eps * (1.0 + norm)), "empty or missing unit")
 
 
 def _product_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
-    """The margin res - eps (1 + |ab|) of every pair (a, b) of basis rows,
-    numbered a * size + b: the products are one join of A's terms through
-    the product entries with both factors on A's units.  A pair whose
-    product has no terms has margin -eps and is left out."""
-    alg, A = wc.algebra, wc.coords
-    T, size = alg.product, A.size
-    within = np.flatnonzero(A.covers[T.i] & A.covers[T.j])
-    s, e = _join(A.unit, T.i[within])
-    e = within[e]
-    q, p = _join(T.j[e], A.unit_sorted)
-    s, e, b = s[q], e[q], A.by_unit[p]
-    pairs, pair = np.unique(A.row[s] * size + A.row[b], return_inverse=True)
-    res, norm = A.residual(pair, T.k[e], A.val[s] * A.val[b] * T.c[e], len(pairs))
-    return _verdict(res - A.eps * (1.0 + norm), 0.0,
-                    lambda at: f"basis pair {divmod(int(pairs[at]), size)}")
+    """B's product is the fiber table's self-join on (x, y, z): for xi in
+    X^x and eta in X^y, (xi (x) conj e_b)(eta (x) conj e_d) is
+    sum_z (xi . eta)_z (x) conj(c_z e_f), where e_b . e_d has at most one
+    term c_z e_f, c_z != 0, in each block z, and over all (b, d) reaches
+    every z the table links to (x, y).  As A keeps every column leg, it is
+    closed under product iff (X^x . X^y)_z <= X^z for every linked
+    (x, y, z), that is iff xi . eta lies in sum_z X^z for all fiber rows.
+    The margin res - eps (1 + |xi . eta|) of every pair, numbered i r + j;
+    a pair whose product has no terms has margin -eps and is left out."""
+    F = wc.fibers
+    i, j, slot, val = F.compose(F.terms, F.sorted_terms)
+    pairs, pair = np.unique(i * F.size + j, return_inverse=True)
+    res, norm = F.residual(pair, slot, val, len(pairs))
+    return _verdict(res - F.eps * (1.0 + norm), 0.0,
+                    lambda at: f"fiber rows {divmod(int(pairs[at]), F.size)}")
 
 
 def _star_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
-    """The involution is a monomial map: u_i -> c_i u_{k_i}."""
-    A, star = wc.coords, wc.algebra._star_map
-    res, _ = A.residual(A.row, star.k[A.unit], A.val.conj() * star.c[A.unit], A.size)
-    return _verdict(res - A.eps * (1.0 + A.norms), 0.0, "basis vector {}".format)
+    """The involution sends (x; r, c) to psi_r phi_c (-x; r', c'),
+    conjugate-linearly, with psi, phi nonzero and c -> c' onto the slots, so
+    star(xi (x) conj e_c) = sharp(xi) (x) conj(phi_c e_c'), sharp(xi) =
+    sum_r conj(xi_r) psi_r e_r', and A is closed under star iff sharp(X^x)
+    <= X^(-x).  The margin res - eps (1 + |xi|) of every fiber row."""
+    alg, F = wc.algebra, wc.fibers
+    n, (block, slot) = alg.group.order, alg._slot_map
+    psi = np.array([1.0, alg._psi_unb, alg._psi_bar], dtype=complex)
+    (row, _, val), kind = F.terms, np.where(F.block < n, 0, 1 + (F.local >= n))  # group, unbarred m, barred m
+    image = alg._layout.slot_starts[block[F.block]] + slot[F.block, F.local]
+    res, _ = F.residual(row, image, val.conj() * psi[kind], F.size)
+    norms = np.sqrt(np.bincount(row, _abs2(val), F.size))
+    return _verdict(res - F.eps * (1.0 + norms), 0.0, "fiber row {}".format)
 
 
 def _coproduct_into(wc: WeakCoideal) -> tuple[float, bool, str]:
-    """Delta(a) = sum_j w_j (x) u_j lies in A (x) B iff every w_j lies in A."""
-    alg, A = wc.algebra, wc.coords
-    C, dim = alg._coproduct_table, alg.dim
-    t, p = _runs(C.ptr, A.unit)
-    keys, leg = np.unique(A.row[t] * dim + C.second[p], return_inverse=True)
-    bad = keys[~A.contains(leg, C.first[p], A.val[t], len(keys))] // dim
-    return _exact(not len(bad), f"basis vector {int(bad[0])}" if len(bad) else "")
+    """True by construction: Delta(x; r, c) = sum_s (x; r, s) (x) (x; s, c),
+    so Delta(xi (x) conj e_c) = sum_s (xi (x) conj e_s) (x) (e_s (x) conj e_c),
+    whose first legs lie in X^x (x) conj(H^x), all of which A, held by its
+    fiber rows, keeps.  The check is on the coproduct table this rests on:
+    every term of Delta(x; r, c), r in a fiber row's support, keeps (x; r)."""
+    row, slot, _ = wc.fibers.terms
+    bad = row[~wc.algebra._row_legs_kept[slot]]
+    return _exact(not len(bad), f"fiber row {int(bad[0])}" if len(bad) else "")
 
 
 def _unit_identity(wc: WeakCoideal) -> tuple[float, bool, str]:
-    """The sup distance of 1_A a and a 1_A from a, for every basis row a."""
-    alg, A = wc.algebra, wc.coords
-    T, dim = alg.product, alg.dim
-    _, mu = _unit_terms(wc)
-    dist = np.zeros(A.size)
-    for (s, e), unit_coef in ((T.of_right(A.unit), mu[T.i]), (T.of_left(A.unit), mu[T.j])):
-        row, k, val = _summed(A.row[s], T.k[e], A.val[s] * unit_coef[e] * T.c[e], dim)
-        keys, diff = _diff((row * dim + k, val), (A.row * dim + A.unit, A.val))
-        np.maximum.at(dist, keys // dim, diff)
-    return _verdict(dist, alg.eps, "basis vector {}".format)
+    """1_A (xi (x) conj e_c) = (v^0_Gamma . xi) (x) conj(v^0_Omega . e_c) and
+    v^0_Omega acts as the identity on every H^x from both sides (B's unit
+    law), so 1_A a = a = a 1_A on A iff v^0_Gamma . xi = xi = xi . v^0_Gamma
+    for every fiber row xi.  The sup distance of both from xi, per row."""
+    F, lay, at = wc.fibers, wc.algebra._layout, np.flatnonzero(wc.unit)
+    (row, slot, val), n, dist = F.terms, F.slots, np.zeros(F.size)
+    unit = np.zeros(len(at), dtype=np.int64), lay.slot_starts[lay.zero] + at, wc.unit[at]
+    (_, left, *lhs), (right, _, *rhs) = F.compose(unit, F.sorted_terms), F.compose(F.terms, unit)
+    for side in ((left, *lhs), (right, *rhs)):
+        r, s, v = _summed(*side, n)
+        keys, diff = _diff((r * n + s, v), (row * n + slot, val))
+        np.maximum.at(dist, keys // n, diff)
+    return _verdict(dist, F.eps, "fiber row {}".format)
 
 
 def _unit_coproduct(wc: WeakCoideal) -> tuple[float, bool, str]:
-    """Delta(1_A) = sum_f u_f (x) r_f lies in A (x) B_t: every r_f lies in
-    B_t (one dense residual over its universe), and for each basis row of
-    B_t the first legs weighted by their r_f coordinates lie in A."""
-    alg, A = wc.algebra, wc.coords
-    C, dim = alg._coproduct_table, alg.dim
-    target, _source = alg.counital_subalgebras()
-    units, mu = _unit_terms(wc)
-    _, p = _runs(C.ptr, units)
-    firsts, at = np.unique(C.first[p], return_inverse=True)
-    f, second, val = _summed(at, C.second[p], mu[C.src[p]], dim)
-    keys = target.universe
-    pos = np.full(dim, -1)  # each unit's place in B_t's universe
-    pos[keys] = np.arange(len(keys))
-    inside = pos[second] >= 0
-    legs = np.zeros((len(firsts), len(keys)), dtype=complex)
-    legs[f[inside], pos[second[inside]]] = val[inside]
-    res = target.residuals(legs, np.bincount(f[~inside], _abs2(val[~inside]), len(firsts)))
-    norms = np.sqrt(np.bincount(f, _abs2(val), len(firsts)))
-    row_of = np.full(dim, -1)  # the B_t basis row whose pivot is each unit
-    row_of[keys[target.pivots]] = np.arange(target.dim)
-    b = row_of[second]
-    hit = b >= 0
-    ok = (bool(A.size) and bool((res - target.eps * (1.0 + norms) <= 0.0).all())
-          and bool(A.contains(b[hit], firsts[f[hit]], val[hit], target.dim).all()))
-    return _exact(ok)
+    """Delta(1_A) = sum_s (v^0_Gamma (x) conj e_s) (x) (e_s (x) conj v^0_Omega)
+    over the zero-block slots s.  For Gamma nonempty both families of legs
+    are linearly independent, so Delta(1_A) lies in A (x) B_t iff every
+    first leg lies in A, that is iff v^0_Gamma lies in X^0, and every second
+    leg lies in B_t, a property of B alone, checked once per algebra.
+    Delta(1_A) = 0 for Gamma empty; A = 0 fails, as it has no unit."""
+    if not len(wc.fiber_block):
+        return _exact(False, "A = 0")
+    if not wc.unit.any():
+        return 0.0, True, ""
+    if not _unit_exists(wc)[1]:
+        return _exact(False, "v^0_Gamma not in X^0")
+    alg = wc.algebra
+    out = np.flatnonzero(~alg._unit_legs_in_target)
+    slot = alg.slot_names[alg._layout.zero][out[0]] if len(out) else ""
+    return _exact(not len(out), f"second leg e_{slot} (x) conj(v^0_Omega) of Delta(1_A) not in B_t")
 
 
 def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
@@ -446,16 +422,16 @@ def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
     A (x) B_t.
 
     The checks are one table of rows (name, instances, evaluator), run in
-    order; an evaluator returns (residual, passed, witness).  Each is a
-    batched residual over A's coordinates, one block of A at a time, read
-    from B's structure-constant arrays."""
-    alg, size = wc.algebra, wc.dim
+    order; an evaluator returns (residual, passed, witness).  Each runs on
+    the r fiber rows, by the reduction its docstring proves: an instance is
+    a fiber row, or a pair of them, and a residual is taken in sum_z H^z."""
+    alg, r = wc.algebra, len(wc.fiber_block)
     rows = [
         ("unit exists in A", 1, _unit_exists),
-        ("closed under product", size**2, _product_closure),
-        ("closed under star", size, _star_closure),
-        ("coproduct maps into A (x) B", size, _coproduct_into),
-        ("unit acts as identity", size, _unit_identity),
+        ("closed under product", r**2, _product_closure),
+        ("closed under star", r, _star_closure),
+        ("coproduct maps into A (x) B", r, _coproduct_into),
+        ("unit acts as identity", r, _unit_identity),
         ("coproduct of unit in A (x) B_t", 1, _unit_coproduct),
     ]
     tau = "+" if alg.tau_sign > 0 else "-"
@@ -470,58 +446,67 @@ def is_coideal(wc: WeakCoideal) -> bool:
     return float(np.abs(wc.unit - 1.0).max()) <= wc.algebra.eps
 
 
-def _invariance(wc: WeakCoideal) -> tuple:
-    """The sparse system (rows, cols, vals) whose kernel is the invariant
-    subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}, in A's coordinates.
-
-    Delta(1_A)(u_i (x) 1) is sum_p c_p (u_{f_p} u_i) (x) u_{s_p} over the terms
-    c_p u_{f_p} (x) u_{s_p} of Delta(1_A), so each constraint column joins
-    those first legs with the product entries whose right factor is u_i."""
-    alg, A = wc.algebra, wc.coords
-    dim, T, C = alg.dim, alg.product, alg._coproduct_table
-    units, mu = _unit_terms(wc)
-    _, p = _runs(C.ptr, units)
-    p = p[np.argsort(C.first[p], kind="stable")]
-    first, second, coef = C.first[p], C.second[p], mu[C.src[p]]
-    t, p = _runs(C.ptr, A.unit)
-    s, e = T.of_right(A.unit)
-    q, d = _join(T.i[e], first)
-    s, e = s[q], e[q]
-    rows = np.concatenate([C.first[p] * dim + C.second[p], T.k[e] * dim + second[d]])
-    cols = np.concatenate([A.row[t], A.row[s]])
-    vals = np.concatenate([A.val[t], -coef[d] * A.val[s] * T.c[e]])
-    return rows, cols, vals
+def _coords(wc: WeakCoideal) -> tuple:
+    """A's basis for ``center``: the terms (row, unit, val) of the rows
+    F_x[i] (x) e_c, F_x pruned at ROUNDOFF, numbered by block, fiber row and
+    column slot c and sorted by row, then unit; and dim A."""
+    lay, b = wc.algebra._layout, wc.fiber_block
+    fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
+    n = lay.sizes[b]  # the slots of each fiber row's block; its rows of A begin at start
+    start = np.cumsum(n) - n
+    r, s = np.nonzero(fiber)  # each term gives A's rows (r, c) their term at unit (s, c)
+    t, col = _ranges(np.zeros_like(r), n[r])
+    row, unit = start[r[t]] + col, lay.unit(b[r[t]], s[t], col)
+    order = np.argsort(row, kind="stable")
+    return row[order], unit[order], fiber[r, s][t][order], int(n.sum())
 
 
 def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
-    """The invariant subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}."""
-    A, alg = wc.coords, wc.algebra
-    kernel = sparse_nullspace(*_invariance(wc), A.size, eps=alg.eps)
-    return span(kernel, A.row, A.unit, A.val, eps=alg.eps)
+    """The invariant subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)},
+    by the lemma in :func:`is_indecomposable` the span of mu (x)
+    conj(v^0_Omega) over X^0's rows mu: unit (0; s, c) carries mu_s."""
+    lay = wc.algebra._layout
+    n, zero = int(lay.sizes[lay.zero]), wc.fiber_block == lay.zero
+    rows = np.repeat(wc.fiber_rows[zero, :n], n, axis=1)
+    i, at = np.nonzero(np.abs(rows) > ROUNDOFF)
+    return span(np.eye(int(zero.sum())), i, lay.zero_units[at], rows[i, at], eps=wc.algebra.eps)
 
 
 def center(wc: WeakCoideal) -> Subspace:
     """The center of A, by one commutant solve over A's basis."""
-    A, alg = wc.coords, wc.algebra
-    kernel = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
-    return span(kernel, A.row, A.unit, A.val, eps=alg.eps)
+    (*terms, size), alg = _coords(wc), wc.algebra
+    return span(sparse_nullspace(*alg.commutant(*terms), size, eps=alg.eps), *terms, eps=alg.eps)
 
 
 def is_indecomposable(wc: WeakCoideal) -> bool:
-    """True iff the central invariant subalgebra is one-dimensional.
+    """True iff the central invariant subalgebra Z(A) & A^inv is
+    one-dimensional.
 
-    The invariant subalgebra is the kernel of the invariance system in A's
-    coordinates, with rows z_i.  Its central elements sum_i y_i z_i are the
-    kernel of the commutant system restricted to the z_i: a dense matrix over
-    the few y_i, joining each commutant entry with the z_i nonzero there."""
-    A, alg = wc.coords, wc.algebra
-    z = sparse_nullspace(*_invariance(wc), A.size, eps=alg.eps)
-    (rows, cols, vals), (at, i) = alg.commutant(A.row, A.unit, A.val), np.nonzero(z.T)
-    s, p = _join(cols, at)
-    keys, r = np.unique(rows[s], return_inverse=True)
-    restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
-    np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
-    return len(nullspace(restricted, eps=alg.eps)[0]) == 1
+    A^inv = {mu (x) conj(v^0_Omega) : mu in X^0}.  Write a in A by its
+    columns, a = sum_xc xi_xc (x) conj e_c with xi_xc in X^x.  Then Delta(a)
+    = sum_xcs (xi_xc (x) conj e_s) (x) (e_s (x) conj e_c), while
+    Delta(1_A)(a (x) 1) = sum_t (v^0_Gamma (x) conj e_t) a (x) (e_t (x)
+    conj v^0_Omega) has every second leg in the zero block.  As the legs
+    e_s (x) conj e_c are independent, a in A^inv has xi_xc = 0 off the zero
+    block and, there, xi_c = v^0_Gamma . xi_s for all s and c: its columns
+    are one mu with v^0_Gamma . mu = mu, which holds on X^0, as the zero
+    fiber multiplies slotwise and Gamma is X^0's support.  Each such a is
+    invariant.  And mu (x) conj(v^0_Omega) is central iff mu . xi = xi . mu
+    for every fiber row xi, since v^0_Omega acts as the identity on every
+    column leg.  So Z(A) & A^inv is the kernel of one small dense system
+    over the coordinates of mu along X^0's rows, a row per (fiber row,
+    output slot) of mu . xi - xi . mu, solved by one ``nullspace``."""
+    F, zero = wc.fibers, wc.fiber_block == wc.algebra._layout.zero
+    if not zero.any():
+        return False
+    row, slot, val = F.sorted_terms
+    at = zero[row]
+    mu = (np.cumsum(zero)[row[at]] - 1, slot[at], val[at])  # coordinates along X^0's rows
+    (i, r, out, v), (r2, i2, out2, v2) = F.compose(mu, F.sorted_terms), F.compose(F.terms, mu)
+    keys, eq = np.unique(np.append(r, r2) * F.slots + np.append(out, out2), return_inverse=True)
+    system = np.zeros((1, max(len(keys), 1), int(zero.sum())), dtype=complex)
+    np.add.at(system[0], (eq, np.append(i, i2)), np.append(v, -v2))
+    return len(nullspace(system, eps=wc.algebra.eps)[0]) == 1
 
 
 # -- spectral dimensions ---------------------------------------------------------

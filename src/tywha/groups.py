@@ -66,15 +66,6 @@ class FiniteAbelianGroup:
             raise InvariantError(f"element {coords!r} has wrong rank for {self}")
         return tuple(int(c) % n for c, n in zip(coords, self.factors))
 
-    def add(self, a: GroupElt, b: GroupElt) -> GroupElt:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
-
-    def neg(self, a: GroupElt) -> GroupElt:
-        return tuple((-x) % n for x, n in zip(a, self.factors))
-
-    def sub(self, a: GroupElt, b: GroupElt) -> GroupElt:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.factors))
-
     def elements(self) -> list[GroupElt]:
         """All elements in lexicographic order, which is index order."""
         return list(self._elements)
@@ -162,14 +153,6 @@ class Subgroup:
         for g in gens:
             rows = _with_multiples(group, rows, np.array([group.index(group.reduce(g))]))
         return cls.from_indices(group, np.flatnonzero(rows[0]))
-
-    @classmethod
-    def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls.from_indices(group, [0])
-
-    @classmethod
-    def full(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls.from_indices(group, np.arange(group.order))
 
     @property
     def order(self) -> int:

@@ -318,23 +318,6 @@ class Subspace:
         return _pruned_span(self.universe, kernel[:, : self.dim] @ self.basis, self.eps)
 
 
-def tensor_split_first(t: SparseVec) -> dict:
-    """Group a vector over pair keys by first leg: {i: SparseVec over j}."""
-    out: dict = {}
-    for (i, j), c in t.data.items():
-        vec = out.setdefault(i, SparseVec())
-        vec.data[j] = vec.data.get(j, 0.0) + c
-    return out
-
-
-def tensor_split_second(t: SparseVec) -> dict:
-    out: dict = {}
-    for (i, j), c in t.data.items():
-        vec = out.setdefault(j, SparseVec())
-        vec.data[i] = vec.data.get(i, 0.0) + c
-    return out
-
-
 def tensor_contains(t: SparseVec, left: Subspace, right: Subspace | None) -> bool:
     """Membership of a vector over pair keys in left (x) right.
 
@@ -344,14 +327,14 @@ def tensor_contains(t: SparseVec, left: Subspace, right: Subspace | None) -> boo
     materializing the tensor product space.  Coordinates along ``right`` of
     modulus at most ROUNDOFF are dropped.
     """
+    groups: dict = {}
+    for (i, j), c in t.data.items():
+        key, leg = (j, i) if right is None else (i, j)
+        groups.setdefault(key, SparseVec()).data[leg] = c
     if right is None:
-        for _, w in tensor_split_second(t).items():
-            if not left.contains(w):
-                return False
-        return True
-    by_first = tensor_split_first(t)
+        return all(left.contains(w) for w in groups.values())
     combos: dict[int, SparseVec] = {}
-    for i, r in by_first.items():
+    for i, r in groups.items():
         if not right.contains(r):
             return False
         for b, c in enumerate(right.coordinates(r)):

@@ -8,7 +8,10 @@ arrays and the array rows against them.  Named blocks, slots and basis
 units, cosets, the fiber subspaces of a weak coideal and its unit as a
 ``SparseVec`` are object views of the package's index arrays and coset
 numbers, kept here for the tests that read them, with the adapters that take
-``SparseVec``s into ``Subspace`` and ``assemble``.
+``SparseVec``s into ``Subspace`` and ``assemble``.  The coideal checks as
+they ran on A itself, before they moved to the fiber rows, and the element
+arithmetic of groups and their trivial and full subgroups are kept here for
+the tests that compare against them.
 """
 
 from __future__ import annotations
@@ -18,15 +21,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tywha.algebra import _join, _runs, _worst
-from tywha.coideals import CoidealSpec
+from tywha.algebra import AxiomCheck, AxiomReport, _diff, _join, _runs, _sums, _worst
+from tywha.coideals import CoidealSpec, _abs2, _coords, _exact, _summed, _verdict
 from tywha.errors import InvariantError
-from tywha.groups import GroupElt, QuotientGroup, orthogonal, quotient
-from tywha.linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace
+from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
+from tywha.linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, nullspace, sparse_nullspace, span
 
 SLOT_GRP = 0
 SLOT_M = 1
 SLOT_BAR = 2
+
+
+# -- element arithmetic --------------------------------------------------------------
+
+
+def add(group: FiniteAbelianGroup, a: GroupElt, b: GroupElt) -> GroupElt:
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.factors))
+
+
+def neg(group: FiniteAbelianGroup, a: GroupElt) -> GroupElt:
+    return tuple((-x) % n for x, n in zip(a, group.factors))
+
+
+def sub(group: FiniteAbelianGroup, a: GroupElt, b: GroupElt) -> GroupElt:
+    return tuple((x - y) % n for x, y, n in zip(a, b, group.factors))
+
+
+def trivial(group: FiniteAbelianGroup) -> Subgroup:
+    return Subgroup.from_indices(group, [0])
+
+
+def full(group: FiniteAbelianGroup) -> Subgroup:
+    return Subgroup.from_indices(group, np.arange(group.order))
 
 
 def distance(a: SparseVec, b: SparseVec) -> float:
@@ -278,17 +304,17 @@ def _circ_basis(alg, x: BlockLabel, a: Slot, y: BlockLabel, c: Slot) -> tuple:
         g, h = x.g, y.g
         if a.kind == SLOT_GRP and c.kind == SLOT_GRP:
             # v^g_k . v^h_{h+k} = v^{g+h}_{h+k}
-            if c.g == G.add(h, a.g):
-                return (((BlockLabel.grp(G.add(g, h)), Slot.grp(c.g)), 1.0 + 0j),)
+            if c.g == add(G, h, a.g):
+                return (((BlockLabel.grp(add(G, g, h)), Slot.grp(c.g)), 1.0 + 0j),)
         elif a.kind == SLOT_M and c.kind == SLOT_M:
             # v^g_m . v^h_m = v^{g+h}_m
-            return (((BlockLabel.grp(G.add(g, h)), Slot.m()), 1.0 + 0j),)
+            return (((BlockLabel.grp(add(G, g, h)), Slot.m()), 1.0 + 0j),)
     elif not x.is_m and y.is_m:
         g = x.g
         if a.kind == SLOT_GRP and c.kind == SLOT_GRP:
             # v^g_k . v^m_k = v^m_{k-g}
             if a.g == c.g:
-                return (((BlockLabel.m(), Slot.grp(G.sub(c.g, g))), 1.0 + 0j),)
+                return (((BlockLabel.m(), Slot.grp(sub(G, c.g, g))), 1.0 + 0j),)
         elif a.kind == SLOT_M and c.kind == SLOT_BAR:
             # v^g_m . v^m_{~k} = chi(g,k) v^m_{~k}
             return (((BlockLabel.m(), c), alg.chi(g, c.g)),)
@@ -299,12 +325,12 @@ def _circ_basis(alg, x: BlockLabel, a: Slot, y: BlockLabel, c: Slot) -> tuple:
             return (((BlockLabel.m(), a), alg.chi(h, a.g)),)
         elif a.kind == SLOT_BAR and c.kind == SLOT_GRP:
             # v^m_{~k} . v^h_{h+k} = v^m_{~(h+k)}
-            if c.g == G.add(h, a.g):
+            if c.g == add(G, h, a.g):
                 return (((BlockLabel.m(), Slot.bar(c.g)), 1.0 + 0j),)
     else:
         if a.kind == SLOT_GRP and c.kind == SLOT_BAR:
             # v^m_h . v^m_{~k} = v^{k-h}_k
-            return (((BlockLabel.grp(G.sub(c.g, a.g)), Slot.grp(c.g)), 1.0 + 0j),)
+            return (((BlockLabel.grp(sub(G, c.g, a.g)), Slot.grp(c.g)), 1.0 + 0j),)
         elif a.kind == SLOT_BAR and c.kind == SLOT_GRP and a.g == c.g:
             # v^m_{~h} . v^m_h = tau * sum_p conj(chi(p,h)) v^p_m
             return tuple(
@@ -330,9 +356,9 @@ def _fiber_map(alg, x: BlockLabel, s: Slot, second_leg: bool) -> tuple[complex, 
     second tensor leg.  The two differ only in their m-block coefficients."""
     if not x.is_m:
         g = x.g
-        target = BlockLabel.grp(alg.group.neg(g))
+        target = BlockLabel.grp(neg(alg.group, g))
         if s.kind == SLOT_GRP:
-            return 1.0 + 0j, target, Slot.grp(alg.group.sub(s.g, g))
+            return 1.0 + 0j, target, Slot.grp(sub(alg.group, s.g, g))
         return 1.0 + 0j, target, Slot.m()
     unb, bar = (alg._phi_unb, alg._phi_bar) if second_leg else (alg._psi_unb, alg._psi_bar)
     if s.kind == SLOT_GRP:
@@ -469,3 +495,227 @@ ROWS = {
     "antipode squared fixes target subalgebra": antipode_squared,
     "zero fiber projections": zero_fiber_projections,
 }
+
+
+# -- the coideal checks on A itself ---------------------------------------------------
+#
+# ``verify_weak_coideal``'s rows as they ran on A = sum_x X^x (x) conj(H^x)
+# before they moved to the fiber rows: batched residuals over A's
+# coordinates, one block of A at a time, read from B's structure-constant
+# arrays, with the instance counts (dim A, its square, or 1), residuals and
+# witnesses they reported.
+
+
+class ACoords:
+    """A's basis terms as ``center`` reads them (``_coords``), with the
+    membership test of A.
+
+    A vector of B with block matrices V_x (row slot by column slot) lies in A
+    iff every column of each V_x lies in X^x and it has no mass off A's
+    blocks.  Its residual is the root of
+
+        sum_x |V_x[free] - F_x[:, free]^T V_x[piv]|^2 + |mass off A's blocks|^2,
+
+    taken by the sparse map ``reduce``: for each (block, row slot) of A's
+    blocks, the free slots it reaches and with what coefficient (1 from a
+    free slot to itself, -F_x[i, f] from the pivot slot of row i)."""
+
+    def __init__(self, wc):
+        alg = wc.algebra
+        lay = self.layout = alg._layout
+        self.dim, self.eps = alg.dim, alg.eps
+        self.row, self.unit, self.val, self.size = _coords(wc)
+        self.first_slot = np.cumsum(lay.sizes) - lay.sizes  # slot s of block b is first + s
+        self.in_blocks = np.bincount(wc.fiber_block, minlength=len(lay.sizes)) > 0
+        self.by_unit = np.argsort(self.unit, kind="stable")
+        self.unit_sorted = self.unit[self.by_unit]
+        self.covers = np.zeros(self.dim, dtype=bool)
+        self.covers[self.unit] = True
+        self.norms = np.sqrt(np.bincount(self.row, _abs2(self.val), self.size))
+        b, piv = wc.fiber_block, wc.fiber_pivot
+        fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
+        # ``reduce`` as (block slot, free slot, coefficient): each free slot to
+        # itself, then each row's pivot to the free slots where it is nonzero
+        pivot = np.zeros((len(lay.sizes), fiber.shape[1]), dtype=bool)
+        pivot[b, piv] = True
+        fb, fs = np.nonzero(~pivot & self.in_blocks[:, None] & (np.arange(fiber.shape[1]) < lay.sizes[:, None]))
+        r, f = np.nonzero(fiber * ~pivot[b])
+        key = self.first_slot[np.concatenate([fb, b[r]])] + np.concatenate([fs, piv[r]])
+        order = np.argsort(key, kind="stable")
+        self.reduce_slot = np.concatenate([fs, f])[order]
+        self.reduce_coef = np.concatenate([np.ones(len(fs)), -fiber[r, f]])[order]
+        self.reduce_ptr = np.searchsorted(key[order], np.arange(lay.sizes.sum() + 1))
+
+    def residual(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> tuple:
+        """The norm of the component outside A, and the norm, of each of n
+        vectors of B given by terms (vector, unit, value), summed as by
+        ``_summed``."""
+        lay, dim = self.layout, self.dim
+        vec, unit, val = _summed(vec, unit, val, dim)
+        mass, b = _abs2(val), lay.block[unit]
+        off = ~self.in_blocks[b]
+        s, p = _runs(self.reduce_ptr, self.first_slot[b] + lay.row[unit])
+        out = lay.unit(b[s], self.reduce_slot[p], lay.col[unit[s]])
+        keys, sums = _sums(vec[s] * dim + out, val[s] * self.reduce_coef[p])
+        inside = np.bincount(keys // dim, _abs2(sums), n)
+        return np.sqrt(inside + np.bincount(vec[off], mass[off], n)), np.sqrt(np.bincount(vec, mass, n))
+
+    def contains(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
+        res, norm = self.residual(vec, unit, val, n)
+        return res <= self.eps * (1.0 + norm)
+
+
+def unit_terms(wc) -> tuple[np.ndarray, np.ndarray]:
+    """The units of 1_A, ascending, and 1_A as a dense vector of B: unit
+    (0; r, c) carries the row's value at slot r."""
+    lay = wc.algebra._layout
+    row = np.repeat(wc.unit, lay.sizes[lay.zero])
+    dense = np.zeros(wc.algebra.dim, dtype=complex)
+    dense[lay.zero_units] = row
+    return lay.zero_units[row != 0], dense
+
+
+def invariance(wc) -> tuple:
+    """The sparse system (rows, cols, vals) whose kernel is the invariant
+    subalgebra {a in A : Delta(a) = Delta(1_A)(a (x) 1)}, in A's coordinates.
+
+    Delta(1_A)(u_i (x) 1) is sum_p c_p (u_{f_p} u_i) (x) u_{s_p} over the terms
+    c_p u_{f_p} (x) u_{s_p} of Delta(1_A), so each constraint column joins
+    those first legs with the product entries whose right factor is u_i."""
+    alg, A = wc.algebra, ACoords(wc)
+    dim, T, C = alg.dim, alg.product, alg._coproduct_table
+    units, mu = unit_terms(wc)
+    _, p = _runs(C.ptr, units)
+    p = p[np.argsort(C.first[p], kind="stable")]
+    first, second, coef = C.first[p], C.second[p], mu[C.src[p]]
+    t, p = _runs(C.ptr, A.unit)
+    s, e = T.of_right(A.unit)
+    q, d = _join(T.i[e], first)
+    s, e = s[q], e[q]
+    rows = np.concatenate([C.first[p] * dim + C.second[p], T.k[e] * dim + second[d]])
+    cols = np.concatenate([A.row[t], A.row[s]])
+    vals = np.concatenate([A.val[t], -coef[d] * A.val[s] * T.c[e]])
+    return rows, cols, vals
+
+
+def a_level_fixed_point_algebra(wc) -> Subspace:
+    """``fixed_point_algebra`` as it ran on A: the kernel of the invariance
+    system over A's basis."""
+    A, alg = ACoords(wc), wc.algebra
+    return span(sparse_nullspace(*invariance(wc), A.size, eps=alg.eps), A.row, A.unit, A.val, eps=alg.eps)
+
+
+def a_unit_exists(wc, A: ACoords) -> tuple:
+    units, mu = unit_terms(wc)
+    res, norm = A.residual(np.zeros(len(units), dtype=np.int64), units, mu[units], 1)
+    return _exact(bool(norm[0] > wc.algebra.eps and res[0] <= wc.algebra.eps * (1.0 + norm[0])),
+                  "empty or missing unit")
+
+
+def a_product_closure(wc, A: ACoords) -> tuple:
+    """The margin res - eps (1 + |ab|) of every pair (a, b) of basis rows,
+    numbered a * size + b: the products are one join of A's terms through
+    the product entries with both factors on A's units.  A pair whose
+    product has no terms has margin -eps and is left out."""
+    T, size = wc.algebra.product, A.size
+    within = np.flatnonzero(A.covers[T.i] & A.covers[T.j])
+    s, e = _join(A.unit, T.i[within])
+    e = within[e]
+    q, p = _join(T.j[e], A.unit_sorted)
+    s, e, b = s[q], e[q], A.by_unit[p]
+    pairs, pair = np.unique(A.row[s] * size + A.row[b], return_inverse=True)
+    res, norm = A.residual(pair, T.k[e], A.val[s] * A.val[b] * T.c[e], len(pairs))
+    return _verdict(res - A.eps * (1.0 + norm), 0.0,
+                    lambda at: f"basis pair {divmod(int(pairs[at]), size)}")
+
+
+def a_star_closure(wc, A: ACoords) -> tuple:
+    """The involution is a monomial map: u_i -> c_i u_{k_i}."""
+    star = wc.algebra._star_map
+    res, _ = A.residual(A.row, star.k[A.unit], A.val.conj() * star.c[A.unit], A.size)
+    return _verdict(res - A.eps * (1.0 + A.norms), 0.0, "basis vector {}".format)
+
+
+def a_coproduct_into(wc, A: ACoords) -> tuple:
+    """Delta(a) = sum_j w_j (x) u_j lies in A (x) B iff every w_j lies in A."""
+    C, dim = wc.algebra._coproduct_table, wc.algebra.dim
+    t, p = _runs(C.ptr, A.unit)
+    keys, leg = np.unique(A.row[t] * dim + C.second[p], return_inverse=True)
+    bad = keys[~A.contains(leg, C.first[p], A.val[t], len(keys))] // dim
+    return _exact(not len(bad), f"basis vector {int(bad[0])}" if len(bad) else "")
+
+
+def a_unit_identity(wc, A: ACoords) -> tuple:
+    """The sup distance of 1_A a and a 1_A from a, for every basis row a."""
+    alg = wc.algebra
+    T, dim = alg.product, alg.dim
+    _, mu = unit_terms(wc)
+    dist = np.zeros(A.size)
+    for (s, e), unit_coef in ((T.of_right(A.unit), mu[T.i]), (T.of_left(A.unit), mu[T.j])):
+        row, k, val = _summed(A.row[s], T.k[e], A.val[s] * unit_coef[e] * T.c[e], dim)
+        keys, diff = _diff((row * dim + k, val), (A.row * dim + A.unit, A.val))
+        np.maximum.at(dist, keys // dim, diff)
+    return _verdict(dist, alg.eps, "basis vector {}".format)
+
+
+def a_unit_coproduct(wc, A: ACoords) -> tuple:
+    """Delta(1_A) = sum_f u_f (x) r_f lies in A (x) B_t: every r_f lies in
+    B_t (one dense residual over its universe), and for each basis row of
+    B_t the first legs weighted by their r_f coordinates lie in A.  Its
+    witness was always empty."""
+    alg = wc.algebra
+    C, dim = alg._coproduct_table, alg.dim
+    target, _source = alg.counital_subalgebras()
+    units, mu = unit_terms(wc)
+    _, p = _runs(C.ptr, units)
+    firsts, at = np.unique(C.first[p], return_inverse=True)
+    f, second, val = _summed(at, C.second[p], mu[C.src[p]], dim)
+    keys = target.universe
+    pos = np.full(dim, -1)  # each unit's place in B_t's universe
+    pos[keys] = np.arange(len(keys))
+    inside = pos[second] >= 0
+    legs = np.zeros((len(firsts), len(keys)), dtype=complex)
+    legs[f[inside], pos[second[inside]]] = val[inside]
+    res = target.residuals(legs, np.bincount(f[~inside], _abs2(val[~inside]), len(firsts)))
+    norms = np.sqrt(np.bincount(f, _abs2(val), len(firsts)))
+    row_of = np.full(dim, -1)  # the B_t basis row whose pivot is each unit
+    row_of[keys[target.pivots]] = np.arange(target.dim)
+    b = row_of[second]
+    hit = b >= 0
+    ok = (bool(A.size) and bool((res - target.eps * (1.0 + norms) <= 0.0).all())
+          and bool(A.contains(b[hit], firsts[f[hit]], val[hit], target.dim).all()))
+    return _exact(ok)
+
+
+def a_level_report(wc) -> AxiomReport:
+    """``verify_weak_coideal``'s report as the rows on A made it: the same
+    names in the same order, with A's instance counts."""
+    A, alg = ACoords(wc), wc.algebra
+    rows = [
+        ("unit exists in A", 1, a_unit_exists),
+        ("closed under product", A.size**2, a_product_closure),
+        ("closed under star", A.size, a_star_closure),
+        ("coproduct maps into A (x) B", A.size, a_coproduct_into),
+        ("unit acts as identity", A.size, a_unit_identity),
+        ("coproduct of unit in A (x) B_t", 1, a_unit_coproduct),
+    ]
+    tau = "+" if alg.tau_sign > 0 else "-"
+    report = AxiomReport(label=f"coideal {wc.label} on {alg.group} tau{tau}", eps=alg.eps)
+    for name, total, evaluate in rows:
+        report.checks.append(AxiomCheck(name, *evaluate(wc, A), total))
+    return report
+
+
+def restricted_is_indecomposable(wc) -> bool:
+    """``is_indecomposable`` as it ran on A: the invariant subalgebra is the
+    kernel of the invariance system in A's coordinates, with rows z_i; its
+    central elements sum_i y_i z_i are the kernel of the commutant system
+    restricted to the z_i, a dense matrix over the few y_i."""
+    A, alg = ACoords(wc), wc.algebra
+    z = sparse_nullspace(*invariance(wc), A.size, eps=alg.eps)
+    (rows, cols, vals), (at, i) = alg.commutant(A.row, A.unit, A.val), np.nonzero(z.T)
+    s, p = _join(cols, at)
+    keys, r = np.unique(rows[s], return_inverse=True)
+    restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
+    np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
+    return len(nullspace(restricted, eps=alg.eps)[0]) == 1

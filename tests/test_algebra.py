@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -842,14 +843,10 @@ class TestRewrittenRowFaults:
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         assert alg.verify_axioms().passed
         table, zero = alg._fiber_table, alg._layout.zero
-
-        def faulty():
-            x, a, y, c, z, e, coeff = table()
-            coeff = coeff.copy()
-            coeff[np.flatnonzero((x == zero) & (y == zero))[1]] *= 2.0
-            return x, a, y, c, z, e, coeff
-
-        monkeypatch.setattr(alg, "_fiber_table", faulty)
+        coeff = table.coeff.copy()
+        x, _, y, *_ = table.local
+        coeff[np.flatnonzero((x == zero) & (y == zero))[1]] *= 2.0
+        monkeypatch.setattr(alg, "_fiber_table", dataclasses.replace(table, coeff=coeff))
         failed = self.failed(alg)
         assert set(failed) == {"zero fiber projections"}
         assert failed["zero fiber projections"].residual == 1.0

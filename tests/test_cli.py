@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tywha.cli as cli
+import tywha.coideals as coideals
 from tywha.algebra import TYAlgebra
 from tywha.cli import main
 from tywha.linalg import SparseVec
 
-from reference import distance
+from reference import a_level_report, distance
 
 
 def run(argv):
@@ -521,11 +522,16 @@ class TestClassifyCommands:
     def test_guard_exceeded_exits_2(self):
         assert run(["classify", "weak-coideals", "--group", "17"]) == 2
 
-    def test_realize_past_bound_exits_2_fast(self, capsys):
+    def test_realize_past_bound_exits_2_fast(self, capsys, monkeypatch):
+        # the realize bound is the algebra bound, 16; below it, a lower
+        # realize bound still stops the command before anything is built
         start = time.perf_counter()
+        assert run(["classify", "weak-coideals", "--group", "17", "--realize"]) == 2
+        assert capsys.readouterr().err == "error: |G| = 17 exceeds algebra bound 16\n"
+        monkeypatch.setattr(cli, "REALIZE_ORDER_BOUND", 13)
         assert run(["classify", "weak-coideals", "--group", "14", "--realize"]) == 2
         assert time.perf_counter() - start < 2.0
-        assert "exceeds realize bound" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: |G| = 14 exceeds realize bound 13\n"
 
     def test_json_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -552,7 +558,7 @@ class TestClassifyCommands:
         malformed.write_text('{"matrix": [["1/2", "0"]]}')
         for bad, err in (
             (["--group", "17"], "|G| = 17 exceeds algebra bound 16"),
-            (["--group", "14", "--realize"], "|G| = 14 exceeds realize bound 13"),
+            (["--group", "17", "--realize"], "|G| = 17 exceeds algebra bound 16"),
             (["--group", "4", "--tol", "nan"], "tolerance must be finite and positive, got nan"),
             (["--group", "4", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
             (["--group", "2", "--bichar", str(degenerate)], "bicharacter degenerate"),
@@ -642,8 +648,25 @@ class TestReportPins:
         ("2,2", "+"): "5d4549c1a2ca568c05c0b6a90969d0db871ec1dcc8519f8842a0e1f108ffbaa8",
         ("2,2", "-"): "9d2825e3d4b2825bbe8617a92186b91f62b6319c446a138e65c986e4aadacfd1",
     }
-    # a coideal report names its tau sign: the two signs give different bytes
+    # a coideal report names its tau sign: the two signs give different bytes;
+    # its rows run on the fiber rows (schema tywha-coideal/3)
     BUILD_SHA256 = {
+        (0, "+"): "7c0fc34324aff56a25ea61376794b467ee701e5709e424fea003a5a92e83ff24",
+        (0, "-"): "c7143205df901d7798dfe0add07d98694d45df1eaa4e263146993cbd8254855c",
+        (1, "+"): "d78beff4553ba7c34b1f23276ed00d79faad8ef37dea3774f000fdce5a2afcc5",
+        (1, "-"): "9237516fef8986f475d2f50cb1f6a351e842f442822d803b637568f9c28fec7a",
+        (2, "+"): "1c3a1a58329a71a804196bfa79201298a6d561270f06c8b68e30b1527568e6e3",
+        (2, "-"): "0cbdb11c9cbacf14d51cd65661de37b72fb7c98c09182562b5520c62dde83beb",
+        (3, "+"): "281be43d2fcde42991248436857e7be0bf3a0a3fb59449d821d5341021f9417e",
+        (3, "-"): "392bb8bb529fa3fb47db3e03c82ce57a5670d1e393a6ee161da3cd45edb8775b",
+        (4, "+"): "16aedc14eacd230225bfc80c0c4f43a1e24891f60c928ebd07976f3a42b6278e",
+        (4, "-"): "7f5ca0677ee5a820a851ec48e3ebc331f9554fb53fb0e4ed09d4add28804798c",
+        (5, "+"): "61d1936566bdc34278644ff9d6620ce7ef1c7d97050a7f1bde6421c8a34051f0",
+        (5, "-"): "bbaf7f22f755655a69c6cca18c2437d8c0086d6d8627e3185748ddd0e6a80ac5",
+    }
+    # the same reports from the rows as they ran on A (reference.a_level_report),
+    # under the schema they had then, tywha-coideal/2
+    BUILD_ON_A_SHA256 = {
         (0, "+"): "8b503bb717e4e920b942440df6b51ab2763260b8fdd161b9a8ef79a63cbac53c",
         (0, "-"): "59813f85ff088cdbd5cca13f5076af5fbd9b782f8537d1a2f475ec5101e3b3f4",
         (1, "+"): "e1e84b6ec522ec36a4161f1776c4842f09b80940eb884e904b054bb8f9bb065a",
@@ -675,3 +698,13 @@ class TestReportPins:
         group, K, spec = PINNED_BUILDS[build]
         argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
         assert _report_sha256(self.report(argv, tmp_path)) == self.BUILD_SHA256[build, tau]
+
+    @pytest.mark.parametrize("build", range(len(PINNED_BUILDS)))
+    @pytest.mark.parametrize("tau", ["+", "-"])
+    def test_coideal_report_on_a_pinned(self, build, tau, tmp_path, monkeypatch):
+        # the rows as they ran on A, under the schema they had, keep their pins
+        monkeypatch.setattr(coideals, "verify_weak_coideal", a_level_report)
+        group, K, spec = PINNED_BUILDS[build]
+        argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
+        payload = {**self.report(argv, tmp_path), "schema": "tywha-coideal/2"}
+        assert _report_sha256(payload) == self.BUILD_ON_A_SHA256[build, tau]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tywha import classify, coideals
-from tywha.algebra import CoproductTable, ProductTable, TYAlgebra
+from tywha.algebra import CoproductTable, FiberTable, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
@@ -26,8 +26,9 @@ from tywha.coideals import (
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
 from reference import (
-    BasisUnit, BlockLabel, Slot, add_scaled, blocks, circ, coset_vector, cosets, distance, fiber_rows, one, sharp,
-    slots, spec_of, star, subspace, unit_pos, unit_vector, units, x_spaces,
+    ACoords, BasisUnit, BlockLabel, Slot, a_level_fixed_point_algebra, a_level_report, add, add_scaled, blocks, circ,
+    coset_vector, cosets, distance, fiber_rows, invariance, one, restricted_is_indecomposable, sharp, slots, spec_of,
+    star, subspace, trivial, unit_pos, unit_vector, units, x_spaces,
 )
 from tywha.linalg import ROUNDOFF, SparseVec, nullspace, sparse_nullspace, tensor_contains
 
@@ -70,7 +71,7 @@ class TestCosetVectors:
 
     def test_trivial_subgroup_singleton(self, z4):
         grp = z4.group
-        q = quotient(grp, Subgroup.trivial(grp))
+        q = quotient(grp, trivial(grp))
         lam = cosets(q)[q.coset_of((2,))]
         v = coset_vector(z4, g(1), lam)
         assert dict(v.items()) == {(g(1), Slot.grp((2,))): 1}
@@ -158,7 +159,7 @@ class TestClosureRelations:
 class TestBuilders:
     def test_no_m_full_quotient_z2(self):
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
-        K = Subgroup.trivial(alg.group)
+        K = trivial(alg.group)
         q = quotient(alg.group, K)
         wc = build_no_m(alg, spec_of(alg, K, range(len(q))))
         assert wc.dim == 12
@@ -177,7 +178,7 @@ class TestBuilders:
             build_no_m(z4, spec_of(z4, K, [0], [0]))
 
     def test_no_m_side_one_uses_annihilator(self, z4):
-        K = Subgroup.trivial(z4.group)  # K_perp = G, quotient is a point
+        K = trivial(z4.group)  # K_perp = G, quotient is a point
         wc = build_no_m(z4, spec_of(z4, K, (), [0]))
         assert verify_weak_coideal(wc).passed
         assert (wc.spec.z0, wc.spec.z1) == ((), (0,))
@@ -197,18 +198,22 @@ class TestBuilders:
     def test_checks_report_coverage(self, z4, z4_setup):
         K, q, _lam, _mu = z4_setup
         wc = build_with_m(z4, spec_of(z4, K, range(len(q)), [0]))
-        size = wc.dim
-        expected = {
-            "unit exists in A": 1,
-            "closed under product": size**2,
-            "closed under star": size,
-            "coproduct maps into A (x) B": size,
-            "unit acts as identity": size,
-            "coproduct of unit in A (x) B_t": 1,
-        }
-        for c in verify_weak_coideal(wc).checks:
-            assert c.mode == "exhaustive", c.name
-            assert c.instances_checked == c.instances_total == expected[c.name], c.name
+        # the rows count fiber rows r (pairs for the product); on A they
+        # counted A's basis rows
+        size, r = wc.dim, len(wc.fiber_block)
+        assert (size, r) == (82, 14)
+        for report, n in ((verify_weak_coideal(wc), r), (a_level_report(wc), size)):
+            expected = {
+                "unit exists in A": 1,
+                "closed under product": n**2,
+                "closed under star": n,
+                "coproduct maps into A (x) B": n,
+                "unit acts as identity": n,
+                "coproduct of unit in A (x) B_t": 1,
+            }
+            for c in report.checks:
+                assert c.mode == "exhaustive", c.name
+                assert c.instances_checked == c.instances_total == expected[c.name], c.name
 
     def test_I_builders(self, z4, z4_setup):
         K, _q, _lam, _mu = z4_setup
@@ -329,9 +334,9 @@ def reference_is_indecomposable(wc):
     subalgebra solved apart, each with orthonormal rows, and the dimension
     of their intersection taken as the nullity of the two stacked side by
     side."""
-    A, alg = wc.coords, wc.algebra
+    A, alg = ACoords(wc), wc.algebra
     zc = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
-    zf = sparse_nullspace(*coideals._invariance(wc), A.size, eps=alg.eps)
+    zf = sparse_nullspace(*invariance(wc), A.size, eps=alg.eps)
     return len(nullspace(np.concatenate([zc, -zf]).T[None], eps=alg.eps)[0]) == 1
 
 
@@ -348,14 +353,66 @@ def two_coset_families(alg):
     return out
 
 
+def faulted_copies(wc):
+    """wc without its last fiber row, and wc with 0.5 added to its last
+    fiber row at the first slot of that row's block that is no pivot: both
+    are families of fiber rows in reduced echelon form, most of them no
+    weak coideal."""
+    alg, b, piv, rows = wc.algebra, wc.fiber_block, wc.fiber_pivot, wc.fiber_rows
+    out = [coideals.WeakCoideal(alg, b[:-1], piv[:-1], rows[:-1], f"{wc.label} minus a row")]
+    free = np.setdiff1d(np.arange(alg._layout.sizes[b[-1]]), piv[b == b[-1]])
+    if len(free):
+        bent = rows.copy()
+        bent[-1, free[0]] += 0.5
+        out.append(coideals.WeakCoideal(alg, b, piv, bent, f"{wc.label} with a bent row"))
+    return out
+
+
+def without_rows(wc, keep, label):
+    """The family of the fiber rows of wc where ``keep`` holds."""
+    return coideals.WeakCoideal(wc.algebra, wc.fiber_block[keep], wc.fiber_pivot[keep], wc.fiber_rows[keep], label)
+
+
 class TestIndecomposability:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2)])
-    def test_stacked_kernel_matches_two_kernels_on_realized_classes(self, factors, sign):
+    def test_matches_two_kernels_on_realized_classes(self, factors, sign):
         built = realized_coideals(factors, sign)
         assert built
         for wc in built:
             assert is_indecomposable(wc) and reference_is_indecomposable(wc), wc.label
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(4,), (2, 2), (6,)])
+    def test_faulted_subsets_and_zero_x0_match_the_references(self, factors, sign):
+        # families that are mostly no weak coideal: faulted copies, random
+        # subsets of the fiber rows, and each class without X^0, where
+        # A^inv = 0
+        rng = np.random.default_rng(sum(factors) + sign)
+        verdicts = []
+        for wc in realized_coideals(factors, sign):
+            zero = wc.fiber_block == wc.algebra._layout.zero
+            families = [*faulted_copies(wc), without_rows(wc, ~zero, "no X^0")]
+            families += [without_rows(wc, rng.random(len(zero)) < 0.5, "random rows") for _ in range(2)]
+            for family in families:
+                got = is_indecomposable(family)
+                assert got == restricted_is_indecomposable(family) == reference_is_indecomposable(family), family.label
+                assert not got or zero[: len(family.fiber_block)].any(), family.label
+                verdicts.append(got)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
+    def test_invariant_subalgebra_is_x0_times_conj_omega(self, factors, sign):
+        # dim A^inv = dim X^0, and the kernel of the invariance system over
+        # A's basis is X^0 (x) conj(v^0_Omega), on every class and its
+        # faulted copies
+        for wc in realized_coideals(factors, sign):
+            for family in (wc, *faulted_copies(wc)):
+                dim_x0 = int((family.fiber_block == family.algebra._layout.zero).sum())
+                fixed, solved = fixed_point_algebra(family), a_level_fixed_point_algebra(family)
+                assert fixed.dim == solved.dim == dim_x0, family.label
+                assert all(solved.contains(v) for v in fixed.basis_vectors()), family.label
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(4,), (2, 2), (6,)])
@@ -381,24 +438,24 @@ class TestIndecomposability:
             built += [build_no_m(alg, spec_of(alg, K, (), zs)) for zs in nonempty_subsets(range(len(q1)))]
             built += [build_with_m(alg, spec_of(alg, K, zs, [0])) for zs in nonempty_subsets(range(len(q0)))]
             built += [build_I_m_K(alg, spec_of(alg, K, [0])), build_I_Omega_K(alg, spec_of(alg, K, [0]))]
-        K = Subgroup.trivial(alg.group)
+        K = trivial(alg.group)
         copies = [build_no_m(alg, spec_of(alg, K, [lam])) for lam in range(alg.group.order)]
         built += [union(alg, pair, "two translates") for pair in itertools.combinations(copies, 2)]
-        dims = [center(wc).intersect(fixed_point_algebra(wc)).dim for wc in built]
+        dims = [center(wc).intersect(a_level_fixed_point_algebra(wc)).dim for wc in built]
         assert [is_indecomposable(wc) for wc in built] == [d == 1 for d in dims]
         assert sum(d != 1 for d in dims) == 6
 
     def test_union_of_translates_is_decomposable(self):
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
         grp = alg.group
-        K = Subgroup.trivial(grp)
+        K = trivial(grp)
         copy1 = build_no_m(alg, spec_of(alg, K, [0]))
         copy2 = build_no_m(alg, spec_of(alg, K, [1]))
         assert is_indecomposable(copy1) and is_indecomposable(copy2)
         both = union(alg, (copy1, copy2), "two translated copies")
         assert verify_weak_coideal(both).passed
         assert not is_indecomposable(both)
-        meet = center(both).intersect(fixed_point_algebra(both))
+        meet = center(both).intersect(a_level_fixed_point_algebra(both))
         assert meet.dim == 2
         # the block projection onto one copy is a central invariant element
         projection = SparseVec(
@@ -521,7 +578,7 @@ def reference_coords(ref):
 
 
 def coords_bits(wc):
-    A = wc.coords
+    A = ACoords(wc)
     return [(a.dtype, a.shape, a.tobytes())
             for a in (A.row, A.unit, A.val, A.reduce_slot, A.reduce_coef, A.reduce_ptr)]
 
@@ -530,7 +587,7 @@ def reference_translated(views, group, g, zs):
     """The translates g + lam of the Coset views zs, each found among
     ``views`` by its members."""
     by_members = {frozenset(v.elements): v for v in views}
-    return {by_members[frozenset(group.add(g, a) for a in lam.elements)] for lam in zs}
+    return {by_members[frozenset(add(group, g, a) for a in lam.elements)] for lam in zs}
 
 
 def reference_annihilator(alg, spec):
@@ -664,7 +721,7 @@ class TestBuildersMatchReference:
     def test_errors_match_reference(self, z4, z4_setup):
         K, q, _lam, _mu = z4_setup  # K = {0, 2} is its own annihilator
         # Z1 over the quotient by the trivial subgroup, not by K's annihilator
-        stray = quotient(z4.group, Subgroup.trivial(z4.group))
+        stray = quotient(z4.group, trivial(z4.group))
         annihilator = "Z1 must be cosets of the annihilator of K = {(0,),(2,)}"
         cases = [
             (build_no_m, reference_build_no_m, spec_of(z4, K, [0], [1]),
@@ -805,10 +862,10 @@ def generic_space(wc):
 
 
 def assert_space_matches_generic(wc, exact):
-    """A's rows (the Kronecker basis of wc.coords) are the generic echelon
+    """A's rows (the Kronecker basis of ``_coords``) are the generic echelon
     basis bit for bit, or, where ``exact`` is false and the bases differ,
     span the same space."""
-    A, ref = wc.coords, generic_space(wc)
+    A, ref = ACoords(wc), generic_space(wc)
     units, at = np.unique(A.unit, return_inverse=True)
     basis = np.zeros((A.size, len(units)), dtype=complex)
     basis[A.row, at] = A.val
@@ -823,15 +880,25 @@ def assert_space_matches_generic(wc, exact):
 
 
 def assert_matches_reference(wc):
+    """The rows on A match the scalar paths in residual, witness and
+    instance count, and the rows on the fibers match the rows on A in name
+    and verdict; returns the fiber rows' report."""
     assert_space_matches_generic(wc, exact=False)
-    report = verify_weak_coideal(wc)
-    got = [(c.name, c.residual, c.passed, c.witness, c.instances_checked) for c in report.checks]
+    on_a = a_level_report(wc)
     want = reference_report(wc)
-    assert [g[0] for g in got] == [w[0] for w in want]
-    for c, (name, residual, passed, witness, count) in zip(report.checks, want):
+    assert [c.name for c in on_a.checks] == [w[0] for w in want]
+    for c, (name, residual, passed, witness, count) in zip(on_a.checks, want):
         assert (c.passed, c.witness, c.instances_checked, c.instances_total, c.mode) == (
             passed, witness, count, count, "exhaustive"), name
         assert c.residual == residual or abs(c.residual - residual) <= 1e-12, name
+    return assert_verdicts_match(wc, on_a)
+
+
+def assert_verdicts_match(wc, on_a=None):
+    """verify_weak_coideal's rows and the rows on A: the same names in the
+    same order, each with the same verdict; returns the fiber rows' report."""
+    report, on_a = verify_weak_coideal(wc), on_a or a_level_report(wc)
+    assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in on_a.checks], wc.label
     return report
 
 
@@ -864,6 +931,62 @@ def z4_family(builder, sign):
     }[builder]()
 
 
+class TestFiberRowsMatchRowsOnA:
+    """verify_weak_coideal on the fiber rows against the rows on A
+    (``reference.a_level_report``) verdict by verdict, and is_indecomposable
+    against the solve on A it replaces."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [
+        (1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2), (9,), (3, 3), (10,)])
+    def test_every_class(self, factors, sign):
+        # verdicts on every class up to order 8, indecomposability up to 10
+        built = realized_coideals(factors, sign)
+        assert built
+        for wc in built:
+            if wc.algebra.group.order <= 8:
+                assert assert_verdicts_match(wc).passed, wc.label
+            assert is_indecomposable(wc) and restricted_is_indecomposable(wc), wc.label
+
+    @pytest.mark.parametrize("builder", ["no_m", "with_m"])
+    def test_fiber_residual_matches_generic(self, z4, z4_setup, builder):
+        # vectors of sum_z H^z: members of sum_z X^z plus noise, some of it
+        # in blocks where X^z = 0, against one Subspace of all fiber rows
+        K = z4_setup[0]
+        wc = build_no_m(z4, spec_of(z4, K, [0])) if builder == "no_m" else build_with_m(z4, spec_of(z4, K, [0], [0]))
+        space = subspace([v for sub in x_spaces(wc).values() for v in sub.basis_vectors()], eps=z4.eps)
+        keys = [(b, slot) for b in blocks(z4) for slot in slots(z4, b)]  # in the numbering of all blocks' slots
+        held = set(x_spaces(wc))
+        outside = [k for k in keys if k[0] not in held]
+        rng = np.random.default_rng(11)
+        vecs = []
+        for k in range(12):
+            coeffs = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            v = SparseVec(dict(zip(space.universe.tolist(), coeffs @ space.basis)))
+            pool = keys if k % 3 else outside
+            noise = rng.choice(len(pool), size=k % 4, replace=False)
+            vecs.append(v + SparseVec({pool[i]: complex(rng.normal(), rng.normal()) for i in noise}))
+        vec = np.repeat(np.arange(len(vecs)), [len(v) for v in vecs])
+        slot = np.array([keys.index(key) for v in vecs for key in v.keys()])
+        val = np.array([c for v in vecs for c in v.data.values()])
+        got, norm = wc.fibers.residual(vec, slot, val, len(vecs))
+        want = space.residuals(*space.to_dense(vecs))
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.allclose(norm, [v.norm() for v in vecs], rtol=0, atol=1e-12)
+        assert (got[::4] <= 1e-12).all() and (got[[3, 6, 9]] > 1e-3).all()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
+    def test_faulted_copies(self, factors, sign):
+        failed = set()
+        for wc in realized_coideals(factors, sign):
+            for broken in faulted_copies(wc):
+                failed |= {c.name for c in assert_verdicts_match(broken).failures()}
+        # every row but "coproduct maps into A (x) B", which only a broken
+        # coproduct table trips
+        assert failed == {c.name for c in verify_weak_coideal(wc).checks} - {"coproduct maps into A (x) B"}
+
+
 class TestArrayChecks:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
@@ -890,7 +1013,7 @@ class TestArrayChecks:
         # members of A plus noise, some of it in blocks where X^x = 0
         K, _q, _lam, _mu = z4_setup
         wc = build_no_m(z4, spec_of(z4, K, [0])) if builder == "no_m" else build_with_m(z4, spec_of(z4, K, [0], [0]))
-        space, A = generic_space(wc), wc.coords
+        space, A = generic_space(wc), ACoords(wc)
         rng = np.random.default_rng(7)
         outside = [u for u in range(z4.dim) if not A.in_blocks[z4._layout.block[u]]]
         assert outside
@@ -910,19 +1033,24 @@ class TestArrayChecks:
         assert (got[::4] <= 1e-12).all() and (got[[3, 6, 9]] > 1e-3).all()
 
     def test_product_mass_off_a_trips_only_product_closure(self, z4_setup):
-        # a product entry (2; 0, 0)(2; 0, 0) -> (1; 0, 0) puts mass in block 1,
-        # where X^1 = 0; neither factor is a unit of 1_A
+        # a fiber entry v^2_0 . v^2_0 -> 0.5 v^1_0, before B's product is
+        # built from the table, gives B the product entry (2; 0, 0)(2; 0, 0)
+        # -> 0.25 (1; 0, 0), which puts mass in block 1, where X^1 = 0;
+        # neither factor is a unit of 1_A
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
+        F = alg._fiber_table
+        alg._fiber_table = FiberTable.of(alg._layout, *(np.append(col, v) for col, v in zip(
+            (*F.local, F.coeff), (2, 0, 2, 0, 1, 0, 0.5))))
         K, _q, _lam, _mu = z4_setup
         wc = build_no_m(alg, spec_of(alg, K, [0]))
         assert BlockLabel.grp((1,)) not in x_spaces(wc)
         T, pos = alg.product, unit_pos(alg)
         a = pos[BasisUnit(g(2), Slot.grp((0,)), Slot.grp((0,)))]
         k = pos[BasisUnit(g(1), Slot.grp((0,)), Slot.grp((0,)))]
-        alg.product = ProductTable(*(np.append(col, x) for col, x in zip(
-            (T.i, T.j, T.k, T.c), (a, a, k, 0.5))), alg.dim)
+        assert T.c[(T.i == a) & (T.j == a) & (T.k == k)].tolist() == [0.25]
         report = assert_matches_reference(wc)
         assert [c.name for c in report.failures()] == ["closed under product"]
+        assert report.failures()[0].witness == "fiber rows (1, 1)"
 
     @pytest.fixture
     def no_m_half(self, z4, z4_setup):
@@ -941,7 +1069,8 @@ class TestArrayChecks:
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0")
         report = assert_matches_reference(broken)
         assert [c.name for c in report.failures()] == ["closed under product"]
-        assert report.failures()[0].witness.startswith("basis pair (")
+        assert a_level_report(broken).failures()[0].witness.startswith("basis pair (")
+        assert report.failures()[0].witness.startswith("fiber rows (")
 
     def test_star_breaking_trips_only_star_closure(self, z4, no_m_half):
         x_vectors = {b: s.basis_vectors() for b, s in x_spaces(no_m_half).items()}
@@ -952,21 +1081,20 @@ class TestArrayChecks:
         report = assert_matches_reference(broken)
         assert [c.name for c in report.failures()] == ["closed under star"]
 
+    @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
-    def test_smaller_target_trips_only_unit_coproduct(self, z4, z4_setup, builder, monkeypatch):
+    def test_smaller_target_trips_only_unit_coproduct(self, builder, sign, monkeypatch):
         # B_t without its first basis vector no longer holds every second leg
-        # of Delta(1_A)
-        K, _q, _lam, _mu = z4_setup
-        wc = {
-            "no_m": lambda: build_no_m(z4, spec_of(z4, K, [0])),
-            "with_m": lambda: build_with_m(z4, spec_of(z4, K, [0], [0])),
-            "I_Omega_K": lambda: build_I_Omega_K(z4, spec_of(z4, K, [0])),
-        }[builder]()
-        target, source = z4.counital_subalgebras()
-        smaller = subspace(target.basis_vectors()[1:], eps=z4.eps)
-        monkeypatch.setattr(type(z4), "counital_subalgebras", lambda self: (smaller, source))
+        # of Delta(1_A); the fiber row reads that once per algebra, so the
+        # family gets an algebra of its own
+        wc = z4_family(builder, sign)
+        target, source = wc.algebra.counital_subalgebras()
+        smaller = subspace(target.basis_vectors()[1:], eps=wc.algebra.eps)
+        monkeypatch.setattr(type(wc.algebra), "counital_subalgebras", lambda self: (smaller, source))
         report = assert_matches_reference(wc)
         assert [c.name for c in report.failures()] == ["coproduct of unit in A (x) B_t"]
+        assert report.failures()[0].witness == "second leg e_0 (x) conj(v^0_Omega) of Delta(1_A) not in B_t"
+        assert a_level_report(wc).failures()[0].witness == ""
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
@@ -975,6 +1103,7 @@ class TestArrayChecks:
         wc.unit = 2.0 * wc.unit
         report = assert_matches_reference(wc)
         assert [c.name for c in report.failures()] == ["unit acts as identity"]
+        assert report.failures()[0].witness == "fiber row 0"
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
@@ -982,7 +1111,7 @@ class TestArrayChecks:
         # one term of Delta(u), for a unit u of A outside the support of 1_A,
         # gets a first leg on a unit no row of A reaches
         wc = z4_family(builder, sign)
-        alg, A = wc.algebra, wc.coords
+        alg, A = wc.algebra, ACoords(wc)
         alg.counital_subalgebras()  # B_t and B_s of the unbroken coproduct
         u = next(i for i in A.unit.tolist() if i not in unit_vector(wc).keys())
         C, first = alg._coproduct_table, alg._coproduct_table.first.copy()
@@ -990,6 +1119,7 @@ class TestArrayChecks:
         alg._coproduct_table = CoproductTable(C.ptr, C.src, first, C.second)
         report = assert_matches_reference(wc)
         assert [c.name for c in report.failures()] == ["coproduct maps into A (x) B"]
+        assert report.failures()[0].witness.startswith("fiber row ")
 
     def test_complex_generator_matches_scalar_paths(self, z4, no_m_half):
         # X^2 = C (v^2_0 + i v^2_2) is again a weak coideal; its star image
@@ -1002,5 +1132,16 @@ class TestArrayChecks:
 
     def test_zero_family_matches_scalar_paths(self, z4):
         report = assert_matches_reference(assemble(z4, *fiber_rows(z4, {}), "zero"))
-        assert {c.name for c in report.failures()} == {
-            "unit exists in A", "coproduct of unit in A (x) B_t"}
+        assert {c.name: c.witness for c in report.failures()} == {
+            "unit exists in A": "empty or missing unit", "coproduct of unit in A (x) B_t": "A = 0"}
+
+    def test_unit_off_x0_names_the_unit(self, z4):
+        # X^0 = span(v^0_0 + v^0_1, v^0_1 + v^0_2): Gamma = {0, 1, 2}, and
+        # v^0_0 + v^0_1 + v^0_2 is not in X^0
+        zero, own = g(0), slots(z4, g(0))
+        rows = [SparseVec({(zero, own[i]): 1.0, (zero, own[i + 1]): 1.0}) for i in (0, 1)]
+        wc = assemble(z4, *fiber_rows(z4, {zero: rows}), "unit off X^0")
+        report = assert_matches_reference(wc)
+        failed = {c.name: c.witness for c in report.failures()}
+        assert failed["coproduct of unit in A (x) B_t"] == "v^0_Gamma not in X^0"
+        assert failed["unit exists in A"] == "empty or missing unit"
