@@ -5,7 +5,7 @@ verification of its defining axioms, builders and verifiers for (weak)
 coideal subalgebras, and orbit enumeration of their isomorphism classes.
 """
 
-from .algebra import AxiomReport, TYAlgebra, TYData
+from .algebra import AxiomReport, TYAlgebra
 from .classify import (
     ClassificationReport,
     OrbitRep,

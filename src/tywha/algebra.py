@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InvariantError, StructuralError, check_order
 from .groups import Bicharacter, FiniteAbelianGroup, GroupElt
-from .linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, components, sparse_nullspace, span
+from .linalg import (DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, _cmul, _diff, _distance, _join, _peak, _pruned,
+                     _pruned_rows, _ranges, _runs, _sums, _worst, components, sparse_nullspace, span)
 
 # Largest |G| for which B is built: every check of the axiom suite is
 # exhaustive up to it.
@@ -38,24 +39,6 @@ ALGEBRA_ORDER_BOUND = 16
 # Pair and triple identities join this many first factors at a time, which
 # bounds their memory at order 16.
 FIRST_FACTOR_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class TYData:
-    """Input data: finite abelian group, nondegenerate symmetric bicharacter,
-    and the sign of tau = +-|G|^{-1/2}."""
-
-    group: FiniteAbelianGroup
-    bichar: Bicharacter
-    tau_sign: int = 1
-
-    def __post_init__(self):
-        if self.tau_sign not in (1, -1):
-            raise InvariantError(f"tau sign must be +1 or -1, got {self.tau_sign}")
-        if self.bichar.group != self.group:
-            raise InvariantError("bicharacter belongs to a different group")
-        if not self.bichar.is_nondegenerate():
-            raise InvariantError("bicharacter is degenerate")
 
 
 @dataclass
@@ -141,95 +124,13 @@ def _pick(per_block, x: int) -> tuple[float, str]:
     return float(per_block()[x]), ""
 
 
-# -- sparse joins over index arrays ---------------------------------------------
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (s, p) with p in the half-open range [lo[s], hi[s])."""
-    counts = hi - lo
-    src = np.repeat(np.arange(len(counts)), counts)
-    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return src, shift + np.arange(len(src))
-
-
-def _runs(ptr: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (s, p) with p an entry of the run of ``units[s]``: run u occupies
-    positions ``ptr[u]:ptr[u + 1]`` of a table sorted by its leading index."""
-    return _ranges(ptr[units], ptr[units + 1])
-
-
-def _join(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (s, p) with ``keys[s] == sorted_keys[p]``."""
-    return _ranges(
-        np.searchsorted(sorted_keys, keys, "left"), np.searchsorted(sorted_keys, keys, "right")
-    )
-
-
-def _sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of ``vals`` on each key, as (sorted keys, sums)."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    vals = vals.astype(complex)
-    total = np.bincount(inv, vals.real, len(uniq)) + 1j * np.bincount(inv, vals.imag, len(uniq))
-    return uniq, total
-
-
-def _diff(lhs: tuple, rhs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """|LHS - RHS| on every key of two sparse sums given as (keys, values),
-    as (sorted keys, differences)."""
-    keys, sums = _sums(np.concatenate([lhs[0], rhs[0]]), np.concatenate([lhs[1], -rhs[1]]))
-    return keys, np.abs(sums)
-
-
-def _peak(keys: np.ndarray, diff: np.ndarray) -> tuple[float, int]:
-    """The largest difference and its key (0 when there are none)."""
-    if not len(keys):
-        return 0.0, 0
-    at = int(np.argmax(diff))
-    return float(diff[at]), int(keys[at])
-
-
-def _worst(lhs: tuple, rhs: tuple) -> tuple[float, int]:
-    """Largest |LHS - RHS| over the keys of two sparse sums, and its key."""
-    return _peak(*_diff(lhs, rhs))
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b on complex arrays, spelled out on real and imaginary parts as
-    Python multiplies complex scalars; numpy's complex loop may round
-    differently."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _pruned(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of ``vals`` on each key, added in order, with the sums of
-    modulus at most ROUNDOFF dropped, as a ``SparseVec`` sum is pruned.
-    ``hypot`` takes the modulus as Python's ``abs`` does; numpy's complex
-    ``abs`` may round differently."""
-    keys, sums = _sums(keys, vals)
-    keep = np.hypot(sums.real, sums.imag) > ROUNDOFF
-    return keys[keep], sums[keep]
-
-
-def _distance(lhs: tuple, rhs: tuple) -> float:
-    """sup |P - Q| over the keys of two sparse sums given as (keys, values),
-    each pruned by :func:`_pruned`, the modulus taken as Python's ``abs`` takes it."""
-    (pk, pv), (qk, qv) = _pruned(*lhs), _pruned(*rhs)
-    keys = np.union1d(pk, qk)
-    diff = np.zeros(len(keys), dtype=complex)
-    diff[np.searchsorted(keys, pk)] = pv
-    diff[np.searchsorted(keys, qk)] -= qv
-    return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
-
-
 def _basis_terms(space: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The basis rows of a subspace over units as terms (row, unit, value),
-    sorted by row and then unit and pruned at ROUNDOFF as ``basis_vectors``
-    prunes them."""
-    row, at = np.nonzero(np.abs(space.basis) > ROUNDOFF)
-    return row, space.universe[at], space.basis[row, at]
+    sorted by row and then unit, without the entries of modulus at most
+    ROUNDOFF."""
+    basis = _pruned_rows(space.basis)
+    row, at = np.nonzero(basis)
+    return row, space.universe[at], basis[row, at]
 
 
 def _distinct(vec: np.ndarray, unit: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +310,12 @@ class TYAlgebra:
     ):
         check_order(group.order, ALGEBRA_ORDER_BOUND, "algebra")
         bichar = Bicharacter.standard(group) if bichar is None else bichar
-        self.data = TYData(group, bichar, tau_sign)
+        if tau_sign not in (1, -1):
+            raise InvariantError(f"tau sign must be +1 or -1, got {tau_sign}")
+        if bichar.group != group:
+            raise InvariantError("bicharacter belongs to a different group")
+        if not bichar.is_nondegenerate():
+            raise InvariantError("bicharacter is degenerate")
         self.group = group
         self.bichar = bichar
         self.tau_sign = tau_sign
@@ -550,9 +456,7 @@ class TYAlgebra:
     def _pairing(self) -> Pairing:
         T, d = self.product, self.dim
         on_diag = self._layout.diag[T.k]
-        keys, inv = np.unique((T.i * d + T.j)[on_diag], return_inverse=True)
-        c = T.c[on_diag]
-        v = np.bincount(inv, c.real, len(keys)) + 1j * np.bincount(inv, c.imag, len(keys))
+        keys, v = _sums((T.i * d + T.j)[on_diag], T.c[on_diag])
         i, j = keys // d, keys % d
         return Pairing(i, j, v, np.searchsorted(i, np.arange(d + 1)))
 
@@ -577,7 +481,8 @@ class TYAlgebra:
         np.add.at(weights, (unit, e), P.v[hit])
         # every kept weight w_e of u_i spreads over row (column) e of the zero
         # block, ordered by i, then e, then the other slot
-        i, e = np.nonzero(np.abs(weights) > ROUNDOFF)
+        weights = _pruned_rows(weights)
+        i, e = np.nonzero(weights)
         other = np.arange(size)
         r, c = (other, e[:, None]) if source else (e[:, None], other)
         return np.repeat(i, size), lay.unit(lay.zero, r, c).ravel(), np.repeat(weights[i, e], size)
@@ -743,9 +648,14 @@ class TYAlgebra:
 
     def center(self) -> Subspace:
         """The center of B."""
-        units, ones = np.arange(self.dim), np.ones(self.dim, dtype=complex)
-        kernel = sparse_nullspace(*self.commutant(units, units, ones), self.dim, eps=self.eps)
-        return span(kernel, units, units, ones, eps=self.eps)
+        units = np.arange(self.dim)
+        return self.center_of(units, units, np.ones(self.dim, dtype=complex), self.dim)
+
+    def center_of(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray, size: int) -> Subspace:
+        """The center of the subalgebra spanned by ``size`` vectors given by
+        their terms (vector, unit, coefficient), by one commutant solve."""
+        kernel = sparse_nullspace(*self.commutant(gen, unit, coef), size, eps=self.eps)
+        return span(kernel, gen, unit, coef, eps=self.eps)
 
     def commutant(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray) -> tuple:
         """The sparse system (rows, cols, vals) whose kernel is the center of

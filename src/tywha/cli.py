@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -182,9 +183,12 @@ def _emit(write, x, depth: int) -> None:
 def _write_json(path: str | None, payload: dict) -> None:
     if not path:  # no --json given
         return
-    with open(path, "wb") as fh:  # truncates in place: inode, mode and links stay
-        _emit(fh.write, payload, 0)
-        fh.write(b"\n")
+    try:
+        with open(path, "wb") as fh:  # truncates in place: inode, mode and links stay
+            _emit(fh.write, payload, 0)
+            fh.write(b"\n")
+    except OSError as exc:
+        raise InvariantError(f"cannot write report {path}: {exc.strerror}") from None
 
 
 def _algebra_data(args) -> tuple[FiniteAbelianGroup, Bicharacter]:
@@ -403,16 +407,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (InvariantError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # inputs are read above as InvariantError, so this is the --json write
-        print(f"error: cannot write report {args.json}: {exc.strerror}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:  # stdout's reader has gone, as under `| head`
+        # send what is still buffered to devnull, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

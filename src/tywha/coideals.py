@@ -13,10 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AxiomCheck, AxiomReport, TYAlgebra, _diff, _join, _ranges, _runs, _sums
+from .algebra import AxiomCheck, AxiomReport, TYAlgebra
 from .errors import InvariantError
 from .groups import QuotientGroup, Subgroup
-from .linalg import ROUNDOFF, Subspace, nullspace, sparse_nullspace, span
+from .linalg import ROUNDOFF, Subspace, _diff, _join, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
 
 
 def _coset_numbers(name: str, z, quot: QuotientGroup) -> tuple[int, ...]:
@@ -170,13 +170,14 @@ def _group_fibers(
     in_z[list(z)] = True
     hits = in_z & in_z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
     g, c = np.nonzero(hits[quot.label])
-    coset = quot.label == np.arange(len(quot))[:, None]  # each coset's members
-    block, member = [g], [np.pad(coset[c], ((0, 0), (0, n)))]
+    # each coset's members over the 2n slots, as the first n and as the last n
+    label = np.full((2, 2 * n), -1)
+    label[0, :n] = label[1, n:] = quot.label
+    coset, shifted = label[:, None] == np.arange(len(quot))[:, None]
+    block, member = [g], [coset[c]]
     if perp is not None:
-        chosen = coset[in_z]
-        block += [perp.idx, np.full(2 * len(chosen), n)]
-        member += [np.arange(2 * n) == n] * perp.order + [np.pad(chosen, ((0, 0), (0, n))),
-                                                          np.pad(chosen, ((0, 0), (n, 0)))]
+        block += [perp.idx, np.full(2 * int(in_z.sum()), n)]
+        member += [np.arange(2 * n) == n] * perp.order + [coset[in_z], shifted[in_z]]
     return np.concatenate(block), np.vstack(member)
 
 
@@ -248,20 +249,6 @@ def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
 # -- verification -------------------------------------------------------------------
 
 
-def _abs2(vals: np.ndarray) -> np.ndarray:
-    return vals.real**2 + vals.imag**2
-
-
-def _summed(vec: np.ndarray, unit: np.ndarray, val: np.ndarray, dim: int) -> tuple:
-    """Terms (vector, unit, value) summed per (vector, unit), with the sums of
-    modulus at most ROUNDOFF dropped as the scalar paths prune their results;
-    sorted by vector, then unit."""
-    keys, sums = _sums(vec * dim + unit, val)
-    keep = np.abs(sums) > ROUNDOFF
-    vec, unit = np.divmod(keys[keep], dim)
-    return vec, unit, sums[keep]
-
-
 def _verdict(values: np.ndarray, bound: float, witness) -> tuple[float, bool, str]:
     """The largest positive value, whether it is at most ``bound``, and
     ``witness`` of the first index where it occurs; (0.0, True, "") when no
@@ -293,7 +280,7 @@ class _Fibers:
         alg, b = wc.algebra, wc.fiber_block
         lay, self.table, self.eps = alg._layout, alg._fiber_table, alg.eps
         self.slots, self.size = int(lay.sizes.sum()), len(b)
-        fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
+        fiber = _pruned_rows(wc.fiber_rows)
         row, self.local = np.nonzero(fiber)
         self.block, val = b[row], fiber[row, self.local]
         self.terms = row, lay.slot_starts[self.block] + self.local, val
@@ -315,13 +302,14 @@ class _Fibers:
     def residual(self, vec: np.ndarray, slot: np.ndarray, val: np.ndarray, n: int) -> tuple:
         """The norm of the component outside sum_x X^x, and the norm, of
         each of n vectors of sum_z H^z given by terms (vector, slot, value),
-        summed as by :func:`_summed`."""
-        (vec, slot, val), (_, own, coef) = _summed(vec, slot, val, self.slots), self.terms
+        summed per (vector, slot) and pruned by ``_pruned``."""
+        (keys, val), (_, own, coef) = _pruned(vec * self.slots + slot, val), self.terms
+        vec, slot = np.divmod(keys, self.slots)
         at = self.pivot_row[slot] >= 0
         s, p = _runs(self.row_ptr, self.pivot_row[slot[at]])
         keys, sums = _sums(np.concatenate([vec, vec[at][s]]) * self.slots + np.concatenate([slot, own[p]]),
                            np.concatenate([val, -val[at][s] * coef[p]]))
-        return np.sqrt(np.bincount(keys // self.slots, _abs2(sums), n)), np.sqrt(np.bincount(vec, _abs2(val), n))
+        return np.sqrt(np.bincount(keys // self.slots, _sq(sums), n)), np.sqrt(np.bincount(vec, _sq(val), n))
 
 
 def _unit_exists(wc: WeakCoideal) -> tuple[float, bool, str]:
@@ -331,7 +319,7 @@ def _unit_exists(wc: WeakCoideal) -> tuple[float, bool, str]:
     block's slots (see :class:`_Fibers`), with F_0 pruned at ROUNDOFF."""
     u, eps, zero = wc.unit, wc.algebra.eps, wc.fiber_block == wc.algebra._layout.zero
     rows, piv = wc.fiber_rows[zero, : len(u)], wc.fiber_pivot[zero]
-    res, norm = np.linalg.norm(u - u[piv] @ np.where(np.abs(rows) > ROUNDOFF, rows, 0.0)), np.linalg.norm(u)
+    res, norm = np.linalg.norm(u - u[piv] @ _pruned_rows(rows)), np.linalg.norm(u)
     return _exact(bool(norm > eps and res <= eps * (1.0 + norm)), "empty or missing unit")
 
 
@@ -365,7 +353,7 @@ def _star_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
     (row, _, val), kind = F.terms, np.where(F.block < n, 0, 1 + (F.local >= n))  # group, unbarred m, barred m
     image = alg._layout.slot_starts[block[F.block]] + slot[F.block, F.local]
     res, _ = F.residual(row, image, val.conj() * psi[kind], F.size)
-    norms = np.sqrt(np.bincount(row, _abs2(val), F.size))
+    norms = np.sqrt(np.bincount(row, _sq(val), F.size))
     return _verdict(res - F.eps * (1.0 + norms), 0.0, "fiber row {}".format)
 
 
@@ -389,9 +377,8 @@ def _unit_identity(wc: WeakCoideal) -> tuple[float, bool, str]:
     (row, slot, val), n, dist = F.terms, F.slots, np.zeros(F.size)
     unit = np.zeros(len(at), dtype=np.int64), lay.slot_starts[lay.zero] + at, wc.unit[at]
     (_, left, *lhs), (right, _, *rhs) = F.compose(unit, F.sorted_terms), F.compose(F.terms, unit)
-    for side in ((left, *lhs), (right, *rhs)):
-        r, s, v = _summed(*side, n)
-        keys, diff = _diff((r * n + s, v), (row * n + slot, val))
+    for vec, out, coef in ((left, *lhs), (right, *rhs)):
+        keys, diff = _diff(_pruned(vec * n + out, coef), (row * n + slot, val))
         np.maximum.at(dist, keys // n, diff)
     return _verdict(dist, F.eps, "fiber row {}".format)
 
@@ -450,15 +437,14 @@ def _coords(wc: WeakCoideal) -> tuple:
     """A's basis for ``center``: the terms (row, unit, val) of the rows
     F_x[i] (x) e_c, F_x pruned at ROUNDOFF, numbered by block, fiber row and
     column slot c and sorted by row, then unit; and dim A."""
-    lay, b = wc.algebra._layout, wc.fiber_block
-    fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
+    lay, b, F = wc.algebra._layout, wc.fiber_block, wc.fibers
     n = lay.sizes[b]  # the slots of each fiber row's block; its rows of A begin at start
     start = np.cumsum(n) - n
-    r, s = np.nonzero(fiber)  # each term gives A's rows (r, c) their term at unit (s, c)
+    (r, _, val), s = F.terms, F.local  # each term gives A's rows (r, c) their term at unit (s, c)
     t, col = _ranges(np.zeros_like(r), n[r])
     row, unit = start[r[t]] + col, lay.unit(b[r[t]], s[t], col)
     order = np.argsort(row, kind="stable")
-    return row[order], unit[order], fiber[r, s][t][order], int(n.sum())
+    return row[order], unit[order], val[t][order], int(n.sum())
 
 
 def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
@@ -467,15 +453,14 @@ def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
     conj(v^0_Omega) over X^0's rows mu: unit (0; s, c) carries mu_s."""
     lay = wc.algebra._layout
     n, zero = int(lay.sizes[lay.zero]), wc.fiber_block == lay.zero
-    rows = np.repeat(wc.fiber_rows[zero, :n], n, axis=1)
-    i, at = np.nonzero(np.abs(rows) > ROUNDOFF)
+    rows = np.repeat(_pruned_rows(wc.fiber_rows[zero, :n]), n, axis=1)
+    i, at = np.nonzero(rows)
     return span(np.eye(int(zero.sum())), i, lay.zero_units[at], rows[i, at], eps=wc.algebra.eps)
 
 
 def center(wc: WeakCoideal) -> Subspace:
     """The center of A, by one commutant solve over A's basis."""
-    (*terms, size), alg = _coords(wc), wc.algebra
-    return span(sparse_nullspace(*alg.commutant(*terms), size, eps=alg.eps), *terms, eps=alg.eps)
+    return wc.algebra.center_of(*_coords(wc))
 
 
 def is_indecomposable(wc: WeakCoideal) -> bool:

@@ -1,6 +1,7 @@
-"""Sparse complex vectors over arbitrary ordered keys, tolerance-based
-subspaces of dense rows over an array of keys with membership and
-intersection, and the solver of sparse linear systems by their column
+"""Sparse complex vectors over arbitrary ordered keys, the joins, keyed sums
+and ROUNDOFF prune over index arrays that both check engines share,
+tolerance-based subspaces of dense rows over an array of keys with membership
+and intersection, and the solver of sparse linear systems by their column
 components.
 
 Echelon reduction uses a deterministic pivot rule (largest modulus, ties by
@@ -86,8 +87,106 @@ class SparseVec:
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each row."""
-    return (x.real**2 + x.imag**2).sum(axis=1)
+    """Squared modulus of each entry."""
+    return x.real**2 + x.imag**2
+
+
+# -- sparse joins, keyed sums and pruning over index arrays --------------------
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (s, p) with p in the half-open range [lo[s], hi[s])."""
+    counts = hi - lo
+    src = np.repeat(np.arange(len(counts)), counts)
+    shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return src, shift + np.arange(len(src))
+
+
+def _runs(ptr: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (s, p) with p an entry of the run of ``units[s]``: run u occupies
+    positions ``ptr[u]:ptr[u + 1]`` of a table sorted by its leading index."""
+    return _ranges(ptr[units], ptr[units + 1])
+
+
+def _join(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (s, p) with ``keys[s] == sorted_keys[p]``."""
+    return _ranges(
+        np.searchsorted(sorted_keys, keys, "left"), np.searchsorted(sorted_keys, keys, "right")
+    )
+
+
+def _sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of ``vals`` on each key, added in input order, as (sorted keys,
+    sums)."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    vals = np.asarray(vals, dtype=complex)
+    total = np.bincount(inv, vals.real, len(uniq)) + 1j * np.bincount(inv, vals.imag, len(uniq))
+    return uniq, total
+
+
+def _kept(vals: np.ndarray) -> np.ndarray:
+    """Whether each value survives pruning: its modulus, as Python's ``abs``
+    takes it (``hypot``), exceeds ROUNDOFF.  numpy's complex ``abs`` is much
+    faster and within 2 ulps of ``hypot``, so it decides every value except
+    those within a few ulps of ROUNDOFF, which ``hypot`` decides."""
+    mod, window = np.abs(vals), 4 * np.spacing(ROUNDOFF)
+    keep = mod > ROUNDOFF - window
+    near = keep & (mod <= ROUNDOFF + window)
+    if near.any():
+        keep[near] = np.hypot(vals.real[near], vals.imag[near]) > ROUNDOFF
+    return keep
+
+
+def _pruned(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of ``vals`` on each key, added in input order, without those
+    of modulus at most ROUNDOFF, as (sorted keys, sums)."""
+    keys, sums = _sums(keys, vals)
+    keep = _kept(sums)
+    return keys[keep], sums[keep]
+
+
+def _pruned_rows(rows: np.ndarray) -> np.ndarray:
+    """Dense rows with their entries of modulus at most ROUNDOFF set to 0."""
+    return np.where(_kept(rows), rows, 0.0)
+
+
+def _diff(lhs: tuple, rhs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """|LHS - RHS| on every key of two sparse sums given as (keys, values),
+    as (sorted keys, differences)."""
+    keys, sums = _sums(np.concatenate([lhs[0], rhs[0]]), np.concatenate([lhs[1], -rhs[1]]))
+    return keys, np.abs(sums)
+
+
+def _peak(keys: np.ndarray, diff: np.ndarray) -> tuple[float, int]:
+    """The largest difference and its key (0 when there are none)."""
+    if not len(keys):
+        return 0.0, 0
+    at = int(np.argmax(diff))
+    return float(diff[at]), int(keys[at])
+
+
+def _worst(lhs: tuple, rhs: tuple) -> tuple[float, int]:
+    """Largest |LHS - RHS| over the keys of two sparse sums, and its key."""
+    return _peak(*_diff(lhs, rhs))
+
+
+def _distance(lhs: tuple, rhs: tuple) -> float:
+    """sup |P - Q| over the keys of two sparse sums given as (keys, values),
+    each pruned by :func:`_pruned`, the modulus taken as Python's ``abs``
+    takes it."""
+    (pk, pv), (qk, qv) = _pruned(*lhs), _pruned(*rhs)
+    _, diff = _sums(np.concatenate([pk, qk]), np.concatenate([pv, -qv]))
+    return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b on complex arrays, spelled out on real and imaginary parts as
+    Python multiplies complex scalars; numpy's complex loop may round
+    differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def nullspace(mats: np.ndarray, eps: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +223,8 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     n columns, split into its column components: two columns lie in one
     component when a chain of shared rows links them.
 
-    Duplicate entries are summed and sums of modulus at most ROUNDOFF are
-    dropped.  The components are stacked by shape: yields
+    Duplicate entries are summed and pruned by :func:`_pruned`.  The
+    components are stacked by shape: yields
     ``(row ids (k, r), column ids (k, c), blocks (k, r, c))`` once per
     distinct shape (r, c), the k components of a stack in order of lowest
     column, ids ascending.  A column in no row is a component of shape
@@ -133,10 +232,8 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     if not n:
         return
     row_ids, r = np.unique(rows, return_inverse=True)
-    keys, inv = np.unique(r * n + cols, return_inverse=True)
-    sums = np.bincount(inv, vals.real, len(keys)) + 1j * np.bincount(inv, vals.imag, len(keys))
-    keep = np.abs(sums) > ROUNDOFF
-    (r, c), vals = np.divmod(keys[keep], n), sums[keep]
+    keys, vals = _pruned(r * n + cols, vals)
+    r, c = np.divmod(keys, n)
     # label propagation: each row takes the lowest label of its columns, each
     # column the lowest of its rows, then labels pointer-jump to their roots
     label, old = np.arange(n), None
@@ -203,7 +300,7 @@ def span(kernel: np.ndarray, vec: np.ndarray, key: np.ndarray, val: np.ndarray,
 def _pruned_span(keys: np.ndarray, rows: np.ndarray, eps: float) -> "Subspace":
     """The span of dense rows over ``keys`` with their entries of modulus at
     most ROUNDOFF dropped, over the keys that still hold an entry."""
-    rows = np.where(np.abs(rows) > ROUNDOFF, rows, 0.0)
+    rows = _pruned_rows(rows)
     held = (rows != 0).any(axis=0)
     return Subspace(keys[held], rows[:, held], eps=eps)
 
@@ -262,7 +359,7 @@ class Subspace:
         columns need reducing."""
         free = self._free
         off = mat[:, free] - mat[:, self.pivots] @ self.basis[:, free]
-        return np.sqrt(_sq(off) + outside)
+        return np.sqrt(_sq(off).sum(axis=1) + outside)
 
     def residual(self, v: SparseVec) -> float:
         """Norm of the component of v outside the subspace."""
@@ -294,14 +391,13 @@ class Subspace:
     def contains_batch(self, vectors: Iterable[SparseVec]) -> np.ndarray:
         """Residuals of many vectors at once (relative form as in contains)."""
         mat, outside = self.to_dense(vectors)
-        norms = np.sqrt(_sq(mat) + outside)
+        norms = np.sqrt(_sq(mat).sum(axis=1) + outside)
         return self.residuals(mat, outside) - self.eps * (1.0 + norms)
 
     def basis_vectors(self) -> list[SparseVec]:
         """The basis rows as sparse vectors, pruned at ROUNDOFF."""
         keys = self.universe.tolist()
-        return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)})
-                for row in self.basis]
+        return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(row)}) for row in _pruned_rows(self.basis)]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system,

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tywha.algebra import AxiomCheck, AxiomReport, _diff, _join, _runs, _sums, _worst
-from tywha.coideals import CoidealSpec, _abs2, _coords, _exact, _summed, _verdict
+from tywha.algebra import AxiomCheck, AxiomReport
+from tywha.coideals import CoidealSpec, _coords, _exact, _verdict
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
-from tywha.linalg import DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, nullspace, sparse_nullspace, span
+from tywha.linalg import (
+    DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, _diff, _join, _pruned, _pruned_rows, _runs, _sq, _sums, _worst,
+    nullspace, sparse_nullspace, span,
+)
 
 SLOT_GRP = 0
 SLOT_M = 1
@@ -506,6 +509,13 @@ ROWS = {
 # witnesses they reported.
 
 
+def summed(vec: np.ndarray, unit: np.ndarray, val: np.ndarray, dim: int) -> tuple:
+    """Terms (vector, unit, value) summed per (vector, unit) and pruned by
+    ``_pruned``, as (vector, unit, sum), sorted by vector, then unit."""
+    keys, sums = _pruned(vec * dim + unit, val)
+    return (*np.divmod(keys, dim), sums)
+
+
 class ACoords:
     """A's basis terms as ``center`` reads them (``_coords``), with the
     membership test of A.
@@ -531,9 +541,9 @@ class ACoords:
         self.unit_sorted = self.unit[self.by_unit]
         self.covers = np.zeros(self.dim, dtype=bool)
         self.covers[self.unit] = True
-        self.norms = np.sqrt(np.bincount(self.row, _abs2(self.val), self.size))
+        self.norms = np.sqrt(np.bincount(self.row, _sq(self.val), self.size))
         b, piv = wc.fiber_block, wc.fiber_pivot
-        fiber = np.where(np.abs(wc.fiber_rows) > ROUNDOFF, wc.fiber_rows, 0.0)
+        fiber = _pruned_rows(wc.fiber_rows)
         # ``reduce`` as (block slot, free slot, coefficient): each free slot to
         # itself, then each row's pivot to the free slots where it is nonzero
         pivot = np.zeros((len(lay.sizes), fiber.shape[1]), dtype=bool)
@@ -548,16 +558,16 @@ class ACoords:
 
     def residual(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> tuple:
         """The norm of the component outside A, and the norm, of each of n
-        vectors of B given by terms (vector, unit, value), summed as by
-        ``_summed``."""
+        vectors of B given by terms (vector, unit, value), summed per
+        (vector, unit) and pruned by ``_pruned``."""
         lay, dim = self.layout, self.dim
-        vec, unit, val = _summed(vec, unit, val, dim)
-        mass, b = _abs2(val), lay.block[unit]
+        vec, unit, val = summed(vec, unit, val, dim)
+        mass, b = _sq(val), lay.block[unit]
         off = ~self.in_blocks[b]
         s, p = _runs(self.reduce_ptr, self.first_slot[b] + lay.row[unit])
         out = lay.unit(b[s], self.reduce_slot[p], lay.col[unit[s]])
         keys, sums = _sums(vec[s] * dim + out, val[s] * self.reduce_coef[p])
-        inside = np.bincount(keys // dim, _abs2(sums), n)
+        inside = np.bincount(keys // dim, _sq(sums), n)
         return np.sqrt(inside + np.bincount(vec[off], mass[off], n)), np.sqrt(np.bincount(vec, mass, n))
 
     def contains(self, vec: np.ndarray, unit: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
@@ -652,7 +662,7 @@ def a_unit_identity(wc, A: ACoords) -> tuple:
     _, mu = unit_terms(wc)
     dist = np.zeros(A.size)
     for (s, e), unit_coef in ((T.of_right(A.unit), mu[T.i]), (T.of_left(A.unit), mu[T.j])):
-        row, k, val = _summed(A.row[s], T.k[e], A.val[s] * unit_coef[e] * T.c[e], dim)
+        row, k, val = summed(A.row[s], T.k[e], A.val[s] * unit_coef[e] * T.c[e], dim)
         keys, diff = _diff((row * dim + k, val), (A.row * dim + A.unit, A.val))
         np.maximum.at(dist, keys // dim, diff)
     return _verdict(dist, alg.eps, "basis vector {}".format)
@@ -669,15 +679,15 @@ def a_unit_coproduct(wc, A: ACoords) -> tuple:
     units, mu = unit_terms(wc)
     _, p = _runs(C.ptr, units)
     firsts, at = np.unique(C.first[p], return_inverse=True)
-    f, second, val = _summed(at, C.second[p], mu[C.src[p]], dim)
+    f, second, val = summed(at, C.second[p], mu[C.src[p]], dim)
     keys = target.universe
     pos = np.full(dim, -1)  # each unit's place in B_t's universe
     pos[keys] = np.arange(len(keys))
     inside = pos[second] >= 0
     legs = np.zeros((len(firsts), len(keys)), dtype=complex)
     legs[f[inside], pos[second[inside]]] = val[inside]
-    res = target.residuals(legs, np.bincount(f[~inside], _abs2(val[~inside]), len(firsts)))
-    norms = np.sqrt(np.bincount(f, _abs2(val), len(firsts)))
+    res = target.residuals(legs, np.bincount(f[~inside], _sq(val[~inside]), len(firsts)))
+    norms = np.sqrt(np.bincount(f, _sq(val), len(firsts)))
     row_of = np.full(dim, -1)  # the B_t basis row whose pivot is each unit
     row_of[keys[target.pivots]] = np.arange(target.dim)
     b = row_of[second]

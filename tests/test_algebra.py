@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tywha.algebra import HaarFunctional, TYAlgebra, TYData, UnitMap
+from tywha.algebra import HaarFunctional, TYAlgebra, UnitMap
 from tywha.errors import InvariantError
 from tywha.groups import Bicharacter, FiniteAbelianGroup
 from tywha.linalg import SparseVec, sparse_nullspace, span
@@ -84,8 +84,13 @@ class TestDimensions:
         from fractions import Fraction
 
         flat = Bicharacter(grp, ((Fraction(0),),))
-        with pytest.raises(InvariantError):
-            TYData(grp, flat)
+        with pytest.raises(InvariantError, match="degenerate"):
+            TYAlgebra(grp, flat)
+
+    def test_bichar_of_another_group_rejected(self):
+        chi = Bicharacter.standard(FiniteAbelianGroup((3,)))
+        with pytest.raises(InvariantError, match="different group"):
+            TYAlgebra(FiniteAbelianGroup((2,)), chi)
 
     def test_bad_tau_rejected(self):
         grp = FiniteAbelianGroup((2,))

@@ -1,7 +1,10 @@
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -327,6 +330,48 @@ class TestReportWriter:
         assert message in captured.err and "Traceback" not in captured.err
         if "--json" in argv:  # the verdict is printed before the report is written
             assert "PASS" in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "describe", "--group", "2,2"],
+        ["wha", "verify", "--group", "1", "--json", "{tmp}/r.json"],
+    ], ids=["describe", "verify-json"])
+    def test_closed_stdout_exits_quietly(self, argv, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            """A stdout whose reader has gone, over a descriptor main may redirect."""
+
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            assert run(argv) == 1
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "r.json").exists()
+
+    def test_stdout_closed_by_its_reader(self):
+        # `tywha group describe --group 2,2,2,2,2,2 | head -1`: about 1 MB of
+        # output, so the child is still writing when the reader closes the pipe
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tywha.cli", "group", "describe", "--group", "2,2,2,2,2,2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"group Z2xZ2xZ2xZ2xZ2xZ2")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
 
 
 class TestCoidealCommand:

@@ -44,6 +44,74 @@ class TestSparseVec:
         assert distance(sv(x=1), sv(x=1, y=1e-3)) == pytest.approx(1e-3)
 
 
+def _stepped(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+# numpy's complex abs puts this value at or below ROUNDOFF, Python's abs above it
+NEAR_ROUNDOFF = -9.97242697622122e-13 - 7.420917759518232e-14j
+
+
+class TestPruneRule:
+    """Every prune keeps a value exactly when its modulus, as Python's abs
+    takes it, exceeds ROUNDOFF."""
+
+    @staticmethod
+    def values() -> np.ndarray:
+        """The value above and its neighbours a few ulps away on both parts,
+        on both sides of ROUNDOFF."""
+        z = NEAR_ROUNDOFF
+        near = [complex(_stepped(z.real, dr), _stepped(z.imag, di)) for dr in range(-6, 7) for di in range(-3, 4)]
+        return np.array([z, *near, 2 * z, z / 2, 0j])
+
+    def expected(self) -> np.ndarray:
+        out = np.array([abs(v) > ROUNDOFF for v in self.values().tolist()])
+        assert out[0] and out.any() and not out.all()
+        return out
+
+    def test_scalar_reference(self):
+        vals = self.values()
+        kept = SparseVec(dict(enumerate(vals.tolist()))).prune(ROUNDOFF)
+        assert sorted(kept.keys()) == np.flatnonzero(self.expected()).tolist()
+
+    def test_keyed_sum_prune(self):
+        vals = self.values()
+        keys, sums = linalg._pruned(np.arange(len(vals)), vals)
+        assert keys.tolist() == np.flatnonzero(self.expected()).tolist()
+        assert sums.tolist() == vals[self.expected()].tolist()
+
+    def test_dense_row_prune(self):
+        vals = self.values()
+        rows = linalg._pruned_rows(np.stack([vals, vals[::-1]]))
+        assert (rows[0] != 0).tolist() == self.expected().tolist()
+        assert (rows[1] != 0).tolist() == self.expected()[::-1].tolist()
+        assert rows[0][self.expected()].tolist() == vals[self.expected()].tolist()
+
+    def test_components(self):
+        vals, n = self.values(), len(self.values())
+        held = np.zeros(n, dtype=bool)
+        for _, cols, blocks in components(np.arange(n), np.arange(n), vals, n):
+            if blocks.shape[1]:  # a column with no kept entry is a (0, 1) component
+                held[cols.ravel()] = True
+                assert blocks.ravel().tolist() == vals[cols.ravel()].tolist()
+        assert held.tolist() == self.expected().tolist()
+
+    def test_sums_add_in_input_order(self):
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 40, size=2000)
+        vals = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) * 10.0 ** rng.integers(-14, 6, size=2000)
+        loop: dict = {}
+        for k, v in zip(keys.tolist(), vals.tolist()):
+            loop[k] = loop.get(k, 0.0) + v
+        uniq, sums = linalg._sums(keys, vals)
+        assert uniq.tolist() == sorted(loop)
+        want = np.array([loop[k] for k in sorted(loop)])
+        assert sums.real.tobytes() == want.real.tobytes()
+        assert sums.imag.tobytes() == want.imag.tobytes()
+
+
 class TestSubspace:
     def test_span_empty(self):
         assert subspace([]).dim == 0
