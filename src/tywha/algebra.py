@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvariantError, StructuralError, check_order
 from .groups import Bicharacter, FiniteAbelianGroup, GroupElt
-from .linalg import (DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, _cmul, _diff, _distance, _join, _peak, _pruned,
-                     _pruned_rows, _ranges, _runs, _sums, _worst, components, sparse_nullspace, span)
+from .linalg import (DEFAULT_TOL, SparseVec, Subspace, _cmul, _diff, _distance, _join, _peak, _pruned, _pruned_rows,
+                     _ranges, _rank, _runs, _sums, _worst, components, sparse_nullspace, span)
 
 # Largest |G| for which B is built: every check of the axiom suite is
 # exhaustive up to it.
@@ -510,7 +510,7 @@ class TYAlgebra:
                 cb = bdata.get(j)
                 if cb is not None:
                     out[k] = out.get(k, 0.0) + ca * cb * c
-        return SparseVec(out).prune(ROUNDOFF)
+        return SparseVec(out).prune()
 
     def coproduct(self, a: SparseVec) -> SparseVec:
         pairs = self._coproduct_table.pairs
@@ -518,7 +518,7 @@ class TYAlgebra:
         for i, c in a.items():
             for pair in pairs[i]:
                 out[pair] = out.get(pair, 0.0) + c
-        return SparseVec(out).prune(ROUNDOFF)
+        return SparseVec(out).prune()
 
     # -- tensor helpers over B (x) B -------------------------------------------
 
@@ -540,7 +540,7 @@ class TYAlgebra:
                         continue
                     key = (k, l)
                     out[key] = out.get(key, 0.0) + c1 * c2 * ck * cl
-        return SparseVec(out).prune(ROUNDOFF)
+        return SparseVec(out).prune()
 
     # -- counital subalgebras -----------------------------------------------------
 
@@ -548,7 +548,7 @@ class TYAlgebra:
         """Target and source subalgebras B_t and B_s, as subspaces of B."""
         if self._counital is None:
             self._counital = tuple(
-                Subspace(*_distinct(*table), eps=self.eps) for table in (self._eps_t_table, self._eps_s_table)
+                Subspace(*_distinct(*table)) for table in (self._eps_t_table, self._eps_s_table)
             )
         return self._counital
 
@@ -569,7 +569,7 @@ class TYAlgebra:
         n = int(lay.sizes[lay.zero])
         legs = (lay.zero_units.reshape(n, n, 1) == target.universe).any(axis=1)
         res = target.residuals(legs.astype(complex), n - legs.sum(axis=1))
-        return res <= target.eps * (1.0 + np.sqrt(n))
+        return res <= self.eps * (1.0 + np.sqrt(n))
 
     # -- Haar functional ---------------------------------------------------------
 
@@ -587,8 +587,7 @@ class TYAlgebra:
         tables, and each column component is solved by least squares, one
         ``lstsq`` per block since numpy's takes no stacks.  h exists when
         the residual over all rows is at most eps, and is unique when every
-        component has full column rank at the cutoff eps max(1, s_0), with
-        s_0 the component's largest singular value."""
+        component has full column rank by ``linalg._rank``'s fixed cutoff."""
         dim, D, S = self.dim, self._coproduct_table, self._antipode_map
         src, key, val = self._eps_t_table
         one = self._layout.zero_units
@@ -611,7 +610,7 @@ class TYAlgebra:
             for block, head, at in zip(blocks, heads, block_cols):
                 x, _, _, s = np.linalg.lstsq(block, head, rcond=None)
                 coeffs[at] = x
-                rank += int(np.sum(s > self.eps * max(1.0, s.max(initial=0.0))))
+                rank += int(_rank(s))
         # over all rows, a row with a right side and no entries included
         residual = _worst((rows, vals * coeffs[cols]), (np.arange(len(rhs)), rhs))[0]
         if residual > self.eps:
@@ -654,8 +653,8 @@ class TYAlgebra:
     def center_of(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray, size: int) -> Subspace:
         """The center of the subalgebra spanned by ``size`` vectors given by
         their terms (vector, unit, coefficient), by one commutant solve."""
-        kernel = sparse_nullspace(*self.commutant(gen, unit, coef), size, eps=self.eps)
-        return span(kernel, gen, unit, coef, eps=self.eps)
+        kernel = sparse_nullspace(*self.commutant(gen, unit, coef), size)
+        return span(kernel, gen, unit, coef)
 
     def commutant(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray) -> tuple:
         """The sparse system (rows, cols, vals) whose kernel is the center of

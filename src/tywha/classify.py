@@ -30,9 +30,6 @@ from .groups import (
 )
 
 CLASSIFY_ORDER_BOUND = 16
-# ``--realize`` builds and verifies one coideal per class.  Every group of
-# order up to 16 finishes within 120 s (see README).
-REALIZE_ORDER_BOUND = 16
 ENUMERATION_BOUND = 2_000_000
 # Images are keyed at most this many coordinates at a time, which bounds the
 # memory of the orbit engine whatever the number of points.
@@ -47,9 +44,9 @@ def _images(rows: np.ndarray, perms: np.ndarray, key) -> np.ndarray:
     return key(rows[:, perms].reshape(-1, perms.shape[1])).reshape(len(rows), len(perms))
 
 
-def orbit_partition(points: np.ndarray, perms: np.ndarray, key) -> list[tuple[tuple, int]]:
+def orbit_partition(points: np.ndarray, perms: np.ndarray, key) -> np.ndarray:
     """Orbits of distinct integer point rows under a group of coordinate
-    permutations, as (representative row, orbit size) in increasing key order.
+    permutations, as records (representative ``row``, orbit ``size``) in key order.
 
     ``key`` maps rows injectively and in the order wanted for representatives
     into ``range(ENUMERATION_BOUND)``; each representative is its orbit's
@@ -79,7 +76,9 @@ def orbit_partition(points: np.ndarray, perms: np.ndarray, key) -> list[tuple[tu
             raise StructuralError("action does not preserve the point set")
         codes[lo:lo + step] = images.min(axis=1)
     reps, sizes = np.unique(codes, return_counts=True)
-    return [(tuple(r), s) for r, s in zip(points[where[reps]].tolist(), sizes.tolist())]
+    out = np.empty(len(reps), dtype=[("row", points.dtype, (m,)), ("size", np.int64)])
+    out["row"], out["size"] = points[where[reps]], sizes
+    return out
 
 
 def _cycle_roots(perms: np.ndarray) -> np.ndarray:
@@ -112,7 +111,7 @@ def burnside_check(perms: np.ndarray, fixed, n_points: int, n_orbits: int) -> in
     return n_orbits
 
 
-def _classes(points: np.ndarray, perms: np.ndarray, key, fixed) -> tuple[list, dict]:
+def _classes(points: np.ndarray, perms: np.ndarray, key, fixed) -> tuple[np.ndarray, dict]:
     """Orbits of the points and their counts, cross-checked by Burnside."""
     orbits = orbit_partition(points, perms, key)
     count = burnside_check(perms, fixed, len(points), len(orbits))
@@ -284,12 +283,11 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> Classif
         perp, q0, q1, flip, perms = _quotients(group, chi, K)
         n0, points = len(q0), _valid_subset_pairs(q0, q1)
         orbits, counts = _classes(points, perms, partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
-        rows = np.array([row for row, _ in orbits])
-        flags = _coideal_flags(rows, n0).tolist()
+        flags = _coideal_flags(orbits["row"], n0)
         # the flag is constant on orbits iff flagged orbits hold every flagged point
-        if sum(s for (_, s), f in zip(orbits, flags) if f) != _coideal_flags(points, n0).sum():
+        if orbits["size"][flags].sum() != _coideal_flags(points, n0).sum():
             raise StructuralError("coideal flag is not constant on an orbit")
-        reps = [OrbitRep(spec, f, s) for spec, (_, s), f in zip(_specs(rows, q0, q1), orbits, flags)]
+        reps = [OrbitRep(*r) for r in zip(_specs(orbits["row"], q0, q1), flags.tolist(), orbits["size"].tolist())]
         flagged = sorted((r.spec.z0, r.spec.z1) for r in reps if r.coideal)
         if flagged != sorted((r.spec.z0, r.spec.z1) for r in coideal_orbits(K, q0, q1, flip, perms)):
             raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
@@ -360,9 +358,9 @@ def g_algebra_classes(
         types = {}
         if flip:
             orbits, counts = _classes(_vectors(n0, max_mult), q0.trans, key, fixed)
-            types["self-paired"] = {**counts, "orbits": [list(r) for r, _ in orbits]}
+            types["self-paired"] = {**counts, "orbits": orbits["row"].tolist()}
         orbits, counts = _classes(_vectors(n0 + n1, max_mult), perms, key, fixed)
-        types["decomposed"] = {**counts, "orbits": [[list(r[:n0]), list(r[n0:])] for r, _ in orbits]}
+        types["decomposed"] = {**counts, "orbits": [[r[:n0], r[n0:]] for r in orbits["row"].tolist()]}
         report.per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
                                     "K_perp": [list(e) for e in perp.sorted_elements],
                                     "flip_action": flip, "types": types})

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import ALGEBRA_ORDER_BOUND, TYAlgebra
 from .classify import (
-    CLASSIFY_ORDER_BOUND, REALIZE_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
+    CLASSIFY_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
 )
 from .coideals import (
     CoidealSpec, assess, build_from_spec, build_I_m_K, build_I_Omega_K, build_no_m, build_with_m
@@ -293,7 +293,6 @@ def cmd_coideal_build(args) -> int:
 def cmd_classify_weak(args) -> int:
     group, chi = _algebra_data(args)
     if args.realize:
-        check_order(group.order, REALIZE_ORDER_BOUND, "realize")
         alg = TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
     report = weak_coideal_classes(group, chi)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
@@ -328,10 +327,7 @@ def cmd_classify_algebras(args) -> int:
     group, chi = _parse_data(args, CLASSIFY_ORDER_BOUND, "classification")
     report = g_algebra_classes(group, chi, max_mult=args.max_mult)
     payload = {"schema": "tywha-classify/1", **report.to_dict()}
-    print(
-        f"algebra classes of {group} with multiplicities <= {args.max_mult}: "
-        f"{report.total} total"
-    )
+    print(f"algebra classes of {group} with multiplicities <= {args.max_mult}: {report.total} total")
     for entry in payload["per_subgroup"]:
         kinds = {t: p["n_classes"] for t, p in entry["types"].items()}
         print(f"  K={entry['K']}: {kinds}")
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bichar", default="standard", help='"standard" or a JSON file')
         if tau:
             p.add_argument("--tau", choices=["+", "-"], default="+", help="sign of tau")
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tolerance")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="verdict tolerance")
         p.add_argument("--json", default=None, help="duplicate the report to this JSON file")
 
     group_cmd = sub.add_parser("group", help="group and bicharacter inspection")

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import AxiomCheck, AxiomReport, TYAlgebra
 from .errors import InvariantError
 from .groups import QuotientGroup, Subgroup
-from .linalg import ROUNDOFF, Subspace, _diff, _join, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
+from .linalg import Subspace, _diff, _join, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
 
 
 def _coset_numbers(name: str, z, quot: QuotientGroup) -> tuple[int, ...]:
@@ -80,8 +80,7 @@ class WeakCoideal:
         self.algebra, self.label, self.spec = algebra, label, spec
         self.fiber_block, self.fiber_pivot, self.fiber_rows = fiber_block, fiber_pivot, fiber_rows
         lay = algebra._layout
-        x0 = np.abs(fiber_rows[fiber_block == lay.zero, : lay.sizes[lay.zero]]) > max(algebra.eps, ROUNDOFF)
-        self.unit = x0.any(axis=0).astype(complex)
+        self.unit = _kept(fiber_rows[fiber_block == lay.zero, : lay.sizes[lay.zero]]).any(axis=0).astype(complex)
 
     @cached_property
     def fibers(self) -> "_Fibers":
@@ -128,7 +127,7 @@ def assemble(alg: TYAlgebra, block: np.ndarray, rows: np.ndarray, label: str,
         if len(at) and at[-1] >= sizes[b]:
             name = alg.block_names[b]
             raise InvariantError(f"fiber row for block {name} has support past its {sizes[b]} slots")
-        sub = Subspace(at, gens[:, at], eps=alg.eps)
+        sub = Subspace(at, gens[:, at])
         out = np.zeros((sub.dim, width), dtype=complex)
         out[:, at] = sub.basis
         parts.append((np.full(sub.dim, b), at[sub.pivots], out))
@@ -455,7 +454,7 @@ def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
     n, zero = int(lay.sizes[lay.zero]), wc.fiber_block == lay.zero
     rows = np.repeat(_pruned_rows(wc.fiber_rows[zero, :n]), n, axis=1)
     i, at = np.nonzero(rows)
-    return span(np.eye(int(zero.sum())), i, lay.zero_units[at], rows[i, at], eps=wc.algebra.eps)
+    return span(np.eye(int(zero.sum())), i, lay.zero_units[at], rows[i, at])
 
 
 def center(wc: WeakCoideal) -> Subspace:
@@ -491,7 +490,7 @@ def is_indecomposable(wc: WeakCoideal) -> bool:
     keys, eq = np.unique(np.append(r, r2) * F.slots + np.append(out, out2), return_inverse=True)
     system = np.zeros((1, max(len(keys), 1), int(zero.sum())), dtype=complex)
     np.add.at(system[0], (eq, np.append(i, i2)), np.append(v, -v2))
-    return len(nullspace(system, eps=wc.algebra.eps)[0]) == 1
+    return len(nullspace(system)[0]) == 1
 
 
 # -- spectral dimensions ---------------------------------------------------------

@@ -1,8 +1,9 @@
 """Sparse complex vectors over arbitrary ordered keys, the joins, keyed sums
 and ROUNDOFF prune over index arrays that both check engines share,
-tolerance-based subspaces of dense rows over an array of keys with membership
-and intersection, and the solver of sparse linear systems by their column
-components.
+subspaces of dense rows over an array of keys with membership and
+intersection, and the solver of sparse linear systems by their column
+components.  One fixed cutoff, RANK_CUTOFF, decides numerical rank (see
+``_rank`` and ``Subspace``); the verdict tolerance eps decides none.
 
 Echelon reduction uses a deterministic pivot rule (largest modulus, ties by
 lowest key index), so identical inputs give bit-identical bases.
@@ -19,6 +20,7 @@ DEFAULT_TOL = 1e-9
 # A value below this is cancellation residue, and pruning drops it.  It is
 # kept apart from the verdict tolerance eps, which never prunes a value.
 ROUNDOFF = 1e-12
+RANK_CUTOFF = 1e-9  # relative: decides numerical rank (see _rank and Subspace)
 
 
 class SparseVec:
@@ -78,8 +80,8 @@ class SparseVec:
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self.data.values())))
 
-    def prune(self, eps: float = DEFAULT_TOL) -> "SparseVec":
-        return SparseVec({k: v for k, v in self.data.items() if abs(v) > eps})
+    def prune(self) -> "SparseVec":
+        return SparseVec({k: v for k, v in self.data.items() if abs(v) > ROUNDOFF})
 
     def __repr__(self):
         terms = ", ".join(f"{k}: {v:.4g}" for k, v in sorted(self.data.items()))
@@ -189,10 +191,17 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def nullspace(mats: np.ndarray, eps: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix from its singular values ``s`` (..., r):
+    the count above RANK_CUTOFF max(1, s_0), s_0 the largest."""
+    cutoff = RANK_CUTOFF * np.maximum(1.0, s.max(axis=-1, initial=0.0))
+    return np.sum(s > cutoff[..., None], axis=-1)
+
+
+def nullspace(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The null rows of a stack of k matrices of one shape (k, m, n): rows
-    spanning each {x : mat @ x = 0}, by one SVD of the whole stack with
-    threshold eps max(1, s_0) per matrix, s_0 its largest singular value.
+    spanning each {x : mat @ x = 0}, by one SVD of the whole stack, past
+    each matrix's :func:`_rank`.
 
     Returns the rows, (N, n), and the index of the matrix each row came from,
     in order of matrix and then in SVD order.  A tall system (m >= n) is
@@ -200,8 +209,7 @@ def nullspace(mats: np.ndarray, eps: float = DEFAULT_TOL) -> tuple[np.ndarray, n
     V, whose last n - m rows are null vectors too."""
     _, m, n = mats.shape
     _, s, vh = np.linalg.svd(mats, full_matrices=m < n)
-    cutoff = eps * np.maximum(1.0, s.max(axis=1, initial=0.0))
-    null = np.arange(n) >= np.sum(s > cutoff[:, None], axis=1)[:, None]
+    null = np.arange(n) >= _rank(s)[:, None]
     return vh[null].conj(), np.nonzero(null)[0]
 
 
@@ -265,14 +273,14 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
                by_col[col_start[members, None] + np.arange(w)], blocks)
 
 
-def sparse_nullspace(rows, cols, vals, n: int, eps: float = DEFAULT_TOL) -> np.ndarray:
+def sparse_nullspace(rows, cols, vals, n: int) -> np.ndarray:
     """Rows spanning the kernel of a sparse system over n columns, given as
     in :func:`components`: one ``nullspace`` per block shape, and a unit
     vector for each column in no row.  The rows come by component, in order
     of lowest column, and then in SVD order."""
     ids, nulls = [], []
     for _, col_ids, blocks in components(rows, cols, vals, n):
-        null, which = nullspace(blocks, eps=eps)
+        null, which = nullspace(blocks)
         ids.append(col_ids[which])
         nulls.append(null)
     out = np.zeros((sum(map(len, nulls)), n), dtype=complex)
@@ -286,29 +294,29 @@ def sparse_nullspace(rows, cols, vals, n: int, eps: float = DEFAULT_TOL) -> np.n
     return out
 
 
-def span(kernel: np.ndarray, vec: np.ndarray, key: np.ndarray, val: np.ndarray,
-         eps: float = DEFAULT_TOL) -> "Subspace":
+def span(kernel: np.ndarray, vec: np.ndarray, key: np.ndarray, val: np.ndarray) -> "Subspace":
     """The span of the rows of ``kernel``, each the coordinates of a vector
     along the vectors given by their terms (vector, key, value), as a
     Subspace over the keys those terms touch."""
     keys, at = np.unique(key, return_inverse=True)
     out = np.zeros((len(kernel), len(keys)), dtype=complex)
     np.add.at(out, (slice(None), at), kernel[:, vec] * val)
-    return _pruned_span(keys, out, eps)
+    return _pruned_span(keys, out)
 
 
-def _pruned_span(keys: np.ndarray, rows: np.ndarray, eps: float) -> "Subspace":
+def _pruned_span(keys: np.ndarray, rows: np.ndarray) -> "Subspace":
     """The span of dense rows over ``keys`` with their entries of modulus at
     most ROUNDOFF dropped, over the keys that still hold an entry."""
     rows = _pruned_rows(rows)
     held = (rows != 0).any(axis=0)
-    return Subspace(keys[held], rows[:, held], eps=eps)
+    return Subspace(keys[held], rows[:, held])
 
 
 class Subspace:
     """Span of dense rows over an array of keys (the ``universe``), reduced
-    in order to row echelon form with unit pivots; a row within eps of the
-    span of those before it is skipped.
+    in order to row echelon form with unit pivots; a row within RANK_CUTOFF
+    (1 + |row|) of the span of those before it is skipped.  ``eps`` is the
+    membership tolerance of ``contains`` and ``contains_batch`` only.
 
     Pivot columns are cleared in all other rows and the pivots are exactly 1,
     so the pivot block of ``basis`` is the identity and the coordinate of a
@@ -329,7 +337,7 @@ class Subspace:
             if count:
                 # pivot columns are exclusive in reduced form, so one pass
                 r -= r[pivots] @ basis[:count]
-            if n == 0 or np.linalg.norm(r) <= self.eps * (1.0 + scale):
+            if n == 0 or np.linalg.norm(r) <= RANK_CUTOFF * (1.0 + scale):
                 continue
             p = int(np.argmax(np.abs(r)))  # ties resolve to the lowest index
             r = r / r[p]
@@ -410,8 +418,8 @@ class Subspace:
             cols.append(at + j)
             vals.append(sign * space.basis[j, u])
         system = (np.concatenate(part) for part in (rows, cols, vals))
-        kernel = sparse_nullspace(*system, self.dim + other.dim, eps=self.eps)
-        return _pruned_span(self.universe, kernel[:, : self.dim] @ self.basis, self.eps)
+        kernel = sparse_nullspace(*system, self.dim + other.dim)
+        return _pruned_span(self.universe, kernel[:, : self.dim] @ self.basis)
 
 
 def tensor_contains(t: SparseVec, left: Subspace, right: Subspace | None) -> bool:

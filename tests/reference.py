@@ -26,7 +26,7 @@ from tywha.coideals import CoidealSpec, _coords, _exact, _verdict
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
 from tywha.linalg import (
-    DEFAULT_TOL, ROUNDOFF, SparseVec, Subspace, _diff, _join, _pruned, _pruned_rows, _runs, _sq, _sums, _worst,
+    DEFAULT_TOL, SparseVec, Subspace, _diff, _join, _pruned, _pruned_rows, _runs, _sq, _sums, _worst,
     nullspace, sparse_nullspace, span,
 )
 
@@ -350,7 +350,7 @@ def circ(alg, u: SparseVec, w: SparseVec) -> SparseVec:
         for (y, c), cw in w.items():
             for key, coeff in _circ_basis(alg, x, a, y, c):
                 out.data[key] = out.data.get(key, 0.0) + cu * cw * coeff
-    return out.prune(ROUNDOFF)
+    return out.prune()
 
 
 def _fiber_map(alg, x: BlockLabel, s: Slot, second_leg: bool) -> tuple[complex, BlockLabel, Slot]:
@@ -375,7 +375,7 @@ def sharp(alg, u: SparseVec) -> SparseVec:
     for (x, s), c in u.items():
         coeff, tb, ts = _fiber_map(alg, x, s, second_leg=False)
         out.data[(tb, ts)] = out.data.get((tb, ts), 0.0) + c.conjugate() * coeff
-    return out.prune(ROUNDOFF)
+    return out.prune()
 
 
 # -- structure maps of B on vectors of units ----------------------------------------
@@ -414,7 +414,7 @@ def _apply(m, a: SparseVec, conjugate: bool) -> SparseVec:
     for i, c in a.items():
         k, coeff = int(m.k[i]), complex(m.c[i])
         out[k] = out.get(k, 0.0) + (c.conjugate() if conjugate else c) * coeff
-    return SparseVec(out).prune(ROUNDOFF)
+    return SparseVec(out).prune()
 
 
 def star(alg, a: SparseVec) -> SparseVec:
@@ -439,7 +439,7 @@ def eps_t(alg, a: SparseVec) -> SparseVec:
     for i, c in a.items():
         lo, hi = np.searchsorted(src, [i, i + 1])
         add_scaled(out, SparseVec(zip(key[lo:hi].tolist(), val[lo:hi].tolist())), c)
-    return out.prune(ROUNDOFF)
+    return out.prune()
 
 
 # -- the axiom rows as the scalar paths evaluated them -------------------------------
@@ -612,7 +612,7 @@ def a_level_fixed_point_algebra(wc) -> Subspace:
     """``fixed_point_algebra`` as it ran on A: the kernel of the invariance
     system over A's basis."""
     A, alg = ACoords(wc), wc.algebra
-    return span(sparse_nullspace(*invariance(wc), A.size, eps=alg.eps), A.row, A.unit, A.val, eps=alg.eps)
+    return span(sparse_nullspace(*invariance(wc), A.size), A.row, A.unit, A.val)
 
 
 def a_unit_exists(wc, A: ACoords) -> tuple:
@@ -722,10 +722,10 @@ def restricted_is_indecomposable(wc) -> bool:
     central elements sum_i y_i z_i are the kernel of the commutant system
     restricted to the z_i, a dense matrix over the few y_i."""
     A, alg = ACoords(wc), wc.algebra
-    z = sparse_nullspace(*invariance(wc), A.size, eps=alg.eps)
+    z = sparse_nullspace(*invariance(wc), A.size)
     (rows, cols, vals), (at, i) = alg.commutant(A.row, A.unit, A.val), np.nonzero(z.T)
     s, p = _join(cols, at)
     keys, r = np.unique(rows[s], return_inverse=True)
     restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
     np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
-    return len(nullspace(restricted, eps=alg.eps)[0]) == 1
+    return len(nullspace(restricted)[0]) == 1

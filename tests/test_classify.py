@@ -186,14 +186,14 @@ class TestBurnside:
         points = np.arange(7)[:, None]
         perms = np.array([[0]])
         orbits = orbit_partition(points, perms, lambda rows: rows[:, 0])
-        assert [size for _, size in orbits] == [1] * 7
+        assert orbits["size"].tolist() == [1] * 7
         assert burnside_check(perms, lambda p, roots: np.full(len(p), 7), 7, len(orbits)) == 7
 
     def test_two_element_orbit_fully_identified(self):
         points = np.array([[1, 0], [0, 1]])
         perms = np.array([[0, 1], [1, 0]])
         orbits = orbit_partition(points, perms, _subset_rank)
-        assert orbits == [((1, 0), 2)]
+        assert [(tuple(r), s) for r, s in orbits.tolist()] == [((1, 0), 2)]
         # singletons fixed by a permutation are its fixed points
         assert burnside_check(perms, lambda p, roots: (p == np.arange(p.shape[1])).sum(axis=1), 2,
                               len(orbits)) == 1
@@ -632,14 +632,12 @@ class TestOrbitPartition:
         q0, q1, perms, key = _setup((4,), [])
         points = _valid_subset_pairs(q0, q1)
         orbits = orbit_partition(points, perms, key)
-        assert sum(size for _, size in orbits) == len(points)
-        reps = [rep for rep, _ in orbits]
+        assert orbits["size"].sum() == len(points)
+        reps = [tuple(rep) for rep in orbits["row"].tolist()]
         assert len(set(reps)) == len(reps)
         assert {tuple(p) for p in points.tolist()} >= set(reps)
         assert len(orbits) == len(_brute_orbits(points, perms))
-        assert sorted(len(o) for o in _brute_orbits(points, perms)) == sorted(
-            size for _, size in orbits
-        )
+        assert sorted(len(o) for o in _brute_orbits(points, perms)) == sorted(orbits["size"].tolist())
 
 
 class TestOrderSixteen:

@@ -335,9 +335,9 @@ def reference_is_indecomposable(wc):
     of their intersection taken as the nullity of the two stacked side by
     side."""
     A, alg = ACoords(wc), wc.algebra
-    zc = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size, eps=alg.eps)
-    zf = sparse_nullspace(*invariance(wc), A.size, eps=alg.eps)
-    return len(nullspace(np.concatenate([zc, -zf]).T[None], eps=alg.eps)[0]) == 1
+    zc = sparse_nullspace(*alg.commutant(A.row, A.unit, A.val), A.size)
+    zf = sparse_nullspace(*invariance(wc), A.size)
+    return len(nullspace(np.concatenate([zc, -zf]).T[None])[0]) == 1
 
 
 def two_coset_families(alg):
@@ -829,18 +829,18 @@ def reference_fixed_points(wc):
         col = alg.coproduct(v)
         for i, c in v.items():
             add_scaled(col, twisted[i], -c)
-        columns.append(col.prune(ROUNDOFF))
+        columns.append(col.prune())
     keys = sorted({k for col in columns for k in col.keys()})
     mat = np.zeros((len(keys), len(columns)), dtype=complex)
     for j, col in enumerate(columns):
         for k, c in col.items():
             mat[keys.index(k), j] = c
     out = []
-    for coeffs in nullspace(mat[None], eps=alg.eps)[0]:
+    for coeffs in nullspace(mat[None])[0]:
         v = SparseVec()
         for j, c in enumerate(coeffs):
             add_scaled(v, basis[j], c)
-        out.append(v.prune(ROUNDOFF))
+        out.append(v.prune())
     return subspace(out, eps=alg.eps)
 
 

@@ -11,7 +11,6 @@ from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup
 from reference import add_scaled, antipode, counit, distance, eps_t, one, subspace
 from tywha.linalg import (
-    DEFAULT_TOL,
     ROUNDOFF,
     SparseVec,
     Subspace,
@@ -37,7 +36,7 @@ class TestSparseVec:
 
     def test_prune_and_norm(self):
         a = sv(x=1e-12, y=1)
-        assert a.prune(1e-9).data == {"y": 1}
+        assert a.prune().data == {"y": 1}
         assert a.norm() == pytest.approx(1.0)
 
     def test_distance(self):
@@ -73,7 +72,7 @@ class TestPruneRule:
 
     def test_scalar_reference(self):
         vals = self.values()
-        kept = SparseVec(dict(enumerate(vals.tolist()))).prune(ROUNDOFF)
+        kept = SparseVec(dict(enumerate(vals.tolist()))).prune()
         assert sorted(kept.keys()) == np.flatnonzero(self.expected()).tolist()
 
     def test_keyed_sum_prune(self):
@@ -377,12 +376,12 @@ def reference_components(rows, cols, vals, n):
         yield np.array(row, dtype=int), np.array(ids), block
 
 
-def reference_sparse_nullspace(rows, cols, vals, n, eps=DEFAULT_TOL):
+def reference_sparse_nullspace(rows, cols, vals, n):
     """``sparse_nullspace`` by ``nullspace`` on each component in order of
     lowest column."""
     out = [np.zeros((0, n), dtype=complex)]
     for _, ids, block in reference_components(rows, cols, vals, n):
-        null, _ = nullspace(block[None], eps=eps)
+        null, _ = nullspace(block[None])
         out.append(np.zeros((len(null), n), dtype=complex))
         out[-1][:, ids] = null
     return np.vstack(out)
