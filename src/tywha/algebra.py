@@ -258,6 +258,14 @@ class Pairing:
     ptr: np.ndarray
 
 
+class Table:
+    """Rows held as equal-length 1-D integer or float64 columns, which a report
+    writes as the JSON list of the rows."""
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+
 @dataclass
 class Layout:
     """Where each basis unit sits: units are ordered by block, then row slot,
@@ -1060,7 +1068,7 @@ class TYAlgebra:
 
     def export_data(self) -> dict:
         """Structure constants in the versioned interchange format, read from
-        the layout and the structure arrays."""
+        the layout and the structure arrays, each numeric table a :class:`Table`."""
         lay, T, D = self._layout, self.product, self._coproduct_table
         S, star = self._antipode_map, self._star_map
         blocks, slots = self.block_names, self.slot_names
@@ -1069,8 +1077,8 @@ class TYAlgebra:
             for i, (x, r, c) in enumerate(zip(lay.block.tolist(), lay.row.tolist(), lay.col.tolist()))
         ]
 
-        def rows(*columns: np.ndarray) -> list[list]:
-            return [list(row) for row in zip(*(col.tolist() for col in columns))]
+        def one(*columns: np.ndarray) -> Table:  # coefficient 1 + 0i on every row
+            return Table(*columns, np.ones(len(columns[0])), np.zeros(len(columns[0])))
 
         units = np.arange(self.dim)
         return {
@@ -1081,12 +1089,10 @@ class TYAlgebra:
             "tolerance": self.eps,
             "dim": self.dim,
             "basis": basis,
-            "unit": [[i, 1.0, 0.0] for i in lay.zero_units.tolist()],
-            "product": rows(T.i, T.j, T.k, T.c.real, T.c.imag),
-            "coproduct": [
-                [i, a, b, 1.0, 0.0] for i, a, b in zip(D.src.tolist(), D.first.tolist(), D.second.tolist())
-            ],
-            "counit": [[i, 1.0, 0.0] for i in np.flatnonzero(lay.diag).tolist()],
-            "antipode": rows(units, S.k, S.c.real, S.c.imag),
-            "star": rows(units, star.k, star.c.real, star.c.imag),
+            "unit": one(lay.zero_units),
+            "product": Table(T.i, T.j, T.k, T.c.real, T.c.imag),
+            "coproduct": one(D.src, D.first, D.second),
+            "counit": one(np.flatnonzero(lay.diag)),
+            "antipode": Table(units, S.k, S.c.real, S.c.imag),
+            "star": Table(units, star.k, star.c.real, star.c.imag),
         }

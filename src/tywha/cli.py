@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import ALGEBRA_ORDER_BOUND, TYAlgebra
+from .algebra import ALGEBRA_ORDER_BOUND, Table, TYAlgebra
 from .classify import (
     CLASSIFY_ORDER_BOUND, g_algebra_classes, realize_and_verify, weak_coideal_classes
 )
@@ -94,11 +94,11 @@ def _tau_sign(flag: str) -> int:
 # -- report writer ----------------------------------------------------------------
 #
 # A report's bytes are those the json module writes with indent=2 and
-# sort_keys=True, plus "\n".  Any indent sends json to its pure-Python encoder,
-# so each piece is encoded compactly by the C encoder and laid out by array
-# operations instead.
-# Pieces hold about _PIECE_ITEMS JSON values, so the memory a write takes does
-# not grow with the report.
+# sort_keys=True, plus "\n", a Table as the list of its rows.  Any indent sends
+# json to its pure-Python encoder, so each piece is encoded compactly by the C
+# encoder and laid out by array operations instead, and a table from its
+# columns' encoded values.  Pieces and table chunks hold about _PIECE_ITEMS JSON
+# values, so the memory a write takes does not grow with the report.
 
 _PIECE_ITEMS = 1 << 12
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
@@ -108,9 +108,11 @@ _CLASS = bytes(dict(zip(b'[{]},"', b"\1\1\2\2\3\4")).get(c, 0) for c in range(25
 
 def _size(x) -> int:
     """Estimated number of JSON values in x; a list counts its first item's
-    estimate once per item."""
+    estimate once per item, and a table more than a piece, so no piece holds one."""
     if isinstance(x, dict):
         return 1 + sum(map(_size, x.values()))
+    if isinstance(x, Table):
+        return _PIECE_ITEMS + 1
     if isinstance(x, (list, tuple)) and x:
         return 1 + len(x) * _size(x[0])
     return 1
@@ -145,11 +147,33 @@ def _indent(text: str, depth: int) -> np.ndarray:
     return out
 
 
+def _emit_table(write, table: Table, depth: int) -> None:
+    """Write a table at nesting depth ``depth`` as indent=2 lays out the list
+    of its rows, in chunks of about _PIECE_ITEMS values, from the JSON text of
+    each column's distinct values, encoded in one call per column."""
+    tokens = []
+    for column in table.columns:  # floats keyed by their bits: by value, -0.0 is 0.0
+        distinct, index = np.unique(column.view(np.int64) if column.dtype.kind == "f" else column, return_inverse=True)
+        tokens.append((np.array(_ENCODE(distinct.view(column.dtype).tolist())[1:-1].split(","), dtype=object), index))
+    rows, step = len(tokens[0][1]), max(1, _PIECE_ITEMS // (len(tokens) + 1))
+    row_open, row_close = f"\n{'  ' * (depth + 1)}[\n{'  ' * (depth + 2)}", f"\n{'  ' * (depth + 1)}]"
+    inner, between = f",\n{'  ' * (depth + 2)}", f"{row_close},{row_open}"
+    write(b"[")
+    for lo in range(0, rows, step):
+        cells = zip(*(text[index[lo : lo + step]].tolist() for text, index in tokens))
+        write(f"{',' if lo else ''}{row_open}{between.join(map(inner.join, cells))}{row_close}".encode())
+    write(f"\n{'  ' * depth}]".encode() if rows else b"]")
+
+
 def _emit(write, x, depth: int) -> None:
-    """Write x at nesting depth ``depth``: in one piece if it is small, else
-    member by member, runs of small members encoded together and spliced in
-    between x's brackets, large members written the same way one level down."""
-    if _size(x) <= _PIECE_ITEMS:
+    """Write x at nesting depth ``depth``: a table by its rows, a scalar or an
+    empty container in one piece, else member by member: runs of small members
+    encoded together and spliced in between x's brackets, large members and the
+    members of a run that holds a table written the same way one level down."""
+    if isinstance(x, Table):
+        _emit_table(write, x, depth)
+        return
+    if not (x and isinstance(x, (dict, list, tuple))):
         write(_indent(_ENCODE(x), depth))
         return
     is_dict = isinstance(x, dict)
@@ -165,18 +189,23 @@ def _emit(write, x, depth: int) -> None:
     while start < len(members):
         if start:
             write(b",")
-        if sizes[start] > _PIECE_ITEMS:  # the key as json writes it, cut from '{"key": 0}'
-            key = _ENCODE({members[start][0]: 0})[1:-4] + ": " if is_dict else ""
-            write(f"\n{'  ' * (depth + 1)}{key}".encode())
-            _emit(write, members[start][1] if is_dict else members[start], depth + 1)
-            start += 1
-            continue
-        # the run stops before the member that takes it past a piece, so before any large one
-        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + _PIECE_ITEMS, "right"))
-        run = members[start:stop]
-        piece = _indent(_ENCODE(dict(run) if is_dict else run), depth)
-        write(piece[1 : len(piece) - len(close)])
-        start = stop
+        if sizes[start] <= _PIECE_ITEMS:
+            # the run stops before the member that takes it past a piece, so before any large one
+            stop = int(np.searchsorted(ends, ends[start] - sizes[start] + _PIECE_ITEMS, "right"))
+            run = members[start:stop]
+            try:
+                piece = _indent(_ENCODE(dict(run) if is_dict else run), depth)
+            except TypeError:  # a list's size estimate missed a table: write the run's members alone
+                sizes[start:stop] = _PIECE_ITEMS + 1
+            else:
+                write(piece[1 : len(piece) - len(close)])
+                start = stop
+                continue
+        # the key as json writes it, cut from '{"key": 0}'
+        key = _ENCODE({members[start][0]: 0})[1:-4] + ": " if is_dict else ""
+        write(f"\n{'  ' * (depth + 1)}{key}".encode())
+        _emit(write, members[start][1] if is_dict else members[start], depth + 1)
+        start += 1
     write(close)
 
 

@@ -11,7 +11,8 @@ numbers, kept here for the tests that read them, with the adapters that take
 ``SparseVec``s into ``Subspace`` and ``assemble``.  The coideal checks as
 they ran on A itself, before they moved to the fiber rows, and the element
 arithmetic of groups and their trivial and full subgroups are kept here for
-the tests that compare against them.
+the tests that compare against them.  ``table_rows`` expands an export's
+tables into the rows they stand for, as the json module's ``default`` hook.
 """
 
 from __future__ import annotations
@@ -729,3 +730,11 @@ def restricted_is_indecomposable(wc) -> bool:
     restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
     np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
     return len(nullspace(restricted)[0]) == 1
+
+
+# -- reports --------------------------------------------------------------------------
+
+
+def table_rows(table) -> list[list]:
+    """The rows a :class:`tywha.algebra.Table` stands for in a report."""
+    return [list(row) for row in zip(*(column.tolist() for column in table.columns))]

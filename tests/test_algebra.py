@@ -15,7 +15,7 @@ from tywha.linalg import SparseVec, sparse_nullspace, span
 import reference
 from reference import (
     BasisUnit, BlockLabel, Slot, _fiber_map, add_scaled, antipode, basis_element, blocks, circ, counit, distance,
-    eps_t, fiber_basis, haar_value, one, sharp, slots, star, subspace, term_vectors, unit_pos, units,
+    eps_t, fiber_basis, haar_value, one, sharp, slots, star, subspace, table_rows, term_vectors, unit_pos, units,
 )
 
 
@@ -1038,7 +1038,7 @@ class TestExport:
 
         # independent re-import: rebuild the product table and compare
         table = {}
-        for i, j, k, re_, im_ in data["product"]:
+        for i, j, k, re_, im_ in table_rows(data["product"]):
             table.setdefault((i, j), []).append((k, complex(re_, im_)))
 
         def table_multiply(a, b):
@@ -1055,6 +1055,6 @@ class TestExport:
             assert distance(table_multiply(a, b), z2.multiply(a, b)) < 1e-9
 
     def test_json_serializable_and_deterministic(self, z2):
-        s1 = json.dumps(z2.export_data(), sort_keys=True)
-        s2 = json.dumps(TYAlgebra(FiniteAbelianGroup((2,))).export_data(), sort_keys=True)
+        s1 = json.dumps(z2.export_data(), sort_keys=True, default=table_rows)
+        s2 = json.dumps(TYAlgebra(FiniteAbelianGroup((2,))).export_data(), sort_keys=True, default=table_rows)
         assert s1 == s2

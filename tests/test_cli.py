@@ -8,17 +8,19 @@ import sys
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tywha.cli as cli
 import tywha.coideals as coideals
-from tywha.algebra import TYAlgebra
+from tywha.algebra import Table, TYAlgebra
 from tywha.cli import main
+from tywha.groups import FiniteAbelianGroup
 from tywha.linalg import SparseVec
 
-from reference import a_level_report, distance
+from reference import a_level_report, distance, table_rows
 
 
 def run(argv):
@@ -222,6 +224,9 @@ EXPORT_SHA256 = {
     ("5", "-"): "6f7807067cceb2caa0e06f57283c883d526c0732329a7aa2db3dc26515088b22",
     ("6", "+"): "3a089c055e14584bcf7fa971f8370be91d091d24fe4a85351f2cef623f1c7297",
     ("6", "-"): "f24282554d97f8c70aecc8a1397f4921102fc9f267f6118814a5efe984997bbc",
+    ("8", "+"): "04ba31b9472b20a0d871d54bce7ccf27a2ff21b08a3c5fc538f53ff2ae8ab456",
+    ("8", "-"): "71b74f8c7a34421291b3056c014da518400f8a3c8f290c4f4fa5802290e7a4d7",
+    ("2,4", "-"): "bd9e632ab5dc7cbd91fe01f71195955e41cc2f91727d41eacdaebd86128218d6",
 }
 
 
@@ -269,8 +274,9 @@ class TestReportFiles:
 
 
 def stdlib_report(payload) -> bytes:
-    """The bytes the json module writes for a report, with its trailing newline."""
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+    """The bytes the json module writes for a report, with its trailing newline,
+    each table written as the list of its rows."""
+    return (json.dumps(payload, indent=2, sort_keys=True, default=table_rows) + "\n").encode("ascii")
 
 
 _text = st.text(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7fa0é€😀') | st.characters(), max_size=12)
@@ -283,19 +289,48 @@ _json_value = st.recursive(
     _scalar | _nested, lambda kids: st.lists(kids, max_size=6) | st.dictionaries(_text, kids, max_size=6),
     max_leaves=40,
 )
+_int = st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+_float = st.floats() | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e16, 1e-05, 5e-324])
+
+
+@st.composite
+def _tables(draw) -> Table:
+    """A table of 0 to 12 rows with 1 to 5 int64 and float64 columns."""
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from([(_int, np.int64), (_float, np.float64)]), min_size=1, max_size=5))
+    return Table(*(np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype) for values, dtype in kinds))
+
+
+_with_tables = st.recursive(
+    _tables() | _scalar, lambda kids: st.lists(kids, max_size=5) | st.dictionaries(_text, kids, max_size=5),
+    max_leaves=12,
+)
 
 
 class TestReportWriter:
-    """The report writer lays out the C encoder's text with array operations;
-    its bytes must be the json module's, piece by piece or in one piece."""
+    """The report writer lays out the C encoder's text, and a table's rows from
+    its columns, with array operations; its bytes must be the json module's,
+    a table written as its rows, piece by piece or in one piece."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(value=_json_value, piece_items=st.sampled_from([1, 2, cli._PIECE_ITEMS]))
+    @settings(max_examples=400, deadline=None)
+    @given(value=_json_value | _with_tables, piece_items=st.sampled_from([1, 2, cli._PIECE_ITEMS]))
     def test_bytes_equal_stdlib(self, tmp_path_factory, value, piece_items):
         path = tmp_path_factory.getbasetemp() / "report.json"
         with mock.patch.object(cli, "_PIECE_ITEMS", piece_items):
             cli._write_json(str(path), value)
         assert path.read_bytes() == stdlib_report(value)
+
+    def test_tau_minus_export_keeps_negative_zero(self, tmp_path):
+        # the tables' float values are told apart by their bits: by value,
+        # -0.0 would merge into 0.0 or 0.0 into -0.0
+        data = TYAlgebra(FiniteAbelianGroup((1,)), tau_sign=-1).export_data()
+        imag = data["antipode"].columns[3]
+        assert np.any((imag == 0) & np.signbit(imag)) and np.any((imag == 0) & ~np.signbit(imag))
+        path = tmp_path / "wha.json"
+        cli._write_json(str(path), data)
+        written = path.read_bytes()
+        assert written == stdlib_report(data)
+        assert b"-0.0\n" in written and b" 0.0\n" in written
 
     @pytest.mark.parametrize("argv", [
         ["group", "describe", "--group", "2,2"],
