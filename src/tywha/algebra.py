@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 from cmath import exp as cexp
 
 import numpy as np
@@ -45,21 +45,13 @@ FIRST_FACTOR_BLOCK = 512
 class AxiomCheck:
     """One identity's verdict: the worst residual, where it occurs, and how
     many instances the identity has.  Every check covers all of its
-    instances, so ``mode`` is always "exhaustive"."""
+    instances, so a report gives each as checked exhaustively."""
 
     name: str
     residual: float
     passed: bool
     witness: str = ""
     instances_total: int = 1
-    mode = "exhaustive"
-
-    @property
-    def instances_checked(self) -> int:
-        return self.instances_total
-
-    def coverage(self) -> str:
-        return f"{self.mode} {self.instances_total:,}"
 
 
 @dataclass
@@ -68,12 +60,27 @@ class AxiomReport:
     eps: float
     checks: list[AxiomCheck] = field(default_factory=list)
 
+    @classmethod
+    def run(cls, label: str, eps: float, unit_name, rows, *args) -> "AxiomReport":
+        """Run the rows (name, instances, evaluator, bound) in order; a row
+        passes iff ``evaluate(*args)``'s residual is at most its bound.  A
+        witness is text, kept, or the worst instance's units, named when the
+        residual is positive.  A StructuralError fails its row and ends the run."""
+        report = cls(label, eps)
+        for name, total, evaluate, bound in rows:
+            try:
+                residual, witness = evaluate(*args)
+            except StructuralError as exc:
+                report.checks.append(AxiomCheck(name, float("inf"), False, str(exc), total))
+                break
+            if isinstance(witness, tuple):
+                witness = "".join(f"({unit_name(i)})" for i in witness) if residual > 0 else ""
+            report.checks.append(AxiomCheck(name, residual, residual <= bound, witness, total))
+        return report
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[AxiomCheck]:
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {
@@ -81,16 +88,7 @@ class AxiomReport:
             "tolerance": self.eps,
             "passed": self.passed,
             "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "instances_checked": c.instances_checked,
-                    "instances_total": c.instances_total,
-                    "mode": c.mode,
-                }
-                for c in self.checks
+                {**vars(c), "instances_checked": c.instances_total, "mode": "exhaustive"} for c in self.checks
             ],
         }
 
@@ -100,7 +98,7 @@ class AxiomReport:
             status = "PASS" if c.passed else "FAIL"
             extra = f"  [{c.witness}]" if (c.witness and not c.passed) else ""
             lines.append(
-                f"  {status}  {c.name:<44} max residual {c.residual:.3e}  {c.coverage()}{extra}"
+                f"  {status}  {c.name:<44} max residual {c.residual:.3e}  exhaustive {c.instances_total:,}{extra}"
             )
         return "\n".join(lines)
 
@@ -324,6 +322,8 @@ class TYAlgebra:
             raise InvariantError("bicharacter belongs to a different group")
         if not bichar.is_nondegenerate():
             raise InvariantError("bicharacter is degenerate")
+        if not (isfinite(eps) and eps > 0):
+            raise InvariantError(f"tolerance must be finite and positive, got {eps}")
         self.group = group
         self.bichar = bichar
         self.tau_sign = tau_sign
@@ -343,8 +343,6 @@ class TYAlgebra:
         self._psi_bar = self.sqrt_order / self.tau
         self._phi_unb = 1.0 / self.sqrt_order
         self._phi_bar = self.tau / self.sqrt_order
-
-        self._counital: tuple[Subspace, Subspace] | None = None
 
     # -- fiber-space structure ------------------------------------------------
 
@@ -552,12 +550,12 @@ class TYAlgebra:
 
     # -- counital subalgebras -----------------------------------------------------
 
+    @cached_property
+    def _counital(self) -> tuple[Subspace, Subspace]:
+        return tuple(Subspace(*_distinct(*table)) for table in (self._eps_t_table, self._eps_s_table))
+
     def counital_subalgebras(self) -> tuple[Subspace, Subspace]:
         """Target and source subalgebras B_t and B_s, as subspaces of B."""
-        if self._counital is None:
-            self._counital = tuple(
-                Subspace(*_distinct(*table)) for table in (self._eps_t_table, self._eps_s_table)
-            )
         return self._counital
 
     @cached_property
@@ -965,11 +963,11 @@ class TYAlgebra:
         """Run every defining identity of the structure at tolerance eps,
         each on all of its instances.
 
-        The suite is one table of rows (name, instances, evaluator), run in
-        order.  An evaluator returns the worst residual and a witness: text,
-        or the units of the worst instance, named when the residual is
-        positive.  A StructuralError fails its row and ends the suite, since
-        the rows after "haar system solvable" need its solution.
+        The suite is one table of rows (name, instances, evaluator), each
+        bounded by eps and run in order by :meth:`AxiomReport.run`.  An
+        evaluator returns the worst residual and a witness: text, or the
+        units of the worst instance.  The rows after "haar system solvable"
+        need its solution, so a StructuralError there ends the suite.
 
         Every row reads the structure-constant arrays: the identities of the
         product, coproduct, counit, antipode and star, and those of B_t, B_s
@@ -1052,17 +1050,8 @@ class TYAlgebra:
             ),
             ("haar positive", d**2, lambda: (self._haar_positive(haar().coeffs), "")),
         ]
-        report = AxiomReport(label=f"{self.group} tau{'+' if self.tau_sign > 0 else '-'}", eps=eps)
-        for name, total, evaluate in rows:
-            try:
-                residual, witness = evaluate()
-            except StructuralError as exc:
-                report.checks.append(AxiomCheck(name, float("inf"), False, str(exc), total))
-                break
-            if isinstance(witness, tuple):
-                witness = "".join(f"({self.unit_name(i)})" for i in witness) if residual > 0 else ""
-            report.checks.append(AxiomCheck(name, residual, residual <= eps, witness, total))
-        return report
+        label = f"{self.group} tau{'+' if self.tau_sign > 0 else '-'}"
+        return AxiomReport.run(label, eps, self.unit_name, [(*row, eps) for row in rows])
 
     # -- export -----------------------------------------------------------------
 

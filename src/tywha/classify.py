@@ -241,17 +241,13 @@ class SubgroupClasses:
 
 @dataclass
 class ClassificationReport:
-    """Per-subgroup classes: ``SubgroupClasses`` for weak coideals, JSON
-    dicts with one entry per type for g-algebras."""
+    """The weak-coideal classes of a group, per subgroup."""
 
     group: FiniteAbelianGroup
-    kind: str
-    per_subgroup: list = field(default_factory=list)
+    per_subgroup: list[SubgroupClasses] = field(default_factory=list)
 
     @property
     def total(self) -> int:
-        if self.kind == "g-algebras":
-            return sum(t["n_classes"] for e in self.per_subgroup for t in e["types"].values())
         return sum(len(s.orbits) for s in self.per_subgroup)
 
     @property
@@ -259,11 +255,8 @@ class ClassificationReport:
         return sum(s.coideal_count for s in self.per_subgroup)
 
     def to_dict(self) -> dict:
-        out = {"group": list(self.group.factors), "kind": self.kind, "total_classes": self.total}
-        if self.kind == "g-algebras":
-            return {**out, "per_subgroup": self.per_subgroup}
-        out["per_subgroup"] = [s.to_dict() for s in self.per_subgroup]
-        return {**out, "total_coideal_classes": self.total_coideal}
+        return {"group": list(self.group.factors), "kind": "weak-coideals", "total_classes": self.total,
+                "per_subgroup": [s.to_dict() for s in self.per_subgroup], "total_coideal_classes": self.total_coideal}
 
 
 def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
@@ -278,7 +271,7 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> Classif
     """Enumerate all weak-coideal isomorphism classes, flag the
     coideal-containing ones, and cross-check counts."""
     check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
-    report = ClassificationReport(group, "weak-coideals")
+    report = ClassificationReport(group)
     for K in enumerate_subgroups(group):
         perp, q0, q1, flip, perms = _quotients(group, chi, K)
         n0, points = len(q0), _valid_subset_pairs(q0, q1)
@@ -341,14 +334,14 @@ def _vector_fixed(perms: np.ndarray, roots: np.ndarray, max_mult: int) -> np.nda
 
 def g_algebra_classes(
     group: FiniteAbelianGroup, chi: Bicharacter, max_mult: int = 2
-) -> ClassificationReport:
+) -> dict:
     """Bounded enumeration of algebra isomorphism classes: multiplicity
     vectors up to translations (self-paired type only for K equal to its
-    annihilator, plus the swap there)."""
+    annihilator, plus the swap there), as the report's JSON fields."""
     if max_mult < 1:
         raise InvariantError("max_mult must be >= 1")
     check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
-    report = ClassificationReport(group, "g-algebras")
+    per_subgroup = []
     key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
     for K in enumerate_subgroups(group):
         perp, q0, q1, flip, perms = _quotients(group, chi, K)
@@ -361,19 +354,21 @@ def g_algebra_classes(
             types["self-paired"] = {**counts, "orbits": orbits["row"].tolist()}
         orbits, counts = _classes(_vectors(n0 + n1, max_mult), perms, key, fixed)
         types["decomposed"] = {**counts, "orbits": [[r[:n0], r[n0:]] for r in orbits["row"].tolist()]}
-        report.per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
-                                    "K_perp": [list(e) for e in perp.sorted_elements],
-                                    "flip_action": flip, "types": types})
-    return report
+        per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
+                             "K_perp": [list(e) for e in perp.sorted_elements],
+                             "flip_action": flip, "types": types})
+    total = sum(t["n_classes"] for e in per_subgroup for t in e["types"].values())
+    return {"group": list(group.factors), "kind": "g-algebras", "total_classes": total, "per_subgroup": per_subgroup}
 
 
 # -- realization -----------------------------------------------------------------
 
 
-def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
+def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> str:
     """Build a concrete representative of an orbit, run the full coideal
     verification, and check the coideal flag, indecomposability, and the
-    predicted fiber dimensions.
+    predicted fiber dimensions; return the label of the builder that made
+    it.  Any failed check raises StructuralError.
 
     A lone singleton is realized by ``I_Omega_K`` over K (Z0 side) or its
     annihilator (Z1 side), every other class by ``build_from_spec``."""
@@ -392,12 +387,4 @@ def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> dict:
         raise StructuralError(f"realized representative is decomposable: {rep}")
     if not dims_ok:
         raise StructuralError(f"fiber dimensions disagree for {rep}")
-    return {
-        "rep": rep.to_dict(),
-        "builder": wc.label,
-        "dim": wc.dim,
-        "verified": True,
-        "is_coideal": flag,
-        "indecomposable": indec,
-        "dims_match": True,
-    }
+    return wc.label

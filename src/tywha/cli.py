@@ -328,16 +328,14 @@ def cmd_classify_weak(args) -> int:
     all_ok = True
     print(f"weak-coideal classes of {group}: {report.total} total, {report.total_coideal} coideal-containing")
     for entry, entry_dict in zip(report.per_subgroup, payload["per_subgroup"]):
-        action = "translations+flip" if entry.flip else "translations"
         print(
-            f"  K={entry.subgroup} ({action}): {len(entry.orbits)} classes, "
+            f"  K={entry.subgroup} ({entry_dict['action']}): {len(entry.orbits)} classes, "
             f"{entry.coideal_count} coideal, Burnside check {entry.burnside_count}"
         )
         if args.realize:
             for orbit, orbit_dict in zip(entry.orbits, entry_dict["orbits"]):
                 try:
-                    result = realize_and_verify(alg, orbit)
-                    orbit_dict["realized"] = result["builder"]
+                    orbit_dict["realized"] = realize_and_verify(alg, orbit)
                     orbit_dict["verified"] = True
                 except StructuralError as exc:
                     orbit_dict["realized"] = None
@@ -354,9 +352,8 @@ def cmd_classify_weak(args) -> int:
 
 def cmd_classify_algebras(args) -> int:
     group, chi = _parse_data(args, CLASSIFY_ORDER_BOUND, "classification")
-    report = g_algebra_classes(group, chi, max_mult=args.max_mult)
-    payload = {"schema": "tywha-classify/1", **report.to_dict()}
-    print(f"algebra classes of {group} with multiplicities <= {args.max_mult}: {report.total} total")
+    payload = {"schema": "tywha-classify/1", **g_algebra_classes(group, chi, max_mult=args.max_mult)}
+    print(f"algebra classes of {group} with multiplicities <= {args.max_mult}: {payload['total_classes']} total")
     for entry in payload["per_subgroup"]:
         kinds = {t: p["n_classes"] for t, p in entry["types"].items()}
         print(f"  K={entry['K']}: {kinds}")

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AxiomCheck, AxiomReport, TYAlgebra
+from .algebra import AxiomReport, TYAlgebra
 from .errors import InvariantError
 from .groups import QuotientGroup, Subgroup
 from .linalg import Subspace, _diff, _join, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
@@ -248,19 +248,18 @@ def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
 # -- verification -------------------------------------------------------------------
 
 
-def _verdict(values: np.ndarray, bound: float, witness) -> tuple[float, bool, str]:
-    """The largest positive value, whether it is at most ``bound``, and
-    ``witness`` of the first index where it occurs; (0.0, True, "") when no
-    value is positive."""
+def _verdict(values: np.ndarray, witness) -> tuple[float, str]:
+    """The largest positive value and ``witness`` of the first index where
+    it occurs; (0.0, "") when no value is positive."""
     if not len(values) or values.max() <= 0:
-        return 0.0, True, ""
+        return 0.0, ""
     at = int(np.argmax(values))
-    return float(values[at]), float(values[at]) <= bound, witness(at)
+    return float(values[at]), witness(at)
 
 
-def _exact(ok: bool, witness: str = "") -> tuple[float, bool, str]:
-    """The verdict of a check that holds or fails outright."""
-    return (0.0, True, "") if ok else (float("inf"), False, witness)
+def _exact(ok: bool, witness: str = "") -> tuple[float, str]:
+    """The residual and witness of a check that holds or fails outright."""
+    return (0.0, "") if ok else (float("inf"), witness)
 
 
 class _Fibers:
@@ -273,7 +272,9 @@ class _Fibers:
     vector w of sum_z H^z lies in sum_z X^z iff w - sum_i w[piv_i] F_i is
     zero: it is w_z[free] - F_z[:, free]^T w_z[piv] on the free slots of a
     block with X^z != 0, 0 on pivots and w elsewhere, and its norm is w's
-    residual.  The reduce map sends each pivot slot to its row."""
+    residual.  The reduce map sends each pivot slot to its row.  ``unit``
+    gives v^0_Gamma as terms (0, slot, value), and ``unit_in_a`` whether it
+    is nonzero and lies in X^0, its residual taken by ``residual``."""
 
     def __init__(self, wc: WeakCoideal):
         alg, b = wc.algebra, wc.fiber_block
@@ -287,6 +288,10 @@ class _Fibers:
         self.pivot_row = np.full(self.slots, -1)
         self.pivot_row[lay.slot_starts[b] + wc.fiber_pivot] = np.arange(self.size)
         self.row_ptr = np.searchsorted(row, np.arange(self.size + 1))
+        at = np.flatnonzero(wc.unit)
+        self.unit = np.zeros(len(at), dtype=np.int64), lay.slot_starts[lay.zero] + at, wc.unit[at]
+        (res,), (norm,) = self.residual(*self.unit, 1)
+        self.unit_in_a = bool(norm > self.eps and res <= self.eps * (1.0 + norm))
 
     def compose(self, left: tuple, right: tuple) -> tuple:
         """The terms (u, w, output slot, value) of u . w for the vectors u
@@ -311,18 +316,14 @@ class _Fibers:
         return np.sqrt(np.bincount(keys // self.slots, _sq(sums), n)), np.sqrt(np.bincount(vec, _sq(val), n))
 
 
-def _unit_exists(wc: WeakCoideal) -> tuple[float, bool, str]:
+def _unit_exists(wc: WeakCoideal) -> tuple[float, str]:
     """1_A = v^0_Gamma (x) conj(v^0_Omega) lies in A iff v^0_Gamma = u lies
     in X^0, since A's zero block is X^0 (x) conj(H^0), and it is nonzero iff
-    u is.  u's residual is |u - sum_i u[piv_i] F_0[i]| over the zero
-    block's slots (see :class:`_Fibers`), with F_0 pruned at ROUNDOFF."""
-    u, eps, zero = wc.unit, wc.algebra.eps, wc.fiber_block == wc.algebra._layout.zero
-    rows, piv = wc.fiber_rows[zero, : len(u)], wc.fiber_pivot[zero]
-    res, norm = np.linalg.norm(u - u[piv] @ _pruned_rows(rows)), np.linalg.norm(u)
-    return _exact(bool(norm > eps and res <= eps * (1.0 + norm)), "empty or missing unit")
+    u is.  ``_Fibers`` takes u's residual as every coideal row takes one."""
+    return _exact(wc.fibers.unit_in_a, "empty or missing unit")
 
 
-def _product_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
+def _product_closure(wc: WeakCoideal) -> tuple[float, str]:
     """B's product is the fiber table's self-join on (x, y, z): for xi in
     X^x and eta in X^y, (xi (x) conj e_b)(eta (x) conj e_d) is
     sum_z (xi . eta)_z (x) conj(c_z e_f), where e_b . e_d has at most one
@@ -336,11 +337,10 @@ def _product_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
     i, j, slot, val = F.compose(F.terms, F.sorted_terms)
     pairs, pair = np.unique(i * F.size + j, return_inverse=True)
     res, norm = F.residual(pair, slot, val, len(pairs))
-    return _verdict(res - F.eps * (1.0 + norm), 0.0,
-                    lambda at: f"fiber rows {divmod(int(pairs[at]), F.size)}")
+    return _verdict(res - F.eps * (1.0 + norm), lambda at: f"fiber rows {divmod(int(pairs[at]), F.size)}")
 
 
-def _star_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
+def _star_closure(wc: WeakCoideal) -> tuple[float, str]:
     """The involution sends (x; r, c) to psi_r phi_c (-x; r', c'),
     conjugate-linearly, with psi, phi nonzero and c -> c' onto the slots, so
     star(xi (x) conj e_c) = sharp(xi) (x) conj(phi_c e_c'), sharp(xi) =
@@ -353,10 +353,10 @@ def _star_closure(wc: WeakCoideal) -> tuple[float, bool, str]:
     image = alg._layout.slot_starts[block[F.block]] + slot[F.block, F.local]
     res, _ = F.residual(row, image, val.conj() * psi[kind], F.size)
     norms = np.sqrt(np.bincount(row, _sq(val), F.size))
-    return _verdict(res - F.eps * (1.0 + norms), 0.0, "fiber row {}".format)
+    return _verdict(res - F.eps * (1.0 + norms), "fiber row {}".format)
 
 
-def _coproduct_into(wc: WeakCoideal) -> tuple[float, bool, str]:
+def _coproduct_into(wc: WeakCoideal) -> tuple[float, str]:
     """True by construction: Delta(x; r, c) = sum_s (x; r, s) (x) (x; s, c),
     so Delta(xi (x) conj e_c) = sum_s (xi (x) conj e_s) (x) (e_s (x) conj e_c),
     whose first legs lie in X^x (x) conj(H^x), all of which A, held by its
@@ -367,22 +367,21 @@ def _coproduct_into(wc: WeakCoideal) -> tuple[float, bool, str]:
     return _exact(not len(bad), f"fiber row {int(bad[0])}" if len(bad) else "")
 
 
-def _unit_identity(wc: WeakCoideal) -> tuple[float, bool, str]:
+def _unit_identity(wc: WeakCoideal) -> tuple[float, str]:
     """1_A (xi (x) conj e_c) = (v^0_Gamma . xi) (x) conj(v^0_Omega . e_c) and
     v^0_Omega acts as the identity on every H^x from both sides (B's unit
     law), so 1_A a = a = a 1_A on A iff v^0_Gamma . xi = xi = xi . v^0_Gamma
     for every fiber row xi.  The sup distance of both from xi, per row."""
-    F, lay, at = wc.fibers, wc.algebra._layout, np.flatnonzero(wc.unit)
+    F = wc.fibers
     (row, slot, val), n, dist = F.terms, F.slots, np.zeros(F.size)
-    unit = np.zeros(len(at), dtype=np.int64), lay.slot_starts[lay.zero] + at, wc.unit[at]
-    (_, left, *lhs), (right, _, *rhs) = F.compose(unit, F.sorted_terms), F.compose(F.terms, unit)
+    (_, left, *lhs), (right, _, *rhs) = F.compose(F.unit, F.sorted_terms), F.compose(F.terms, F.unit)
     for vec, out, coef in ((left, *lhs), (right, *rhs)):
         keys, diff = _diff(_pruned(vec * n + out, coef), (row * n + slot, val))
         np.maximum.at(dist, keys // n, diff)
-    return _verdict(dist, F.eps, "fiber row {}".format)
+    return _verdict(dist, "fiber row {}".format)
 
 
-def _unit_coproduct(wc: WeakCoideal) -> tuple[float, bool, str]:
+def _unit_coproduct(wc: WeakCoideal) -> tuple[float, str]:
     """Delta(1_A) = sum_s (v^0_Gamma (x) conj e_s) (x) (e_s (x) conj v^0_Omega)
     over the zero-block slots s.  For Gamma nonempty both families of legs
     are linearly independent, so Delta(1_A) lies in A (x) B_t iff every
@@ -392,8 +391,8 @@ def _unit_coproduct(wc: WeakCoideal) -> tuple[float, bool, str]:
     if not len(wc.fiber_block):
         return _exact(False, "A = 0")
     if not wc.unit.any():
-        return 0.0, True, ""
-    if not _unit_exists(wc)[1]:
+        return 0.0, ""
+    if _unit_exists(wc)[0]:
         return _exact(False, "v^0_Gamma not in X^0")
     alg = wc.algebra
     out = np.flatnonzero(~alg._unit_legs_in_target)
@@ -407,24 +406,22 @@ def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
     the unit acting as identity, and the coproduct of the unit landing in
     A (x) B_t.
 
-    The checks are one table of rows (name, instances, evaluator), run in
-    order; an evaluator returns (residual, passed, witness).  Each runs on
-    the r fiber rows, by the reduction its docstring proves: an instance is
-    a fiber row, or a pair of them, and a residual is taken in sum_z H^z."""
-    alg, r = wc.algebra, len(wc.fiber_block)
+    The checks are one table of rows (name, instances, evaluator, bound),
+    run in order by :meth:`AxiomReport.run`.  Each runs on the r fiber rows,
+    by the reduction its docstring proves: an instance is a fiber row, or a
+    pair of them, and a residual is taken in sum_z H^z.  The closure rows
+    return margins, which already hold eps, and so pass at bound 0."""
+    alg, r, eps = wc.algebra, len(wc.fiber_block), wc.algebra.eps
     rows = [
-        ("unit exists in A", 1, _unit_exists),
-        ("closed under product", r**2, _product_closure),
-        ("closed under star", r, _star_closure),
-        ("coproduct maps into A (x) B", r, _coproduct_into),
-        ("unit acts as identity", r, _unit_identity),
-        ("coproduct of unit in A (x) B_t", 1, _unit_coproduct),
+        ("unit exists in A", 1, _unit_exists, eps),
+        ("closed under product", r**2, _product_closure, 0.0),
+        ("closed under star", r, _star_closure, 0.0),
+        ("coproduct maps into A (x) B", r, _coproduct_into, eps),
+        ("unit acts as identity", r, _unit_identity, eps),
+        ("coproduct of unit in A (x) B_t", 1, _unit_coproduct, eps),
     ]
     tau = "+" if alg.tau_sign > 0 else "-"
-    report = AxiomReport(label=f"coideal {wc.label} on {alg.group} tau{tau}", eps=alg.eps)
-    for name, total, evaluate in rows:
-        report.checks.append(AxiomCheck(name, *evaluate(wc), total))
-    return report
+    return AxiomReport.run(f"coideal {wc.label} on {alg.group} tau{tau}", eps, alg.unit_name, rows, wc)
 
 
 def is_coideal(wc: WeakCoideal) -> bool:

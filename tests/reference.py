@@ -12,7 +12,8 @@ numbers, kept here for the tests that read them, with the adapters that take
 they ran on A itself, before they moved to the fiber rows, and the element
 arithmetic of groups and their trivial and full subgroups are kept here for
 the tests that compare against them.  ``table_rows`` expands an export's
-tables into the rows they stand for, as the json module's ``default`` hook.
+tables into the rows they stand for, as the json module's ``default`` hook,
+and ``failures`` lists a report's failed checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tywha.algebra import AxiomCheck, AxiomReport
+from tywha.algebra import AxiomReport
 from tywha.coideals import CoidealSpec, _coords, _exact, _verdict
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
@@ -636,15 +637,14 @@ def a_product_closure(wc, A: ACoords) -> tuple:
     s, e, b = s[q], e[q], A.by_unit[p]
     pairs, pair = np.unique(A.row[s] * size + A.row[b], return_inverse=True)
     res, norm = A.residual(pair, T.k[e], A.val[s] * A.val[b] * T.c[e], len(pairs))
-    return _verdict(res - A.eps * (1.0 + norm), 0.0,
-                    lambda at: f"basis pair {divmod(int(pairs[at]), size)}")
+    return _verdict(res - A.eps * (1.0 + norm), lambda at: f"basis pair {divmod(int(pairs[at]), size)}")
 
 
 def a_star_closure(wc, A: ACoords) -> tuple:
     """The involution is a monomial map: u_i -> c_i u_{k_i}."""
     star = wc.algebra._star_map
     res, _ = A.residual(A.row, star.k[A.unit], A.val.conj() * star.c[A.unit], A.size)
-    return _verdict(res - A.eps * (1.0 + A.norms), 0.0, "basis vector {}".format)
+    return _verdict(res - A.eps * (1.0 + A.norms), "basis vector {}".format)
 
 
 def a_coproduct_into(wc, A: ACoords) -> tuple:
@@ -666,7 +666,7 @@ def a_unit_identity(wc, A: ACoords) -> tuple:
         row, k, val = summed(A.row[s], T.k[e], A.val[s] * unit_coef[e] * T.c[e], dim)
         keys, diff = _diff((row * dim + k, val), (A.row * dim + A.unit, A.val))
         np.maximum.at(dist, keys // dim, diff)
-    return _verdict(dist, alg.eps, "basis vector {}".format)
+    return _verdict(dist, "basis vector {}".format)
 
 
 def a_unit_coproduct(wc, A: ACoords) -> tuple:
@@ -703,18 +703,15 @@ def a_level_report(wc) -> AxiomReport:
     names in the same order, with A's instance counts."""
     A, alg = ACoords(wc), wc.algebra
     rows = [
-        ("unit exists in A", 1, a_unit_exists),
-        ("closed under product", A.size**2, a_product_closure),
-        ("closed under star", A.size, a_star_closure),
-        ("coproduct maps into A (x) B", A.size, a_coproduct_into),
-        ("unit acts as identity", A.size, a_unit_identity),
-        ("coproduct of unit in A (x) B_t", 1, a_unit_coproduct),
+        ("unit exists in A", 1, a_unit_exists, alg.eps),
+        ("closed under product", A.size**2, a_product_closure, 0.0),
+        ("closed under star", A.size, a_star_closure, 0.0),
+        ("coproduct maps into A (x) B", A.size, a_coproduct_into, alg.eps),
+        ("unit acts as identity", A.size, a_unit_identity, alg.eps),
+        ("coproduct of unit in A (x) B_t", 1, a_unit_coproduct, alg.eps),
     ]
     tau = "+" if alg.tau_sign > 0 else "-"
-    report = AxiomReport(label=f"coideal {wc.label} on {alg.group} tau{tau}", eps=alg.eps)
-    for name, total, evaluate in rows:
-        report.checks.append(AxiomCheck(name, *evaluate(wc, A), total))
-    return report
+    return AxiomReport.run(f"coideal {wc.label} on {alg.group} tau{tau}", alg.eps, alg.unit_name, rows, wc, A)
 
 
 def restricted_is_indecomposable(wc) -> bool:
@@ -733,6 +730,11 @@ def restricted_is_indecomposable(wc) -> bool:
 
 
 # -- reports --------------------------------------------------------------------------
+
+
+def failures(report) -> list:
+    """The checks of a report that did not pass, in order."""
+    return [c for c in report.checks if not c.passed]
 
 
 def table_rows(table) -> list[list]:

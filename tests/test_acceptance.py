@@ -30,7 +30,7 @@ from tywha.groups import FiniteAbelianGroup, enumerate_subgroups, orthogonal, qu
 from tywha.linalg import SparseVec
 import random
 
-from reference import BlockLabel, Slot, antipode, blocks, fiber_rows, haar_value, slots, star, x_spaces
+from reference import BlockLabel, Slot, antipode, blocks, failures, fiber_rows, haar_value, slots, star, x_spaces
 
 TOL = 1e-9
 GROUPS = [(1,), (2,), (3,), (4,), (2, 2)]
@@ -79,7 +79,7 @@ def test_criterion_1_axiom_suite(axiom_runs):
         if not report.passed or worst > TOL or elapsed > 60.0:
             ok = False
             print(f"  {factors} tau={sign}: FAILED (residual {worst:.2e}, {elapsed:.1f}s)")
-            for c in report.failures():
+            for c in failures(report):
                 print("   ", c.name, c.residual, c.witness)
     _report_line(1, "axiom suite, 5 groups x 2 tau signs, residual <= 1e-9, <= 60s", ok)
 
@@ -232,7 +232,7 @@ def test_criterion_7_fault_injection(monkeypatch):
     alg = TYAlgebra(FiniteAbelianGroup((2,)), eps=TOL)
     alg._psi_bar *= -1.0
     report = alg.verify_axioms()
-    failed = {c.name for c in report.failures()}
+    failed = {c.name for c in failures(report)}
     if not {"antipode identity (target)", "antipode identity (source)"} & failed:
         ok = False
         print("  sharp sign flip was not detected by the antipode identities")
@@ -254,7 +254,7 @@ def test_criterion_7_fault_injection(monkeypatch):
     rep_broken = verify_weak_coideal(broken)
     if rep_broken.passed or not (
         {"closed under product", "closed under star"}
-        & {c.name for c in rep_broken.failures()}
+        & {c.name for c in failures(rep_broken)}
     ):
         ok = False
         print("  dropped m-slot generator was not detected by closure checks")

@@ -7,15 +7,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tywha.algebra import HaarFunctional, TYAlgebra, UnitMap
-from tywha.errors import InvariantError
+from tywha.algebra import AxiomReport, HaarFunctional, TYAlgebra, UnitMap
+from tywha.errors import InvariantError, StructuralError
 from tywha.groups import Bicharacter, FiniteAbelianGroup
 from tywha.linalg import SparseVec, sparse_nullspace, span
 
 import reference
 from reference import (
     BasisUnit, BlockLabel, Slot, _fiber_map, add_scaled, antipode, basis_element, blocks, circ, counit, distance,
-    eps_t, fiber_basis, haar_value, one, sharp, slots, star, subspace, table_rows, term_vectors, unit_pos, units,
+    eps_t, failures, fiber_basis, haar_value, one, sharp, slots, star, subspace, table_rows, term_vectors, unit_pos, units,
 )
 
 
@@ -96,6 +96,13 @@ class TestDimensions:
         grp = FiniteAbelianGroup((2,))
         with pytest.raises(InvariantError):
             TYAlgebra(grp, tau_sign=2)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_bad_tolerance_rejected(self, eps):
+        # at eps = inf every row would pass, even those that fail outright
+        # with residual inf, such as "unit exists in A" on A = 0
+        with pytest.raises(InvariantError, match="finite and positive"):
+            TYAlgebra(FiniteAbelianGroup((2,)), eps=eps)
 
 
 class TestFiberProduct:
@@ -494,7 +501,7 @@ class TestCorepresentations:
         inside = np.flatnonzero((block[T.i] == block[T.j]) & (block[T.j] == block[T.k]))
         assert len(inside) == 25 and set(block[T.i[inside]]) == {zero}
         T.c[inside[3]] *= 2.0
-        failed = {c.name for c in alg.verify_axioms().failures()}
+        failed = {c.name for c in failures(alg.verify_axioms())}
         assert {n for n in failed if n.startswith("corepresentation")} == {
             "corepresentation[0] partial isometry"
         }
@@ -509,7 +516,7 @@ class TestCorepresentations:
             (lay.block[T.i] == m) & (lay.block[T.j] == m) & (lay.col[preimage[T.j]] == lay.col[T.i])
         )
         T.c[used[0]] *= 2.0
-        failed = {c.name for c in alg.verify_axioms().failures()}
+        failed = {c.name for c in failures(alg.verify_axioms())}
         assert {n for n in failed if n.startswith("corepresentation")} == {
             "corepresentation[m] partial isometry"
         }
@@ -520,7 +527,7 @@ class TestCorepresentations:
         unit = int(lay.unit(1, 2, 3))  # (1; 2, 3)
         p, q = D.ptr[unit], D.ptr[unit] + 1
         D.second[[p, q]] = D.second[[q, p]]
-        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert {n for n in failed if n.startswith("corepresentation")} == {
             "corepresentation[1] comultiplication"
         }
@@ -530,12 +537,45 @@ class TestCorepresentations:
         assert dual.witness.startswith(f"({units(alg)[unit]})")
 
 
+def test_run_decides_every_row_by_one_rule():
+    # (residual or exception, witness, bound) -> (passed, witness); a unit
+    # tuple is named only at a positive residual, text is kept as it is, and
+    # a StructuralError fails its row and ends the run
+    def raises():
+        raise StructuralError("no solution")
+
+    table = [
+        ((0.0, ""), 0.0, (True, "")),
+        ((1e-300, ""), 0.0, (False, "")),
+        ((0.0, (3, 5)), 1e-9, (True, "")),
+        ((1e-12, (3, 5)), 1e-9, (True, "(u3)(u5)")),
+        ((0.0, "dim B = 84"), 1e-9, (True, "dim B = 84")),
+        ((float("inf"), "A = 0"), 1e-9, (False, "A = 0")),
+        ((float("nan"), ""), 1e-9, (False, "")),
+        (raises, 1e-9, (False, "no solution")),
+        ((0.0, ""), 1e-9, None),
+    ]
+    seen = []
+
+    def evaluator(out):
+        def evaluate(*args):
+            seen.append(args)
+            return out() if callable(out) else out
+        return evaluate
+
+    rows = [(f"row {i}", i + 1, evaluator(out), bound) for i, (out, bound, _) in enumerate(table)]
+    report = AxiomReport.run("cases", 1e-9, "u{}".format, rows, "wc")
+    assert [(c.passed, c.witness) for c in report.checks] == [want for _, _, want in table[:-1]]
+    assert [c.instances_total for c in report.checks] == list(range(1, len(table)))
+    assert report.checks[-1].residual == float("inf") and seen == [("wc",)] * (len(table) - 1)
+
+
 class TestAxiomSuite:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_z2_passes(self, sign):
         alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=sign)
         report = alg.verify_axioms()
-        assert report.passed, [(c.name, c.witness) for c in report.failures()]
+        assert report.passed, [(c.name, c.witness) for c in failures(report)]
         assert max(c.residual for c in report.checks) <= 1e-9
 
     def test_z4_minus_passes(self, z4_minus):
@@ -546,7 +586,7 @@ class TestAxiomSuite:
         alg = TYAlgebra(FiniteAbelianGroup((2,)), tau_sign=1)
         alg._psi_bar *= -1.0
         report = alg.verify_axioms()
-        failed = {c.name for c in report.failures()}
+        failed = {c.name for c in failures(report)}
         assert "antipode identity (target)" in failed
         assert "antipode identity (source)" in failed
 
@@ -565,7 +605,7 @@ class TestAxiomSuite:
         # S(b) = b + b in the row alone, so S(S(b)) = 4 b
         monkeypatch.setattr(alg, "_fixes", lambda terms, m: fixes(terms, UnitMap(m.k, m.c + m.c)))
         report = alg.verify_axioms()
-        assert [c.name for c in report.failures()] == ["antipode squared fixes target subalgebra"]
+        assert [c.name for c in failures(report)] == ["antipode squared fixes target subalgebra"]
         checks = json.loads(json.dumps(report.to_dict()))["checks"]
         assert [c["passed"] for c in checks].count(False) == 1
 
@@ -596,7 +636,7 @@ class TestAxiomSuite:
         coeffs = h.coeffs.copy()
         coeffs[i] *= -1.0
         monkeypatch.setattr(alg, "haar", lambda: HaarFunctional(coeffs, h.residual))
-        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert set(failed) == {"haar positive"}
         assert failed["haar positive"].residual == pytest.approx(0.2)
 
@@ -623,7 +663,7 @@ class TestAxiomSuite:
                 return positivity(h)
 
         monkeypatch.setattr(alg, "_haar_positive", faulty)
-        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert len(flipped) == 1
         assert set(failed) == {"haar positive"}
         assert failed["haar positive"].residual >= 2.0  # sigma >= 1 on both sides of the flip
@@ -634,7 +674,7 @@ class TestAxiomSuite:
         # one tau * conj(chi) constant, of modulus 1/2, in an m-block product
         idx = int(np.flatnonzero(np.abs(np.abs(table.c) - 0.5) < 1e-12)[0])
         table.c[idx] *= -1.0
-        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert "product associativity" in failed
         assert failed["product associativity"].residual == pytest.approx(1.0)
         assert failed["product associativity"].witness
@@ -648,15 +688,15 @@ class TestAxiomSuite:
     )
 
     def test_pair_and_triple_checks_exhaustive(self, z4_minus):
-        checks = {c.name: c for c in z4_minus.verify_axioms().checks}
+        checks = {c["name"]: c for c in z4_minus.verify_axioms().to_dict()["checks"]}
         dim = z4_minus.dim
         for name in self.PAIR_AND_TRIPLE:
             c = checks[name]
             arity = 2 if name.endswith("multiplicative") else 3
-            assert c.mode == "exhaustive", name
-            assert c.instances_checked == c.instances_total == dim**arity, name
-        assert checks["unit law"].instances_total == dim
-        assert checks["dual pairing multiplicative"].instances_total == dim**3
+            assert c["mode"] == "exhaustive", name
+            assert c["instances_checked"] == c["instances_total"] == dim**arity, name
+        assert checks["unit law"]["instances_total"] == dim
+        assert checks["dual pairing multiplicative"]["instances_total"] == dim**3
         assert "exhaustive 4,410,944" in z4_minus.verify_axioms().summary()
 
     @pytest.mark.parametrize("factors", [(2,), (3,)])
@@ -682,7 +722,7 @@ class TestAxiomSuite:
         table = alg.product
         idx = int(table.ptr[alg.dim]) - 1
         table.c[idx] *= -1.0
-        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert "product associativity" in failed
         assert str(units(alg)[table.i[idx]]) in failed["product associativity"].witness
         blocked = alg.verify_axioms().to_dict()
@@ -734,7 +774,7 @@ class TestAxiomSuite:
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
         second = alg._coproduct_table.second
         second[5] = (second[5] + 1) % alg.dim
-        failed = {c.name: c for c in alg.verify_axioms().failures()}
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert "dual pairing multiplicative" in failed
         assert failed["dual pairing multiplicative"].residual == 1.0
         assert failed["dual pairing multiplicative"].witness
@@ -769,7 +809,7 @@ class TestWitnessNames:
         }
         if factors == (3,):
             expected["antipode anti-multiplicative"] = expected["star anti-multiplicative"] = (barred, plain)
-        failed = {c.name: c.witness for c in alg.verify_axioms().failures()}
+        failed = {c.name: c.witness for c in failures(alg.verify_axioms())}
         assert failed == {name: "".join(f"({u})" for u in named) for name, named in expected.items()}
         assert [alg.unit_name(i) for i in range(alg.dim)] == [str(u) for u in units(alg)]
 
@@ -777,7 +817,7 @@ class TestWitnessNames:
         alg = TYAlgebra(FiniteAbelianGroup((4,)), tau_sign=1)
         alg.product.c[7] += 0.5
         unit = BasisUnit(g(0), Slot.grp((0,)), Slot.grp((1,)))
-        witness = {c.name: c.witness for c in alg.verify_axioms().failures()}["product associativity"]
+        witness = {c.name: c.witness for c in failures(alg.verify_axioms())}["product associativity"]
         assert witness == f"({unit})({unit})({BasisUnit(g(2), Slot.grp((2,)), Slot.grp((3,)))})"
 
 
@@ -846,7 +886,7 @@ class TestRewrittenRowFaults:
 
     @staticmethod
     def failed(alg) -> dict:
-        return {c.name: c for c in alg.verify_axioms().failures()}
+        return {c.name: c for c in failures(alg.verify_axioms())}
 
     @pytest.mark.parametrize("factors,sign", ZERO_FIBER_CASES)
     def test_doubled_zero_block_fiber_coefficient(self, factors, sign, monkeypatch):

@@ -302,7 +302,7 @@ class TestCatalogPins:
         assert [e["n_points"] for e in weak["per_subgroup"]] == [
             2**4 * 2 - 1, 2**2 * 3 - 1 + 3 * 1, 2 * 2**4 - 1
         ]
-        alg = g_algebra_classes(grp, chi, max_mult=1).to_dict()
+        alg = g_algebra_classes(grp, chi, max_mult=1)
         assert alg["per_subgroup"][1]["types"]["self-paired"]["n_points"] == 3
         assert alg["per_subgroup"][1]["types"]["decomposed"]["n_points"] == 15
 
@@ -479,7 +479,7 @@ class TestNoGroupRebuilds:
         orbits = [o for e in weak_coideal_classes(alg.group, alg.bichar).per_subgroup for o in e.orbits]
         calls, built = count_group_rebuilds(monkeypatch), set()
         for orbit in orbits:
-            assert realize_and_verify(alg, orbit)["verified"]
+            assert realize_and_verify(alg, orbit)
             for build in (build_from_spec, build_no_m, build_with_m, build_I_m_K, build_I_Omega_K):
                 for spec in (orbit.spec, orbit.spec.swapped()):
                     try:
@@ -496,29 +496,37 @@ class TestNoGroupRebuilds:
         assert calls.count("quotient") == 2 * 3 and calls.count("orthogonal") == 3
 
 
+def expected_builder(spec) -> str:
+    """The label of the family a class is realized by: I_Omega_K for a lone
+    singleton, no_m when one side is empty, else with_m, whose |Z| is the
+    larger side's."""
+    n0, n1 = len(spec.z0), len(spec.z1)
+    if n0 + n1 == 1:
+        return "I_Omega_K"
+    if not (n0 and n1):
+        return f"no_m(side={0 if n0 else 1}, |Z|={n0 + n1})"
+    return f"with_m(|Z|={max(n0, n1)})"
+
+
 class TestRealization:
     def test_all_z2_classes_realize(self, z2_report):
         grp, report = z2_report
         alg = TYAlgebra(grp)
         for entry in report.per_subgroup:
             for orbit in entry.orbits:
-                result = realize_and_verify(alg, orbit)
-                assert result["verified"]
-                assert result["is_coideal"] == orbit.coideal
-                assert result["indecomposable"]
-                assert result["dims_match"]
+                assert realize_and_verify(alg, orbit) == expected_builder(orbit.spec)
 
     def test_all_z4_classes_realize(self):
         grp = FiniteAbelianGroup((4,))
         alg = TYAlgebra(grp)
         report = weak_coideal_classes(grp, alg.bichar)
-        flip_entries = 0
+        flip_entries, labels = 0, []
         for entry in report.per_subgroup:
             flip_entries += entry.flip
             for orbit in entry.orbits:
-                result = realize_and_verify(alg, orbit)
-                assert result["verified"] and result["indecomposable"]
-                assert result["is_coideal"] == orbit.coideal
+                labels.append(realize_and_verify(alg, orbit))
+                assert labels[-1] == expected_builder(orbit.spec)
+        assert labels == [line.rsplit(" K=", 1)[0] for line in REALIZED[(4,)].splitlines()]
         assert flip_entries == 1
 
     @pytest.mark.parametrize("factors", sorted(REALIZED))
@@ -539,29 +547,28 @@ class TestRealization:
                 realize_and_verify(alg, orbit)
         assert got == REALIZED[factors].split("\n")
 
-    def test_coideal_flagged_reps_are_unital(self, z2_report):
+    def test_coideal_flagged_reps_are_unital(self, z2_report, monkeypatch):
         grp, report = z2_report
         alg = TYAlgebra(grp)
-        from tywha.classify import realize_and_verify as rv
-
+        built = []
+        monkeypatch.setattr(coideals, "verify_weak_coideal", lambda wc: built.append(wc) or verify_weak_coideal(wc))
         for entry in report.per_subgroup:
             for orbit in entry.orbits:
-                assert rv(alg, orbit)["is_coideal"] == orbit.coideal
+                realize_and_verify(alg, orbit)
+                assert is_coideal(built[-1]) == orbit.coideal
 
 
 class TestAlgebraClasses:
     def test_z2_decomposed_count(self):
         grp = FiniteAbelianGroup((2,))
-        report = g_algebra_classes(grp, Bicharacter.standard(grp), max_mult=1)
-        payload = report.to_dict()
+        payload = g_algebra_classes(grp, Bicharacter.standard(grp), max_mult=1)
         for entry in payload["per_subgroup"]:
             assert "self-paired" not in entry["types"]
             assert entry["types"]["decomposed"]["n_classes"] == 5
 
     def test_z4_flip_subgroup_types(self):
         grp = FiniteAbelianGroup((4,))
-        report = g_algebra_classes(grp, Bicharacter.standard(grp), max_mult=1)
-        payload = report.to_dict()
+        payload = g_algebra_classes(grp, Bicharacter.standard(grp), max_mult=1)
         by_k = {tuple(map(tuple, e["K"])): e for e in payload["per_subgroup"]}
         mid = by_k[((0,), (2,))]
         assert mid["flip_action"]
@@ -591,8 +598,8 @@ class TestAlgebraClasses:
     def test_deterministic(self):
         grp = FiniteAbelianGroup((2, 2))
         chi = Bicharacter.standard(grp)
-        a = json.dumps(g_algebra_classes(grp, chi).to_dict(), sort_keys=True)
-        b = json.dumps(g_algebra_classes(grp, chi).to_dict(), sort_keys=True)
+        a = json.dumps(g_algebra_classes(grp, chi), sort_keys=True)
+        b = json.dumps(g_algebra_classes(grp, chi), sort_keys=True)
         assert a == b
 
 
