@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import TYAlgebra
-from .coideals import CoidealSpec, assess, build_from_spec, build_I_Omega_K
+from .coideals import CoidealSpec, WeakCoideal, assess, build_from_spec, build_I_Omega_K
 from .errors import InvariantError, SizeError, StructuralError, check_order
 from .groups import (
     Bicharacter, FiniteAbelianGroup, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal,
@@ -34,6 +35,9 @@ ENUMERATION_BOUND = 2_000_000
 # Images are keyed at most this many coordinates at a time, which bounds the
 # memory of the orbit engine whatever the number of points.
 BLOCK_ELEMS = 1 << 20
+# --realize checks its representatives in batches that hold this many fiber
+# row pairs, sum r^2, or fewer before their last: it bounds a batch's memory.
+BATCH_PAIRS = 1 << 15
 
 
 # -- orbit engine -----------------------------------------------------------------
@@ -364,27 +368,35 @@ def g_algebra_classes(
 # -- realization -----------------------------------------------------------------
 
 
-def realize_and_verify(alg: TYAlgebra, rep: OrbitRep) -> str:
-    """Build a concrete representative of an orbit, run the full coideal
-    verification, and check the coideal flag, indecomposability, and the
-    predicted fiber dimensions; return the label of the builder that made
-    it.  Any failed check raises StructuralError.
-
-    A lone singleton is realized by ``I_Omega_K`` over K (Z0 side) or its
-    annihilator (Z1 side), every other class by ``build_from_spec``."""
-    spec = rep.spec
+def _representative(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
+    """The family that realizes a class: ``I_Omega_K`` over K (Z0 side) or
+    its annihilator (Z1 side) for a lone singleton, else ``build_from_spec``."""
     if len(spec.z0) + len(spec.z1) == 1:
-        wc = build_I_Omega_K(alg, spec if spec.z0 else spec.swapped())
-    else:
-        wc = build_from_spec(alg, spec)
+        return build_I_Omega_K(alg, spec if spec.z0 else spec.swapped())
+    return build_from_spec(alg, spec)
 
-    report, flag, indec, dims_ok = assess(wc)
-    if not report.passed:
-        raise StructuralError(f"realized representative fails verification: {rep}")
-    if flag != rep.coideal:
-        raise StructuralError(f"coideal flag mismatch for {rep}: built {flag}")
-    if not indec:
-        raise StructuralError(f"realized representative is decomposable: {rep}")
-    if not dims_ok:
-        raise StructuralError(f"fiber dimensions disagree for {rep}")
-    return wc.label
+
+def realize_and_verify(alg: TYAlgebra, reps: Sequence[OrbitRep]) -> list[tuple[str, bytes, str]]:
+    """Build a concrete representative of each orbit, run the full coideal
+    verification, and check the coideal flag, indecomposability, and the
+    predicted fiber dimensions.  Returns, per orbit, the label of the
+    builder that made it, the subalgebra's ``WeakCoideal.key``, and the
+    message of the first check it fails, in that order, or "".  The
+    representatives are built one at a time and assessed in batches of
+    BATCH_PAIRS, so the memory held does not grow with the orbits."""
+    out, batch, pairs = [], [], 0
+    for n, rep in enumerate(reps, 1):
+        batch.append(_representative(alg, rep.spec))
+        pairs += len(batch[-1].fiber_block) ** 2
+        if pairs < BATCH_PAIRS and n < len(reps):
+            continue
+        for wc, (report, flag, indecomposable, dims_ok) in zip(batch, assess(batch)):
+            rep = reps[len(out)]
+            failure = next((text for ok, text in (
+                (report.passed, "realized representative fails verification: {rep}"),
+                (flag == rep.coideal, "coideal flag mismatch for {rep}: built {flag}"),
+                (indecomposable, "realized representative is decomposable: {rep}"),
+                (dims_ok, "fiber dimensions disagree for {rep}")) if not ok), "")
+            out.append((wc.label, wc.key(), failure.format(rep=rep, flag=flag)))
+        batch, pairs = [], 0
+    return out

@@ -300,7 +300,7 @@ def cmd_coideal_build(args) -> int:
         raise InvariantError("builder with_m needs --Z1 with exactly one representative")
     wc = builders.get(args.builder, build_from_spec)(alg, CoidealSpec(q0, q1, z0, z1))
 
-    report, flag, indec, dims_ok = assess(wc)
+    ((report, flag, indec, dims_ok),) = assess([wc])
     payload = {
         "schema": "tywha-coideal/3",
         **wc.describe(),
@@ -324,8 +324,11 @@ def cmd_classify_weak(args) -> int:
     if args.realize:
         alg = TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
     report = weak_coideal_classes(group, chi)
-    payload = {"schema": "tywha-classify/1", **report.to_dict()}
-    all_ok = True
+    payload, realized = {"schema": "tywha-classify/1", **report.to_dict()}, []
+    if args.realize:
+        realized = realize_and_verify(alg, [orbit for entry in report.per_subgroup for orbit in entry.orbits])
+        payload["distinct_subalgebras"] = len({key for _, key, _ in realized})
+    results = iter(realized)
     print(f"weak-coideal classes of {group}: {report.total} total, {report.total_coideal} coideal-containing")
     for entry, entry_dict in zip(report.per_subgroup, payload["per_subgroup"]):
         print(
@@ -333,21 +336,18 @@ def cmd_classify_weak(args) -> int:
             f"{entry.coideal_count} coideal, Burnside check {entry.burnside_count}"
         )
         if args.realize:
-            for orbit, orbit_dict in zip(entry.orbits, entry_dict["orbits"]):
-                try:
-                    orbit_dict["realized"] = realize_and_verify(alg, orbit)
-                    orbit_dict["verified"] = True
-                except StructuralError as exc:
-                    orbit_dict["realized"] = None
-                    orbit_dict["verified"] = False
-                    all_ok = False
-                    print(f"    realization FAILED: {exc}")
+            for orbit_dict, (label, _, failure) in zip(entry_dict["orbits"], results):
+                orbit_dict["realized"], orbit_dict["verified"] = (None, False) if failure else (label, True)
+                if failure:
+                    print(f"    realization FAILED: {failure}")
             verified = sum(o["verified"] for o in entry_dict["orbits"])
             total = len(entry.orbits)
             count = verified if verified == total else f"{verified} of {total}"
             print(f"    realized and verified {count} representatives")
+    if args.realize:
+        print(f"built {payload['distinct_subalgebras']} distinct subalgebras for {report.total} classes")
     _write_json(args.json, payload)
-    return 0 if all_ok else 1
+    return 1 if any(failure for *_, failure in realized) else 0
 
 
 def cmd_classify_algebras(args) -> int:

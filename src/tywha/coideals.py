@@ -10,13 +10,14 @@ verifier re-checks every defining property by plain linear algebra.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import AxiomReport, TYAlgebra
 from .errors import InvariantError
 from .groups import QuotientGroup, Subgroup
-from .linalg import Subspace, _diff, _join, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
+from .linalg import Subspace, _diff, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
 
 
 def _coset_numbers(name: str, z, quot: QuotientGroup) -> tuple[int, ...]:
@@ -84,12 +85,21 @@ class WeakCoideal:
 
     @cached_property
     def fibers(self) -> "_Fibers":
-        return _Fibers(self)
+        return _Fibers([self])
 
     @property
     def dim(self) -> int:
         """sum_x dim X^x dim H^x."""
         return int(self.algebra._layout.sizes[self.fiber_block].sum())
+
+    def key(self) -> bytes:
+        """The subalgebra's canonical key: a digest of its fiber blocks and
+        rows sorted by block and pivot.  The builders' rows are reduced
+        echelon rows, so their keys are equal iff their subalgebras are."""
+        from hashlib import sha256  # on use: importing hashlib loads OpenSSL, about 3 MB, into every command
+
+        order = np.lexsort((self.fiber_pivot, self.fiber_block))
+        return sha256(self.fiber_block[order].astype(np.int64).tobytes() + self.fiber_rows[order].tobytes()).digest()
 
     def x_dims(self) -> np.ndarray:
         """dim X^x for each block x, in ``Layout`` order."""
@@ -248,13 +258,15 @@ def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
 # -- verification -------------------------------------------------------------------
 
 
-def _verdict(values: np.ndarray, witness) -> tuple[float, str]:
-    """The largest positive value and ``witness`` of the first index where
-    it occurs; (0.0, "") when no value is positive."""
-    if not len(values) or values.max() <= 0:
-        return 0.0, ""
-    at = int(np.argmax(values))
-    return float(values[at]), witness(at)
+def _verdicts(values: np.ndarray, owner: np.ndarray, k: int, witness) -> list[tuple[float, str]]:
+    """For each coideal c < k, the largest positive value it owns and
+    ``witness`` of the first index where that occurs, a NaN counting as
+    largest; (0.0, "") when no value of c is positive."""
+    peak, first = np.full(k, -np.inf), np.full(k, len(values))
+    np.maximum.at(peak, owner, values)
+    hit = np.flatnonzero((values == peak[owner]) | np.isnan(values))
+    np.minimum.at(first, owner[hit], hit)
+    return [(0.0, "") if p <= 0 else (p, witness(at)) for p, at in zip(peak.tolist(), first.tolist())]
 
 
 def _exact(ok: bool, witness: str = "") -> tuple[float, str]:
@@ -263,67 +275,86 @@ def _exact(ok: bool, witness: str = "") -> tuple[float, str]:
 
 
 class _Fibers:
-    """The fiber rows F_x of a weak coideal as terms (row, slot, val),
-    pruned at ROUNDOFF, slots numbered as by ``Layout.slot_starts``, sorted
-    by row, then slot (``terms``), and by slot (``sorted_terms``); ``block``
-    and ``local`` give each term's block and slot within it.
+    """The fiber rows F_x of a nonempty batch of weak coideals over one
+    algebra as terms (row, key, val), pruned at ROUNDOFF: rows are numbered
+    through the batch, ``owner[i]`` the coideal of row i, and slot s of
+    coideal c (as ``Layout.slot_starts`` numbers slots) has key c * slots + s.
+    Terms are sorted by row, then key (``terms``), and by key
+    (``sorted_terms``); ``block``, ``local`` and ``slot`` give each term's
+    block, slot within the block and slot.
 
     Row i is 1 at its pivot slot and 0 at its block's other pivots, so a
     vector w of sum_z H^z lies in sum_z X^z iff w - sum_i w[piv_i] F_i is
     zero: it is w_z[free] - F_z[:, free]^T w_z[piv] on the free slots of a
     block with X^z != 0, 0 on pivots and w elsewhere, and its norm is w's
-    residual.  The reduce map sends each pivot slot to its row.  ``unit``
-    gives v^0_Gamma as terms (0, slot, value), and ``unit_in_a`` whether it
-    is nonzero and lies in X^0, its residual taken by ``residual``."""
+    residual.  The reduce map sends each pivot key to its row.  ``unit``
+    gives each coideal's v^0_Gamma as terms (c, key, value), ``gamma``
+    whether it is nonzero, and ``unit_in_a`` whether it is nonzero and lies
+    in X^0, its residual taken by ``residual``."""
 
-    def __init__(self, wc: WeakCoideal):
-        alg, b = wc.algebra, wc.fiber_block
-        lay, self.table, self.eps = alg._layout, alg._fiber_table, alg.eps
-        self.slots, self.size = int(lay.sizes.sum()), len(b)
-        fiber = _pruned_rows(wc.fiber_rows)
+    def __init__(self, batch: Sequence[WeakCoideal]):
+        alg = batch[0].algebra
+        lay, self.algebra, self.table, self.eps = alg._layout, alg, alg._fiber_table, alg.eps
+        self.counts = np.array([len(wc.fiber_block) for wc in batch], dtype=np.int64)
+        self.k, self.size, self.slots = len(batch), int(self.counts.sum()), int(lay.sizes.sum())
+        self.keys, self.owner = self.k * self.slots, np.repeat(np.arange(self.k), self.counts)
+        self.start = np.cumsum(self.counts) - self.counts  # each coideal's first row
+        self.local_row = (np.arange(self.size) - self.start[self.owner]).tolist()  # row numbers within each coideal
+        b, pivot, fiber = (np.concatenate([getattr(wc, f) for wc in batch])
+                           for f in ("fiber_block", "fiber_pivot", "fiber_rows"))
+        self.zero_rows, fiber = b == lay.zero, _pruned_rows(fiber)
         row, self.local = np.nonzero(fiber)
         self.block, val = b[row], fiber[row, self.local]
-        self.terms = row, lay.slot_starts[self.block] + self.local, val
+        self.slot = lay.slot_starts[self.block] + self.local
+        self.terms = row, self.owner[row] * self.slots + self.slot, val
         self.sorted_terms = tuple(t[np.argsort(self.terms[1], kind="stable")] for t in self.terms)
-        self.pivot_row = np.full(self.slots, -1)
-        self.pivot_row[lay.slot_starts[b] + wc.fiber_pivot] = np.arange(self.size)
+        self.pivot_row = np.full(self.keys, -1)
+        self.pivot_row[self.owner * self.slots + lay.slot_starts[b] + pivot] = np.arange(self.size)
         self.row_ptr = np.searchsorted(row, np.arange(self.size + 1))
-        at = np.flatnonzero(wc.unit)
-        self.unit = np.zeros(len(at), dtype=np.int64), lay.slot_starts[lay.zero] + at, wc.unit[at]
-        (res,), (norm,) = self.residual(*self.unit, 1)
-        self.unit_in_a = bool(norm > self.eps and res <= self.eps * (1.0 + norm))
+        units = np.array([wc.unit for wc in batch])
+        c, at = np.nonzero(units)
+        self.unit, self.gamma = (c, c * self.slots + lay.slot_starts[lay.zero] + at, units[c, at]), units.any(axis=1)
+        res, norm = self.residual(*self.unit, self.k)
+        self.unit_in_a = (norm > self.eps) & (res <= self.eps * (1.0 + norm))
 
     def compose(self, left: tuple, right: tuple) -> tuple:
-        """The terms (u, w, output slot, value) of u . w for the vectors u
-        and w given by the terms ``left`` and ``right`` (vector, slot,
-        value), ``right``'s sorted by slot: one join through the fiber table."""
-        (lv, ls, lval), (rv, rs, rval), T = left, right, self.table
+        """The terms (u, w, output key, value) of u . w for the vectors u and
+        w of one coideal given by the terms ``left`` and ``right`` (vector,
+        key, value), ``right``'s sorted by key: one join through the fiber
+        table.  No vectors of two coideals meet: a left term of coideal c at
+        slot s meets the table entries (s, s', out) of its slot, and each of
+        them only the right terms of key c * slots + s', coideal c's as
+        0 <= s' < slots.  Within a coideal the terms come in the order of a
+        batch of one, as the table's runs and the order of the left terms,
+        and of the right terms of each key, are the same."""
+        (lv, lk, lval), (rv, rk, rval), T = left, right, self.table
+        c, ls = np.divmod(lk, self.slots)
         s, p = _runs(T.ptr, ls)
-        q, t = _join(T.right[p], rs)
+        q, t = _runs(np.searchsorted(rk, np.arange(self.keys + 1)), c[s] * self.slots + T.right[p])
         s, p = s[q], p[q]
-        return lv[s], rv[t], T.out[p], lval[s] * rval[t] * T.coeff[p]
+        return lv[s], rv[t], c[s] * self.slots + T.out[p], lval[s] * rval[t] * T.coeff[p]
 
-    def residual(self, vec: np.ndarray, slot: np.ndarray, val: np.ndarray, n: int) -> tuple:
+    def residual(self, vec: np.ndarray, key: np.ndarray, val: np.ndarray, n: int) -> tuple:
         """The norm of the component outside sum_x X^x, and the norm, of
-        each of n vectors of sum_z H^z given by terms (vector, slot, value),
-        summed per (vector, slot) and pruned by ``_pruned``."""
-        (keys, val), (_, own, coef) = _pruned(vec * self.slots + slot, val), self.terms
-        vec, slot = np.divmod(keys, self.slots)
-        at = self.pivot_row[slot] >= 0
-        s, p = _runs(self.row_ptr, self.pivot_row[slot[at]])
-        keys, sums = _sums(np.concatenate([vec, vec[at][s]]) * self.slots + np.concatenate([slot, own[p]]),
+        each of n vectors of one coideal's sum_z H^z given by terms (vector,
+        key, value), summed per (vector, key) and pruned by ``_pruned``."""
+        (keys, val), (_, own, coef) = _pruned(vec * self.keys + key, val), self.terms
+        vec, key = np.divmod(keys, self.keys)
+        at = self.pivot_row[key] >= 0
+        s, p = _runs(self.row_ptr, self.pivot_row[key[at]])
+        keys, sums = _sums(np.concatenate([vec, vec[at][s]]) * self.keys + np.concatenate([key, own[p]]),
                            np.concatenate([val, -val[at][s] * coef[p]]))
-        return np.sqrt(np.bincount(keys // self.slots, _sq(sums), n)), np.sqrt(np.bincount(vec, _sq(val), n))
+        return np.sqrt(np.bincount(keys // self.keys, _sq(sums), n)), np.sqrt(np.bincount(vec, _sq(val), n))
 
 
-def _unit_exists(wc: WeakCoideal) -> tuple[float, str]:
+def _unit_exists(F: _Fibers) -> list[tuple[float, str]]:
     """1_A = v^0_Gamma (x) conj(v^0_Omega) lies in A iff v^0_Gamma = u lies
     in X^0, since A's zero block is X^0 (x) conj(H^0), and it is nonzero iff
     u is.  ``_Fibers`` takes u's residual as every coideal row takes one."""
-    return _exact(wc.fibers.unit_in_a, "empty or missing unit")
+    return [_exact(ok, "empty or missing unit") for ok in F.unit_in_a.tolist()]
 
 
-def _product_closure(wc: WeakCoideal) -> tuple[float, str]:
+def _product_closure(F: _Fibers) -> list[tuple[float, str]]:
     """B's product is the fiber table's self-join on (x, y, z): for xi in
     X^x and eta in X^y, (xi (x) conj e_b)(eta (x) conj e_d) is
     sum_z (xi . eta)_z (x) conj(c_z e_f), where e_b . e_d has at most one
@@ -331,97 +362,101 @@ def _product_closure(wc: WeakCoideal) -> tuple[float, str]:
     every z the table links to (x, y).  As A keeps every column leg, it is
     closed under product iff (X^x . X^y)_z <= X^z for every linked
     (x, y, z), that is iff xi . eta lies in sum_z X^z for all fiber rows.
-    The margin res - eps (1 + |xi . eta|) of every pair, numbered i r + j;
-    a pair whose product has no terms has margin -eps and is left out."""
-    F = wc.fibers
-    i, j, slot, val = F.compose(F.terms, F.sorted_terms)
+    The margin res - eps (1 + |xi . eta|) of every pair, numbered i r + j
+    within its coideal; a pair whose product has no terms has margin -eps
+    and is left out."""
+    i, j, key, val = F.compose(F.terms, F.sorted_terms)
     pairs, pair = np.unique(i * F.size + j, return_inverse=True)
-    res, norm = F.residual(pair, slot, val, len(pairs))
-    return _verdict(res - F.eps * (1.0 + norm), lambda at: f"fiber rows {divmod(int(pairs[at]), F.size)}")
+    res, norm = F.residual(pair, key, val, len(pairs))
+    i, j = np.divmod(pairs, F.size)
+    return _verdicts(res - F.eps * (1.0 + norm), F.owner[i], F.k,
+                     lambda at: f"fiber rows {(F.local_row[i[at]], F.local_row[j[at]])}")
 
 
-def _star_closure(wc: WeakCoideal) -> tuple[float, str]:
+def _star_closure(F: _Fibers) -> list[tuple[float, str]]:
     """The involution sends (x; r, c) to psi_r phi_c (-x; r', c'),
     conjugate-linearly, with psi, phi nonzero and c -> c' onto the slots, so
     star(xi (x) conj e_c) = sharp(xi) (x) conj(phi_c e_c'), sharp(xi) =
     sum_r conj(xi_r) psi_r e_r', and A is closed under star iff sharp(X^x)
     <= X^(-x).  The margin res - eps (1 + |xi|) of every fiber row."""
-    alg, F = wc.algebra, wc.fibers
+    alg = F.algebra
     n, (block, slot) = alg.group.order, alg._slot_map
     psi = np.array([1.0, alg._psi_unb, alg._psi_bar], dtype=complex)
     (row, _, val), kind = F.terms, np.where(F.block < n, 0, 1 + (F.local >= n))  # group, unbarred m, barred m
-    image = alg._layout.slot_starts[block[F.block]] + slot[F.block, F.local]
+    image = F.owner[row] * F.slots + alg._layout.slot_starts[block[F.block]] + slot[F.block, F.local]
     res, _ = F.residual(row, image, val.conj() * psi[kind], F.size)
     norms = np.sqrt(np.bincount(row, _sq(val), F.size))
-    return _verdict(res - F.eps * (1.0 + norms), "fiber row {}".format)
+    return _verdicts(res - F.eps * (1.0 + norms), F.owner, F.k, lambda at: f"fiber row {F.local_row[at]}")
 
 
-def _coproduct_into(wc: WeakCoideal) -> tuple[float, str]:
+def _coproduct_into(F: _Fibers) -> list[tuple[float, str]]:
     """True by construction: Delta(x; r, c) = sum_s (x; r, s) (x) (x; s, c),
     so Delta(xi (x) conj e_c) = sum_s (xi (x) conj e_s) (x) (e_s (x) conj e_c),
     whose first legs lie in X^x (x) conj(H^x), all of which A, held by its
     fiber rows, keeps.  The check is on the coproduct table this rests on:
-    every term of Delta(x; r, c), r in a fiber row's support, keeps (x; r)."""
-    row, slot, _ = wc.fibers.terms
-    bad = row[~wc.algebra._row_legs_kept[slot]]
-    return _exact(not len(bad), f"fiber row {int(bad[0])}" if len(bad) else "")
+    every term of Delta(x; r, c), r in a fiber row's support, keeps (x; r).
+    The witness is the first fiber row that breaks it."""
+    bad = np.where(np.isin(np.arange(F.size), F.terms[0][~F.algebra._row_legs_kept[F.slot]]), np.inf, 0.0)
+    return _verdicts(bad, F.owner, F.k, lambda at: f"fiber row {F.local_row[at]}")
 
 
-def _unit_identity(wc: WeakCoideal) -> tuple[float, str]:
+def _unit_identity(F: _Fibers) -> list[tuple[float, str]]:
     """1_A (xi (x) conj e_c) = (v^0_Gamma . xi) (x) conj(v^0_Omega . e_c) and
     v^0_Omega acts as the identity on every H^x from both sides (B's unit
     law), so 1_A a = a = a 1_A on A iff v^0_Gamma . xi = xi = xi . v^0_Gamma
     for every fiber row xi.  The sup distance of both from xi, per row."""
-    F = wc.fibers
-    (row, slot, val), n, dist = F.terms, F.slots, np.zeros(F.size)
+    (row, key, val), n, dist = F.terms, F.keys, np.zeros(F.size)
     (_, left, *lhs), (right, _, *rhs) = F.compose(F.unit, F.sorted_terms), F.compose(F.terms, F.unit)
     for vec, out, coef in ((left, *lhs), (right, *rhs)):
-        keys, diff = _diff(_pruned(vec * n + out, coef), (row * n + slot, val))
+        keys, diff = _diff(_pruned(vec * n + out, coef), (row * n + key, val))
         np.maximum.at(dist, keys // n, diff)
-    return _verdict(dist, "fiber row {}".format)
+    return _verdicts(dist, F.owner, F.k, lambda at: f"fiber row {F.local_row[at]}")
 
 
-def _unit_coproduct(wc: WeakCoideal) -> tuple[float, str]:
+def _unit_coproduct(F: _Fibers) -> list[tuple[float, str]]:
     """Delta(1_A) = sum_s (v^0_Gamma (x) conj e_s) (x) (e_s (x) conj v^0_Omega)
     over the zero-block slots s.  For Gamma nonempty both families of legs
     are linearly independent, so Delta(1_A) lies in A (x) B_t iff every
     first leg lies in A, that is iff v^0_Gamma lies in X^0, and every second
     leg lies in B_t, a property of B alone, checked once per algebra.
     Delta(1_A) = 0 for Gamma empty; A = 0 fails, as it has no unit."""
-    if not len(wc.fiber_block):
-        return _exact(False, "A = 0")
-    if not wc.unit.any():
-        return 0.0, ""
-    if _unit_exists(wc)[0]:
-        return _exact(False, "v^0_Gamma not in X^0")
-    alg = wc.algebra
-    out = np.flatnonzero(~alg._unit_legs_in_target)
-    slot = alg.slot_names[alg._layout.zero][out[0]] if len(out) else ""
-    return _exact(not len(out), f"second leg e_{slot} (x) conj(v^0_Omega) of Delta(1_A) not in B_t")
+    alg, legs = F.algebra, (0.0, "")
+    if F.unit_in_a.any():  # some coideal reads B_t
+        out = np.flatnonzero(~alg._unit_legs_in_target)
+        slot = alg.slot_names[alg._layout.zero][out[0]] if len(out) else ""
+        legs = _exact(not len(out), f"second leg e_{slot} (x) conj(v^0_Omega) of Delta(1_A) not in B_t")
+    return [_exact(False, "A = 0") if not r else (0.0, "") if not gamma else
+            legs if in_a else _exact(False, "v^0_Gamma not in X^0")
+            for r, gamma, in_a in zip(F.counts.tolist(), F.gamma.tolist(), F.unit_in_a.tolist())]
 
 
-def verify_weak_coideal(wc: WeakCoideal) -> AxiomReport:
+def verify_weak_coideal(batch: Sequence[WeakCoideal]) -> list[AxiomReport]:
     """Check, by subspace membership, every defining property of a weak
-    coideal: product and star closure, the coproduct landing in A (x) B,
-    the unit acting as identity, and the coproduct of the unit landing in
-    A (x) B_t.
+    coideal, for each coideal of a nonempty batch over one algebra: product
+    and star closure, the coproduct landing in A (x) B, the unit acting as
+    identity, and the coproduct of the unit landing in A (x) B_t.
 
-    The checks are one table of rows (name, instances, evaluator, bound),
-    run in order by :meth:`AxiomReport.run`.  Each runs on the r fiber rows,
-    by the reduction its docstring proves: an instance is a fiber row, or a
-    pair of them, and a residual is taken in sum_z H^z.  The closure rows
-    return margins, which already hold eps, and so pass at bound 0."""
-    alg, r, eps = wc.algebra, len(wc.fiber_block), wc.algebra.eps
-    rows = [
-        ("unit exists in A", 1, _unit_exists, eps),
-        ("closed under product", r**2, _product_closure, 0.0),
-        ("closed under star", r, _star_closure, 0.0),
-        ("coproduct maps into A (x) B", r, _coproduct_into, eps),
-        ("unit acts as identity", r, _unit_identity, eps),
-        ("coproduct of unit in A (x) B_t", 1, _unit_coproduct, eps),
+    The checks are one table of rows (name, instances, evaluator, bound).
+    Each evaluator runs once on all the batch's fiber rows, by the reduction
+    its docstring proves, and gives each coideal its residual and witness;
+    :meth:`AxiomReport.run` makes one report per coideal from them.  An
+    instance is a fiber row or a pair of them, and a residual is taken in
+    sum_z H^z.  Closure margins already hold eps, so pass at bound 0."""
+    F = batch[0].fibers if len(batch) == 1 else _Fibers(batch)  # a coideal alone keeps its fibers
+    alg, eps = F.algebra, F.eps
+    rows = [  # (name, p, evaluator, bound): a coideal of r fiber rows has r**p instances
+        ("unit exists in A", 0, _unit_exists, eps),
+        ("closed under product", 2, _product_closure, 0.0),
+        ("closed under star", 1, _star_closure, 0.0),
+        ("coproduct maps into A (x) B", 1, _coproduct_into, eps),
+        ("unit acts as identity", 1, _unit_identity, eps),
+        ("coproduct of unit in A (x) B_t", 0, _unit_coproduct, eps),
     ]
-    tau = "+" if alg.tau_sign > 0 else "-"
-    return AxiomReport.run(f"coideal {wc.label} on {alg.group} tau{tau}", eps, alg.unit_name, rows, wc)
+    verdicts, tau = [evaluate(F) for _, _, evaluate, _ in rows], "+" if alg.tau_sign > 0 else "-"
+    return [AxiomReport.run(f"coideal {wc.label} on {alg.group} tau{tau}", eps, alg.unit_name,
+                            [(name, r**power, per_coideal.__getitem__, bound)
+                             for (name, power, _, bound), per_coideal in zip(rows, verdicts)], c)
+            for c, (wc, r) in enumerate(zip(batch, F.counts.tolist()))]
 
 
 def is_coideal(wc: WeakCoideal) -> bool:
@@ -459,9 +494,9 @@ def center(wc: WeakCoideal) -> Subspace:
     return wc.algebra.center_of(*_coords(wc))
 
 
-def is_indecomposable(wc: WeakCoideal) -> bool:
-    """True iff the central invariant subalgebra Z(A) & A^inv is
-    one-dimensional.
+def is_indecomposable(batch: Sequence[WeakCoideal]) -> list[bool]:
+    """For each coideal of a batch over one algebra, whether its central
+    invariant subalgebra Z(A) & A^inv is one-dimensional.
 
     A^inv = {mu (x) conj(v^0_Omega) : mu in X^0}.  Write a in A by its
     columns, a = sum_xc xi_xc (x) conj e_c with xi_xc in X^x.  Then Delta(a)
@@ -476,18 +511,26 @@ def is_indecomposable(wc: WeakCoideal) -> bool:
     for every fiber row xi, since v^0_Omega acts as the identity on every
     column leg.  So Z(A) & A^inv is the kernel of one small dense system
     over the coordinates of mu along X^0's rows, a row per (fiber row,
-    output slot) of mu . xi - xi . mu, solved by one ``nullspace``."""
-    F, zero = wc.fibers, wc.fiber_block == wc.algebra._layout.zero
-    if not zero.any():
-        return False
-    row, slot, val = F.sorted_terms
-    at = zero[row]
-    mu = (np.cumsum(zero)[row[at]] - 1, slot[at], val[at])  # coordinates along X^0's rows
+    output slot) of mu . xi - xi . mu.  Two joins over the batch's fiber
+    rows form every coideal's system, and one ``nullspace`` per shape
+    solves the stack of the systems of that shape."""
+    F = batch[0].fibers if len(batch) == 1 else _Fibers(batch)
+    row, key, val = F.sorted_terms
+    at = F.zero_rows[row]
+    mu = (np.cumsum(F.zero_rows)[row[at]] - 1, key[at], val[at])  # coordinates along the batch's X^0 rows
     (i, r, out, v), (r2, i2, out2, v2) = F.compose(mu, F.sorted_terms), F.compose(F.terms, mu)
-    keys, eq = np.unique(np.append(r, r2) * F.slots + np.append(out, out2), return_inverse=True)
-    system = np.zeros((1, max(len(keys), 1), int(zero.sum())), dtype=complex)
-    np.add.at(system[0], (eq, np.append(i, i2)), np.append(v, -v2))
-    return len(nullspace(system)[0]) == 1
+    keys, eq = np.unique(np.append(r, r2) * F.keys + np.append(out, out2), return_inverse=True)
+    of_eq, n = F.owner[keys // F.keys], np.bincount(F.owner[F.zero_rows], minlength=F.k)
+    m, c = np.bincount(of_eq, minlength=F.k), of_eq[eq]  # each system's m x n shape; each entry's coideal
+    entry = (eq - (np.cumsum(m) - m)[c], np.append(i, i2) - (np.cumsum(n) - n)[c], np.append(v, -v2))  # in its system
+    shape, out = np.where(n > 0, np.maximum(m, 1) * (n.max(initial=0) + 1) + n, -1), np.zeros(F.k, dtype=bool)
+    for code in np.unique(shape[n > 0]).tolist():
+        members, place = np.flatnonzero(shape == code), np.full(F.k, -1)
+        place[members], hit = np.arange(len(members)), shape[c] == code
+        system = np.zeros((len(members), max(m[members[0]], 1), n[members[0]]), dtype=complex)
+        np.add.at(system, (place[c[hit]], entry[0][hit], entry[1][hit]), entry[2][hit])
+        out[members] = np.bincount(nullspace(system)[1], minlength=len(members)) == 1
+    return out.tolist()
 
 
 # -- spectral dimensions ---------------------------------------------------------
@@ -515,9 +558,13 @@ def dims_match(wc: WeakCoideal) -> bool:
     return bool(np.array_equal(spectral_dims(wc.spec, wc.algebra), wc.x_dims()))
 
 
-def assess(wc: WeakCoideal) -> tuple[AxiomReport, bool, bool, bool]:
-    """The verification report of wc, whether it is a coideal, whether it is
-    indecomposable, and whether its fiber dimensions match the prediction.
-    Indecomposability is decided only when every check passes, else False."""
-    report = verify_weak_coideal(wc)
-    return report, is_coideal(wc), report.passed and is_indecomposable(wc), dims_match(wc)
+def assess(batch: Sequence[WeakCoideal]) -> list[tuple[AxiomReport, bool, bool, bool]]:
+    """For each coideal of a batch over one algebra, its verification
+    report, whether it is a coideal, whether it is indecomposable (decided
+    only if every check passes, else False), and whether its fiber
+    dimensions match the prediction."""
+    reports = verify_weak_coideal(batch)
+    passed = [wc for wc, report in zip(batch, reports) if report.passed]
+    indecomposable = iter(is_indecomposable(passed) if passed else [])
+    return [(report, is_coideal(wc), report.passed and next(indecomposable), dims_match(wc))
+            for wc, report in zip(batch, reports)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tywha.algebra import AxiomReport
-from tywha.coideals import CoidealSpec, _coords, _exact, _verdict
+from tywha.coideals import CoidealSpec, _coords, _exact, _verdicts
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
 from tywha.linalg import (
@@ -615,6 +615,11 @@ def a_level_fixed_point_algebra(wc) -> Subspace:
     system over A's basis."""
     A, alg = ACoords(wc), wc.algebra
     return span(sparse_nullspace(*invariance(wc), A.size), A.row, A.unit, A.val)
+
+
+def _verdict(values: np.ndarray, witness) -> tuple[float, str]:
+    """``coideals._verdicts`` on one coideal's values."""
+    return _verdicts(values, np.zeros(len(values), dtype=np.int64), 1, witness)[0]
 
 
 def a_unit_exists(wc, A: ACoords) -> tuple:

@@ -165,8 +165,7 @@ def test_criterion_5_coideal_suite():
             for fam in _z_families(len(q0)):
                 for rho0 in sorted({0, len(q1) - 1}):
                     builds.append(build_with_m(alg, CoidealSpec(q0, q1, fam, [rho0])))
-            for wc in builds:
-                report = verify_weak_coideal(wc)
+            for wc, report, indecomposable in zip(builds, verify_weak_coideal(builds), is_indecomposable(builds)):
                 if not report.passed:
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: verification failed")
@@ -177,7 +176,7 @@ def test_criterion_5_coideal_suite():
                 if is_coideal(wc) != expected_coideal:
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: coideal flag wrong")
-                if not is_indecomposable(wc):
+                if not indecomposable:
                     ok = False
                     print(f"  {factors} K={K} {wc.label}: decomposable")
                 xm = x_spaces(wc).get(BlockLabel.m())
@@ -251,7 +250,7 @@ def test_criterion_7_fault_injection(monkeypatch):
             vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
         x_vectors[block] = vecs
     broken = assemble(alg, *fiber_rows(alg, x_vectors), "dropped m slot")
-    rep_broken = verify_weak_coideal(broken)
+    rep_broken = verify_weak_coideal([broken])[0]
     if rep_broken.passed or not (
         {"closed under product", "closed under star"}
         & {c.name for c in failures(rep_broken)}

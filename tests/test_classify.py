@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -478,8 +479,8 @@ class TestNoGroupRebuilds:
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         orbits = [o for e in weak_coideal_classes(alg.group, alg.bichar).per_subgroup for o in e.orbits]
         calls, built = count_group_rebuilds(monkeypatch), set()
+        assert all(label and not failure for label, _, failure in realize_and_verify(alg, orbits))
         for orbit in orbits:
-            assert realize_and_verify(alg, orbit)
             for build in (build_from_spec, build_no_m, build_with_m, build_I_m_K, build_I_Omega_K):
                 for spec in (orbit.spec, orbit.spec.swapped()):
                     try:
@@ -512,20 +513,18 @@ class TestRealization:
     def test_all_z2_classes_realize(self, z2_report):
         grp, report = z2_report
         alg = TYAlgebra(grp)
-        for entry in report.per_subgroup:
-            for orbit in entry.orbits:
-                assert realize_and_verify(alg, orbit) == expected_builder(orbit.spec)
+        orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]
+        realized = realize_and_verify(alg, orbits)
+        assert [(label, failure) for label, _, failure in realized] == [(expected_builder(o.spec), "") for o in orbits]
 
     def test_all_z4_classes_realize(self):
         grp = FiniteAbelianGroup((4,))
         alg = TYAlgebra(grp)
         report = weak_coideal_classes(grp, alg.bichar)
-        flip_entries, labels = 0, []
-        for entry in report.per_subgroup:
-            flip_entries += entry.flip
-            for orbit in entry.orbits:
-                labels.append(realize_and_verify(alg, orbit))
-                assert labels[-1] == expected_builder(orbit.spec)
+        flip_entries = sum(entry.flip for entry in report.per_subgroup)
+        orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]
+        labels = [label for label, _, _ in realize_and_verify(alg, orbits)]
+        assert labels == [expected_builder(orbit.spec) for orbit in orbits]
         assert labels == [line.rsplit(" K=", 1)[0] for line in REALIZED[(4,)].splitlines()]
         assert flip_entries == 1
 
@@ -534,28 +533,54 @@ class TestRealization:
         alg = TYAlgebra(FiniteAbelianGroup(factors))
         got = []
 
-        def record(wc):
-            spec = wc.spec.describe()
-            data = (f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}"
-                    for k in ("K", "Z0", "Z1"))
-            got.append(" ".join([wc.label, *data]))
-            return verify_weak_coideal(wc)
+        def record(batch):
+            for wc in batch:
+                spec = wc.spec.describe()
+                data = (f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}"
+                        for k in ("K", "Z0", "Z1"))
+                got.append(" ".join([wc.label, *data]))
+            return verify_weak_coideal(batch)
 
         monkeypatch.setattr(coideals, "verify_weak_coideal", record)
-        for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
-            for orbit in entry.orbits:
-                realize_and_verify(alg, orbit)
+        report = weak_coideal_classes(alg.group, alg.bichar)
+        realize_and_verify(alg, [orbit for entry in report.per_subgroup for orbit in entry.orbits])
         assert got == REALIZED[factors].split("\n")
 
     def test_coideal_flagged_reps_are_unital(self, z2_report, monkeypatch):
         grp, report = z2_report
         alg = TYAlgebra(grp)
         built = []
-        monkeypatch.setattr(coideals, "verify_weak_coideal", lambda wc: built.append(wc) or verify_weak_coideal(wc))
-        for entry in report.per_subgroup:
-            for orbit in entry.orbits:
-                realize_and_verify(alg, orbit)
-                assert is_coideal(built[-1]) == orbit.coideal
+
+        def record(batch):
+            built.extend(batch)
+            return verify_weak_coideal(batch)
+
+        monkeypatch.setattr(coideals, "verify_weak_coideal", record)
+        orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]
+        realize_and_verify(alg, orbits)
+        assert [is_coideal(wc) for wc in built] == [orbit.coideal for orbit in orbits]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors, distinct", [((2,), 5), ((3,), 7), ((4,), 15), ((2, 2), 25)])
+    def test_distinct_subalgebras(self, factors, distinct, sign):
+        # two representatives have equal keys iff their fibers span the same
+        # spaces block by block; no class count changes
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        orbits = [o for e in weak_coideal_classes(alg.group, alg.bichar).per_subgroup for o in e.orbits]
+        built = [classify._representative(alg, orbit.spec) for orbit in orbits]
+        realized = realize_and_verify(alg, orbits)
+        assert [key for _, key, _ in realized] == [wc.key() for wc in built]
+        assert len({key for _, key, _ in realized}) == distinct and len(realized) == len(orbits)
+        for a, b in itertools.combinations(built, 2):
+            assert (a.key() == b.key()) == same_fibers(a, b), (a.label, b.label)
+
+
+def same_fibers(a, b) -> bool:
+    """Whether two families span the same fiber in every block."""
+    if not np.array_equal(a.x_dims(), b.x_dims()):
+        return False
+    rows, block = np.concatenate([a.fiber_rows, b.fiber_rows]), np.concatenate([a.fiber_block, b.fiber_block])
+    return all(np.linalg.matrix_rank(rows[block == x]) == (a.fiber_block == x).sum() for x in np.unique(block))
 
 
 class TestAlgebraClasses:

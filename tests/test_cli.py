@@ -562,6 +562,15 @@ class TestClassifyCommands:
         assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 0
         assert "realized and verified" in capsys.readouterr().out
 
+    def test_realize_counts_distinct_subalgebras(self, tmp_path, capsys):
+        # the last stdout line and a top-level JSON key; the catalog alone has neither
+        out = tmp_path / "realize.json"
+        assert run(["classify", "weak-coideals", "--group", "2", "--realize", "--json", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "built 5 distinct subalgebras for 10 classes"
+        assert json.loads(out.read_text())["distinct_subalgebras"] == 5
+        assert run(["classify", "weak-coideals", "--group", "2", "--json", str(out)]) == 0
+        assert "built" not in capsys.readouterr().out and "distinct_subalgebras" not in json.loads(out.read_text())
+
     def test_realize_at_loose_tolerance_verifies_every_class(self, tmp_path):
         # indecomposability is a rank question, which the verdict tolerance
         # does not decide
@@ -573,15 +582,14 @@ class TestClassifyCommands:
 
     def test_realize_summary_counts_only_verified(self, monkeypatch, capsys):
         import tywha.cli as cli
-        from tywha.errors import StructuralError
 
-        realize, seen = cli.realize_and_verify, []
+        realize = cli.realize_and_verify
 
-        def second_fails(alg, orbit):
-            seen.append(orbit)
-            if len(seen) == 2:
-                raise StructuralError("injected")
-            return realize(alg, orbit)
+        def second_fails(alg, orbits):
+            realized = realize(alg, orbits)
+            label, key, _ = realized[1]
+            realized[1] = (label, key, "injected")
+            return realized
 
         monkeypatch.setattr(cli, "realize_and_verify", second_fails)
         assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 1
@@ -603,11 +611,12 @@ class TestClassifyCommands:
         is_coideal = coideals.is_coideal
         name, fake, message = {
             "verification": ("verify_weak_coideal",
-                             lambda wc: AxiomReport("injected", 1e-9, [AxiomCheck("injected", 1.0, False)]),
+                             lambda batch: [AxiomReport("injected", 1e-9, [AxiomCheck("injected", 1.0, False)])
+                                            for _ in batch],
                              "realized representative fails verification: {rep}"),
             "flag": ("is_coideal", lambda wc: not is_coideal(wc),
                      "coideal flag mismatch for {rep}: built {flag}"),
-            "indecomposable": ("is_indecomposable", lambda wc: False,
+            "indecomposable": ("is_indecomposable", lambda batch: [False] * len(batch),
                                "realized representative is decomposable: {rep}"),
             "dims": ("dims_match", lambda wc: False, "fiber dimensions disagree for {rep}"),
         }[kind]
@@ -799,7 +808,7 @@ class TestReportPins:
     @pytest.mark.parametrize("tau", ["+", "-"])
     def test_coideal_report_on_a_pinned(self, build, tau, tmp_path, monkeypatch):
         # the rows as they ran on A, under the schema they had, keep their pins
-        monkeypatch.setattr(coideals, "verify_weak_coideal", a_level_report)
+        monkeypatch.setattr(coideals, "verify_weak_coideal", lambda batch: [a_level_report(wc) for wc in batch])
         group, K, spec = PINNED_BUILDS[build]
         argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
         payload = {**self.report(argv, tmp_path), "schema": "tywha-coideal/2"}

@@ -165,9 +165,9 @@ class TestBuilders:
         assert wc.dim == 12
         for block, sub in x_spaces(wc).items():
             assert sub.dim == 2
-        assert verify_weak_coideal(wc).passed
+        assert verify_weak_coideal([wc])[0].passed
         assert not is_coideal(wc)
-        assert is_indecomposable(wc)
+        assert is_indecomposable([wc])[0]
 
     def test_no_m_requires_nonempty(self, z4, z4_setup):
         # no data reaches a builder without a nonempty Z; no_m takes one side
@@ -180,7 +180,7 @@ class TestBuilders:
     def test_no_m_side_one_uses_annihilator(self, z4):
         K = trivial(z4.group)  # K_perp = G, quotient is a point
         wc = build_no_m(z4, spec_of(z4, K, (), [0]))
-        assert verify_weak_coideal(wc).passed
+        assert verify_weak_coideal([wc])[0].passed
         assert (wc.spec.z0, wc.spec.z1) == ((), (0,))
         assert wc.label == "no_m(side=1, |Z|=1)"
         # X^g nonzero exactly for g in K_perp = G
@@ -189,10 +189,10 @@ class TestBuilders:
     def test_with_m_coideal_iff_full(self, z4, z4_setup):
         K, q, lam, mu = z4_setup
         full = build_with_m(z4, spec_of(z4, K, range(len(q)), [0]))
-        assert verify_weak_coideal(full).passed
+        assert verify_weak_coideal([full])[0].passed
         assert is_coideal(full)
         partial = build_with_m(z4, spec_of(z4, K, [lam.number], [0]))
-        assert verify_weak_coideal(partial).passed
+        assert verify_weak_coideal([partial])[0].passed
         assert not is_coideal(partial)
 
     def test_checks_report_coverage(self, z4, z4_setup):
@@ -202,7 +202,7 @@ class TestBuilders:
         # counted A's basis rows
         size, r = wc.dim, len(wc.fiber_block)
         assert (size, r) == (82, 14)
-        for report, n in ((verify_weak_coideal(wc), r), (a_level_report(wc), size)):
+        for report, n in ((verify_weak_coideal([wc])[0], r), (a_level_report(wc), size)):
             expected = {
                 "unit exists in A": 1,
                 "closed under product": n**2,
@@ -222,12 +222,12 @@ class TestBuilders:
         iom = build_I_Omega_K(z4, spec_of(z4, K, [0]))
         assert im.dim == K.order * (n + 1)
         assert iom.dim == K.order * (n + 1)
-        assert verify_weak_coideal(im).passed
-        assert verify_weak_coideal(iom).passed
+        assert verify_weak_coideal([im])[0].passed
+        assert verify_weak_coideal([iom])[0].passed
         assert not is_coideal(im)
         assert is_coideal(iom)
-        assert is_indecomposable(im)
-        assert is_indecomposable(iom)
+        assert is_indecomposable([im])[0]
+        assert is_indecomposable([iom])[0]
         # same classification parameters: a singleton Z over K
         assert im.spec.describe() == iom.spec.describe()
 
@@ -247,14 +247,14 @@ class TestBuilders:
                 build_with_m(alg, spec_of(alg, K, every, [len(qp) - 1])),
             ]
             for wc in built:
-                report = verify_weak_coideal(wc)
+                report = verify_weak_coideal([wc])[0]
                 assert report.passed, (wc.label, str(K), [c.name for c in failures(report)])
 
 
 class TestVerifierRejections:
     def test_zero_family_fails(self, z4):
         wc = assemble(z4, *fiber_rows(z4, {}), "zero")
-        report = verify_weak_coideal(wc)
+        report = verify_weak_coideal([wc])[0]
         assert not report.passed
         failed = {c.name for c in failures(report)}
         assert "unit exists in A" in failed
@@ -263,11 +263,11 @@ class TestVerifierRejections:
         # assemble takes no spec: the report and the description still
         # work, while the predicted dimensions name the missing data
         wc = assemble(z4, *fiber_rows(z4, {}), "zero")
-        assert not verify_weak_coideal(wc).passed
+        assert not verify_weak_coideal([wc])[0].passed
         described = wc.describe()
         assert (described["spec"], described["gamma"], described["unit_support"]) == (None, [], 0)
         message = "coideal zero has no classification data (K, Z0, Z1) to predict its fibers"
-        for check in (dims_match, assess):
+        for check in (dims_match, lambda wc: assess([wc])):
             with pytest.raises(InvariantError) as exc:
                 check(wc)
             assert str(exc.value) == message
@@ -285,7 +285,7 @@ class TestVerifierRejections:
     def test_dropped_m_slot_breaks_closure(self, z4, z4_setup):
         K, q, lam, _mu = z4_setup
         good = build_with_m(z4, spec_of(z4, K, [lam.number], [0]))
-        assert verify_weak_coideal(good).passed
+        assert verify_weak_coideal([good])[0].passed
 
         # rebuild the same family but drop v^g_m from one annihilator block
         drop = (2,)
@@ -296,7 +296,7 @@ class TestVerifierRejections:
                 vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
             x_vectors[block] = vecs
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "with_m minus one m-slot")
-        report = verify_weak_coideal(broken)
+        report = verify_weak_coideal([broken])[0]
         assert not report.passed
         failed = {c.name for c in failures(report)}
         assert failed & {"closed under product", "closed under star"}
@@ -380,7 +380,7 @@ class TestIndecomposability:
         built = realized_coideals(factors, sign)
         assert built
         for wc in built:
-            assert is_indecomposable(wc) and reference_is_indecomposable(wc), wc.label
+            assert is_indecomposable([wc])[0] and reference_is_indecomposable(wc), wc.label
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(4,), (2, 2), (6,)])
@@ -395,7 +395,7 @@ class TestIndecomposability:
             families = [*faulted_copies(wc), without_rows(wc, ~zero, "no X^0")]
             families += [without_rows(wc, rng.random(len(zero)) < 0.5, "random rows") for _ in range(2)]
             for family in families:
-                got = is_indecomposable(family)
+                got = is_indecomposable([family])[0]
                 assert got == restricted_is_indecomposable(family) == reference_is_indecomposable(family), family.label
                 assert not got or zero[: len(family.fiber_block)].any(), family.label
                 verdicts.append(got)
@@ -421,8 +421,8 @@ class TestIndecomposability:
         families = two_coset_families(alg)
         assert len(families) == len(enumerate_subgroups(alg.group)) - 1
         for wc in families:
-            assert verify_weak_coideal(wc).passed, wc.label
-            assert not is_indecomposable(wc) and not reference_is_indecomposable(wc), wc.label
+            assert verify_weak_coideal([wc])[0].passed, wc.label
+            assert not is_indecomposable([wc])[0] and not reference_is_indecomposable(wc), wc.label
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(4,), (2, 2)])
@@ -442,7 +442,7 @@ class TestIndecomposability:
         copies = [build_no_m(alg, spec_of(alg, K, [lam])) for lam in range(alg.group.order)]
         built += [union(alg, pair, "two translates") for pair in itertools.combinations(copies, 2)]
         dims = [center(wc).intersect(a_level_fixed_point_algebra(wc)).dim for wc in built]
-        assert [is_indecomposable(wc) for wc in built] == [d == 1 for d in dims]
+        assert is_indecomposable(built) == [d == 1 for d in dims]
         assert sum(d != 1 for d in dims) == 6
 
     def test_union_of_translates_is_decomposable(self):
@@ -451,10 +451,10 @@ class TestIndecomposability:
         K = trivial(grp)
         copy1 = build_no_m(alg, spec_of(alg, K, [0]))
         copy2 = build_no_m(alg, spec_of(alg, K, [1]))
-        assert is_indecomposable(copy1) and is_indecomposable(copy2)
+        assert is_indecomposable([copy1])[0] and is_indecomposable([copy2])[0]
         both = union(alg, (copy1, copy2), "two translated copies")
-        assert verify_weak_coideal(both).passed
-        assert not is_indecomposable(both)
+        assert verify_weak_coideal([both])[0].passed
+        assert not is_indecomposable([both])[0]
         meet = center(both).intersect(a_level_fixed_point_algebra(both))
         assert meet.dim == 2
         # the block projection onto one copy is a central invariant element
@@ -474,7 +474,7 @@ class TestIndecomposability:
             k0 = labelled(z4, wc.x_dims())[g(0)]
             km = x_spaces(wc)[M].dim // 2
             assert km == k0 - 1
-            assert is_indecomposable(wc)
+            assert is_indecomposable([wc])[0]
 
 
 class TestSpectralDims:
@@ -747,9 +747,9 @@ class TestAssess:
     def test_verdicts_of_a_weak_coideal(self, z4, z4_setup):
         K, _q, _lam, _mu = z4_setup
         wc = build_no_m(z4, spec_of(z4, K, [0]))
-        report, flag, indec, dims_ok = assess(wc)
-        assert report.to_dict() == verify_weak_coideal(wc).to_dict() and report.passed
-        assert (flag, indec, dims_ok) == (is_coideal(wc), is_indecomposable(wc), dims_match(wc))
+        ((report, flag, indec, dims_ok),) = assess([wc])
+        assert report.to_dict() == verify_weak_coideal([wc])[0].to_dict() and report.passed
+        assert (flag, indec, dims_ok) == (is_coideal(wc), is_indecomposable([wc])[0], dims_match(wc))
 
     def test_failing_checks_leave_indecomposability_undecided(self, z4, z4_setup, monkeypatch):
         K, _q, _lam, _mu = z4_setup
@@ -758,11 +758,11 @@ class TestAssess:
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
 
-        def refuse(wc):
+        def refuse(batch):
             raise AssertionError("is_indecomposable called")
 
         monkeypatch.setattr(coideals, "is_indecomposable", refuse)
-        report, flag, indec, dims_ok = assess(broken)
+        ((report, flag, indec, dims_ok),) = assess([broken])
         assert [c.name for c in failures(report)] == ["closed under product"]
         assert indec is False
         assert (flag, dims_ok) == (is_coideal(broken), False)
@@ -897,7 +897,7 @@ def assert_matches_reference(wc):
 def assert_verdicts_match(wc, on_a=None):
     """verify_weak_coideal's rows and the rows on A: the same names in the
     same order, each with the same verdict; returns the fiber rows' report."""
-    report, on_a = verify_weak_coideal(wc), on_a or a_level_report(wc)
+    report, on_a = verify_weak_coideal([wc])[0], on_a or a_level_report(wc)
     assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in on_a.checks], wc.label
     return report
 
@@ -907,15 +907,14 @@ def realized_coideals(factors, sign):
     alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
     built = []
 
-    def record(wc):
-        built.append(wc)
-        return verify_weak_coideal(wc)
+    def record(batch):
+        built.extend(batch)
+        return verify_weak_coideal(batch)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coideals, "verify_weak_coideal", record)
-        for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
-            for orbit in entry.orbits:
-                classify.realize_and_verify(alg, orbit)
+        report = weak_coideal_classes(alg.group, alg.bichar)
+        classify.realize_and_verify(alg, [orbit for entry in report.per_subgroup for orbit in entry.orbits])
     return built
 
 
@@ -946,7 +945,7 @@ class TestFiberRowsMatchRowsOnA:
         for wc in built:
             if wc.algebra.group.order <= 8:
                 assert assert_verdicts_match(wc).passed, wc.label
-            assert is_indecomposable(wc) and restricted_is_indecomposable(wc), wc.label
+            assert is_indecomposable([wc])[0] and restricted_is_indecomposable(wc), wc.label
 
     @pytest.mark.parametrize("builder", ["no_m", "with_m"])
     def test_fiber_residual_matches_generic(self, z4, z4_setup, builder):
@@ -984,7 +983,7 @@ class TestFiberRowsMatchRowsOnA:
                 failed |= {c.name for c in failures(assert_verdicts_match(broken))}
         # every row but "coproduct maps into A (x) B", which only a broken
         # coproduct table trips
-        assert failed == {c.name for c in verify_weak_coideal(wc).checks} - {"coproduct maps into A (x) B"}
+        assert failed == {c.name for c in verify_weak_coideal([wc])[0].checks} - {"coproduct maps into A (x) B"}
 
 
 class TestArrayChecks:
@@ -1145,3 +1144,84 @@ class TestArrayChecks:
         failed = {c.name: c.witness for c in failures(report)}
         assert failed["coproduct of unit in A (x) B_t"] == "v^0_Gamma not in X^0"
         assert failed["unit exists in A"] == "empty or missing unit"
+
+
+def verdict_bits(report, indecomposable):
+    """A report's label and rows, each row's residual by its bits, with the
+    indecomposability verdict."""
+    rows = [(c.name, c.instances_total, float(c.residual).hex(), c.witness, c.passed) for c in report.checks]
+    return report.label, report.passed, rows, indecomposable
+
+
+def class_representatives(alg):
+    """The family realize_and_verify builds for every class, on ``alg``."""
+    report = weak_coideal_classes(alg.group, alg.bichar)
+    return [classify._representative(alg, o.spec) for e in report.per_subgroup for o in e.orbits]
+
+
+def faulted(wc, fault):
+    """wc with one of the faults the single-class tests use: a stray fiber
+    unit v^2_0, or X^2 = C v^2_0 replaced by the unbalanced 2 v^2_0 + v^2_2."""
+    x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
+    if fault == "unbalanced":
+        (v,) = x_vectors[g(2)]
+        key = (g(2), Slot.grp((0,)))
+        x_vectors[g(2)] = [v + SparseVec({key: v[key]})]
+    else:
+        x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
+    return assemble(wc.algebra, *fiber_rows(wc.algebra, x_vectors), fault, wc.spec)
+
+
+class TestBatches:
+    """Coideals verified in one batch get the verdicts they get alone."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (6,)])
+    def test_batch_equals_each_alone(self, factors, sign):
+        # every class, each followed by its faulted copies, so that residuals
+        # and witnesses are not all zero and empty
+        built = realized_coideals(factors, sign)
+        batch = [family for wc in built for family in (wc, *faulted_copies(wc))]
+        together = list(map(verdict_bits, verify_weak_coideal(batch), is_indecomposable(batch)))
+        alone = [verdict_bits(verify_weak_coideal([wc])[0], is_indecomposable([wc])[0]) for wc in batch]
+        assert together == alone
+        assert any(0 < float.fromhex(row[2]) < np.inf for _, _, rows, _ in together for row in rows)
+        assert any(not passed for _, passed, _, _ in together) and any(indec for *_, indec in together)
+        # and assess, with the coideal flag and the predicted dimensions
+        bits = [(verdict_bits(report, indec), flag, dims) for report, flag, indec, dims in assess(built)]
+        assert bits == [(verdict_bits(r, i), f, d) for wc in built for r, f, i, d in assess([wc])]
+        assert [flag for _, flag, _ in bits] == [is_coideal(wc) for wc in built]
+
+    @pytest.mark.parametrize("fault, builder, failed", [
+        ("stray unit v^2_0", build_no_m, "closed under product"),
+        ("stray unit v^2_0", build_with_m, "closed under product"),  # 37 basis rows of A once faulted
+        ("unbalanced", build_no_m, "closed under star"),
+    ])
+    def test_one_faulted_class_fails_alone(self, z4, z4_setup, fault, builder, failed):
+        K = z4_setup[0]
+        broken = faulted(builder(z4, spec_of(z4, K, [0], [0] if builder is build_with_m else [])), fault)
+        healthy = class_representatives(z4)
+        batch = [*healthy[:5], broken, *healthy[5:]]
+        verdicts = assess(batch)
+        assert [report.passed for report, *_ in verdicts] == [wc is not broken for wc in batch]
+        assert [indec for _, _, indec, _ in verdicts] == [wc is not broken for wc in batch]
+        report = verdicts[5][0]
+        assert [c.name for c in failures(report)] == [failed]
+        assert verdict_bits(report, False) == verdict_bits(assess([broken])[0][0], False)
+
+    def test_compose_pairs_rows_of_one_coideal(self, z4, z4_setup):
+        # two coideals over the same slots: every product of the batch joins
+        # rows of one coideal, and each coideal's products are those of its
+        # batch of one, in the same order
+        K = z4_setup[0]
+        pair = [build_with_m(z4, spec_of(z4, K, [0], [0])), build_no_m(z4, spec_of(z4, K, [0]))]
+        F = coideals._Fibers(pair)
+        i, j, key, val = F.compose(F.terms, F.sorted_terms)
+        assert len(i) and (F.owner[i] == F.owner[j]).all() and (key // F.slots == F.owner[i]).all()
+        for c, wc in enumerate(pair):
+            one = wc.fibers
+            mine = F.owner[i] == c
+            got = (i[mine] - F.start[c], j[mine] - F.start[c], key[mine] - c * F.slots, val[mine])
+            want = one.compose(one.terms, one.sorted_terms)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            assert val[mine].tobytes() == want[3].tobytes()

@@ -532,13 +532,12 @@ def _coideal_invariants(factors, sign):
     alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
     built = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coideals, "verify_weak_coideal", lambda wc: built.append(wc) or verify_weak_coideal(wc))
-        for entry in weak_coideal_classes(alg.group, alg.bichar).per_subgroup:
-            for rep in entry.orbits:
-                realize_and_verify(alg, rep)
+        mp.setattr(coideals, "verify_weak_coideal", lambda batch: built.extend(batch) or verify_weak_coideal(batch))
+        report = weak_coideal_classes(alg.group, alg.bichar)
+        realize_and_verify(alg, [rep for entry in report.per_subgroup for rep in entry.orbits])
     return [
-        (verify_weak_coideal(wc).to_dict(), _bits(center(wc)), _bits(fixed_point_algebra(wc)),
-         is_indecomposable(wc))
+        (verify_weak_coideal([wc])[0].to_dict(), _bits(center(wc)), _bits(fixed_point_algebra(wc)),
+         is_indecomposable([wc])[0])
         for wc in built
     ]
 
