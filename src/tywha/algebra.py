@@ -579,21 +579,17 @@ class TYAlgebra:
 
     # -- Haar functional ---------------------------------------------------------
 
-    def haar(self) -> HaarFunctional:
-        """Solve the defining linear system of the normalized invariant
-        functional h in its coefficients h(u_i):
+    def _haar_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The defining linear system of the normalized invariant functional
+        h in its coefficients h(u_i), as entries (rows, cols, vals) over index
+        arrays of the eps_t, coproduct and antipode tables, and the right
+        sides of its leading rows:
 
         - h(eps_t(u_b)) = eps(u_b);
         - (id (x) h) Delta(1) = 1, one row per first-leg unit;
         - h(S(u_b)) = h(u_b);
         - (id (x) h) Delta(u_b) = (eps_t (x) h) Delta(u_b), one row per
-          (b, output unit).
-
-        The rows are index arrays over the eps_t, coproduct and antipode
-        tables, and each column component is solved by least squares, one
-        ``lstsq`` per block since numpy's takes no stacks.  h exists when
-        the residual over all rows is at most eps, and is unique when every
-        component has full column rank by ``linalg._rank``'s fixed cutoff."""
+          (b, output unit)."""
         dim, D, S = self.dim, self._coproduct_table, self._antipode_map
         src, key, val = self._eps_t_table
         one = self._layout.zero_units
@@ -608,23 +604,32 @@ class TYAlgebra:
         ])
         cols = np.concatenate([key, D.second[p], S.k, units, D.second, D.second[t]])
         vals = np.concatenate([val, np.ones(len(p)), S.c, -np.ones(dim), np.ones(len(D.src)), -val[q]])
-        coeffs, rank = np.zeros(dim, dtype=complex), 0
-        for ids, block_cols, blocks in components(rows, cols, vals, dim):
+        return rows, cols, vals, rhs
+
+    def haar(self) -> HaarFunctional:
+        """Solve :meth:`_haar_system` by least squares: each stack of column
+        components by one SVD, its blocks' pseudo-inverses dropping singular
+        values at most eps max(r, c) s_0, s_0 the largest, as ``lstsq`` does.
+        h exists when the residual over all rows is at most eps, and is unique
+        when every block has full column rank by ``linalg._rank``'s cutoff."""
+        rows, cols, vals, rhs = self._haar_system()
+        coeffs, rank = np.zeros(self.dim, dtype=complex), 0
+        for ids, block_cols, blocks in components(rows, cols, vals, self.dim):
             # ids ascend: the rows with a right side lead, and the rest are zero
             heads, has = np.zeros(ids.shape, dtype=complex), ids < len(rhs)
             heads[has] = rhs[ids[has]]
-            for block, head, at in zip(blocks, heads, block_cols):
-                x, _, _, s = np.linalg.lstsq(block, head, rcond=None)
-                coeffs[at] = x
-                rank += int(_rank(s))
+            u, s, vh = np.linalg.svd(blocks, full_matrices=False)
+            kept = s > np.finfo(float).eps * max(blocks.shape[1:]) * s[:, :1]
+            x = np.divide(np.einsum("kij,ki->kj", u.conj(), heads), s,
+                          out=np.zeros(s.shape, dtype=complex), where=kept)
+            coeffs[block_cols] = np.einsum("kji,kj->ki", vh.conj(), x)
+            rank += int(_rank(s).sum())
         # over all rows, a row with a right side and no entries included
         residual = _worst((rows, vals * coeffs[cols]), (np.arange(len(rhs)), rhs))[0]
         if residual > self.eps:
             raise StructuralError(f"invariant functional system is inconsistent ({residual:.3e})")
-        if rank < dim:
-            raise StructuralError(
-                f"invariant functional is not unique (rank {rank} < {dim})"
-            )
+        if rank < self.dim:
+            raise StructuralError(f"invariant functional is not unique (rank {rank} < {self.dim})")
         return HaarFunctional(coeffs, residual)
 
     def _haar_positive(self, h: np.ndarray) -> float:

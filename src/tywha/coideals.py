@@ -298,6 +298,7 @@ class _Fibers:
         self.counts = np.array([len(wc.fiber_block) for wc in batch], dtype=np.int64)
         self.k, self.size, self.slots = len(batch), int(self.counts.sum()), int(lay.sizes.sum())
         self.keys, self.owner = self.k * self.slots, np.repeat(np.arange(self.k), self.counts)
+        self.index = {id(wc): c for c, wc in enumerate(batch)}  # each coideal's number in the batch
         self.start = np.cumsum(self.counts) - self.counts  # each coideal's first row
         self.local_row = (np.arange(self.size) - self.start[self.owner]).tolist()  # row numbers within each coideal
         b, pivot, fiber = (np.concatenate([getattr(wc, f) for wc in batch])
@@ -430,7 +431,7 @@ def _unit_coproduct(F: _Fibers) -> list[tuple[float, str]]:
             for r, gamma, in_a in zip(F.counts.tolist(), F.gamma.tolist(), F.unit_in_a.tolist())]
 
 
-def verify_weak_coideal(batch: Sequence[WeakCoideal]) -> list[AxiomReport]:
+def verify_weak_coideal(batch: Sequence[WeakCoideal], fibers: _Fibers | None = None) -> list[AxiomReport]:
     """Check, by subspace membership, every defining property of a weak
     coideal, for each coideal of a nonempty batch over one algebra: product
     and star closure, the coproduct landing in A (x) B, the unit acting as
@@ -441,8 +442,9 @@ def verify_weak_coideal(batch: Sequence[WeakCoideal]) -> list[AxiomReport]:
     its docstring proves, and gives each coideal its residual and witness;
     :meth:`AxiomReport.run` makes one report per coideal from them.  An
     instance is a fiber row or a pair of them, and a residual is taken in
-    sum_z H^z.  Closure margins already hold eps, so pass at bound 0."""
-    F = batch[0].fibers if len(batch) == 1 else _Fibers(batch)  # a coideal alone keeps its fibers
+    sum_z H^z.  Closure margins already hold eps, so pass at bound 0.
+    ``fibers`` are the batch's, built when not given."""
+    F = fibers or (batch[0].fibers if len(batch) == 1 else _Fibers(batch))  # a coideal alone keeps its fibers
     alg, eps = F.algebra, F.eps
     rows = [  # (name, p, evaluator, bound): a coideal of r fiber rows has r**p instances
         ("unit exists in A", 0, _unit_exists, eps),
@@ -494,9 +496,11 @@ def center(wc: WeakCoideal) -> Subspace:
     return wc.algebra.center_of(*_coords(wc))
 
 
-def is_indecomposable(batch: Sequence[WeakCoideal]) -> list[bool]:
+def is_indecomposable(batch: Sequence[WeakCoideal], fibers: _Fibers | None = None) -> list[bool]:
     """For each coideal of a batch over one algebra, whether its central
-    invariant subalgebra Z(A) & A^inv is one-dimensional.
+    invariant subalgebra Z(A) & A^inv is one-dimensional.  ``fibers`` are
+    those of a batch that holds these coideals, the batch's own when not
+    given; only these coideals' systems are solved.
 
     A^inv = {mu (x) conj(v^0_Omega) : mu in X^0}.  Write a in A by its
     columns, a = sum_xc xi_xc (x) conj e_c with xi_xc in X^x.  Then Delta(a)
@@ -514,7 +518,9 @@ def is_indecomposable(batch: Sequence[WeakCoideal]) -> list[bool]:
     output slot) of mu . xi - xi . mu.  Two joins over the batch's fiber
     rows form every coideal's system, and one ``nullspace`` per shape
     solves the stack of the systems of that shape."""
-    F = batch[0].fibers if len(batch) == 1 else _Fibers(batch)
+    F = fibers or (batch[0].fibers if len(batch) == 1 else _Fibers(batch))
+    own, mine = [F.index[id(wc)] for wc in batch], np.zeros(F.k, dtype=bool)
+    mine[own] = True
     row, key, val = F.sorted_terms
     at = F.zero_rows[row]
     mu = (np.cumsum(F.zero_rows)[row[at]] - 1, key[at], val[at])  # coordinates along the batch's X^0 rows
@@ -523,14 +529,14 @@ def is_indecomposable(batch: Sequence[WeakCoideal]) -> list[bool]:
     of_eq, n = F.owner[keys // F.keys], np.bincount(F.owner[F.zero_rows], minlength=F.k)
     m, c = np.bincount(of_eq, minlength=F.k), of_eq[eq]  # each system's m x n shape; each entry's coideal
     entry = (eq - (np.cumsum(m) - m)[c], np.append(i, i2) - (np.cumsum(n) - n)[c], np.append(v, -v2))  # in its system
-    shape, out = np.where(n > 0, np.maximum(m, 1) * (n.max(initial=0) + 1) + n, -1), np.zeros(F.k, dtype=bool)
-    for code in np.unique(shape[n > 0]).tolist():
+    shape, out = np.where(mine & (n > 0), np.maximum(m, 1) * (n.max(initial=0) + 1) + n, -1), np.zeros(F.k, dtype=bool)
+    for code in np.unique(shape[shape >= 0]).tolist():
         members, place = np.flatnonzero(shape == code), np.full(F.k, -1)
         place[members], hit = np.arange(len(members)), shape[c] == code
         system = np.zeros((len(members), max(m[members[0]], 1), n[members[0]]), dtype=complex)
         np.add.at(system, (place[c[hit]], entry[0][hit], entry[1][hit]), entry[2][hit])
         out[members] = np.bincount(nullspace(system)[1], minlength=len(members)) == 1
-    return out.tolist()
+    return out[own].tolist()
 
 
 # -- spectral dimensions ---------------------------------------------------------
@@ -562,9 +568,10 @@ def assess(batch: Sequence[WeakCoideal]) -> list[tuple[AxiomReport, bool, bool, 
     """For each coideal of a batch over one algebra, its verification
     report, whether it is a coideal, whether it is indecomposable (decided
     only if every check passes, else False), and whether its fiber
-    dimensions match the prediction."""
-    reports = verify_weak_coideal(batch)
+    dimensions match the prediction, from one build of the batch's fibers."""
+    F = batch[0].fibers if len(batch) == 1 else _Fibers(batch)
+    reports = verify_weak_coideal(batch, F)
     passed = [wc for wc, report in zip(batch, reports) if report.passed]
-    indecomposable = iter(is_indecomposable(passed) if passed else [])
+    indecomposable = iter(is_indecomposable(passed, F) if passed else [])
     return [(report, is_coideal(wc), report.passed and next(indecomposable), dims_match(wc))
             for wc, report in zip(batch, reports)]

@@ -117,13 +117,39 @@ def _join(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
+def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start of each run of equal entries of a sorted array, and the run
+    of each entry."""
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    count = np.empty_like(start)
+    count[:-1] = start[1:] - start[:-1]
+    count[-1:] = len(values) - start[-1:]
+    return start, np.arange(len(start)).repeat(count)
+
+
+def _stable_argsort(owner: np.ndarray) -> np.ndarray:
+    """``np.argsort(owner, kind="stable")`` for owners at least 0, by one
+    sort of the distinct keys owner * len + index."""
+    m = len(owner)
+    return np.sort(owner * m + np.arange(m)) % m
+
+
 def _sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sum of ``vals`` on each key, added in input order, as (sorted keys,
-    sums)."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    vals = np.asarray(vals, dtype=complex)
-    total = np.bincount(inv, vals.real, len(uniq)) + 1j * np.bincount(inv, vals.imag, len(uniq))
-    return uniq, total
+    sums).
+
+    One stable sort puts each key's values in one run, in input order, and
+    ``bincount`` over the run ids adds them one at a time, in array order,
+    into a sum that starts at 0.0.  So each sum adds its key's values in
+    input order from 0.0, exactly as ``bincount`` over the keys' ranks
+    would: bit for bit, -0.0, inf and NaN included."""
+    order, vals = np.argsort(keys, kind="stable"), np.asarray(vals, dtype=complex)
+    keys = keys[order]
+    start, run = _groups(keys)
+    k = len(start)
+    return keys[start], np.bincount(run, vals.real[order], k) + 1j * np.bincount(run, vals.imag[order], k)
 
 
 def _kept(vals: np.ndarray) -> np.ndarray:
@@ -213,35 +239,23 @@ def nullspace(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[null].conj(), np.nonzero(null)[0]
 
 
-def _places(owner: np.ndarray, k: int):
-    """Items grouped by owner 0..k-1, ascending within each group (owner -1
-    is left out): the grouped items, each item's place in its group, and
-    each group's start in the grouping and size."""
-    order = np.argsort(owner, kind="stable")
-    order = order[owner[order] >= 0]
-    size = np.bincount(owner[order], minlength=k)
-    start = np.cumsum(size) - size
-    place = np.zeros(len(owner), dtype=int)
-    place[order] = np.arange(len(order)) - start[owner[order]]
-    return order, place, start, size
-
-
 def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     """The sparse system with entries ``vals`` at (``rows``, ``cols``) over
     n columns, split into its column components: two columns lie in one
     component when a chain of shared rows links them.
 
-    Duplicate entries are summed and pruned by :func:`_pruned`.  The
-    components are stacked by shape: yields
+    Duplicate entries are summed and pruned by :func:`_pruned`, keyed by
+    rows * n + cols.  The components are stacked by shape: yields
     ``(row ids (k, r), column ids (k, c), blocks (k, r, c))`` once per
-    distinct shape (r, c), the k components of a stack in order of lowest
-    column, ids ascending.  A column in no row is a component of shape
-    (0, 1)."""
+    distinct shape (r, c), in order of r, then c, the k components of a
+    stack in order of lowest column, ids ascending.  A column in no row is
+    a component of shape (0, 1).  The blocks are views of one buffer."""
     if not n:
         return
-    row_ids, r = np.unique(rows, return_inverse=True)
-    keys, vals = _pruned(r * n + cols, vals)
-    r, c = np.divmod(keys, n)
+    keys, vals = _pruned(rows * n + cols, vals)
+    row_ids, c = np.divmod(keys, n)
+    first, r = _groups(row_ids)  # the entries come by row, then column
+    row_ids = row_ids[first]
     # label propagation: each row takes the lowest label of its columns, each
     # column the lowest of its rows, then labels pointer-jump to their roots
     label, old = np.arange(n), None
@@ -252,25 +266,28 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
         np.minimum.at(label, c, low[r])
         while not np.array_equal(label[label], label):
             label = label[label]
-    # number the components by lowest column (the root), give each column and
-    # each row with an entry its component and its place there, and group
-    # the components, then the entries, by shape
-    roots = np.flatnonzero(label == np.arange(n))
-    comp = np.searchsorted(roots, label)
-    row_comp = np.full(len(row_ids), -1)
-    row_comp[r] = comp[c]
-    by_col, col_at, col_start, width = _places(comp, len(roots))
-    by_row, row_at, row_start, height = _places(row_comp, len(roots))
-    shapes, shape = np.unique(height * (n + 1) + width, return_inverse=True)
-    by_shape, slot, shape_start, count = _places(shape, len(shapes))
-    by_entry, _, entry_start, entries = _places(shape[comp[c]], len(shapes))
-    for start, k, at, m in zip(shape_start, count, entry_start, entries):
-        members, part = by_shape[start:start + k], by_entry[at:at + m]
-        h, w = height[members[0]], width[members[0]]
-        blocks = np.zeros((k, h, w), dtype=complex)
-        blocks[slot[comp[c[part]]], row_at[r[part]], col_at[c[part]]] = vals[part]
-        yield (row_ids[by_row[row_start[members, None] + np.arange(h)]],
-               by_col[col_start[members, None] + np.arange(w)], blocks)
+    # number the components by lowest column (the root), rank them by shape,
+    # then number, and lay the blocks out in rank order: a stack is a run
+    comp = (np.cumsum(label == np.arange(n)) - 1)[label]
+    row_comp = comp[c[first]]
+    width = np.bincount(comp)
+    shape = np.bincount(row_comp, minlength=len(width)) * (n + 1) + width
+    rank, shape = np.argsort(np.argsort(shape, kind="stable")), np.sort(shape)
+    h, w = np.divmod(shape, n + 1)
+    col_order, row_order = _stable_argsort(rank[comp]), _stable_argsort(rank[row_comp])
+    col_end, row_end, size = np.cumsum(w), np.cumsum(h), h * w
+    col_at, row_at = np.empty(n, dtype=int), np.empty(len(row_ids), dtype=int)
+    col_at[col_order] = np.arange(n) - np.repeat(col_end - w, w)
+    row_at[row_order] = np.arange(len(row_ids)) - np.repeat(row_end - h, h)
+    at, of = np.cumsum(size) - size, rank[row_comp[r]]
+    buffer = np.zeros(int(size.sum()), dtype=complex)
+    buffer[at[of] + row_at[r] * w[of] + col_at[c]] = vals
+    lo, _ = _groups(shape)
+    for a, b in zip(lo.tolist(), np.append(lo[1:], len(w)).tolist()):
+        k, rs, cs = b - a, h[a], w[a]
+        yield (row_ids[row_order[row_end[a] - rs:row_end[b - 1]]].reshape(k, rs),
+               col_order[col_end[a] - cs:col_end[b - 1]].reshape(k, cs),
+               buffer[at[a]:at[a] + k * size[a]].reshape(k, rs, cs))
 
 
 def sparse_nullspace(rows, cols, vals, n: int) -> np.ndarray:

@@ -13,7 +13,10 @@ they ran on A itself, before they moved to the fiber rows, and the element
 arithmetic of groups and their trivial and full subgroups are kept here for
 the tests that compare against them.  ``table_rows`` expands an export's
 tables into the rows they stand for, as the json module's ``default`` hook,
-and ``failures`` lists a report's failed checks.
+and ``failures`` lists a report's failed checks.  A keyed sum by
+``np.unique``'s inverse, a component split by one grouping sort per index
+and a Haar solve by one ``lstsq`` per block are kept as references for
+``linalg._sums``, ``linalg.components`` and ``TYAlgebra.haar``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from tywha.coideals import CoidealSpec, _coords, _exact, _verdicts
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
 from tywha.linalg import (
-    DEFAULT_TOL, SparseVec, Subspace, _diff, _join, _pruned, _pruned_rows, _runs, _sq, _sums, _worst,
-    nullspace, sparse_nullspace, span,
+    DEFAULT_TOL, SparseVec, Subspace, _diff, _join, _kept, _pruned, _pruned_rows, _rank, _runs, _sq, _sums, _worst,
+    components, nullspace, sparse_nullspace, span,
 )
 
 SLOT_GRP = 0
@@ -745,3 +748,79 @@ def failures(report) -> list:
 def table_rows(table) -> list[list]:
     """The rows a :class:`tywha.algebra.Table` stands for in a report."""
     return [list(row) for row in zip(*(column.tolist() for column in table.columns))]
+
+
+# -- references for the keyed sum, the component split and the Haar solve ----------
+
+
+def unique_sums(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg._sums`` by ``np.unique``'s inverse: the sum of ``vals`` on
+    each key, added in input order, as (sorted keys, sums)."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    vals = np.asarray(vals, dtype=complex)
+    return uniq, np.bincount(inv, vals.real, len(uniq)) + 1j * np.bincount(inv, vals.imag, len(uniq))
+
+
+def _places(owner: np.ndarray, k: int):
+    """Items grouped by owner 0..k-1, ascending within each group (owner -1
+    is left out): the grouped items, each item's place in its group, and
+    each group's start in the grouping and size."""
+    order = np.argsort(owner, kind="stable")
+    order = order[owner[order] >= 0]
+    size = np.bincount(owner[order], minlength=k)
+    start = np.cumsum(size) - size
+    place = np.zeros(len(owner), dtype=int)
+    place[order] = np.arange(len(order)) - start[owner[order]]
+    return order, place, start, size
+
+
+def places_components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """``linalg.components`` by ``np.unique`` over the rows and over the
+    shapes, the keyed sum by :func:`unique_sums`, and one stable grouping
+    sort each for columns, rows, components and entries."""
+    if not n:
+        return
+    row_ids, r = np.unique(rows, return_inverse=True)
+    keys, vals = unique_sums(r * n + cols, vals)
+    keep = _kept(vals)
+    keys, vals = keys[keep], vals[keep]
+    r, c = np.divmod(keys, n)
+    label, old = np.arange(n), None
+    while not np.array_equal(label, old):
+        old, low = label, np.full(len(row_ids), n)
+        np.minimum.at(low, r, label[c])
+        label = label.copy()
+        np.minimum.at(label, c, low[r])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    roots = np.flatnonzero(label == np.arange(n))
+    comp = np.searchsorted(roots, label)
+    row_comp = np.full(len(row_ids), -1)
+    row_comp[r] = comp[c]
+    by_col, col_at, col_start, width = _places(comp, len(roots))
+    by_row, row_at, row_start, height = _places(row_comp, len(roots))
+    shapes, shape = np.unique(height * (n + 1) + width, return_inverse=True)
+    by_shape, slot, shape_start, count = _places(shape, len(shapes))
+    by_entry, _, entry_start, entries = _places(shape[comp[c]], len(shapes))
+    for start, k, at, m in zip(shape_start, count, entry_start, entries):
+        members, part = by_shape[start:start + k], by_entry[at:at + m]
+        h, w = height[members[0]], width[members[0]]
+        blocks = np.zeros((k, h, w), dtype=complex)
+        blocks[slot[comp[c[part]]], row_at[r[part]], col_at[c[part]]] = vals[part]
+        yield (row_ids[by_row[row_start[members, None] + np.arange(h)]],
+               by_col[col_start[members, None] + np.arange(w)], blocks)
+
+
+def lstsq_haar(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, n: int) -> tuple:
+    """The Haar system (``TYAlgebra._haar_system``) over n columns solved by
+    one ``lstsq`` per component block: the coefficients and the rank, each
+    block's by ``linalg._rank``, summed."""
+    coeffs, rank = np.zeros(n, dtype=complex), 0
+    for ids, block_cols, blocks in components(rows, cols, vals, n):
+        heads, has = np.zeros(ids.shape, dtype=complex), ids < len(rhs)
+        heads[has] = rhs[ids[has]]
+        for block, head, at in zip(blocks, heads, block_cols):
+            x, _, _, s = np.linalg.lstsq(block, head, rcond=None)
+            coeffs[at] = x
+            rank += int(_rank(s))
+    return coeffs, rank

@@ -533,13 +533,13 @@ class TestRealization:
         alg = TYAlgebra(FiniteAbelianGroup(factors))
         got = []
 
-        def record(batch):
+        def record(batch, fibers=None):
             for wc in batch:
                 spec = wc.spec.describe()
                 data = (f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}"
                         for k in ("K", "Z0", "Z1"))
                 got.append(" ".join([wc.label, *data]))
-            return verify_weak_coideal(batch)
+            return verify_weak_coideal(batch, fibers)
 
         monkeypatch.setattr(coideals, "verify_weak_coideal", record)
         report = weak_coideal_classes(alg.group, alg.bichar)
@@ -551,9 +551,9 @@ class TestRealization:
         alg = TYAlgebra(grp)
         built = []
 
-        def record(batch):
+        def record(batch, fibers=None):
             built.extend(batch)
-            return verify_weak_coideal(batch)
+            return verify_weak_coideal(batch, fibers)
 
         monkeypatch.setattr(coideals, "verify_weak_coideal", record)
         orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]

@@ -611,12 +611,12 @@ class TestClassifyCommands:
         is_coideal = coideals.is_coideal
         name, fake, message = {
             "verification": ("verify_weak_coideal",
-                             lambda batch: [AxiomReport("injected", 1e-9, [AxiomCheck("injected", 1.0, False)])
-                                            for _ in batch],
+                             lambda batch, fibers=None: [
+                                 AxiomReport("injected", 1e-9, [AxiomCheck("injected", 1.0, False)]) for _ in batch],
                              "realized representative fails verification: {rep}"),
             "flag": ("is_coideal", lambda wc: not is_coideal(wc),
                      "coideal flag mismatch for {rep}: built {flag}"),
-            "indecomposable": ("is_indecomposable", lambda batch: [False] * len(batch),
+            "indecomposable": ("is_indecomposable", lambda batch, fibers=None: [False] * len(batch),
                                "realized representative is decomposable: {rep}"),
             "dims": ("dims_match", lambda wc: False, "fiber dimensions disagree for {rep}"),
         }[kind]
@@ -808,7 +808,8 @@ class TestReportPins:
     @pytest.mark.parametrize("tau", ["+", "-"])
     def test_coideal_report_on_a_pinned(self, build, tau, tmp_path, monkeypatch):
         # the rows as they ran on A, under the schema they had, keep their pins
-        monkeypatch.setattr(coideals, "verify_weak_coideal", lambda batch: [a_level_report(wc) for wc in batch])
+        monkeypatch.setattr(coideals, "verify_weak_coideal",
+                            lambda batch, fibers=None: [a_level_report(wc) for wc in batch])
         group, K, spec = PINNED_BUILDS[build]
         argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
         payload = {**self.report(argv, tmp_path), "schema": "tywha-coideal/2"}

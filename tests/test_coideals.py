@@ -758,7 +758,7 @@ class TestAssess:
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
 
-        def refuse(batch):
+        def refuse(batch, fibers=None):
             raise AssertionError("is_indecomposable called")
 
         monkeypatch.setattr(coideals, "is_indecomposable", refuse)
@@ -766,6 +766,39 @@ class TestAssess:
         assert [c.name for c in failures(report)] == ["closed under product"]
         assert indec is False
         assert (flag, dims_ok) == (is_coideal(broken), False)
+
+    def test_one_fiber_build_per_batch(self, z4, z4_setup, monkeypatch):
+        # a batch's fibers are built once, for the checks and for
+        # indecomposability, which still decides only the members that pass
+        K, _q, _lam, _mu = z4_setup
+        wc = build_no_m(z4, spec_of(z4, K, [0]))
+        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
+        x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
+        broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
+        good = realized_coideals((4,), 1)[:6]
+        batch = [good[0], broken, *good[1:]]
+        passed = [c for c in batch if c is not broken]
+        want = (verify_weak_coideal(batch), is_indecomposable(passed))
+        builds, decided = [], []
+        fibers, decide = coideals._Fibers, coideals.is_indecomposable
+
+        class Counted(fibers):
+            def __init__(self, members):
+                builds.append(len(members))
+                super().__init__(members)
+
+        def recorded(members, F=None):
+            decided.append(list(members))
+            return decide(members, F)
+
+        monkeypatch.setattr(coideals, "_Fibers", Counted)
+        monkeypatch.setattr(coideals, "is_indecomposable", recorded)
+        out = assess(batch)
+        assert builds == [len(batch)] and decided == [passed]
+        assert [r.to_dict() for r, *_ in out] == [r.to_dict() for r in want[0]]
+        assert [r.passed for r, *_ in out] == [c is not broken for c in batch]
+        flags = iter(want[1])
+        assert [indec for _, _, indec, _ in out] == [c is not broken and next(flags) for c in batch]
 
 
 # -- array checks against the scalar paths -----------------------------------------
@@ -907,9 +940,9 @@ def realized_coideals(factors, sign):
     alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
     built = []
 
-    def record(batch):
+    def record(batch, fibers=None):
         built.extend(batch)
-        return verify_weak_coideal(batch)
+        return verify_weak_coideal(batch, fibers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coideals, "verify_weak_coideal", record)

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from tywha.classify import realize_and_verify, weak_coideal_classes
 from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verify_weak_coideal
 from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup
-from reference import add_scaled, antipode, counit, distance, eps_t, one, subspace
+from reference import (
+    add_scaled, antipode, counit, distance, eps_t, lstsq_haar, one, places_components, subspace, unique_sums,
+)
 from tywha.linalg import (
     ROUNDOFF,
     SparseVec,
@@ -455,22 +460,124 @@ class TestComponents:
         assert sparse_nullspace(empty, empty, empty.astype(complex), 0).shape == (0, 0)
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit: dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_stacks(got, want) -> bool:
+    """The same stacks in the same order, ids and blocks bit for bit."""
+    got, want = list(got), list(want)
+    return len(got) == len(want) and all(_same(x, y) for g, w in zip(got, want) for x, y in zip(g, w))
+
+
+@pytest.fixture
+def compare_on_verify(monkeypatch):
+    """Run ``verify_axioms`` with ``linalg._sums`` and ``components`` each
+    checked, call by call, against its reference; the calls and mismatches
+    seen, by name."""
+    seen = {"sums": [0, 0], "components": [0, 0]}
+    sums, split = linalg._sums, linalg.components
+
+    def checked_sums(keys, vals):
+        got, want = sums(keys, vals), unique_sums(keys, vals)
+        seen["sums"][0] += 1
+        seen["sums"][1] += not all(_same(x, y) for x, y in zip(got, want))
+        return got
+
+    def checked_components(rows, cols, vals, n):
+        got = list(split(rows, cols, vals, n))
+        seen["components"][0] += 1
+        seen["components"][1] += not _same_stacks(got, places_components(rows, cols, vals, n))
+        return iter(got)
+
+    for module in (linalg, algebra):
+        monkeypatch.setattr(module, "_sums", checked_sums)
+        monkeypatch.setattr(module, "components", checked_components)
+
+    def run(factors, sign):
+        report = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign).verify_axioms()
+        assert report.passed
+        return seen
+
+    return run
+
+
+class TestOneSortForms:
+    """``_sums`` and ``components`` against their ``np.unique`` and grouping
+    references, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 5000])
+    def test_sums_random_keys(self, size):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            keys = rng.integers(0, max(size // 3, 1), size)
+            vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            got, want = linalg._sums(keys, vals), unique_sums(keys, vals)
+            assert all(_same(x, y) for x, y in zip(got, want))
+            assert len(got[0]) < size or size == 1  # some keys repeat
+
+    def test_sums_empty(self):
+        keys, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+        got, want = linalg._sums(keys, vals), unique_sums(keys, vals)
+        assert all(_same(x, y) for x, y in zip(got, want)) and got[1].shape == (0,)
+
+    def test_sums_signed_zero_inf_nan(self):
+        inf, nan = np.inf, np.nan
+        parts = [-0.0, 0.0, inf, -inf, nan, 1e-300, -1e308, 1e308]
+        vals = np.array([complex(a, b) for a in parts for b in parts])
+        keys = np.random.default_rng(5).integers(0, 9, len(vals))
+        for k, v in ((keys, vals), (keys[::-1], vals), (np.zeros_like(keys), vals), (keys[:1], vals[:1])):
+            with np.errstate(all="ignore"):  # inf - inf, 1j * inf and overflow warn
+                got, want = linalg._sums(k, v), unique_sums(k, v)
+            assert all(_same(x, y) for x, y in zip(got, want))
+        # a key holding only -0.0 sums to +0.0, as bincount starts from 0.0
+        _, total = linalg._sums(np.array([3, 3]), np.array([complex(-0.0, -0.0)] * 2))
+        assert np.signbit(total.real).tolist() == [False] and np.signbit(total.imag).tolist() == [False]
+
+    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (5,), (6,)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_verify_systems(self, factors, sign, compare_on_verify):
+        seen = compare_on_verify(factors, sign)
+        # haar, haar positivity, center and biconnectedness split their systems
+        assert seen["components"] == [4, 0]
+        assert seen["sums"][0] > 30 and seen["sums"][1] == 0
+
+    def test_components_block_system(self):
+        for seed in range(5):
+            rows, cols, vals, dense = _block_system(np.random.default_rng(seed))
+            n = dense.shape[1]
+            assert _same_stacks(components(rows, cols, vals, n), places_components(rows, cols, vals, n))
+
+    def test_components_empty(self):
+        empty = np.array([], dtype=np.int64)
+        for n in (0, 1, 3):
+            got = components(empty, empty, empty.astype(complex), n)
+            assert _same_stacks(got, places_components(empty, empty, empty.astype(complex), n))
+
+
 def _dense_haar(alg):
     """The invariant functional by one dense least-squares solve of its
-    defining system, built from the scalar structure maps."""
+    defining system, built from the scalar structure maps.  A consistent
+    system of full column rank has the same solution on its distinct rows,
+    so each (row, right side) is kept once."""
     dim = alg.dim
-    rows, rhs = [], []
+    system: dict = {}
+
+    def add(row, rhs):
+        system.setdefault(row.tobytes() + np.complex128(rhs).tobytes(), (row, rhs))
+
     basis = SparseVec.basis
     for b in range(dim):
         # (id (x) h) Delta(u_b) = (eps_t (x) h) Delta(u_b), one row per output unit
-        eqs = np.zeros((dim, dim), dtype=complex)
+        eqs: dict = {}
         for (i, j), c in alg.coproduct(basis(b)).items():
-            eqs[i, j] += c
+            eqs.setdefault(i, np.zeros(dim, dtype=complex))[j] += c
             for k, e in eps_t(alg, basis(i)).items():
-                eqs[k, j] -= c * e
-        live = eqs[eqs.any(axis=1)]
-        rows.extend(live)
-        rhs.extend([0.0] * len(live))
+                eqs.setdefault(k, np.zeros(dim, dtype=complex))[j] -= c * e
+        for row in eqs.values():
+            if row.any():
+                add(row, 0.0)
         # h(S(u_b)) = h(u_b) and h(eps_t(u_b)) = eps(u_b)
         inv, norm = np.zeros(dim, dtype=complex), np.zeros(dim, dtype=complex)
         for k, c in antipode(alg, basis(b)).items():
@@ -478,30 +585,68 @@ def _dense_haar(alg):
         inv[b] -= 1.0
         for k, c in eps_t(alg, basis(b)).items():
             norm[k] += c
-        rows += [inv, norm]
-        rhs += [0.0, counit(alg, basis(b))]
+        add(inv, 0.0)
+        add(norm, counit(alg, basis(b)))
     # (id (x) h) Delta(1) = 1
     eqs = np.zeros((dim, dim), dtype=complex)
     unit = one(alg)
     for (i, j), c in alg.coproduct(unit).items():
         eqs[i, j] += c
-    rows.extend(eqs)
-    rhs.extend(unit[i] for i in range(dim))
-    mat, vec = np.array(rows), np.array(rhs, dtype=complex)
+    for i in range(dim):
+        add(eqs[i], unit[i])
+    mat = np.array([row for row, _ in system.values()])
+    vec = np.array([rhs for _, rhs in system.values()], dtype=complex)
     coeffs, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
     assert rank == dim
     assert np.abs(mat @ coeffs - vec).max() < 1e-12
     return coeffs
 
 
+def _haar_rank(alg) -> int:
+    """The rank the Haar solve finds: dim, or the rank it reports when the
+    solution is not unique."""
+    try:
+        alg.haar()
+    except StructuralError as err:
+        return int(re.fullmatch(r"invariant functional is not unique \(rank (\d+) < \d+\)", str(err))[1])
+    return alg.dim
+
+
 class TestHaarSolve:
-    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2), (4,), (5,), (6,), (8,), (2, 4)])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_matches_dense_solve(self, factors, sign):
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         h = alg.haar()
         assert np.abs(h.coeffs - _dense_haar(alg)).max() < 1e-12
         assert h.residual < 1e-12
+
+    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2), (5,)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rank_matches_lstsq_reference(self, factors, sign, monkeypatch):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        rows, cols, vals, rhs = alg._haar_system()
+        coeffs, rank = lstsq_haar(rows, cols, vals, rhs, alg.dim)
+        assert rank == _haar_rank(alg) == alg.dim
+        assert np.abs(alg.haar().coeffs - coeffs).max() < 1e-12
+        # without a random part of the rows the system stays consistent (a
+        # dropped leading row takes its right side along), and its rank falls
+        ranks = set()
+        for seed, share in itertools.product(range(3), (0.3, 0.6, 0.9)):
+            keep = np.random.default_rng(seed).random(rows.max() + 1) < share
+            part = keep[rows]
+            short = np.where(keep[:len(rhs)], rhs, 0.0)
+            system = (rows[part], cols[part], vals[part], short)
+            monkeypatch.setattr(alg, "_haar_system", lambda system=system: system)
+            want = lstsq_haar(*system, alg.dim)[1]
+            assert _haar_rank(alg) == want
+            ranks.add(want)
+        assert min(ranks) < alg.dim
+        # an m-block column, where h vanishes, scaled to 1e-11: a singular
+        # value below the rank cutoff but above lstsq's own
+        scaled = (rows, cols, np.where(cols == alg.dim - 1, vals * 1e-11, vals), rhs)
+        monkeypatch.setattr(alg, "_haar_system", lambda: scaled)
+        assert _haar_rank(alg) == lstsq_haar(*scaled, alg.dim)[1] == alg.dim - 1
 
     def test_zeroed_column_not_unique(self, monkeypatch):
         alg = TYAlgebra(FiniteAbelianGroup((2,)))
@@ -532,7 +677,8 @@ def _coideal_invariants(factors, sign):
     alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
     built = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coideals, "verify_weak_coideal", lambda batch: built.extend(batch) or verify_weak_coideal(batch))
+        mp.setattr(coideals, "verify_weak_coideal",
+                   lambda batch, fibers=None: built.extend(batch) or verify_weak_coideal(batch, fibers))
         report = weak_coideal_classes(alg.group, alg.bichar)
         realize_and_verify(alg, [rep for entry in report.per_subgroup for rep in entry.orbits])
     return [
