@@ -294,10 +294,6 @@ def cmd_coideal_build(args) -> int:
         if z0 or z1:
             raise InvariantError(f"builder {args.builder} takes no --Z0/--Z1")
         z0 = [0]  # the lines of K carry the data (K, {K}, {})
-    elif args.builder == "no_m" and bool(z0) == bool(z1):
-        raise InvariantError("builder no_m takes exactly one of --Z0/--Z1" if z0 else "Z must be nonempty")
-    elif args.builder == "with_m" and len(z1) != 1:
-        raise InvariantError("builder with_m needs --Z1 with exactly one representative")
     wc = builders.get(args.builder, build_from_spec)(alg, CoidealSpec(q0, q1, z0, z1))
 
     ((report, flag, indec, dims_ok),) = assess([wc])

@@ -9,7 +9,6 @@ verifier re-checks every defining property by plain linear algebra.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .algebra import AxiomReport, TYAlgebra
 from .errors import InvariantError
 from .groups import QuotientGroup, Subgroup
-from .linalg import Subspace, _diff, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, nullspace, span
+from .linalg import Subspace, _diff, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, components, nullspace, span
 
 
 def _coset_numbers(name: str, z, quot: QuotientGroup) -> tuple[int, ...]:
@@ -73,8 +72,7 @@ class WeakCoideal:
     fiber of block ``fiber_block[r]`` and is 1 at slot ``fiber_pivot[r]``
     and 0 at its block's other pivots.  ``unit`` is 1_A = v^0_Gamma (x)
     conj(v^0_Omega) as one row over the zero block's slots, 1 on Gamma, the
-    slots where the zero block's rows have support.  The fiber terms that
-    the checks read are built on first use."""
+    slots where the zero block's rows have support."""
 
     def __init__(self, algebra: TYAlgebra, fiber_block: np.ndarray, fiber_pivot: np.ndarray,
                  fiber_rows: np.ndarray, label: str, spec: CoidealSpec | None = None):
@@ -82,10 +80,6 @@ class WeakCoideal:
         self.fiber_block, self.fiber_pivot, self.fiber_rows = fiber_block, fiber_pivot, fiber_rows
         lay = algebra._layout
         self.unit = _kept(fiber_rows[fiber_block == lay.zero, : lay.sizes[lay.zero]]).any(axis=0).astype(complex)
-
-    @cached_property
-    def fibers(self) -> "_Fibers":
-        return _Fibers([self])
 
     @property
     def dim(self) -> int:
@@ -444,7 +438,7 @@ def verify_weak_coideal(batch: Sequence[WeakCoideal], fibers: _Fibers | None = N
     instance is a fiber row or a pair of them, and a residual is taken in
     sum_z H^z.  Closure margins already hold eps, so pass at bound 0.
     ``fibers`` are the batch's, built when not given."""
-    F = fibers or (batch[0].fibers if len(batch) == 1 else _Fibers(batch))  # a coideal alone keeps its fibers
+    F = fibers or _Fibers(batch)
     alg, eps = F.algebra, F.eps
     rows = [  # (name, p, evaluator, bound): a coideal of r fiber rows has r**p instances
         ("unit exists in A", 0, _unit_exists, eps),
@@ -470,7 +464,7 @@ def _coords(wc: WeakCoideal) -> tuple:
     """A's basis for ``center``: the terms (row, unit, val) of the rows
     F_x[i] (x) e_c, F_x pruned at ROUNDOFF, numbered by block, fiber row and
     column slot c and sorted by row, then unit; and dim A."""
-    lay, b, F = wc.algebra._layout, wc.fiber_block, wc.fibers
+    lay, b, F = wc.algebra._layout, wc.fiber_block, _Fibers([wc])
     n = lay.sizes[b]  # the slots of each fiber row's block; its rows of A begin at start
     start = np.cumsum(n) - n
     (r, _, val), s = F.terms, F.local  # each term gives A's rows (r, c) their term at unit (s, c)
@@ -516,27 +510,25 @@ def is_indecomposable(batch: Sequence[WeakCoideal], fibers: _Fibers | None = Non
     column leg.  So Z(A) & A^inv is the kernel of one small dense system
     over the coordinates of mu along X^0's rows, a row per (fiber row,
     output slot) of mu . xi - xi . mu.  Two joins over the batch's fiber
-    rows form every coideal's system, and one ``nullspace`` per shape
-    solves the stack of the systems of that shape."""
-    F = fibers or (batch[0].fibers if len(batch) == 1 else _Fibers(batch))
+    rows form these coideals' systems, and ``components`` splits them for
+    one ``nullspace`` per stack: ``compose`` never joins rows of two
+    coideals, so each component lies within one.  An equation is keyed
+    r * slots + s (fiber row r, output slot s), so the keys ``components``
+    forms stay below size**2 * slots for a batch of ``size`` fiber rows:
+    under 2**39 at BATCH_PAIRS and order 16, where slots = 304."""
+    F = fibers or _Fibers(batch)
     own, mine = [F.index[id(wc)] for wc in batch], np.zeros(F.k, dtype=bool)
     mine[own] = True
+    basis = F.zero_rows & mine[F.owner]  # the columns: these coideals' X^0 rows
     row, key, val = F.sorted_terms
-    at = F.zero_rows[row]
-    mu = (np.cumsum(F.zero_rows)[row[at]] - 1, key[at], val[at])  # coordinates along the batch's X^0 rows
+    at = basis[row]
+    mu = ((np.cumsum(basis) - 1)[row[at]], key[at], val[at])  # coordinates along those rows
     (i, r, out, v), (r2, i2, out2, v2) = F.compose(mu, F.sorted_terms), F.compose(F.terms, mu)
-    keys, eq = np.unique(np.append(r, r2) * F.keys + np.append(out, out2), return_inverse=True)
-    of_eq, n = F.owner[keys // F.keys], np.bincount(F.owner[F.zero_rows], minlength=F.k)
-    m, c = np.bincount(of_eq, minlength=F.k), of_eq[eq]  # each system's m x n shape; each entry's coideal
-    entry = (eq - (np.cumsum(m) - m)[c], np.append(i, i2) - (np.cumsum(n) - n)[c], np.append(v, -v2))  # in its system
-    shape, out = np.where(mine & (n > 0), np.maximum(m, 1) * (n.max(initial=0) + 1) + n, -1), np.zeros(F.k, dtype=bool)
-    for code in np.unique(shape[shape >= 0]).tolist():
-        members, place = np.flatnonzero(shape == code), np.full(F.k, -1)
-        place[members], hit = np.arange(len(members)), shape[c] == code
-        system = np.zeros((len(members), max(m[members[0]], 1), n[members[0]]), dtype=complex)
-        np.add.at(system, (place[c[hit]], entry[0][hit], entry[1][hit]), entry[2][hit])
-        out[members] = np.bincount(nullspace(system)[1], minlength=len(members)) == 1
-    return out[own].tolist()
+    equations = np.append(r, r2) * F.slots + np.append(out, out2) % F.slots
+    of, nullity = F.owner[basis], np.zeros(F.k, dtype=np.int64)
+    for _, cols, blocks in components(equations, np.append(i, i2), np.append(v, -v2), len(of)):
+        nullity += np.bincount(of[cols[nullspace(blocks)[1], 0]], minlength=F.k)
+    return (nullity[own] == 1).tolist()
 
 
 # -- spectral dimensions ---------------------------------------------------------
@@ -569,7 +561,7 @@ def assess(batch: Sequence[WeakCoideal]) -> list[tuple[AxiomReport, bool, bool, 
     report, whether it is a coideal, whether it is indecomposable (decided
     only if every check passes, else False), and whether its fiber
     dimensions match the prediction, from one build of the batch's fibers."""
-    F = batch[0].fibers if len(batch) == 1 else _Fibers(batch)
+    F = _Fibers(batch)
     reports = verify_weak_coideal(batch, F)
     passed = [wc for wc, report in zip(batch, reports) if report.passed]
     indecomposable = iter(is_indecomposable(passed, F) if passed else [])

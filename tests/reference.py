@@ -9,9 +9,11 @@ units, cosets, the fiber subspaces of a weak coideal and its unit as a
 ``SparseVec`` are object views of the package's index arrays and coset
 numbers, kept here for the tests that read them, with the adapters that take
 ``SparseVec``s into ``Subspace`` and ``assemble``.  The coideal checks as
-they ran on A itself, before they moved to the fiber rows, and the element
-arithmetic of groups and their trivial and full subgroups are kept here for
-the tests that compare against them.  ``table_rows`` expands an export's
+they ran on A itself, before they moved to the fiber rows,
+indecomposability by a dense stack per system shape, before it went
+through ``linalg.components``, and the element arithmetic of groups and
+their trivial and full subgroups are kept here for the tests that compare
+against them.  ``table_rows`` expands an export's
 tables into the rows they stand for, as the json module's ``default`` hook,
 and ``failures`` lists a report's failed checks.  A keyed sum by
 ``np.unique``'s inverse, a component split by one grouping sort per index
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tywha.algebra import AxiomReport
-from tywha.coideals import CoidealSpec, _coords, _exact, _verdicts
+from tywha.coideals import CoidealSpec, _coords, _exact, _Fibers, _verdicts
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
 from tywha.linalg import (
@@ -735,6 +737,34 @@ def restricted_is_indecomposable(wc) -> bool:
     restricted = np.zeros((1, len(keys), len(z)), dtype=complex)
     np.add.at(restricted[0], (r, i[p]), vals[s] * z[i[p], at[p]])
     return len(nullspace(restricted)[0]) == 1
+
+
+def stacked_is_indecomposable(batch, fibers=None) -> list[bool]:
+    """``is_indecomposable`` by a stacker of its own: each coideal's system
+    of equations mu . xi - xi . mu, numbered by ``np.unique`` over the
+    whole batch, laid by ``np.add.at`` into a dense stack of the systems of
+    its shape (m, n), m >= 1 rows over its n X^0 rows, and one ``nullspace``
+    per stack.  ``fibers`` are those of a batch that holds these coideals,
+    the batch's own when not given; a coideal with X^0 = 0 is decomposable."""
+    F = fibers or _Fibers(batch)
+    own, mine = [F.index[id(wc)] for wc in batch], np.zeros(F.k, dtype=bool)
+    mine[own] = True
+    row, key, val = F.sorted_terms
+    at = F.zero_rows[row]
+    mu = (np.cumsum(F.zero_rows)[row[at]] - 1, key[at], val[at])  # coordinates along the batch's X^0 rows
+    (i, r, out, v), (r2, i2, out2, v2) = F.compose(mu, F.sorted_terms), F.compose(F.terms, mu)
+    keys, eq = np.unique(np.append(r, r2) * F.keys + np.append(out, out2), return_inverse=True)
+    of_eq, n = F.owner[keys // F.keys], np.bincount(F.owner[F.zero_rows], minlength=F.k)
+    m, c = np.bincount(of_eq, minlength=F.k), of_eq[eq]  # each system's m x n shape; each entry's coideal
+    entry = (eq - (np.cumsum(m) - m)[c], np.append(i, i2) - (np.cumsum(n) - n)[c], np.append(v, -v2))  # in its system
+    shape, out = np.where(mine & (n > 0), np.maximum(m, 1) * (n.max(initial=0) + 1) + n, -1), np.zeros(F.k, dtype=bool)
+    for code in np.unique(shape[shape >= 0]).tolist():
+        members, place = np.flatnonzero(shape == code), np.full(F.k, -1)
+        place[members], hit = np.arange(len(members)), shape[c] == code
+        system = np.zeros((len(members), max(m[members[0]], 1), n[members[0]]), dtype=complex)
+        np.add.at(system, (place[c[hit]], entry[0][hit], entry[1][hit]), entry[2][hit])
+        out[members] = np.bincount(nullspace(system)[1], minlength=len(members)) == 1
+    return out[own].tolist()
 
 
 # -- reports --------------------------------------------------------------------------

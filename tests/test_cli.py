@@ -350,6 +350,16 @@ class TestReportWriter:
         assert run([*argv, "--json", str(out)]) == 0
         assert out.read_bytes() == stdlib_report(payloads[0])
 
+    @pytest.mark.parametrize("builder, z, message", [
+        ("no_m", ["--Z0", "0", "--Z1", "0"], "no_m takes Z on one side only: Z0 or Z1 must be empty"),
+        ("no_m", [], "at least one of Z0, Z1 must be nonempty"),
+        ("with_m", ["--Z0", "0"], "rho0 must be a single coset of the annihilator of K"),
+    ], ids=["no_m-both-sides", "no_m-no-Z", "with_m-no-rho0"])
+    def test_builder_rejects_its_data_exits_2(self, builder, z, message, capsys):
+        # the builders' own checks reject data that does not fit them
+        assert run(["coideal", "build", "--group", "4", "--K", "2", "--builder", builder, *z]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["coideal", "build", "--group", "4", "--K", "x"], "malformed group element 'x'"),
         (["coideal", "build", "--group", "4", "--K", "2", "--Z0", "1,a"], "malformed group element '1,a'"),

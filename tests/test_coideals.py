@@ -28,7 +28,7 @@ from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orth
 from reference import (
     ACoords, BasisUnit, BlockLabel, Slot, a_level_fixed_point_algebra, a_level_report, add, add_scaled, blocks, circ,
     coset_vector, cosets, distance, failures, fiber_rows, invariance, one, restricted_is_indecomposable, sharp, slots, spec_of,
-    star, subspace, trivial, unit_pos, unit_vector, units, x_spaces,
+    stacked_is_indecomposable, star, subspace, trivial, unit_pos, unit_vector, units, x_spaces,
 )
 from tywha.linalg import ROUNDOFF, SparseVec, nullspace, sparse_nullspace, tensor_contains
 
@@ -400,6 +400,22 @@ class TestIndecomposability:
                 assert not got or zero[: len(family.fiber_block)].any(), family.label
                 verdicts.append(got)
         assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (6,)])
+    def test_batch_matches_the_stacked_reference(self, factors, sign):
+        # every class followed by its faulted copies, then the zero family,
+        # in one batch; then the members that pass, decided on the whole
+        # batch's fibers as assess decides them
+        batch = [family for wc in realized_coideals(factors, sign) for family in (wc, *faulted_copies(wc))]
+        batch.append(assemble(batch[0].algebra, *fiber_rows(batch[0].algebra, {}), "zero"))
+        want = stacked_is_indecomposable(batch)
+        assert is_indecomposable(batch) == want
+        assert any(want) and not all(want) and not want[-1]
+        F = coideals._Fibers(batch)
+        passed = [wc for wc, report in zip(batch, verify_weak_coideal(batch, F)) if report.passed]
+        assert 0 < len(passed) < len(batch)
+        assert is_indecomposable(passed, F) == stacked_is_indecomposable(passed, F)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2), (5,), (6,)])
@@ -1001,7 +1017,7 @@ class TestFiberRowsMatchRowsOnA:
         vec = np.repeat(np.arange(len(vecs)), [len(v) for v in vecs])
         slot = np.array([keys.index(key) for v in vecs for key in v.keys()])
         val = np.array([c for v in vecs for c in v.data.values()])
-        got, norm = wc.fibers.residual(vec, slot, val, len(vecs))
+        got, norm = coideals._Fibers([wc]).residual(vec, slot, val, len(vecs))
         want = space.residuals(*space.to_dense(vecs))
         assert np.abs(got - want).max() <= 1e-12
         assert np.allclose(norm, [v.norm() for v in vecs], rtol=0, atol=1e-12)
@@ -1252,7 +1268,7 @@ class TestBatches:
         i, j, key, val = F.compose(F.terms, F.sorted_terms)
         assert len(i) and (F.owner[i] == F.owner[j]).all() and (key // F.slots == F.owner[i]).all()
         for c, wc in enumerate(pair):
-            one = wc.fibers
+            one = coideals._Fibers([wc])
             mine = F.owner[i] == c
             got = (i[mine] - F.start[c], j[mine] - F.start[c], key[mine] - c * F.slots, val[mine])
             want = one.compose(one.terms, one.sorted_terms)
