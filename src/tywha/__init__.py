@@ -7,8 +7,6 @@ coideal subalgebras, and orbit enumeration of their isomorphism classes.
 
 from .algebra import AxiomReport, TYAlgebra
 from .classify import (
-    ClassificationReport,
-    OrbitRep,
     burnside_check,
     coideal_orbits,
     g_algebra_classes,

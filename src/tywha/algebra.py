@@ -320,8 +320,6 @@ class TYAlgebra:
             raise InvariantError(f"tau sign must be +1 or -1, got {tau_sign}")
         if bichar.group != group:
             raise InvariantError("bicharacter belongs to a different group")
-        if not bichar.is_nondegenerate():
-            raise InvariantError("bicharacter is degenerate")
         if not (isfinite(eps) and eps > 0):
             raise InvariantError(f"tolerance must be finite and positive, got {eps}")
         self.group = group

@@ -15,7 +15,6 @@ coideal-containing orbits against their directly constructed list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -204,65 +203,6 @@ def _specs(rows: np.ndarray, q0: QuotientGroup, q1: QuotientGroup) -> list[Coide
     return [CoidealSpec(q0, q1, c[lo:mid], c[mid:hi]) for lo, mid, hi in zip([0, *ends], mids, ends)]
 
 
-@dataclass(slots=True)
-class OrbitRep:
-    """Canonical representative of one isomorphism class."""
-
-    spec: CoidealSpec
-    coideal: bool
-    orbit_size: int
-
-    def to_dict(self) -> dict:
-        return {"rep": self.spec.reps(), "size": self.orbit_size, "coideal_flag": self.coideal}
-
-
-@dataclass
-class SubgroupClasses:
-    subgroup: Subgroup
-    perp: Subgroup
-    flip: bool
-    orbits: list[OrbitRep]
-    burnside_count: int
-    n_points: int
-
-    @property
-    def coideal_count(self) -> int:
-        return sum(1 for o in self.orbits if o.coideal)
-
-    def to_dict(self) -> dict:
-        return {
-            "K": [list(e) for e in self.subgroup.sorted_elements],
-            "K_perp": [list(e) for e in self.perp.sorted_elements],
-            "action": "translations+flip" if self.flip else "translations",
-            "n_points": self.n_points,
-            "n_classes": len(self.orbits),
-            "n_coideal": self.coideal_count,
-            "burnside_count": self.burnside_count,
-            "burnside_ok": self.burnside_count == len(self.orbits),
-            "orbits": [o.to_dict() for o in self.orbits],
-        }
-
-
-@dataclass
-class ClassificationReport:
-    """The weak-coideal classes of a group, per subgroup."""
-
-    group: FiniteAbelianGroup
-    per_subgroup: list[SubgroupClasses] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return sum(len(s.orbits) for s in self.per_subgroup)
-
-    @property
-    def total_coideal(self) -> int:
-        return sum(s.coideal_count for s in self.per_subgroup)
-
-    def to_dict(self) -> dict:
-        return {"group": list(self.group.factors), "kind": "weak-coideals", "total_classes": self.total,
-                "per_subgroup": [s.to_dict() for s in self.per_subgroup], "total_coideal_classes": self.total_coideal}
-
-
 def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
     """K's annihilator, G/K, G/Kperp, whether K is its own annihilator, and
     the action on rows over both quotients."""
@@ -271,11 +211,12 @@ def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
     return perp, q0, q1, flip, _pair_perms(q0, q1, flip)
 
 
-def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> ClassificationReport:
+def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> tuple[dict, list[tuple[CoidealSpec, bool]]]:
     """Enumerate all weak-coideal isomorphism classes, flag the
-    coideal-containing ones, and cross-check counts."""
+    coideal-containing ones, and cross-check counts.  Returns the report's
+    JSON fields and each class's (datum, coideal flag), in report order."""
     check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
-    report = ClassificationReport(group)
+    per_subgroup, classes = [], []
     for K in enumerate_subgroups(group):
         perp, q0, q1, flip, perms = _quotients(group, chi, K)
         n0, points = len(q0), _valid_subset_pairs(q0, q1)
@@ -284,20 +225,26 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> Classif
         # the flag is constant on orbits iff flagged orbits hold every flagged point
         if orbits["size"][flags].sum() != _coideal_flags(points, n0).sum():
             raise StructuralError("coideal flag is not constant on an orbit")
-        reps = [OrbitRep(*r) for r in zip(_specs(orbits["row"], q0, q1), flags.tolist(), orbits["size"].tolist())]
-        flagged = sorted((r.spec.z0, r.spec.z1) for r in reps if r.coideal)
-        if flagged != sorted((r.spec.z0, r.spec.z1) for r in coideal_orbits(K, q0, q1, flip, perms)):
+        specs, flags = _specs(orbits["row"], q0, q1), flags.tolist()
+        if sorted((s.z0, s.z1) for s, f in zip(specs, flags) if f) != coideal_orbits(K, q0, q1, flip, perms):
             raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
-        entry = SubgroupClasses(K, perp, flip, reps, counts["burnside_count"], len(points))
-        report.per_subgroup.append(entry)
-    return report
+        classes += zip(specs, flags)
+        per_subgroup.append({
+            "K": [list(e) for e in K.sorted_elements], "K_perp": [list(e) for e in perp.sorted_elements],
+            "action": "translations+flip" if flip else "translations", **counts, "n_coideal": sum(flags),
+            "burnside_ok": counts["burnside_count"] == counts["n_classes"],
+            "orbits": [{"rep": s.reps(), "size": n, "coideal_flag": f}
+                       for s, n, f in zip(specs, orbits["size"].tolist(), flags)]})
+    return {"group": list(group.factors), "kind": "weak-coideals", "total_classes": len(classes),
+            "per_subgroup": per_subgroup, "total_coideal_classes": sum(f for _, f in classes)}, classes
 
 
 def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool,
-                   perms: np.ndarray) -> list[OrbitRep]:
+                   perms: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Directly construct the coideal-containing orbits for one subgroup,
     given its quotients and their action as ``_quotients`` returns them:
-    four of them in general, two when K is its own annihilator."""
+    four of them in general, two when K is its own annihilator.  Returns
+    their representatives' sorted (Z0, Z1) pairs."""
     # (lam, {}), ({}, mu), (G/K, mu) and (lam, G/Kperp); lam and mu are the
     # cosets of 0, which come first on each side
     lam, mu = np.eye(1, len(q0), dtype=np.uint8)[0], np.eye(1, len(q1), dtype=np.uint8)[0]
@@ -305,13 +252,11 @@ def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool
                       np.r_[lam, mu | 1]])
     keys = _images(seeds, perms, partial(_pair_key, n0=len(q0)))
     best = seeds[np.arange(len(seeds))[:, None], perms[keys.argmin(axis=1)]]
-    seen = {}
-    for spec, k in zip(_specs(best, q0, q1), keys.tolist()):
-        seen[spec.z0, spec.z1] = (spec, len(set(k)))
+    seen = sorted({(spec.z0, spec.z1) for spec in _specs(best, q0, q1)})
     expected = 2 if flip else 4
     if len(seen) != expected:
         raise StructuralError(f"constructed {len(seen)} coideal orbits for K={K}, not {expected}")
-    return [OrbitRep(spec, True, size) for _, (spec, size) in sorted(seen.items())]
+    return seen
 
 
 # -- algebra classes (multiplicity data) ----------------------------------------
@@ -376,25 +321,26 @@ def _representative(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     return build_from_spec(alg, spec)
 
 
-def realize_and_verify(alg: TYAlgebra, reps: Sequence[OrbitRep]) -> list[tuple[str, bytes, str]]:
-    """Build a concrete representative of each orbit, run the full coideal
-    verification, and check the coideal flag, indecomposability, and the
-    predicted fiber dimensions.  Returns, per orbit, the label of the
-    builder that made it, the subalgebra's ``WeakCoideal.key``, and the
-    message of the first check it fails, in that order, or "".  The
-    representatives are built one at a time and assessed in batches of
-    BATCH_PAIRS, so the memory held does not grow with the orbits."""
+def realize_and_verify(alg: TYAlgebra, classes: Sequence[tuple[CoidealSpec, bool]]) -> list[tuple[str, bytes, str]]:
+    """Build a concrete representative of each class, given as its (datum,
+    coideal flag), run the full coideal verification, and check the coideal
+    flag, indecomposability, and the predicted fiber dimensions.  Returns,
+    per class, the label of the builder that made it, the subalgebra's
+    ``WeakCoideal.key``, and the message of the first check it fails, in
+    that order, or "".  The representatives are built one at a time and
+    assessed in batches of BATCH_PAIRS, so the memory held does not grow
+    with the classes."""
     out, batch, pairs = [], [], 0
-    for n, rep in enumerate(reps, 1):
-        batch.append(_representative(alg, rep.spec))
+    for n, (spec, _) in enumerate(classes, 1):
+        batch.append(_representative(alg, spec))
         pairs += len(batch[-1].fiber_block) ** 2
-        if pairs < BATCH_PAIRS and n < len(reps):
+        if pairs < BATCH_PAIRS and n < len(classes):
             continue
         for wc, (report, flag, indecomposable, dims_ok) in zip(batch, assess(batch)):
-            rep = reps[len(out)]
+            rep, coideal = classes[len(out)]
             failure = next((text for ok, text in (
                 (report.passed, "realized representative fails verification: {rep}"),
-                (flag == rep.coideal, "coideal flag mismatch for {rep}: built {flag}"),
+                (flag == coideal, "coideal flag mismatch for {rep}: built {flag}"),
                 (indecomposable, "realized representative is decomposable: {rep}"),
                 (dims_ok, "fiber dimensions disagree for {rep}")) if not ok), "")
             out.append((wc.label, wc.key(), failure.format(rep=rep, flag=flag)))

@@ -48,20 +48,16 @@ def _parse_data(args, bound: int, what: str) -> tuple[FiniteAbelianGroup, Bichar
 
 def _parse_bichar(group: FiniteAbelianGroup, source: str) -> Bicharacter:
     if source == "standard":
-        chi = Bicharacter.standard(group)
-    else:
-        try:
-            data = json.loads(Path(source).read_text())
-        except FileNotFoundError:
-            raise InvariantError(f"bicharacter file not found: {source}") from None
-        except OSError as exc:
-            raise InvariantError(f"cannot read bicharacter file {source}: {exc.strerror}") from None
-        except ValueError:
-            raise InvariantError(f"bicharacter file {source} is not valid JSON") from None
-        chi = Bicharacter.from_json(group, data)
-    if not chi.is_nondegenerate():
-        raise InvariantError("bicharacter degenerate")
-    return chi
+        return Bicharacter.standard(group)
+    try:
+        data = json.loads(Path(source).read_text())
+    except FileNotFoundError:
+        raise InvariantError(f"bicharacter file not found: {source}") from None
+    except OSError as exc:
+        raise InvariantError(f"cannot read bicharacter file {source}: {exc.strerror}") from None
+    except ValueError:
+        raise InvariantError(f"bicharacter file {source} is not valid JSON") from None
+    return Bicharacter.from_json(group, data)
 
 
 def _parse_elements(group: FiniteAbelianGroup, text: str) -> list:
@@ -319,29 +315,30 @@ def cmd_classify_weak(args) -> int:
     group, chi = _algebra_data(args)
     if args.realize:
         alg = TYAlgebra(group, chi, _tau_sign(args.tau), eps=args.tol)
-    report = weak_coideal_classes(group, chi)
-    payload, realized = {"schema": "tywha-classify/1", **report.to_dict()}, []
+    fields, classes = weak_coideal_classes(group, chi)
+    payload, realized = {"schema": "tywha-classify/1", **fields}, []
     if args.realize:
-        realized = realize_and_verify(alg, [orbit for entry in report.per_subgroup for orbit in entry.orbits])
+        realized = realize_and_verify(alg, classes)
         payload["distinct_subalgebras"] = len({key for _, key, _ in realized})
     results = iter(realized)
-    print(f"weak-coideal classes of {group}: {report.total} total, {report.total_coideal} coideal-containing")
-    for entry, entry_dict in zip(report.per_subgroup, payload["per_subgroup"]):
+    total = payload["total_classes"]
+    print(f"weak-coideal classes of {group}: {total} total, {payload['total_coideal_classes']} coideal-containing")
+    for entry in payload["per_subgroup"]:
+        K = "{" + ",".join(str(tuple(e)) for e in entry["K"]) + "}"  # as Subgroup prints it
         print(
-            f"  K={entry.subgroup} ({entry_dict['action']}): {len(entry.orbits)} classes, "
-            f"{entry.coideal_count} coideal, Burnside check {entry.burnside_count}"
+            f"  K={K} ({entry['action']}): {entry['n_classes']} classes, "
+            f"{entry['n_coideal']} coideal, Burnside check {entry['burnside_count']}"
         )
         if args.realize:
-            for orbit_dict, (label, _, failure) in zip(entry_dict["orbits"], results):
-                orbit_dict["realized"], orbit_dict["verified"] = (None, False) if failure else (label, True)
+            for orbit, (label, _, failure) in zip(entry["orbits"], results):
+                orbit["realized"], orbit["verified"] = (None, False) if failure else (label, True)
                 if failure:
                     print(f"    realization FAILED: {failure}")
-            verified = sum(o["verified"] for o in entry_dict["orbits"])
-            total = len(entry.orbits)
-            count = verified if verified == total else f"{verified} of {total}"
+            verified = sum(o["verified"] for o in entry["orbits"])
+            count = verified if verified == entry["n_classes"] else f"{verified} of {entry['n_classes']}"
             print(f"    realized and verified {count} representatives")
     if args.realize:
-        print(f"built {payload['distinct_subalgebras']} distinct subalgebras for {report.total} classes")
+        print(f"built {payload['distinct_subalgebras']} distinct subalgebras for {total} classes")
     _write_json(args.json, payload)
     return 1 if any(failure for *_, failure in realized) else 0
 

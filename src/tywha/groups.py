@@ -249,7 +249,7 @@ def _parse_fraction(entry) -> Fraction:
 
 @dataclass(frozen=True)
 class Bicharacter:
-    """Symmetric bicharacter as a rational phase matrix mod 1.
+    """Symmetric nondegenerate bicharacter as a rational phase matrix mod 1.
 
     ``phase(g, h)`` returns the rational t with chi(g, h) = exp(2*pi*i*t);
     all values have unit modulus by construction.  ``phase_table[i, j]`` is
@@ -275,6 +275,9 @@ class Bicharacter:
                     raise InvariantError(
                         f"entry M[{i}][{j}] = {norm[i][j]} is not defined mod Z_{self.group.factors[i]}"
                     )
+        # nondegenerate: only 0 pairs trivially with everything (row 0 is the identity)
+        if (self.phase_table[1:] == 0).all(axis=1).any():
+            raise InvariantError("bicharacter degenerate")
 
     @classmethod
     def standard(cls, group: FiniteAbelianGroup) -> "Bicharacter":
@@ -310,22 +313,12 @@ class Bicharacter:
         i, j = self.group.index(g), self.group.index(h)
         return Fraction(int(self.phase_table[i, j]), self.denominator)
 
-    @cached_property
-    def _nondegenerate(self) -> bool:
-        return not (self.phase_table[1:] == 0).all(axis=1).any()  # row 0 is the identity
-
-    def is_nondegenerate(self) -> bool:
-        """True iff the only g pairing trivially with everything is 0."""
-        return self._nondegenerate
-
     def to_json(self) -> dict:
         return {"matrix": [[str(x) for x in row] for row in self.matrix]}
 
 
 def orthogonal(chi: Bicharacter, subgroup: Subgroup) -> Subgroup:
     """The annihilator {g : chi(k, g) = 1 for all k in K}."""
-    if not chi.is_nondegenerate():
-        raise InvariantError("bicharacter is degenerate")
     group = chi.group
     perp = np.flatnonzero((chi.phase_table[subgroup.idx] == 0).all(axis=0))
     result = Subgroup.from_indices(group, perp)

@@ -257,12 +257,14 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     first, r = _groups(row_ids)  # the entries come by row, then column
     row_ids = row_ids[first]
     # label propagation: each row takes the lowest label of its columns, each
-    # column the lowest of its rows, then labels pointer-jump to their roots
-    label, old = np.arange(n), None
-    while not np.array_equal(label, old):
-        old, low = label, np.full(len(row_ids), n)
+    # column the lowest of its rows, then labels pointer-jump to their roots;
+    # done when every entry's column holds its row's lowest label already
+    label = np.arange(n)
+    while True:
+        low = np.full(len(row_ids), n)
         np.minimum.at(low, r, label[c])
-        label = label.copy()
+        if (label[c] == low[r]).all():
+            break
         np.minimum.at(label, c, low[r])
         while not np.array_equal(label[label], label):
             label = label[label]

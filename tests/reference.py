@@ -804,6 +804,21 @@ def _places(owner: np.ndarray, k: int):
     return order, place, start, size
 
 
+def propagated_labels(r: np.ndarray, c: np.ndarray, n: int, n_rows: int) -> tuple[np.ndarray, int]:
+    """The column labels of ``linalg.components``' propagation over entries
+    at (``r``, ``c``), run until a round changes nothing, and the number of
+    rounds that took, that last one included."""
+    label, old, rounds = np.arange(n), None, 0
+    while not np.array_equal(label, old):
+        old, low, rounds = label, np.full(n_rows, n), rounds + 1
+        np.minimum.at(low, r, label[c])
+        label = label.copy()
+        np.minimum.at(label, c, low[r])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    return label, rounds
+
+
 def places_components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     """``linalg.components`` by ``np.unique`` over the rows and over the
     shapes, the keyed sum by :func:`unique_sums`, and one stable grouping
@@ -815,14 +830,7 @@ def places_components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: i
     keep = _kept(vals)
     keys, vals = keys[keep], vals[keep]
     r, c = np.divmod(keys, n)
-    label, old = np.arange(n), None
-    while not np.array_equal(label, old):
-        old, low = label, np.full(len(row_ids), n)
-        np.minimum.at(low, r, label[c])
-        label = label.copy()
-        np.minimum.at(label, c, low[r])
-        while not np.array_equal(label[label], label):
-            label = label[label]
+    label, _ = propagated_labels(r, c, n, len(row_ids))
     roots = np.flatnonzero(label == np.arange(n))
     comp = np.searchsorted(roots, label)
     row_comp = np.full(len(row_ids), -1)

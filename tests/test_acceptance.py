@@ -197,24 +197,25 @@ def test_criterion_5_coideal_suite():
 def test_criterion_6_classification_counts():
     ok = True
     z2 = FiniteAbelianGroup((2,))
-    rep = weak_coideal_classes(z2, TYAlgebra(z2).bichar)
-    ok &= rep.total == 10 and rep.total_coideal == 8
+    rep, _ = weak_coideal_classes(z2, TYAlgebra(z2).bichar)
+    ok &= rep["total_classes"] == 10 and rep["total_coideal_classes"] == 8
 
     z1 = FiniteAbelianGroup((1,))
-    rep1 = weak_coideal_classes(z1, TYAlgebra(z1).bichar)
-    ok &= rep1.total == 2 and rep1.total_coideal == 2
+    rep1, _ = weak_coideal_classes(z1, TYAlgebra(z1).bichar)
+    ok &= rep1["total_classes"] == 2 and rep1["total_coideal_classes"] == 2
 
     flip_seen = False
     for factors in [(2,), (3,), (4,), (2, 2)]:
         grp = FiniteAbelianGroup(factors)
-        report = weak_coideal_classes(grp, TYAlgebra(grp).bichar)
-        for entry in report.per_subgroup:
-            expected = 2 if entry.flip else 4
-            if entry.coideal_count != expected:
+        report, _ = weak_coideal_classes(grp, TYAlgebra(grp).bichar)
+        for entry in report["per_subgroup"]:
+            flip = entry["action"] == "translations+flip"
+            expected = 2 if flip else 4
+            if entry["n_coideal"] != expected:
                 ok = False
-                print(f"  {factors} K={entry.subgroup}: {entry.coideal_count} != {expected}")
-            if factors == (4,) and entry.subgroup.sorted_elements == ((0,), (2,)):
-                flip_seen = entry.flip
+                print(f"  {factors} K={entry['K']}: {entry['n_coideal']} != {expected}")
+            if factors == (4,) and entry["K"] == [[0], [2]]:
+                flip_seen = flip
     ok &= flip_seen
     _report_line(
         6,

@@ -83,9 +83,8 @@ class TestDimensions:
         grp = FiniteAbelianGroup((2,))
         from fractions import Fraction
 
-        flat = Bicharacter(grp, ((Fraction(0),),))
         with pytest.raises(InvariantError, match="degenerate"):
-            TYAlgebra(grp, flat)
+            TYAlgebra(grp, Bicharacter(grp, ((Fraction(0),),)))
 
     def test_bichar_of_another_group_rejected(self):
         chi = Bicharacter.standard(FiniteAbelianGroup((3,)))

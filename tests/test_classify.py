@@ -82,6 +82,17 @@ def z2_report():
     return grp, weak_coideal_classes(grp, Bicharacter.standard(grp))
 
 
+def by_subgroup(fields, classes):
+    """Each per-subgroup entry of a catalog with its classes' (datum,
+    coideal flag), in report order."""
+    rest = iter(classes)
+    return [(entry, list(itertools.islice(rest, entry["n_classes"]))) for entry in fields["per_subgroup"]]
+
+
+def is_flip(entry) -> bool:
+    return entry["action"] == "translations+flip"
+
+
 def _setup(factors, k_gens):
     """Quotients, flip flag and subset-pair action of one subgroup."""
     grp = FiniteAbelianGroup(factors)
@@ -298,7 +309,7 @@ class TestCatalogPins:
     def test_n_points_reported(self):
         grp = FiniteAbelianGroup((4,))
         chi = Bicharacter.standard(grp)
-        weak = weak_coideal_classes(grp, chi).to_dict()
+        weak, _ = weak_coideal_classes(grp, chi)
         # any Z0 with |Z1| <= 1, less the empty pair, plus |Z0| <= 1 with |Z1| > 1
         assert [e["n_points"] for e in weak["per_subgroup"]] == [
             2**4 * 2 - 1, 2**2 * 3 - 1 + 3 * 1, 2 * 2**4 - 1
@@ -310,54 +321,64 @@ class TestCatalogPins:
 
 class TestWeakCoidealClasses:
     def test_z2_counts(self, z2_report):
-        _grp, report = z2_report
-        assert report.total == 10
-        assert report.total_coideal == 8
-        for entry in report.per_subgroup:
-            assert len(entry.orbits) == 5
-            assert entry.coideal_count == 4
-            assert not entry.flip
+        _grp, (report, classes) = z2_report
+        assert report["total_classes"] == len(classes) == 10
+        assert report["total_coideal_classes"] == 8
+        for entry in report["per_subgroup"]:
+            assert len(entry["orbits"]) == entry["n_classes"] == 5
+            assert entry["n_coideal"] == 4
+            assert not is_flip(entry)
         # the non-coideal classes are full-Z0-with-empty-other-side shaped
-        non = [o for e in report.per_subgroup for o in e.orbits if not o.coideal]
+        non = [spec for spec, flag in classes if not flag]
         assert len(non) == 2
-        for o in non:
-            z = o.spec.z0 or o.spec.z1
-            assert z == (0, 1) and not (o.spec.z0 and o.spec.z1)
+        for spec in non:
+            z = spec.z0 or spec.z1
+            assert z == (0, 1) and not (spec.z0 and spec.z1)
 
     def test_trivial_group(self):
         grp = FiniteAbelianGroup((1,))
-        report = weak_coideal_classes(grp, Bicharacter.standard(grp))
-        assert report.total == 2
-        assert report.total_coideal == 2
-        assert report.per_subgroup[0].flip
+        report, _ = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        assert report["total_classes"] == 2
+        assert report["total_coideal_classes"] == 2
+        assert is_flip(report["per_subgroup"][0])
 
     def test_z4_flip_subgroup(self):
         grp = FiniteAbelianGroup((4,))
-        report = weak_coideal_classes(grp, Bicharacter.standard(grp))
-        by_k = {e.subgroup.sorted_elements: e for e in report.per_subgroup}
+        report, _ = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        by_k = {tuple(map(tuple, e["K"])): e for e in report["per_subgroup"]}
         mid = by_k[((0,), (2,))]
-        assert mid.flip
-        assert len(mid.orbits) == 4
-        assert mid.coideal_count == 2
+        assert is_flip(mid)
+        assert len(mid["orbits"]) == 4
+        assert mid["n_coideal"] == 2
 
     @pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 2)])
     def test_flag_counts_per_subgroup(self, factors):
         grp = FiniteAbelianGroup(factors)
-        report = weak_coideal_classes(grp, Bicharacter.standard(grp))
-        for entry in report.per_subgroup:
-            expected = 2 if entry.flip else 4
-            assert entry.coideal_count == expected
-            assert entry.burnside_count == len(entry.orbits)
+        report, _ = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        for entry in report["per_subgroup"]:
+            expected = 2 if is_flip(entry) else 4
+            assert entry["n_coideal"] == expected
+            assert entry["burnside_count"] == len(entry["orbits"])
 
     def test_flagged_equals_direct_construction(self):
         grp = FiniteAbelianGroup((2, 2))
         chi = Bicharacter.standard(grp)
-        report = weak_coideal_classes(grp, chi)
-        for entry in report.per_subgroup:
-            _perp, *quotients = _quotients(grp, chi, entry.subgroup)
-            direct = coideal_orbits(entry.subgroup, *quotients)
-            flagged = sorted((o.spec.z0, o.spec.z1) for o in entry.orbits if o.coideal)
-            assert flagged == sorted((o.spec.z0, o.spec.z1) for o in direct)
+        for _, classes in by_subgroup(*weak_coideal_classes(grp, chi)):
+            K = classes[0][0].subgroup
+            _perp, *quotients = _quotients(grp, chi, K)
+            direct = coideal_orbits(K, *quotients)
+            flagged = sorted((spec.z0, spec.z1) for spec, flag in classes if flag)
+            assert flagged == sorted(direct)
+
+    @pytest.mark.parametrize("factors", [f for f in CATALOG_GROUPS if np.prod(f) <= 8])
+    def test_classes_line_up_with_the_orbits(self, factors):
+        # the class list holds each reported orbit's datum and flag, in order
+        grp = FiniteAbelianGroup(factors)
+        report, classes = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        orbits = [o for e in report["per_subgroup"] for o in e["orbits"]]
+        assert len(classes) == len(orbits) == report["total_classes"]
+        assert [(spec.reps(), flag) for spec, flag in classes] == [(o["rep"], o["coideal_flag"]) for o in orbits]
+        assert all(type(flag) is bool for _, flag in classes)
 
     def test_dropped_flip_detected(self, monkeypatch):
         grp = FiniteAbelianGroup((4,))
@@ -372,11 +393,10 @@ class TestWeakCoidealClasses:
             weak_coideal_classes(grp, Bicharacter.standard(grp))
 
     def test_report_deterministic(self, z2_report):
-        grp, report = z2_report
-        again = weak_coideal_classes(grp, Bicharacter.standard(grp))
-        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
-            again.to_dict(), sort_keys=True
-        )
+        grp, (report, classes) = z2_report
+        again, again_classes = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
+        assert [(repr(spec), flag) for spec, flag in classes] == [(repr(spec), flag) for spec, flag in again_classes]
 
 
 # The family realize_and_verify builds for each class, in catalog order:
@@ -477,12 +497,12 @@ class TestNoGroupRebuilds:
         # it, and every builder that accepts it, computes no quotient and no
         # annihilator
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
-        orbits = [o for e in weak_coideal_classes(alg.group, alg.bichar).per_subgroup for o in e.orbits]
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
         calls, built = count_group_rebuilds(monkeypatch), set()
-        assert all(label and not failure for label, _, failure in realize_and_verify(alg, orbits))
-        for orbit in orbits:
+        assert all(label and not failure for label, _, failure in realize_and_verify(alg, classes))
+        for datum, _ in classes:
             for build in (build_from_spec, build_no_m, build_with_m, build_I_m_K, build_I_Omega_K):
-                for spec in (orbit.spec, orbit.spec.swapped()):
+                for spec in (datum, datum.swapped()):
                     try:
                         build(alg, spec)
                         built.add(build)
@@ -511,20 +531,18 @@ def expected_builder(spec) -> str:
 
 class TestRealization:
     def test_all_z2_classes_realize(self, z2_report):
-        grp, report = z2_report
+        grp, (_, classes) = z2_report
         alg = TYAlgebra(grp)
-        orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]
-        realized = realize_and_verify(alg, orbits)
-        assert [(label, failure) for label, _, failure in realized] == [(expected_builder(o.spec), "") for o in orbits]
+        realized = realize_and_verify(alg, classes)
+        assert [(label, failure) for label, _, failure in realized] == [(expected_builder(s), "") for s, _ in classes]
 
     def test_all_z4_classes_realize(self):
         grp = FiniteAbelianGroup((4,))
         alg = TYAlgebra(grp)
-        report = weak_coideal_classes(grp, alg.bichar)
-        flip_entries = sum(entry.flip for entry in report.per_subgroup)
-        orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]
-        labels = [label for label, _, _ in realize_and_verify(alg, orbits)]
-        assert labels == [expected_builder(orbit.spec) for orbit in orbits]
+        report, classes = weak_coideal_classes(grp, alg.bichar)
+        flip_entries = sum(map(is_flip, report["per_subgroup"]))
+        labels = [label for label, _, _ in realize_and_verify(alg, classes)]
+        assert labels == [expected_builder(spec) for spec, _ in classes]
         assert labels == [line.rsplit(" K=", 1)[0] for line in REALIZED[(4,)].splitlines()]
         assert flip_entries == 1
 
@@ -542,12 +560,11 @@ class TestRealization:
             return verify_weak_coideal(batch, fibers)
 
         monkeypatch.setattr(coideals, "verify_weak_coideal", record)
-        report = weak_coideal_classes(alg.group, alg.bichar)
-        realize_and_verify(alg, [orbit for entry in report.per_subgroup for orbit in entry.orbits])
+        realize_and_verify(alg, weak_coideal_classes(alg.group, alg.bichar)[1])
         assert got == REALIZED[factors].split("\n")
 
     def test_coideal_flagged_reps_are_unital(self, z2_report, monkeypatch):
-        grp, report = z2_report
+        grp, (_, classes) = z2_report
         alg = TYAlgebra(grp)
         built = []
 
@@ -556,9 +573,8 @@ class TestRealization:
             return verify_weak_coideal(batch, fibers)
 
         monkeypatch.setattr(coideals, "verify_weak_coideal", record)
-        orbits = [orbit for entry in report.per_subgroup for orbit in entry.orbits]
-        realize_and_verify(alg, orbits)
-        assert [is_coideal(wc) for wc in built] == [orbit.coideal for orbit in orbits]
+        realize_and_verify(alg, classes)
+        assert [is_coideal(wc) for wc in built] == [flag for _, flag in classes]
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors, distinct", [((2,), 5), ((3,), 7), ((4,), 15), ((2, 2), 25)])
@@ -566,11 +582,11 @@ class TestRealization:
         # two representatives have equal keys iff their fibers span the same
         # spaces block by block; no class count changes
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
-        orbits = [o for e in weak_coideal_classes(alg.group, alg.bichar).per_subgroup for o in e.orbits]
-        built = [classify._representative(alg, orbit.spec) for orbit in orbits]
-        realized = realize_and_verify(alg, orbits)
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
+        built = [classify._representative(alg, spec) for spec, _ in classes]
+        realized = realize_and_verify(alg, classes)
         assert [key for _, key, _ in realized] == [wc.key() for wc in built]
-        assert len({key for _, key, _ in realized}) == distinct and len(realized) == len(orbits)
+        assert len({key for _, key, _ in realized}) == distinct and len(realized) == len(classes)
         for a, b in itertools.combinations(built, 2):
             assert (a.key() == b.key()) == same_fibers(a, b), (a.label, b.label)
 
@@ -635,16 +651,15 @@ class TestEmittedShapes:
         # singleton (in particular nothing shaped like a standalone
         # self-paired payload)
         grp = FiniteAbelianGroup(factors)
-        report = weak_coideal_classes(grp, Bicharacter.standard(grp))
-        for entry in report.per_subgroup:
-            for o in entry.orbits:
-                assert o.spec.z0 or o.spec.z1
-                assert len(o.spec.z0) <= 1 or len(o.spec.z1) <= 1
+        _, classes = weak_coideal_classes(grp, Bicharacter.standard(grp))
+        for spec, _ in classes:
+            assert spec.z0 or spec.z1
+            assert len(spec.z0) <= 1 or len(spec.z1) <= 1
 
     def test_flip_fixes_canonical_form(self):
         q, _q1, perms, key = _setup((4,), [(2,)])
-        report = weak_coideal_classes(q.group, Bicharacter.standard(q.group))
-        entry = next(e for e in report.per_subgroup if e.flip)
+        flipped = next(c for e, c in by_subgroup(*weak_coideal_classes(q.group, Bicharacter.standard(q.group)))
+                       if is_flip(e))
 
         def row(z0, z1):
             out = np.zeros(2 * len(q), dtype=np.uint8)
@@ -653,9 +668,9 @@ class TestEmittedShapes:
                     out[side * len(q) + c] = 1
             return out
 
-        for o in entry.orbits:
-            rep = row(o.spec.z0, o.spec.z1)
-            assert _codes([row(o.spec.z1, o.spec.z0)], perms, key)[0] == key(rep[None])[0]
+        for spec, _ in flipped:
+            rep = row(spec.z0, spec.z1)
+            assert _codes([row(spec.z1, spec.z0)], perms, key)[0] == key(rep[None])[0]
             assert _codes([rep], perms, key)[0] == key(rep[None])[0]
 
 
@@ -678,7 +693,7 @@ class TestOrderSixteen:
         out = {}
         for factors in [(4, 4), (2, 8), (2, 2, 4), (2, 2, 2, 2)]:
             grp = FiniteAbelianGroup(factors)
-            out[factors] = weak_coideal_classes(grp, Bicharacter.standard(grp))
+            out[factors], _ = weak_coideal_classes(grp, Bicharacter.standard(grp))
         return out
 
     @pytest.mark.parametrize(
@@ -687,10 +702,10 @@ class TestOrderSixteen:
     )
     def test_catalog_finishes_and_checks(self, reports, factors, total):
         report = reports[factors]
-        assert report.total == total
-        for entry in report.per_subgroup:
-            assert entry.burnside_count == len(entry.orbits)
-            assert entry.coideal_count == (2 if entry.flip else 4)
+        assert report["total_classes"] == total
+        for entry in report["per_subgroup"]:
+            assert entry["burnside_count"] == len(entry["orbits"])
+            assert entry["n_coideal"] == (2 if is_flip(entry) else 4)
 
     def test_cyclic_via_cli(self, tmp_path, capsys):
         path = tmp_path / "z16.json"
@@ -735,10 +750,9 @@ class TestAutomorphismInvariance:
             return tuple(sum(A[i][j] * g[j] for j in range(k)) % n for i, n in enumerate(factors))
 
         def counts(report, key):
-            return {key(e.subgroup): (len(e.orbits), e.coideal_count) for e in report.per_subgroup}
+            return {key(tuple(map(tuple, e["K"]))): (len(e["orbits"]), e["n_coideal"]) for e in report["per_subgroup"]}
 
-        standard = weak_coideal_classes(grp, chi)
-        moved = weak_coideal_classes(grp, chi2)
-        assert standard.total == moved.total == total
-        assert counts(moved, lambda K: frozenset(map(alpha, K.sorted_elements))) == counts(
-            standard, lambda K: frozenset(K.sorted_elements))
+        standard, _ = weak_coideal_classes(grp, chi)
+        moved, _ = weak_coideal_classes(grp, chi2)
+        assert standard["total_classes"] == moved["total_classes"] == total
+        assert counts(moved, lambda K: frozenset(map(alpha, K))) == counts(standard, frozenset)

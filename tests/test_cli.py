@@ -558,7 +558,27 @@ class TestCoidealCommand:
         assert got == self.outputs([*base, side, reps], tmp_path, capsys) and got[0] == 0
 
 
+# sha256 of the stdout of `classify weak-coideals --group G`, and with
+# `--realize --tau T`: the per-subgroup lines and the realize summaries
+CLASSIFY_STDOUT_SHA256 = {
+    ("2", None): "8d44086ae90cb0cfa323b7e31be7491eaa05dd3842738f15c93dbbf744524432",
+    ("4", None): "effc091da792a1db2f3bb1a71dfe7d81a99a32912e9f51074754ec44fa85ad5a",
+    ("2,2", None): "679d9d1af7d0571d67560c367e31ac9fdc29a7e972e58b111201e55efda64399",
+    ("2,4", None): "d89b117e3e8529cb900fd7bb28eab1279f879448372e9cb53be14d8526561d3f",
+    ("2", "+"): "f7517028675ea25500cf987cced578a726b1ba40e6c93d03e68f873dd9874366",
+    ("2", "-"): "f7517028675ea25500cf987cced578a726b1ba40e6c93d03e68f873dd9874366",
+    ("2,2", "+"): "279f729c723b6bfd4dc1a89864deb652dd4eed3f944c3653e79e26b08e6727ec",
+    ("2,2", "-"): "279f729c723b6bfd4dc1a89864deb652dd4eed3f944c3653e79e26b08e6727ec",
+}
+
+
 class TestClassifyCommands:
+    @pytest.mark.parametrize("group,tau", CLASSIFY_STDOUT_SHA256)
+    def test_stdout_pinned(self, group, tau, capsys):
+        assert run(["classify", "weak-coideals", "--group", group, *(["--realize", "--tau", tau] if tau else [])]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_STDOUT_SHA256[group, tau]
+
     def test_z2_counts(self, capsys):
         assert run(["classify", "weak-coideals", "--group", "2"]) == 0
         out = capsys.readouterr().out
@@ -595,8 +615,8 @@ class TestClassifyCommands:
 
         realize = cli.realize_and_verify
 
-        def second_fails(alg, orbits):
-            realized = realize(alg, orbits)
+        def second_fails(alg, classes):
+            realized = realize(alg, classes)
             label, key, _ = realized[1]
             realized[1] = (label, key, "injected")
             return realized
@@ -633,9 +653,10 @@ class TestClassifyCommands:
         monkeypatch.setattr(coideals, name, fake)
         assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 1
         group = FiniteAbelianGroup((2,))
-        reps = [o for e in weak_coideal_classes(group, Bicharacter.standard(group)).per_subgroup for o in e.orbits]
+        _, classes = weak_coideal_classes(group, Bicharacter.standard(group))
         failed = [x for x in capsys.readouterr().out.splitlines() if "FAILED" in x]
-        assert failed == [f"    realization FAILED: {message.format(rep=r, flag=not r.coideal)}" for r in reps]
+        assert failed == [f"    realization FAILED: {message.format(rep=spec, flag=not flag)}" for spec, flag in classes]
+        assert all(line.count("CoidealSpec({'K': ") == 1 for line in failed)
 
     def test_guard_exceeded_exits_2(self):
         assert run(["classify", "weak-coideals", "--group", "17"]) == 2

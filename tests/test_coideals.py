@@ -962,8 +962,7 @@ def realized_coideals(factors, sign):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coideals, "verify_weak_coideal", record)
-        report = weak_coideal_classes(alg.group, alg.bichar)
-        classify.realize_and_verify(alg, [orbit for entry in report.per_subgroup for orbit in entry.orbits])
+        classify.realize_and_verify(alg, weak_coideal_classes(alg.group, alg.bichar)[1])
     return built
 
 
@@ -1204,8 +1203,7 @@ def verdict_bits(report, indecomposable):
 
 def class_representatives(alg):
     """The family realize_and_verify builds for every class, on ``alg``."""
-    report = weak_coideal_classes(alg.group, alg.bichar)
-    return [classify._representative(alg, o.spec) for e in report.per_subgroup for o in e.orbits]
+    return [classify._representative(alg, spec) for spec, _ in weak_coideal_classes(alg.group, alg.bichar)[1]]
 
 
 def faulted(wc, fault):

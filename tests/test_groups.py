@@ -291,14 +291,15 @@ class TestBicharacter:
             Bicharacter(g, ((Fraction(1, 3),),))
 
     def test_nondegeneracy(self):
-        z2 = FiniteAbelianGroup((2,))
-        assert Bicharacter(z2, ((Fraction(1, 2),),)).is_nondegenerate()
-        assert not Bicharacter(z2, ((Fraction(0),),)).is_nondegenerate()
-        hyper = Bicharacter(
-            FiniteAbelianGroup((2, 2)),
-            ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))),
-        )
-        assert hyper.is_nondegenerate()
+        # checked at construction: only 0 may pair trivially with everything
+        z2, z2z2 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((2, 2))
+        Bicharacter(z2, ((Fraction(1, 2),),))
+        with pytest.raises(InvariantError, match="^bicharacter degenerate$"):
+            Bicharacter(z2, ((Fraction(0),),))
+        hyper = Bicharacter(z2z2, ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))))
+        assert hyper.phase((1, 0), (0, 1)) == Fraction(1, 2)
+        with pytest.raises(InvariantError, match="^bicharacter degenerate$"):  # (0, 1) pairs trivially
+            Bicharacter(z2z2, ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(0))))
 
     def test_from_json(self):
         g = FiniteAbelianGroup((2, 2))
@@ -312,7 +313,7 @@ class TestBicharacter:
     def test_standard_symmetric_nondegenerate(self, factors):
         g = FiniteAbelianGroup(tuple(factors))
         chi = Bicharacter.standard(g)
-        assert chi.is_nondegenerate()
+        assert not (chi.phase_table[1:] == 0).all(axis=1).any()  # row 0 is the identity
         for a in g.elements():
             for b in g.elements():
                 assert chi.phase(a, b) == chi.phase(b, a)
@@ -341,10 +342,10 @@ class TestOrthogonal:
         assert frozenset(perp.sorted_elements) == expected == frozenset(k.sorted_elements)
 
     def test_degenerate_rejected(self):
+        # no degenerate bicharacter reaches orthogonal: its construction fails
         g = FiniteAbelianGroup((2,))
-        chi = Bicharacter(g, ((Fraction(0),),))
         with pytest.raises(InvariantError):
-            orthogonal(chi, trivial(g))
+            orthogonal(Bicharacter(g, ((Fraction(0),),)), trivial(g))
 
     @given(small_groups)
     @settings(max_examples=15, deadline=None)

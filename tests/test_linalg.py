@@ -13,7 +13,8 @@ from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verif
 from tywha.errors import StructuralError
 from tywha.groups import FiniteAbelianGroup
 from reference import (
-    add_scaled, antipode, counit, distance, eps_t, lstsq_haar, one, places_components, subspace, unique_sums,
+    add_scaled, antipode, counit, distance, eps_t, lstsq_haar, one, places_components, propagated_labels, subspace,
+    unique_sums,
 )
 from tywha.linalg import (
     ROUNDOFF,
@@ -555,6 +556,27 @@ class TestOneSortForms:
             got = components(empty, empty, empty.astype(complex), n)
             assert _same_stacks(got, places_components(empty, empty, empty.astype(complex), n))
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_components_chain(self, n):
+        # a chain that zigzags through the columns, 0, 2, 4, ..., 5, 3, 1:
+        # propagation needs several rounds to label it one component
+        path = np.r_[np.arange(0, n, 2), np.arange(n - 1, 0, -2)]
+        rows, cols = np.repeat(np.arange(n - 1), 2), np.stack([path[:-1], path[1:]], 1).ravel()
+        assert propagated_labels(rows, cols, n, n - 1)[1] >= 3
+        vals = np.random.default_rng(n).standard_normal(len(rows)) + 0j
+        stacks = list(components(rows, cols, vals, n))
+        assert _same_stacks(stacks, places_components(rows, cols, vals, n))
+        assert [blocks.shape for *_, blocks in stacks] == [(1, n - 1, n)]
+
+    def test_components_single_column_rows(self):
+        # every row holds one column: the labels are final before any round
+        rows, cols = np.arange(6), np.array([4, 0, 2, 4, 1, 0])
+        assert propagated_labels(rows, cols, 6, 6)[1] == 1
+        vals = np.arange(1, 7) + 0j
+        stacks = list(components(rows, cols, vals, 6))
+        assert _same_stacks(stacks, places_components(rows, cols, vals, 6))
+        assert [blocks.shape for *_, blocks in stacks] == [(2, 0, 1), (2, 1, 1), (2, 2, 1)]
+
 
 def _dense_haar(alg):
     """The invariant functional by one dense least-squares solve of its
@@ -679,8 +701,7 @@ def _coideal_invariants(factors, sign):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coideals, "verify_weak_coideal",
                    lambda batch, fibers=None: built.extend(batch) or verify_weak_coideal(batch, fibers))
-        report = weak_coideal_classes(alg.group, alg.bichar)
-        realize_and_verify(alg, [rep for entry in report.per_subgroup for rep in entry.orbits])
+        realize_and_verify(alg, weak_coideal_classes(alg.group, alg.bichar)[1])
     return [
         (verify_weak_coideal([wc])[0].to_dict(), _bits(center(wc)), _bits(fixed_point_algebra(wc)),
          is_indecomposable([wc])[0])
