@@ -37,21 +37,32 @@ from .linalg import (DEFAULT_TOL, SparseVec, Subspace, _cmul, _diff, _distance, 
 ALGEBRA_ORDER_BOUND = 16
 
 # Pair and triple identities join this many first factors at a time, which
-# bounds their memory at order 16.
+# bounds their memory at order 16.  Once translations are checked
+# automorphisms, the first factors are one unit per translation orbit (368
+# at order 16), so a single block holds them all.
 FIRST_FACTOR_BLOCK = 512
 
 
 @dataclass
 class AxiomCheck:
-    """One identity's verdict: the worst residual, where it occurs, and how
-    many instances the identity has.  Every check covers all of its
-    instances, so a report gives each as checked exhaustively."""
+    """One identity's verdict: the worst residual, where it occurs, how many
+    instances the identity has, and its coverage.  Mode ``"exhaustive"``
+    checks every instance.  Mode ``"exhaustive by translation"`` checks the
+    instances whose first factor is the least unit of its translation orbit;
+    they cover every instance, since each translation is a checked
+    automorphism (see :meth:`TYAlgebra.verify_axioms`)."""
 
     name: str
     residual: float
     passed: bool
     witness: str = ""
     instances_total: int = 1
+    instances_checked: int | None = None  # None: every instance
+    mode: str = "exhaustive"
+
+    def __post_init__(self):
+        if self.instances_checked is None:
+            self.instances_checked = self.instances_total
 
 
 @dataclass
@@ -65,17 +76,19 @@ class AxiomReport:
         """Run the rows (name, instances, evaluator, bound) in order; a row
         passes iff ``evaluate(*args)``'s residual is at most its bound.  A
         witness is text, kept, or the worst instance's units, named when the
-        residual is positive.  A StructuralError fails its row and ends the run."""
+        residual is positive.  An evaluator may also return its coverage,
+        (instances checked, mode); without it a row checks every instance.
+        A StructuralError fails its row and ends the run."""
         report = cls(label, eps)
         for name, total, evaluate, bound in rows:
             try:
-                residual, witness = evaluate(*args)
+                residual, witness, *coverage = evaluate(*args)
             except StructuralError as exc:
                 report.checks.append(AxiomCheck(name, float("inf"), False, str(exc), total))
                 break
             if isinstance(witness, tuple):
                 witness = "".join(f"({unit_name(i)})" for i in witness) if residual > 0 else ""
-            report.checks.append(AxiomCheck(name, residual, residual <= bound, witness, total))
+            report.checks.append(AxiomCheck(name, residual, residual <= bound, witness, total, *coverage))
         return report
 
     @property
@@ -87,18 +100,17 @@ class AxiomReport:
             "label": self.label,
             "tolerance": self.eps,
             "passed": self.passed,
-            "checks": [
-                {**vars(c), "instances_checked": c.instances_total, "mode": "exhaustive"} for c in self.checks
-            ],
+            "checks": [dict(vars(c)) for c in self.checks],
         }
 
     def summary(self) -> str:
         lines = [f"axiom checks for {self.label} (tolerance {self.eps:g})"]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
+            of = f" of {c.instances_total:,}" if c.instances_checked != c.instances_total else ""
             extra = f"  [{c.witness}]" if (c.witness and not c.passed) else ""
             lines.append(
-                f"  {status}  {c.name:<44} max residual {c.residual:.3e}  exhaustive {c.instances_total:,}{extra}"
+                f"  {status}  {c.name:<44} max residual {c.residual:.3e}  {c.mode} {c.instances_checked:,}{of}{extra}"
             )
         return "\n".join(lines)
 
@@ -143,6 +155,25 @@ def _distinct(vec: np.ndarray, unit: np.ndarray, val: np.ndarray) -> tuple[np.nd
     rows[row, at] = val
     _, first = np.unique(rows.view(f"V{rows.itemsize * len(units)}").ravel(), return_index=True)
     return units, rows[np.sort(first)]
+
+
+def _places(keys: np.ndarray, moved, steps: list[int]) -> np.ndarray | None:
+    """Row t: where in the ascending distinct ``keys`` the translation by
+    element t moves each key, ``moved(t)`` being the moved keys; None when a
+    generator moves some key off them.  Only the generators g, the t with
+    ``steps[t - 1] == t``, are searched: the translations compose, so row t
+    is row g taken at row t - g for the generator g = ``steps[t - 1]``."""
+    place = np.empty((len(steps) + 1, len(keys)), dtype=np.int64)
+    place[0] = np.arange(len(keys))
+    for t, g in enumerate(steps, start=1):
+        if t == g:
+            keys_t = moved(t)
+            place[t] = np.minimum(np.searchsorted(keys, keys_t), len(keys) - 1)
+            if not np.array_equal(keys[place[t]], keys_t):
+                return None
+        else:
+            place[t] = place[g][place[t - g]]
+    return place
 
 
 def _off_identity(unit: np.ndarray, out: np.ndarray, vals: np.ndarray, dim: int) -> tuple:
@@ -365,12 +396,17 @@ class TYAlgebra:
         return Layout(starts, sizes, block, row, col, zero)
 
     @cached_property
+    def _chi_table(self) -> np.ndarray:
+        """chi(g, h) over the group's element indices, each a Python scalar."""
+        elems = self.group.elements()
+        return np.array([[self.chi(g, h) for h in elems] for g in elems])
+
+    @cached_property
     def _fiber_table(self) -> FiberTable:
         """The fiber product of every pair of basis vectors, sorted by left
         slot and then right slot.  chi and tau conj(chi) are computed as
         Python scalars."""
-        n, add, elems = self.group.order, self.group.add_table, self.group.elements()
-        chi = np.array([[self.chi(g, h) for h in elems] for g in elems])
+        n, add, chi = self.group.order, self.group.add_table, self._chi_table
         tau_chi = np.array([[self.tau * c.conjugate() for c in row] for row in chi.tolist()])
         sub = add[:, np.argmax(add == 0, axis=1)]  # sub[k, g] is k - g
         g, h, k = (w.ravel() for w in np.indices((n, n, n)))
@@ -447,6 +483,34 @@ class TYAlgebra:
         kind = [np.where(b < n, 0, 1 + (s >= n)) for s in (first, second)]
         k = lay.unit(block[b], slot[b, first], slot[b, second])
         return UnitMap(k, coeff[kind[0], kind[1]])
+
+    @cached_property
+    def _translations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The translation sigma_t of B for every t in G, as a monomial unit
+        map: sigma_t(u_i) = phase[t, i] u_{perm[t, i]}.
+
+        On slots, sigma_t sends k to k + t in every block and the m block's
+        ~k to ~(k + t); it fixes the m slot of each group block g, with the
+        phase conj chi(g, t), and every other slot has phase 1.  A unit
+        (x; r, c) goes to ph_r conj(ph_c) (x; sigma r, sigma c).  The eight
+        rules of ``_fiber_table`` fix these phases: rule 4, say, reads
+        conj chi(g, t) chi(g, k + t) = chi(g, k).  Phases multiply as Python
+        multiplies complex scalars."""
+        lay, n = self._layout, self.group.order
+        shift = self.group.add_table.T  # shift[t, k] is k + t
+        slot = np.full((n, n + 1, 2 * n), n)
+        slot[:, :, :n], slot[:, n, n:] = shift[:, None, :], n + shift
+        ph = np.ones((n, n + 1, 2 * n), dtype=complex)
+        ph[:, :n, n] = self._chi_table.T.conj()
+        b, r, c = lay.block, lay.row, lay.col
+        return lay.unit(b, slot[:, b, r], slot[:, b, c]), _cmul(ph[:, b, r], ph[:, b, c].conj())
+
+    @cached_property
+    def _orbit_representatives(self) -> np.ndarray:
+        """The least unit of each translation orbit, ascending: n^2 + 7n of
+        them for |G| = n."""
+        perm, _ = self._translations
+        return np.flatnonzero(perm.min(axis=0) == np.arange(self.dim))
 
     @cached_property
     def _star_map(self) -> UnitMap:
@@ -686,22 +750,84 @@ class TYAlgebra:
         p = by_unit[p]
         return rows[s], gen[p], vals[s] * coef[p]
 
+    # -- translations as automorphisms -------------------------------------------
+
+    def _translation_defects(self) -> np.ndarray:
+        """For each t, the worst defect of sigma_t as an automorphism of the
+        tables every identity reads: sigma_t(u_i) sigma_t(u_j) =
+        sigma_t(u_i u_j), Delta sigma_t = (sigma_t (x) sigma_t) Delta,
+        eps sigma_t = eps, S sigma_t = sigma_t S and * sigma_t = sigma_t *.
+
+        Each table is a sparse sum keyed by its units, summed once.  sigma_t
+        moves every key by ``perm[t]`` and scales its value by sigma_t's
+        phase on each output unit and the conjugate phase on each input; the
+        star is conjugate-linear, so its input phase enters unconjugated.
+        The moved table must equal the table.  Array operations only.
+
+        Where a moved key sits in the table is found by one search per
+        generator e of G.  When every generator moves the keys onto keys,
+        sigma_{t + e} = sigma_e sigma_t composes those places exactly: each t
+        but 0 is a generator plus an element of lower index.  Otherwise each
+        t compares the two sums by one sorted keyed sum (``_worst``), where a
+        key moved off the table, or one that no key moves onto, counts its
+        value in full."""
+        d, n, T, D = self.dim, self.group.order, self.product, self._coproduct_table
+        S, star, units = self._antipode_map, self._star_map, np.arange(d)
+        perm, phase = self._translations
+        # only the units some sigma_t gives a phase other than 1 are multiplied
+        conj, twisted = phase.conj(), (phase != 1).any(axis=0)
+        # indices are coordinates in mixed radix, so strides[j] is the index of
+        # the generator e_j; for each t but 0, e_j at t's last nonzero
+        # coordinate j leaves t - e_j of lower index
+        strides = np.cumprod((1, *self.group.factors[:0:-1]))[::-1]
+        steps = [int(strides[np.flatnonzero(c)[-1]]) for c in self.group.coords[1:]]
+        tables = [  # (unit columns, values, +1 for each phase taken as is, -1 conjugated)
+            ((T.i, T.j, T.k), T.c, (-1, -1, 1)),
+            ((D.src, D.first, D.second), np.ones(len(D.src)), (-1, 1, 1)),
+            ((units,), self._layout.diag, (-1,)),
+            ((units, S.k), S.c, (-1, 1)),
+            ((units, star.k), star.c, (1, 1)),
+        ]
+        defects = np.zeros(n)
+        for columns, vals, powers in tables:
+            shape = (d,) * len(columns)
+            keys, sums = _sums(np.ravel_multi_index(columns, shape), vals)
+            columns = np.unravel_index(keys, shape)
+
+            def moved(t: int) -> np.ndarray:
+                return np.ravel_multi_index([perm[t][u] for u in columns], shape)
+
+            at = np.flatnonzero(np.any([twisted[u] for u in columns], axis=0))
+            twist = sums[at]
+            for u, w in zip(columns, powers):
+                twist = twist * (phase if w > 0 else conj)[:, u[at]]
+            moved_vals = np.tile(sums, (n, 1))
+            moved_vals[:, at] = twist
+            place = _places(keys, moved, steps)
+            if place is None:
+                gaps = [_worst((moved(t), moved_vals[t]), (keys, sums))[0] for t in range(n)]
+            else:
+                gaps = np.abs(sums[place] - moved_vals).max(axis=1, initial=0.0)
+            defects = np.maximum(defects, gaps)
+        return defects
+
     # -- pair and triple identities as sparse joins ----------------------------------
     #
     # Each evaluator takes a block of first factors and checks every instance
     # with such a first factor against all other factors; ``_blocked`` runs
-    # it over all units.  Both sides are sparse sums keyed by (instance,
-    # output units); an instance absent from both sides is exactly zero on
-    # both.  Each returns the worst residual and the instance where it occurs.
+    # it over given first factors.  Both sides are sparse sums keyed by
+    # (instance, output units); an instance absent from both sides is exactly
+    # zero on both.  Each returns the worst residual and the instance where
+    # it occurs.
 
-    def _blocked(self, evaluate) -> tuple[float, tuple]:
-        """The worst (residual, instance) of ``evaluate`` over every unit as
-        first factor, FIRST_FACTOR_BLOCK units at a time.  Keys lead with the
-        first factor, so keeping the earlier block on ties (and the first
-        NaN) gives the instance one join over all units would."""
+    def _blocked(self, evaluate, first: np.ndarray) -> tuple[float, tuple]:
+        """The worst (residual, instance) of ``evaluate`` over the ascending
+        first factors ``first``, FIRST_FACTOR_BLOCK units at a time.  Keys
+        lead with the first factor, so keeping the earlier block on ties
+        (and the first NaN) gives the instance one join over them all would."""
         worst = (0.0, ())
-        for lo in range(0, self.dim, FIRST_FACTOR_BLOCK):
-            r, where = evaluate(np.arange(lo, min(lo + FIRST_FACTOR_BLOCK, self.dim)))
+        for lo in range(0, len(first), FIRST_FACTOR_BLOCK):
+            r, where = evaluate(first[lo:lo + FIRST_FACTOR_BLOCK])
             if r > worst[0] or (np.isnan(r) and not np.isnan(worst[0])):
                 worst = (r, where)
         return worst
@@ -974,16 +1100,31 @@ class TYAlgebra:
 
         Every row reads the structure-constant arrays: the identities of the
         product, coproduct, counit, antipode and star, and those of B_t, B_s
-        and the zero fiber, are sparse joins over them.  Pair- and
-        triple-indexed ones (associativity, coproduct multiplicativity,
-        antipode and star anti-multiplicativity, the weak counit identity)
-        take their first factors in blocks of FIRST_FACTOR_BLOCK units.  The
-        corepresentation identities are joins over the block layout; their
-        comultiplication shares one join with the dual pairing, which covers
-        every triple of dual basis functionals and units.  Haar positivity
-        covers the Gram matrix h(u_i* u_j) of all dim^2 pairs."""
+        and the zero fiber, are sparse joins over them.  The corepresentation
+        identities are joins over the block layout; their comultiplication
+        shares one join with the dual pairing, which covers every triple of
+        dual basis functionals and units.  Haar positivity covers the Gram
+        matrix h(u_i* u_j) of all dim^2 pairs.
+
+        "translations are automorphisms" checks every sigma_t
+        (:meth:`_translation_defects`).  When it passes, the six pair- and
+        triple-indexed identities (associativity, coproduct multiplicativity,
+        coassociativity, the weak counit identity, antipode and star
+        anti-multiplicativity) take as first factor only the least unit of
+        each translation orbit, and report ``"exhaustive by translation"``
+        with representatives * dim^(arity - 1) instances checked.  Proof:
+        sigma_t is monomial with phases of modulus 1, and it intertwines
+        every map these identities read (the pairing is eps of the product).
+        Each identity is multilinear, conjugate-linear in the star, so its
+        entrywise residual at (sigma_t u, sigma_t v, sigma_t w) is the one at
+        (u, v, w) times phases of modulus 1, with its output keys permuted by
+        sigma_t.  Every instance is thus the translate of one whose first
+        factor is a representative, and has its residual.  When the row
+        fails, the six take every unit as first factor, as mode
+        ``"exhaustive"``.  Either way they join FIRST_FACTOR_BLOCK first
+        factors at a time."""
         d, n, eps, sizes = self.dim, self.group.order, self.eps, self._layout.sizes.tolist()
-        star, antipode, blocked = self._star_map, self._antipode_map, self._blocked
+        star, antipode = self._star_map, self._antipode_map
         target, source = self.counital_subalgebras()
         tterms, sterms = _basis_terms(target), _basis_terms(source)
         dual, haar = cache(self._dual_product), cache(self.haar)
@@ -997,28 +1138,44 @@ class TYAlgebra:
             r, key = _peak(*dual())
             return r, np.unravel_index(key, (d, d, d))
 
+        @cache
+        def translations():  # the worst translation defect, with its t as witness
+            defects = self._translation_defects()
+            t = int(np.argmax(defects))  # the first NaN, if any
+            r = float(defects[t])
+            return r, f"t = {self.block_names[t]}" if r > 0 else ""
+
+        def reduced(name: str, arity: int, evaluate) -> tuple:
+            """The row of an identity of ``arity`` units, its first factors
+            reduced by translation once the translation row has passed."""
+            def run():
+                if translations()[0] <= eps:
+                    first, mode = self._orbit_representatives, "exhaustive by translation"
+                else:
+                    first, mode = np.arange(d), "exhaustive"
+                return (*self._blocked(evaluate, first), len(first) * d ** (arity - 1), mode)
+            return name, d**arity, run
+
         rows = [
             ("dimension of B", 1, partial(_dim_check, "dim B", d, n * (n + 1) ** 2 + 4 * n * n)),
-            ("product associativity", d**3, partial(blocked, self._associativity)),
+            ("translations are automorphisms", n, translations),
+            reduced("product associativity", 3, self._associativity),
             ("unit law", d, self._unit_law),
-            ("coproduct multiplicative", d**2, partial(blocked, self._coproduct_multiplicative)),
+            reduced("coproduct multiplicative", 2, self._coproduct_multiplicative),
             ("coproduct star compatible", d, partial(self._comultiplicative, star, False)),
-            ("coassociativity", d, partial(blocked, self._coassociativity)),
+            reduced("coassociativity", 1, self._coassociativity),
             ("counit law", d, self._counit_law),
             ("weak unit identity", 1, self._weak_unit),
-            ("weak counit identity", d**3, partial(blocked, self._weak_counit)),
+            reduced("weak counit identity", 3, self._weak_counit),
             ("antipode identity (target)", d, partial(self._antipode_identity, False)),
             ("antipode identity (source)", d, partial(self._antipode_identity, True)),
-            (
-                "antipode anti-multiplicative", d**2,
-                partial(blocked, partial(self._anti_multiplicative, m=antipode, conjugate=False)),
+            reduced(
+                "antipode anti-multiplicative", 2,
+                partial(self._anti_multiplicative, m=antipode, conjugate=False),
             ),
             ("antipode anti-comultiplicative", d, partial(self._comultiplicative, antipode, True)),
             ("star involutive", d, partial(self._period_two, star.k, star.c)),
-            (
-                "star anti-multiplicative", d**2,
-                partial(blocked, partial(self._anti_multiplicative, m=star, conjugate=True)),
-            ),
+            reduced("star anti-multiplicative", 2, partial(self._anti_multiplicative, m=star, conjugate=True)),
             # (S o *)^2 = id; like *, S o * is conjugate-linear
             (
                 "star-antipode period two", d,

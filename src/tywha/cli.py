@@ -265,7 +265,8 @@ def cmd_wha_verify(args) -> int:
     alg = _algebra(args)
     report = alg.verify_axioms()
     print(report.summary())
-    _write_json(args.json, {"schema": "tywha-axioms/2", **report.to_dict()})
+    datum = {"bicharacter": alg.bichar.to_json(), "tau_sign": alg.tau_sign}
+    _write_json(args.json, {"schema": "tywha-axioms/3", **datum, **report.to_dict()})
     return 0 if report.passed else 1
 
 

@@ -18,7 +18,10 @@ tables into the rows they stand for, as the json module's ``default`` hook,
 and ``failures`` lists a report's failed checks.  A keyed sum by
 ``np.unique``'s inverse, a component split by one grouping sort per index
 and a Haar solve by one ``lstsq`` per block are kept as references for
-``linalg._sums``, ``linalg.components`` and ``TYAlgebra.haar``.
+``linalg._sums``, ``linalg.components`` and ``TYAlgebra.haar``.  The
+translations sigma_t, built from the named slots, and their defects against
+B's tables, by one sorted keyed sum per table and t, are the reference for
+``TYAlgebra._translations`` and ``_translation_defects``.
 """
 
 from __future__ import annotations
@@ -505,6 +508,47 @@ ROWS = {
     "antipode squared fixes target subalgebra": antipode_squared,
     "zero fiber projections": zero_fiber_projections,
 }
+
+
+# -- translations, one named basis unit at a time ------------------------------------
+
+
+def translate(alg, t: GroupElt, u: BasisUnit) -> tuple[complex, BasisUnit]:
+    """sigma_t(u) as (phase, unit): every group slot and every barred slot
+    moves by t, and the m slot of a group block g stays, with phase
+    conj chi(g, t); u = (x; r, c) takes ph_r conj(ph_c)."""
+    def moved(s: Slot) -> tuple[complex, Slot]:
+        if s.kind == SLOT_M:
+            return alg.chi(u.block.g, t).conjugate(), s
+        return 1.0 + 0j, Slot(s.kind, add(alg.group, s.g, t))
+
+    (pr, r), (pc, c) = moved(u.row), moved(u.col)
+    return pr * pc.conjugate(), BasisUnit(u.block, r, c)
+
+
+def translation_defects(alg) -> np.ndarray:
+    """For each t, in index order, the largest gap between B's product,
+    coproduct, counit, antipode and star tables and the same table moved by
+    sigma_t, each compared by one sorted keyed sum (``_worst``): no search
+    and no composition of translations."""
+    d, T, D, lay = alg.dim, alg.product, alg._coproduct_table, alg._layout
+    S, st, pos, unit = alg._antipode_map, alg._star_map, unit_pos(alg), np.arange(alg.dim)
+    out = []
+    for t in alg.group.elements():
+        moved = [translate(alg, t, u) for u in units(alg)]
+        s = np.array([pos[v] for _, v in moved])
+        p = np.array([ph for ph, _ in moved])
+        q = p.conj()
+        out.append(max(
+            _worst(((s[T.i] * d + s[T.j]) * d + s[T.k], T.c * q[T.i] * q[T.j] * p[T.k]),
+                   ((T.i * d + T.j) * d + T.k, T.c))[0],
+            _worst(((s[D.src] * d + s[D.first]) * d + s[D.second], q[D.src] * p[D.first] * p[D.second]),
+                   ((D.src * d + D.first) * d + D.second, np.ones(len(D.src))))[0],
+            _worst((s, q * lay.diag), (unit, 1.0 * lay.diag))[0],
+            _worst((s * d + s[S.k], q * p[S.k] * S.c), (unit * d + S.k, S.c))[0],
+            _worst((s * d + s[st.k], p * p[st.k] * st.c), (unit * d + st.k, st.c))[0],
+        ))
+    return np.array(out)
 
 
 # -- the coideal checks on A itself ---------------------------------------------------

@@ -74,6 +74,13 @@ class TestGroupDescribe:
         assert run(["group", "describe", "--group", "zzz"]) == 2
 
 
+# the rows that take one first factor per translation orbit
+REDUCED_ROWS = {
+    "product associativity", "coproduct multiplicative", "coassociativity", "weak counit identity",
+    "antipode anti-multiplicative", "star anti-multiplicative",
+}
+
+
 class TestWhaCommands:
     def test_verify_passes(self, capsys):
         assert run(["wha", "verify", "--group", "2", "--tau", "+"]) == 0
@@ -87,9 +94,15 @@ class TestWhaCommands:
         assert run(["wha", "verify", "--group", group, "--tau", tau, "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["passed"]
+        n = FiniteAbelianGroup.from_spec(group).order
+        dim = n * (n + 1) ** 2 + 4 * n * n
         for c in payload["checks"]:
-            assert c["mode"] == "exhaustive", c["name"]
-            assert c["instances_checked"] == c["instances_total"], c["name"]
+            if c["name"] in REDUCED_ROWS:  # one first factor per translation orbit
+                assert c["mode"] == "exhaustive by translation", c["name"]
+                assert c["instances_checked"] * dim == (n * n + 7 * n) * c["instances_total"], c["name"]
+            else:
+                assert c["mode"] == "exhaustive", c["name"]
+                assert c["instances_checked"] == c["instances_total"], c["name"]
 
     @pytest.mark.parametrize("group", ["17", "2,9"])
     @pytest.mark.parametrize(
@@ -138,6 +151,19 @@ class TestWhaCommands:
         assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau", ["+", "-"])
+    def test_verify_json_names_its_datum(self, tau, tmp_path):
+        # chi^2 on Z3 is a different datum; the report says which one it checked
+        chi = tmp_path / "chi.json"
+        chi.write_text(json.dumps({"matrix": [["2/3"]]}))
+        out = tmp_path / "axioms.json"
+        assert run(["wha", "verify", "--group", "3", "--tau", tau, "--bichar", str(chi), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["bicharacter"], payload["tau_sign"]) == ({"matrix": [["2/3"]]}, 1 if tau == "+" else -1)
+        export = tmp_path / "export.json"
+        assert run(["wha", "export", "--group", "3", "--tau", tau, "--bichar", str(chi), "--json", str(export)]) == 0
+        assert payload["bicharacter"] == json.loads(export.read_text())["bicharacter"]
+
     def test_bad_tau_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["wha", "verify", "--group", "2", "--tau", "x"])
@@ -147,11 +173,14 @@ class TestWhaCommands:
         out = tmp_path / "axioms.json"
         assert run(["wha", "verify", "--group", "3", "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "tywha-axioms/2"
+        assert payload["schema"] == "tywha-axioms/3"
+        assert (payload["bicharacter"], payload["tau_sign"]) == ({"matrix": [["1/3"]]}, 1)
         checks = {c["name"]: c for c in payload["checks"]}
-        assoc = checks["product associativity"]
-        assert assoc["mode"] == "exhaustive"
-        assert assoc["instances_checked"] == assoc["instances_total"] == 84**3
+        translations = checks["translations are automorphisms"]
+        assert translations["passed"] and translations["instances_total"] == 3
+        assoc = checks["product associativity"]  # 30 = 3^2 + 7 * 3 first factors
+        assert assoc["mode"] == "exhaustive by translation"
+        assert (assoc["instances_checked"], assoc["instances_total"]) == (30 * 84**2, 84**3)
         haar = checks["haar positive"]
         assert haar["mode"] == "exhaustive"
         assert haar["instances_checked"] == haar["instances_total"] == 84**2
@@ -778,7 +807,16 @@ class TestReportPins:
     dimensions, Gamma, the unit's support and the classification data of the
     verify and coideal reports, pinned as sha256."""
 
+    # schema tywha-axioms/3: the datum, the translation row and per-row coverage
     VERIFY_SHA256 = {
+        ("3", "+"): "5d16f62142d1027b3eebcf34861fcd79e7dca3da60ce6814c690a6ccba2f4321",
+        ("3", "-"): "4506591b851d94faa670bd813dcc66e6c6e496fc27862a866f85f1fb8c113fd4",
+        ("2,2", "+"): "60b557563d64ee889e47cc14195d2554cdf1b6f9384be09f6b259545c01a985c",
+        ("2,2", "-"): "debc3f7fa037e64b6c29adeb5dc751bf4239fe0276754f3139b003c3ab763787",
+    }
+    # the same reports as tywha-axioms/2 wrote them, before the datum keys,
+    # the translation row and the reduced coverage
+    VERIFY_AXIOMS_2_SHA256 = {
         ("3", "+"): "1a810c3665e5a5069023c078dc8dd220760f8689271597bfe31956d2de99d49b",
         ("3", "-"): "6064fb249be5197582628f5a8d5e53ffcfdaa34b3761442fa9b31a3c7c04f64b",
         ("2,2", "+"): "5d4549c1a2ca568c05c0b6a90969d0db871ec1dcc8519f8842a0e1f108ffbaa8",
@@ -827,6 +865,14 @@ class TestReportPins:
     def test_verify_report_pinned(self, group, tau, tmp_path):
         payload = self.report(["wha", "verify", "--group", group, "--tau", tau], tmp_path)
         assert _report_sha256(payload) == self.VERIFY_SHA256[(group, tau)]
+        # every other field is as tywha-axioms/2 wrote it
+        earlier = {k: v for k, v in payload.items() if k not in ("bicharacter", "tau_sign")}
+        earlier["schema"] = "tywha-axioms/2"
+        earlier["checks"] = [
+            {**c, "instances_checked": c["instances_total"], "mode": "exhaustive"}
+            for c in payload["checks"] if c["name"] != "translations are automorphisms"
+        ]
+        assert _report_sha256(earlier) == self.VERIFY_AXIOMS_2_SHA256[(group, tau)]
 
     @pytest.mark.parametrize("build", range(len(PINNED_BUILDS)))
     @pytest.mark.parametrize("tau", ["+", "-"])
