@@ -260,6 +260,27 @@ class UnitMap:
 
 
 @dataclass
+class SlotTable:
+    """The fiber involution and every translation sigma_t as monomial maps on
+    all blocks' slots, numbered as ``Layout.slot_starts`` numbers them.  The
+    involution sends slot s to ``star[s]``, with coefficient ``psi[s]`` on a
+    unit's first leg and ``phi[s]`` on its second: slot k of group block g
+    goes to slot k - g of block -g, its m slot to that of -g, both with
+    coefficient 1, and the m block swaps v^m_k (unb) and v^m_~k (bar).
+    sigma_t sends slot s to ``shift[t, s]`` with ``phase[t, s]``: k to k + t
+    in every block and ~k to ~(k + t), with phase 1, while group block g's m
+    slot stays, with phase conj chi(g, t).  The eight rules of
+    ``_fiber_table`` fix these phases: rule 4, say, reads
+    conj chi(g, t) chi(g, k + t) = chi(g, k)."""
+
+    star: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+    shift: np.ndarray
+    phase: np.ndarray
+
+
+@dataclass
 class CoproductTable:
     """Delta(u_i) is the sum of u_first[p] (x) u_second[p], coefficient 1,
     over p in ``ptr[i]:ptr[i + 1]``; ``pairs[i]`` lists the same terms as
@@ -455,55 +476,36 @@ class TYAlgebra:
         return CoproductTable(ptr, src, first, second)
 
     @cached_property
-    def _slot_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """The fiber involution on slots, as (block, slot): ``block[b]`` is
-        the image of block b, and ``slot[b, s]`` that of its slot s.  Slot s
-        of group block g goes to slot s - g (the m slot to itself) of block
-        -g, and the m block swaps its unbarred and barred slots."""
-        n, add = self.group.order, self.group.add_table
-        neg = np.argmax(add == 0, axis=1)
-        slot = np.full((n + 1, 2 * n), n)
-        slot[:n, :n], slot[n] = add[:, neg].T, np.roll(np.arange(2 * n), n)
-        return np.append(neg, n), slot
+    def _slot_table(self) -> SlotTable:
+        """The slot table, its coefficients read from ``_psi_*`` and ``_phi_*`` as they stand."""
+        lay, n, add = self._layout, self.group.order, self.group.add_table
+        b = np.repeat(np.arange(n + 1), lay.sizes)  # the block of each slot
+        s = np.arange(len(b)) - lay.slot_starts[b]  # its index within the block
+        neg = np.append(np.argmax(add == 0, axis=1), n)  # -x for each block x, with -m = m
+        g, k, m_slot = b % n, s % n, (b < n) & (s == n)  # group block and element where they apply; v^g_m
+        kind = np.where(b < n, 0, 1 + (s >= n))  # group block, unbarred or barred m-block slot
+        return SlotTable(
+            lay.slot_starts[neg[b]] + np.where(b == n, (s + n) % (2 * n), np.where(m_slot, n, add[k, neg[g]])),
+            np.array([1.0, self._psi_unb, self._psi_bar], dtype=complex)[kind],
+            np.array([1.0, self._phi_unb, self._phi_bar], dtype=complex)[kind],
+            lay.slot_starts[b] + np.where(m_slot, n, n * (s >= n) + add.T[:, k]),
+            np.where(m_slot, self._chi_table.T.conj()[:, g], 1.0))
 
-    def _unit_map(self, antipode: bool) -> UnitMap:
-        """The involution (x; r, c) -> psi(r) (x) phi(c), or the antipode
-        (x; r, c) -> psi(c) (x) phi(r), read from the live fiber coefficients.
-        Both legs move by ``_slot_map``; a group block's coefficient is 1,
-        and an m-block slot's is unb or bar, psi's on the first leg and phi's
-        on the second."""
-        lay, n = self._layout, self.group.order
-        block, slot = self._slot_map
-        psi = (1.0 + 0j, complex(self._psi_unb), complex(self._psi_bar))
-        phi = (1.0 + 0j, complex(self._phi_unb), complex(self._phi_bar))
-        coeff = np.array([[p * f for f in phi] for p in psi])
-        b = lay.block
-        first, second = (lay.col, lay.row) if antipode else (lay.row, lay.col)
-        # 0 in a group block, 1 on an unbarred and 2 on a barred m-block slot
-        kind = [np.where(b < n, 0, 1 + (s >= n)) for s in (first, second)]
-        k = lay.unit(block[b], slot[b, first], slot[b, second])
-        return UnitMap(k, coeff[kind[0], kind[1]])
+    def _lift(self, image: np.ndarray, first: np.ndarray, second: np.ndarray, swap: bool = False) -> tuple:
+        """The unit map (k, c) of a monomial map on slots, leading axes kept:
+        (x; r, c) goes to first[r] second[c] (y; image[r], image[c]), y the
+        image slots' block, or with ``swap`` to first[c] second[r]
+        (y; image[c], image[r]); coefficients multiply as Python's complex do."""
+        lay = self._layout
+        r, c = (lay.slot_starts[lay.block] + leg for leg in ((lay.col, lay.row) if swap else (lay.row, lay.col)))
+        rows, cols = image[..., r], image[..., c]
+        y = np.searchsorted(lay.slot_starts, rows, side="right") - 1
+        return lay.unit(y, rows - lay.slot_starts[y], cols - lay.slot_starts[y]), _cmul(first[..., r], second[..., c])
 
     @cached_property
     def _translations(self) -> tuple[np.ndarray, np.ndarray]:
-        """The translation sigma_t of B for every t in G, as a monomial unit
-        map: sigma_t(u_i) = phase[t, i] u_{perm[t, i]}.
-
-        On slots, sigma_t sends k to k + t in every block and the m block's
-        ~k to ~(k + t); it fixes the m slot of each group block g, with the
-        phase conj chi(g, t), and every other slot has phase 1.  A unit
-        (x; r, c) goes to ph_r conj(ph_c) (x; sigma r, sigma c).  The eight
-        rules of ``_fiber_table`` fix these phases: rule 4, say, reads
-        conj chi(g, t) chi(g, k + t) = chi(g, k).  Phases multiply as Python
-        multiplies complex scalars."""
-        lay, n = self._layout, self.group.order
-        shift = self.group.add_table.T  # shift[t, k] is k + t
-        slot = np.full((n, n + 1, 2 * n), n)
-        slot[:, :, :n], slot[:, n, n:] = shift[:, None, :], n + shift
-        ph = np.ones((n, n + 1, 2 * n), dtype=complex)
-        ph[:, :n, n] = self._chi_table.T.conj()
-        b, r, c = lay.block, lay.row, lay.col
-        return lay.unit(b, slot[:, b, r], slot[:, b, c]), _cmul(ph[:, b, r], ph[:, b, c].conj())
+        """sigma_t(u_i) = phase[t, i] u_{perm[t, i]}: (x; r, c) -> ph_r conj(ph_c) (x; sigma r, sigma c)."""
+        return self._lift(self._slot_table.shift, self._slot_table.phase, self._slot_table.phase.conj())
 
     @cached_property
     def _orbit_representatives(self) -> np.ndarray:
@@ -514,11 +516,13 @@ class TYAlgebra:
 
     @cached_property
     def _star_map(self) -> UnitMap:
-        return self._unit_map(antipode=False)
+        """The involution (x; r, c) -> psi(r) (x) phi(c), conjugate-linear."""
+        return UnitMap(*self._lift(self._slot_table.star, self._slot_table.psi, self._slot_table.phi))
 
     @cached_property
     def _antipode_map(self) -> UnitMap:
-        return self._unit_map(antipode=True)
+        """The antipode (x; r, c) -> psi(c) (x) phi(r): the involution's legs swapped."""
+        return UnitMap(*self._lift(self._slot_table.star, self._slot_table.psi, self._slot_table.phi, swap=True))
 
     @cached_property
     def _pairing(self) -> Pairing:
@@ -1046,17 +1050,16 @@ class TYAlgebra:
         """The zero fiber is a commutative *-algebra of orthogonal
         projections: v^0_a v^0_c = delta_ac v^0_a over the fiber table's
         entries with x = y = 0, and the fiber involution fixes each v^0_a.
-        Keys are (instance, output block, output slot)."""
-        lay = self._layout
-        z, n, width = lay.zero, int(lay.sizes[lay.zero]), int(lay.sizes.max())
-        outputs, slots, ones = len(lay.sizes) * width, np.arange(n), np.ones(n)
-        (x, a, y, c, zb, e), coeff = self._fiber_table.local, self._fiber_table.coeff
+        Keys are (instance, output slot)."""
+        lay, T = self._layout, self._fiber_table
+        z, n, outputs = lay.zero, int(lay.sizes[lay.zero]), int(lay.sizes.sum())
+        zero, slots, ones = lay.slot_starts[z] + np.arange(n), np.arange(n), np.ones(n)
+        x, a, y, c, *_ = T.local
         hit = (x == z) & (y == z)
-        product = ((a[hit] * n + c[hit]) * outputs + zb[hit] * width + e[hit], coeff[hit])
-        square = (slots * (n + 1) * outputs + z * width + slots, ones)  # v^0_a v^0_a = v^0_a
-        block, slot = self._slot_map
-        involution = (slots * outputs + block[z] * width + slot[z, :n], ones)
-        fixed = (slots * outputs + z * width + slots, ones)
+        product = ((a[hit] * n + c[hit]) * outputs + T.out[hit], T.coeff[hit])
+        square = (slots * (n + 1) * outputs + zero, ones)  # v^0_a v^0_a = v^0_a
+        involution = (slots * outputs + self._slot_table.star[zero], ones)
+        fixed = (slots * outputs + zero, ones)
         return max(_worst(product, square)[0], _worst(involution, fixed)[0]), ""
 
     def _commute(self, t: tuple, s: tuple) -> tuple[float, str]:

@@ -274,8 +274,8 @@ class _Fibers:
     through the batch, ``owner[i]`` the coideal of row i, and slot s of
     coideal c (as ``Layout.slot_starts`` numbers slots) has key c * slots + s.
     Terms are sorted by row, then key (``terms``), and by key
-    (``sorted_terms``); ``block``, ``local`` and ``slot`` give each term's
-    block, slot within the block and slot.
+    (``sorted_terms``); ``local`` and ``slot`` give each term's slot within
+    its block and slot.
 
     Row i is 1 at its pivot slot and 0 at its block's other pivots, so a
     vector w of sum_z H^z lies in sum_z X^z iff w - sum_i w[piv_i] F_i is
@@ -299,8 +299,7 @@ class _Fibers:
                            for f in ("fiber_block", "fiber_pivot", "fiber_rows"))
         self.zero_rows, fiber = b == lay.zero, _pruned_rows(fiber)
         row, self.local = np.nonzero(fiber)
-        self.block, val = b[row], fiber[row, self.local]
-        self.slot = lay.slot_starts[self.block] + self.local
+        val, self.slot = fiber[row, self.local], lay.slot_starts[b[row]] + self.local
         self.terms = row, self.owner[row] * self.slots + self.slot, val
         self.sorted_terms = tuple(t[np.argsort(self.terms[1], kind="stable")] for t in self.terms)
         self.pivot_row = np.full(self.keys, -1)
@@ -369,17 +368,13 @@ def _product_closure(F: _Fibers) -> list[tuple[float, str]]:
 
 
 def _star_closure(F: _Fibers) -> list[tuple[float, str]]:
-    """The involution sends (x; r, c) to psi_r phi_c (-x; r', c'),
-    conjugate-linearly, with psi, phi nonzero and c -> c' onto the slots, so
-    star(xi (x) conj e_c) = sharp(xi) (x) conj(phi_c e_c'), sharp(xi) =
-    sum_r conj(xi_r) psi_r e_r', and A is closed under star iff sharp(X^x)
+    """The involution sends (x; r, c) to psi_r phi_c (-x; r', c') as the slot
+    table says, conjugate-linearly, with psi, phi nonzero and c -> c' onto the
+    slots, so star(xi (x) conj e_c) = sharp(xi) (x) conj(phi_c e_c'), sharp(xi)
+    = sum_r conj(xi_r) psi_r e_r', and A is closed under star iff sharp(X^x)
     <= X^(-x).  The margin res - eps (1 + |xi|) of every fiber row."""
-    alg = F.algebra
-    n, (block, slot) = alg.group.order, alg._slot_map
-    psi = np.array([1.0, alg._psi_unb, alg._psi_bar], dtype=complex)
-    (row, _, val), kind = F.terms, np.where(F.block < n, 0, 1 + (F.local >= n))  # group, unbarred m, barred m
-    image = F.owner[row] * F.slots + alg._layout.slot_starts[block[F.block]] + slot[F.block, F.local]
-    res, _ = F.residual(row, image, val.conj() * psi[kind], F.size)
+    (row, _, val), S = F.terms, F.algebra._slot_table
+    res, _ = F.residual(row, F.owner[row] * F.slots + S.star[F.slot], val.conj() * S.psi[F.slot], F.size)
     norms = np.sqrt(np.bincount(row, _sq(val), F.size))
     return _verdicts(res - F.eps * (1.0 + norms), F.owner, F.k, lambda at: f"fiber row {F.local_row[at]}")
 

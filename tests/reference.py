@@ -21,7 +21,11 @@ and a Haar solve by one ``lstsq`` per block are kept as references for
 ``linalg._sums``, ``linalg.components`` and ``TYAlgebra.haar``.  The
 translations sigma_t, built from the named slots, and their defects against
 B's tables, by one sorted keyed sum per table and t, are the reference for
-``TYAlgebra._translations`` and ``_translation_defects``.
+``TYAlgebra._translations`` and ``_translation_defects``.  sigma_t on
+fiber rows, read from ``TYAlgebra._slot_table``, a span key for rows of
+disjoint supports, and the two checks that builds follow sigma_t and that
+classes share a subalgebra only as K <-> Kperp swap pairs are kept here for
+the tests and for a CI step at order 8.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tywha.algebra import AxiomReport
-from tywha.coideals import CoidealSpec, _coords, _exact, _Fibers, _verdicts
+from tywha.classify import _representative
+from tywha.coideals import CoidealSpec, _coords, _exact, _Fibers, _verdicts, build_from_spec
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
 from tywha.linalg import (
@@ -513,16 +518,19 @@ ROWS = {
 # -- translations, one named basis unit at a time ------------------------------------
 
 
-def translate(alg, t: GroupElt, u: BasisUnit) -> tuple[complex, BasisUnit]:
-    """sigma_t(u) as (phase, unit): every group slot and every barred slot
-    moves by t, and the m slot of a group block g stays, with phase
-    conj chi(g, t); u = (x; r, c) takes ph_r conj(ph_c)."""
-    def moved(s: Slot) -> tuple[complex, Slot]:
-        if s.kind == SLOT_M:
-            return alg.chi(u.block.g, t).conjugate(), s
-        return 1.0 + 0j, Slot(s.kind, add(alg.group, s.g, t))
+def translate_slot(alg, t: GroupElt, x: BlockLabel, s: Slot) -> tuple[complex, Slot]:
+    """sigma_t on slot s of block x as (phase, slot): every group slot and
+    every barred slot moves by t, and the m slot of a group block g stays,
+    with phase conj chi(g, t)."""
+    if s.kind == SLOT_M:
+        return alg.chi(x.g, t).conjugate(), s
+    return 1.0 + 0j, Slot(s.kind, add(alg.group, s.g, t))
 
-    (pr, r), (pc, c) = moved(u.row), moved(u.col)
+
+def translate(alg, t: GroupElt, u: BasisUnit) -> tuple[complex, BasisUnit]:
+    """sigma_t(u) as (phase, unit): u = (x; r, c) takes ph_r conj(ph_c),
+    ph being ``translate_slot``'s phases."""
+    (pr, r), (pc, c) = (translate_slot(alg, t, u.block, s) for s in (u.row, u.col))
     return pr * pc.conjugate(), BasisUnit(u.block, r, c)
 
 
@@ -549,6 +557,122 @@ def translation_defects(alg) -> np.ndarray:
             _worst((s * d + s[st.k], p * p[st.k] * st.c), (unit * d + st.k, st.c))[0],
         ))
     return np.array(out)
+
+
+# -- translations of weak coideals --------------------------------------------------
+#
+# The catalogs count classes up to translations.  sigma_t moves a fiber row
+# slot by slot, as ``TYAlgebra._slot_table`` holds it, and a build should
+# follow: build(t . p) spans sigma_t(build(p)) in every block.  The builders
+# write rows with disjoint supports within each block, and sigma_t keeps
+# that, so their spans are compared by ``span_key``.
+
+
+def translated_spec(spec: CoidealSpec, t: int, sides=(0, 1)) -> CoidealSpec:
+    """t . spec for the element of index t: the cosets of each side in
+    ``sides`` moved by t in that side's own quotient."""
+    z = [spec.z0, spec.z1]
+    for side in sides:
+        q = (spec.q0, spec.q1)[side]
+        z[side] = q.trans[q.label[t], list(z[side])].tolist()
+    return CoidealSpec(spec.q0, spec.q1, *z)
+
+
+def translated_rows(alg, t: int, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sigma_t, t an element's index, on fiber rows over the slots of their
+    blocks: slot s goes to ``shift[t, s]`` with ``phase[t, s]`` of the
+    algebra's slot table."""
+    lay, S = alg._layout, alg._slot_table
+    r, s = np.nonzero(rows)
+    start = lay.slot_starts[block[r]]
+    out = np.zeros_like(rows)
+    out[r, S.shift[t, start + s] - start] = rows[r, s] * S.phase[t, start + s]
+    return out
+
+
+def span_key(block: np.ndarray, rows: np.ndarray) -> tuple:
+    """A canonical form of the fibers spanned by rows whose supports are
+    disjoint within each block: each row with its block, divided by its
+    entry at its least slot and rounded to 12 places, sorted.  The nonzero
+    vectors of least support in such a span are the multiples of its rows,
+    so two families of such rows span the same fibers iff their keys are
+    equal, whatever the rows' order and scale."""
+    nonzero = np.abs(rows) > 1e-9
+    for b in np.unique(block).tolist():
+        if (nonzero[block == b].sum(axis=0) > 1).any():
+            raise ValueError(f"rows of block {b} overlap")
+    lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
+    normal = np.round(rows / lead[:, None], 12) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return tuple(sorted(zip(block.tolist(), map(bytes, normal))))
+
+
+def _key(wc, t: int = 0) -> tuple:
+    """``span_key`` of sigma_t(wc)."""
+    return span_key(wc.fiber_block, translated_rows(wc.algebra, t, wc.fiber_block, wc.fiber_rows))
+
+
+def _departures(alg, classes, build) -> list[tuple[int, int]]:
+    """The (class number, t), in order, at which ``build(alg, t . p)`` does
+    not span sigma_t(``build(alg, p)``) in every block."""
+    out = []
+    for c, (spec, _) in enumerate(classes):
+        wc = build(alg, spec)
+        out += [(c, t) for t in range(alg.group.order) if _key(build(alg, translated_spec(spec, t))) != _key(wc, t)]
+    return out
+
+
+def follows_translations(alg, classes) -> int:
+    """Check that builds follow sigma_t on every class p of ``classes``,
+    given as (datum, flag), and every t, and return the number of (p, t) at
+    which ``classify._representative`` departs.
+
+    - ``build_from_spec`` never departs.
+    - ``_representative`` departs exactly where ``build_I_Omega_K`` builds a
+      lone singleton: its lines C v^k_Omega, over L = K for a Z0 singleton
+      or its annihilator for a Z1 singleton, do not move with the coset,
+      and sigma_t puts conj chi(k, t) on their slot v^k_m, which is not 1
+      for some k in L iff t lies outside L's annihilator.
+    - Moving alone the side that does not enter the generators, rho0 of
+      ``build_with_m``, leaves the build as it is.  (``build_no_m``'s other
+      side is empty, which every translation fixes.)"""
+    assert _departures(alg, classes, build_from_spec) == []
+    lone = []
+    for c, (spec, _) in enumerate(classes):
+        if len(spec.z0) + len(spec.z1) == 1:
+            lines = spec.subgroup if spec.z0 else spec.q1.subgroup
+            lone += [(c, t) for t in np.flatnonzero(alg.bichar.phase_table[lines.idx].any(axis=0)).tolist()]
+            assert _representative(alg, spec).label == "I_Omega_K"
+        if spec.z0 and spec.z1:
+            wc = build_from_spec(alg, spec)
+            side = 0 if wc.spec.q0 is spec.q1 else 1  # the side built as rho0, swapped in when it is Z0
+            for t in range(alg.group.order):
+                assert build_from_spec(alg, translated_spec(spec, t, (side,))).key() == wc.key(), (spec, t)
+    assert _departures(alg, classes, _representative) == lone
+    return len(lone)
+
+
+def swap_pairs(alg, classes) -> int:
+    """Check that two classes of ``classes``, given as (datum, flag), build
+    the same subalgebra only when they are (K, Z0, Z1) and (Kperp, Z1, Z0)
+    with K != Kperp, built by ``classify._representative`` or by
+    ``build_from_spec``, and compared as they are or by the least
+    ``span_key`` over sigma_t images; return the number of such pairs."""
+    def shared(build, canonical=False) -> list:
+        groups: dict[tuple, list[int]] = {}
+        for c, (spec, _) in enumerate(classes):
+            wc = build(alg, spec)
+            key = min(_key(wc, t) for t in range(alg.group.order)) if canonical else _key(wc)
+            groups.setdefault(key, []).append(c)
+        return sorted(g for g in groups.values() if len(g) > 1)
+
+    pairs = shared(_representative)
+    assert pairs == shared(build_from_spec) == shared(_representative, canonical=True)
+    for pair in pairs:
+        assert len(pair) == 2, pair
+        (p, _), (q, _) = (classes[c] for c in pair)
+        K, perp = p.subgroup, p.q1.subgroup
+        assert K != perp and (q.subgroup, q.q1.subgroup, q.z0, q.z1) == (perp, K, p.z1, p.z0), pair
+    return len(pairs)
 
 
 # -- the coideal checks on A itself ---------------------------------------------------

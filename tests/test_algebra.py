@@ -923,9 +923,8 @@ class TestRewrittenRowFaults:
     def test_swapped_zero_block_slots(self, factors, sign):
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         assert alg.verify_axioms().passed
-        _, slot = alg._slot_map
-        zero = alg._layout.zero
-        slot[zero, [0, 1]] = slot[zero, [1, 0]]
+        star, zero = alg._slot_table.star, alg._layout.slot_starts[alg._layout.zero]
+        star[[zero, zero + 1]] = star[[zero + 1, zero]]
         failed = self.failed(alg)
         assert set(failed) == {"zero fiber projections"}
         assert failed["zero fiber projections"].residual == 1.0
@@ -1028,6 +1027,24 @@ class TestTranslations:
                 assert 0 < residual - c.residual <= 1e-15, name
             else:
                 assert (c.residual, c.witness) == (residual, witness), name
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors,phases", EQUIVALENCE_DATA)
+    def test_slot_table_matches_named_slots(self, factors, phases, sign):
+        # the involution against _fiber_map and sigma_t against translate_slot, slot by slot
+        grp = FiniteAbelianGroup(factors)
+        alg = TYAlgebra(grp, Bicharacter(grp, phases) if phases else None, tau_sign=sign)
+        table, named = alg._slot_table, [(x, s) for x in blocks(alg) for s in slots(alg, x)]
+        number = {slot: i for i, slot in enumerate(named)}
+        for i, (x, s) in enumerate(named):
+            psi, *image = _fiber_map(alg, x, s, second_leg=False)
+            phi, *conj_image = _fiber_map(alg, x, s, second_leg=True)
+            assert image == conj_image
+            assert (table.star[i], table.psi[i], table.phi[i]) == (number[tuple(image)], psi, phi)
+        for t, g in enumerate(grp.elements()):
+            moved = [reference.translate_slot(alg, g, x, s) for x, s in named]
+            assert table.shift[t].tolist() == [number[x, s] for (x, _), (_, s) in zip(named, moved)]
+            assert table.phase[t].tolist() == [phase for phase, _ in moved]
 
     @pytest.mark.parametrize("factors", [(1,), (3,), (4,), (2, 2), (6,), (2, 4)])
     def test_translations_match_named_units(self, factors):

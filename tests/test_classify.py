@@ -45,6 +45,8 @@ from tywha.groups import (
     quotient,
 )
 
+import reference
+
 # sha256 of the --json reports of `classify weak-coideals` and
 # `classify g-algebras --max-mult 2`, recorded from the tuple-based orbit
 # code this engine replaced, with every "n_points" key removed and the rest
@@ -597,6 +599,48 @@ def same_fibers(a, b) -> bool:
         return False
     rows, block = np.concatenate([a.fiber_rows, b.fiber_rows]), np.concatenate([a.fiber_block, b.fiber_block])
     return all(np.linalg.matrix_rank(rows[block == x]) == (a.fiber_block == x).sum() for x in np.unique(block))
+
+
+# per group, each tau sign: the (class, t) pairs at which the realized
+# representative departs from sigma_t, of all (class, t) pairs, and the
+# K <-> Kperp swap pairs of classes that build one subalgebra, of all classes
+TRANSLATED_CLASSES = {
+    (2,): (2, 20, 5, 10), (3,): (4, 42, 7, 14), (4,): (8, 104, 11, 26), (2, 2): (16, 176, 19, 44),
+    (5,): (8, 150, 15, 30), (6,): (24, 432, 35, 72),
+}
+
+
+class TestTranslatedClasses:
+    """Builds follow the translations sigma_t of B, and classes collide
+    only as swap pairs (``reference.follows_translations`` and
+    ``reference.swap_pairs``; CI runs both at order 8)."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", sorted(TRANSLATED_CLASSES))
+    def test_builds_follow_translations(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
+        departures, pairs, _, n_classes = TRANSLATED_CLASSES[factors]
+        assert len(classes) * alg.group.order == pairs and len(classes) == n_classes
+        assert reference.follows_translations(alg, classes) == departures
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", sorted(TRANSLATED_CLASSES))
+    def test_collisions_are_swap_pairs(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
+        assert reference.swap_pairs(alg, classes) == TRANSLATED_CLASSES[factors][2]
+
+    def test_span_key_tells_spans_apart(self):
+        rows = np.array([[1, 1, 0, 0], [0, 0, 2j, 0], [1, 0, 0, 0]], dtype=complex)
+        block = np.array([0, 0, 1])
+        same = reference.span_key(block, rows)
+        assert reference.span_key(block[[1, 0, 2]], rows[[1, 0, 2]] * [[-1], [3], [1j]]) == same
+        moved = rows.copy()
+        moved[0, 1] = -1
+        assert reference.span_key(block, moved) != same
+        with pytest.raises(ValueError, match="overlap"):
+            reference.span_key(np.array([0, 0]), rows[[0, 2]])
 
 
 class TestAlgebraClasses:
