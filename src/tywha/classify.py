@@ -5,12 +5,22 @@ coset subsets (Z0, Z1) in G/K x G/Kperp (at most one side larger than a
 singleton), taken up to translations, and additionally up to the swap of
 the two sides when K equals its own annihilator.  Algebra classes replace
 subsets by nonnegative multiplicity vectors.  Points are integer rows over
-the cosets of both sides, and each action element is a coordinate
+the cosets of one side or of both, and each action element is a coordinate
 permutation: the image of ``row`` under ``perm`` is ``row[perm]``.
 
-Every orbit count is cross-checked by the Burnside average of fixed-point
-counts taken from each permutation's cycle structure, and the
-coideal-containing orbits against their directly constructed list.
+Classes are products of side orbits.  The action is T0 x T1, T_i moving
+only side i, plus the swap when K = Kperp.  So orbit(Z0, Z1) = O0(Z0) x
+O1(Z1), and validity depends only on the sides' weights (subset sizes, or
+sums of multiplicities), which are orbit invariants.  Both keys are
+lexicographic in (side 0, side 1), so a product's least key is the pair of
+its sides' least keys.  Under the swap a class is an unordered pair {A, B}
+of side orbits: its representative is (lesser, greater) by least key, and
+its size 2|A||B|, or |A|^2 when A = B.  A catalog call partitions each
+distinct quotient table's points once and checks each distinct pair action
+once: the Burnside average of fixed-point counts, taken from each
+permutation's cycle structure, against the class count, the identity's
+count and the class sizes against the points counted from the sides, and
+the coideal-containing classes against their direct construction.
 """
 
 from __future__ import annotations
@@ -114,11 +124,38 @@ def burnside_check(perms: np.ndarray, fixed, n_points: int, n_orbits: int) -> in
     return n_orbits
 
 
-def _classes(points: np.ndarray, perms: np.ndarray, key, fixed) -> tuple[np.ndarray, dict]:
-    """Orbits of the points and their counts, cross-checked by Burnside."""
-    orbits = orbit_partition(points, perms, key)
-    count = burnside_check(perms, fixed, len(points), len(orbits))
-    return orbits, {"n_points": len(points), "n_classes": len(orbits), "burnside_count": count}
+def _weights(orbits: np.ndarray) -> np.ndarray:
+    return orbits["row"].sum(axis=1, dtype=np.int64)
+
+
+def _counted(orbits0: np.ndarray, orbits1: np.ndarray, which) -> int:
+    """Pairs of points with ``which(w0, w1)`` of their sides' weights,
+    counted from the sizes of the side orbits."""
+    pairs = orbits0["size"][:, None] * orbits1["size"]
+    return int(pairs[which(_weights(orbits0)[:, None], _weights(orbits1))].sum())
+
+
+def _product(orbits0: np.ndarray, orbits1: np.ndarray, flip: bool, valid) -> np.ndarray:
+    """Classes of the pairs with ``valid(w0, w1)`` of their sides' weights,
+    as orbit records (representative ``row`` over both sides, ``size``) in
+    key order: each pair of side orbits, or with ``flip`` each unordered
+    pair (see the module docstring)."""
+    i, j = np.divmod(np.arange(len(orbits0) * len(orbits1)), len(orbits1))
+    keep = valid(_weights(orbits0)[i], _weights(orbits1)[j]) & ((i <= j) | (not flip))
+    i, j = i[keep], j[keep]
+    rows = np.concatenate([orbits0["row"][i], orbits1["row"][j]], axis=1)
+    out = np.empty(len(rows), dtype=[("row", rows.dtype, rows.shape[1:]), ("size", np.int64)])
+    out["row"], out["size"] = rows, orbits0["size"][i] * orbits1["size"][j] * np.where(flip & (i != j), 2, 1)
+    return out
+
+
+def _checked(perms: np.ndarray, fixed, n_points: int, orbits: np.ndarray) -> dict:
+    """Counts of a product's classes, cross-checked by Burnside on the pair
+    action; the class sizes must add up to the points counted too."""
+    count = burnside_check(perms, fixed, n_points, len(orbits))
+    if orbits["size"].sum() != n_points:
+        raise StructuralError(f"class sizes add up to {orbits['size'].sum()}, not {n_points} points")
+    return {"n_points": n_points, "n_classes": len(orbits), "burnside_count": count}
 
 
 # -- weak-coideal classes (coset subset pairs) -----------------------------------
@@ -173,20 +210,16 @@ def _sides(rows: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :n0].sum(axis=1), rows[:, n0:].sum(axis=1)
 
 
-def _valid_subset_pairs(q0: QuotientGroup, q1: QuotientGroup) -> np.ndarray:
-    """Indicator rows of all nonempty (Z0, Z1) with at most one side beyond
-    a singleton."""
-    if 2 ** (len(q0) + len(q1)) > ENUMERATION_BOUND:
-        raise SizeError("subset enumeration too large")
-    rows = _subsets(len(q0) + len(q1))
-    s0, s1 = _sides(rows, len(q0))
-    return rows[(s0 + s1 > 0) & ((s0 <= 1) | (s1 <= 1))]
+def _valid_pair(s0, s1):
+    """Whether sides of sizes s0 and s1 form a class's pair: not both empty,
+    not both beyond a singleton."""
+    return (s0 + s1 > 0) & ((s0 <= 1) | (s1 <= 1))
 
 
-def _coideal_flags(rows: np.ndarray, n0: int) -> np.ndarray:
-    """Whether the class of (Z0, Z1) contains a coideal: a lone singleton, or
-    a full side paired with a singleton on the other side."""
-    (s0, s1), n1 = _sides(rows, n0), rows.shape[1] - n0
+def _coideal_flags(s0, s1, n0: int, n1: int):
+    """Whether the class of (Z0, Z1) of sizes s0 and s1 contains a coideal:
+    a lone singleton, or a full side paired with a singleton on the other
+    side."""
     return ((s0 == 1) & ((s1 == 0) | (s1 == n1))) | ((s1 == 1) & ((s0 == 0) | (s0 == n0)))
 
 
@@ -204,30 +237,60 @@ def _specs(rows: np.ndarray, q0: QuotientGroup, q1: QuotientGroup) -> list[Coide
 
 
 def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
-    """K's annihilator, G/K, G/Kperp, whether K is its own annihilator, and
-    the action on rows over both quotients."""
+    """K's annihilator, G/K, G/Kperp and whether K is its own annihilator."""
     perp = orthogonal(chi, K)
-    q0, q1, flip = quotient(group, K), quotient(group, perp), K == perp
-    return perp, q0, q1, flip, _pair_perms(q0, q1, flip)
+    return perp, quotient(group, K), quotient(group, perp), K == perp
+
+
+def _by_action(group: FiniteAbelianGroup, chi: Bicharacter, base: int, too_large: str, points, key, classes):
+    """Each subgroup K with its annihilator, G/K, G/Kperp, flip and the
+    classes of its pair action, ``classes(q0, q1, flip, orbits0, orbits1)``
+    of the orbits of each side's ``points(n)`` under its translations.  In
+    one call, each distinct translation table's orbits and each distinct
+    pair action's classes are computed once.  Raises ``SizeError(too_large)``
+    where base^(|G/K| + |G/Kperp|) exceeds the enumeration bound."""
+    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
+    sides, actions = {}, {}
+    for K in enumerate_subgroups(group):
+        perp, q0, q1, flip = _quotients(group, chi, K)
+        if base ** (len(q0) + len(q1)) > ENUMERATION_BOUND:
+            raise SizeError(too_large)
+        t0, t1 = q0.trans.tobytes(), q1.trans.tobytes()
+        if (t0, t1, flip) not in actions:
+            for table, q in ((t0, q0), (t1, q1)):
+                if table not in sides:
+                    sides[table] = orbit_partition(points(len(q)), q.trans, key)
+            actions[t0, t1, flip] = classes(q0, q1, flip, sides[t0], sides[t1])
+        yield K, perp, q0, q1, flip, actions[t0, t1, flip]
+
+
+def _weak_action(q0: QuotientGroup, q1: QuotientGroup, flip: bool, orbits0: np.ndarray, orbits1: np.ndarray):
+    """The classes of one pair action as orbit records, their coideal flags
+    and counts, checked by Burnside on ``_pair_perms``, the flagged sizes
+    against the flagged points and the flagged classes against
+    ``coideal_orbits``."""
+    (n0, n1), K = (len(q0), len(q1)), q0.subgroup
+    orbits, perms = _product(orbits0, orbits1, flip, _valid_pair), _pair_perms(q0, q1, flip)
+    counts = _checked(perms, partial(_pair_fixed, n0=n0), _counted(orbits0, orbits1, _valid_pair), orbits)
+    flags = _coideal_flags(*_sides(orbits["row"], n0), n0, n1)
+    # the flag is constant on orbits iff flagged orbits hold every flagged point
+    if orbits["size"][flags].sum() != _counted(orbits0, orbits1, partial(_coideal_flags, n0=n0, n1=n1)):
+        raise StructuralError("coideal flag is not constant on an orbit")
+    if sorted((s.z0, s.z1) for s in _specs(orbits["row"][flags], q0, q1)) != coideal_orbits(K, q0, q1, flip, perms):
+        raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
+    return orbits, flags.tolist(), counts
 
 
 def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> tuple[dict, list[tuple[CoidealSpec, bool]]]:
     """Enumerate all weak-coideal isomorphism classes, flag the
     coideal-containing ones, and cross-check counts.  Returns the report's
-    JSON fields and each class's (datum, coideal flag), in report order."""
-    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
+    JSON fields and each class's (datum, coideal flag), in report order.
+    A subgroup's classes are the valid products of its two sides' subset
+    orbits, formed and checked once per pair action (module docstring)."""
     per_subgroup, classes = [], []
-    for K in enumerate_subgroups(group):
-        perp, q0, q1, flip, perms = _quotients(group, chi, K)
-        n0, points = len(q0), _valid_subset_pairs(q0, q1)
-        orbits, counts = _classes(points, perms, partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
-        flags = _coideal_flags(orbits["row"], n0)
-        # the flag is constant on orbits iff flagged orbits hold every flagged point
-        if orbits["size"][flags].sum() != _coideal_flags(points, n0).sum():
-            raise StructuralError("coideal flag is not constant on an orbit")
-        specs, flags = _specs(orbits["row"], q0, q1), flags.tolist()
-        if sorted((s.z0, s.z1) for s, f in zip(specs, flags) if f) != coideal_orbits(K, q0, q1, flip, perms):
-            raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
+    for K, perp, q0, q1, flip, (orbits, flags, counts) in _by_action(
+            group, chi, 2, "subset enumeration too large", _subsets, _subset_rank, _weak_action):
+        specs = _specs(orbits["row"], q0, q1)
         classes += zip(specs, flags)
         per_subgroup.append({
             "K": [list(e) for e in K.sorted_elements], "K_perp": [list(e) for e in perp.sorted_elements],
@@ -242,9 +305,9 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> tuple[d
 def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool,
                    perms: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Directly construct the coideal-containing orbits for one subgroup,
-    given its quotients and their action as ``_quotients`` returns them:
-    four of them in general, two when K is its own annihilator.  Returns
-    their representatives' sorted (Z0, Z1) pairs."""
+    given its quotients, flip and their ``_pair_perms``: four of them in
+    general, two when K is its own annihilator.  Returns their
+    representatives' sorted (Z0, Z1) pairs."""
     # (lam, {}), ({}, mu), (G/K, mu) and (lam, G/Kperp); lam and mu are the
     # cosets of 0, which come first on each side
     lam, mu = np.eye(1, len(q0), dtype=np.uint8)[0], np.eye(1, len(q1), dtype=np.uint8)[0]
@@ -263,8 +326,9 @@ def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool
 
 
 def _vectors(length: int, max_mult: int) -> np.ndarray:
-    """All nonzero rows in {0..max_mult}^length, built a column at a time."""
-    base, codes = max_mult + 1, np.arange(1, (max_mult + 1) ** length)
+    """All rows in {0..max_mult}^length in key order, the zero row first,
+    built a column at a time."""
+    base, codes = max_mult + 1, np.arange((max_mult + 1) ** length)
     rows = np.empty((len(codes), length), dtype=np.min_scalar_type(max_mult))
     for c in range(length):
         rows[:, c] = codes // base ** (length - 1 - c) % base
@@ -281,31 +345,45 @@ def _vector_fixed(perms: np.ndarray, roots: np.ndarray, max_mult: int) -> np.nda
     return (max_mult + 1) ** roots.sum(axis=1) - 1
 
 
+def _nonzero_pair(w0, w1):
+    return w0 + w1 > 0
+
+
+def _algebra_types(q0: QuotientGroup, q1: QuotientGroup, flip: bool, orbits0: np.ndarray, orbits1: np.ndarray,
+                   max_mult: int):
+    """The class types of one pair action, each checked by Burnside: the
+    nonzero side vectors ("self-paired", only with the swap; the zero
+    vector's orbit comes first) and the side orbits' products but the zero
+    pair ("decomposed").  Returns a function that writes them out afresh for
+    each subgroup's record."""
+    fixed, nonzero = partial(_vector_fixed, max_mult=max_mult), orbits0[1:]
+    paired = _checked(q0.trans, fixed, int(nonzero["size"].sum()), nonzero) if flip else None
+    orbits = _product(orbits0, orbits1, flip, _nonzero_pair)
+    counts = _checked(_pair_perms(q0, q1, flip), fixed, _counted(orbits0, orbits1, _nonzero_pair), orbits)
+
+    def types() -> dict:
+        out = {"self-paired": {**paired, "orbits": nonzero["row"].tolist()}} if flip else {}
+        halves = orbits["row"][:, :len(q0)].tolist(), orbits["row"][:, len(q0):].tolist()
+        return {**out, "decomposed": {**counts, "orbits": [list(pair) for pair in zip(*halves)]}}
+    return types
+
+
 def g_algebra_classes(
     group: FiniteAbelianGroup, chi: Bicharacter, max_mult: int = 2
 ) -> dict:
     """Bounded enumeration of algebra isomorphism classes: multiplicity
     vectors up to translations (self-paired type only for K equal to its
-    annihilator, plus the swap there), as the report's JSON fields."""
+    annihilator, plus the swap there), as the report's JSON fields.  A
+    subgroup's classes are products of its sides' vector orbits, zero
+    included, formed and checked once per pair action (module docstring)."""
     if max_mult < 1:
         raise InvariantError("max_mult must be >= 1")
-    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
-    per_subgroup = []
-    key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
-    for K in enumerate_subgroups(group):
-        perp, q0, q1, flip, perms = _quotients(group, chi, K)
-        n0, n1 = len(q0), len(q1)
-        if (max_mult + 1) ** (n0 + n1) > ENUMERATION_BOUND:
-            raise SizeError("multiplicity enumeration too large; lower max_mult")
-        types = {}
-        if flip:
-            orbits, counts = _classes(_vectors(n0, max_mult), q0.trans, key, fixed)
-            types["self-paired"] = {**counts, "orbits": orbits["row"].tolist()}
-        orbits, counts = _classes(_vectors(n0 + n1, max_mult), perms, key, fixed)
-        types["decomposed"] = {**counts, "orbits": [[r[:n0], r[n0:]] for r in orbits["row"].tolist()]}
-        per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
-                             "K_perp": [list(e) for e in perp.sorted_elements],
-                             "flip_action": flip, "types": types})
+    points, key = partial(_vectors, max_mult=max_mult), partial(_vector_key, max_mult=max_mult)
+    per_subgroup = [{"K": [list(e) for e in K.sorted_elements], "K_perp": [list(e) for e in perp.sorted_elements],
+                     "flip_action": flip, "types": types()}
+                    for K, perp, _, _, flip, types in _by_action(
+                        group, chi, max_mult + 1, "multiplicity enumeration too large; lower max_mult", points, key,
+                        partial(_algebra_types, max_mult=max_mult))]
     total = sum(t["n_classes"] for e in per_subgroup for t in e["types"].values())
     return {"group": list(group.factors), "kind": "g-algebras", "total_classes": total, "per_subgroup": per_subgroup}
 

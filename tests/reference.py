@@ -25,21 +25,31 @@ B's tables, by one sorted keyed sum per table and t, are the reference for
 fiber rows, read from ``TYAlgebra._slot_table``, a span key for rows of
 disjoint supports, and the two checks that builds follow sigma_t and that
 classes share a subalgebra only as K <-> Kperp swap pairs are kept here for
-the tests and for a CI step at order 8.
+the tests and for a CI step at order 8.  Both catalogs as they ran before
+they formed classes as products of side orbits, by one ``orbit_partition``
+over every valid pair point under ``_pair_perms`` per subgroup, are the
+reference for ``weak_coideal_classes`` and ``g_algebra_classes``.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from tywha.algebra import AxiomReport
-from tywha.classify import _representative
+from tywha.classify import (
+    CLASSIFY_ORDER_BOUND, ENUMERATION_BOUND, _coideal_flags, _pair_fixed, _pair_key, _pair_perms, _quotients,
+    _representative, _sides, _specs, _subsets, _vector_fixed, _vector_key, _vectors, burnside_check, coideal_orbits,
+    orbit_partition,
+)
 from tywha.coideals import CoidealSpec, _coords, _exact, _Fibers, _verdicts, build_from_spec
-from tywha.errors import InvariantError
-from tywha.groups import FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, orthogonal, quotient
+from tywha.errors import InvariantError, SizeError, StructuralError, check_order
+from tywha.groups import (
+    FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal, quotient,
+)
 from tywha.linalg import (
     DEFAULT_TOL, SparseVec, Subspace, _diff, _join, _kept, _pruned, _pruned_rows, _rank, _runs, _sq, _sums, _worst,
     components, nullspace, sparse_nullspace, span,
@@ -1030,3 +1040,73 @@ def lstsq_haar(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.nda
             coeffs[at] = x
             rank += int(_rank(s))
     return coeffs, rank
+
+
+# -- catalogs by one orbit partition of pair points per subgroup -------------------
+
+
+def _valid_subset_pairs(q0: QuotientGroup, q1: QuotientGroup) -> np.ndarray:
+    """Indicator rows of all nonempty (Z0, Z1) with at most one side beyond
+    a singleton."""
+    if 2 ** (len(q0) + len(q1)) > ENUMERATION_BOUND:
+        raise SizeError("subset enumeration too large")
+    rows = _subsets(len(q0) + len(q1))
+    s0, s1 = _sides(rows, len(q0))
+    return rows[(s0 + s1 > 0) & ((s0 <= 1) | (s1 <= 1))]
+
+
+def _pair_classes(points: np.ndarray, perms: np.ndarray, key, fixed) -> tuple[np.ndarray, dict]:
+    """Orbits of the points and their counts, cross-checked by Burnside."""
+    orbits = orbit_partition(points, perms, key)
+    count = burnside_check(perms, fixed, len(points), len(orbits))
+    return orbits, {"n_points": len(points), "n_classes": len(orbits), "burnside_count": count}
+
+
+def weak_coideal_classes(group: FiniteAbelianGroup, chi) -> tuple[dict, list]:
+    """``classify.weak_coideal_classes`` by partitioning every subgroup's
+    valid subset pairs under ``_pair_perms``."""
+    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
+    per_subgroup, classes = [], []
+    for K in enumerate_subgroups(group):
+        perp, q0, q1, flip = _quotients(group, chi, K)
+        n0, n1, perms, points = len(q0), len(q1), _pair_perms(q0, q1, flip), _valid_subset_pairs(q0, q1)
+        orbits, counts = _pair_classes(points, perms, partial(_pair_key, n0=n0), partial(_pair_fixed, n0=n0))
+        flags = _coideal_flags(*_sides(orbits["row"], n0), n0, n1)
+        if orbits["size"][flags].sum() != _coideal_flags(*_sides(points, n0), n0, n1).sum():
+            raise StructuralError("coideal flag is not constant on an orbit")
+        specs, flags = _specs(orbits["row"], q0, q1), flags.tolist()
+        if sorted((s.z0, s.z1) for s, f in zip(specs, flags) if f) != coideal_orbits(K, q0, q1, flip, perms):
+            raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
+        classes += zip(specs, flags)
+        per_subgroup.append({
+            "K": [list(e) for e in K.sorted_elements], "K_perp": [list(e) for e in perp.sorted_elements],
+            "action": "translations+flip" if flip else "translations", **counts, "n_coideal": sum(flags),
+            "burnside_ok": counts["burnside_count"] == counts["n_classes"],
+            "orbits": [{"rep": s.reps(), "size": n, "coideal_flag": f}
+                       for s, n, f in zip(specs, orbits["size"].tolist(), flags)]})
+    return {"group": list(group.factors), "kind": "weak-coideals", "total_classes": len(classes),
+            "per_subgroup": per_subgroup, "total_coideal_classes": sum(f for _, f in classes)}, classes
+
+
+def g_algebra_classes(group: FiniteAbelianGroup, chi, max_mult: int = 2) -> dict:
+    """``classify.g_algebra_classes`` by partitioning every subgroup's
+    nonzero vectors over both sides under ``_pair_perms``."""
+    check_order(group.order, CLASSIFY_ORDER_BOUND, "classification")
+    per_subgroup = []
+    key, fixed = partial(_vector_key, max_mult=max_mult), partial(_vector_fixed, max_mult=max_mult)
+    for K in enumerate_subgroups(group):
+        perp, q0, q1, flip = _quotients(group, chi, K)
+        n0, n1 = len(q0), len(q1)
+        if (max_mult + 1) ** (n0 + n1) > ENUMERATION_BOUND:
+            raise SizeError("multiplicity enumeration too large; lower max_mult")
+        types = {}
+        if flip:
+            orbits, counts = _pair_classes(_vectors(n0, max_mult)[1:], q0.trans, key, fixed)
+            types["self-paired"] = {**counts, "orbits": orbits["row"].tolist()}
+        orbits, counts = _pair_classes(_vectors(n0 + n1, max_mult)[1:], _pair_perms(q0, q1, flip), key, fixed)
+        types["decomposed"] = {**counts, "orbits": [[r[:n0], r[n0:]] for r in orbits["row"].tolist()]}
+        per_subgroup.append({"K": [list(e) for e in K.sorted_elements],
+                             "K_perp": [list(e) for e in perp.sorted_elements],
+                             "flip_action": flip, "types": types})
+    total = sum(t["n_classes"] for e in per_subgroup for t in e["types"].values())
+    return {"group": list(group.factors), "kind": "g-algebras", "total_classes": total, "per_subgroup": per_subgroup}

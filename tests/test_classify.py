@@ -17,10 +17,10 @@ from tywha.classify import (
     _pair_fixed,
     _pair_key,
     _pair_perms,
+    _product,
     _quotients,
     _subset_rank,
     _subsets,
-    _valid_subset_pairs,
     _vector_fixed,
     _vector_key,
     _vectors,
@@ -46,6 +46,7 @@ from tywha.groups import (
 )
 
 import reference
+from reference import _valid_subset_pairs
 
 # sha256 of the --json reports of `classify weak-coideals` and
 # `classify g-algebras --max-mult 2`, recorded from the tuple-based orbit
@@ -173,14 +174,15 @@ class TestCycleRoots:
 
     def test_every_catalog_stack_up_to_order_16(self):
         # the stacks weak_coideal_classes and g_algebra_classes hand to
-        # burnside_check, for every group the catalogs accept
+        # burnside_check, for every subgroup of every group the catalogs
+        # accept (the catalogs check each distinct stack once)
         stacks = 0
         for factors in CATALOG_GROUPS:
             grp = FiniteAbelianGroup(factors)
             chi = Bicharacter.standard(grp)
             for K in enumerate_subgroups(grp):
-                _perp, q0, _q1, flip, perms = _quotients(grp, chi, K)
-                for stack in [perms] + [q0.trans] * flip:
+                _perp, q0, q1, flip = _quotients(grp, chi, K)
+                for stack in [_pair_perms(q0, q1, flip)] + [q0.trans] * flip:
                     self.assert_matches_walk(stack)
                     stacks += 1
         assert stacks == 226
@@ -242,7 +244,7 @@ class TestPolyaCounts:
             for flip in flips:
                 perms = _pair_perms(q0, q1, flip)
                 pairs = _valid_subset_pairs(q0, q1)
-                vectors = _vectors(perms.shape[1], 2)
+                vectors = _vectors(perms.shape[1], 2)[1:]
                 roots = _cycle_roots(perms)
                 pair_counts, vector_counts = _pair_fixed(perms, roots, n0), _vector_fixed(perms, roots, 2)
                 for perm, pair_count, vector_count in zip(perms, pair_counts, vector_counts):
@@ -250,27 +252,98 @@ class TestPolyaCounts:
                     assert vector_count == (vectors[:, perm] == vectors).all(axis=1).sum()
 
     def test_dropped_point_trips_polya_count(self, monkeypatch):
-        # (G/K, {}) is fixed by every translation, so dropping it leaves the
-        # partition consistent; only the point count can notice
-        def drop_full_z0(q0, q1):
-            points = _valid_subset_pairs(q0, q1)
-            n0 = len(q0)
-            keep = ~(points[:, :n0].all(axis=1) & ~points[:, n0:].any(axis=1))
-            return points[keep]
-
+        # a full side is fixed by every translation, so dropping it from the
+        # side's subsets leaves the side's partition and the products
+        # consistent; only the point count can notice
         grp = FiniteAbelianGroup((4,))
-        monkeypatch.setattr(classify, "_valid_subset_pairs", drop_full_z0)
+        monkeypatch.setattr(classify, "_subsets", lambda n: _subsets(n)[:-1])
         with pytest.raises(StructuralError, match="Polya count"):
             weak_coideal_classes(grp, Bicharacter.standard(grp))
 
     def test_dropped_moving_point_detected(self, monkeypatch):
-        def drop_first(q0, q1):
-            return _valid_subset_pairs(q0, q1)[1:]
-
+        # the first nonempty subset, a singleton, moves under the translations
         grp = FiniteAbelianGroup((4,))
-        monkeypatch.setattr(classify, "_valid_subset_pairs", drop_first)
+        monkeypatch.setattr(classify, "_subsets", lambda n: np.delete(_subsets(n), 1, axis=0))
         with pytest.raises(StructuralError):
             weak_coideal_classes(grp, Bicharacter.standard(grp))
+
+    @pytest.mark.parametrize("catalog", [weak_coideal_classes, partial(g_algebra_classes, max_mult=1)])
+    def test_dropped_class_trips_burnside_average(self, catalog, monkeypatch):
+        # the points are counted from the sides, so only the class count
+        # can notice a class the product step loses
+        grp = FiniteAbelianGroup((4,))
+        monkeypatch.setattr(classify, "_product", lambda *args: _product(*args)[1:])
+        with pytest.raises(StructuralError, match="Burnside average"):
+            catalog(grp, Bicharacter.standard(grp))
+
+    def test_unswapped_sizes_trip_the_size_count(self, monkeypatch):
+        # with the swap, a class {A, B} with A != B holds 2|A||B| points;
+        # sizes without the 2 leave the class count, and Burnside, as they are
+        def unswapped_sizes(side0, side1, flip, valid):
+            out = _product(side0, side1, flip, valid)
+            n = out["row"].shape[1] // 2
+            if flip:
+                out["size"] //= np.where((out["row"][:, :n] == out["row"][:, n:]).all(axis=1), 1, 2)
+            return out
+
+        grp = FiniteAbelianGroup((4,))
+        monkeypatch.setattr(classify, "_product", unswapped_sizes)
+        with pytest.raises(StructuralError, match="class sizes add up to 9, not 14 points"):
+            weak_coideal_classes(grp, Bicharacter.standard(grp))
+
+
+HYPERBOLIC = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
+# every group of order at most 8, Z3xZ3, and Z2xZ2 with the hyperbolic
+# bicharacter, under which each subgroup of order 2 is its own annihilator
+PRODUCT_CASES = [(f, None) for f in CATALOG_GROUPS if np.prod(f) <= 8] + [((3, 3), None), ((2, 2), HYPERBOLIC)]
+
+
+def _datum(grp, phases):
+    return grp, Bicharacter.standard(grp) if phases is None else Bicharacter(grp, phases)
+
+
+class TestSideProducts:
+    """Classes as products of side orbits equal the orbits of the pair
+    points, as ``reference`` partitions them."""
+
+    @pytest.mark.parametrize("factors, phases", PRODUCT_CASES,
+                             ids=["x".join(map(str, f)) + "-hyperbolic" * (p is not None) for f, p in PRODUCT_CASES])
+    def test_catalogs_equal_the_pair_engine(self, factors, phases):
+        grp, chi = _datum(FiniteAbelianGroup(factors), phases)
+        (fields, classes), (expected, expected_classes) = (
+            catalog(grp, chi) for catalog in (weak_coideal_classes, reference.weak_coideal_classes))
+        assert fields == expected
+
+        def data(classes):
+            return [(s.q0.subgroup, s.q1.subgroup, s.z0, s.z1, flag) for s, flag in classes]
+
+        assert data(classes) == data(expected_classes)
+        for max_mult in (1, 2):
+            assert g_algebra_classes(grp, chi, max_mult) == reference.g_algebra_classes(grp, chi, max_mult)
+
+    def test_the_cases_include_flip_subgroups(self):
+        flips = {}
+        for factors, phases in PRODUCT_CASES:
+            grp, chi = _datum(FiniteAbelianGroup(factors), phases)
+            flips[factors, phases is HYPERBOLIC] = sum(K == orthogonal(chi, K) for K in enumerate_subgroups(grp))
+        assert {k: n for k, n in flips.items() if n} == {
+            ((1,), False): 1, ((4,), False): 1, ((2, 2), False): 1, ((2, 2), True): 3}
+
+    def test_one_side_pass_per_quotient_table(self, monkeypatch):
+        # Z2^3's 16 subgroups have 4 distinct quotient tables, one per order,
+        # and 4 distinct pair actions: no K is its own annihilator
+        grp = FiniteAbelianGroup((2, 2, 2))
+        chi = Bicharacter.standard(grp)
+        subgroups = enumerate_subgroups(grp)
+        assert len(subgroups) == 16 and len({quotient(grp, K).trans.tobytes() for K in subgroups}) == 4
+        calls = []
+        for name in ("orbit_partition", "burnside_check"):
+            fn = getattr(classify, name)
+            monkeypatch.setattr(classify, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        for catalog in (weak_coideal_classes, partial(g_algebra_classes, max_mult=1)):
+            calls.clear()
+            catalog(grp, chi)
+            assert (calls.count("orbit_partition"), calls.count("burnside_check")) == (4, 4), catalog
 
 
 class TestCanonicalForms:
@@ -367,8 +440,8 @@ class TestWeakCoidealClasses:
         chi = Bicharacter.standard(grp)
         for _, classes in by_subgroup(*weak_coideal_classes(grp, chi)):
             K = classes[0][0].subgroup
-            _perp, *quotients = _quotients(grp, chi, K)
-            direct = coideal_orbits(K, *quotients)
+            _perp, q0, q1, flip = _quotients(grp, chi, K)
+            direct = coideal_orbits(K, q0, q1, flip, _pair_perms(q0, q1, flip))
             flagged = sorted((spec.z0, spec.z1) for spec, flag in classes if flag)
             assert flagged == sorted(direct)
 
@@ -666,7 +739,7 @@ class TestAlgebraClasses:
         shifts = [[0, 1], [1, 0]]
         without = np.array([a + [2 + x for x in b] for a in shifts for b in shifts])
         with_flip = np.concatenate([without, without[:, [2, 3, 0, 1]]])
-        points = _vectors(4, 1)
+        points = _vectors(4, 1)[1:]  # the nonzero vectors
         key = partial(_vector_key, max_mult=1)
         fixed = partial(_vector_fixed, max_mult=1)
         for perms, expected in ((without, 8), (with_flip, 5)):

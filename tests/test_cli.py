@@ -748,6 +748,15 @@ class TestClassifyCommands:
         ]
         assert counts == [5, 5]
 
+    @pytest.mark.parametrize("group", ["16", "2,2,2,2"])
+    def test_g_algebras_enumeration_bound(self, group, capsys):
+        # the trivial subgroup pairs 16 cosets with 1: 3^17 vectors at
+        # --max-mult 2 exceed the enumeration bound, 2^17 at --max-mult 1 do not
+        assert run(["classify", "g-algebras", "--group", group, "--max-mult", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: multiplicity enumeration too large; lower max_mult\n")
+        assert run(["classify", "g-algebras", "--group", group, "--max-mult", "1"]) == 0
+        assert capsys.readouterr().out.startswith("algebra classes of ")
+
 
 class TestParserBuiltOnce:
     # each option given in one call and left out of the next
