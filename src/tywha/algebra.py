@@ -429,7 +429,7 @@ class TYAlgebra:
         Python scalars."""
         n, add, chi = self.group.order, self.group.add_table, self._chi_table
         tau_chi = np.array([[self.tau * c.conjugate() for c in row] for row in chi.tolist()])
-        sub = add[:, np.argmax(add == 0, axis=1)]  # sub[k, g] is k - g
+        sub = add[:, self.group.neg]  # sub[k, g] is k - g
         g, h, k = (w.ravel() for w in np.indices((n, n, n)))
         u, v = (w.ravel() for w in np.indices((n, n)))
         rules = [  # (x, a, y, c, z, e, coeff); block n and slot n are m
@@ -481,7 +481,7 @@ class TYAlgebra:
         lay, n, add = self._layout, self.group.order, self.group.add_table
         b = np.repeat(np.arange(n + 1), lay.sizes)  # the block of each slot
         s = np.arange(len(b)) - lay.slot_starts[b]  # its index within the block
-        neg = np.append(np.argmax(add == 0, axis=1), n)  # -x for each block x, with -m = m
+        neg = np.append(self.group.neg, n)  # -x for each block x, with -m = m
         g, k, m_slot = b % n, s % n, (b < n) & (s == n)  # group block and element where they apply; v^g_m
         kind = np.where(b < n, 0, 1 + (s >= n))  # group block, unbarred or barred m-block slot
         return SlotTable(

@@ -5,8 +5,9 @@ coset subsets (Z0, Z1) in G/K x G/Kperp (at most one side larger than a
 singleton), taken up to translations, and additionally up to the swap of
 the two sides when K equals its own annihilator.  Algebra classes replace
 subsets by nonnegative multiplicity vectors.  Points are integer rows over
-the cosets of one side or of both, and each action element is a coordinate
-permutation: the image of ``row`` under ``perm`` is ``row[perm]``.
+the cosets of one side (over both, G/K then G/Kperp, only in the
+cross-checks), and each action element is a coordinate permutation: the
+image of ``row`` under ``perm`` is ``row[perm]``.
 
 Classes are products of side orbits.  The action is T0 x T1, T_i moving
 only side i, plus the swap when K = Kperp.  So orbit(Z0, Z1) = O0(Z0) x
@@ -15,12 +16,13 @@ sums of multiplicities), which are orbit invariants.  Both keys are
 lexicographic in (side 0, side 1), so a product's least key is the pair of
 its sides' least keys.  Under the swap a class is an unordered pair {A, B}
 of side orbits: its representative is (lesser, greater) by least key, and
-its size 2|A||B|, or |A|^2 when A = B.  A catalog call partitions each
-distinct quotient table's points once and checks each distinct pair action
-once: the Burnside average of fixed-point counts, taken from each
-permutation's cycle structure, against the class count, the identity's
-count and the class sizes against the points counted from the sides, and
-the coideal-containing classes against their direct construction.
+its size 2|A||B|, or |A|^2 when A = B.  A class is held as its two side
+orbits' indices.  A catalog call partitions each distinct quotient table's
+points once and checks each distinct pair action once: the Burnside
+average of fixed-point counts, taken from each permutation's cycle
+structure, against the class count, the identity's count and the class
+sizes against the points counted from the sides, and the
+coideal-containing classes against their direct construction.
 """
 
 from __future__ import annotations
@@ -135,27 +137,25 @@ def _counted(orbits0: np.ndarray, orbits1: np.ndarray, which) -> int:
     return int(pairs[which(_weights(orbits0)[:, None], _weights(orbits1))].sum())
 
 
-def _product(orbits0: np.ndarray, orbits1: np.ndarray, flip: bool, valid) -> np.ndarray:
+def _product(orbits0: np.ndarray, orbits1: np.ndarray, flip: bool, valid) -> tuple:
     """Classes of the pairs with ``valid(w0, w1)`` of their sides' weights,
-    as orbit records (representative ``row`` over both sides, ``size``) in
-    key order: each pair of side orbits, or with ``flip`` each unordered
-    pair (see the module docstring)."""
+    as arrays (i, j, sizes) in key order: class c is the product of side
+    orbits i[c] and j[c] and holds sizes[c] points.  Each pair of side
+    orbits is a class, or with ``flip`` each unordered pair (see the module
+    docstring)."""
     i, j = np.divmod(np.arange(len(orbits0) * len(orbits1)), len(orbits1))
     keep = valid(_weights(orbits0)[i], _weights(orbits1)[j]) & ((i <= j) | (not flip))
     i, j = i[keep], j[keep]
-    rows = np.concatenate([orbits0["row"][i], orbits1["row"][j]], axis=1)
-    out = np.empty(len(rows), dtype=[("row", rows.dtype, rows.shape[1:]), ("size", np.int64)])
-    out["row"], out["size"] = rows, orbits0["size"][i] * orbits1["size"][j] * np.where(flip & (i != j), 2, 1)
-    return out
+    return i, j, orbits0["size"][i] * orbits1["size"][j] * np.where(flip & (i != j), 2, 1)
 
 
-def _checked(perms: np.ndarray, fixed, n_points: int, orbits: np.ndarray) -> dict:
-    """Counts of a product's classes, cross-checked by Burnside on the pair
-    action; the class sizes must add up to the points counted too."""
-    count = burnside_check(perms, fixed, n_points, len(orbits))
-    if orbits["size"].sum() != n_points:
-        raise StructuralError(f"class sizes add up to {orbits['size'].sum()}, not {n_points} points")
-    return {"n_points": n_points, "n_classes": len(orbits), "burnside_count": count}
+def _checked(perms: np.ndarray, fixed, n_points: int, sizes: np.ndarray) -> dict:
+    """Counts of classes of the given sizes, cross-checked by Burnside on
+    the pair action; the sizes must add up to the points counted too."""
+    count = burnside_check(perms, fixed, n_points, len(sizes))
+    if sizes.sum() != n_points:
+        raise StructuralError(f"class sizes add up to {sizes.sum()}, not {n_points} points")
+    return {"n_points": n_points, "n_classes": len(sizes), "burnside_count": count}
 
 
 # -- weak-coideal classes (coset subset pairs) -----------------------------------
@@ -206,10 +206,6 @@ def _pair_fixed(perms: np.ndarray, roots: np.ndarray, n0: int) -> np.ndarray:
     return np.where(perms[:, 0] >= n0, twice, 2 ** (c0 + c1) - 1 - (2**c0 - 1 - f0) * (2**c1 - 1 - f1))
 
 
-def _sides(rows: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
-    return rows[:, :n0].sum(axis=1), rows[:, n0:].sum(axis=1)
-
-
 def _valid_pair(s0, s1):
     """Whether sides of sizes s0 and s1 form a class's pair: not both empty,
     not both beyond a singleton."""
@@ -223,17 +219,11 @@ def _coideal_flags(s0, s1, n0: int, n1: int):
     return ((s0 == 1) & ((s1 == 0) | (s1 == n1))) | ((s1 == 1) & ((s0 == 0) | (s0 == n0)))
 
 
-def _specs(rows: np.ndarray, q0: QuotientGroup, q1: QuotientGroup) -> list[CoidealSpec]:
-    """The classification data of indicator rows over G/K followed by
-    G/Kperp, in one pass: each row's members on either side, as coset
-    numbers."""
-    n0 = len(q0)
+def _members(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The members of each indicator row, as its coordinates in order."""
     r, c = np.nonzero(rows)
-    # row i's members are c[ends[i-1]:ends[i]], its Z0 members up to mids[i]
-    ends = np.cumsum(np.bincount(r, minlength=len(rows)))
-    mids = (ends - np.bincount(r[c >= n0], minlength=len(rows))).tolist()
-    c, ends = np.where(c < n0, c, c - n0).tolist(), ends.tolist()
-    return [CoidealSpec(q0, q1, c[lo:mid], c[mid:hi]) for lo, mid, hi in zip([0, *ends], mids, ends)]
+    ends, c = np.cumsum(np.bincount(r, minlength=len(rows))).tolist(), c.tolist()
+    return [tuple(c[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _quotients(group: FiniteAbelianGroup, chi: Bicharacter, K: Subgroup):
@@ -265,20 +255,22 @@ def _by_action(group: FiniteAbelianGroup, chi: Bicharacter, base: int, too_large
 
 
 def _weak_action(q0: QuotientGroup, q1: QuotientGroup, flip: bool, orbits0: np.ndarray, orbits1: np.ndarray):
-    """The classes of one pair action as orbit records, their coideal flags
-    and counts, checked by Burnside on ``_pair_perms``, the flagged sizes
-    against the flagged points and the flagged classes against
-    ``coideal_orbits``."""
+    """The classes of one pair action as their (Z0, Z1), read from the
+    members of each side orbit, with their sizes, coideal flags and counts.
+    Checked by Burnside on ``_pair_perms``, the flagged sizes against the
+    flagged points and the flagged classes against ``coideal_orbits``."""
     (n0, n1), K = (len(q0), len(q1)), q0.subgroup
-    orbits, perms = _product(orbits0, orbits1, flip, _valid_pair), _pair_perms(q0, q1, flip)
-    counts = _checked(perms, partial(_pair_fixed, n0=n0), _counted(orbits0, orbits1, _valid_pair), orbits)
-    flags = _coideal_flags(*_sides(orbits["row"], n0), n0, n1)
+    (i, j, sizes), perms = _product(orbits0, orbits1, flip, _valid_pair), _pair_perms(q0, q1, flip)
+    counts = _checked(perms, partial(_pair_fixed, n0=n0), _counted(orbits0, orbits1, _valid_pair), sizes)
+    flags = _coideal_flags(_weights(orbits0)[i], _weights(orbits1)[j], n0, n1)
     # the flag is constant on orbits iff flagged orbits hold every flagged point
-    if orbits["size"][flags].sum() != _counted(orbits0, orbits1, partial(_coideal_flags, n0=n0, n1=n1)):
+    if sizes[flags].sum() != _counted(orbits0, orbits1, partial(_coideal_flags, n0=n0, n1=n1)):
         raise StructuralError("coideal flag is not constant on an orbit")
-    if sorted((s.z0, s.z1) for s in _specs(orbits["row"][flags], q0, q1)) != coideal_orbits(K, q0, q1, flip, perms):
+    members0, members1 = _members(orbits0["row"]), _members(orbits1["row"])
+    pairs = [(members0[a], members1[b]) for a, b in zip(i.tolist(), j.tolist())]
+    if sorted(pair for pair, flag in zip(pairs, flags) if flag) != coideal_orbits(K, q0, q1, flip, perms):
         raise StructuralError(f"flagged orbits for K={K} disagree with the coideal orbit list")
-    return orbits, flags.tolist(), counts
+    return pairs, sizes.tolist(), flags.tolist(), counts
 
 
 def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> tuple[dict, list[tuple[CoidealSpec, bool]]]:
@@ -288,16 +280,16 @@ def weak_coideal_classes(group: FiniteAbelianGroup, chi: Bicharacter) -> tuple[d
     A subgroup's classes are the valid products of its two sides' subset
     orbits, formed and checked once per pair action (module docstring)."""
     per_subgroup, classes = [], []
-    for K, perp, q0, q1, flip, (orbits, flags, counts) in _by_action(
+    for K, perp, q0, q1, flip, (pairs, sizes, flags, counts) in _by_action(
             group, chi, 2, "subset enumeration too large", _subsets, _subset_rank, _weak_action):
-        specs = _specs(orbits["row"], q0, q1)
+        specs = [CoidealSpec(q0, q1, z0, z1) for z0, z1 in pairs]
         classes += zip(specs, flags)
         per_subgroup.append({
             "K": [list(e) for e in K.sorted_elements], "K_perp": [list(e) for e in perp.sorted_elements],
             "action": "translations+flip" if flip else "translations", **counts, "n_coideal": sum(flags),
             "burnside_ok": counts["burnside_count"] == counts["n_classes"],
             "orbits": [{"rep": s.reps(), "size": n, "coideal_flag": f}
-                       for s, n, f in zip(specs, orbits["size"].tolist(), flags)]})
+                       for s, n, f in zip(specs, sizes, flags)]})
     return {"group": list(group.factors), "kind": "weak-coideals", "total_classes": len(classes),
             "per_subgroup": per_subgroup, "total_coideal_classes": sum(f for _, f in classes)}, classes
 
@@ -315,7 +307,7 @@ def coideal_orbits(K: Subgroup, q0: QuotientGroup, q1: QuotientGroup, flip: bool
                       np.r_[lam, mu | 1]])
     keys = _images(seeds, perms, partial(_pair_key, n0=len(q0)))
     best = seeds[np.arange(len(seeds))[:, None], perms[keys.argmin(axis=1)]]
-    seen = sorted({(spec.z0, spec.z1) for spec in _specs(best, q0, q1)})
+    seen = sorted(set(zip(_members(best[:, :len(q0)]), _members(best[:, len(q0):]))))
     expected = 2 if flip else 4
     if len(seen) != expected:
         raise StructuralError(f"constructed {len(seen)} coideal orbits for K={K}, not {expected}")
@@ -357,14 +349,14 @@ def _algebra_types(q0: QuotientGroup, q1: QuotientGroup, flip: bool, orbits0: np
     pair ("decomposed").  Returns a function that writes them out afresh for
     each subgroup's record."""
     fixed, nonzero = partial(_vector_fixed, max_mult=max_mult), orbits0[1:]
-    paired = _checked(q0.trans, fixed, int(nonzero["size"].sum()), nonzero) if flip else None
-    orbits = _product(orbits0, orbits1, flip, _nonzero_pair)
-    counts = _checked(_pair_perms(q0, q1, flip), fixed, _counted(orbits0, orbits1, _nonzero_pair), orbits)
+    paired = _checked(q0.trans, fixed, int(nonzero["size"].sum()), nonzero["size"]) if flip else None
+    i, j, sizes = _product(orbits0, orbits1, flip, _nonzero_pair)
+    counts = _checked(_pair_perms(q0, q1, flip), fixed, _counted(orbits0, orbits1, _nonzero_pair), sizes)
 
     def types() -> dict:
         out = {"self-paired": {**paired, "orbits": nonzero["row"].tolist()}} if flip else {}
-        halves = orbits["row"][:, :len(q0)].tolist(), orbits["row"][:, len(q0):].tolist()
-        return {**out, "decomposed": {**counts, "orbits": [list(pair) for pair in zip(*halves)]}}
+        sides = orbits0["row"][i].tolist(), orbits1["row"][j].tolist()
+        return {**out, "decomposed": {**counts, "orbits": [list(pair) for pair in zip(*sides)]}}
     return types
 
 

@@ -97,10 +97,14 @@ class FiniteAbelianGroup:
         return np.ravel_multi_index(np.moveaxis(sums, -1, 0), self.factors)
 
     @cached_property
+    def neg(self) -> np.ndarray:
+        """``neg[i]`` is the index of minus element i."""
+        return np.ravel_multi_index(np.moveaxis(-self.coords % self.factors, -1, 0), self.factors)
+
+    @cached_property
     def _shift(self) -> np.ndarray:
         """Row g holds the index of j - g at j: a member row of S gathered there is that of S + g."""
-        add = self.add_table
-        return add[:, add.argmin(axis=0)].T
+        return self.add_table[:, self.neg].T
 
     def __str__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.factors)

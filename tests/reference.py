@@ -42,8 +42,7 @@ import numpy as np
 from tywha.algebra import AxiomReport
 from tywha.classify import (
     CLASSIFY_ORDER_BOUND, ENUMERATION_BOUND, _coideal_flags, _pair_fixed, _pair_key, _pair_perms, _quotients,
-    _representative, _sides, _specs, _subsets, _vector_fixed, _vector_key, _vectors, burnside_check, coideal_orbits,
-    orbit_partition,
+    _representative, _subsets, _vector_fixed, _vector_key, _vectors, burnside_check, coideal_orbits, orbit_partition,
 )
 from tywha.coideals import CoidealSpec, _coords, _exact, _Fibers, _verdicts, build_from_spec
 from tywha.errors import InvariantError, SizeError, StructuralError, check_order
@@ -1043,6 +1042,24 @@ def lstsq_haar(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.nda
 
 
 # -- catalogs by one orbit partition of pair points per subgroup -------------------
+
+
+def _sides(rows: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes of each pair row's two sides, over G/K and over G/Kperp."""
+    return rows[:, :n0].sum(axis=1), rows[:, n0:].sum(axis=1)
+
+
+def _specs(rows: np.ndarray, q0: QuotientGroup, q1: QuotientGroup) -> list[CoidealSpec]:
+    """The classification data of indicator rows over G/K followed by
+    G/Kperp, in one pass: each row's members on either side, as coset
+    numbers."""
+    n0 = len(q0)
+    r, c = np.nonzero(rows)
+    # row i's members are c[ends[i-1]:ends[i]], its Z0 members up to mids[i]
+    ends = np.cumsum(np.bincount(r, minlength=len(rows)))
+    mids = (ends - np.bincount(r[c >= n0], minlength=len(rows))).tolist()
+    c, ends = np.where(c < n0, c, c - n0).tolist(), ends.tolist()
+    return [CoidealSpec(q0, q1, c[lo:mid], c[mid:hi]) for lo, mid, hi in zip([0, *ends], mids, ends)]
 
 
 def _valid_subset_pairs(q0: QuotientGroup, q1: QuotientGroup) -> np.ndarray:

@@ -49,10 +49,12 @@ import reference
 from reference import _valid_subset_pairs
 
 # sha256 of the --json reports of `classify weak-coideals` and
-# `classify g-algebras --max-mult 2`, recorded from the tuple-based orbit
-# code this engine replaced, with every "n_points" key removed and the rest
-# re-serialised with sort_keys=True: same representatives, orbit sizes,
-# coideal flags and order.
+# `classify g-algebras --max-mult 2` (or PIN_MAX_MULT), with every
+# "n_points" key removed and the rest re-serialised with sort_keys=True:
+# same representatives, orbit sizes, coideal flags and order.  The pins up
+# to order 8 were recorded from the tuple-based orbit code this engine
+# replaced; those of orders 9-15 from the side-orbit products whose classes
+# were still glued into pair rows.
 CATALOG_SHA256 = {
     "1": ("ce83c6bb1d3693f3539662e38aafe1125cd5257a0dfba3dc1098a3da0e0c780d",
           "02900909863712a82a5997bbc115cd008de05a943f60432a72de181424258ab5"),
@@ -76,7 +78,28 @@ CATALOG_SHA256 = {
             "28621feb01a0164cabfc6c7c7a8d3c6a8fe5e4e617350705d5970fae561d105c"),
     "2,2,2": ("a28b15f513f7b3941ecc7839b3258f9f9adb5377e9c285c62f0e6d9f1a5f33e4",
               "ef30279401704a726139910de176225029285ca49ec68f79195d1ba6ceff1305"),
+    "9": ("5ae1055d7fe65c0dbe405b7da733db90c7524b4e08d661ab379d50e2cdd2b789",
+          "d9aea316a422bfe0ff1c12c501542b3800b26ffe7bec3fc7d52ba04e2d2bf777"),
+    "3,3": ("8928418cb8a64929e978972b9afe53b63aeea0a1e9ed9f53235a4201dda51173",
+            "043572aa6ee76bce239520d622a9f18d1f7a558826228d20de0026eeb4a31b8b"),
+    "10": ("45dbf8b9fafde2fccdfff5d2c0d419decf850167572e210836841c01c05c2b8c",
+           "cb21ee01320e9490ea7ad63d8a1876de2b1eebea2c94d8203dcfe314322b3599"),
+    "11": ("41e3e3bf12d731a9b5e64abba5760311a37eaad5373e51a384b3b61c66b406a4",
+           "15db58781d56484d7a9a31a72d8c3466b6349387a5870ab47bac13ffb15ebb4b"),
+    "12": ("75d4f1c984ba29e329d3f9c1afaa24496a6a57aaf4edf4111ea63840c5fc0bd4",
+           "5a1c468e202c7a09142444e8e7851e65a8213536cc3513bf2b4826b15fcbfdea"),
+    "2,6": ("1f6779f58d75f32e2a7313a61feb0fb2f4d6ad249bc1bd3266aac6196a69b3e6",
+            "78a67129d5e0e970ebdcdd7c487008ad0451dea4edb593247ddade548b5b2703"),
+    "13": ("d83c39daa54efa8a2bd46895b10b964e1c298de899fb59ab95fbbdb6ec382d77",
+           "d7470d0ff53395ddff1749657adc60e56d67a604acb23a8f5daf0b3622cd2642"),
+    "14": ("832c91f4c14c260081b3e07c7d5790ac2b801ffde7473049cf025fbd837f0a24",
+           "54a378f96e8cfd9a6eac356b7ae3bae617e2c3e97d86cab9a359613d727f469b"),
+    "15": ("7cc92df2e8b8eca7c879c69beb0ac77a5340c93876735dbca4a52cf755a93f51",
+           "ffa35822c4c3558455f7e4847343db5d8d7df78588c2182b645d73bce29ef267"),
 }
+# max-mult 2 exits 2 from order 13 on and takes seconds at order 12, so
+# these groups pin the max-mult 1 report
+PIN_MAX_MULT = dict.fromkeys(["12", "2,6", "13", "14", "15"], 1)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +295,7 @@ class TestPolyaCounts:
         # the points are counted from the sides, so only the class count
         # can notice a class the product step loses
         grp = FiniteAbelianGroup((4,))
-        monkeypatch.setattr(classify, "_product", lambda *args: _product(*args)[1:])
+        monkeypatch.setattr(classify, "_product", lambda *args: tuple(x[1:] for x in _product(*args)))
         with pytest.raises(StructuralError, match="Burnside average"):
             catalog(grp, Bicharacter.standard(grp))
 
@@ -280,11 +303,10 @@ class TestPolyaCounts:
         # with the swap, a class {A, B} with A != B holds 2|A||B| points;
         # sizes without the 2 leave the class count, and Burnside, as they are
         def unswapped_sizes(side0, side1, flip, valid):
-            out = _product(side0, side1, flip, valid)
-            n = out["row"].shape[1] // 2
+            i, j, sizes = _product(side0, side1, flip, valid)
             if flip:
-                out["size"] //= np.where((out["row"][:, :n] == out["row"][:, n:]).all(axis=1), 1, 2)
-            return out
+                sizes //= np.where(i == j, 1, 2)
+            return i, j, sizes
 
         grp = FiniteAbelianGroup((4,))
         monkeypatch.setattr(classify, "_product", unswapped_sizes)
@@ -373,7 +395,7 @@ class TestCatalogPins:
     def test_reports_match_pins(self, group, tmp_path, capsys):
         commands = (
             ["classify", "weak-coideals", "--group", group],
-            ["classify", "g-algebras", "--group", group, "--max-mult", "2"],
+            ["classify", "g-algebras", "--group", group, "--max-mult", str(PIN_MAX_MULT.get(group, 2))],
         )
         for argv, expected in zip(commands, CATALOG_SHA256[group]):
             path = tmp_path / "report.json"
