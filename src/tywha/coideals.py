@@ -116,28 +116,6 @@ class WeakCoideal:
 # -- assembly ---------------------------------------------------------------------
 
 
-def assemble(alg: TYAlgebra, block: np.ndarray, rows: np.ndarray, label: str,
-             spec: CoidealSpec | None = None) -> WeakCoideal:
-    """Assemble A = sum_x X^x (x) conj(H^x) from generating fiber rows: row r
-    lies in the fiber of block ``block[r]``, over its slots and padded with
-    zeros to the widest block.  Each fiber is reduced to echelon form by one
-    Subspace over the slots its rows touch."""
-    sizes, width = alg._layout.sizes, int(alg._layout.sizes.max())
-    block, rows, none = np.asarray(block), np.asarray(rows, dtype=complex), np.zeros(0, dtype=np.int64)
-    parts = [(none, none, np.zeros((0, width), dtype=complex))]
-    for b in np.unique(block).tolist():
-        gens = rows[block == b]
-        at = np.flatnonzero((gens != 0).any(axis=0))
-        if len(at) and at[-1] >= sizes[b]:
-            name = alg.block_names[b]
-            raise InvariantError(f"fiber row for block {name} has support past its {sizes[b]} slots")
-        sub = Subspace(at, gens[:, at])
-        out = np.zeros((sub.dim, width), dtype=complex)
-        out[:, at] = sub.basis
-        parts.append((np.full(sub.dim, b), at[sub.pivots], out))
-    return WeakCoideal(alg, *map(np.concatenate, zip(*parts)), label, spec)
-
-
 def _indicators(alg: TYAlgebra, block: np.ndarray, member: np.ndarray, label: str,
                 spec: CoidealSpec) -> WeakCoideal:
     """The family whose fibers are spanned by 0/1 indicator rows ``member``

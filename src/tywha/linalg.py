@@ -421,11 +421,6 @@ class Subspace:
         norms = np.sqrt(_sq(mat).sum(axis=1) + outside)
         return self.residuals(mat, outside) - self.eps * (1.0 + norms)
 
-    def basis_vectors(self) -> list[SparseVec]:
-        """The basis rows as sparse vectors, pruned at ROUNDOFF."""
-        keys = self.universe.tolist()
-        return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(row)}) for row in _pruned_rows(self.basis)]
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system,
         one row per key and one column per basis row of either space."""

@@ -8,7 +8,9 @@ arrays and the array rows against them.  Named blocks, slots and basis
 units, cosets, the fiber subspaces of a weak coideal and its unit as a
 ``SparseVec`` are object views of the package's index arrays and coset
 numbers, kept here for the tests that read them, with the adapters that take
-``SparseVec``s into ``Subspace`` and ``assemble``.  The coideal checks as
+``SparseVec``s into ``Subspace`` and back (``subspace``, ``basis_vectors``)
+and into ``assemble``, the echelon constructor of a weak coideal from
+arbitrary generating fiber rows, which only tests call.  The coideal checks as
 they ran on A itself, before they moved to the fiber rows,
 indecomposability by a dense stack per system shape, before it went
 through ``linalg.components``, and the element arithmetic of groups and
@@ -39,12 +41,12 @@ from functools import partial
 
 import numpy as np
 
-from tywha.algebra import AxiomReport
+from tywha.algebra import AxiomReport, TYAlgebra
 from tywha.classify import (
     CLASSIFY_ORDER_BOUND, ENUMERATION_BOUND, _coideal_flags, _pair_fixed, _pair_key, _pair_perms, _quotients,
     _representative, _subsets, _vector_fixed, _vector_key, _vectors, burnside_check, coideal_orbits, orbit_partition,
 )
-from tywha.coideals import CoidealSpec, _coords, _exact, _Fibers, _verdicts, build_from_spec
+from tywha.coideals import CoidealSpec, WeakCoideal, _coords, _exact, _Fibers, _verdicts, build_from_spec
 from tywha.errors import InvariantError, SizeError, StructuralError, check_order
 from tywha.groups import (
     FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal, quotient,
@@ -225,6 +227,12 @@ def subspace(vectors, eps: float = DEFAULT_TOL) -> Subspace:
     return Subspace(key_array(keys), rows, eps=eps)
 
 
+def basis_vectors(space: Subspace) -> list[SparseVec]:
+    """The basis rows of ``space`` as sparse vectors, pruned at ROUNDOFF."""
+    keys = space.universe.tolist()
+    return [SparseVec({keys[j]: row[j] for j in np.flatnonzero(row)}) for row in _pruned_rows(space.basis)]
+
+
 # -- cosets as objects ---------------------------------------------------------------
 
 
@@ -281,6 +289,28 @@ def fiber_rows(alg, x_vectors: dict) -> tuple[np.ndarray, np.ndarray]:
             block.append(names.index(label))
             rows.append(row)
     return np.array(block, dtype=np.int64), np.array(rows, dtype=complex).reshape(len(rows), width)
+
+
+def assemble(alg: TYAlgebra, block: np.ndarray, rows: np.ndarray, label: str,
+             spec: CoidealSpec | None = None) -> WeakCoideal:
+    """Assemble A = sum_x X^x (x) conj(H^x) from generating fiber rows: row r
+    lies in the fiber of block ``block[r]``, over its slots and padded with
+    zeros to the widest block.  Each fiber is reduced to echelon form by one
+    Subspace over the slots its rows touch."""
+    sizes, width = alg._layout.sizes, int(alg._layout.sizes.max())
+    block, rows, none = np.asarray(block), np.asarray(rows, dtype=complex), np.zeros(0, dtype=np.int64)
+    parts = [(none, none, np.zeros((0, width), dtype=complex))]
+    for b in np.unique(block).tolist():
+        gens = rows[block == b]
+        at = np.flatnonzero((gens != 0).any(axis=0))
+        if len(at) and at[-1] >= sizes[b]:
+            name = alg.block_names[b]
+            raise InvariantError(f"fiber row for block {name} has support past its {sizes[b]} slots")
+        sub = Subspace(at, gens[:, at])
+        out = np.zeros((sub.dim, width), dtype=complex)
+        out[:, at] = sub.basis
+        parts.append((np.full(sub.dim, b), at[sub.pivots], out))
+    return WeakCoideal(alg, *map(np.concatenate, zip(*parts)), label, spec)
 
 
 # -- weak coideals as objects ------------------------------------------------------
@@ -480,14 +510,14 @@ def _row(alg, distances, instances: int) -> tuple:
 def counital_commute(alg) -> tuple:
     """"counital subalgebras commute": t s = s t over the basis vectors."""
     target, source = alg.counital_subalgebras()
-    tvecs, svecs = target.basis_vectors(), source.basis_vectors()
+    tvecs, svecs = basis_vectors(target), basis_vectors(source)
     distances = [distance(alg.multiply(t, s), alg.multiply(s, t)) for t in tvecs for s in svecs]
     return _row(alg, distances, len(tvecs) * len(svecs))
 
 
 def antipode_squared(alg) -> tuple:
     """"antipode squared fixes target subalgebra": S(S(t)) = t."""
-    tvecs = alg.counital_subalgebras()[0].basis_vectors()
+    tvecs = basis_vectors(alg.counital_subalgebras()[0])
     return _row(alg, [distance(antipode(alg, antipode(alg, t)), t) for t in tvecs], len(tvecs))
 
 

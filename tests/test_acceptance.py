@@ -15,7 +15,6 @@ from tywha.classify import _pair_perms, weak_coideal_classes
 from tywha.cli import main as cli_main
 from tywha.coideals import (
     CoidealSpec,
-    assemble,
     build_I_m_K,
     build_I_Omega_K,
     build_no_m,
@@ -30,7 +29,9 @@ from tywha.groups import FiniteAbelianGroup, enumerate_subgroups, orthogonal, qu
 from tywha.linalg import SparseVec
 import random
 
-from reference import BlockLabel, Slot, antipode, blocks, failures, fiber_rows, haar_value, slots, star, x_spaces
+from reference import (
+    BlockLabel, Slot, antipode, assemble, basis_vectors, blocks, failures, fiber_rows, haar_value, slots, star, x_spaces,
+)
 
 TOL = 1e-9
 GROUPS = [(1,), (2,), (3,), (4,), (2, 2)]
@@ -246,7 +247,7 @@ def test_criterion_7_fault_injection(monkeypatch):
     good = build_with_m(alg, CoidealSpec(q, qp, [0], [0]))
     x_vectors = {}
     for block, sub in x_spaces(good).items():
-        vecs = sub.basis_vectors()
+        vecs = basis_vectors(sub)
         if block == BlockLabel.grp((2,)):
             vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
         x_vectors[block] = vecs

@@ -1,11 +1,15 @@
 import functools
 import hashlib
+import importlib
 import json
 import os
 import random
+import re
+import runpy
 import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -72,6 +76,22 @@ class TestGroupDescribe:
 
     def test_bad_group_exits_2(self):
         assert run(["group", "describe", "--group", "zzz"]) == 2
+
+    @pytest.mark.parametrize("group, n_subgroups, n_self_orthogonal", [("2,2,2", 16, 0), ("2,2,2,2", 67, 3)])
+    def test_rows_keep_their_columns_apart(self, group, n_subgroups, n_self_orthogonal, tmp_path, capsys):
+        # names of 28 characters or more once ran into the next column
+        path = tmp_path / "lattice.json"
+        assert run(["group", "describe", "--group", group, "--json", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        subgroups = json.loads(path.read_text())["subgroups"]
+        assert len(rows) == len(subgroups) == n_subgroups
+        assert sum(sub["self_orthogonal"] for sub in subgroups) == n_self_orthogonal
+        name = lambda elems: "{" + ",".join(str(tuple(e)) for e in elems) + "}"
+        for row, sub in zip(rows, subgroups):
+            fields = re.fullmatch(r"(\{.*?\}) +(\d+) +(\{.*?\})(?: +(K = K_perp))?", row)
+            want = (name(sub["K"]), str(len(sub["K"])), name(sub["K_perp"]),
+                    "K = K_perp" if sub["self_orthogonal"] else None)
+            assert fields and fields.groups() == want, row
 
 
 # the rows that take one first factor per translation orbit
@@ -900,3 +920,16 @@ class TestReportPins:
         argv = ["coideal", "build", "--group", group, "--K", K, *spec, "--tau", tau]
         payload = {**self.report(argv, tmp_path), "schema": "tywha-coideal/2"}
         assert _report_sha256(payload) == self.BUILD_ON_A_SHA256[build, tau]
+
+
+def test_every_tracer_target_resolves():
+    # the benchmark's tracer wraps each (module, attribute path) of its
+    # TARGETS, found as Tracer.install finds it: a name deleted or moved in
+    # the package fails here before it fails a traced benchmark run
+    targets = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"))["TARGETS"]
+    for mod_name, path, _, _ in targets:
+        owner = importlib.import_module(f"tywha.{mod_name}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(attr)), f"{mod_name}.{path}"

@@ -9,7 +9,6 @@ from tywha.algebra import CoproductTable, FiberTable, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
     CoidealSpec,
-    assemble,
     assess,
     build_I_m_K,
     build_I_Omega_K,
@@ -26,9 +25,10 @@ from tywha.coideals import (
 from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
 from reference import (
-    ACoords, BasisUnit, BlockLabel, Slot, a_level_fixed_point_algebra, a_level_report, add, add_scaled, blocks, circ,
-    coset_vector, cosets, distance, failures, fiber_rows, invariance, one, restricted_is_indecomposable, sharp, slots, spec_of,
-    stacked_is_indecomposable, star, subspace, trivial, unit_pos, unit_vector, units, x_spaces,
+    ACoords, BasisUnit, BlockLabel, Slot, a_level_fixed_point_algebra, a_level_report, add, add_scaled, assemble,
+    basis_vectors, blocks, circ, coset_vector, cosets, distance, failures, fiber_rows, invariance, one,
+    restricted_is_indecomposable, sharp, slots, spec_of, stacked_is_indecomposable, star, subspace, trivial, unit_pos,
+    unit_vector, units, x_spaces,
 )
 from tywha.linalg import ROUNDOFF, SparseVec, nullspace, sparse_nullspace, tensor_contains
 
@@ -291,7 +291,7 @@ class TestVerifierRejections:
         drop = (2,)
         x_vectors = {}
         for block, sub in x_spaces(good).items():
-            vecs = sub.basis_vectors()
+            vecs = basis_vectors(sub)
             if block == g(*drop):
                 vecs = [v for v in vecs if (block, Slot.m()) not in set(v.keys())]
             x_vectors[block] = vecs
@@ -325,7 +325,7 @@ def union(alg, parts, label):
     merged = {}
     for wc in parts:
         for block, sub in x_spaces(wc).items():
-            merged.setdefault(block, []).extend(sub.basis_vectors())
+            merged.setdefault(block, []).extend(basis_vectors(sub))
     return assemble(alg, *fiber_rows(alg, merged), label)
 
 
@@ -428,7 +428,7 @@ class TestIndecomposability:
                 dim_x0 = int((family.fiber_block == family.algebra._layout.zero).sum())
                 fixed, solved = fixed_point_algebra(family), a_level_fixed_point_algebra(family)
                 assert fixed.dim == solved.dim == dim_x0, family.label
-                assert all(solved.contains(v) for v in fixed.basis_vectors()), family.label
+                assert all(solved.contains(v) for v in basis_vectors(fixed)), family.label
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(4,), (2, 2), (6,)])
@@ -531,8 +531,8 @@ class TestSpectralDims:
         K, q, lam, _mu = z4_setup
         wc = build_with_m(z4, spec_of(z4, K, [lam.number], [0]))
         xm = x_spaces(wc)[M]
-        unbarred = [v for v in xm.basis_vectors() if all(s.kind != 2 for (_b, s) in v.keys())]
-        barred = [v for v in xm.basis_vectors() if all(s.kind == 2 for (_b, s) in v.keys())]
+        unbarred = [v for v in basis_vectors(xm) if all(s.kind != 2 for (_b, s) in v.keys())]
+        barred = [v for v in basis_vectors(xm) if all(s.kind == 2 for (_b, s) in v.keys())]
         assert len(unbarred) == len(barred) == xm.dim // 2
         for v in unbarred:
             assert xm.contains(sharp(z4, v))
@@ -549,7 +549,7 @@ def reference_assemble(alg, x_vectors, label, spec=None):
     zero_block = BlockLabel.grp(alg.group.zero())
     gamma = set()
     if zero_block in fibers:
-        for v in fibers[zero_block].basis_vectors():
+        for v in basis_vectors(fibers[zero_block]):
             gamma.update(slot for (_b, slot), c in v.items() if abs(c) > alg.eps)
     pos = unit_pos(alg)
     unit = SparseVec({pos[BasisUnit(zero_block, s, c)]: 1.0 + 0j for s in gamma for c in slots(alg, zero_block)})
@@ -770,7 +770,7 @@ class TestAssess:
     def test_failing_checks_leave_indecomposability_undecided(self, z4, z4_setup, monkeypatch):
         K, _q, _lam, _mu = z4_setup
         wc = build_no_m(z4, spec_of(z4, K, [0]))
-        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
+        x_vectors = {b: basis_vectors(s) for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
 
@@ -788,7 +788,7 @@ class TestAssess:
         # indecomposability, which still decides only the members that pass
         K, _q, _lam, _mu = z4_setup
         wc = build_no_m(z4, spec_of(z4, K, [0]))
-        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
+        x_vectors = {b: basis_vectors(s) for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0", wc.spec)
         good = realized_coideals((4,), 1)[:6]
@@ -825,7 +825,7 @@ def reference_report(wc):
     recomputed one basis vector at a time with multiply, coproduct, star,
     Subspace.residual/contains_batch and tensor_contains."""
     alg, eps, space, unit = wc.algebra, wc.algebra.eps, generic_space(wc), unit_vector(wc)
-    basis = space.basis_vectors()
+    basis = basis_vectors(space)
     size = len(basis)
     rows = []
     unit_ok = unit.norm() > eps and space.contains(unit)
@@ -867,7 +867,7 @@ def reference_report(wc):
 def reference_fixed_points(wc):
     """fixed_point_algebra with Delta(1_A)(e_i (x) 1) from tensor_multiply."""
     alg = wc.algebra
-    basis = generic_space(wc).basis_vectors()
+    basis = basis_vectors(generic_space(wc))
     delta_unit = alg.coproduct(unit_vector(wc))
     twisted = {
         i: alg.tensor_multiply(delta_unit, SparseVec({(i, j): c for j, c in one(alg).items()}))
@@ -902,7 +902,7 @@ def generic_space(wc):
         sub = fibers.get(block)
         if sub is None or sub.dim == 0:
             continue
-        for u in sub.basis_vectors():
+        for u in basis_vectors(sub):
             for col in slots(alg, block):
                 generators.append(SparseVec({
                     pos[BasisUnit(block, slot, col)]: c for (_b, slot), c in u.items()
@@ -925,7 +925,7 @@ def assert_space_matches_generic(wc, exact):
         keys = units.tolist()
         rows = [SparseVec({keys[j]: row[j] for j in np.flatnonzero(np.abs(row) > ROUNDOFF)}) for row in basis]
         assert all(ref.contains(v) for v in rows), wc.label
-        assert all(subspace(rows, eps=ref.eps).contains(v) for v in ref.basis_vectors()), wc.label
+        assert all(subspace(rows, eps=ref.eps).contains(v) for v in basis_vectors(ref)), wc.label
 
 
 def assert_matches_reference(wc):
@@ -1001,7 +1001,7 @@ class TestFiberRowsMatchRowsOnA:
         # in blocks where X^z = 0, against one Subspace of all fiber rows
         K = z4_setup[0]
         wc = build_no_m(z4, spec_of(z4, K, [0])) if builder == "no_m" else build_with_m(z4, spec_of(z4, K, [0], [0]))
-        space = subspace([v for sub in x_spaces(wc).values() for v in sub.basis_vectors()], eps=z4.eps)
+        space = subspace([v for sub in x_spaces(wc).values() for v in basis_vectors(sub)], eps=z4.eps)
         keys = [(b, slot) for b in blocks(z4) for slot in slots(z4, b)]  # in the numbering of all blocks' slots
         held = set(x_spaces(wc))
         outside = [k for k in keys if k[0] not in held]
@@ -1044,8 +1044,8 @@ class TestArrayChecks:
             assert assert_matches_reference(wc).passed, wc.label
             fixed, ref = fixed_point_algebra(wc), reference_fixed_points(wc)
             assert fixed.dim == ref.dim, wc.label
-            assert all(ref.contains(v) for v in fixed.basis_vectors())
-            assert all(fixed.contains(v) for v in ref.basis_vectors())
+            assert all(ref.contains(v) for v in basis_vectors(fixed))
+            assert all(fixed.contains(v) for v in basis_vectors(ref))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (2, 2)])
@@ -1111,7 +1111,7 @@ class TestArrayChecks:
             wc = build_with_m(z4, spec_of(z4, K, [0], [0]))
         else:
             wc = build_no_m(z4, spec_of(z4, K, [0]))
-        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
+        x_vectors = {b: basis_vectors(s) for b, s in x_spaces(wc).items()}
         x_vectors[g(2)].append(SparseVec.basis((g(2), Slot.grp((0,)))))
         broken = assemble(z4, *fiber_rows(z4, x_vectors), "stray unit v^2_0")
         report = assert_matches_reference(broken)
@@ -1120,7 +1120,7 @@ class TestArrayChecks:
         assert failures(report)[0].witness.startswith("fiber rows (")
 
     def test_star_breaking_trips_only_star_closure(self, z4, no_m_half):
-        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(no_m_half).items()}
+        x_vectors = {b: basis_vectors(s) for b, s in x_spaces(no_m_half).items()}
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((0,)))
         x_vectors[g(2)] = [v + SparseVec({key: v[key]})]  # 2 v^2_0 + v^2_2
@@ -1136,7 +1136,7 @@ class TestArrayChecks:
         # family gets an algebra of its own
         wc = z4_family(builder, sign)
         target, source = wc.algebra.counital_subalgebras()
-        smaller = subspace(target.basis_vectors()[1:], eps=wc.algebra.eps)
+        smaller = subspace(basis_vectors(target)[1:], eps=wc.algebra.eps)
         monkeypatch.setattr(type(wc.algebra), "counital_subalgebras", lambda self: (smaller, source))
         report = assert_matches_reference(wc)
         assert [c.name for c in failures(report)] == ["coproduct of unit in A (x) B_t"]
@@ -1171,7 +1171,7 @@ class TestArrayChecks:
     def test_complex_generator_matches_scalar_paths(self, z4, no_m_half):
         # X^2 = C (v^2_0 + i v^2_2) is again a weak coideal; its star image
         # has conjugated coefficients
-        x_vectors = {b: s.basis_vectors() for b, s in x_spaces(no_m_half).items()}
+        x_vectors = {b: basis_vectors(s) for b, s in x_spaces(no_m_half).items()}
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((2,)))
         x_vectors[g(2)] = [v + SparseVec({key: (1j - 1) * v[key]})]
@@ -1209,7 +1209,7 @@ def class_representatives(alg):
 def faulted(wc, fault):
     """wc with one of the faults the single-class tests use: a stray fiber
     unit v^2_0, or X^2 = C v^2_0 replaced by the unbalanced 2 v^2_0 + v^2_2."""
-    x_vectors = {b: s.basis_vectors() for b, s in x_spaces(wc).items()}
+    x_vectors = {b: basis_vectors(s) for b, s in x_spaces(wc).items()}
     if fault == "unbalanced":
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((0,)))
