@@ -117,8 +117,8 @@ class AxiomReport:
 
 @dataclass
 class HaarFunctional:
-    """The normalized invariant functional, as a coefficient vector over the
-    matrix-unit basis, and the residual of its defining system."""
+    """The normalized invariant functional in closed form, as a coefficient
+    vector over the matrix-unit basis, and its residual in the Haar system."""
 
     coeffs: np.ndarray
     residual: float
@@ -646,19 +646,11 @@ class TYAlgebra:
     # -- Haar functional ---------------------------------------------------------
 
     def _haar_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The defining linear system of the normalized invariant functional
-        h in its coefficients h(u_i), as entries (rows, cols, vals) over index
-        arrays of the eps_t, coproduct and antipode tables, and the right
-        sides of its leading rows:
-
-        - h(eps_t(u_b)) = eps(u_b);
-        - (id (x) h) Delta(1) = 1, one row per first-leg unit;
-        - h(S(u_b)) = h(u_b);
-        - (id (x) h) Delta(u_b) = (eps_t (x) h) Delta(u_b), one row per
-          (b, output unit)."""
-        dim, D, S = self.dim, self._coproduct_table, self._antipode_map
+        """The system h solves, in its coefficients h(u_i), by the row families
+        of :meth:`haar` in order: entries (rows, cols, vals) over the eps_t,
+        coproduct and antipode tables, and its leading rows' right sides."""
+        dim, D, S, one = self.dim, self._coproduct_table, self._antipode_map, self._layout.zero_units
         src, key, val = self._eps_t_table
-        one = self._layout.zero_units
         _, p = _runs(D.ptr, one)  # the terms of Delta(1)
         t, q = _runs(np.searchsorted(src, np.arange(dim + 1)), D.first)  # eps_t of first legs
         units = np.arange(dim)
@@ -673,27 +665,35 @@ class TYAlgebra:
         return rows, cols, vals, rhs
 
     def haar(self) -> HaarFunctional:
-        """Solve :meth:`_haar_system` by least squares: each stack of column
-        components by one SVD, its blocks' pseudo-inverses dropping singular
-        values at most eps max(r, c) s_0, s_0 the largest, as ``lstsq`` does.
-        h exists when the residual over all rows is at most eps, and is unique
-        when every block has full column rank by ``linalg._rank``'s cutoff."""
+        """h = 1/(n + 1) on the (n + 1)^2 units of the zero block, 0 elsewhere.
+        It exists when its residual over every row of :meth:`_haar_system` is
+        at most eps, so a faulted table fails it, and is unique when each
+        column component has full column rank by ``linalg._rank`` of its
+        singular values.
+
+        Proof that the residual vanishes on every datum (G, chi, tau).  The
+        zero fiber's basis vectors are orthogonal idempotents (rules 1-2 of
+        ``_fiber_table``), so (0; a, b)(0; c, d) = delta_ac delta_bd (0; a, b),
+        1 = sum (0; r, c), and R_s = sum_c (0; s, c) has h(R_s) = 1.  The rows:
+        - h(eps_t(u)) = eps(u): with w_e as in ``_counital_table``, the left
+          side is sum_e w_e h(R_e) = sum_{r,e} eps((0; r, e) u) = eps(1 u);
+        - (id (x) h) Delta(1) = 1, a row per first-leg unit:
+          Delta(1) = sum_{r,s} (0; r, s) (x) R_s;
+        - h o S = h: S sends (0; r, c) to (0; c, r) with coefficient 1, and
+          every other block off the zero block;
+        - (id (x) h) Delta(u) = (eps_t (x) h) Delta(u), a row per (u, output
+          unit): both vanish off the zero block, and at u = (0; r, c) they
+          are R_r / (n + 1) and eps_t(R_r) / (n + 1), equal as w_e = delta_er:
+          eps_t fixes R_r = e_r (x) conj(v^0_Omega) (``_unit_legs_in_target``)."""
         rows, cols, vals, rhs = self._haar_system()
-        coeffs, rank = np.zeros(self.dim, dtype=complex), 0
-        for ids, block_cols, blocks in components(rows, cols, vals, self.dim):
-            # ids ascend: the rows with a right side lead, and the rest are zero
-            heads, has = np.zeros(ids.shape, dtype=complex), ids < len(rhs)
-            heads[has] = rhs[ids[has]]
-            u, s, vh = np.linalg.svd(blocks, full_matrices=False)
-            kept = s > np.finfo(float).eps * max(blocks.shape[1:]) * s[:, :1]
-            x = np.divide(np.einsum("kij,ki->kj", u.conj(), heads), s,
-                          out=np.zeros(s.shape, dtype=complex), where=kept)
-            coeffs[block_cols] = np.einsum("kji,kj->ki", vh.conj(), x)
-            rank += int(_rank(s).sum())
+        coeffs = np.zeros(self.dim, dtype=complex)
+        coeffs[self._layout.zero_units] = 1.0 / (self.group.order + 1)
         # over all rows, a row with a right side and no entries included
         residual = _worst((rows, vals * coeffs[cols]), (np.arange(len(rhs)), rhs))[0]
         if residual > self.eps:
             raise StructuralError(f"invariant functional system is inconsistent ({residual:.3e})")
+        rank = sum(int(_rank(np.linalg.svd(blocks, compute_uv=False)).sum())
+                   for _, _, blocks in components(rows, cols, vals, self.dim))
         if rank < self.dim:
             raise StructuralError(f"invariant functional is not unique (rank {rank} < {self.dim})")
         return HaarFunctional(coeffs, residual)
@@ -1099,15 +1099,15 @@ class TYAlgebra:
         bounded by eps and run in order by :meth:`AxiomReport.run`.  An
         evaluator returns the worst residual and a witness: text, or the
         units of the worst instance.  The rows after "haar system solvable"
-        need its solution, so a StructuralError there ends the suite.
+        need h, so a StructuralError there ends the suite.
 
         Every row reads the structure-constant arrays: the identities of the
         product, coproduct, counit, antipode and star, and those of B_t, B_s
         and the zero fiber, are sparse joins over them.  The corepresentation
         identities are joins over the block layout; their comultiplication
         shares one join with the dual pairing, which covers every triple of
-        dual basis functionals and units.  Haar positivity covers the Gram
-        matrix h(u_i* u_j) of all dim^2 pairs.
+        dual basis functionals and units.  The closed-form h (:meth:`haar`)
+        meets every Haar row; positivity covers its Gram matrix on dim^2 pairs.
 
         "translations are automorphisms" checks every sigma_t
         (:meth:`_translation_defects`).  When it passes, the six pair- and

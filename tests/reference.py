@@ -18,9 +18,11 @@ their trivial and full subgroups are kept here for the tests that compare
 against them.  ``table_rows`` expands an export's
 tables into the rows they stand for, as the json module's ``default`` hook,
 and ``failures`` lists a report's failed checks.  A keyed sum by
-``np.unique``'s inverse, a component split by one grouping sort per index
-and a Haar solve by one ``lstsq`` per block are kept as references for
-``linalg._sums``, ``linalg.components`` and ``TYAlgebra.haar``.  The
+``np.unique``'s inverse and a component split by one grouping sort per
+index are kept as references for ``linalg._sums`` and
+``linalg.components``.  ``lstsq_haar``, a least-squares solve of the Haar
+system by one ``lstsq`` per block, is the reference ``TYAlgebra.haar``'s
+closed-form h and its rank are checked against.  The
 translations sigma_t, built from the named slots, and their defects against
 B's tables, by one sorted keyed sum per table and t, are the reference for
 ``TYAlgebra._translations`` and ``_translation_defects``.  sigma_t on

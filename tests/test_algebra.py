@@ -422,6 +422,30 @@ class TestHaar:
             out.data[i] = out.data.get(i, 0) + c * haar_value(h, SparseVec.basis(j))
         assert distance(out, one(z2)) < 1e-9
 
+    @pytest.mark.parametrize("factors,sign", [((2,), 1), ((3,), -1), ((2, 2), 1), ((4,), -1)])
+    @pytest.mark.parametrize("fault", ["eps_t weight", "antipode coefficient"])
+    def test_faulted_table_fails_solvability(self, factors, sign, fault, monkeypatch):
+        # a fault in a table the Haar system reads, with haar itself untouched:
+        # w_0 of eps_t(0; 0, 0) scaled by 1.01, which moves h(eps_t(0; 0, 0))
+        # by 0.01, or S(0; 0, 1) = -(0; 1, 0), which moves h o S - h by 2/(n + 1)
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        n = alg.group.order
+        if fault == "eps_t weight":
+            src, key, val = alg._eps_t_table
+            val = val.copy()
+            val[:n + 1] *= 1.01  # the n + 1 terms of one weight
+            monkeypatch.setattr(alg, "_eps_t_table", (src, key, val))
+            residual = abs(1.01 - 1.0)
+        else:
+            S, unit = alg._antipode_map, alg._layout.unit(alg._layout.zero, 0, 1)
+            c = S.c.copy()
+            c[unit] *= -1.0
+            monkeypatch.setattr(alg, "_antipode_map", UnitMap(S.k, c))
+            residual = 2.0 / (n + 1)
+        failed = {c.name: c for c in failures(alg.verify_axioms())}
+        assert failed["haar system solvable"].witness == (
+            f"invariant functional system is inconsistent ({residual:.3e})")
+
 
 COREP_IDENTITIES = ("comultiplication", "counit", "partial isometry")
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tywha.algebra import TYAlgebra
 from tywha.classify import realize_and_verify, weak_coideal_classes
 from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verify_weak_coideal
 from tywha.errors import StructuralError
-from tywha.groups import FiniteAbelianGroup
+from tywha.groups import Bicharacter, FiniteAbelianGroup
 from reference import (
     add_scaled, antipode, basis_vectors, counit, distance, eps_t, lstsq_haar, one, places_components, propagated_labels,
     subspace, unique_sums,
@@ -625,7 +626,7 @@ def _dense_haar(alg):
 
 
 def _haar_rank(alg) -> int:
-    """The rank the Haar solve finds: dim, or the rank it reports when the
+    """The rank ``haar`` finds: dim, or the rank it reports when the
     solution is not unique."""
     try:
         alg.haar()
@@ -634,13 +635,27 @@ def _haar_rank(alg) -> int:
     return alg.dim
 
 
+HYPERBOLIC = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
+STANDARD = [(2,), (3,), (2, 2), (4,), (5,), (6,), (8,), (2, 4)]
+
+
 class TestHaarSolve:
-    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2), (4,), (5,), (6,), (8,), (2, 4)])
+    # the standard data keep their ids; then 2/3 on Z3 and the hyperbolic Z2xZ2
+    @pytest.mark.parametrize(
+        "factors,phases",
+        [*((f, None) for f in STANDARD), ((3,), ((Fraction(2, 3),),)), ((2, 2), HYPERBOLIC)],
+        ids=[*(f"factors{i}" for i in range(len(STANDARD))), "3-two-thirds", "2x2-hyperbolic"],
+    )
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_matches_dense_solve(self, factors, sign):
-        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+    def test_matches_dense_solve(self, factors, phases, sign):
+        grp = FiniteAbelianGroup(factors)
+        alg = TYAlgebra(grp, Bicharacter(grp, phases) if phases else None, tau_sign=sign)
         h = alg.haar()
+        closed = np.zeros(alg.dim, dtype=complex)
+        closed[alg._layout.zero_units] = 1.0 / (grp.order + 1)
+        assert h.coeffs.tobytes() == closed.tobytes()
         assert np.abs(h.coeffs - _dense_haar(alg)).max() < 1e-12
+        assert np.abs(h.coeffs - lstsq_haar(*alg._haar_system(), alg.dim)[0]).max() < 1e-12
         assert h.residual < 1e-12
 
     @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2), (5,)])
