@@ -25,7 +25,9 @@ system by one ``lstsq`` per block, is the reference ``TYAlgebra.haar``'s
 closed-form h and its rank are checked against.  The
 translations sigma_t, built from the named slots, and their defects against
 B's tables, by one sorted keyed sum per table and t, are the reference for
-``TYAlgebra._translations`` and ``_translation_defects``.  sigma_t on
+``TYAlgebra._translations`` and for ``_translation_defects`` at the
+generators of G, the only t where it reads the tables; at every other t
+they check what its group law proves.  sigma_t on
 fiber rows, read from ``TYAlgebra._slot_table``, a span key for rows of
 disjoint supports, and the two checks that builds follow sigma_t and that
 classes share a subalgebra only as K <-> Kperp swap pairs are kept here for

@@ -718,7 +718,11 @@ class TestAxiomSuite:
         # first factor per orbit, against every other factor
         checks = {c["name"]: c for c in z4_minus.verify_axioms().to_dict()["checks"]}
         dim = z4_minus.dim
-        assert checks["translations are automorphisms"]["passed"]
+        # Z4 has one generator; the group law covers the other three t
+        translations = checks.pop("translations are automorphisms")
+        assert translations["passed"]
+        assert (translations["mode"], translations["instances_checked"], translations["instances_total"]) == (
+            "exhaustive by generators", 1, 4)
         for name, arity in self.PAIR_AND_TRIPLE.items():
             c = checks[name]
             assert c["mode"] == "exhaustive by translation", name
@@ -732,6 +736,7 @@ class TestAxiomSuite:
         summary = z4_minus.verify_axioms().summary()
         assert "exhaustive 4,410,944" in summary
         assert "exhaustive by translation 1,183,424 of 4,410,944" in summary
+        assert "exhaustive by generators 1 of 4" in summary
 
     @pytest.mark.parametrize("factors", [(2,), (3,)])
     def test_blocked_joins_match_one_block(self, factors, monkeypatch):
@@ -1020,6 +1025,11 @@ def fiber_fault(alg, fault: str) -> None:
     alg._fiber_table = dataclasses.replace(table, coeff=coeff)
 
 
+def generators(grp: FiniteAbelianGroup) -> list[int]:
+    """The indices of the generators e_j of the nontrivial cyclic factors."""
+    return [grp.index(tuple(int(i == j) for i in range(grp.rank))) for j, k in enumerate(grp.factors) if k > 1]
+
+
 # every datum up to order 8 with both signs, and two non-standard bicharacters
 EQUIVALENCE_DATA = [
     *(((k,), None) for k in range(1, 9)), ((2, 2), None), ((2, 4), None), ((2, 2, 2), None),
@@ -1041,6 +1051,9 @@ class TestTranslations:
         alg = TYAlgebra(grp, Bicharacter(grp, phases) if phases else None, tau_sign=sign)
         checks = {c.name: c for c in alg.verify_axioms().checks}
         assert checks["translations are automorphisms"].passed
+        # the row reads only the generators' tables, so the passing row must
+        # bound every sigma_t's table defect, as the induction on t claims
+        assert reference.translation_defects(alg).max() <= alg.eps
         n, reps = grp.order, alg._orbit_representatives
         assert len(reps) == n * n + 7 * n
         for name, (residual, passed, witness) in six_joins(alg).items():
@@ -1084,13 +1097,15 @@ class TestTranslations:
         reps = alg._orbit_representatives
         assert np.array_equal(np.unique(perm[:, reps]), np.arange(alg.dim))
         assert (perm[:, reps] >= reps).all()
-        assert np.array_equal(alg._translation_defects(), reference.translation_defects(alg))
+        defects, gens = alg._translation_defects(), generators(alg.group)
+        assert np.array_equal(defects[gens], reference.translation_defects(alg)[gens])
+        assert np.delete(defects, gens).max() <= 1.1e-15
 
     @pytest.mark.parametrize("fault", ["product value", "product key", "coproduct leg", "antipode", "star"])
     @pytest.mark.parametrize("factors", [(3,), (4,), (2, 2)])
     def test_faulted_tables_match_reference(self, factors, fault):
-        # a key moved off the table (product key, coproduct leg, star) takes
-        # one sorted keyed sum per t; the others compose the generators' places
+        # a key moved off the table (product key, coproduct leg, star) counts
+        # in full; every t but the generators reads only the group law
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=1)
         T, D = alg.product, alg._coproduct_table
         if fault == "product value":
@@ -1103,11 +1118,34 @@ class TestTranslations:
             alg._antipode_map.c[-1] *= 1j
         else:
             alg._star_map.k[4] = 0
-        defects = alg._translation_defects()
-        assert defects[0] == 0.0 and defects[1:].min() > 0.2
-        assert defects == pytest.approx(reference.translation_defects(alg), abs=1e-15)
+        defects, expected, gens = alg._translation_defects(), reference.translation_defects(alg), generators(alg.group)
+        assert expected[0] == defects[0] == 0.0 and expected[1:].min() > 0.2
+        assert np.array_equal(defects[gens], expected[gens])
+        assert np.delete(defects, [0, *gens]).max(initial=0.0) <= 1.1e-15
         failed = {c.name: c for c in failures(alg.verify_axioms())}
         assert failed["translations are automorphisms"].witness == f"t = {alg.block_names[1]}"
+
+    @pytest.mark.parametrize("fault", ["perm swap", "phase sign"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(3,), (4,), (8,), (2, 4)])
+    def test_fault_off_the_generators_trips_the_row(self, factors, sign, fault):
+        # sigma_2 is no generator in any of these groups: only the group law reads it
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        assert 2 not in generators(alg.group)
+        perm, phase = (a.copy() for a in alg._translations)
+        if fault == "perm swap":
+            perm[2, [0, 1]] = perm[2, [1, 0]]
+        else:
+            phase[2, 0] *= -1
+        alg._translations = (perm, phase)
+        checks = {c.name: c for c in alg.verify_axioms().checks}
+        row = checks["translations are automorphisms"]
+        assert not row.passed and row.witness == f"t = {alg.block_names[2]}"
+        assert (row.mode, row.instances_checked) == ("exhaustive by generators", len(generators(alg.group)))
+        for name, (residual, passed, witness) in six_joins(alg).items():
+            c = checks[name]
+            assert (c.mode, c.instances_checked) == ("exhaustive", c.instances_total), name
+            assert (c.residual, c.passed, c.witness) == (residual, passed, witness), name
 
     @pytest.mark.parametrize("factors", [(3,), (4,), (5,), (6,)])
     def test_phase_is_conjugate_chi(self, factors):

@@ -120,6 +120,9 @@ class TestWhaCommands:
             if c["name"] in REDUCED_ROWS:  # one first factor per translation orbit
                 assert c["mode"] == "exhaustive by translation", c["name"]
                 assert c["instances_checked"] * dim == (n * n + 7 * n) * c["instances_total"], c["name"]
+            elif c["name"] == "translations are automorphisms":  # one generator per cyclic factor
+                assert (c["mode"], c["instances_total"]) == ("exhaustive by generators", n)
+                assert c["instances_checked"] == len(group.split(","))
             else:
                 assert c["mode"] == "exhaustive", c["name"]
                 assert c["instances_checked"] == c["instances_total"], c["name"]
@@ -198,6 +201,7 @@ class TestWhaCommands:
         checks = {c["name"]: c for c in payload["checks"]}
         translations = checks["translations are automorphisms"]
         assert translations["passed"] and translations["instances_total"] == 3
+        assert (translations["mode"], translations["instances_checked"]) == ("exhaustive by generators", 1)
         assoc = checks["product associativity"]  # 30 = 3^2 + 7 * 3 first factors
         assert assoc["mode"] == "exhaustive by translation"
         assert (assoc["instances_checked"], assoc["instances_total"]) == (30 * 84**2, 84**3)
@@ -836,12 +840,13 @@ class TestReportPins:
     dimensions, Gamma, the unit's support and the classification data of the
     verify and coideal reports, pinned as sha256."""
 
-    # schema tywha-axioms/3: the datum, the translation row and per-row coverage
+    # schema tywha-axioms/3: the datum, the translation row and per-row coverage,
+    # the translation row checked at the generators ("exhaustive by generators")
     VERIFY_SHA256 = {
-        ("3", "+"): "5d16f62142d1027b3eebcf34861fcd79e7dca3da60ce6814c690a6ccba2f4321",
-        ("3", "-"): "4506591b851d94faa670bd813dcc66e6c6e496fc27862a866f85f1fb8c113fd4",
-        ("2,2", "+"): "60b557563d64ee889e47cc14195d2554cdf1b6f9384be09f6b259545c01a985c",
-        ("2,2", "-"): "debc3f7fa037e64b6c29adeb5dc751bf4239fe0276754f3139b003c3ab763787",
+        ("3", "+"): "1737af69b84821026698b312d0a3992af505cd869ea59ad2e337ee0fd887bf7d",
+        ("3", "-"): "65022d0e2a72800f8dd5788012175da4a4f65d625a863d3e5a2608ee165340d1",
+        ("2,2", "+"): "4d13363c9d8294250ef111d2bea7b22911bda859d59c20bd6f7e9253b6cffad6",
+        ("2,2", "-"): "6dc1eec2708fc3ffe952c89634286b31cfd561ba3ae567a8f362850b9fa22279",
     }
     # the same reports as tywha-axioms/2 wrote them, before the datum keys,
     # the translation row and the reduced coverage
