@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvariantError, StructuralError, check_order
 from .groups import Bicharacter, FiniteAbelianGroup, GroupElt
 from .linalg import (DEFAULT_TOL, SparseVec, Subspace, _cmul, _diff, _distance, _join, _peak, _pruned, _pruned_rows,
-                     _ranges, _rank, _runs, _sums, _worst, components, sparse_nullspace, span)
+                     _ranges, _runs, _sums, _worst, components, nullity)
 
 # Largest |G| for which B is built: every check of the axiom suite is
 # exhaustive up to it.
@@ -649,9 +649,8 @@ class TYAlgebra:
     def haar(self) -> HaarFunctional:
         """h = 1/(n + 1) on the (n + 1)^2 units of the zero block, 0 elsewhere.
         It exists when its residual over every row of :meth:`_haar_system` is
-        at most eps, so a faulted table fails it, and is unique when each
-        column component has full column rank by ``linalg._rank`` of its
-        singular values.
+        at most eps, so a faulted table fails it, and is unique when every
+        column component of that system has ``linalg.nullity`` 0.
 
         Proof that the residual vanishes on every datum (G, chi, tau).  The
         zero fiber's basis vectors are orthogonal idempotents (rules 1-2 of
@@ -674,8 +673,7 @@ class TYAlgebra:
         residual = _worst((rows, vals * coeffs[cols]), (np.arange(len(rhs)), rhs))[0]
         if residual > self.eps:
             raise StructuralError(f"invariant functional system is inconsistent ({residual:.3e})")
-        rank = sum(int(_rank(np.linalg.svd(blocks, compute_uv=False)).sum())
-                   for _, _, blocks in components(rows, cols, vals, self.dim))
+        rank = self.dim - sum(int(nullity(blocks).sum()) for _, _, blocks in components(rows, cols, vals, self.dim))
         if rank < self.dim:
             raise StructuralError(f"invariant functional is not unique (rank {rank} < {self.dim})")
         return HaarFunctional(coeffs, residual)
@@ -704,16 +702,11 @@ class TYAlgebra:
 
     # -- center ------------------------------------------------------------------
 
-    def center(self) -> Subspace:
-        """The center of B."""
+    def center(self) -> int:
+        """dim Z(B): the nullity of the commutant of B's basis, summed over its column components."""
         units = np.arange(self.dim)
-        return self.center_of(units, units, np.ones(self.dim, dtype=complex), self.dim)
-
-    def center_of(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray, size: int) -> Subspace:
-        """The center of the subalgebra spanned by ``size`` vectors given by
-        their terms (vector, unit, coefficient), by one commutant solve."""
-        kernel = sparse_nullspace(*self.commutant(gen, unit, coef), size)
-        return span(kernel, gen, unit, coef)
+        system = self.commutant(units, units, np.ones(self.dim, dtype=complex))
+        return sum(int(nullity(blocks).sum()) for _, _, blocks in components(*system, self.dim))
 
     def commutant(self, gen: np.ndarray, unit: np.ndarray, coef: np.ndarray) -> tuple:
         """The sparse system (rows, cols, vals) whose kernel is the center of
@@ -722,7 +715,7 @@ class TYAlgebra:
         them, in the coordinates of z along the vectors.
 
         Each vector a gives the constraint rows of z -> z a - a z, read from
-        the product arrays and joined with the terms."""
+        the product arrays and joined with the terms; :meth:`center` counts its kernel."""
         dim, T = self.dim, self.product
         # constraint row (a, k), unit i: coefficient of u_k in u_i a - a u_i
         s1, e1 = T.of_right(unit)
@@ -1171,7 +1164,7 @@ class TYAlgebra:
                 partial(self._fixes, tterms, antipode),
             ),
             ("zero fiber projections", (n + 1) ** 2, self._zero_fiber_projections),
-            ("center dimension", 1, lambda: _dim_check("dim Z(B)", self.center().dim, n + 1)),
+            ("center dimension", 1, lambda: _dim_check("dim Z(B)", self.center(), n + 1)),
             *(
                 (f"corepresentation[{label}] {name}", size**2, partial(_pick, corep[name], x))
                 for x, (label, size) in enumerate(zip(self.block_names, sizes))

@@ -16,7 +16,8 @@ import numpy as np
 from .algebra import AxiomReport, TYAlgebra
 from .errors import InvariantError
 from .groups import QuotientGroup, Subgroup
-from .linalg import Subspace, _diff, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, components, nullspace, span
+from .linalg import (Subspace, _diff, _kept, _pruned, _pruned_rows, _ranges, _runs, _sq, _sums, components, nullity,
+                     sparse_nullspace, span)
 
 
 def _coset_numbers(name: str, z, quot: QuotientGroup) -> tuple[int, ...]:
@@ -460,7 +461,8 @@ def fixed_point_algebra(wc: WeakCoideal) -> Subspace:
 
 def center(wc: WeakCoideal) -> Subspace:
     """The center of A, by one commutant solve over A's basis."""
-    return wc.algebra.center_of(*_coords(wc))
+    gen, unit, coef, size = _coords(wc)
+    return span(sparse_nullspace(*wc.algebra.commutant(gen, unit, coef), size), gen, unit, coef)
 
 
 def is_indecomposable(batch: Sequence[WeakCoideal], fibers: _Fibers | None = None) -> list[bool]:
@@ -484,7 +486,7 @@ def is_indecomposable(batch: Sequence[WeakCoideal], fibers: _Fibers | None = Non
     over the coordinates of mu along X^0's rows, a row per (fiber row,
     output slot) of mu . xi - xi . mu.  Two joins over the batch's fiber
     rows form these coideals' systems, and ``components`` splits them for
-    one ``nullspace`` per stack: ``compose`` never joins rows of two
+    one ``nullity`` per stack: ``compose`` never joins rows of two
     coideals, so each component lies within one.  An equation is keyed
     r * slots + s (fiber row r, output slot s), so the keys ``components``
     forms stay below size**2 * slots for a batch of ``size`` fiber rows:
@@ -498,10 +500,10 @@ def is_indecomposable(batch: Sequence[WeakCoideal], fibers: _Fibers | None = Non
     mu = ((np.cumsum(basis) - 1)[row[at]], key[at], val[at])  # coordinates along those rows
     (i, r, out, v), (r2, i2, out2, v2) = F.compose(mu, F.sorted_terms), F.compose(F.terms, mu)
     equations = np.append(r, r2) * F.slots + np.append(out, out2) % F.slots
-    of, nullity = F.owner[basis], np.zeros(F.k, dtype=np.int64)
+    of, dims = F.owner[basis], np.zeros(F.k)
     for _, cols, blocks in components(equations, np.append(i, i2), np.append(v, -v2), len(of)):
-        nullity += np.bincount(of[cols[nullspace(blocks)[1], 0]], minlength=F.k)
-    return (nullity[own] == 1).tolist()
+        dims += np.bincount(of[cols[:, 0]], nullity(blocks), F.k)
+    return (dims[own] == 1).tolist()
 
 
 # -- spectral dimensions ---------------------------------------------------------

@@ -227,7 +227,7 @@ def _rank(s: np.ndarray) -> np.ndarray:
 def nullspace(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The null rows of a stack of k matrices of one shape (k, m, n): rows
     spanning each {x : mat @ x = 0}, by one SVD of the whole stack, past
-    each matrix's :func:`_rank`.
+    each matrix's :func:`_rank`; :func:`nullity` counts them without V.
 
     Returns the rows, (N, n), and the index of the matrix each row came from,
     in order of matrix and then in SVD order.  A tall system (m >= n) is
@@ -237,6 +237,11 @@ def nullspace(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, s, vh = np.linalg.svd(mats, full_matrices=m < n)
     null = np.arange(n) >= _rank(s)[:, None]
     return vh[null].conj(), np.nonzero(null)[0]
+
+
+def nullity(mats: np.ndarray) -> np.ndarray:
+    """The count of rows :func:`nullspace` gives each matrix of a stack (k, m, n), from singular values alone."""
+    return mats.shape[2] - _rank(np.linalg.svd(mats, compute_uv=False))
 
 
 def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
@@ -294,9 +299,9 @@ def components(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
 
 def sparse_nullspace(rows, cols, vals, n: int) -> np.ndarray:
     """Rows spanning the kernel of a sparse system over n columns, given as
-    in :func:`components`: one ``nullspace`` per block shape, and a unit
-    vector for each column in no row.  The rows come by component, in order
-    of lowest column, and then in SVD order."""
+    in :func:`components`, for callers that read the vectors: one
+    ``nullspace`` per block shape, and a unit vector for each column in no
+    row.  The rows come by component, in order of lowest column, then in SVD order."""
     ids, nulls = [], []
     for _, col_ids, blocks in components(rows, cols, vals, n):
         null, which = nullspace(blocks)

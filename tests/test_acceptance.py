@@ -94,7 +94,7 @@ def test_criterion_2_dimensions(algebras):
         ok &= alg.dim == n * (n + 1) ** 2 + 4 * n * n
         ok &= target.dim == n + 1 and source.dim == n + 1
         ok &= target.intersect(source).dim == 1
-        ok &= alg.center().dim == n + 1
+        ok &= alg.center() == n + 1
     ok &= algebras[((2,), 1)].dim == 34
     ok &= algebras[((4,), 1)].dim == 164
     _report_line(2, "dim B formula (34/164), dim B_t = B_s = |G|+1, biconnected, dim Z(B) = |G|+1", ok)

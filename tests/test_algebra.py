@@ -239,7 +239,7 @@ class TestMultiply:
     def test_center_dimension_does_not_depend_on_tolerance(self):
         # Z(B) has one unit per simple object, three on Z2; a loose verdict
         # tolerance must not raise the rank of the commutant system
-        assert TYAlgebra(FiniteAbelianGroup((2,)), eps=0.5).center().dim == 3
+        assert TYAlgebra(FiniteAbelianGroup((2,)), eps=0.5).center() == 3
 
 
 class TestUnitCounitCoproduct:
@@ -870,6 +870,35 @@ class TestWitnessNames:
 
 
 HYPERBOLIC = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
+
+
+class TestCenter:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors,phases", [
+        *(((k,), None) for k in range(1, 7)), ((2, 2), None), ((3,), ((Fraction(2, 3),),)), ((2, 2), HYPERBOLIC),
+    ])
+    def test_dimension_is_the_nullity_of_the_dense_commutant(self, factors, phases, sign):
+        # z -> u z - z u for every unit u, stacked densely from the product
+        # table u_i u_j = sum c u_k: L_u has c at (u = i, k; j), R_u at (u = j, k; i);
+        # rows that no product reaches are zero and left out
+        grp = FiniteAbelianGroup(factors)
+        alg = TYAlgebra(grp, Bicharacter(grp, phases) if phases else None, tau_sign=sign)
+        T, d = alg.product, alg.dim
+        keys, row = np.unique(np.concatenate([T.i * d + T.k, T.j * d + T.k]), return_inverse=True)
+        dense = np.zeros((len(keys), d), dtype=complex)
+        np.add.at(dense, (row, np.concatenate([T.j, T.i])), np.concatenate([T.c, -T.c]))
+        assert alg.center() == d - np.linalg.matrix_rank(dense) == grp.order + 1
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+    def test_negated_product_constant_fails_the_row(self, factors, sign):
+        # (1; 0, 0)(0; 0, 0) = (1; 0, 0) negated moves dim Z(B) from n + 1 to n
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        T, lay, n = alg.product, alg._layout, alg.group.order
+        (e,) = np.flatnonzero((T.i == lay.unit(1, 0, 0)) & (T.j == lay.unit(0, 0, 0)))
+        T.c[e] *= -1.0
+        row = {c.name: c for c in alg.verify_axioms().checks}["center dimension"]
+        assert (row.passed, row.residual, row.witness) == (False, 1.0, f"dim Z(B) = {n}")
 
 
 def rows_of(alg) -> dict:

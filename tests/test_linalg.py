@@ -22,6 +22,7 @@ from tywha.linalg import (
     SparseVec,
     Subspace,
     components,
+    nullity,
     nullspace,
     sparse_nullspace,
     tensor_contains,
@@ -271,7 +272,7 @@ def _random(rng, m, n, rank):
 
 class TestNullspace:
     """nullspace against a full-SVD reference, one matrix of a stack at a
-    time: same dimension, same span."""
+    time: same dimension, same span; nullity counts its rows per matrix."""
 
     @pytest.mark.parametrize(
         "m, n, rank",
@@ -294,6 +295,7 @@ class TestNullspace:
         mats = np.stack([_random(rng, m, n, r) for r in ranks]) * scales
         null, which = nullspace(mats)
         assert np.array_equal(which, np.repeat(np.arange(4), [n - r for r in ranks]))
+        assert np.array_equal(nullity(mats), np.bincount(which, minlength=4))
         for mat, r, kernel in zip(mats, ranks, (null[which == i] for i in range(4))):
             _, s, vh = np.linalg.svd(mat, full_matrices=True)
             ref = vh[int(np.sum(s > 1e-9 * max(1.0, s[0]))):].conj()
@@ -304,9 +306,11 @@ class TestNullspace:
 
     @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (0, 0)])
     def test_empty(self, m, n):
-        null, which = nullspace(np.zeros((2, m, n), dtype=complex))
+        mats = np.zeros((2, m, n), dtype=complex)
+        null, which = nullspace(mats)
         assert np.array_equal(null, np.vstack([np.eye(n)] * 2))
         assert np.array_equal(which, np.repeat([0, 1], n))
+        assert np.array_equal(nullity(mats), np.bincount(which, minlength=2))
 
 
 def _block_system(rng):
