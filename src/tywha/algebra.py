@@ -617,13 +617,33 @@ class TYAlgebra:
 
     @cached_property
     def _unit_legs_in_target(self) -> np.ndarray:
-        """For each zero-block slot s, whether e_s (x) conj(v^0_Omega) =
-        sum_c (0; s, c), a second leg of every Delta(1_A), lies in B_t."""
-        target, lay = self.counital_subalgebras()[0], self._layout
+        """For each zero-block slot s, whether R_s = e_s (x) conj(v^0_Omega) =
+        sum_c (0; s, c), a second leg of every Delta(1_A), lies in B_t, read
+        from the fiber table's zero-block entries alone.
+
+        Proof.  B_t is eps_t(B) (``counital_subalgebras``), so R_s lies in
+        B_t if eps_t(R_s) = R_s, and only then, as eps_t o eps_t = eps_t in
+        every weak Hopf algebra.  By ``_counital_table``, eps_t(R_s) =
+        sum_e w_se R_e with w_se = sum_{r,c} eps((0; r, e)(0; s, c)).  By
+        ``product``, (0; r, e)(0; s, c) sums c_p conj(c_q) (z; f, g) over the
+        fiber entries p: v^0_r . v^0_s = c_p v^z_f and q: v^0_e . v^0_c =
+        c_q v^z_g, and eps keeps the terms with f = g.  So w_se sums
+        c_p conj(c_q) over the zero-block self-join of the table on output
+        slot, p with right slot s and q with left slot e.  The residual of
+        R_s against B_t is at most |eps_t(R_s) - R_s| = sqrt(n) |w_s - e_s|
+        over the n zero-block slots, which must be at most eps (1 + |R_s|).
+        On the closed form the zero-block entries are v^0_s . v^0_s = v^0_s
+        (rules 1-2 of ``_fiber_table``), so w = 1 and every leg lies in B_t."""
+        T, lay = self._fiber_table, self._layout
+        x, a, y, c, _, _ = T.local
         n = int(lay.sizes[lay.zero])
-        legs = (lay.zero_units.reshape(n, n, 1) == target.universe).any(axis=1)
-        res = target.residuals(legs.astype(complex), n - legs.sum(axis=1))
-        return res <= self.eps * (1.0 + np.sqrt(n))
+        zero = np.flatnonzero((x == lay.zero) & (y == lay.zero))
+        by_out = zero[np.argsort(T.out[zero], kind="stable")]
+        s, t = _join(T.out[zero], T.out[by_out])
+        p, q = zero[s], by_out[t]
+        w = np.zeros((n, n), dtype=complex)
+        np.add.at(w, (c[p], a[q]), _cmul(T.coeff[p], T.coeff[q].conj()))
+        return np.sqrt(n) * np.linalg.norm(w - np.eye(n), axis=1) <= self.eps * (1.0 + np.sqrt(n))
 
     # -- Haar functional ---------------------------------------------------------
 

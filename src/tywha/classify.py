@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .algebra import TYAlgebra
-from .coideals import CoidealSpec, WeakCoideal, assess, build_from_spec, build_I_Omega_K
+from .coideals import CoidealSpec, WeakCoideal, _builder, _build, _Families, _verified
 from .errors import InvariantError, SizeError, StructuralError, check_order
 from .groups import (
     Bicharacter, FiniteAbelianGroup, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal,
@@ -49,6 +50,9 @@ BLOCK_ELEMS = 1 << 20
 # --realize checks its representatives in batches that hold this many fiber
 # row pairs, sum r^2, or fewer before their last: it bounds a batch's memory.
 BATCH_PAIRS = 1 << 15
+# --realize builds at most this many classes in one array pass: it bounds a
+# build's memory (at order 16, at most a few hundred fiber rows a class).
+BUILD_CLASSES = 1 << 8
 
 
 # -- orbit engine -----------------------------------------------------------------
@@ -383,12 +387,22 @@ def g_algebra_classes(
 # -- realization -----------------------------------------------------------------
 
 
-def _representative(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
-    """The family that realizes a class: ``I_Omega_K`` over K (Z0 side) or
-    its annihilator (Z1 side) for a lone singleton, else ``build_from_spec``."""
-    if len(spec.z0) + len(spec.z1) == 1:
-        return build_I_Omega_K(alg, spec if spec.z0 else spec.swapped())
-    return build_from_spec(alg, spec)
+def _realized(alg: TYAlgebra, classes: Sequence[tuple[CoidealSpec, bool]]) -> Iterator[tuple[list[int], _Families]]:
+    """The families that realize the classes, given as (datum, coideal
+    flag): ``I_Omega_K`` over K (Z0 side) or its annihilator (Z1 side) for a
+    lone singleton, else ``build_from_spec``'s.  Yields, for each run of
+    classes over one pair of quotients and each builder and side, the class
+    numbers and their families, built in one array pass per BUILD_CLASSES
+    classes."""
+    for _, run in groupby(enumerate(classes), key=lambda c: (id(c[1][0].q0), id(c[1][0].q1))):
+        groups: dict[tuple[str, int], list[int]] = {}
+        for c, (spec, _) in run:
+            lone = len(spec.z0) + len(spec.z1) == 1
+            groups.setdefault(("I_Omega_K", int(not spec.z0)) if lone else _builder(spec), []).append(c)
+        for (builder, side), numbers in groups.items():
+            for lo in range(0, len(numbers), BUILD_CLASSES):
+                chunk = numbers[lo:lo + BUILD_CLASSES]
+                yield chunk, _build(alg, builder, side, [classes[c][0] for c in chunk])
 
 
 def realize_and_verify(alg: TYAlgebra, classes: Sequence[tuple[CoidealSpec, bool]]) -> list[tuple[str, bytes, str]]:
@@ -396,23 +410,44 @@ def realize_and_verify(alg: TYAlgebra, classes: Sequence[tuple[CoidealSpec, bool
     coideal flag), run the full coideal verification, and check the coideal
     flag, indecomposability, and the predicted fiber dimensions.  Returns,
     per class, the label of the builder that made it, the subalgebra's
-    ``WeakCoideal.key``, and the message of the first check it fails, in
-    that order, or "".  The representatives are built one at a time and
-    assessed in batches of BATCH_PAIRS, so the memory held does not grow
+    exact ``WeakCoideal.key``, and the message of the first check it fails,
+    in that order, or "".
+
+    The report, the coideal flag and indecomposability depend on the
+    subalgebra alone, and a coideal's residuals are those of a batch of one,
+    bit for bit.  So only the first class with each key is assessed, and
+    every later class with that key takes its verdicts; the flag comparison
+    and the dimension check are made per class.  The families are built a
+    run at a time (``_realized``), and the distinct subalgebras assessed in
+    batches of BATCH_PAIRS fiber row pairs, so the memory held does not grow
     with the classes."""
-    out, batch, pairs = [], [], 0
-    for n, (spec, _) in enumerate(classes, 1):
-        batch.append(_representative(alg, spec))
-        pairs += len(batch[-1].fiber_block) ** 2
-        if pairs < BATCH_PAIRS and n < len(classes):
-            continue
-        for wc, (report, flag, indecomposable, dims_ok) in zip(batch, assess(batch)):
-            rep, coideal = classes[len(out)]
-            failure = next((text for ok, text in (
-                (report.passed, "realized representative fails verification: {rep}"),
-                (flag == coideal, "coideal flag mismatch for {rep}: built {flag}"),
-                (indecomposable, "realized representative is decomposable: {rep}"),
-                (dims_ok, "fiber dimensions disagree for {rep}")) if not ok), "")
-            out.append((wc.label, wc.key(), failure.format(rep=rep, flag=flag)))
-        batch, pairs = [], 0
+    realized, keys, verdicts, batch, pairs = [None] * len(classes), {}, {}, [], 0
+
+    def check(queued: list[tuple[bytes, WeakCoideal]]) -> None:
+        for (key, _), (report, flag, indecomposable) in zip(queued, _verified([wc for _, wc in queued])):
+            verdicts[key] = report.passed, flag, indecomposable
+
+    for numbers, families in _realized(alg, classes):
+        for f, (c, key, dims_ok) in enumerate(zip(numbers, families.keys(), families.dims_match().tolist())):
+            if key in keys:
+                key = keys[key]  # one copy of each key
+            else:
+                keys[key] = key
+                batch.append((key, families[f]))
+                pairs += int(families.counts[f]) ** 2
+                if pairs >= BATCH_PAIRS:
+                    check(batch)
+                    batch, pairs = [], 0
+            realized[c] = families.labels[f], key, dims_ok
+    if batch:
+        check(batch)
+    out = []
+    for (rep, coideal), (label, key, dims_ok) in zip(classes, realized):
+        passed, flag, indecomposable = verdicts[key]
+        failure = next((text for ok, text in (
+            (passed, "realized representative fails verification: {rep}"),
+            (flag == coideal, "coideal flag mismatch for {rep}: built {flag}"),
+            (indecomposable, "realized representative is decomposable: {rep}"),
+            (dims_ok, "fiber dimensions disagree for {rep}")) if not ok), "")
+        out.append((label, key, failure.format(rep=rep, flag=flag)))
     return out

@@ -88,13 +88,17 @@ class WeakCoideal:
         return int(self.algebra._layout.sizes[self.fiber_block].sum())
 
     def key(self) -> bytes:
-        """The subalgebra's canonical key: a digest of its fiber blocks and
-        rows sorted by block and pivot.  The builders' rows are reduced
-        echelon rows, so their keys are equal iff their subalgebras are."""
-        from hashlib import sha256  # on use: importing hashlib loads OpenSSL, about 3 MB, into every command
-
+        """The subalgebra's exact key: its fiber rows sorted by block and
+        pivot, as ``_key_rows`` writes 0/1 indicator rows.  Every builder's
+        rows are such indicators, disjoint within a block with each pivot at
+        the least slot of its row: the reduced echelon rows of the fibers,
+        which the fibers determine.  So two keys are equal iff the
+        subalgebras are.  Raises InvariantError for rows that are not 0/1."""
         order = np.lexsort((self.fiber_pivot, self.fiber_block))
-        return sha256(self.fiber_block[order].astype(np.int64).tobytes() + self.fiber_rows[order].tobytes()).digest()
+        rows = self.fiber_rows[order]
+        if not ((rows == 0) | (rows == 1)).all():
+            raise InvariantError(f"coideal {self.label} has fiber rows that are not 0/1 indicators")
+        return _key_rows(self.fiber_block[order], rows == 1).tobytes()
 
     def x_dims(self) -> np.ndarray:
         """dim X^x for each block x, in ``Layout`` order."""
@@ -114,19 +118,6 @@ class WeakCoideal:
         }
 
 
-# -- assembly ---------------------------------------------------------------------
-
-
-def _indicators(alg: TYAlgebra, block: np.ndarray, member: np.ndarray, label: str,
-                spec: CoidealSpec) -> WeakCoideal:
-    """The family whose fibers are spanned by 0/1 indicator rows ``member``
-    over the slots of the blocks numbered ``block``, disjoint within a block
-    and so already in reduced echelon form, each pivot at its least slot."""
-    order = np.argsort(block, kind="stable")
-    member = member[order]
-    return WeakCoideal(alg, block[order], member.argmax(axis=1), member.astype(complex), label, spec)
-
-
 # -- builders ----------------------------------------------------------------------
 
 
@@ -140,27 +131,97 @@ def _annihilator(alg: TYAlgebra, spec: CoidealSpec) -> Subgroup:
     return perp
 
 
-def _group_fibers(
-    alg: TYAlgebra, quot: QuotientGroup, z: tuple[int, ...], perp: Subgroup | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fibers' generators for the cosets numbered ``z`` of ``quot`` as
-    indicator rows (block, member): X^g gets v^g_lam for the lam in Z with
-    lam - g in Z and, given ``perp``, v^g_m for g in ``perp``, while X^m gets
-    v^m_lam and then v^m_{~lam}, lam in Z."""
-    n = alg.group.order
-    in_z = np.zeros(len(quot), dtype=bool)
-    in_z[list(z)] = True
-    hits = in_z & in_z[np.argsort(quot.trans, axis=1)]  # [t, c]: c and c - t in Z
-    g, c = np.nonzero(hits[quot.label])
+def _key_rows(block: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Each 0/1 indicator row as bytes: its block (blocks number at most
+    ALGEBRA_ORDER_BOUND + 1), then its members packed eight to a byte."""
+    return np.concatenate([block.astype(np.uint8)[:, None], np.packbits(member, axis=1)], axis=1)
+
+
+def _indicator(zs: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """The indicator rows over n cosets of the coset numbers in each of zs."""
+    rows = np.zeros((len(zs), n), dtype=bool)
+    rows[np.repeat(np.arange(len(zs)), [len(z) for z in zs]), [c for z in zs for c in z]] = True
+    return rows
+
+
+class _Families:
+    """Families over one algebra held as 0/1 indicator rows, the form every
+    builder makes: family c has rows ``start[c]`` to ``start[c] + counts[c]``
+    of ``block`` and ``member`` (over the widest block's slots), sorted by
+    block, then pivot, its least slot.  Rows within a block are disjoint,
+    so they are reduced echelon rows, and two families span the same
+    fibers iff their rows are equal.  ``labels`` and ``specs`` name each
+    family's builder and classification data, the data over one pair of
+    quotients."""
+
+    def __init__(self, alg: TYAlgebra, counts: np.ndarray, block: np.ndarray, member: np.ndarray,
+                 labels: list[str], specs: Sequence[CoidealSpec]):
+        self.algebra, self.counts, self.block, self.member = alg, counts, block, member
+        self.labels, self.specs, self.start = labels, specs, np.cumsum(counts) - counts
+
+    def __getitem__(self, c: int) -> WeakCoideal:
+        lo, hi = int(self.start[c]), int(self.start[c] + self.counts[c])
+        member = self.member[lo:hi]
+        return WeakCoideal(self.algebra, self.block[lo:hi], member.argmax(axis=1), member.astype(complex),
+                           self.labels[c], self.specs[c])
+
+    def keys(self) -> list[bytes]:
+        """Each family's ``WeakCoideal.key``, cut from one ``_key_rows``."""
+        rows = _key_rows(self.block, self.member)
+        flat, width, ends = rows.tobytes(), rows.shape[1], (self.start + self.counts).tolist()
+        return [flat[lo * width:hi * width] for lo, hi in zip(self.start.tolist(), ends)]
+
+    def dims_match(self) -> np.ndarray:
+        """Each family's ``dims_match``: its ``x_dims`` against the
+        prediction of its data, each a ``bincount`` over all the families."""
+        k, blocks = len(self.counts), len(self.algebra.block_names)
+        x_dims = np.bincount(np.repeat(np.arange(k), self.counts) * blocks + self.block, minlength=k * blocks)
+        return (_spectral_dims(self.algebra, self.specs) == x_dims.reshape(k, blocks)).all(axis=1)
+
+
+def _build(alg: TYAlgebra, builder: str, side: int, specs: Sequence[CoidealSpec]) -> _Families:
+    """The families that ``builder`` makes from side ``side`` of each of
+    the classification data ``specs``, which share one pair of quotients,
+    in one array pass; ``specs[0]`` is checked to pair K with its
+    annihilator.  Z is the side's coset numbers and L its subgroup, K on
+    side 0 and Kperp on side 1, so that with_m and the lines on side 1
+    build (Kperp, Z1, Z0):
+    - ``no_m``: X^g gets v^g_lam for the lam in Z with lam - g in Z, each
+      coset's members over the first n of the 2n slots, and X^m = 0;
+    - ``with_m``: the same, then v^g_m for g in the annihilator of L, and
+      X^m gets v^m_lam and then v^m_{~lam}, lam in Z (the last n slots);
+    - ``I_m_K`` and ``I_Omega_K``: one line per element k of L, X^k = C v^k_m
+      or C v^k_Omega (the all-ones vector over k's slots 0..n, n the m slot).
+    Each family's rows come sorted by block, then in the order listed,
+    which is the order of their pivots."""
+    _annihilator(alg, specs[0])
+    n, k, slot = alg.group.order, len(specs), np.arange(2 * alg.group.order)
+    quots = specs[0].q0, specs[0].q1
+    quot, other = quots[side], quots[1 - side]
+    zs = [(spec.z0, spec.z1)[side] for spec in specs]
+    if builder in ("I_m_K", "I_Omega_K"):
+        lines = quot.subgroup
+        block = np.tile(lines.idx, k)
+        member = np.tile((slot >= (n if builder == "I_m_K" else 0)) & (slot <= n), (len(block), 1))
+        return _Families(alg, np.full(k, lines.order), block, member, [builder] * k, specs)
+    in_z = _indicator(zs, len(quot))
+    hits = in_z[:, None, :] & in_z[:, np.argsort(quot.trans, axis=1)]  # [., t, c]: c and c - t in Z
     # each coset's members over the 2n slots, as the first n and as the last n
     label = np.full((2, 2 * n), -1)
     label[0, :n] = label[1, n:] = quot.label
     coset, shifted = label[:, None] == np.arange(len(quot))[:, None]
-    block, member = [g], [coset[c]]
-    if perp is not None:
-        block += [perp.idx, np.full(2 * int(in_z.sum()), n)]
-        member += [np.arange(2 * n) == n] * perp.order + [coset[in_z], shifted[in_z]]
-    return np.concatenate(block), np.vstack(member)
+    owner, g, c = np.nonzero(hits[:, quot.label])
+    owners, blocks, members = [owner], [g], [coset[c]]
+    if builder == "with_m":
+        perp, (z_owner, z) = other.subgroup, np.nonzero(in_z)
+        owners += [np.repeat(np.arange(k), perp.order), z_owner, z_owner]
+        blocks += [np.tile(perp.idx, k), np.full(2 * len(z), n)]
+        members += [np.tile(slot == n, (k * perp.order, 1)), coset[z], shifted[z]]
+    owner, block, member = (np.concatenate(a) for a in (owners, blocks, members))
+    order = np.lexsort((block, owner))
+    name = f"no_m(side={side}, " if builder == "no_m" else "with_m("
+    return _Families(alg, np.bincount(owner, minlength=k), block[order], member[order],
+                     [f"{name}|Z|={len(z)})" for z in zs], specs)
 
 
 def build_no_m(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
@@ -172,10 +233,7 @@ def build_no_m(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     case)."""
     if spec.z0 and spec.z1:
         raise InvariantError("no_m takes Z on one side only: Z0 or Z1 must be empty")
-    _annihilator(alg, spec)
-    side, quot, z = (0, spec.q0, spec.z0) if spec.z0 else (1, spec.q1, spec.z1)
-    block, member = _group_fibers(alg, quot, z)
-    return _indicators(alg, block, member, f"no_m(side={side}, |Z|={len(z)})", spec)
+    return _build(alg, "no_m", 0 if spec.z0 else 1, [spec])[0]
 
 
 def build_with_m(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
@@ -190,29 +248,32 @@ def build_with_m(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
         raise InvariantError("Z must be nonempty")
     if len(spec.z1) != 1:
         raise InvariantError("rho0 must be a single coset of the annihilator of K")
-    block, member = _group_fibers(alg, spec.q0, spec.z0, _annihilator(alg, spec))
-    return _indicators(alg, block, member, f"with_m(|Z|={len(spec.z0)})", spec)
+    return _build(alg, "with_m", 0, [spec])[0]
 
 
-def _subgroup_lines(alg: TYAlgebra, spec: CoidealSpec, lo: int, label: str) -> WeakCoideal:
-    """One line per element k of K, X^k = C (the all-ones vector over the
-    slots lo..n of k's block, n the m slot), for data (K, {lam}, {})."""
+def _subgroup_lines(alg: TYAlgebra, spec: CoidealSpec, builder: str) -> WeakCoideal:
+    """``builder``'s lines over K, for data (K, {lam}, {})."""
     if len(spec.z0) != 1 or spec.z1:
-        raise InvariantError(f"{label} takes one Z0 coset and no Z1")
-    _annihilator(alg, spec)
-    K, n, slot = spec.subgroup, alg.group.order, np.arange(2 * alg.group.order)
-    member = np.tile((slot >= lo) & (slot <= n), (K.order, 1))
-    return _indicators(alg, K.idx, member, label, spec)
+        raise InvariantError(f"{builder} takes one Z0 coset and no Z1")
+    return _build(alg, builder, 0, [spec])[0]
 
 
 def build_I_m_K(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     """One line per subgroup element, supported on the m slot: X^k = C v^k_m."""
-    return _subgroup_lines(alg, spec, alg.group.order, "I_m_K")
+    return _subgroup_lines(alg, spec, "I_m_K")
 
 
 def build_I_Omega_K(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     """One all-ones line per subgroup element: X^k = C v^k_Omega."""
-    return _subgroup_lines(alg, spec, 0, "I_Omega_K")
+    return _subgroup_lines(alg, spec, "I_Omega_K")
+
+
+def _builder(spec: CoidealSpec) -> tuple[str, int]:
+    """The builder ``build_from_spec`` takes for classification data, and
+    the side of the data it builds from (see ``_build``)."""
+    if not spec.z0 or not spec.z1:
+        return "no_m", int(not spec.z0)
+    return "with_m", int(len(spec.z0) == 1 and (len(spec.z1) > 1 or len(spec.z1) == len(spec.q1)))
 
 
 def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
@@ -221,11 +282,10 @@ def build_from_spec(alg: TYAlgebra, spec: CoidealSpec) -> WeakCoideal:
     that holds several cosets, with the other side's single coset as rho0.
     A single Z0 against a full Z1 is built over the annihilator, so that
     the family of a coideal class is unital in B."""
-    if not spec.z0 or not spec.z1:
+    builder, side = _builder(spec)
+    if builder == "no_m":
         return build_no_m(alg, spec)
-    if len(spec.z0) == 1 and (len(spec.z1) > 1 or len(spec.z1) == len(spec.q1)):
-        return build_with_m(alg, spec.swapped())
-    return build_with_m(alg, spec)
+    return build_with_m(alg, spec.swapped() if side else spec)
 
 
 # -- verification -------------------------------------------------------------------
@@ -387,8 +447,10 @@ def _unit_coproduct(F: _Fibers) -> list[tuple[float, str]]:
     over the zero-block slots s.  For Gamma nonempty both families of legs
     are linearly independent, so Delta(1_A) lies in A (x) B_t iff every
     first leg lies in A, that is iff v^0_Gamma lies in X^0, and every second
-    leg lies in B_t, a property of B alone, checked once per algebra.
-    Delta(1_A) = 0 for Gamma empty; A = 0 fails, as it has no unit."""
+    leg lies in B_t, a property of B alone, read once per algebra from the
+    fiber table's zero block (``TYAlgebra._unit_legs_in_target``), so no
+    coideal command builds B_t.  Delta(1_A) = 0 for Gamma empty; A = 0
+    fails, as it has no unit."""
     alg, legs = F.algebra, (0.0, "")
     if F.unit_in_a.any():  # some coideal reads B_t
         out = np.flatnonzero(~alg._unit_legs_in_target)
@@ -509,18 +571,26 @@ def is_indecomposable(batch: Sequence[WeakCoideal], fibers: _Fibers | None = Non
 # -- spectral dimensions ---------------------------------------------------------
 
 
+def _spectral_dims(alg: TYAlgebra, specs: Sequence[CoidealSpec]) -> np.ndarray:
+    """``spectral_dims`` of classification data over one pair of quotients,
+    a row per datum, by one ``bincount`` over every (datum, g, lam) counted."""
+    n, k = alg.group.order, len(specs)
+    keys = []
+    for quot, zs in ((specs[0].q0, [spec.z0 for spec in specs]), (specs[0].q1, [spec.z1 for spec in specs])):
+        in_z = _indicator(zs, len(quot))
+        c, g, _ = np.nonzero((in_z[:, None, :] & in_z[:, quot.trans])[:, quot.label])
+        keys.append(c * (n + 1) + g)
+    keys.append(np.arange(k) * (n + 1) + n)
+    m = [2 * len(spec.z0) * len(spec.z1) for spec in specs]
+    counts = np.bincount(np.concatenate(keys), np.concatenate([np.ones(len(keys[0]) + len(keys[1])), m]), k * (n + 1))
+    return counts.astype(np.int64).reshape(k, n + 1)
+
+
 def spectral_dims(spec: CoidealSpec, alg: TYAlgebra) -> np.ndarray:
     """Predicted fiber dimensions of classification data, one per block in
     ``Layout`` order: dim X^g counts the cosets lam of either side with lam
     and g + lam both in that side's Z, and dim X^m = 2 |Z0| |Z1|."""
-    group = alg.group
-    counts = np.zeros(group.order + 1, dtype=np.int64)
-    for quot, z in ((spec.q0, spec.z0), (spec.q1, spec.z1)):
-        in_z = np.zeros(len(quot), dtype=bool)
-        in_z[list(z)] = True
-        counts[:-1] += (in_z & in_z[quot.trans])[quot.label].sum(axis=1)
-    counts[-1] = 2 * len(spec.z0) * len(spec.z1)
-    return counts
+    return _spectral_dims(alg, [spec])[0]
 
 
 def dims_match(wc: WeakCoideal) -> bool:
@@ -531,14 +601,20 @@ def dims_match(wc: WeakCoideal) -> bool:
     return bool(np.array_equal(spectral_dims(wc.spec, wc.algebra), wc.x_dims()))
 
 
-def assess(batch: Sequence[WeakCoideal]) -> list[tuple[AxiomReport, bool, bool, bool]]:
-    """For each coideal of a batch over one algebra, its verification
-    report, whether it is a coideal, whether it is indecomposable (decided
-    only if every check passes, else False), and whether its fiber
-    dimensions match the prediction, from one build of the batch's fibers."""
+def _verified(batch: Sequence[WeakCoideal]) -> list[tuple[AxiomReport, bool, bool]]:
+    """``assess`` without the dimension check."""
     F = _Fibers(batch)
     reports = verify_weak_coideal(batch, F)
     passed = [wc for wc, report in zip(batch, reports) if report.passed]
     indecomposable = iter(is_indecomposable(passed, F) if passed else [])
-    return [(report, is_coideal(wc), report.passed and next(indecomposable), dims_match(wc))
-            for wc, report in zip(batch, reports)]
+    return [(report, is_coideal(wc), report.passed and next(indecomposable)) for wc, report in zip(batch, reports)]
+
+
+def assess(batch: Sequence[WeakCoideal]) -> list[tuple[AxiomReport, bool, bool, bool]]:
+    """For each coideal of a batch over one algebra, its verification
+    report, whether it is a coideal, whether it is indecomposable (decided
+    only if every check passes, else False), all from one build of the
+    batch's fibers (``_verified``), and whether its fiber dimensions match
+    the prediction.  ``realize_and_verify`` takes the first three once per
+    distinct subalgebra and makes the dimension check per class."""
+    return [(*verdicts, dims_match(wc)) for wc, verdicts in zip(batch, _verified(batch))]

@@ -22,7 +22,12 @@ and ``failures`` lists a report's failed checks.  A keyed sum by
 index are kept as references for ``linalg._sums`` and
 ``linalg.components``.  ``lstsq_haar``, a least-squares solve of the Haar
 system by one ``lstsq`` per block, is the reference ``TYAlgebra.haar``'s
-closed-form h and its rank are checked against.  The
+closed-form h and its rank are checked against.  ``representative``, the
+family that realizes a class built one class at a time, ``sha256_key``,
+the digest keys were before they were exact, and ``echelon_unit_legs``,
+the B_t leg check by the echelon of B_t, are the references for
+``classify._realized``'s batch builds, ``WeakCoideal.key`` and
+``TYAlgebra._unit_legs_in_target``.  The
 translations sigma_t, built from the named slots, and their defects against
 B's tables, by one sorted keyed sum per table and t, are the reference for
 ``TYAlgebra._translations`` and for ``_translation_defects`` at the
@@ -48,9 +53,11 @@ import numpy as np
 from tywha.algebra import AxiomReport, TYAlgebra
 from tywha.classify import (
     CLASSIFY_ORDER_BOUND, ENUMERATION_BOUND, _coideal_flags, _pair_fixed, _pair_key, _pair_perms, _quotients,
-    _representative, _subsets, _vector_fixed, _vector_key, _vectors, burnside_check, coideal_orbits, orbit_partition,
+    _subsets, _vector_fixed, _vector_key, _vectors, burnside_check, coideal_orbits, orbit_partition,
 )
-from tywha.coideals import CoidealSpec, WeakCoideal, _coords, _exact, _Fibers, _verdicts, build_from_spec
+from tywha.coideals import (
+    CoidealSpec, WeakCoideal, _coords, _exact, _Fibers, _verdicts, build_from_spec, build_I_Omega_K,
+)
 from tywha.errors import InvariantError, SizeError, StructuralError, check_order
 from tywha.groups import (
     FiniteAbelianGroup, GroupElt, QuotientGroup, Subgroup, enumerate_subgroups, orthogonal, quotient,
@@ -633,6 +640,26 @@ def translated_rows(alg, t: int, block: np.ndarray, rows: np.ndarray) -> np.ndar
     return out
 
 
+def representative(alg, spec: CoidealSpec) -> WeakCoideal:
+    """The family that realizes a class, one class at a time, as
+    ``realize_and_verify`` chose it before it built a run of classes in one
+    array pass (``classify._realized``): ``build_I_Omega_K`` over K (Z0 side)
+    or its annihilator (Z1 side) for a lone singleton, else
+    ``build_from_spec``."""
+    if len(spec.z0) + len(spec.z1) == 1:
+        return build_I_Omega_K(alg, spec if spec.z0 else spec.swapped())
+    return build_from_spec(alg, spec)
+
+
+def sha256_key(wc) -> bytes:
+    """``WeakCoideal.key`` as it was before keys were exact: a sha256 digest
+    of the fiber blocks and dense rows sorted by block and pivot."""
+    from hashlib import sha256
+
+    order = np.lexsort((wc.fiber_pivot, wc.fiber_block))
+    return sha256(wc.fiber_block[order].astype(np.int64).tobytes() + wc.fiber_rows[order].tobytes()).digest()
+
+
 def span_key(block: np.ndarray, rows: np.ndarray) -> tuple:
     """A canonical form of the fibers spanned by rows whose supports are
     disjoint within each block: each row with its block, divided by its
@@ -667,10 +694,10 @@ def _departures(alg, classes, build) -> list[tuple[int, int]]:
 def follows_translations(alg, classes) -> int:
     """Check that builds follow sigma_t on every class p of ``classes``,
     given as (datum, flag), and every t, and return the number of (p, t) at
-    which ``classify._representative`` departs.
+    which ``representative`` departs.
 
     - ``build_from_spec`` never departs.
-    - ``_representative`` departs exactly where ``build_I_Omega_K`` builds a
+    - ``representative`` departs exactly where ``build_I_Omega_K`` builds a
       lone singleton: its lines C v^k_Omega, over L = K for a Z0 singleton
       or its annihilator for a Z1 singleton, do not move with the coset,
       and sigma_t puts conj chi(k, t) on their slot v^k_m, which is not 1
@@ -684,20 +711,20 @@ def follows_translations(alg, classes) -> int:
         if len(spec.z0) + len(spec.z1) == 1:
             lines = spec.subgroup if spec.z0 else spec.q1.subgroup
             lone += [(c, t) for t in np.flatnonzero(alg.bichar.phase_table[lines.idx].any(axis=0)).tolist()]
-            assert _representative(alg, spec).label == "I_Omega_K"
+            assert representative(alg, spec).label == "I_Omega_K"
         if spec.z0 and spec.z1:
             wc = build_from_spec(alg, spec)
             side = 0 if wc.spec.q0 is spec.q1 else 1  # the side built as rho0, swapped in when it is Z0
             for t in range(alg.group.order):
                 assert build_from_spec(alg, translated_spec(spec, t, (side,))).key() == wc.key(), (spec, t)
-    assert _departures(alg, classes, _representative) == lone
+    assert _departures(alg, classes, representative) == lone
     return len(lone)
 
 
 def swap_pairs(alg, classes) -> int:
     """Check that two classes of ``classes``, given as (datum, flag), build
     the same subalgebra only when they are (K, Z0, Z1) and (Kperp, Z1, Z0)
-    with K != Kperp, built by ``classify._representative`` or by
+    with K != Kperp, built by ``representative`` or by
     ``build_from_spec``, and compared as they are or by the least
     ``span_key`` over sigma_t images; return the number of such pairs."""
     def shared(build, canonical=False) -> list:
@@ -708,8 +735,8 @@ def swap_pairs(alg, classes) -> int:
             groups.setdefault(key, []).append(c)
         return sorted(g for g in groups.values() if len(g) > 1)
 
-    pairs = shared(_representative)
-    assert pairs == shared(build_from_spec) == shared(_representative, canonical=True)
+    pairs = shared(representative)
+    assert pairs == shared(build_from_spec) == shared(representative, canonical=True)
     for pair in pairs:
         assert len(pair) == 2, pair
         (p, _), (q, _) = (classes[c] for c in pair)
@@ -917,6 +944,17 @@ def a_unit_coproduct(wc, A: ACoords) -> tuple:
     ok = (bool(A.size) and bool((res - target.eps * (1.0 + norms) <= 0.0).all())
           and bool(A.contains(b[hit], firsts[f[hit]], val[hit], target.dim).all()))
     return _exact(ok)
+
+
+def echelon_unit_legs(alg) -> np.ndarray:
+    """``TYAlgebra._unit_legs_in_target`` as it was before it read the fiber
+    table: for each zero-block slot s, the residual of R_s = sum_c (0; s, c)
+    against the echelon of B_t, at most eps (1 + |R_s|)."""
+    target, lay = alg.counital_subalgebras()[0], alg._layout
+    n = int(lay.sizes[lay.zero])
+    legs = (lay.zero_units.reshape(n, n, 1) == target.universe).any(axis=1)
+    res = target.residuals(legs.astype(complex), n - legs.sum(axis=1))
+    return res <= alg.eps * (1.0 + np.sqrt(n))
 
 
 def a_level_report(wc) -> AxiomReport:

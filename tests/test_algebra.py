@@ -1381,3 +1381,16 @@ class TestExport:
         s1 = json.dumps(z2.export_data(), sort_keys=True, default=table_rows)
         s2 = json.dumps(TYAlgebra(FiniteAbelianGroup((2,))).export_data(), sort_keys=True, default=table_rows)
         assert s1 == s2
+
+
+class TestUnitLegs:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors,phases", EQUIVALENCE_DATA)
+    def test_fiber_table_legs_are_the_echelon_legs(self, factors, phases, sign):
+        # whether each second leg R_s of Delta(1_A) lies in B_t: read from the
+        # fiber table's zero block, as by the echelon of B_t
+        grp = FiniteAbelianGroup(factors)
+        alg = TYAlgebra(grp, Bicharacter(grp, phases) if phases else None, tau_sign=sign)
+        legs = alg._unit_legs_in_target
+        assert "product" not in vars(alg) and "_counital" not in vars(alg)  # B_t is not built for them
+        assert legs.tolist() == reference.echelon_unit_legs(alg).tolist() == [True] * (grp.order + 1)

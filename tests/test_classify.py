@@ -33,7 +33,8 @@ from tywha.classify import (
 )
 from tywha.cli import main as cli_main
 from tywha.coideals import (
-    build_from_spec, build_I_m_K, build_I_Omega_K, build_no_m, build_with_m, is_coideal, verify_weak_coideal,
+    build_from_spec, build_I_m_K, build_I_Omega_K, build_no_m, build_with_m, dims_match, is_coideal,
+    verify_weak_coideal,
 )
 from tywha.errors import InvariantError, SizeError, StructuralError
 from tywha.groups import (
@@ -645,32 +646,35 @@ class TestRealization:
 
     @pytest.mark.parametrize("factors", sorted(REALIZED))
     def test_realized_families(self, factors, monkeypatch):
+        # each class's label, and the data its representative is built from;
+        # only the first class of each key is verified, with that class's family
         alg = TYAlgebra(FiniteAbelianGroup(factors))
-        got = []
+        classes, assessed = weak_coideal_classes(alg.group, alg.bichar)[1], []
 
         def record(batch, fibers=None):
-            for wc in batch:
-                spec = wc.spec.describe()
-                data = (f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}"
-                        for k in ("K", "Z0", "Z1"))
-                got.append(" ".join([wc.label, *data]))
+            assessed.extend(batch)
             return verify_weak_coideal(batch, fibers)
 
         monkeypatch.setattr(coideals, "verify_weak_coideal", record)
-        realize_and_verify(alg, weak_coideal_classes(alg.group, alg.bichar)[1])
+        realized = realize_and_verify(alg, classes)
+        built = [reference.representative(alg, spec) for spec, _ in classes]
+        got = []
+        for wc in built:
+            spec = wc.spec.describe()
+            got.append(" ".join([wc.label, *(f"{k}={','.join(''.join(map(str, e)) for e in spec[k])}"
+                                             for k in ("K", "Z0", "Z1"))]))
         assert got == REALIZED[factors].split("\n")
+        assert [label for label, _, _ in realized] == [wc.label for wc in built]
+        first = {}
+        for c, (_, key, _) in enumerate(realized):
+            first.setdefault(key, c)
+        assert len(assessed) == len(first)  # in the order of the runs built, builder by builder
+        assert {wc.key(): wc.label for wc in assessed} == {key: built[c].label for key, c in first.items()}
 
-    def test_coideal_flagged_reps_are_unital(self, z2_report, monkeypatch):
+    def test_coideal_flagged_reps_are_unital(self, z2_report):
         grp, (_, classes) = z2_report
         alg = TYAlgebra(grp)
-        built = []
-
-        def record(batch, fibers=None):
-            built.extend(batch)
-            return verify_weak_coideal(batch, fibers)
-
-        monkeypatch.setattr(coideals, "verify_weak_coideal", record)
-        realize_and_verify(alg, classes)
+        built = [reference.representative(alg, spec) for spec, _ in classes]
         assert [is_coideal(wc) for wc in built] == [flag for _, flag in classes]
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -680,12 +684,69 @@ class TestRealization:
         # spaces block by block; no class count changes
         alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
         _, classes = weak_coideal_classes(alg.group, alg.bichar)
-        built = [classify._representative(alg, spec) for spec, _ in classes]
+        built = [reference.representative(alg, spec) for spec, _ in classes]
         realized = realize_and_verify(alg, classes)
         assert [key for _, key, _ in realized] == [wc.key() for wc in built]
         assert len({key for _, key, _ in realized}) == distinct and len(realized) == len(classes)
         for a, b in itertools.combinations(built, 2):
             assert (a.key() == b.key()) == same_fibers(a, b), (a.label, b.label)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors, classes_distinct", [
+        ((1,), (2, 2)), ((2,), (10, 5)), ((3,), (14, 7)), ((4,), (26, 15)), ((2, 2), (44, 25)), ((5,), (30, 15)),
+        ((6,), (72, 37)), ((7,), (78, 39)), ((8,), (168, 85)), ((2, 4), (240, 123)), ((2, 2, 2), (392, 203)),
+    ])
+    def test_exact_keys_group_as_digests(self, factors, classes_distinct, sign):
+        # the exact keys put the classes into the same sets as the sha256
+        # digests they replace, so distinct_subalgebras keeps its values
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
+        realized = realize_and_verify(alg, classes)
+        digests = [reference.sha256_key(reference.representative(alg, spec)) for spec, _ in classes]
+
+        def sets(keys) -> set:
+            groups = {}
+            for c, key in enumerate(keys):
+                groups.setdefault(key, []).append(c)
+            return {tuple(g) for g in groups.values()}
+
+        assert sets(key for _, key, _ in realized) == sets(digests)
+        assert (len(classes), len(set(digests))) == classes_distinct
+
+
+class TestBatchBuilds:
+    """``classify._realized`` builds each run of (K, builder) in one array
+    pass, and reproduces ``reference.representative``, one class at a time."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors", [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)])
+    def test_batches_are_the_representatives(self, factors, sign):
+        alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
+        seen = []
+        for numbers, families in classify._realized(alg, classes):
+            # one run of classes over one K, one builder
+            assert len({id(classes[c][0].q0) for c in numbers}) == len({x.split('(')[0] for x in families.labels}) == 1
+            for f, (c, key, dims_ok) in enumerate(zip(numbers, families.keys(), families.dims_match().tolist())):
+                spec, _ = classes[c]
+                wc, ref = families[f], reference.representative(alg, spec)
+                assert wc.spec is spec and ref.spec.describe() in (spec.describe(), spec.swapped().describe())
+                assert (wc.label, wc.fiber_block.tolist(), wc.fiber_pivot.tolist()) == (
+                    ref.label, ref.fiber_block.tolist(), ref.fiber_pivot.tolist())
+                assert wc.fiber_rows.tobytes() == ref.fiber_rows.tobytes() and wc.unit.tobytes() == ref.unit.tobytes()
+                assert key == wc.key() == ref.key() and dims_ok == dims_match(ref)
+                seen.append(c)
+        assert sorted(seen) == list(range(len(classes)))
+
+    @pytest.mark.parametrize("factors", [(4,), (2, 2), (6,)])
+    def test_build_and_batch_sizes_leave_the_result(self, factors, monkeypatch):
+        # a build per class and a batch per distinct subalgebra
+        alg = TYAlgebra(FiniteAbelianGroup(factors))
+        _, classes = weak_coideal_classes(alg.group, alg.bichar)
+        want = realize_and_verify(alg, classes)
+        monkeypatch.setattr(classify, "BUILD_CLASSES", 1)
+        monkeypatch.setattr(classify, "BATCH_PAIRS", 1)
+        assert realize_and_verify(alg, classes) == want
 
 
 def same_fibers(a, b) -> bool:

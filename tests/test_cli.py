@@ -685,13 +685,13 @@ class TestClassifyCommands:
 
     @pytest.mark.parametrize("kind", ["verification", "flag", "indecomposable", "dims"])
     def test_realize_failure_lines(self, kind, monkeypatch, capsys):
-        # one verdict of assess made to fail for every class
+        # one verdict made to fail for every class
         from tywha import coideals
         from tywha.algebra import AxiomCheck, AxiomReport
         from tywha.classify import weak_coideal_classes
         from tywha.groups import Bicharacter, FiniteAbelianGroup
 
-        is_coideal = coideals.is_coideal
+        is_coideal, spectral_dims = coideals.is_coideal, coideals._spectral_dims
         name, fake, message = {
             "verification": ("verify_weak_coideal",
                              lambda batch, fibers=None: [
@@ -701,7 +701,8 @@ class TestClassifyCommands:
                      "coideal flag mismatch for {rep}: built {flag}"),
             "indecomposable": ("is_indecomposable", lambda batch, fibers=None: [False] * len(batch),
                                "realized representative is decomposable: {rep}"),
-            "dims": ("dims_match", lambda wc: False, "fiber dimensions disagree for {rep}"),
+            "dims": ("_spectral_dims", lambda alg, specs: spectral_dims(alg, specs) + 1,
+                     "fiber dimensions disagree for {rep}"),
         }[kind]
         monkeypatch.setattr(coideals, name, fake)
         assert run(["classify", "weak-coideals", "--group", "2", "--realize"]) == 1

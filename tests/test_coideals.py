@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import types
 
 import numpy as np
 import pytest
 
-from tywha import classify, coideals
+from tywha import coideals
 from tywha.algebra import CoproductTable, FiberTable, TYAlgebra
 from tywha.classify import weak_coideal_classes
 from tywha.coideals import (
@@ -26,7 +27,7 @@ from tywha.errors import InvariantError
 from tywha.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, orthogonal, quotient
 from reference import (
     ACoords, BasisUnit, BlockLabel, Slot, a_level_fixed_point_algebra, a_level_report, add, add_scaled, assemble,
-    basis_vectors, blocks, circ, coset_vector, cosets, distance, failures, fiber_rows, invariance, one,
+    basis_vectors, blocks, circ, coset_vector, cosets, distance, failures, fiber_rows, invariance, one, representative,
     restricted_is_indecomposable, sharp, slots, spec_of, stacked_is_indecomposable, star, subspace, trivial, unit_pos,
     unit_vector, units, x_spaces,
 )
@@ -952,18 +953,9 @@ def assert_verdicts_match(wc, on_a=None):
 
 
 def realized_coideals(factors, sign):
-    """The representative realize_and_verify builds for every class."""
-    alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
-    built = []
-
-    def record(batch, fibers=None):
-        built.extend(batch)
-        return verify_weak_coideal(batch, fibers)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coideals, "verify_weak_coideal", record)
-        classify.realize_and_verify(alg, weak_coideal_classes(alg.group, alg.bichar)[1])
-    return built
+    """The representative of every class, as ``realize_and_verify`` builds
+    it (``class_representatives``)."""
+    return class_representatives(TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign))
 
 
 def z4_family(builder, sign):
@@ -1132,12 +1124,21 @@ class TestArrayChecks:
     @pytest.mark.parametrize("builder", ["no_m", "with_m", "I_Omega_K"])
     def test_smaller_target_trips_only_unit_coproduct(self, builder, sign, monkeypatch):
         # B_t without its first basis vector no longer holds every second leg
-        # of Delta(1_A); the fiber row reads that once per algebra, so the
-        # family gets an algebra of its own
+        # of Delta(1_A).  The rows on A read B_t; the fiber row reads the legs
+        # from the fiber table's zero block, once per algebra, where halving
+        # v^0_0 . v^0_0 = v^0_0 makes eps_t(R_0) = R_0 / 4.  The table is
+        # faulted only for that read, so the family gets an algebra of its own
         wc = z4_family(builder, sign)
-        target, source = wc.algebra.counital_subalgebras()
-        smaller = subspace(basis_vectors(target)[1:], eps=wc.algebra.eps)
-        monkeypatch.setattr(type(wc.algebra), "counital_subalgebras", lambda self: (smaller, source))
+        alg = wc.algebra
+        target, source = alg.counital_subalgebras()
+        smaller = subspace(basis_vectors(target)[1:], eps=alg.eps)
+        monkeypatch.setattr(type(alg), "counital_subalgebras", lambda self: (smaller, source))
+        table, zero = alg._fiber_table, alg._layout.zero
+        x, a, y, c, _, _ = table.local
+        coeff = np.where((x == zero) & (y == zero) & (a == 0) & (c == 0), 0.5 * table.coeff, table.coeff)
+        with monkeypatch.context() as faulted:
+            faulted.setattr(alg, "_fiber_table", dataclasses.replace(table, coeff=coeff))
+            assert alg._unit_legs_in_target.tolist() == [False] + [True] * alg.group.order
         report = assert_matches_reference(wc)
         assert [c.name for c in failures(report)] == ["coproduct of unit in A (x) B_t"]
         assert failures(report)[0].witness == "second leg e_0 (x) conj(v^0_Omega) of Delta(1_A) not in B_t"
@@ -1175,7 +1176,10 @@ class TestArrayChecks:
         (v,) = x_vectors[g(2)]
         key = (g(2), Slot.grp((2,)))
         x_vectors[g(2)] = [v + SparseVec({key: (1j - 1) * v[key]})]
-        assert assert_matches_reference(assemble(z4, *fiber_rows(z4, x_vectors), "phased X^2")).passed
+        phased = assemble(z4, *fiber_rows(z4, x_vectors), "phased X^2")
+        assert assert_matches_reference(phased).passed
+        with pytest.raises(InvariantError, match="not 0/1 indicators"):
+            phased.key()  # exact keys are for the builders' indicator rows
 
     def test_zero_family_matches_scalar_paths(self, z4):
         report = assert_matches_reference(assemble(z4, *fiber_rows(z4, {}), "zero"))
@@ -1202,8 +1206,10 @@ def verdict_bits(report, indecomposable):
 
 
 def class_representatives(alg):
-    """The family realize_and_verify builds for every class, on ``alg``."""
-    return [classify._representative(alg, spec) for spec, _ in weak_coideal_classes(alg.group, alg.bichar)[1]]
+    """The family realize_and_verify builds for every class, on ``alg``:
+    ``reference.representative``, whose rows, labels and keys
+    ``TestBatchBuilds`` checks against the batch builds."""
+    return [representative(alg, spec) for spec, _ in weak_coideal_classes(alg.group, alg.bichar)[1]]
 
 
 def faulted(wc, fault):
@@ -1238,6 +1244,24 @@ class TestBatches:
         bits = [(verdict_bits(report, indec), flag, dims) for report, flag, indec, dims in assess(built)]
         assert bits == [(verdict_bits(r, i), f, d) for wc in built for r, f, i, d in assess([wc])]
         assert [flag for _, flag, _ in bits] == [is_coideal(wc) for wc in built]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("factors, swaps", [((2,), 5), ((4,), 11), ((2, 2), 19), ((6,), 35)])
+    def test_swap_reuses_its_own_verdicts(self, factors, sign, swaps):
+        # realize_and_verify assesses the first class of each key and gives
+        # its verdicts to the later ones, the swaps (Kperp, Z1, Z0) of earlier
+        # classes: each of those gets the same bits from its own batch of one.
+        # Only the report's label, which names the builder, may differ
+        # (no_m(side=0) against no_m(side=1)); every class keeps its own
+        first, reused = {}, 0
+        for wc in realized_coideals(factors, sign):
+            report, flag, indec, _ = assess([wc])[0]
+            bits = verdict_bits(report, indec)[1:], flag
+            if wc.key() in first:
+                assert bits == first[wc.key()], wc.label
+                reused += 1
+            first.setdefault(wc.key(), bits)
+        assert reused == swaps
 
     @pytest.mark.parametrize("fault, builder, failed", [
         ("stray unit v^2_0", build_no_m, "closed under product"),

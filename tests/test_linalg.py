@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 import tywha.algebra as algebra
-import tywha.coideals as coideals
 import tywha.linalg as linalg
 from tywha.algebra import TYAlgebra
-from tywha.classify import realize_and_verify, weak_coideal_classes
+from tywha.classify import weak_coideal_classes
 from tywha.coideals import center, fixed_point_algebra, is_indecomposable, verify_weak_coideal
 from tywha.errors import StructuralError
 from tywha.groups import Bicharacter, FiniteAbelianGroup
 from reference import (
     add_scaled, antipode, basis_vectors, counit, distance, eps_t, lstsq_haar, one, places_components, propagated_labels,
-    subspace, unique_sums,
+    representative, subspace, unique_sums,
 )
 from tywha.linalg import (
     ROUNDOFF,
@@ -716,11 +715,7 @@ def _coideal_invariants(factors, sign):
     """verify_weak_coideal, center, fixed_point_algebra and is_indecomposable
     on the coideal that realize_and_verify builds for each class."""
     alg = TYAlgebra(FiniteAbelianGroup(factors), tau_sign=sign)
-    built = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coideals, "verify_weak_coideal",
-                   lambda batch, fibers=None: built.extend(batch) or verify_weak_coideal(batch, fibers))
-        realize_and_verify(alg, weak_coideal_classes(alg.group, alg.bichar)[1])
+    built = [representative(alg, spec) for spec, _ in weak_coideal_classes(alg.group, alg.bichar)[1]]
     return [
         (verify_weak_coideal([wc])[0].to_dict(), _bits(center(wc)), _bits(fixed_point_algebra(wc)),
          is_indecomposable([wc])[0])
